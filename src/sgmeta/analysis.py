@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import DiagGaussian, kl_diag_gaussian
-from .models import MetaModel, apply_features, init_theta0_global
-from .sibcore import GAUSSIAN_FIXED_VAR, InnerLoopConfig, sib_unroll
+from .models import MetaModel, frozen_copy
+from .sibcore import GAUSSIAN_FIXED_VAR, InnerLoopConfig, prior_term, query_loss, sib_unroll
 from .tasks import (
     Episode,
     FewShotConfig,
@@ -27,48 +27,78 @@ from .tasks import (
     episode_rng,
     gen_spinning_lines,
     resample_query_set,
+    stacked,
     true_posterior,
 )
 from . import diffcore as dc
+
+# Every estimator adapts its episodes in chunks of ``batch`` (the run's
+# ``batch_tasks``) through the batched unroll, on a constant copy of the
+# model, so no autodiff tape is built. Randomness is drawn per trial in the
+# order a one-trial-at-a-time loop would draw it.
+
+
+def _chunks(n: int, size: int):
+    for start in range(0, n, size):
+        yield range(start, min(start + size, n))
+
+
+def _adapt(frozen: MetaModel, episodes, inner: InnerLoopConfig,
+           theta0_fn: Optional[Callable] = None) -> np.ndarray:
+    """Adapted weights of a list of episodes, stacked; ``theta0_fn`` maps one
+    episode to its initialization (default: the global one)."""
+    if theta0_fn is None:
+        lam = frozen.params["lambda_global"].data
+        theta0 = np.broadcast_to(lam, (len(episodes),) + lam.shape)
+    else:
+        theta0 = np.stack([theta0_fn(ep).data for ep in episodes])
+    theta_k, _ = sib_unroll(dc.constant(theta0), episodes, frozen, inner)
+    return theta_k.data
+
+
+def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """Per-dataset empirical risk of fixed task weights, one per row of ``w``."""
+    w = w.reshape((len(w),) + frozen.theta_shape())
+    return query_loss(frozen, inputs, labels, dc.constant(w)).data
 
 
 # -- toy-mode estimators ------------------------------------------------------
 
 
-def _frozen_prior(model: MetaModel) -> DiagGaussian:
-    return DiagGaussian(model.params["psi_mean"].data.copy(),
-                        model.params["psi_log_var"].data.copy())
-
-
-def kl_to_true_posterior(model: MetaModel, episodes, cfg: ToyConfig,
-                         inner: InnerLoopConfig) -> float:
-    """Mean exact KL between the adapted posterior and the closed-form one."""
-    if model.mode != "toy":
-        raise ValueError("the closed-form posterior exists only in toy mode")
+def _episode_mean(model: MetaModel, episodes, inner: InnerLoopConfig, batch: int, value_fn,
+                  theta0_fn: Optional[Callable] = None) -> float:
+    """Mean over episodes of ``value_fn(frozen, chunk, theta_K)``, which gives
+    one value per episode of an adapted chunk."""
+    frozen = frozen_copy(model)
     total = 0.0
-    for ep in episodes:
-        theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, inner)
-        q = DiagGaussian(theta_k.data.copy(), np.full(1, inner.q_log_var))
-        total += kl_diag_gaussian(q, true_posterior(ep, cfg)).item()
+    for idx in _chunks(len(episodes), batch):
+        chunk = [episodes[i] for i in idx]
+        for value in value_fn(frozen, chunk, _adapt(frozen, chunk, inner, theta0_fn)):
+            total += float(value)
     return total / len(episodes)
 
 
-def mi_estimate(model: MetaModel, episodes, inner: InnerLoopConfig,
-                theta0_fn: Optional[Callable] = None) -> float:
-    """Mutual-information proxy: mean KL from adapted posteriors to the prior."""
-    prior = _frozen_prior(model)
-    theta0_fn = theta0_fn or (lambda ep: init_theta0_global(model))
-    total = 0.0
-    for ep in episodes:
-        theta_k, _ = sib_unroll(theta0_fn(ep), ep, model, inner)
-        if inner.posterior_regime == GAUSSIAN_FIXED_VAR:
-            q = DiagGaussian(theta_k.data.reshape(-1), np.full(theta_k.size, inner.q_log_var))
-            total += kl_diag_gaussian(q, prior).item()
-        else:
-            from .distributions import dirac_prior_term
+def kl_to_true_posterior(model: MetaModel, episodes, cfg: ToyConfig,
+                         inner: InnerLoopConfig, batch: int = 8) -> float:
+    """Mean exact KL between the adapted posterior and the closed-form one."""
+    if model.mode != "toy":
+        raise ValueError("the closed-form posterior exists only in toy mode")
 
-            total += dirac_prior_term(dc.constant(theta_k.data.reshape(-1)), prior).item()
-    value = total / len(episodes)
+    def kl(frozen, chunk, theta_k):
+        q = DiagGaussian(theta_k, np.full(theta_k.shape, inner.q_log_var))
+        return kl_diag_gaussian(q, true_posterior(chunk, cfg)).data
+
+    return _episode_mean(model, episodes, inner, batch, kl)
+
+
+def mi_estimate(model: MetaModel, episodes, inner: InnerLoopConfig,
+                theta0_fn: Optional[Callable] = None, batch: int = 8) -> float:
+    """Mutual-information proxy: mean KL from adapted posteriors to the prior."""
+    value = _episode_mean(
+        model, episodes, inner, batch,
+        lambda frozen, _, theta_k: prior_term(dc.constant(theta_k), frozen, inner).data,
+        theta0_fn)
     if value < -1e-12:
         raise AssertionError("mutual-information proxy must be nonnegative")
     return value
@@ -119,21 +149,7 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test"):
     return sample
 
 
-def _episode_loss(model: MetaModel, ep: Episode, w: np.ndarray) -> float:
-    """Per-dataset empirical risk of fixed task weights."""
-    if model.mode == "toy":
-        pred = w[0] * ep.query_inputs[:, 0]
-        return float(np.mean((pred - ep.query_labels) ** 2))
-    from .sibcore import _cosine_logits_np, _cross_entropy_np
-
-    feats = apply_features(model, ep.query_inputs).data
-    logits = _cosine_logits_np(feats, w.reshape(model.k, model.d_f),
-                               float(model.params["classifier_scale"].data))
-    return _cross_entropy_np(logits, ep.query_labels)
-
-
-def _draw_posterior_weight(model: MetaModel, theta_data: np.ndarray,
-                           inner: InnerLoopConfig, rng) -> np.ndarray:
+def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) -> np.ndarray:
     if inner.posterior_regime == GAUSSIAN_FIXED_VAR:
         std = math.exp(inner.q_log_var / 2.0)
         return theta_data.reshape(-1) + std * rng.normal(size=theta_data.size)
@@ -142,7 +158,7 @@ def _draw_posterior_weight(model: MetaModel, theta_data: np.ndarray,
 
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
             fresh_datasets_per_task: int = 1, seed: int = 0,
-            theta0_fn: Optional[Callable] = None) -> GapEstimate:
+            theta0_fn: Optional[Callable] = None, batch: int = 8) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
 
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
@@ -151,58 +167,60 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    theta0_fn = theta0_fn or (lambda ep: init_theta0_global(model))
+    frozen = frozen_copy(model)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
     n_query = None
-    for t in range(trials):
-        d, fresh = task_sampler(t)
-        n_query = d.n_query
-        theta_k, _ = sib_unroll(theta0_fn(d), d, model, inner)
-        w = _draw_posterior_weight(model, theta_k.data, inner, rng)
-        on_d = _episode_loss(model, d, w)
-        on_fresh = np.mean(
-            [_episode_loss(model, fresh(j), w) for j in range(fresh_datasets_per_task)]
-        )
-        diffs[t] = on_fresh - on_d
+    for idx in _chunks(trials, batch):
+        samples = [task_sampler(t) for t in idx]
+        datasets = [d for d, _ in samples]
+        n_query = datasets[-1].n_query
+        w = np.stack([_draw_posterior_weight(theta, inner, rng)
+                      for theta in _adapt(frozen, datasets, inner, theta0_fn)])
+        on_d = _losses(frozen, stacked(datasets, "query_inputs"),
+                       stacked(datasets, "query_labels"), w)
+        on_fresh = []
+        for j in range(fresh_datasets_per_task):
+            fresh = [sample_fresh(j) for _, sample_fresh in samples]
+            on_fresh.append(_losses(frozen, stacked(fresh, "query_inputs"),
+                                    stacked(fresh, "query_labels"), w))
+        diffs[idx.start:idx.stop] = np.mean(on_fresh, axis=0) - on_d
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     sigma = estimate_sigma(model, task_sampler, inner, draws=min(trials, 2000),
-                           seed=seed + 1, theta0_fn=theta0_fn)
+                           seed=seed + 1, theta0_fn=theta0_fn, batch=batch)
     mi = mi_for_sampler(model, task_sampler, inner, episodes=min(trials, 200),
-                        theta0_fn=theta0_fn)
+                        theta0_fn=theta0_fn, batch=batch)
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
                        bound=gen_bound(sigma, n_query, mi), mi=mi, n=n_query)
 
 
 def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
                    draws: int = 2000, seed: int = 1,
-                   theta0_fn: Optional[Callable] = None) -> float:
+                   theta0_fn: Optional[Callable] = None, batch: int = 8) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
     under independently drawn task weights and data points."""
-    theta0_fn = theta0_fn or (lambda ep: init_theta0_global(model))
+    frozen = frozen_copy(model)
     rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
     losses = []
-    for t in range(draws):
-        d_w, _ = task_sampler(2 * t)
-        d_z, _ = task_sampler(2 * t + 1)
-        theta_k, _ = sib_unroll(theta0_fn(d_w), d_w, model, inner)
-        w = _draw_posterior_weight(model, theta_k.data, inner, rng)
-        i = int(rng.integers(d_z.n_query))
-        one_point = Episode(
-            query_inputs=d_z.query_inputs[i : i + 1],
-            query_labels=d_z.query_labels[i : i + 1],
-            truth=d_z.truth,
-            task_seed=d_z.task_seed,
-        )
-        losses.append(_episode_loss(model, one_point, w))
+    for idx in _chunks(draws, batch):
+        pairs = [(task_sampler(2 * t)[0], task_sampler(2 * t + 1)[0]) for t in idx]
+        thetas = _adapt(frozen, [d_w for d_w, _ in pairs], inner, theta0_fn)
+        w, inputs, labels = [], [], []
+        for theta, (_, d_z) in zip(thetas, pairs):
+            w.append(_draw_posterior_weight(theta, inner, rng))
+            i = int(rng.integers(d_z.n_query))
+            inputs.append(d_z.query_inputs[i : i + 1])
+            labels.append(d_z.query_labels[i : i + 1])
+        losses.extend(_losses(frozen, np.stack(inputs), np.stack(labels), np.stack(w)))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
 
-def mi_for_sampler(model, task_sampler, inner, episodes=200, theta0_fn=None) -> float:
+def mi_for_sampler(model, task_sampler, inner, episodes=200, theta0_fn=None,
+                   batch: int = 8) -> float:
     eps = [task_sampler(t)[0] for t in range(episodes)]
-    return mi_estimate(model, eps, inner, theta0_fn=theta0_fn)
+    return mi_estimate(model, eps, inner, theta0_fn=theta0_fn, batch=batch)
 
 
 def gen_bound(sigma: float, n: int, mi: float) -> float:
@@ -358,7 +376,7 @@ class SweepRow:
 
 def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
                  trials: int = 500, seed: int = 0,
-                 reference_n: Optional[int] = None) -> list:
+                 reference_n: Optional[int] = None, batch: int = 8) -> list:
     """Generalization gap, bound, and task metric at each query-set size.
 
     The trained model is adapted at each size. A sum-convention update would
@@ -376,14 +394,13 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
     rows = []
     for n in n_values:
         sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)
-        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n)
-        mse = 0.0
-        for t in range(min(trials, 200)):
-            d, _ = sampler(t)
-            theta_k, _ = sib_unroll(init_theta0_global(model), d, model, inner)
-            mse += _episode_loss(model, d, theta_k.data.reshape(-1))
+        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, batch=batch)
+        mse = _episode_mean(
+            model, [sampler(t)[0] for t in range(min(trials, 200))], inner, batch,
+            lambda frozen, chunk, theta_k: _losses(frozen, stacked(chunk, "query_inputs"),
+                                                   stacked(chunk, "query_labels"), theta_k))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
-                             sigma=est.sigma, mi=est.mi, metric=mse / min(trials, 200)))
+                             sigma=est.sigma, mi=est.mi, metric=mse))
     return rows
 
 

@@ -180,8 +180,7 @@ def cmd_train(args) -> int:
         result = train(cfg)
     except TrainingDiverged as exc:
         # retain the last finite state and whatever was logged
-        if exc.model is not None:
-            save_checkpoint(exc.model, out / "checkpoint.json", cfg, step=exc.step)
+        save_checkpoint(exc.model, out / "checkpoint.json", cfg, step=exc.step)
         write_metrics_csv(out / "metrics.csv", exc.records)
         write_report_json(out / "summary.json", {
             "command": f"train-{cfg.mode}", "error": str(exc), "step": exc.step,
@@ -258,7 +257,8 @@ def cmd_analyze(args) -> int:
             gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
             for i in range(cfg.toy.n_test_tasks)
         ]
-        kl_post = kl_to_true_posterior(model, eval_pool, cfg.toy, cfg.inner)
+        kl_post = kl_to_true_posterior(model, eval_pool, cfg.toy, cfg.inner,
+                                       batch=cfg.batch_tasks)
         quantities.append(("kl_to_true_posterior", kl_post, 0.0))
         report = evaluate(model, cfg, "test", eval_pool)
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
@@ -267,7 +267,8 @@ def cmd_analyze(args) -> int:
         gaps = []
         for s in range(args.mc_seeds):
             sampler = toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
-            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s)
+            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
+                          batch=cfg.batch_tasks)
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
             quantities.append((f"gen_bound_seed{s}", est.bound, 0.0))
@@ -285,7 +286,7 @@ def cmd_analyze(args) -> int:
         quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
         sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
         est = gen_gap(model, sampler, cfg.inner, trials=min(args.trials, 500),
-                      seed=cfg.run_seed, theta0_fn=theta0_fn)
+                      seed=cfg.run_seed, theta0_fn=theta0_fn, batch=cfg.batch_tasks)
         quantities.append(("gen_gap", est.gap, est.stderr))
         quantities.append(("gen_bound", est.bound, 0.0))
         payload["gap"] = dataclasses.asdict(est)
@@ -311,7 +312,7 @@ def cmd_sweep(args) -> int:
     t0 = time.time()
     for s in range(args.mc_seeds):
         rows = vary_n_sweep(model, cfg.toy, cfg.inner, n_values, trials=args.trials,
-                            seed=cfg.run_seed + 7919 * s)
+                            seed=cfg.run_seed + 7919 * s, batch=cfg.batch_tasks)
         all_rows.append([dataclasses.asdict(r) for r in rows])
         rho = spearman_rank_correlation([r.n for r in rows], [abs(r.gap) for r in rows])
         correlations.append(rho)
@@ -370,8 +371,9 @@ def cmd_gradcheck(args) -> int:
             "mean": lambda: (a * b).mean(),
             "square": lambda: dc.square(a + b).sum(),
             "sqrt": lambda: dc.sqrt(dc.square(a) + 1.0).sum() * b.mean(),
-            "concat": lambda: dc.concat([a, b], axis=0).mean(),
-            "index_select": lambda: dc.index_select(a * b, 0, [5, 0, 2]).sum(),
+            "matmul3d": lambda: dc.matmul(a.reshape(2, 3, 1),
+                                          dc.transpose(b.reshape(2, 3, 1))).sum(),
+            "transpose3d": lambda: (dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)).sum(),
         }
         for name, f in cases.items():
             dc.check_gradients(f, [a, b], h=1e-5, tol=1e-6)

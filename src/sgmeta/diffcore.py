@@ -38,18 +38,13 @@ class GraphError(RuntimeError):
     """Backward was asked something the graph cannot answer."""
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array participating in a differentiable graph."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_array(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -232,24 +227,30 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast (stacks)."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError("matmul", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), back)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
+    """Swap the last two axes."""
+    if a.ndim < 2:
         raise ShapeError("transpose", a.shape)
 
     def back(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
-    return _make(a.data.T.copy(), (a,), back)
+    return _make(np.swapaxes(a.data, -1, -2).copy(), (a,), back)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -362,55 +363,27 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 # -- structural ops ---------------------------------------------------------
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            o != b for i, (o, b) in enumerate(zip(other, base)) if i != axis % len(base)
-        ):
-            raise ShapeError("concat", tensors[0].shape, t.shape)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
-
-
-def index_select(a: Tensor, axis: int, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    if not (-a.ndim <= axis < a.ndim):
-        raise ShapeError("index_select", a.shape, (axis,))
-
-    def back(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, tuple(idx if i == axis % a.ndim else slice(None) for i in range(a.ndim)), g)
-            _accum(a, acc)
-
-    return _make(np.take(a.data, idx, axis=axis), (a,), back)
-
-
 def take_per_row(a: Tensor, col_indices) -> Tensor:
-    """Pick a[i, col_indices[i]] for each row i."""
+    """Pick a[..., i, col_indices[..., i]] along the last axis.
+
+    ``col_indices`` broadcasts against ``a.shape[:-1]``; each row contributes
+    one entry, so the result has shape ``a.shape[:-1]``.
+    """
     idx = np.asarray(col_indices, dtype=np.int64)
-    if a.ndim != 2 or idx.shape != (a.shape[0],):
-        raise ShapeError("take_per_row", a.shape, idx.shape)
-    rows = np.arange(a.shape[0])
+    try:
+        if a.ndim < 1:
+            raise ValueError
+        idx = np.broadcast_to(idx, a.shape[:-1])[..., None]
+    except ValueError:
+        raise ShapeError("take_per_row", a.shape, idx.shape) from None
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, idx), g)
+            np.put_along_axis(acc, idx, g[..., None], axis=-1)
             _accum(a, acc)
 
-    return _make(a.data[rows, idx], (a,), back)
+    return _make(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
 
 
 def detach(a: Tensor) -> Tensor:

@@ -9,6 +9,9 @@ by the rest of the package:
 * ``deterministic`` — a point-mass posterior: sampling returns the mean and
   the KL term is replaced by ``dirac_prior_term`` (the cross term to the
   prior plus the prior's log-variance, dropping additive constants).
+
+Divergences reduce over the last axis only: a stack of posteriors against
+one prior gives one value per posterior.
 """
 
 from __future__ import annotations
@@ -49,24 +52,33 @@ def standard(dim: int) -> DiagGaussian:
     return DiagGaussian(np.zeros(dim), np.zeros(dim))
 
 
+def _check_last_axis(op: str, a: Tensor, b: Tensor) -> None:
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise dc.ShapeError(op, a.shape, b.shape)
+
+
 def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
-    """Exact KL(q || p); differentiable in both arguments' parameters.
+    """Exact KL(q || p) over the last axis; differentiable in both arguments'
+    parameters.
 
     0.5 * sum( log(vp/vq) + (vq + (mq-mp)^2)/vp - 1 )
     """
-    if q.mean.shape != p.mean.shape:
-        raise dc.ShapeError("kl_diag_gaussian", q.mean.shape, p.mean.shape)
+    _check_last_axis("kl_diag_gaussian", q.mean, p.mean)
     log_ratio = p.log_var - q.log_var
     inv_vp = dc.exp(-p.log_var)
     diff = q.mean - p.mean
     quad = (dc.exp(q.log_var) + dc.square(diff)) * inv_vp
-    return dc.scale((log_ratio + quad - 1.0).sum(), 0.5)
+    return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
 
 
 def sample_reparam(q: DiagGaussian, eps) -> Tensor:
-    """w = mean + exp(log_var / 2) * eps; differentiable in q's parameters."""
+    """w = mean + exp(log_var / 2) * eps; differentiable in q's parameters.
+
+    ``eps`` may carry extra leading axes (independent draws); its trailing
+    shape must be the mean's.
+    """
     eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
-    if eps_t.shape != q.mean.shape:
+    if eps_t.shape[eps_t.ndim - q.mean.ndim:] != q.mean.shape:
         raise dc.ShapeError("sample_reparam", q.mean.shape, eps_t.shape)
     return q.mean + q.std() * eps_t
 
@@ -89,10 +101,9 @@ def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
     and in the prior's parameters, and minimized over the prior exactly at
     the moment-matching solution.
     """
-    if theta_flat.shape != p.mean.shape:
-        raise dc.ShapeError("dirac_prior_term", theta_flat.shape, p.mean.shape)
+    _check_last_axis("dirac_prior_term", theta_flat, p.mean)
     quad = dc.square(theta_flat - p.mean) * dc.exp(-p.log_var)
-    return dc.scale((quad + p.log_var).sum(), 0.5)
+    return dc.scale((quad + p.log_var).sum(axis=-1), 0.5)
 
 
 def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
@@ -103,6 +114,5 @@ def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
     gradient-of-gradient machinery. The same formula is exact for both
     variational regimes since the posterior variance does not enter.
     """
-    if q_mean.shape != p.mean.shape:
-        raise dc.ShapeError("kl_grad_wrt_mean", q_mean.shape, p.mean.shape)
+    _check_last_axis("kl_grad_wrt_mean", q_mean, p.mean)
     return (q_mean - p.mean) * dc.exp(-p.log_var)

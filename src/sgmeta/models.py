@@ -124,17 +124,20 @@ def init_theta0_global(model: MetaModel) -> Tensor:
 
 
 def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -> Tensor:
-    """Per-class feature means, scaled per dimension by a learnable vector."""
+    """Per-class feature means, scaled per dimension by a learnable vector.
+
+    ``support_feats`` is (..., S, d) with labels (..., S); the means are one
+    matmul by a (..., k, S) class-averaging matrix.
+    """
     labels = np.asarray(support_labels, dtype=np.int64)
-    if support_feats.ndim != 2 or support_feats.shape[0] == 0:
+    if support_feats.ndim < 2 or support_feats.shape[-2] == 0:
         raise ValueError("prototype initialization requires a non-empty support set")
-    rows = []
-    for c in range(model.k):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size == 0:
-            raise ValueError(f"support set is missing class {c}")
-        rows.append(dc.tmean(dc.index_select(support_feats, 0, idx), axis=0, keepdims=True))
-    proto = dc.concat(rows, axis=0)
+    onehot = (labels[..., None, :] == np.arange(model.k)[:, None]).astype(np.float64)
+    counts = onehot.sum(axis=-1, keepdims=True)
+    if np.any(counts == 0):
+        missing = int(np.nonzero(counts[..., 0] == 0)[-1][0])
+        raise ValueError(f"support set is missing class {missing}")
+    proto = dc.matmul(dc.constant(onehot / counts), support_feats)
     return proto * model.params["lambda_scale"]
 
 
@@ -142,13 +145,16 @@ def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -
 
 
 def synth_grad(model: MetaModel, y_hat: Tensor) -> Tensor:
-    """Three-layer ReLU MLP mapping predictions to a gradient surrogate."""
-    if y_hat.ndim != 2 or y_hat.shape[1] != model.head_dim:
+    """Three-layer ReLU MLP mapping predictions to a gradient surrogate; the
+    leading axes of (..., head_dim) inputs are folded into the MLP's rows."""
+    if y_hat.ndim < 2 or y_hat.shape[-1] != model.head_dim:
         raise dc.ShapeError("synth_grad", y_hat.shape, (None, model.head_dim))
     p = model.params
-    h = dc.relu(dc.matmul(y_hat, p["xi_w1"]) + p["xi_b1"])
+    rows = y_hat if y_hat.ndim == 2 else y_hat.reshape(-1, model.head_dim)
+    h = dc.relu(dc.matmul(rows, p["xi_w1"]) + p["xi_b1"])
     h = dc.relu(dc.matmul(h, p["xi_w2"]) + p["xi_b2"])
-    return dc.matmul(h, p["xi_w3"]) + p["xi_b3"]
+    out = dc.matmul(h, p["xi_w3"]) + p["xi_b3"]
+    return out if y_hat.ndim == 2 else out.reshape(y_hat.shape)
 
 
 # -- prediction heads --------------------------------------------------------
@@ -157,15 +163,16 @@ def synth_grad(model: MetaModel, y_hat: Tensor) -> Tensor:
 def cosine_parts(features: Tensor, theta: Tensor, scale: Tensor):
     """Common sub-expressions of the cosine head.
 
-    Returns (logits, raw_dots, inv_denom, feat_norms, theta_norms) so the
-    closed-form update direction can reuse them.
+    ``features`` is (..., n, d) and ``theta`` (..., k, d); leading axes
+    broadcast. Returns (logits, raw_dots, inv_denom, feat_norms,
+    theta_norms) so the closed-form update direction can reuse them.
     """
-    if features.ndim != 2 or theta.ndim != 2 or features.shape[1] != theta.shape[1]:
+    if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
         raise dc.ShapeError("cosine_predict", features.shape, theta.shape)
-    a = dc.sqrt(dc.tsum(dc.square(features), axis=1, keepdims=True))  # (n, 1)
-    b = dc.sqrt(dc.tsum(dc.square(theta), axis=1, keepdims=True))  # (k, 1)
-    dots = dc.matmul(features, dc.transpose(theta))  # (n, k)
-    inv_denom = 1.0 / (dc.matmul(a, dc.transpose(b)) + COSINE_EPS)  # (n, k)
+    a = dc.sqrt(dc.tsum(dc.square(features), axis=-1, keepdims=True))  # (..., n, 1)
+    b = dc.sqrt(dc.tsum(dc.square(theta), axis=-1, keepdims=True))  # (..., k, 1)
+    dots = dc.matmul(features, dc.transpose(theta))  # (..., n, k)
+    inv_denom = 1.0 / (dc.matmul(a, dc.transpose(b)) + COSINE_EPS)  # (..., n, k)
     logits = scale * (dots * inv_denom)
     return logits, dots, inv_denom, a, b
 
@@ -177,8 +184,16 @@ def cosine_predict(model: MetaModel, features: Tensor, theta: Tensor) -> Tensor:
 
 
 def linear_predict_toy(theta: Tensor, x: Tensor) -> Tensor:
-    """Toy head: predictions are slope times input."""
+    """Toy head: predictions are slope times input; ``theta`` is (..., 1)
+    against inputs (..., n)."""
     return theta * x
+
+
+def frozen_copy(model: MetaModel) -> MetaModel:
+    """The same parameter values as constants: graphs built on it keep no tape."""
+    params = {name: dc.constant(t.data) for name, t in model.params.items()}
+    return MetaModel(model.mode, k=model.k, d_x=model.d_x, d_f=model.d_f,
+                     params=params, train_f=model.train_f)
 
 
 # -- checkpoint format --------------------------------------------------------

@@ -12,6 +12,13 @@ synthetic-gradient network, and the prior, with no higher-order machinery.
 
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``.
+
+Every function here takes one Episode or a batch of episodes. A batch stacks
+the episodes on a leading axis (task weights (B, *theta_shape), query inputs
+(B, n, d)), and Monte-Carlo weight draws go on one more leading axis in
+front of it, so an outer step over B episodes and M draws is one graph whose
+node count does not grow with B or M. A single episode is the same code
+without the episode axis.
 """
 
 from __future__ import annotations
@@ -35,10 +42,11 @@ from .models import (
     MetaModel,
     apply_features,
     cosine_parts,
+    frozen_copy,
     linear_predict_toy,
     synth_grad,
 )
-from .tasks import Episode, episode_rng
+from .tasks import Episode, episode_rng, stacked
 
 GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
 DETERMINISTIC = "deterministic"
@@ -87,93 +95,113 @@ class InnerLoopConfig:
 @dataclass
 class Trajectory:
     thetas: list = field(default_factory=list)  # numeric theta_0 .. theta_K
-    diagnostics: list = field(default_factory=list)  # per-step dicts
+    diagnostics: list = field(default_factory=list)  # per-step dicts; lists for a batch
 
 
 def prior_dist(model: MetaModel) -> DiagGaussian:
     return DiagGaussian(model.params["psi_mean"], model.params["psi_log_var"])
 
 
+def flat_weights(theta: Tensor, model: MetaModel) -> Tensor:
+    """Task weights as vectors: (..., k, d) -> (..., k*d); toy weights are (..., 1)."""
+    if model.mode == "toy":
+        return theta
+    return theta.reshape(theta.shape[:-2] + (theta.shape[-2] * theta.shape[-1],))
+
+
 def posterior_dist(theta: Tensor, cfg: InnerLoopConfig) -> DiagGaussian:
     """Variational posterior at theta under the Gaussian fixed-variance regime."""
-    flat = theta.reshape(theta.size)
-    return DiagGaussian(flat, dc.constant(np.full(theta.size, cfg.q_log_var)))
+    return DiagGaussian(theta, dc.constant(np.full(theta.shape, cfg.q_log_var)))
 
 
 def draw_weight(theta: Tensor, cfg: InnerLoopConfig, eps: Optional[np.ndarray]) -> Tensor:
-    """Reparameterized task weight; the deterministic regime returns theta."""
-    if cfg.posterior_regime == DETERMINISTIC:
+    """Reparameterized task weights, one per draw on a new leading axis.
+
+    ``eps`` is (M, *theta.shape); ``None`` (or the deterministic regime)
+    returns theta itself, every draw coinciding with it.
+    """
+    if eps is None or cfg.posterior_regime == DETERMINISTIC:
         return theta
-    flat = sample_reparam(posterior_dist(theta, cfg), eps.reshape(-1))
-    return flat.reshape(theta.shape)
+    return sample_reparam(posterior_dist(theta, cfg), eps)
+
+
+def _mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
+    if eps is None:
+        return values
+    return dc.scale(dc.tsum(values, axis=0), 1.0 / len(eps))
+
+
+def _noise(episodes, stream: int, count: int, shape) -> np.ndarray:
+    """``count`` standard-normal draws of ``shape`` per episode, each episode
+    from its own sub-stream in the order a per-episode loop would use:
+    (count, B, *shape) for a batch, (count, *shape) for one episode."""
+    batch = [episodes] if isinstance(episodes, Episode) else episodes
+    size = int(np.prod(shape))
+    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in batch]
+    eps = np.array([[rng.normal(size=size) for rng in rngs] for _ in range(count)])
+    lead = (count,) if isinstance(episodes, Episode) else (count, len(batch))
+    return eps.reshape(lead + tuple(shape))
 
 
 # -- closed-form update directions -------------------------------------------
 
 
 def toy_direction(theta: Tensor, x: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-                  eps_list) -> Tensor:
+                  eps=None) -> Tensor:
     """(1/n) sum_i net(y_hat_i) * x_i, averaged over weight draws.
 
     The predictor is y_hat = w * x, so dy_hat_i/dw = x_i and dw/dtheta = 1;
     the expression below is exactly the surrogate's gradient in theta while
     keeping the synthetic net's output in the graph.
     """
-    n = x.size
-    total = None
-    for eps in eps_list:
-        w = draw_weight(theta, cfg, eps)
-        y_hat = linear_predict_toy(w, x)
-        g = synth_grad(model, y_hat.reshape(n, 1)).reshape(n)
-        contrib = (g * x).sum() if cfg.sum_convention else (g * x).mean()
-        total = contrib if total is None else total + contrib
-    return dc.scale(total, 1.0 / len(eps_list)).reshape(1)
+    y_hat = linear_predict_toy(draw_weight(theta, cfg, eps), x)
+    g = synth_grad(model, y_hat.reshape(-1, 1)).reshape(y_hat.shape)
+    gx = g * x
+    contrib = gx.sum(axis=-1, keepdims=True) if cfg.sum_convention \
+        else gx.mean(axis=-1, keepdims=True)
+    return _mean_over_draws(contrib, eps)
 
 
 def cosine_vjp(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor,
                parts=None) -> Tensor:
     """sum_i seed_{i,:}^T d logits_i / d theta for the cosine head, in closed form.
 
-    ``seed`` is (n, k); the result matches a per-example loop over analytic
-    Jacobian rows exactly and remains differentiable in theta, the scale,
-    and whatever produced the seed.
+    ``seed`` is (..., n, k); the result matches a per-example loop over
+    analytic Jacobian rows exactly and remains differentiable in theta, the
+    scale, and whatever produced the seed.
     """
     if parts is None:
         parts = cosine_parts(features, theta, scale)
     logits, dots, inv_denom, a, b = parts
     sr = seed * inv_denom
-    term1 = scale * dc.matmul(dc.transpose(sr), features)  # (k, d)
-    m = dc.tsum(seed * dots * inv_denom * inv_denom * a, axis=0)  # (k,)
-    b_flat = b.reshape(b.shape[0])
-    term2 = scale * ((m / b_flat).reshape(theta.shape[0], 1) * theta)
+    term1 = scale * dc.matmul(dc.transpose(sr), features)  # (..., k, d)
+    m = dc.tsum(seed * dots * inv_denom * inv_denom * a, axis=-2)  # (..., k)
+    ratio = m / b.reshape(b.shape[:-1])
+    term2 = scale * (ratio.reshape(ratio.shape + (1,)) * theta)
     return term1 - term2
 
 
 def fewshot_direction(theta: Tensor, features: Tensor, model: MetaModel,
-                      cfg: InnerLoopConfig, eps_list) -> Tensor:
+                      cfg: InnerLoopConfig, eps=None) -> Tensor:
     """Synthetic-gradient direction for the cosine head."""
-    n = features.shape[0]
-    total = None
-    for eps in eps_list:
-        w = draw_weight(theta, cfg, eps)
-        parts = cosine_parts(features, w, model.params["classifier_scale"])
-        logits = parts[0]
-        g = synth_grad(model, logits)
-        seed = g if cfg.sum_convention else dc.scale(g, 1.0 / n)
-        contrib = cosine_vjp(features, w, model.params["classifier_scale"], seed, parts)
-        total = contrib if total is None else total + contrib
-    return dc.scale(total, 1.0 / len(eps_list))
+    n = features.shape[-2]
+    w = draw_weight(theta, cfg, eps)
+    parts = cosine_parts(features, w, model.params["classifier_scale"])
+    g = synth_grad(model, parts[0])
+    seed = g if cfg.sum_convention else dc.scale(g, 1.0 / n)
+    contrib = cosine_vjp(features, w, model.params["classifier_scale"], seed, parts)
+    return _mean_over_draws(contrib, eps)
 
 
 def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-             eps_list=(None,), step_index: int = 0) -> Tensor:
+             eps=None, step_index: int = 0) -> Tensor:
     """One synthetic-gradient descent step on the query inputs (no labels)."""
     if model.mode == "toy":
-        direction = toy_direction(theta, inner_x, model, cfg, eps_list)
+        direction = toy_direction(theta, inner_x, model, cfg, eps)
     else:
-        direction = fewshot_direction(theta, inner_x, model, cfg, eps_list)
+        direction = fewshot_direction(theta, inner_x, model, cfg, eps)
     if cfg.kl_in_inner:
-        kl_dir = kl_grad_wrt_mean(theta.reshape(theta.size), prior_dist(model))
+        kl_dir = kl_grad_wrt_mean(flat_weights(theta, model), prior_dist(model))
         direction = direction + kl_dir.reshape(theta.shape)
     theta_next = theta - dc.scale(direction, cfg.eta_inner)
     if not np.all(np.isfinite(theta_next.data)):
@@ -181,151 +209,138 @@ def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopCon
     return theta_next
 
 
-def inner_inputs(model: MetaModel, ep: Episode, detach_features: bool = True) -> Tensor:
+def inner_inputs(model: MetaModel, episodes, detach_features: bool = True) -> Tensor:
     """Query-side inputs seen by the inner loop.
 
     Toy mode feeds raw inputs; few-shot mode feeds the feature map's output,
     detached by default so no gradient is back-propagated into the feature
     network from the adaptation path.
     """
+    inputs = stacked(episodes, "query_inputs")
     if model.mode == "toy":
-        return dc.constant(ep.query_inputs[:, 0])
-    feats = apply_features(model, ep.query_inputs)
+        return dc.constant(inputs[..., 0])
+    feats = apply_features(model, inputs)
     return dc.detach(feats) if detach_features else feats
 
 
-def sib_unroll(theta0: Tensor, ep: Episode, model: MetaModel, cfg: InnerLoopConfig,
+def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig,
                detach_features: bool = True):
-    """Compose ``cfg.steps`` synthetic-gradient steps; returns (theta_K, trajectory)."""
-    x = inner_inputs(model, ep, detach_features=detach_features)
-    rng = episode_rng(ep.task_seed, stream=STREAM_INNER)
+    """Compose ``cfg.steps`` synthetic-gradient steps; returns (theta_K, trajectory).
+
+    ``episodes`` is one Episode with theta0 of the model's weight shape, or a
+    batch with theta0 stacked on a leading axis.
+    """
+    x = inner_inputs(model, episodes, detach_features=detach_features)
+    draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean
+    noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
+        if draws else None
     theta = theta0
     traj = Trajectory() if cfg.record_trajectory else None
     if traj is not None:
         traj.thetas.append(theta.data.copy())
-        traj.diagnostics.append(_step_diagnostics(theta, ep, model, cfg))
+        traj.diagnostics.append(_step_diagnostics(theta, episodes, model, cfg))
     for k in range(cfg.steps):
-        if cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean:
-            eps_list = [rng.normal(size=theta.size) for _ in range(cfg.mc_samples)]
-        elif cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-            eps_list = [np.zeros(theta.size)]  # draws coincide at the mean
-        else:
-            eps_list = [None]  # deterministic: draws coincide at theta
-        theta = sib_step(theta, x, model, cfg, eps_list, step_index=k)
+        eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
+        theta = sib_step(theta, x, model, cfg, eps, step_index=k)
         if traj is not None:
             traj.thetas.append(theta.data.copy())
-            traj.diagnostics.append(_step_diagnostics(theta, ep, model, cfg))
+            traj.diagnostics.append(_step_diagnostics(theta, episodes, model, cfg))
     return theta, traj
 
 
-def _step_diagnostics(theta: Tensor, ep: Episode, model: MetaModel,
+def _step_diagnostics(theta: Tensor, episodes, model: MetaModel,
                       cfg: InnerLoopConfig) -> dict:
     """Numeric per-step records: query loss at the posterior mean, KL to prior."""
-    loss = float(query_loss_value(theta.data, ep, model))
-    if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-        kl = kl_diag_gaussian(posterior_dist(dc.constant(theta.data), cfg),
-                              _frozen_prior(model)).item()
-    else:
-        kl = dirac_prior_term(dc.constant(theta.data.reshape(-1)),
-                              _frozen_prior(model)).item()
-    return {"query_loss": loss, "kl_to_prior": kl}
-
-
-def _frozen_prior(model: MetaModel) -> DiagGaussian:
-    return DiagGaussian(model.params["psi_mean"].data.copy(),
-                        model.params["psi_log_var"].data.copy())
-
-
-def query_loss_value(theta_data: np.ndarray, ep: Episode, model: MetaModel) -> float:
-    """Plain numpy query loss at the posterior mean (no graph)."""
-    if model.mode == "toy":
-        pred = theta_data[0] * ep.query_inputs[:, 0]
-        return float(np.mean((pred - ep.query_labels) ** 2))
-    feats = apply_features(model, ep.query_inputs).data
-    logits = _cosine_logits_np(feats, theta_data, float(model.params["classifier_scale"].data))
-    return float(_cross_entropy_np(logits, ep.query_labels))
-
-
-def _cosine_logits_np(feats, theta, scale_value):
-    a = np.linalg.norm(feats, axis=1, keepdims=True)
-    b = np.linalg.norm(theta, axis=1, keepdims=True)
-    return scale_value * (feats @ theta.T) / (a @ b.T + 1e-12)
-
-
-def _cross_entropy_np(logits, labels):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(lse - shifted[np.arange(len(labels)), labels]))
+    frozen = frozen_copy(model)
+    at = dc.constant(theta.data)
+    loss = query_loss(frozen, stacked(episodes, "query_inputs"),
+                      stacked(episodes, "query_labels"), at)
+    return {"query_loss": loss.data.tolist(),
+            "kl_to_prior": prior_term(at, frozen, cfg).data.tolist()}
 
 
 # -- supervised losses ---------------------------------------------------------
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross entropy over rows; labels are integer class ids."""
+    """Mean cross entropy over the rows of (..., n, k) logits; labels (..., n)
+    are integer class ids. Returns one value per leading index."""
     labels = np.asarray(labels, dtype=np.int64)
-    k = logits.shape[1]
+    k = logits.shape[-1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range for {k} classes: {labels.min()}..{labels.max()}")
-    shifted = logits - dc.constant(logits.data.max(axis=1, keepdims=True))
-    lse = dc.log(dc.tsum(dc.exp(shifted), axis=1))
+    shifted = logits - dc.constant(logits.data.max(axis=-1, keepdims=True))
+    lse = dc.log(dc.tsum(dc.exp(shifted), axis=-1))
     picked = dc.take_per_row(shifted, labels)
-    return (lse - picked).mean()
+    return (lse - picked).mean(axis=-1)
 
 
-def accuracy_value(logits_data: np.ndarray, labels) -> float:
-    return float(np.mean(logits_data.argmax(axis=1) == np.asarray(labels)))
+def accuracy_value(logits_data: np.ndarray, labels):
+    """Share of rows whose argmax is the label, per leading index."""
+    return np.mean(logits_data.argmax(axis=-1) == np.asarray(labels), axis=-1)
+
+
+def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tensor,
+               sum_convention: bool = False, features: Optional[Tensor] = None) -> Tensor:
+    """Loss of task weights ``w`` on labeled points, one value per episode
+    (and per draw): MSE for the toy head, cross entropy for classification.
+
+    ``inputs`` (..., n, d_x) and ``labels`` (..., n) broadcast against the
+    leading axes of ``w``; ``features`` replaces the feature map's output.
+    """
+    if model.mode == "toy":
+        pred = linear_predict_toy(w, dc.constant(inputs[..., 0]))
+        sq = dc.square(pred - dc.constant(labels))
+        return sq.sum(axis=-1) if sum_convention else sq.mean(axis=-1)
+    feats = apply_features(model, inputs) if features is None else features
+    logits, *_ = cosine_parts(feats, w, model.params["classifier_scale"])
+    return cross_entropy(logits, labels)
 
 
 # -- per-task objective ---------------------------------------------------------
 
 
-def data_term(ep: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-              eps_list=(None,), features: Optional[Tensor] = None) -> Tensor:
+def data_term(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
+              eps_list=None, features: Optional[Tensor] = None) -> Tensor:
     """Monte-Carlo expected query loss under the variational posterior.
 
     MSE for the toy head, cross entropy for classification; per-point mean,
-    matching the likelihood convention used throughout.
+    matching the likelihood convention used throughout. ``eps_list`` holds
+    the draws, (M, *theta.shape) (for one episode, a list of M flat vectors
+    also works); ``None`` evaluates at theta.
     """
-    total = None
-    for eps in eps_list:
-        w = draw_weight(theta, cfg, eps)
-        if model.mode == "toy":
-            x = dc.constant(ep.query_inputs[:, 0])
-            pred = linear_predict_toy(w, x)
-            sq = dc.square(pred - dc.constant(ep.query_labels))
-            # the sum convention applies to the toy likelihood end to end
-            contrib = sq.sum() if cfg.sum_convention else sq.mean()
-        else:
-            feats = apply_features(model, ep.query_inputs) if features is None else features
-            logits, *_ = cosine_parts(feats, w, model.params["classifier_scale"])
-            contrib = cross_entropy(logits, ep.query_labels)
-        total = contrib if total is None else total + contrib
-    return dc.scale(total, 1.0 / len(eps_list))
+    eps = None
+    if eps_list is not None and cfg.posterior_regime != DETERMINISTIC:
+        eps = np.asarray(eps_list, dtype=np.float64).reshape((-1,) + theta.shape)
+    # the sum convention applies to the toy likelihood end to end
+    loss = query_loss(model, stacked(episodes, "query_inputs"), stacked(episodes, "query_labels"),
+                      draw_weight(theta, cfg, eps), cfg.sum_convention, features)
+    return _mean_over_draws(loss, eps)
 
 
 def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
-    """KL of the posterior at theta to the learnable prior (regime-appropriate)."""
+    """KL of the posterior at theta to the learnable prior (regime-appropriate),
+    one value per episode."""
+    flat = flat_weights(theta, model)
     if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-        return kl_diag_gaussian(posterior_dist(theta, cfg), prior_dist(model))
-    return dirac_prior_term(theta.reshape(theta.size), prior_dist(model))
+        return kl_diag_gaussian(posterior_dist(flat, cfg), prior_dist(model))
+    return dirac_prior_term(flat, prior_dist(model))
 
 
-def task_objective(ep: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
+def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
     """Per-task negative evidence bound: expected query loss plus KL to prior."""
-    eps_list = objective_noise(theta, ep, cfg, rng)
-    return data_term(ep, theta, model, cfg, eps_list) + prior_term(theta, model, cfg)
+    eps = objective_noise(theta, episodes, cfg)
+    return data_term(episodes, theta, model, cfg, eps) + prior_term(theta, model, cfg)
 
 
-def objective_noise(theta: Tensor, ep: Episode, cfg: InnerLoopConfig,
-                    rng: Optional[np.random.Generator] = None):
-    draws = cfg.objective_mc_samples or cfg.mc_samples
+def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
+    """Weight draws for the outer objective, (M, *theta.shape); None when
+    every draw returns the mean (deterministic regime)."""
     if cfg.posterior_regime == DETERMINISTIC:
-        return [None]  # all draws return the mean
-    if rng is None:
-        rng = episode_rng(ep.task_seed, stream=STREAM_OBJECTIVE)
-    return [rng.normal(size=theta.size) for _ in range(draws)]
+        return None
+    draws = cfg.objective_mc_samples or cfg.mc_samples
+    shape = theta.shape if isinstance(episodes, Episode) else theta.shape[1:]
+    return _noise(episodes, STREAM_OBJECTIVE, draws, shape)
 
 
 # -- inductive baseline ----------------------------------------------------------
@@ -340,30 +355,17 @@ def maml_inner(theta0: Tensor, ep: Episode, model: MetaModel, cfg: InnerLoopConf
     """
     if ep.support_inputs is None or len(ep.support_inputs) == 0:
         raise ValueError("maml_inner requires a non-empty support set")
-    rng = episode_rng(ep.task_seed, stream=STREAM_INNER)
     theta_data = theta0.data.copy()
-    sup_feats = (
-        dc.constant(ep.support_inputs[:, 0])
-        if model.mode == "toy"
+    sup_feats = None if model.mode == "toy" \
         else dc.detach(apply_features(model, ep.support_inputs))
-    )
+    draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR
+    noise = _noise(ep, STREAM_INNER, cfg.steps * cfg.mc_samples, theta_data.shape) \
+        if draws else None
     for k in range(cfg.steps):
         leaf = dc.param(theta_data.copy())
-        if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-            eps_list = [rng.normal(size=leaf.size) for _ in range(cfg.mc_samples)]
-        else:
-            eps_list = [None] * cfg.mc_samples
-        total = None
-        for eps in eps_list:
-            w = draw_weight(leaf, cfg, eps)
-            if model.mode == "toy":
-                pred = linear_predict_toy(w, sup_feats)
-                contrib = dc.tmean(dc.square(pred - dc.constant(ep.support_labels)))
-            else:
-                logits, *_ = cosine_parts(sup_feats, w, model.params["classifier_scale"])
-                contrib = cross_entropy(logits, ep.support_labels)
-            total = contrib if total is None else total + contrib
-        loss = dc.scale(total, 1.0 / len(eps_list))
+        eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
+        loss = _mean_over_draws(query_loss(model, ep.support_inputs, ep.support_labels,
+                                           draw_weight(leaf, cfg, eps), features=sup_feats), eps)
         (g,) = dc.grad(loss, [leaf], allow_unused=True)
         theta_data = theta_data - cfg.eta_inner * g
         if not np.all(np.isfinite(theta_data)):
@@ -399,7 +401,7 @@ def _ssl_projection(k: int) -> np.ndarray:
     return rng.normal(size=(k, 4)) / np.sqrt(k)
 
 
-def ssl_init(model: MetaModel, ep: Episode, cfg: InnerLoopConfig,
+def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig,
              labeler: Callable = orthogonal_transform_labeler,
              eta_ssl: Optional[float] = None) -> Tensor:
     """One true-gradient step on a self-supervised task, starting from the
@@ -409,28 +411,28 @@ def ssl_init(model: MetaModel, ep: Episode, cfg: InnerLoopConfig,
     transforms; predictions of those ids are a fixed linear read-out of the
     class logits, and the update direction is the exact cross-entropy
     gradient pushed through the cosine head in closed form (differentiable
-    with respect to the global initialization).
+    with respect to the global initialization). A batch of episodes gives
+    one stacked step from the shared initialization.
     """
     if model.mode != "fewshot":
         raise ValueError("ssl initialization applies to classification mode only")
     eta = cfg.eta_inner if eta_ssl is None else float(eta_ssl)
-    feats = dc.detach(apply_features(model, ep.query_inputs)).data
-    aug, ssl_labels = labeler(feats)
-    ssl_labels = np.asarray(ssl_labels, dtype=np.int64)
+    feats = dc.detach(apply_features(model, stacked(episodes, "query_inputs"))).data
+    per_episode = [labeler(f) for f in feats.reshape((-1,) + feats.shape[-2:])]
+    aug = np.stack([a for a, _ in per_episode]).reshape(feats.shape[:-2] + (-1, feats.shape[-1]))
+    ssl_labels = np.stack([np.asarray(lab, dtype=np.int64) for _, lab in per_episode])
     if ssl_labels.min() < 0 or ssl_labels.max() >= 4:
         raise ValueError("self-supervised labeler produced out-of-range ids")
+    ssl_labels = ssl_labels.reshape(aug.shape[:-1])
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
     parts = cosine_parts(aug_t, theta, scale)
-    logits = parts[0]
     proj = dc.constant(_ssl_projection(model.k))
-    ssl_logits = dc.matmul(logits, proj)
-    probs = dc.softmax(ssl_logits)
-    one_hot = np.zeros((len(ssl_labels), 4))
-    one_hot[np.arange(len(ssl_labels)), ssl_labels] = 1.0
-    ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / len(ssl_labels))
-    seed = dc.matmul(ce_grad, dc.transpose(proj))  # (4n, k)
+    probs = dc.softmax(dc.matmul(parts[0], proj))
+    one_hot = (ssl_labels[..., None] == np.arange(4)).astype(np.float64)
+    ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / ssl_labels.shape[-1])
+    seed = dc.matmul(ce_grad, dc.transpose(proj))  # (..., 4n, k)
     direction = cosine_vjp(aug_t, theta, scale, seed, parts)
     return theta - dc.scale(direction, eta)
 
@@ -438,8 +440,9 @@ def ssl_init(model: MetaModel, ep: Episode, cfg: InnerLoopConfig,
 def ssl_loss_value(model: MetaModel, ep: Episode, theta_data: np.ndarray,
                    labeler: Callable = orthogonal_transform_labeler) -> float:
     """Numeric self-supervised loss at given task weights (for diagnostics)."""
-    feats = apply_features(model, ep.query_inputs).data
-    aug, ssl_labels = labeler(feats)
-    logits = _cosine_logits_np(aug, theta_data, float(model.params["classifier_scale"].data))
-    ssl_logits = logits @ _ssl_projection(model.k)
-    return _cross_entropy_np(ssl_logits, np.asarray(ssl_labels, dtype=np.int64))
+    frozen = frozen_copy(model)
+    aug, ssl_labels = labeler(apply_features(frozen, ep.query_inputs).data)
+    logits, *_ = cosine_parts(dc.constant(aug), dc.constant(theta_data),
+                              frozen.params["classifier_scale"])
+    ssl_logits = dc.matmul(logits, dc.constant(_ssl_projection(model.k)))
+    return cross_entropy(ssl_logits, ssl_labels).item()

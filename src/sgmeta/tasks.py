@@ -69,6 +69,14 @@ class Episode:
         return self.query_inputs.shape[0]
 
 
+def stacked(episodes, name: str) -> np.ndarray:
+    """One field of a batch of episodes, stacked on a new leading axis; a
+    single Episode gives its field as it is."""
+    if isinstance(episodes, Episode):
+        return getattr(episodes, name)
+    return np.stack([getattr(ep, name) for ep in episodes])
+
+
 @dataclass
 class ToyConfig:
     """Spinning-lines generative parameters."""
@@ -127,10 +135,12 @@ def true_prior(cfg: ToyConfig, n: Optional[int] = None) -> DiagGaussian:
     return DiagGaussian(np.array([cfg.mu + cfg.mu_w]), np.array([np.log(var)]))
 
 
-def true_posterior(ep: Episode, cfg: ToyConfig) -> DiagGaussian:
-    """Slope posterior given the inputs: N(mean(x) + mu_w, sigma_w^2)."""
-    m = float(ep.query_inputs.mean())
-    return DiagGaussian(np.array([m + cfg.mu_w]), np.array([2.0 * np.log(cfg.sigma_w)]))
+def true_posterior(episodes, cfg: ToyConfig) -> DiagGaussian:
+    """Slope posterior given the inputs: N(mean(x) + mu_w, sigma_w^2); one
+    row per episode for a batch."""
+    m = stacked(episodes, "query_inputs").mean(axis=(-2, -1))
+    mean = np.asarray(m + cfg.mu_w)[..., None]
+    return DiagGaussian(mean, np.full(mean.shape, 2.0 * np.log(cfg.sigma_w)))
 
 
 def class_prototypes(cfg: FewShotConfig, split: str) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Outer training loop: sample episodes, unroll the inner loop, update the
 meta-parameters; plus evaluation, metric logging, and checkpointing.
 
-One optimizer step consumes a batch of episodes. Per episode the loss is the
+One optimizer step consumes a batch of episodes, stacked on a leading axis so
+the step builds and differentiates one graph. Per episode the loss is the
 expected query loss plus the prior term; the prior term is split so that the
 prior always receives its full matching gradient while the weight of the
 prior pull on the adapted task weights is configurable (``outer_kl_weight``:
@@ -34,6 +35,7 @@ from .models import (
     checkpoint_payload,
     config_hash,
     cosine_parts,
+    frozen_copy,
     init_theta0_global,
     init_theta0_proto,
     model_from_payload,
@@ -42,11 +44,14 @@ from .sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
+    InnerLoopError,
     accuracy_value,
     cross_entropy,
     data_term,
     objective_noise,
+    prior_dist,
     prior_term,
+    query_loss,
     sib_unroll,
     ssl_init,
 )
@@ -58,6 +63,7 @@ from .tasks import (
     episode_rng,
     gen_fewshot_episode,
     gen_spinning_lines,
+    stacked,
     true_posterior,
     true_prior,
 )
@@ -68,13 +74,47 @@ MODES = ("toy", "fewshot", "fewshot-zeroshot")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised on a non-finite loss; carries the last finite state."""
+    """Raised on a non-finite loss or inner update; carries the last finite
+    state, the records so far and the number of completed steps."""
 
-    def __init__(self, message: str, model=None, records=None, step: int = 0):
+    def __init__(self, message: str, model, records, step: int):
         super().__init__(message)
         self.model = model
-        self.records = records or []
+        self.records = records
         self.step = step
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+# (test, what it expects) for each scalar field of RunConfig
+_FIELD_RULES = {
+    "mode": (lambda v: v in MODES, f"one of {MODES}"),
+    "run_seed": (_is_int, "an integer"),
+    "optimizer": (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
+    "learning_rate": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "adam_beta1": (lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "adam_beta2": (lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "adam_eps": (lambda v: _is_real(v) and v > 0, "a number > 0"),
+    "batch_tasks": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "total_steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "eval_every": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "outer_kl_weight": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "grad_clip_norm": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "train_f": (lambda v: isinstance(v, bool), "true or false"),
+    "theta_init": (lambda v: v in ("global", "proto", "ssl"), "'global', 'proto' or 'ssl'"),
+    "val_pool_size": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "eval_episodes": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "d_f": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+}
+_OPTIONAL_FIELDS = ("epochs", "total_steps", "outer_kl_weight", "theta_init", "d_f")
 
 
 @dataclass
@@ -96,7 +136,6 @@ class RunConfig:
     grad_clip_norm: float = 10.0
     train_f: bool = False
     theta_init: Optional[str] = None  # global | proto | ssl; None -> mode default
-    strict_sequential: bool = False
     val_pool_size: int = 200
     eval_episodes: int = 2000
     d_f: Optional[int] = None
@@ -105,14 +144,11 @@ class RunConfig:
     fewshot: Optional[FewShotConfig] = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_tasks < 1:
-            raise ValueError("batch_tasks must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        """Check the type and range of every scalar field; errors name the key."""
+        for key, (valid, expected) in _FIELD_RULES.items():
+            value = getattr(self, key)
+            if not (value is None and key in _OPTIONAL_FIELDS) and not valid(value):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
 
     @property
     def kl_weight(self) -> float:
@@ -177,6 +213,7 @@ def default_config(mode: str = "toy", **overrides) -> RunConfig:
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
+    cfg.__post_init__()
     return cfg
 
 
@@ -184,8 +221,7 @@ def default_config(mode: str = "toy", **overrides) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    return out
+    return dataclasses.asdict(cfg)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -349,15 +385,19 @@ def build_model(cfg: RunConfig) -> MetaModel:
     )
 
 
-def make_theta0(model: MetaModel, ep: Episode, cfg: RunConfig):
+def make_theta0(model: MetaModel, episodes, cfg: RunConfig):
+    """Initial task weights: one per episode, stacked for a batch."""
     kind = cfg.init_kind
     if kind == "global":
-        return init_theta0_global(model)
+        lam = init_theta0_global(model)
+        if isinstance(episodes, Episode):
+            return lam
+        return lam + dc.constant(np.zeros((len(episodes),) + lam.shape))
     if kind == "proto":
-        feats = dc.detach(apply_features(model, ep.support_inputs))
-        return init_theta0_proto(model, feats, ep.support_labels)
+        feats = dc.detach(apply_features(model, stacked(episodes, "support_inputs")))
+        return init_theta0_proto(model, feats, stacked(episodes, "support_labels"))
     if kind == "ssl":
-        return ssl_init(model, ep, cfg.inner)
+        return ssl_init(model, episodes, cfg.inner)
     raise ValueError(f"unknown theta_init {kind!r}")
 
 
@@ -368,14 +408,14 @@ def episode_for(cfg: RunConfig, split: str, index: int) -> Episode:
     return gen_fewshot_episode(cfg.fewshot, split, seed)
 
 
-def episode_objective(model: MetaModel, ep: Episode, cfg: RunConfig,
-                      kl_weight: Optional[float] = None):
-    """Per-episode training loss with the prior-gradient split applied."""
-    klw = cfg.kl_weight if kl_weight is None else kl_weight
-    theta0 = make_theta0(model, ep, cfg)
-    theta_k, _ = sib_unroll(theta0, ep, model, cfg.inner)
-    eps_list = objective_noise(theta_k, ep, cfg.inner)
-    loss = data_term(ep, theta_k, model, cfg.inner, eps_list)
+def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
+    """Per-episode training losses, with the prior-gradient split applied,
+    and the adapted weights; one value per episode for a batch."""
+    klw = cfg.kl_weight
+    theta0 = make_theta0(model, episodes, cfg)
+    theta_k, _ = sib_unroll(theta0, episodes, model, cfg.inner)
+    eps = objective_noise(theta_k, episodes, cfg.inner)
+    loss = data_term(episodes, theta_k, model, cfg.inner, eps)
     if klw != 0.0:
         loss = loss + dc.scale(prior_term(theta_k, model, cfg.inner), klw)
     if klw != 1.0:
@@ -389,7 +429,11 @@ def episode_objective(model: MetaModel, ep: Episode, cfg: RunConfig,
 
 def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
               inner: Optional[InnerLoopConfig] = None, step: int = 0) -> EvalReport:
-    """Frozen-model metrics over a list of episodes, with 95% intervals."""
+    """Frozen-model metrics over a list of episodes, with 95% intervals.
+
+    Episodes are adapted in chunks of ``batch_tasks`` on a constant copy of
+    the parameters, so no autodiff tape is kept.
+    """
     episodes = list(episodes)
     if not episodes:
         raise ValueError("evaluate requires at least one episode")
@@ -397,28 +441,28 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     start = time.perf_counter()
     per = {}
 
-    def push(name, value):
-        per.setdefault(name, []).append(float(value))
+    def push(name, values):
+        per.setdefault(name, []).extend(float(v) for v in values)
 
     snapshot = model.clone_data()
-    prior_now = DiagGaussian(model.params["psi_mean"].data.copy(),
-                             model.params["psi_log_var"].data.copy())
-    for ep in episodes:
-        theta0 = make_theta0(model, ep, cfg)
-        theta_k, _ = sib_unroll(theta0, ep, model, inner)
+    frozen = frozen_copy(model)
+    prior_now = prior_dist(frozen)
+    for first in range(0, len(episodes), cfg.batch_tasks):
+        chunk = episodes[first:first + cfg.batch_tasks]
+        theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
+        inputs, labels = stacked(chunk, "query_inputs"), stacked(chunk, "query_labels")
         if model.mode == "toy":
-            pred = theta_k.data[0] * ep.query_inputs[:, 0]
-            push("query_mse", np.mean((pred - ep.query_labels) ** 2))
-            post = DiagGaussian(theta_k.data.copy(), np.full(1, inner.q_log_var))
+            push("query_mse", query_loss(frozen, inputs, labels, theta_k).data)
+            post = DiagGaussian(theta_k.data, np.full(theta_k.shape, inner.q_log_var))
             push("kl_to_true_posterior",
-                 kl_diag_gaussian(post, true_posterior(ep, cfg.toy)).item())
-            push("kl_to_prior", kl_diag_gaussian(post, prior_now).item())
+                 kl_diag_gaussian(post, true_posterior(chunk, cfg.toy)).data)
+            push("kl_to_prior", kl_diag_gaussian(post, prior_now).data)
         else:
-            feats = apply_features(model, ep.query_inputs)
-            logits, *_ = cosine_parts(feats, theta_k, model.params["classifier_scale"])
-            push("query_loss", cross_entropy(logits, ep.query_labels).item())
-            push("query_accuracy", accuracy_value(logits.data, ep.query_labels))
-            push("kl_to_prior", prior_term(dc.constant(theta_k.data), model, inner).item())
+            feats = apply_features(frozen, inputs)
+            logits, *_ = cosine_parts(feats, theta_k, frozen.params["classifier_scale"])
+            push("query_loss", cross_entropy(logits, labels).data)
+            push("query_accuracy", accuracy_value(logits.data, labels))
+            push("kl_to_prior", prior_term(theta_k, frozen, inner).data)
     for name, arr in model.clone_data().items():
         if not np.array_equal(arr, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")
@@ -456,15 +500,10 @@ class TrainResult:
     steps_run: int
 
 
-def _trainable_names(model: MetaModel):
-    return [n for n, t in sorted(model.params.items()) if t.requires_grad]
-
-
 def train(cfg: RunConfig, progress=None) -> TrainResult:
     """Run the outer loop; deterministic for a fixed config and seed."""
     model = build_model(cfg)
-    trainable_names = _trainable_names(model)
-    trainables = [model.params[n] for n in trainable_names]
+    trainables = [t for _, t in sorted(model.trainable().items())]
     state = adam_init([t.shape for t in trainables]) if cfg.optimizer == "adam" else None
 
     if cfg.mode == "toy":
@@ -488,29 +527,25 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
     best_snapshot = None
     last_good = model.clone_data()
     order = None
+    split = "test" if cfg.mode == "toy" else "val"
 
-    for step in range(total_steps):
-        batch = []
-        if cfg.mode == "toy":
-            epoch = step // steps_per_epoch
-            pos = (step % steps_per_epoch) * cfg.batch_tasks
-            if pos == 0:
-                rng = episode_rng(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
-                order = rng.permutation(n_train)
-            batch = [train_pool[i] for i in order[pos : pos + cfg.batch_tasks]]
-        else:
-            base = step * cfg.batch_tasks
-            batch = [episode_for(cfg, "train", base + j) for j in range(cfg.batch_tasks)]
+    step = 0
+    try:
+        for step in range(total_steps):
+            if cfg.mode == "toy":
+                epoch = step // steps_per_epoch
+                pos = (step % steps_per_epoch) * cfg.batch_tasks
+                if pos == 0:
+                    rng = episode_rng(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
+                    order = rng.permutation(n_train)
+                batch = [train_pool[i] for i in order[pos : pos + cfg.batch_tasks]]
+            else:
+                base = step * cfg.batch_tasks
+                batch = [episode_for(cfg, "train", base + j) for j in range(cfg.batch_tasks)]
 
-        if cfg.strict_sequential:
-            loss_value = _strict_sequential_step(model, batch, cfg, trainable_names, state)
-        else:
             dc.zero_grad(trainables)
-            total = None
-            for ep in batch:
-                loss_ep, _ = episode_objective(model, ep, cfg)
-                total = loss_ep if total is None else total + loss_ep
-            loss = dc.scale(total, 1.0 / len(batch))
+            losses, _ = episode_objective(model, batch, cfg)
+            loss = dc.scale(losses.sum(), 1.0 / len(batch))
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 model.load_data(last_good)
@@ -529,27 +564,29 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
             for t, p in zip(trainables, new_params):
                 t.data = p
 
-        last_good = model.clone_data()
-        records.append((step, "train", "query_loss", loss_value, 0.0))
+            last_good = model.clone_data()
+            records.append((step, "train", "query_loss", loss_value, 0.0))
 
-        if (step + 1) % eval_every == 0 or step + 1 == total_steps:
-            split = "test" if cfg.mode == "toy" else "val"
-            report = evaluate(model, cfg, split, eval_pool, step=step + 1)
-            records.extend(metric_records(report.row, report.ci95))
-            name, value, _ = report.primary_metric()
-            better = (
-                best_metric is None
-                or (name == "query_accuracy" and value > best_metric)
-                or (name == "query_mse" and value < best_metric)
-            )
-            if better:
-                best_metric = value
-                best_snapshot = model.clone_data()
-            if progress is not None:
-                progress(step + 1, total_steps, report)
+            if (step + 1) % eval_every == 0 or step + 1 == total_steps:
+                report = evaluate(model, cfg, split, eval_pool, step=step + 1)
+                records.extend(metric_records(report.row, report.ci95))
+                name, value, _ = report.primary_metric()
+                better = (
+                    best_metric is None
+                    or (name == "query_accuracy" and value > best_metric)
+                    or (name == "query_mse" and value < best_metric)
+                )
+                if better:
+                    best_metric = value
+                    best_snapshot = model.clone_data()
+                if progress is not None:
+                    progress(step + 1, total_steps, report)
 
-    final_eval = evaluate(model, cfg, "test" if cfg.mode == "toy" else "val",
-                          eval_pool, step=total_steps)
+        final_eval = evaluate(model, cfg, split, eval_pool, step=total_steps)
+    except InnerLoopError as exc:
+        model.load_data(last_good)
+        raise TrainingDiverged(f"{exc} at outer step {step}",
+                               model=model, records=records, step=step) from exc
     return TrainResult(
         model=model,
         records=records,
@@ -558,45 +595,6 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
         best_metric=best_metric,
         steps_run=total_steps,
     )
-
-
-def _strict_sequential_step(model, batch, cfg, trainable_names, state) -> float:
-    """Two-pass variant: the prior is updated from the KL term first, then the
-    remaining parameters from the weighted objective (matching the two-line
-    update schedule; identical to the merged pass for a shared objective)."""
-    psi_names = [n for n in trainable_names if n.startswith("psi_")]
-    phi_names = [n for n in trainable_names if not n.startswith("psi_")]
-    psi = [model.params[n] for n in psi_names]
-    phi = [model.params[n] for n in phi_names]
-
-    dc.zero_grad(psi + phi)
-    total = None
-    for ep in batch:
-        theta0 = make_theta0(model, ep, cfg)
-        theta_k, _ = sib_unroll(theta0, ep, model, cfg.inner)
-        term = prior_term(theta_k, model, cfg.inner)
-        total = term if total is None else total + term
-    dc.backward(dc.scale(total, 1.0 / len(batch)))
-    psi_grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in psi]
-    psi_grads, _ = clip_global_norm(psi_grads, cfg.grad_clip_norm)
-    for t, g in zip(psi, psi_grads):
-        t.data = t.data - cfg.learning_rate * g
-
-    dc.zero_grad(psi + phi)
-    total = None
-    for ep in batch:
-        loss_ep, _ = episode_objective(model, ep, cfg, kl_weight=cfg.kl_weight)
-        total = loss_ep if total is None else total + loss_ep
-    loss = dc.scale(total, 1.0 / len(batch))
-    value = loss.item()
-    if not math.isfinite(value):
-        raise TrainingDiverged("non-finite loss in sequential step")
-    dc.backward(loss)
-    phi_grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in phi]
-    phi_grads, _ = clip_global_norm(phi_grads, cfg.grad_clip_norm)
-    for t, g in zip(phi, phi_grads):
-        t.data = t.data - cfg.learning_rate * g
-    return value
 
 
 # -- checkpoint file IO ------------------------------------------------------------

@@ -1,0 +1,301 @@
+"""The batched outer step against a per-episode loop.
+
+The reference below is the per-episode formulation: one graph per episode,
+one subgraph per Monte-Carlo draw, draws summed in a Python loop. The
+batched path stacks the episodes and the draws on leading axes instead; the
+two must agree to rounding (1e-12) on per-episode losses, adapted weights
+and the gradient of every trainable parameter.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sgmeta import diffcore as dc
+from sgmeta.analysis import gen_gap, mi_estimate, toy_task_sampler
+from sgmeta.distributions import (
+    DiagGaussian,
+    dirac_prior_term,
+    kl_diag_gaussian,
+    kl_grad_wrt_mean,
+    sample_reparam,
+)
+from sgmeta.models import apply_features, cosine_parts, synth_grad
+from sgmeta.sibcore import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
+    STREAM_INNER,
+    STREAM_OBJECTIVE,
+    _ssl_projection,
+    cosine_vjp,
+    cross_entropy,
+    orthogonal_transform_labeler,
+    prior_dist,
+)
+from sgmeta.tasks import FewShotConfig, ToyConfig, derive_task_seed, episode_rng
+from sgmeta.trainer import build_model, default_config, episode_for, episode_objective, evaluate
+
+TOL = 1e-12
+
+
+# -- per-episode reference ----------------------------------------------------------
+
+
+def ref_draw(theta, cfg, eps):
+    if eps is None:
+        return theta
+    q = DiagGaussian(theta.reshape(theta.size), dc.constant(np.full(theta.size, cfg.q_log_var)))
+    return sample_reparam(q, eps).reshape(theta.shape)
+
+
+def ref_direction(theta, x, model, cfg, eps_list):
+    scale = model.params.get("classifier_scale")
+    total = None
+    for eps in eps_list:
+        w = ref_draw(theta, cfg, eps)
+        if model.mode == "toy":
+            n = x.size
+            g = synth_grad(model, (w * x).reshape(n, 1)).reshape(n)
+            contrib = ((g * x).sum() if cfg.sum_convention else (g * x).mean()).reshape(1)
+        else:
+            parts = cosine_parts(x, w, scale)
+            g = synth_grad(model, parts[0])
+            seed = g if cfg.sum_convention else dc.scale(g, 1.0 / x.shape[0])
+            contrib = cosine_vjp(x, w, scale, seed, parts)
+        total = contrib if total is None else total + contrib
+    return dc.scale(total, 1.0 / len(eps_list))
+
+
+def ref_unroll(theta0, ep, model, cfg):
+    if model.mode == "toy":
+        x = dc.constant(ep.query_inputs[:, 0])
+    else:
+        x = dc.detach(apply_features(model, ep.query_inputs))
+    rng = episode_rng(ep.task_seed, stream=STREAM_INNER)
+    theta = theta0
+    for _ in range(cfg.steps):
+        if cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean:
+            eps_list = [rng.normal(size=theta.size) for _ in range(cfg.mc_samples)]
+        else:
+            eps_list = [None]
+        direction = ref_direction(theta, x, model, cfg, eps_list)
+        if cfg.kl_in_inner:
+            kl_dir = kl_grad_wrt_mean(theta.reshape(theta.size), prior_dist(model))
+            direction = direction + kl_dir.reshape(theta.shape)
+        theta = theta - dc.scale(direction, cfg.eta_inner)
+    return theta
+
+
+def ref_prior_term(theta, model, cfg):
+    flat = theta.reshape(theta.size)
+    if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
+        q = DiagGaussian(flat, dc.constant(np.full(theta.size, cfg.q_log_var)))
+        return kl_diag_gaussian(q, prior_dist(model))
+    return dirac_prior_term(flat, prior_dist(model))
+
+
+def ref_data_term(ep, theta, model, cfg, eps_list):
+    total = None
+    for eps in eps_list:
+        w = ref_draw(theta, cfg, eps)
+        if model.mode == "toy":
+            sq = dc.square(w * dc.constant(ep.query_inputs[:, 0]) - dc.constant(ep.query_labels))
+            contrib = sq.sum() if cfg.sum_convention else sq.mean()
+        else:
+            feats = apply_features(model, ep.query_inputs)
+            logits, *_ = cosine_parts(feats, w, model.params["classifier_scale"])
+            contrib = cross_entropy(logits, ep.query_labels)
+        total = contrib if total is None else total + contrib
+    return dc.scale(total, 1.0 / len(eps_list))
+
+
+def ref_ssl_init(model, ep, cfg):
+    feats = dc.detach(apply_features(model, ep.query_inputs)).data
+    aug, ssl_labels = orthogonal_transform_labeler(feats)
+    theta = model.params["lambda_global"]
+    scale = model.params["classifier_scale"]
+    aug_t = dc.constant(aug)
+    parts = cosine_parts(aug_t, theta, scale)
+    proj = dc.constant(_ssl_projection(model.k))
+    probs = dc.softmax(dc.matmul(parts[0], proj))
+    one_hot = np.zeros((len(ssl_labels), 4))
+    one_hot[np.arange(len(ssl_labels)), ssl_labels] = 1.0
+    ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / len(ssl_labels))
+    seed = dc.matmul(ce_grad, dc.transpose(proj))
+    return theta - dc.scale(cosine_vjp(aug_t, theta, scale, seed, parts), cfg.inner.eta_inner)
+
+
+def ref_theta0(model, ep, cfg):
+    if cfg.init_kind == "global":
+        return model.params["lambda_global"]
+    if cfg.init_kind == "proto":
+        feats = apply_features(model, ep.support_inputs).data
+        means = np.stack([feats[ep.support_labels == c].mean(axis=0) for c in range(model.k)])
+        return dc.constant(means) * model.params["lambda_scale"]
+    return ref_ssl_init(model, ep, cfg)
+
+
+def ref_episode_objective(model, ep, cfg):
+    klw = cfg.kl_weight
+    theta_k = ref_unroll(ref_theta0(model, ep, cfg), ep, model, cfg.inner)
+    if cfg.inner.posterior_regime == DETERMINISTIC:
+        eps_list = [None]
+    else:
+        rng = episode_rng(ep.task_seed, stream=STREAM_OBJECTIVE)
+        draws = cfg.inner.objective_mc_samples or cfg.inner.mc_samples
+        eps_list = [rng.normal(size=theta_k.size) for _ in range(draws)]
+    loss = ref_data_term(ep, theta_k, model, cfg.inner, eps_list)
+    if klw != 0.0:
+        loss = loss + dc.scale(ref_prior_term(theta_k, model, cfg.inner), klw)
+    if klw != 1.0:
+        frozen = dc.constant(theta_k.data)
+        loss = loss + dc.scale(ref_prior_term(frozen, model, cfg.inner), 1.0 - klw)
+    return loss, theta_k
+
+
+# -- cases ------------------------------------------------------------------------------
+
+
+def toy_case():
+    cfg = default_config("toy")  # Gaussian regime, 8 objective draws
+    cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
+    cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
+    return cfg
+
+
+def fewshot_case(**inner):
+    cfg = default_config("fewshot")
+    cfg.fewshot = FewShotConfig(k=3, n_shot=2, n_query_per_class=4, d_x=6,
+                                class_pool={"train": 8, "val": 4, "test": 4})
+    for key, value in inner.items():
+        setattr(cfg.inner, key, value)
+    return cfg
+
+
+def ssl_case():
+    cfg = fewshot_case()
+    cfg.theta_init = "ssl"
+    return cfg
+
+
+CASES = {
+    "toy-gaussian-8-draws": toy_case,
+    "fewshot-proto-deterministic": fewshot_case,
+    "fewshot-ssl": ssl_case,
+    "fewshot-gaussian-2-draws": lambda: fewshot_case(
+        posterior_regime=GAUSSIAN_FIXED_VAR, mc_samples=2, q_log_var=2 * math.log(0.05)),
+}
+
+
+def perturbed_model(cfg, seed=0):
+    model = build_model(cfg)
+    rng = np.random.default_rng(seed)
+    for name in ("xi_w3", "xi_b3", "psi_mean", "psi_log_var"):
+        p = model.params[name]
+        p.data = p.data + 0.3 * rng.normal(size=p.shape)
+    return model
+
+
+def _grad(t):
+    return np.zeros_like(t.data) if t.grad is None else t.grad
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=TOL,
+                               atol=TOL * max(np.abs(expected).max(), 1e-300))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_step_matches_per_episode_loop(case):
+    cfg = CASES[case]()
+    model = perturbed_model(cfg)
+    batch = [episode_for(cfg, "train", i) for i in range(4)]
+    trainables = [t for _, t in sorted(model.trainable().items())]
+
+    dc.zero_grad(trainables)
+    losses, theta_k = episode_objective(model, batch, cfg)
+    dc.backward(dc.scale(losses.sum(), 1.0 / len(batch)))
+    grads = [_grad(t).copy() for t in trainables]
+
+    dc.zero_grad(trainables)
+    total = None
+    ref_losses, ref_thetas = [], []
+    for ep in batch:
+        loss_ep, theta_ep = ref_episode_objective(model, ep, cfg)
+        ref_losses.append(loss_ep.item())
+        ref_thetas.append(theta_ep.data)
+        total = loss_ep if total is None else total + loss_ep
+    dc.backward(dc.scale(total, 1.0 / len(batch)))
+
+    assert losses.shape == (len(batch),)
+    assert_close(losses.data, np.array(ref_losses))
+    assert_close(theta_k.data, np.stack(ref_thetas))
+    ref_grads = [_grad(t) for t in trainables]
+    assert sum(np.count_nonzero(g) for g in ref_grads) > 0
+    for g, ref in zip(grads, ref_grads):
+        assert_close(g, ref)
+
+
+def test_evaluation_chunks_do_not_change_per_episode_values():
+    cfg = fewshot_case()
+    model = perturbed_model(cfg, seed=1)
+    episodes = [episode_for(cfg, "val", i) for i in range(7)]
+    cfg.batch_tasks = 1
+    one = evaluate(model, cfg, "val", episodes)
+    cfg.batch_tasks = 3
+    chunked = evaluate(model, cfg, "val", episodes)
+    assert set(chunked.per_episode) == set(one.per_episode)
+    for name, values in one.per_episode.items():
+        assert_close(chunked.per_episode[name], values)
+
+
+def test_analysis_chunks_keep_the_per_trial_random_order():
+    cfg = toy_case()
+    cfg.inner.inner_eval_at_mean = False  # inner draws too
+    model = perturbed_model(cfg, seed=2)
+    sampler = toy_task_sampler(cfg.toy, seed=4)
+    one = gen_gap(model, sampler, cfg.inner, trials=13, seed=1, batch=1)
+    chunked = gen_gap(model, sampler, cfg.inner, trials=13, seed=1, batch=5)
+    for field in ("gap", "stderr", "sigma", "mi"):
+        assert getattr(chunked, field) == pytest.approx(getattr(one, field), rel=TOL, abs=1e-15)
+    episodes = [sampler(t)[0] for t in range(9)]
+    assert mi_estimate(model, episodes, cfg.inner, batch=4) == pytest.approx(
+        mi_estimate(model, episodes, cfg.inner, batch=1), rel=TOL)
+
+
+def test_gap_and_sigma_match_per_trial_loop():
+    cfg = toy_case()
+    cfg.inner.inner_eval_at_mean = False  # inner draws too
+    inner = cfg.inner
+    model = perturbed_model(cfg, seed=3)
+    sampler = toy_task_sampler(cfg.toy, seed=6)
+    trials, seed = 11, 2
+    est = gen_gap(model, sampler, inner, trials=trials, seed=seed, batch=4)
+
+    std = math.exp(inner.q_log_var / 2.0)
+
+    def adapted_draw(ep, rng):
+        theta = ref_unroll(model.params["lambda_global"], ep, model, inner).data
+        return theta + std * rng.normal(size=theta.size)
+
+    def loss(x, y, w):
+        return np.mean((w[0] * x[:, 0] - y) ** 2)
+
+    rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
+    diffs = []
+    for t in range(trials):
+        d, fresh = sampler(t)
+        w = adapted_draw(d, rng)
+        f = fresh(0)
+        diffs.append(loss(f.query_inputs, f.query_labels, w)
+                     - loss(d.query_inputs, d.query_labels, w))
+    rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)
+    losses = []
+    for t in range(trials):
+        d_w, d_z = sampler(2 * t)[0], sampler(2 * t + 1)[0]
+        w = adapted_draw(d_w, rng)
+        i = int(rng.integers(d_z.n_query))
+        losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
+    assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
+    assert est.sigma == pytest.approx((max(losses) - min(losses)) / 2.0, rel=TOL)

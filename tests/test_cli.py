@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgmeta.cli import main
@@ -215,3 +216,32 @@ def test_gradcheck_exit_code(capsys):
 def test_selftest_exit_code(capsys):
     assert main(["selftest"]) == 0
     assert "all self-tests passed" in capsys.readouterr().out
+
+
+def test_inner_divergence_leaves_checkpoint_metrics_and_summary(tmp_path, fewshot_cfg_file,
+                                                               capsys):
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train-fewshot", "--config", str(fewshot_cfg_file),
+                   "--set", "inner.eta_inner=1e308", "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert "non-finite inner update" in summary["error"]
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["step"] == summary["step"]
+    assert (out / "metrics.csv").read_text().startswith("step,split,metric,value,ci95")
+    assert "non-finite inner update" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,key", [
+    ("learning_rate=abc", "learning_rate"),
+    ("epochs=-1", "epochs"),
+    ("eval_every=-3", "eval_every"),
+])
+def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, capsys,
+                                                      setting, key):
+    out = tmp_path / "run"
+    rc = main(["train-toy", "--config", str(toy_cfg_file), "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()

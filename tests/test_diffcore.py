@@ -11,12 +11,10 @@ from sgmeta.diffcore import (
     Tensor,
     backward,
     check_gradients,
-    concat,
     constant,
     detach,
     fd_gradient,
     grad,
-    index_select,
     matmul,
     param,
     softmax,
@@ -91,10 +89,11 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
         ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
         ("square", lambda a, b: dc.square(a + b)),
         ("sqrt", lambda a, b: dc.sqrt(dc.square(a) + 1.0) * b),
-        ("concat", lambda a, b: concat([a, b], axis=0).mean()),
-        ("index_select", lambda a, b: index_select(a * b, 0, [4, 1, 1, 0]).sum()),
+        ("matmul3d", lambda a, b: matmul(a.reshape(2, 3, 1), dc.transpose(b.reshape(2, 3, 1)))),
+        ("matmul3d_2d", lambda a, b: matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
         ("neg", lambda a, b: (-a) * b),
         ("transpose", lambda a, b: dc.transpose(a.reshape(2, 3)).sum() * b.mean()),
+        ("transpose3d", lambda a, b: dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)),
         ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
     ],
 )
@@ -170,7 +169,7 @@ def test_grad_outside_graph_errors_unless_allowed():
         (dc.add, (Tensor(np.ones(3)), Tensor(np.ones(4)))),
         (dc.matmul, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))),
         (dc.take_per_row, (Tensor(np.ones(3)), [0, 1, 2])),
-        (dc.concat, ([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], 0)),
+        (dc.matmul, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 1))))),
     ],
 )
 def test_shape_mismatch_raises_structured_error(op, args):

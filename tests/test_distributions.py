@@ -62,7 +62,7 @@ def test_sample_reparam_mean_jacobian_is_identity():
     for i in range(2):
         zero_grad([mean])
         w = sample_reparam(q, np.array([0.5, -1.5]))
-        (g,) = grad(dc.index_select(w, 0, [i]).sum(), [mean])
+        (g,) = grad(dc.take_per_row(w.reshape(1, 2), [i]).sum(), [mean])
         expected = np.zeros(2)
         expected[i] = 1.0
         np.testing.assert_allclose(g, expected, atol=0)

@@ -144,12 +144,6 @@ def test_fewshot_training_runs_and_freezes_features():
     assert any(r[2] == "query_accuracy" for r in result.records)
 
 
-def test_strict_sequential_mode_runs():
-    cfg = tiny_toy_config(strict_sequential=True)
-    result = train(cfg)
-    assert result.steps_run == cfg.epochs * math.ceil(16 / 4)
-
-
 def test_divergence_aborts_with_last_good_restored():
     cfg = tiny_toy_config(learning_rate=1e12)  # blows up within a few steps
     cfg.inner.eta_inner = 1e6
@@ -280,6 +274,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"mode": "toy", "learningrate": 0.1})
     with pytest.raises(ValueError, match="inner.K"):
         config_from_dict({"mode": "toy", "inner": {"K": 3}})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("batch_tasks", True),
+    ("batch_tasks", 2.0),
+    ("total_steps", 0),
+    ("val_pool_size", "many"),
+    ("adam_beta2", 1.0),
+    ("adam_eps", 0.0),
+    ("learning_rate", float("nan")),
+    ("grad_clip_norm", -1.0),
+    ("outer_kl_weight", "high"),
+    ("train_f", 1),
+    ("theta_init", "random"),
+])
+def test_config_rejects_bad_scalar_values_naming_the_key(key, value):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"mode": "fewshot", key: value})
 
 
 def test_config_mode_defaults():
