@@ -1,9 +1,8 @@
 """Theory-facing diagnostics.
 
-Exact KLs against the toy's closed-form posterior and prior, the mutual-
-information proxy, a Monte-Carlo generalization gap with its subgaussian
-upper bound, an exhaustively enumerated decomposition of the population
-objective on small discrete instances, and the query-size sweep.
+The mutual-information proxy, a Monte-Carlo generalization gap with its
+subgaussian upper bound, an exhaustively enumerated decomposition of the
+population objective on small discrete instances, and the query-size sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import DiagGaussian, kl_diag_gaussian
 from .models import MetaModel, frozen_copy
 from .sibcore import GAUSSIAN_FIXED_VAR, InnerLoopConfig, prior_term, query_loss, sib_unroll
 from .tasks import (
@@ -28,7 +26,6 @@ from .tasks import (
     gen_spinning_lines,
     resample_query_set,
     stacked,
-    true_posterior,
 )
 from . import diffcore as dc
 
@@ -79,19 +76,6 @@ def _episode_mean(model: MetaModel, episodes, inner: InnerLoopConfig, batch: int
     return total / len(episodes)
 
 
-def kl_to_true_posterior(model: MetaModel, episodes, cfg: ToyConfig,
-                         inner: InnerLoopConfig, batch: int = 8) -> float:
-    """Mean exact KL between the adapted posterior and the closed-form one."""
-    if model.mode != "toy":
-        raise ValueError("the closed-form posterior exists only in toy mode")
-
-    def kl(frozen, chunk, theta_k):
-        q = DiagGaussian(theta_k, np.full(theta_k.shape, inner.q_log_var))
-        return kl_diag_gaussian(q, true_posterior(chunk, cfg)).data
-
-    return _episode_mean(model, episodes, inner, batch, kl)
-
-
 def mi_estimate(model: MetaModel, episodes, inner: InnerLoopConfig,
                 theta0_fn: Optional[Callable] = None, batch: int = 8) -> float:
     """Mutual-information proxy: mean KL from adapted posteriors to the prior."""
@@ -119,15 +103,13 @@ class GapEstimate:
 
 
 def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None):
-    """Trial sampler for the toy process: fresh dataset plus fresh re-draws."""
+    """Trial sampler for the toy process: a dataset plus a fresh re-draw."""
 
     def sample(trial: int):
         d = gen_spinning_lines(cfg, derive_task_seed(seed, "test", 2 * trial), n=n)
 
-        def fresh(j: int) -> Episode:
-            return gen_spinning_lines(
-                cfg, derive_task_seed(seed, "test", 2 * trial + 1 + (j + 1) * 0x10001), n=n
-            )
+        def fresh() -> Episode:
+            return gen_spinning_lines(cfg, derive_task_seed(seed, "test", 2 * trial + 0x10002), n=n)
 
         return d, fresh
 
@@ -141,8 +123,8 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test"):
     def sample(trial: int):
         d = gen_fewshot_episode(cfg, split, derive_task_seed(seed, split, 3 * trial))
 
-        def fresh(j: int) -> Episode:
-            return resample_query_set(d, cfg, derive_task_seed(seed, split, 3 * trial + 1 + j))
+        def fresh() -> Episode:
+            return resample_query_set(d, cfg, derive_task_seed(seed, split, 3 * trial + 1))
 
         return d, fresh
 
@@ -157,12 +139,11 @@ def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) 
 
 
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
-            fresh_datasets_per_task: int = 1, seed: int = 0,
-            theta0_fn: Optional[Callable] = None, batch: int = 8) -> GapEstimate:
+            seed: int = 0, theta0_fn: Optional[Callable] = None, batch: int = 8) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
 
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
-    the resulting posterior, and compare the loss on fresh datasets of the
+    the resulting posterior, and compare the loss on a fresh dataset of the
     same task against the loss on the adapted-on dataset.
     """
     if trials < 1:
@@ -179,12 +160,10 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
                       for theta in _adapt(frozen, datasets, inner, theta0_fn)])
         on_d = _losses(frozen, stacked(datasets, "query_inputs"),
                        stacked(datasets, "query_labels"), w)
-        on_fresh = []
-        for j in range(fresh_datasets_per_task):
-            fresh = [sample_fresh(j) for _, sample_fresh in samples]
-            on_fresh.append(_losses(frozen, stacked(fresh, "query_inputs"),
-                                    stacked(fresh, "query_labels"), w))
-        diffs[idx.start:idx.stop] = np.mean(on_fresh, axis=0) - on_d
+        fresh = [sample_fresh() for _, sample_fresh in samples]
+        on_fresh = _losses(frozen, stacked(fresh, "query_inputs"),
+                           stacked(fresh, "query_labels"), w)
+        diffs[idx.start:idx.stop] = on_fresh - on_d
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     sigma = estimate_sigma(model, task_sampler, inner, draws=min(trials, 2000),
@@ -344,16 +323,6 @@ def ib_decomposition_check(inst: DiscreteInstance, tol: float = 1e-9) -> IbRepor
     return report
 
 
-def exact_conditional_mi(inst: DiscreteInstance) -> float:
-    """I(w; d | t) by enumeration (shared with the decomposition)."""
-    q_t = inst.q_t
-    q_dt = inst.q_d_given_t
-    q_wdt = inst.q_w_given_dt
-    joint = q_t[:, None, None] * q_dt[:, :, None] * q_wdt
-    q_w_t = (q_dt[:, :, None] * q_wdt).sum(axis=1)
-    return float((joint * (np.log(q_wdt) - np.log(q_w_t)[:, None, :])).sum())
-
-
 def discrete_mi_proxy(inst: DiscreteInstance) -> float:
     """E_{t,d} KL(q(w|d,t) || p(w)) — the estimator analog on tables."""
     joint = inst.q_t[:, None, None] * inst.q_d_given_t[:, :, None] * inst.q_w_given_dt
@@ -375,22 +344,20 @@ class SweepRow:
 
 
 def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
-                 trials: int = 500, seed: int = 0,
-                 reference_n: Optional[int] = None, batch: int = 8) -> list:
+                 trials: int = 500, seed: int = 0, batch: int = 8) -> list:
     """Generalization gap, bound, and task metric at each query-set size.
 
     The trained model is adapted at each size. A sum-convention update would
     scale the step with the query count, so it is converted to the
-    equivalent per-point form matched at ``reference_n`` (the training size
-    by default); only toy mode supports the size sweep since the few-shot
-    query size is tied to the episode layout.
+    equivalent per-point form matched at the training size ``cfg.n``; only
+    toy mode supports the size sweep since the few-shot query size is tied
+    to the episode layout.
     """
     if not n_values:
         raise ValueError("n_values must be non-empty")
     if inner.sum_convention:
-        ref = cfg.n if reference_n is None else int(reference_n)
         inner = dataclasses.replace(inner, sum_convention=False,
-                                    eta_inner=inner.eta_inner * ref)
+                                    eta_inner=inner.eta_inner * cfg.n)
     rows = []
     for n in n_values:
         sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)

@@ -23,7 +23,6 @@ from . import diffcore as dc
 from .analysis import (
     gen_gap,
     ib_decomposition_check,
-    kl_to_true_posterior,
     random_instance,
     spearman_rank_correlation,
     toy_task_sampler,
@@ -33,7 +32,7 @@ from .analysis import (
     write_report_json,
 )
 from .models import apply_features, build_fewshot_model, build_toy_model, config_hash
-from .sibcore import InnerLoopConfig, sib_unroll, task_objective
+from .sibcore import InnerLoopConfig, InnerLoopError, sib_unroll, task_objective
 from .tasks import derive_task_seed, gen_fewshot_episode, gen_spinning_lines
 from .trainer import (
     RunConfig,
@@ -59,6 +58,12 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InnerLoopError as exc:
+        # eval, analyze and sweep-n, after their run directory is prepared;
+        # training reports its own divergence (TrainingDiverged)
+        write_report_json(args.out / "summary.json", {"command": args.command, "error": str(exc)})
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +130,7 @@ def resolve_config(args, mode=None) -> RunConfig:
             data = json.load(fh)
         if mode is not None:
             data.setdefault("mode", mode)
-            if data["mode"] != mode and not (mode == "fewshot" and data["mode"] == "fewshot-zeroshot"):
+            if data["mode"] != mode:
                 raise ValueError(f"config mode {data['mode']!r} does not match the command")
         cfg = config_from_dict(data)
     else:
@@ -257,10 +262,8 @@ def cmd_analyze(args) -> int:
             gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
             for i in range(cfg.toy.n_test_tasks)
         ]
-        kl_post = kl_to_true_posterior(model, eval_pool, cfg.toy, cfg.inner,
-                                       batch=cfg.batch_tasks)
-        quantities.append(("kl_to_true_posterior", kl_post, 0.0))
         report = evaluate(model, cfg, "test", eval_pool)
+        quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
         quantities.append(("prior_kl_to_true", report.row.prior_kl_to_true, 0.0))
         quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
@@ -363,7 +366,6 @@ def cmd_gradcheck(args) -> int:
             "matmul": lambda: dc.matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3))).sum(),
             "scale": lambda: dc.scale(a, 1.7).sum() + b.mean(),
             "relu": lambda: dc.relu(a - b).sum(),
-            "tanh": lambda: dc.tanh(a).sum() * b.mean(),
             "exp": lambda: dc.exp(a * 0.2).sum() + b.sum(),
             "log": lambda: dc.log(dc.square(a) + 1.0).sum() * b.mean(),
             "softmax": lambda: (dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),

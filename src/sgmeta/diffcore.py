@@ -16,15 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable per-op NaN/Inf assertions on forward results."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
 class ShapeError(ValueError):
     """Operand shapes do not conform for the requested op."""
 
@@ -127,8 +118,6 @@ def param(values) -> Tensor:
 
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced in forward pass")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -274,15 +263,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * mask)
 
     return _make(np.where(mask, a.data, 0.0), (a,), back)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        _accum(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), back)
 
 
 def exp(a: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""Diagonal Gaussians: closed-form KL, reparameterized sampling, log-density.
+"""Diagonal Gaussians: closed-form KL and reparameterized sampling.
 
 All quantities are built from diffcore ops so they stay differentiable with
 respect to both distributions' parameters. Two variational regimes are used
@@ -16,14 +16,10 @@ one prior gives one value per posterior.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 class DiagGaussian:
@@ -81,15 +77,6 @@ def sample_reparam(q: DiagGaussian, eps) -> Tensor:
     if eps_t.shape[eps_t.ndim - q.mean.ndim:] != q.mean.shape:
         raise dc.ShapeError("sample_reparam", q.mean.shape, eps_t.shape)
     return q.mean + q.std() * eps_t
-
-
-def log_prob(q: DiagGaussian, w) -> Tensor:
-    """Exact diagonal-Gaussian log-density at w."""
-    w_t = w if isinstance(w, Tensor) else Tensor(w)
-    if w_t.shape != q.mean.shape:
-        raise dc.ShapeError("log_prob", q.mean.shape, w_t.shape)
-    quad = dc.square(w_t - q.mean) * dc.exp(-q.log_var)
-    return dc.scale((q.log_var + quad + LOG_2PI).sum(), -0.5)
 
 
 def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:

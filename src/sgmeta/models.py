@@ -168,19 +168,13 @@ def cosine_parts(features: Tensor, theta: Tensor, scale: Tensor):
     theta_norms) so the closed-form update direction can reuse them.
     """
     if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
-        raise dc.ShapeError("cosine_predict", features.shape, theta.shape)
+        raise dc.ShapeError("cosine_parts", features.shape, theta.shape)
     a = dc.sqrt(dc.tsum(dc.square(features), axis=-1, keepdims=True))  # (..., n, 1)
     b = dc.sqrt(dc.tsum(dc.square(theta), axis=-1, keepdims=True))  # (..., k, 1)
     dots = dc.matmul(features, dc.transpose(theta))  # (..., n, k)
     inv_denom = 1.0 / (dc.matmul(a, dc.transpose(b)) + COSINE_EPS)  # (..., n, k)
     logits = scale * (dots * inv_denom)
     return logits, dots, inv_denom, a, b
-
-
-def cosine_predict(model: MetaModel, features: Tensor, theta: Tensor) -> Tensor:
-    """Scaled cosine-similarity logits between features and class weights."""
-    logits, *_ = cosine_parts(features, theta, model.params["classifier_scale"])
-    return logits
 
 
 def linear_predict_toy(theta: Tensor, x: Tensor) -> Tensor:

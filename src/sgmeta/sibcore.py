@@ -24,8 +24,8 @@ without the episode axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from .models import (
     MetaModel,
     apply_features,
     cosine_parts,
-    frozen_copy,
     linear_predict_toy,
     synth_grad,
 )
+from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import Episode, episode_rng, stacked
 
 GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
@@ -70,7 +70,6 @@ class InnerLoopConfig:
     eta_inner: float = 1e-3
     kl_in_inner: bool = False
     mc_samples: int = 1
-    record_trajectory: bool = False
     posterior_regime: str = GAUSSIAN_FIXED_VAR
     q_log_var: float = 2.0 * math.log(0.1)
     # legacy form of the toy update: sum over the query set instead of mean
@@ -81,21 +80,21 @@ class InnerLoopConfig:
     # Monte-Carlo draws for the outer objective; None reuses mc_samples
     objective_mc_samples: Optional[int] = None
 
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.eta_inner <= 0:
-            raise ValueError("eta_inner must be > 0")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        if self.posterior_regime not in (GAUSSIAN_FIXED_VAR, DETERMINISTIC):
-            raise ValueError(f"unknown posterior regime {self.posterior_regime!r}")
+    def __post_init__(self, prefix: str = ""):
+        check_fields(self, _INNER_RULES, prefix)
 
 
-@dataclass
-class Trajectory:
-    thetas: list = field(default_factory=list)  # numeric theta_0 .. theta_K
-    diagnostics: list = field(default_factory=list)  # per-step dicts; lists for a batch
+_INNER_RULES = {
+    "steps": int_at_least(0),
+    "eta_inner": real_above(0),
+    "kl_in_inner": BOOL,
+    "mc_samples": int_at_least(1),
+    "posterior_regime": one_of(GAUSSIAN_FIXED_VAR, DETERMINISTIC),
+    "q_log_var": REAL,
+    "sum_convention": BOOL,
+    "inner_eval_at_mean": BOOL,
+    "objective_mc_samples": optional(int_at_least(1)),
+}
 
 
 def prior_dist(model: MetaModel) -> DiagGaussian:
@@ -209,54 +208,35 @@ def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopCon
     return theta_next
 
 
-def inner_inputs(model: MetaModel, episodes, detach_features: bool = True) -> Tensor:
+def inner_inputs(model: MetaModel, episodes) -> Tensor:
     """Query-side inputs seen by the inner loop.
 
     Toy mode feeds raw inputs; few-shot mode feeds the feature map's output,
-    detached by default so no gradient is back-propagated into the feature
-    network from the adaptation path.
+    detached so no gradient is back-propagated into the feature network from
+    the adaptation path.
     """
     inputs = stacked(episodes, "query_inputs")
     if model.mode == "toy":
         return dc.constant(inputs[..., 0])
-    feats = apply_features(model, inputs)
-    return dc.detach(feats) if detach_features else feats
+    return dc.detach(apply_features(model, inputs))
 
 
-def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig,
-               detach_features: bool = True):
-    """Compose ``cfg.steps`` synthetic-gradient steps; returns (theta_K, trajectory).
+def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig):
+    """Compose ``cfg.steps`` synthetic-gradient steps; returns (theta_K, the
+    iterates theta_0 .. theta_K).
 
     ``episodes`` is one Episode with theta0 of the model's weight shape, or a
     batch with theta0 stacked on a leading axis.
     """
-    x = inner_inputs(model, episodes, detach_features=detach_features)
+    x = inner_inputs(model, episodes)
     draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean
     noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
         if draws else None
-    theta = theta0
-    traj = Trajectory() if cfg.record_trajectory else None
-    if traj is not None:
-        traj.thetas.append(theta.data.copy())
-        traj.diagnostics.append(_step_diagnostics(theta, episodes, model, cfg))
+    thetas = [theta0]
     for k in range(cfg.steps):
         eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
-        theta = sib_step(theta, x, model, cfg, eps, step_index=k)
-        if traj is not None:
-            traj.thetas.append(theta.data.copy())
-            traj.diagnostics.append(_step_diagnostics(theta, episodes, model, cfg))
-    return theta, traj
-
-
-def _step_diagnostics(theta: Tensor, episodes, model: MetaModel,
-                      cfg: InnerLoopConfig) -> dict:
-    """Numeric per-step records: query loss at the posterior mean, KL to prior."""
-    frozen = frozen_copy(model)
-    at = dc.constant(theta.data)
-    loss = query_loss(frozen, stacked(episodes, "query_inputs"),
-                      stacked(episodes, "query_labels"), at)
-    return {"query_loss": loss.data.tolist(),
-            "kl_to_prior": prior_term(at, frozen, cfg).data.tolist()}
+        thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k))
+    return thetas[-1], thetas
 
 
 # -- supervised losses ---------------------------------------------------------
@@ -401,9 +381,7 @@ def _ssl_projection(k: int) -> np.ndarray:
     return rng.normal(size=(k, 4)) / np.sqrt(k)
 
 
-def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig,
-             labeler: Callable = orthogonal_transform_labeler,
-             eta_ssl: Optional[float] = None) -> Tensor:
+def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
     """One true-gradient step on a self-supervised task, starting from the
     global initialization; uses query inputs only, never class labels.
 
@@ -416,14 +394,10 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig,
     """
     if model.mode != "fewshot":
         raise ValueError("ssl initialization applies to classification mode only")
-    eta = cfg.eta_inner if eta_ssl is None else float(eta_ssl)
     feats = dc.detach(apply_features(model, stacked(episodes, "query_inputs"))).data
-    per_episode = [labeler(f) for f in feats.reshape((-1,) + feats.shape[-2:])]
+    per_episode = [orthogonal_transform_labeler(f) for f in feats.reshape((-1,) + feats.shape[-2:])]
     aug = np.stack([a for a, _ in per_episode]).reshape(feats.shape[:-2] + (-1, feats.shape[-1]))
-    ssl_labels = np.stack([np.asarray(lab, dtype=np.int64) for _, lab in per_episode])
-    if ssl_labels.min() < 0 or ssl_labels.max() >= 4:
-        raise ValueError("self-supervised labeler produced out-of-range ids")
-    ssl_labels = ssl_labels.reshape(aug.shape[:-1])
+    ssl_labels = np.stack([lab for _, lab in per_episode]).reshape(aug.shape[:-1])
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
@@ -434,15 +408,4 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig,
     ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / ssl_labels.shape[-1])
     seed = dc.matmul(ce_grad, dc.transpose(proj))  # (..., 4n, k)
     direction = cosine_vjp(aug_t, theta, scale, seed, parts)
-    return theta - dc.scale(direction, eta)
-
-
-def ssl_loss_value(model: MetaModel, ep: Episode, theta_data: np.ndarray,
-                   labeler: Callable = orthogonal_transform_labeler) -> float:
-    """Numeric self-supervised loss at given task weights (for diagnostics)."""
-    frozen = frozen_copy(model)
-    aug, ssl_labels = labeler(apply_features(frozen, ep.query_inputs).data)
-    logits, *_ = cosine_parts(dc.constant(aug), dc.constant(theta_data),
-                              frozen.params["classifier_scale"])
-    ssl_logits = dc.matmul(logits, dc.constant(_ssl_projection(model.k)))
-    return cross_entropy(ssl_logits, ssl_labels).item()
+    return theta - dc.scale(direction, cfg.eta_inner)

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import DiagGaussian
+from .rules import INT, REAL, check_fields, int_at_least, is_int, real_above, real_at_least
 
 _MASK64 = (1 << 64) - 1
 _SPLIT_SALTS = {"train": 0x9E3779B97F4A7C15, "val": 0xC2B2AE3D27D4EB4F, "test": 0x165667B19E3779F9}
@@ -89,9 +90,19 @@ class ToyConfig:
     n_train_tasks: int = 240
     n_test_tasks: int = 240
 
-    def __post_init__(self):
-        if self.sigma <= 0 or self.sigma_w <= 0 or self.n < 1:
-            raise ValueError("ToyConfig requires sigma > 0, sigma_w > 0, n >= 1")
+    def __post_init__(self, prefix: str = ""):
+        check_fields(self, _TOY_RULES, prefix)
+
+
+_TOY_RULES = {
+    "n": int_at_least(1),
+    "mu": REAL,
+    "sigma": real_above(0),
+    "mu_w": REAL,
+    "sigma_w": real_above(0),
+    "n_train_tasks": int_at_least(1),
+    "n_test_tasks": int_at_least(1),
+}
 
 
 @dataclass
@@ -106,10 +117,24 @@ class FewShotConfig:
     cluster_spread: float = 0.3
     pool_seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, prefix: str = ""):
+        check_fields(self, _FEWSHOT_RULES, prefix)
         for split, size in self.class_pool.items():
             if self.k > size:
-                raise ValueError(f"k={self.k} exceeds the {split} class pool ({size})")
+                raise ValueError(f"{prefix}k={self.k} exceeds the {split} class pool ({size})")
+
+
+_FEWSHOT_RULES = {
+    "k": int_at_least(1),
+    "n_shot": int_at_least(0),
+    "n_query_per_class": int_at_least(1),
+    "d_x": int_at_least(1),
+    "class_pool": (lambda v: isinstance(v, dict) and set(v) == {"train", "val", "test"}
+                   and all(is_int(size) and size >= 1 for size in v.values()),
+                   "an object mapping train, val and test to integers >= 1"),
+    "cluster_spread": real_at_least(0),
+    "pool_seed": INT,
+}
 
 
 def gen_spinning_lines(cfg: ToyConfig, task_seed: int, n: Optional[int] = None) -> Episode:

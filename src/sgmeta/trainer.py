@@ -55,6 +55,17 @@ from .sibcore import (
     sib_unroll,
     ssl_init,
 )
+from .rules import (
+    BOOL,
+    INT,
+    check_fields,
+    int_at_least,
+    is_real,
+    one_of,
+    optional,
+    real_above,
+    real_at_least,
+)
 from .tasks import (
     Episode,
     FewShotConfig,
@@ -70,7 +81,8 @@ from .tasks import (
 
 METRICS_HEADER = "step,split,metric,value,ci95"
 
-MODES = ("toy", "fewshot", "fewshot-zeroshot")
+MODES = ("toy", "fewshot")
+SECTIONS = ("inner", "toy", "fewshot")
 
 
 class TrainingDiverged(RuntimeError):
@@ -84,37 +96,29 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_UNIT_INTERVAL = (lambda v: is_real(v) and 0 <= v < 1, "a number in [0, 1)")
 
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-# (test, what it expects) for each scalar field of RunConfig
+# rules for the scalar fields of RunConfig; the sections check their own
 _FIELD_RULES = {
-    "mode": (lambda v: v in MODES, f"one of {MODES}"),
-    "run_seed": (_is_int, "an integer"),
-    "optimizer": (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
-    "learning_rate": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    "adam_beta1": (lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "adam_beta2": (lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "adam_eps": (lambda v: _is_real(v) and v > 0, "a number > 0"),
-    "batch_tasks": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "total_steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "eval_every": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "outer_kl_weight": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    "grad_clip_norm": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    "train_f": (lambda v: isinstance(v, bool), "true or false"),
-    "theta_init": (lambda v: v in ("global", "proto", "ssl"), "'global', 'proto' or 'ssl'"),
-    "val_pool_size": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "eval_episodes": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "d_f": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "mode": one_of(*MODES),
+    "run_seed": INT,
+    "optimizer": one_of("adam", "sgd"),
+    "learning_rate": real_at_least(0),
+    "adam_beta1": _UNIT_INTERVAL,
+    "adam_beta2": _UNIT_INTERVAL,
+    "adam_eps": real_above(0),
+    "batch_tasks": int_at_least(1),
+    "epochs": optional(int_at_least(1)),
+    "total_steps": optional(int_at_least(1)),
+    "eval_every": int_at_least(0),
+    "outer_kl_weight": optional(real_at_least(0)),
+    "grad_clip_norm": real_at_least(0),
+    "train_f": BOOL,
+    "theta_init": optional(one_of("global", "proto", "ssl")),
+    "val_pool_size": int_at_least(1),
+    "eval_episodes": int_at_least(1),
+    "d_f": optional(int_at_least(1)),
 }
-_OPTIONAL_FIELDS = ("epochs", "total_steps", "outer_kl_weight", "theta_init", "d_f")
 
 
 @dataclass
@@ -144,11 +148,12 @@ class RunConfig:
     fewshot: Optional[FewShotConfig] = None
 
     def __post_init__(self):
-        """Check the type and range of every scalar field; errors name the key."""
-        for key, (valid, expected) in _FIELD_RULES.items():
-            value = getattr(self, key)
-            if not (value is None and key in _OPTIONAL_FIELDS) and not valid(value):
-                raise ValueError(f"{key} must be {expected}, got {value!r}")
+        """Check the type and range of every field; errors name the dotted key."""
+        check_fields(self, _FIELD_RULES)
+        for name in SECTIONS:
+            section = getattr(self, name)
+            if section is not None:
+                section.__post_init__(prefix=f"{name}.")
 
     @property
     def kl_weight(self) -> float:
@@ -165,9 +170,7 @@ class RunConfig:
     def init_kind(self) -> str:
         if self.theta_init is not None:
             return self.theta_init
-        if self.mode == "fewshot":
-            return "proto"
-        return "global"
+        return "proto" if self.mode == "fewshot" else "global"
 
 
 def default_config(mode: str = "toy", **overrides) -> RunConfig:
@@ -192,9 +195,9 @@ def default_config(mode: str = "toy", **overrides) -> RunConfig:
                 objective_mc_samples=8,
             ),
         )
-    elif mode in ("fewshot", "fewshot-zeroshot"):
+    elif mode == "fewshot":
         cfg = RunConfig(
-            mode=mode,
+            mode="fewshot",
             optimizer="adam",
             learning_rate=1e-3,
             batch_tasks=8,
@@ -228,49 +231,37 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a JSON-style dict, validating every key."""
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    mode = data.get("mode", "toy")
-    cfg = default_config(mode)
-    simple_fields = {
-        f.name: f for f in dataclasses.fields(RunConfig) if f.name not in ("inner", "toy", "fewshot")
-    }
+    cfg = default_config(data.get("mode", "toy"))
+    simple_fields = [f.name for f in dataclasses.fields(RunConfig) if f.name not in SECTIONS]
     for key, value in data.items():
         if key == "mode" or value is None and key in ("toy", "fewshot", "epochs", "total_steps"):
             continue
-        if key == "inner":
-            _apply_nested(cfg.inner, value, "inner")
-        elif key == "toy":
-            if cfg.toy is None:
-                cfg.toy = ToyConfig()
-            _apply_nested(cfg.toy, value, "toy")
-            cfg.inner.q_log_var = 2.0 * math.log(cfg.toy.sigma_w)
-        elif key == "fewshot":
-            if cfg.fewshot is None:
-                cfg.fewshot = FewShotConfig()
-            _apply_nested(cfg.fewshot, value, "fewshot")
+        if key in SECTIONS:
+            if getattr(cfg, key) is None:
+                setattr(cfg, key, ToyConfig() if key == "toy" else FewShotConfig())
+            _apply_nested(getattr(cfg, key), value, key)
         elif key in simple_fields:
             setattr(cfg, key, value)
         else:
-            known = sorted(list(simple_fields) + ["mode", "inner", "toy", "fewshot"])
+            known = sorted(simple_fields + ["mode", *SECTIONS])
             raise ValueError(f"unknown config key {key!r}; expected one of {known}")
-    if "inner" in data and "q_log_var" in data["inner"]:
-        cfg.inner.q_log_var = float(data["inner"]["q_log_var"])
     cfg.__post_init__()
-    cfg.inner.__post_init__()
+    # a toy section sets the posterior variance unless the inner section does
+    if data.get("toy") is not None and "q_log_var" not in data.get("inner", {}):
+        cfg.inner.q_log_var = 2.0 * math.log(cfg.toy.sigma_w)
     return cfg
 
 
 def _apply_nested(obj, updates: dict, section: str) -> None:
     if not isinstance(updates, dict):
         raise ValueError(f"config section {section!r} must be an object")
-    valid = {f.name: f.type for f in dataclasses.fields(obj)}
+    valid = [f.name for f in dataclasses.fields(obj)]
     for key, value in updates.items():
         if key not in valid:
             raise ValueError(
                 f"unknown config key '{section}.{key}'; expected one of {sorted(valid)}"
             )
         setattr(obj, key, value)
-    if hasattr(obj, "__post_init__"):
-        obj.__post_init__()
 
 
 # -- optimizers -------------------------------------------------------------------

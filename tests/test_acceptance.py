@@ -99,14 +99,13 @@ def test_criterion_2_toy_reproduction(toy_run):
 
 def test_criterion_3_trajectory_descent(toy_run):
     cfg, result, _ = toy_run
-    inner = dataclasses.replace(cfg.inner, record_trajectory=True)
     dists = np.zeros(cfg.inner.steps + 1)
     n_tasks = 200
     for i in range(n_tasks):
         ep = gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-        _, traj = sib_unroll(init_theta0_global(result.model), ep, result.model, inner)
-        for k, theta in enumerate(traj.thetas):
-            dists[k] += abs(theta[0] - ep.truth["w"])
+        _, thetas = sib_unroll(init_theta0_global(result.model), ep, result.model, cfg.inner)
+        for k, theta in enumerate(thetas):
+            dists[k] += abs(theta.data[0] - ep.truth["w"])
     dists /= n_tasks
     assert np.all(np.diff(dists) < 0), f"mean |theta_k - w| not strictly decreasing: {dists}"
     report(

@@ -287,7 +287,7 @@ def test_gap_and_sigma_match_per_trial_loop():
     for t in range(trials):
         d, fresh = sampler(t)
         w = adapted_draw(d, rng)
-        f = fresh(0)
+        f = fresh()
         diffs.append(loss(f.query_inputs, f.query_labels, w)
                      - loss(d.query_inputs, d.query_labels, w))
     rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)

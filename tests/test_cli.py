@@ -233,10 +233,31 @@ def test_inner_divergence_leaves_checkpoint_metrics_and_summary(tmp_path, fewsho
     assert "non-finite inner update" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,size", [("eval", "--episodes"), ("analyze", "--trials")])
+def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewshot_cfg_file,
+                                                                capsys, command, size):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    out = tmp_path / command
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, "--config", str(run / "effective_config.json"),
+                   "--checkpoint", str(run / "checkpoint.json"), size, "4",
+                   "--set", "inner.eta_inner=1e308", "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == command
+    assert "non-finite inner update (inner step" in summary["error"]
+    assert "error: non-finite inner update (inner step" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting,key", [
     ("learning_rate=abc", "learning_rate"),
     ("epochs=-1", "epochs"),
     ("eval_every=-3", "eval_every"),
+    ("inner.steps=1.5", "inner.steps"),
+    ("toy.n=abc", "toy.n"),
 ])
 def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, capsys,
                                                       setting, key):

@@ -13,7 +13,6 @@ from sgmeta.distributions import (
     dirac_prior_term,
     kl_diag_gaussian,
     kl_grad_wrt_mean,
-    log_prob,
     sample_reparam,
     standard,
 )
@@ -84,28 +83,6 @@ def test_sample_reparam_moments_match():
     # variance of the sample variance for a Gaussian: 2 sigma^4 / (n - 1)
     se_var = np.sqrt(2 * np.exp(2 * q.log_var.data) / (n - 1))
     assert np.all(np.abs(draws.var(axis=0) - np.exp(q.log_var.data)) < 3 * se_var)
-
-
-def test_log_prob_standard_normal_at_mode():
-    assert log_prob(standard(1), np.zeros(1)).item() == pytest.approx(-0.5 * math.log(2 * math.pi))
-
-
-def test_log_prob_one_sigma_drop():
-    q = gaussian(0.7, 2.25)
-    at_mode = log_prob(q, np.array([0.7])).item()
-    at_sigma = log_prob(q, np.array([0.7 + 1.5])).item()
-    assert at_mode - at_sigma == pytest.approx(0.5, abs=1e-12)
-
-
-def test_log_prob_integrates_to_one():
-    # Quadrature oracle over a fine 1-D grid.
-    q = gaussian(0.3, 0.49)
-    xs = np.linspace(0.3 - 8 * 0.7, 0.3 + 8 * 0.7, 20001)
-    dens = np.array([math.exp(log_prob(q, np.array([x])).item()) for x in xs[:: len(xs) // 400]])
-    # trapezoid on the coarse but exact closed-form grid
-    xs_c = xs[:: len(xs) // 400]
-    integral = np.trapezoid(dens, xs_c)
-    assert integral == pytest.approx(1.0, abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +176,5 @@ def test_dimension_mismatch_errors():
         kl_diag_gaussian(standard(2), standard(3))
     with pytest.raises(ShapeError):
         sample_reparam(standard(2), np.zeros(3))
-    with pytest.raises(ShapeError):
-        log_prob(standard(2), np.zeros(4))
     with pytest.raises(ShapeError):
         DiagGaussian(np.zeros(2), np.zeros(3))

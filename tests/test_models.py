@@ -14,7 +14,7 @@ from sgmeta.models import (
     build_toy_model,
     checkpoint_payload,
     config_hash,
-    cosine_predict,
+    cosine_parts,
     init_theta0_global,
     init_theta0_proto,
     linear_predict_toy,
@@ -105,10 +105,14 @@ def test_synth_grad_width_mismatch_errors():
         synth_grad(model, constant(np.ones((5, 4))))
 
 
+def cosine_logits(model, features, theta):
+    return cosine_parts(features, theta, model.params["classifier_scale"])[0]
+
+
 def test_cosine_parallel_gives_scale():
     model = build_fewshot_model(k=1, d_x=3, seed=0, identity_features=True)
     v = np.array([[1.0, 2.0, 2.0]])
-    logits = cosine_predict(model, constant(3.0 * v), constant(v))
+    logits = cosine_logits(model, constant(3.0 * v), constant(v))
     assert logits.data[0, 0] == pytest.approx(10.0, abs=1e-9)
 
 
@@ -117,14 +121,14 @@ def test_cosine_feature_scale_invariance():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(6, 4))
     theta = constant(rng.normal(size=(2, 4)))
-    base = cosine_predict(model, constant(feats), theta)
-    scaled = cosine_predict(model, constant(7.3 * feats), theta)
+    base = cosine_logits(model, constant(feats), theta)
+    scaled = cosine_logits(model, constant(7.3 * feats), theta)
     np.testing.assert_allclose(scaled.data, base.data, atol=1e-9)
 
 
 def test_cosine_orthogonal_gives_zero():
     model = build_fewshot_model(k=1, d_x=2, seed=0, identity_features=True)
-    logits = cosine_predict(model, constant([[1.0, 0.0]]), constant([[0.0, 5.0]]))
+    logits = cosine_logits(model, constant([[1.0, 0.0]]), constant([[0.0, 5.0]]))
     assert logits.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -135,18 +139,18 @@ def test_cosine_argmax_invariant_to_positive_rescaling(seed, c):
     model = build_fewshot_model(k=3, d_x=4, seed=0, identity_features=True)
     feats = rng.normal(size=(5, 4))
     theta = rng.normal(size=(3, 4))
-    base = cosine_predict(model, constant(feats), constant(theta)).data.argmax(axis=1)
+    base = cosine_logits(model, constant(feats), constant(theta)).data.argmax(axis=1)
     row = int(rng.integers(5))
     feats2 = feats.copy()
     feats2[row] *= c
-    scaled_feats = cosine_predict(model, constant(feats2), constant(theta)).data.argmax(axis=1)
+    scaled_feats = cosine_logits(model, constant(feats2), constant(theta)).data.argmax(axis=1)
     np.testing.assert_array_equal(scaled_feats, base)
     theta2 = theta.copy()
     theta2[int(rng.integers(3))] *= c
     # rescaling one class weight preserves that row's cosine, hence argmax rows
-    rescaled = cosine_predict(model, constant(feats), constant(theta2)).data
+    rescaled = cosine_logits(model, constant(feats), constant(theta2)).data
     np.testing.assert_allclose(
-        rescaled, cosine_predict(model, constant(feats), constant(theta)).data, atol=1e-9
+        rescaled, cosine_logits(model, constant(feats), constant(theta)).data, atol=1e-9
     )
 
 
@@ -168,7 +172,7 @@ def test_model_pieces_are_differentiable():
 
     def loss():
         theta = init_theta0_proto(model, constant(feats), labels)
-        logits = cosine_predict(model, constant(feats), theta)
+        logits = cosine_logits(model, constant(feats), theta)
         g = synth_grad(model, logits)
         return dc.tmean(dc.square(logits + g - constant(target)))
 

@@ -20,6 +20,7 @@ from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
+    _ssl_projection,
     cosine_vjp,
     cross_entropy,
     data_term,
@@ -30,7 +31,6 @@ from sgmeta.sibcore import (
     sib_step,
     sib_unroll,
     ssl_init,
-    ssl_loss_value,
     task_objective,
 )
 from sgmeta.tasks import (
@@ -94,9 +94,9 @@ def test_unroll_k0_returns_initialization():
     model = build_toy_model(seed=0)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
     theta0 = constant([1.3])
-    theta_k, traj = sib_unroll(theta0, ep, model, toy_cfg(steps=0))
+    theta_k, thetas = sib_unroll(theta0, ep, model, toy_cfg(steps=0))
     assert theta_k is theta0
-    assert traj is None
+    assert thetas == [theta0]
 
 
 def test_unroll_equals_manual_composition():
@@ -114,10 +114,13 @@ def test_unroll_equals_manual_composition():
 def test_trajectory_records_k_plus_one_states():
     model = stub_xi_model_toy(0.3)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(2, "train", 1))
-    _, traj = sib_unroll(constant([0.0]), ep, model, det_cfg(steps=3, record_trajectory=True))
-    assert len(traj.thetas) == 4
-    assert len(traj.diagnostics) == 4
-    assert all(np.isfinite(d["query_loss"]) for d in traj.diagnostics)
+    theta_k, thetas = sib_unroll(constant([0.0]), ep, model, det_cfg(steps=3))
+    assert len(thetas) == 4
+    assert thetas[-1] is theta_k
+    # a constant synthetic gradient moves theta by the same amount each step
+    steps = np.diff([t.data[0] for t in thetas])
+    assert steps[0] != 0
+    np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
 
 
 def test_theta_k_ignores_query_labels_bitwise():
@@ -258,18 +261,16 @@ def test_feature_detach_blocks_synthetic_path():
     ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(8, "train", 0))
     f_w = model.params["f_weight"]
 
-    def theta_sum(detach_features):
-        theta0 = init_theta0_global(model)
-        theta_k, _ = sib_unroll(theta0, ep, model, det_cfg(steps=2, eta_inner=0.1),
-                                detach_features=detach_features)
-        return theta_k.sum()
-
+    cfg = det_cfg(steps=2, eta_inner=0.1)
     zero_grad(list(model.params.values()))
-    (g_detached,) = grad(theta_sum(True), [f_w], allow_unused=True)
-    np.testing.assert_array_equal(g_detached, np.zeros_like(f_w.data))
+    theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
+    (g_adapt,) = grad(theta_k.sum(), [f_w], allow_unused=True)
+    np.testing.assert_array_equal(g_adapt, np.zeros_like(f_w.data))
+    # the feature map still learns, through the data term
     zero_grad(list(model.params.values()))
-    (g_live,) = grad(theta_sum(False), [f_w], allow_unused=True)
-    assert np.abs(g_live).max() > 0
+    theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
+    (g_data,) = grad(task_objective(ep, theta_k, model, cfg), [f_w])
+    assert np.abs(g_data).max() > 0
 
 
 def test_maml_inner_identity_cases():
@@ -363,14 +364,18 @@ def test_task_objective_matches_brute_force_recomputation():
     assert out == pytest.approx(data + kl, abs=1e-12)
 
 
-def test_ssl_init_zero_rate_returns_lambda():
+def test_ssl_init_steps_from_lambda():
+    # one step from lambda: the displacement is linear in the step size
     model = build_fewshot_model(k=4, d_x=6, seed=1)
     cfg_task = FewShotConfig(k=4, n_shot=1, n_query_per_class=3, d_x=6,
                              class_pool={"train": 8, "val": 4, "test": 4})
     ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 0))
-    model.params["lambda_global"].data[:] = np.random.default_rng(2).normal(size=(4, 6))
-    theta0 = ssl_init(model, ep, det_cfg(), eta_ssl=0.0)
-    np.testing.assert_array_equal(theta0.data, model.params["lambda_global"].data)
+    lam = np.random.default_rng(2).normal(size=(4, 6))
+    model.params["lambda_global"].data[:] = lam
+    small = ssl_init(model, ep, det_cfg(eta_inner=1e-3)).data - lam
+    large = ssl_init(model, ep, det_cfg(eta_inner=3e-3)).data - lam
+    assert np.abs(small).max() > 0
+    np.testing.assert_allclose(large, 3.0 * small, rtol=1e-9, atol=1e-15)
 
 
 def test_ssl_init_is_data_dependent():
@@ -392,10 +397,18 @@ def test_ssl_init_descends_for_small_rate():
     cfg_task = FewShotConfig(k=4, n_shot=1, n_query_per_class=5, d_x=6,
                              class_pool={"train": 8, "val": 4, "test": 4})
     ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(12, "train", 4))
-    at_lambda = ssl_loss_value(model, ep, model.params["lambda_global"].data)
-    theta0 = ssl_init(model, ep, det_cfg(), eta_ssl=1e-3)
-    at_theta0 = ssl_loss_value(model, ep, theta0.data)
+    at_lambda = ssl_loss(model, ep, model.params["lambda_global"].data)
+    theta0 = ssl_init(model, ep, det_cfg(eta_inner=1e-3))
+    at_theta0 = ssl_loss(model, ep, theta0.data)
     assert at_theta0 <= at_lambda
+
+
+def ssl_loss(model, ep, theta_data):
+    """Self-supervised cross entropy at fixed task weights."""
+    aug, ssl_labels = orthogonal_transform_labeler(apply_features(model, ep.query_inputs).data)
+    logits, *_ = cosine_parts(constant(aug), constant(theta_data),
+                              model.params["classifier_scale"])
+    return cross_entropy(dc.matmul(logits, constant(_ssl_projection(model.k))), ssl_labels).item()
 
 
 def test_ssl_labeler_is_orthogonal():
@@ -408,19 +421,6 @@ def test_ssl_labeler_is_orthogonal():
     base = np.linalg.norm(feats, axis=1)
     for j in range(4):
         np.testing.assert_allclose(np.linalg.norm(aug[3 * j : 3 * (j + 1)], axis=1), base)
-
-
-def test_ssl_init_rejects_bad_labeler():
-    model = build_fewshot_model(k=3, d_x=4, seed=0)
-    cfg_task = FewShotConfig(k=3, n_shot=1, n_query_per_class=2, d_x=4,
-                             class_pool={"train": 6, "val": 3, "test": 3})
-    ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(2, "train", 0))
-
-    def bad_labeler(feats):
-        return feats, np.full(len(feats), 9)
-
-    with pytest.raises(ValueError):
-        ssl_init(model, ep, det_cfg(), labeler=bad_labeler)
 
 
 def test_lambda_receives_gradient_on_generic_episode():

@@ -1,15 +1,20 @@
 """Outer loop: optimizer oracles, determinism, evaluation, checkpoints."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgmeta.tasks import FewShotConfig, ToyConfig
-from sgmeta.sibcore import DETERMINISTIC
+from sgmeta.sibcore import DETERMINISTIC, InnerLoopConfig
 from sgmeta.trainer import (
+    SECTIONS,
     MetricsRow,
+    RunConfig,
     TrainingDiverged,
     adam_init,
     adam_step,
@@ -157,8 +162,8 @@ def test_divergence_aborts_with_last_good_restored():
         assert np.all(np.isfinite(arr))
 
 
-def test_fewshot_zeroshot_mode_with_ssl_init_trains():
-    cfg = default_config("fewshot-zeroshot")
+def test_fewshot_ssl_init_trains():
+    cfg = default_config("fewshot")
     cfg.fewshot = FewShotConfig(
         k=3, n_shot=1, n_query_per_class=4, d_x=6,
         class_pool={"train": 8, "val": 4, "test": 4},
@@ -274,6 +279,8 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"mode": "toy", "learningrate": 0.1})
     with pytest.raises(ValueError, match="inner.K"):
         config_from_dict({"mode": "toy", "inner": {"K": 3}})
+    with pytest.raises(ValueError, match="inner.record_trajectory"):
+        config_from_dict({"mode": "toy", "inner": {"record_trajectory": True}})
 
 
 @pytest.mark.parametrize("key,value", [
@@ -288,10 +295,60 @@ def test_config_rejects_unknown_keys():
     ("outer_kl_weight", "high"),
     ("train_f", 1),
     ("theta_init", "random"),
+    ("mode", "fewshot-zeroshot"),
 ])
 def test_config_rejects_bad_scalar_values_naming_the_key(key, value):
     with pytest.raises(ValueError, match=key):
         config_from_dict({"mode": "fewshot", key: value})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("fewshot", "class_pool", 5),
+    ("toy", "sigma_w", "x"),
+    ("inner", "q_log_var", [1]),
+    ("inner", "mc_samples", "2"),
+    ("fewshot", "k", "5"),
+    ("inner", "steps", 1.5),
+    ("toy", "n", 2.5),
+    ("inner", "objective_mc_samples", -3),
+    ("inner", "kl_in_inner", "yes"),
+])
+def test_config_rejects_bad_nested_values_naming_the_key(section, key, value):
+    mode = "fewshot" if section == "fewshot" else "toy"
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key} must be")):
+        config_from_dict({"mode": mode, section: {key: value}})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _section(cls):
+    names = st.sampled_from([f.name for f in dataclasses.fields(cls)])
+    return st.dictionaries(names, _JSON, max_size=4) | _JSON
+
+
+_CONFIG_DICTS = st.fixed_dictionaries({}, optional={
+    "mode": st.sampled_from(["toy", "fewshot"]) | _JSON,
+    "inner": _section(InnerLoopConfig),
+    "toy": _section(ToyConfig),
+    "fewshot": _section(FewShotConfig),
+    **{f.name: _JSON for f in dataclasses.fields(RunConfig) if f.name not in SECTIONS},
+}) | st.dictionaries(st.text(max_size=8), _JSON, max_size=3) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_CONFIG_DICTS)
+def test_config_from_dict_returns_a_config_or_raises_value_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_config_mode_defaults():
