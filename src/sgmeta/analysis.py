@@ -31,8 +31,9 @@ from . import diffcore as dc
 
 # Every estimator adapts its episodes in chunks of ``batch`` (the run's
 # ``batch_tasks``) through the batched unroll, on a constant copy of the
-# model, so no autodiff tape is built. Randomness is drawn per trial in the
-# order a one-trial-at-a-time loop would draw it.
+# model, so no autodiff tape is built. ``theta0_fn(frozen, chunk)`` gives the
+# chunk's stacked initializations (default: the global one). Randomness is
+# drawn per trial in the order a one-trial-at-a-time loop would draw it.
 
 
 def _chunks(n: int, size: int):
@@ -42,14 +43,13 @@ def _chunks(n: int, size: int):
 
 def _adapt(frozen: MetaModel, episodes, inner: InnerLoopConfig,
            theta0_fn: Optional[Callable] = None) -> np.ndarray:
-    """Adapted weights of a list of episodes, stacked; ``theta0_fn`` maps one
-    episode to its initialization (default: the global one)."""
+    """Adapted weights of a list of episodes, stacked."""
     if theta0_fn is None:
         lam = frozen.params["lambda_global"].data
-        theta0 = np.broadcast_to(lam, (len(episodes),) + lam.shape)
+        theta0 = dc.constant(np.broadcast_to(lam, (len(episodes),) + lam.shape))
     else:
-        theta0 = np.stack([theta0_fn(ep).data for ep in episodes])
-    theta_k, _ = sib_unroll(dc.constant(theta0), episodes, frozen, inner)
+        theta0 = theta0_fn(frozen, episodes)
+    theta_k, _ = sib_unroll(theta0, episodes, frozen, inner)
     return theta_k.data
 
 

@@ -31,7 +31,7 @@ from .analysis import (
     write_report_csv,
     write_report_json,
 )
-from .models import apply_features, build_fewshot_model, build_toy_model, config_hash
+from .models import build_fewshot_model, build_toy_model, config_hash
 from .sibcore import InnerLoopConfig, InnerLoopError, sib_unroll, task_objective
 from .tasks import derive_task_seed, gen_fewshot_episode, gen_spinning_lines
 from .trainer import (
@@ -125,16 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args, mode=None) -> RunConfig:
+    """Every ``--set`` and ``--seed`` is merged into the config file's dict
+    (an empty one without a file), which is then parsed once, so a setting
+    means the same on the command line as in the file."""
+    data = {}
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
-        if mode is not None:
-            data.setdefault("mode", mode)
-            if data["mode"] != mode:
-                raise ValueError(f"config mode {data['mode']!r} does not match the command")
-        cfg = config_from_dict(data)
-    else:
-        cfg = default_config(mode or "toy")
+        if not isinstance(data, dict):
+            raise ValueError("config root must be a JSON object")
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
@@ -143,18 +142,22 @@ def resolve_config(args, mode=None) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        data = config_to_dict(cfg)
+        *sections, last = key.split(".")
         node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ValueError(f"unknown config key {key!r}")
+        for part in sections:
+            if node.get(part) is None:
+                node[part] = {}
             node = node[part]
-        node[parts[-1]] = value
-        cfg = config_from_dict(data)
+            if not isinstance(node, dict):
+                raise ValueError(f"unknown config key {key!r}")
+        node[last] = value
     if args.seed is not None:
-        cfg.run_seed = args.seed
-    return cfg
+        data["run_seed"] = args.seed
+    if mode is not None:
+        data.setdefault("mode", mode)
+        if data["mode"] != mode:
+            raise ValueError(f"config mode {data['mode']!r} does not match the command")
+    return config_from_dict(data)
 
 
 def prepare_out(args) -> Path:
@@ -251,6 +254,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = resolve_config(args)
+    if cfg.mode != "toy" and args.mc_seeds != 1:
+        raise ValueError("--mc-seeds must be 1 in fewshot mode (one gap estimate)")
     out = prepare_out(args)
     echo_config(cfg, out)
     model = load_checkpoint(args.checkpoint, cfg)
@@ -281,18 +286,19 @@ def cmd_analyze(args) -> int:
         )
         payload["gaps"] = [dataclasses.asdict(e) for e in gaps]
     else:
-        theta0_fn = lambda ep: make_theta0(model, ep, cfg)  # noqa: E731
         pool = [episode_for(cfg, "test", i) for i in range(min(cfg.eval_episodes, 500))]
         report = evaluate(model, cfg, "test", pool)
         quantities.append(("query_accuracy", report.row.query_accuracy,
                            report.ci95["query_accuracy"]))
         quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
         sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
-        est = gen_gap(model, sampler, cfg.inner, trials=min(args.trials, 500),
-                      seed=cfg.run_seed, theta0_fn=theta0_fn, batch=cfg.batch_tasks)
+        est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed,
+                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
+                      batch=cfg.batch_tasks)
         quantities.append(("gen_gap", est.gap, est.stderr))
         quantities.append(("gen_bound", est.bound, 0.0))
         payload["gap"] = dataclasses.asdict(est)
+    payload["eval_episodes"] = report.n_episodes
     payload["wall_time_ms"] = 1000.0 * (time.time() - t0)
     write_report_csv(out / "report.csv", quantities)
     write_report_json(out / "summary.json", payload)
@@ -382,32 +388,32 @@ def cmd_gradcheck(args) -> int:
 
     _check("diffcore op suite vs central differences", op_suite, failures)
 
-    def toy_graph():
-        from .models import build_toy_model, init_theta0_global
+    # both unrolled graphs run on a batch of two episodes, as training does
+    def batch_loss(model, episodes, cfg, inner):
+        def loss():
+            theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, inner)
+            return task_objective(episodes, theta_k, model, inner).sum()
 
+        return loss
+
+    def toy_graph():
         model = build_toy_model(seed=8)
         g = np.random.default_rng(3)
         for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
             model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
         model.params["lambda_global"].data[:] = 0.8
-        ep = gen_spinning_lines(
-            default_config("toy").toy, derive_task_seed(4, "train", 2), n=5
-        )
+        cfg = default_config("toy")
+        episodes = [gen_spinning_lines(cfg.toy, derive_task_seed(4, "train", i), n=5)
+                    for i in (2, 3)]
         inner = InnerLoopConfig(
             steps=3, eta_inner=0.05, kl_in_inner=True, q_log_var=2 * math.log(0.1)
         )
         params = [model.params[n] for n in sorted(model.params) if model.params[n].requires_grad]
+        dc.check_gradients(batch_loss(model, episodes, cfg, inner), params, h=1e-5, tol=1e-6)
 
-        def loss():
-            theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, inner)
-            return task_objective(ep, theta_k, model, inner)
-
-        dc.check_gradients(loss, params, h=1e-5, tol=1e-6)
-
-    _check("unrolled toy graph (K=3) vs central differences", toy_graph, failures)
+    _check("unrolled toy graph (K=3, 2 episodes) vs central differences", toy_graph, failures)
 
     def fewshot_graph():
-        from .models import init_theta0_proto
         from .tasks import FewShotConfig
 
         model = build_fewshot_model(k=3, d_x=4, seed=5, identity_features=True)
@@ -419,23 +425,19 @@ def cmd_gradcheck(args) -> int:
             class_pool={"train": 8, "val": 4, "test": 4}, cluster_spread=0.4,
         )
         # 5 query points: trim one (sizes per class stay balanced at generation)
-        ep = gen_fewshot_episode(task_cfg, "train", derive_task_seed(5, "train", 1))
-        ep.query_inputs = ep.query_inputs[:5]
-        ep.query_labels = ep.query_labels[:5]
+        episodes = [gen_fewshot_episode(task_cfg, "train", derive_task_seed(5, "train", i))
+                    for i in (1, 2)]
+        for ep in episodes:
+            ep.query_inputs = ep.query_inputs[:5]
+            ep.query_labels = ep.query_labels[:5]
         inner = InnerLoopConfig(steps=3, eta_inner=0.05, kl_in_inner=True,
                                 posterior_regime="deterministic")
         params = [model.params[n] for n in sorted(model.params) if model.params[n].requires_grad]
+        dc.check_gradients(batch_loss(model, episodes, default_config("fewshot"), inner),
+                           params, h=1e-5, tol=1e-6)
 
-        def loss():
-            theta0 = init_theta0_proto(
-                model, dc.detach(apply_features(model, ep.support_inputs)), ep.support_labels
-            )
-            theta_k, _ = sib_unroll(theta0, ep, model, inner)
-            return task_objective(ep, theta_k, model, inner)
-
-        dc.check_gradients(loss, params, h=1e-5, tol=1e-6)
-
-    _check("unrolled classification graph (K=3, 3-way, 5 query points)", fewshot_graph, failures)
+    _check("unrolled classification graph (K=3, 3-way, 5 query points, 2 episodes)",
+           fewshot_graph, failures)
 
     if failures:
         print(f"{len(failures)} gradient check(s) failed")
@@ -492,11 +494,12 @@ def cmd_selftest(args) -> int:
         model = build_fewshot_model(k=cfg.fewshot.k, d_x=cfg.fewshot.d_x, seed=2)
         rng = np.random.default_rng(0)
         model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.1
-        ep = episode_for(cfg, "train", 0)
-        theta0 = make_theta0(model, ep, cfg)
-        ref, _ = sib_unroll(theta0, ep, model, cfg.inner)
-        ep.query_labels = rng.permutation(ep.query_labels)
-        out, _ = sib_unroll(theta0, ep, model, cfg.inner)
+        episodes = [episode_for(cfg, "train", i) for i in range(2)]
+        theta0 = make_theta0(model, episodes, cfg)
+        ref, _ = sib_unroll(theta0, episodes, model, cfg.inner)
+        for ep in episodes:
+            ep.query_labels = rng.permutation(ep.query_labels)
+        out, _ = sib_unroll(theta0, episodes, model, cfg.inner)
         assert np.array_equal(ref.data, out.data)
 
     _check("adaptation ignores query labels", purity, failures)

@@ -33,15 +33,8 @@ class DiagGaussian:
         if self.mean.shape != self.log_var.shape:
             raise dc.ShapeError("DiagGaussian", self.mean.shape, self.log_var.shape)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
     def std(self) -> Tensor:
         return dc.exp(dc.scale(self.log_var, 0.5))
-
-    def var(self) -> Tensor:
-        return dc.exp(self.log_var)
 
 
 def standard(dim: int) -> DiagGaussian:

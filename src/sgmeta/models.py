@@ -34,7 +34,6 @@ class MetaModel:
         self.d_x = d_x
         self.d_f = d_f
         self.head_dim = 1 if mode == "toy" else k
-        self.hidden = 8 * self.head_dim
         self.train_f = bool(train_f)
         self.params = params
         if "classifier_scale" in params and params["classifier_scale"].data <= 0:

@@ -13,12 +13,12 @@ synthetic-gradient network, and the prior, with no higher-order machinery.
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``.
 
-Every function here takes one Episode or a batch of episodes. A batch stacks
-the episodes on a leading axis (task weights (B, *theta_shape), query inputs
-(B, n, d)), and Monte-Carlo weight draws go on one more leading axis in
-front of it, so an outer step over B episodes and M draws is one graph whose
-node count does not grow with B or M. A single episode is the same code
-without the episode axis.
+Every function here that takes episodes takes a list of them, stacked on a
+leading episode axis (task weights (B, *theta_shape), query inputs
+(B, n, d)), and its results carry that axis, B = 1 included. Monte-Carlo
+weight draws go on one more leading axis in front of it, so an outer step
+over B episodes and M draws is one graph whose node count does not grow
+with B or M.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .models import (
     synth_grad,
 )
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
-from .tasks import Episode, episode_rng, stacked
+from .tasks import episode_rng, stacked
 
 GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
 DETERMINISTIC = "deterministic"
@@ -131,15 +131,13 @@ def _mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
 
 
 def _noise(episodes, stream: int, count: int, shape) -> np.ndarray:
-    """``count`` standard-normal draws of ``shape`` per episode, each episode
-    from its own sub-stream in the order a per-episode loop would use:
-    (count, B, *shape) for a batch, (count, *shape) for one episode."""
-    batch = [episodes] if isinstance(episodes, Episode) else episodes
+    """``count`` standard-normal draws of ``shape`` per episode, (count, B,
+    *shape), each episode from its own sub-stream in the order a per-episode
+    loop would use."""
     size = int(np.prod(shape))
-    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in batch]
+    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in episodes]
     eps = np.array([[rng.normal(size=size) for rng in rngs] for _ in range(count)])
-    lead = (count,) if isinstance(episodes, Episode) else (count, len(batch))
-    return eps.reshape(lead + tuple(shape))
+    return eps.reshape((count, len(episodes)) + tuple(shape))
 
 
 # -- closed-form update directions -------------------------------------------
@@ -222,12 +220,8 @@ def inner_inputs(model: MetaModel, episodes) -> Tensor:
 
 
 def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig):
-    """Compose ``cfg.steps`` synthetic-gradient steps; returns (theta_K, the
-    iterates theta_0 .. theta_K).
-
-    ``episodes`` is one Episode with theta0 of the model's weight shape, or a
-    batch with theta0 stacked on a leading axis.
-    """
+    """Compose ``cfg.steps`` synthetic-gradient steps from ``theta0`` (one
+    row per episode); returns (theta_K, the iterates theta_0 .. theta_K)."""
     x = inner_inputs(model, episodes)
     draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean
     noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
@@ -281,17 +275,16 @@ def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tens
 
 
 def data_term(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-              eps_list=None, features: Optional[Tensor] = None) -> Tensor:
-    """Monte-Carlo expected query loss under the variational posterior.
+              eps: Optional[np.ndarray] = None, features: Optional[Tensor] = None) -> Tensor:
+    """Monte-Carlo expected query loss under the variational posterior, one
+    value per episode.
 
     MSE for the toy head, cross entropy for classification; per-point mean,
-    matching the likelihood convention used throughout. ``eps_list`` holds
-    the draws, (M, *theta.shape) (for one episode, a list of M flat vectors
-    also works); ``None`` evaluates at theta.
+    matching the likelihood convention used throughout. ``eps`` holds the
+    draws, (M, *theta.shape); ``None`` evaluates at theta.
     """
-    eps = None
-    if eps_list is not None and cfg.posterior_regime != DETERMINISTIC:
-        eps = np.asarray(eps_list, dtype=np.float64).reshape((-1,) + theta.shape)
+    if cfg.posterior_regime == DETERMINISTIC:
+        eps = None
     # the sum convention applies to the toy likelihood end to end
     loss = query_loss(model, stacked(episodes, "query_inputs"), stacked(episodes, "query_labels"),
                       draw_weight(theta, cfg, eps), cfg.sum_convention, features)
@@ -319,34 +312,34 @@ def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[n
     if cfg.posterior_regime == DETERMINISTIC:
         return None
     draws = cfg.objective_mc_samples or cfg.mc_samples
-    shape = theta.shape if isinstance(episodes, Episode) else theta.shape[1:]
-    return _noise(episodes, STREAM_OBJECTIVE, draws, shape)
+    return _noise(episodes, STREAM_OBJECTIVE, draws, theta.shape[1:])
 
 
 # -- inductive baseline ----------------------------------------------------------
 
 
-def maml_inner(theta0: Tensor, ep: Episode, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
+def maml_inner(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
     """Gradient ascent on the support log-likelihood (evaluation baseline).
 
     Uses true support labels only; each step differentiates the support
-    loss at the current iterate numerically, so the result is a constant
-    with respect to the meta-parameters.
+    loss at the current iterates numerically, so the result is a constant
+    with respect to the meta-parameters. Episodes share no parameters, so the
+    gradient of the summed loss is each episode's own gradient.
     """
-    if ep.support_inputs is None or len(ep.support_inputs) == 0:
+    if any(ep.support_inputs is None or len(ep.support_inputs) == 0 for ep in episodes):
         raise ValueError("maml_inner requires a non-empty support set")
+    inputs, labels = stacked(episodes, "support_inputs"), stacked(episodes, "support_labels")
     theta_data = theta0.data.copy()
-    sup_feats = None if model.mode == "toy" \
-        else dc.detach(apply_features(model, ep.support_inputs))
+    sup_feats = None if model.mode == "toy" else dc.detach(apply_features(model, inputs))
     draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR
-    noise = _noise(ep, STREAM_INNER, cfg.steps * cfg.mc_samples, theta_data.shape) \
+    noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
         if draws else None
     for k in range(cfg.steps):
         leaf = dc.param(theta_data.copy())
         eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
-        loss = _mean_over_draws(query_loss(model, ep.support_inputs, ep.support_labels,
-                                           draw_weight(leaf, cfg, eps), features=sup_feats), eps)
-        (g,) = dc.grad(loss, [leaf], allow_unused=True)
+        loss = _mean_over_draws(query_loss(model, inputs, labels, draw_weight(leaf, cfg, eps),
+                                           features=sup_feats), eps)
+        (g,) = dc.grad(loss.sum(), [leaf], allow_unused=True)
         theta_data = theta_data - cfg.eta_inner * g
         if not np.all(np.isfinite(theta_data)):
             raise InnerLoopError("non-finite inductive update", k)
@@ -389,15 +382,15 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
     transforms; predictions of those ids are a fixed linear read-out of the
     class logits, and the update direction is the exact cross-entropy
     gradient pushed through the cosine head in closed form (differentiable
-    with respect to the global initialization). A batch of episodes gives
-    one stacked step from the shared initialization.
+    with respect to the global initialization); one stacked step per episode
+    from the shared initialization.
     """
     if model.mode != "fewshot":
         raise ValueError("ssl initialization applies to classification mode only")
     feats = dc.detach(apply_features(model, stacked(episodes, "query_inputs"))).data
-    per_episode = [orthogonal_transform_labeler(f) for f in feats.reshape((-1,) + feats.shape[-2:])]
-    aug = np.stack([a for a, _ in per_episode]).reshape(feats.shape[:-2] + (-1, feats.shape[-1]))
-    ssl_labels = np.stack([lab for _, lab in per_episode]).reshape(aug.shape[:-1])
+    per_episode = [orthogonal_transform_labeler(f) for f in feats]
+    aug = np.stack([a for a, _ in per_episode])
+    ssl_labels = np.stack([lab for _, lab in per_episode])
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)

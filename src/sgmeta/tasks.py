@@ -18,7 +18,6 @@ reproducible across platforms and independent across splits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,10 +70,7 @@ class Episode:
 
 
 def stacked(episodes, name: str) -> np.ndarray:
-    """One field of a batch of episodes, stacked on a new leading axis; a
-    single Episode gives its field as it is."""
-    if isinstance(episodes, Episode):
-        return getattr(episodes, name)
+    """One field of a list of episodes, stacked on a new leading axis."""
     return np.stack([getattr(ep, name) for ep in episodes])
 
 
@@ -161,10 +157,9 @@ def true_prior(cfg: ToyConfig, n: Optional[int] = None) -> DiagGaussian:
 
 
 def true_posterior(episodes, cfg: ToyConfig) -> DiagGaussian:
-    """Slope posterior given the inputs: N(mean(x) + mu_w, sigma_w^2); one
-    row per episode for a batch."""
-    m = stacked(episodes, "query_inputs").mean(axis=(-2, -1))
-    mean = np.asarray(m + cfg.mu_w)[..., None]
+    """Slope posterior given the inputs: N(mean(x) + mu_w, sigma_w^2), one
+    row per episode of a list."""
+    mean = stacked(episodes, "query_inputs").mean(axis=(-2, -1))[:, None] + cfg.mu_w
     return DiagGaussian(mean, np.full(mean.shape, 2.0 * np.log(cfg.sigma_w)))
 
 
@@ -176,13 +171,12 @@ def class_prototypes(cfg: FewShotConfig, split: str) -> np.ndarray:
     return protos
 
 
-def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seed: int,
-                        n_query_per_class: Optional[int] = None) -> Episode:
+def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seed: int) -> Episode:
     """Sample k classes without replacement, then clustered support/query points."""
     protos = class_prototypes(cfg, split)
     if cfg.k > protos.shape[0]:
         raise ValueError(f"k={cfg.k} exceeds pool of {protos.shape[0]} classes")
-    nq = cfg.n_query_per_class if n_query_per_class is None else int(n_query_per_class)
+    nq = cfg.n_query_per_class
     rng = episode_rng(task_seed)
     chosen = rng.choice(protos.shape[0], size=cfg.k, replace=False)
     sup_x, sup_y, qry_x, qry_y = [], [], [], []
@@ -219,56 +213,4 @@ def resample_query_set(ep: Episode, cfg: FewShotConfig, fresh_seed: int) -> Epis
         support_labels=ep.support_labels,
         truth=ep.truth,
         task_seed=fresh_seed,
-    )
-
-
-# -- external feature ingestion -------------------------------------------
-
-
-def load_feature_pool_csv(path) -> dict:
-    """Read a class pool from CSV with header ``label,feat_0,...,feat_{d-1}``.
-
-    Returns {label: (n_examples, d) array}. Enables episodes over externally
-    computed embeddings instead of the synthetic cluster model.
-    """
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "label" or not all(
-            h == f"feat_{i}" for i, h in enumerate(header[1:])
-        ):
-            raise ValueError(f"bad feature CSV header in {path}: {header[:4]}...")
-        for row in reader:
-            label = int(row[0])
-            rows.setdefault(label, []).append([float(v) for v in row[1:]])
-    return {label: np.asarray(feats, dtype=np.float64) for label, feats in rows.items()}
-
-
-def episode_from_pool(pool: dict, k: int, n_shot: int, n_query_per_class: int,
-                      task_seed: int) -> Episode:
-    """k-way n-shot episode drawn without replacement from stored features."""
-    labels = sorted(pool)
-    if k > len(labels):
-        raise ValueError(f"k={k} exceeds pool of {len(labels)} classes")
-    rng = episode_rng(task_seed)
-    chosen = rng.choice(len(labels), size=k, replace=False)
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
-    for new_label, idx in enumerate(chosen):
-        feats = pool[labels[idx]]
-        need = n_shot + n_query_per_class
-        if feats.shape[0] < need:
-            raise ValueError(f"class {labels[idx]} has {feats.shape[0]} examples, need {need}")
-        pick = rng.choice(feats.shape[0], size=need, replace=False)
-        sup_x.append(feats[pick[:n_shot]])
-        sup_y.append(np.full(n_shot, new_label, dtype=np.int64))
-        qry_x.append(feats[pick[n_shot:]])
-        qry_y.append(np.full(n_query_per_class, new_label, dtype=np.int64))
-    return Episode(
-        query_inputs=np.concatenate(qry_x),
-        query_labels=np.concatenate(qry_y),
-        support_inputs=np.concatenate(sup_x) if n_shot > 0 else None,
-        support_labels=np.concatenate(sup_y) if n_shot > 0 else None,
-        truth={"class_ids": np.asarray([labels[i] for i in chosen])},
-        task_seed=task_seed,
     )

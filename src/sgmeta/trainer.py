@@ -121,6 +121,26 @@ _FIELD_RULES = {
 }
 
 
+def _unused_in(mode: str):
+    return (lambda v: v is None, f"null in {mode} mode")
+
+
+# rows that depend on the mode: settings that mode cannot apply
+_MODE_RULES = {
+    "toy": {
+        "total_steps": _unused_in("toy"),
+        "fewshot": _unused_in("toy"),
+        "theta_init": optional(one_of("global")),
+    },
+    "fewshot": {
+        "epochs": _unused_in("fewshot"),
+        "toy": _unused_in("fewshot"),
+    },
+}
+# the prototype initialization averages the support set
+_PROTO_RULES = {"n_shot": (lambda v: v >= 1, "an integer >= 1 with theta_init proto")}
+
+
 @dataclass
 class RunConfig:
     """Experiment configuration; every field has a documented JSON key."""
@@ -148,12 +168,16 @@ class RunConfig:
     fewshot: Optional[FewShotConfig] = None
 
     def __post_init__(self):
-        """Check the type and range of every field; errors name the dotted key."""
+        """Check the type and range of every field, and whether the mode can
+        apply it; errors name the dotted key."""
         check_fields(self, _FIELD_RULES)
         for name in SECTIONS:
             section = getattr(self, name)
             if section is not None:
                 section.__post_init__(prefix=f"{name}.")
+        check_fields(self, _MODE_RULES[self.mode])
+        if self.init_kind == "proto" and self.fewshot is not None:
+            check_fields(self.fewshot, _PROTO_RULES, "fewshot.")
 
     @property
     def kl_weight(self) -> float:
@@ -243,7 +267,7 @@ def config_from_dict(data: dict) -> RunConfig:
         elif key in simple_fields:
             setattr(cfg, key, value)
         else:
-            known = sorted(simple_fields + ["mode", *SECTIONS])
+            known = sorted(simple_fields + list(SECTIONS))
             raise ValueError(f"unknown config key {key!r}; expected one of {known}")
     cfg.__post_init__()
     # a toy section sets the posterior variance unless the inner section does
@@ -377,12 +401,10 @@ def build_model(cfg: RunConfig) -> MetaModel:
 
 
 def make_theta0(model: MetaModel, episodes, cfg: RunConfig):
-    """Initial task weights: one per episode, stacked for a batch."""
+    """Initial task weights of a list of episodes, stacked on the episode axis."""
     kind = cfg.init_kind
     if kind == "global":
         lam = init_theta0_global(model)
-        if isinstance(episodes, Episode):
-            return lam
         return lam + dc.constant(np.zeros((len(episodes),) + lam.shape))
     if kind == "proto":
         feats = dc.detach(apply_features(model, stacked(episodes, "support_inputs")))
@@ -400,8 +422,8 @@ def episode_for(cfg: RunConfig, split: str, index: int) -> Episode:
 
 
 def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
-    """Per-episode training losses, with the prior-gradient split applied,
-    and the adapted weights; one value per episode for a batch."""
+    """Per-episode training losses of a list of episodes, with the
+    prior-gradient split applied, and the adapted weights."""
     klw = cfg.kl_weight
     theta0 = make_theta0(model, episodes, cfg)
     theta_k, _ = sib_unroll(theta0, episodes, model, cfg.inner)

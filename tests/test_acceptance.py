@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from sgmeta import diffcore as dc
 from sgmeta.analysis import (
     gen_gap,
     ib_decomposition_check,
@@ -23,11 +22,10 @@ from sgmeta.analysis import (
     vary_n_sweep,
 )
 from sgmeta.cli import main as cli_main
-from sgmeta.models import apply_features, init_theta0_global, init_theta0_proto
+from sgmeta.models import apply_features, cosine_parts
 from sgmeta.sibcore import accuracy_value, maml_inner, sib_unroll
-from sgmeta.tasks import derive_task_seed, gen_spinning_lines
-from sgmeta.trainer import default_config, episode_for, evaluate, train
-from sgmeta.models import cosine_parts
+from sgmeta.tasks import derive_task_seed, gen_spinning_lines, stacked
+from sgmeta.trainer import default_config, episode_for, evaluate, make_theta0, train
 
 
 def report(criterion: str, detail: str) -> None:
@@ -99,14 +97,12 @@ def test_criterion_2_toy_reproduction(toy_run):
 
 def test_criterion_3_trajectory_descent(toy_run):
     cfg, result, _ = toy_run
-    dists = np.zeros(cfg.inner.steps + 1)
-    n_tasks = 200
-    for i in range(n_tasks):
-        ep = gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-        _, thetas = sib_unroll(init_theta0_global(result.model), ep, result.model, cfg.inner)
-        for k, theta in enumerate(thetas):
-            dists[k] += abs(theta.data[0] - ep.truth["w"])
-    dists /= n_tasks
+    episodes = [gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
+                for i in range(200)]
+    w = np.array([ep.truth["w"] for ep in episodes])
+    theta0 = make_theta0(result.model, episodes, cfg)
+    _, thetas = sib_unroll(theta0, episodes, result.model, cfg.inner)
+    dists = np.array([np.abs(theta.data[:, 0] - w).mean() for theta in thetas])
     assert np.all(np.diff(dists) < 0), f"mean |theta_k - w| not strictly decreasing: {dists}"
     report(
         "3 (trajectory descent)",
@@ -177,16 +173,11 @@ def test_criterion_6_adaptation_gain(fewshot_run):
 def test_criterion_7_inductive_variant_report(fewshot_run):
     cfg, result, _ = fewshot_run
     model = result.model
-    correct = []
-    for i in range(500):
-        ep = episode_for(cfg, "test", i)
-        sup_feats = dc.detach(apply_features(model, ep.support_inputs))
-        theta0 = init_theta0_proto(model, sup_feats, ep.support_labels)
-        theta_k = maml_inner(theta0, ep, model, cfg.inner)
-        feats = apply_features(model, ep.query_inputs)
-        logits, *_ = cosine_parts(feats, theta_k, model.params["classifier_scale"])
-        correct.append(accuracy_value(logits.data, ep.query_labels))
-    acc_inductive = float(np.mean(correct))
+    episodes = [episode_for(cfg, "test", i) for i in range(500)]
+    theta_k = maml_inner(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
+    feats = apply_features(model, stacked(episodes, "query_inputs"))
+    logits, *_ = cosine_parts(feats, theta_k, model.params["classifier_scale"])
+    acc_inductive = float(np.mean(accuracy_value(logits.data, stacked(episodes, "query_labels"))))
     acc0 = getattr(test_criterion_6_adaptation_gain, "acc0", None)
     delta6 = getattr(test_criterion_6_adaptation_gain, "delta", None)
     assert np.isfinite(acc_inductive)
@@ -224,20 +215,20 @@ def test_criterion_9_transduction_purity(fewshot_run):
     cfg, result, _ = fewshot_run
     model = result.model
     rng = np.random.default_rng(99)
-    for i in range(100):
-        ep = episode_for(cfg, "test", 10_000 + i)
-        sup_feats = dc.detach(apply_features(model, ep.support_inputs))
-        theta0 = init_theta0_proto(model, sup_feats, ep.support_labels)
-        ref, _ = sib_unroll(theta0, ep, model, cfg.inner)
-        for labels in (
-            rng.permutation(ep.query_labels),
-            rng.integers(0, cfg.fewshot.k, size=ep.n_query),
-        ):
-            mutated = dataclasses.replace(ep, query_labels=labels)
-            out, _ = sib_unroll(theta0, mutated, model, cfg.inner)
-            assert np.array_equal(ref.data, out.data), (
-                f"episode {i}: adapted weights changed under label modification"
-            )
+    episodes = [episode_for(cfg, "test", 10_000 + i) for i in range(100)]
+    theta0 = make_theta0(model, episodes, cfg)
+    ref, _ = sib_unroll(theta0, episodes, model, cfg.inner)
+    permuted, randomized = [], []
+    for ep in episodes:
+        permuted.append(dataclasses.replace(ep, query_labels=rng.permutation(ep.query_labels)))
+        randomized.append(dataclasses.replace(
+            ep, query_labels=rng.integers(0, cfg.fewshot.k, size=ep.n_query)))
+    for mutated in (permuted, randomized):
+        out, _ = sib_unroll(theta0, mutated, model, cfg.inner)
+        changed = np.nonzero((ref.data != out.data).any(axis=(1, 2)))[0]
+        assert changed.size == 0, (
+            f"episodes {changed.tolist()}: adapted weights changed under label modification"
+        )
     report("9 (transduction purity)", "theta_K bitwise invariant on 100 episodes "
            "under permuted and randomized query labels")
 

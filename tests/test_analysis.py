@@ -81,8 +81,8 @@ def test_kl_to_true_posterior_untrained_matches_closed_form():
     expected = np.mean([
         kl_diag_gaussian(
             DiagGaussian(np.zeros(1), np.full(1, 2 * math.log(TOY.sigma_w))),
-            true_posterior(ep, TOY),
-        ).item()
+            true_posterior([ep], TOY),
+        ).data[0]
         for ep in eps
     ])
     assert measured == pytest.approx(expected, rel=1e-12)
@@ -241,14 +241,13 @@ def test_gen_gap_oracle_posterior_matches_symbolic_value():
     model = oracle_posterior_model()
     inner = toy_inner(steps=0)
 
-    class PosteriorStub:
-        def __call__(self, ep):
-            from sgmeta import diffcore as dc
+    def posterior_means(frozen, chunk):
+        from sgmeta import diffcore as dc
 
-            return dc.constant(np.array([ep.query_inputs.mean() + TOY.mu_w]))
+        return dc.constant(np.array([[ep.query_inputs.mean() + TOY.mu_w] for ep in chunk]))
 
     est = gen_gap(model, toy_task_sampler(TOY, seed=11), inner, trials=3000,
-                  seed=3, theta0_fn=PosteriorStub())
+                  seed=3, theta0_fn=posterior_means)
     assert abs(est.gap - oracle_gap) < 3 * (est.stderr + oracle_se)
 
 

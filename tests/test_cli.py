@@ -1,6 +1,7 @@
 """Command-line behavior: reproducibility, run-dir discipline, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,22 @@ def test_seed_and_set_overrides(tmp_path, toy_cfg_file):
     assert (out1 / "metrics.csv").read_bytes() != (out2 / "metrics.csv").read_bytes()
 
 
+def test_set_means_what_the_config_file_means(tmp_path, toy_cfg_file):
+    # toy.sigma_w sets inner.q_log_var unless the inner section does, on both routes
+    edited = json.loads(toy_cfg_file.read_text())
+    edited["toy"]["sigma_w"] = 0.2
+    edited["epochs"] = 1
+    edited_file = tmp_path / "edited.json"
+    edited_file.write_text(json.dumps(edited))
+    by_file, by_set = tmp_path / "file", tmp_path / "set"
+    assert main(["train-toy", "--config", str(edited_file), "--out", str(by_file)]) == 0
+    assert main(["train-toy", "--config", str(toy_cfg_file), "--set", "toy.sigma_w=0.2",
+                 "--set", "epochs=1", "--out", str(by_set)]) == 0
+    echoed = (by_set / "effective_config.json").read_bytes()
+    assert echoed == (by_file / "effective_config.json").read_bytes()
+    assert json.loads(echoed)["inner"]["q_log_var"] == pytest.approx(2 * math.log(0.2))
+
+
 def test_eval_matches_training_final_row(tmp_path, fewshot_cfg_file, capsys):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
@@ -188,6 +205,31 @@ def test_analyze_toy_writes_report(tmp_path, toy_cfg_file):
     assert {"kl_to_true_posterior", "mi_estimate", "gen_gap_seed0", "gen_bound_seed0"} <= names
     summary = json.loads((out / "summary.json").read_text())
     assert "bound_holds_all_seeds" in summary
+
+
+def test_fewshot_analyze_runs_the_trials_it_records(tmp_path, fewshot_cfg_file):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--config", str(run / "effective_config.json"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--trials", "501",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["trials"] == summary["gap"]["trials"] == 501
+    assert summary["eval_episodes"] == TINY_FEWSHOT["eval_episodes"]
+
+
+def test_fewshot_analyze_rejects_several_estimator_seeds(tmp_path, fewshot_cfg_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "analysis"
+    rc = main(["analyze", "--config", str(run / "effective_config.json"),
+               "--checkpoint", str(run / "checkpoint.json"), "--mc-seeds", "3",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--mc-seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_n_writes_table(tmp_path, toy_cfg_file):
@@ -258,6 +300,8 @@ def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewsho
     ("eval_every=-3", "eval_every"),
     ("inner.steps=1.5", "inner.steps"),
     ("toy.n=abc", "toy.n"),
+    ("inner.steps.x=1", "inner.steps.x"),
+    ("foo.bar=1", "foo"),
 ])
 def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, capsys,
                                                       setting, key):
@@ -266,3 +310,22 @@ def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, ca
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command,setting,key", [
+    ("train-toy", 'theta_init="proto"', "theta_init"),
+    ("train-toy", "total_steps=1", "total_steps"),
+    ("train-toy", "fewshot.k=3", "fewshot"),
+    ("train-fewshot", "fewshot.n_shot=0", "fewshot.n_shot"),
+    ("train-fewshot", "epochs=7", "epochs"),
+    ("train-fewshot", "toy.n=4", "toy"),
+])
+def test_setting_the_mode_cannot_apply_exits_2_and_names_key(tmp_path, toy_cfg_file,
+                                                            fewshot_cfg_file, capsys,
+                                                            command, setting, key):
+    cfg_file = toy_cfg_file if command == "train-toy" else fewshot_cfg_file
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(cfg_file), "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -40,6 +40,7 @@ from sgmeta.tasks import (
     derive_task_seed,
     gen_fewshot_episode,
     gen_spinning_lines,
+    stacked,
 )
 
 
@@ -55,6 +56,17 @@ def det_cfg(**kw):
                 posterior_regime=DETERMINISTIC)
     base.update(kw)
     return InnerLoopConfig(**base)
+
+
+def global_theta0(model):
+    """The global initialization as a batch of one episode."""
+    lam = init_theta0_global(model)
+    return lam.reshape((1,) + lam.shape)
+
+
+def proto_theta0(model, episodes):
+    feats = dc.detach(apply_features(model, stacked(episodes, "support_inputs")))
+    return init_theta0_proto(model, feats, stacked(episodes, "support_labels"))
 
 
 def stub_xi_model_toy(value: float = 1.0):
@@ -93,8 +105,8 @@ def test_hand_checked_toy_step_sum_convention():
 def test_unroll_k0_returns_initialization():
     model = build_toy_model(seed=0)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
-    theta0 = constant([1.3])
-    theta_k, thetas = sib_unroll(theta0, ep, model, toy_cfg(steps=0))
+    theta0 = constant([[1.3]])
+    theta_k, thetas = sib_unroll(theta0, [ep], model, toy_cfg(steps=0))
     assert theta_k is theta0
     assert thetas == [theta0]
 
@@ -103,9 +115,9 @@ def test_unroll_equals_manual_composition():
     model = stub_xi_model_toy(0.8)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(1, "train", 3))
     cfg = det_cfg(steps=3)
-    theta_k, _ = sib_unroll(constant([0.2]), ep, model, cfg)
-    x = inner_inputs(model, ep)
-    theta = constant([0.2])
+    theta_k, _ = sib_unroll(constant([[0.2]]), [ep], model, cfg)
+    x = inner_inputs(model, [ep])
+    theta = constant([[0.2]])
     for k in range(3):
         theta = sib_step(theta, x, model, cfg, step_index=k)
     np.testing.assert_array_equal(theta_k.data, theta.data)
@@ -114,11 +126,11 @@ def test_unroll_equals_manual_composition():
 def test_trajectory_records_k_plus_one_states():
     model = stub_xi_model_toy(0.3)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(2, "train", 1))
-    theta_k, thetas = sib_unroll(constant([0.0]), ep, model, det_cfg(steps=3))
+    theta_k, thetas = sib_unroll(constant([[0.0]]), [ep], model, det_cfg(steps=3))
     assert len(thetas) == 4
     assert thetas[-1] is theta_k
     # a constant synthetic gradient moves theta by the same amount each step
-    steps = np.diff([t.data[0] for t in thetas])
+    steps = np.diff([t.data[0, 0] for t in thetas])
     assert steps[0] != 0
     np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
 
@@ -129,13 +141,12 @@ def test_theta_k_ignores_query_labels_bitwise():
     rng = np.random.default_rng(0)
     model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.1
     inner = det_cfg(steps=3, kl_in_inner=True)
-    for i in range(10):
-        ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(7, "train", i))
-        theta0 = init_theta0_proto(
-            model, dc.detach(apply_features(model, ep.support_inputs)), ep.support_labels
-        )
-        ref, _ = sib_unroll(theta0, ep, model, inner)
-        shuffled = Episode(
+    episodes = [gen_fewshot_episode(cfg_task, "train", derive_task_seed(7, "train", i))
+                for i in range(10)]
+    theta0 = proto_theta0(model, episodes)
+    ref, _ = sib_unroll(theta0, episodes, model, inner)
+    shuffled = [
+        Episode(
             query_inputs=ep.query_inputs,
             query_labels=rng.permutation(ep.query_labels),
             support_inputs=ep.support_inputs,
@@ -143,8 +154,10 @@ def test_theta_k_ignores_query_labels_bitwise():
             truth=ep.truth,
             task_seed=ep.task_seed,
         )
-        out, _ = sib_unroll(theta0, shuffled, model, inner)
-        assert np.array_equal(ref.data, out.data)
+        for ep in episodes
+    ]
+    out, _ = sib_unroll(theta0, shuffled, model, inner)
+    assert np.array_equal(ref.data, out.data)
 
 
 def test_cosine_vjp_matches_naive_per_example_loop():
@@ -223,8 +236,8 @@ def test_outer_gradients_through_toy_unroll_match_fd(steps):
     params = [model.params[n] for n in names]
 
     def loss():
-        theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
-        return task_objective(ep, theta_k, model, cfg)
+        theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
+        return task_objective([ep], theta_k, model, cfg).sum()
 
     errors = check_gradients(loss, params, h=1e-5, tol=1e-5)
     assert max(errors) < 1e-5
@@ -242,11 +255,8 @@ def test_outer_gradients_through_fewshot_unroll_match_fd():
     params = [model.params[n] for n in names]
 
     def loss():
-        theta0 = init_theta0_proto(
-            model, dc.detach(apply_features(model, ep.support_inputs)), ep.support_labels
-        )
-        theta_k, _ = sib_unroll(theta0, ep, model, cfg)
-        return task_objective(ep, theta_k, model, cfg)
+        theta_k, _ = sib_unroll(proto_theta0(model, [ep]), [ep], model, cfg)
+        return task_objective([ep], theta_k, model, cfg).sum()
 
     errors = check_gradients(loss, params, h=1e-5, tol=1e-5)
     assert max(errors) < 1e-5
@@ -263,13 +273,13 @@ def test_feature_detach_blocks_synthetic_path():
 
     cfg = det_cfg(steps=2, eta_inner=0.1)
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
+    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
     (g_adapt,) = grad(theta_k.sum(), [f_w], allow_unused=True)
     np.testing.assert_array_equal(g_adapt, np.zeros_like(f_w.data))
     # the feature map still learns, through the data term
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
-    (g_data,) = grad(task_objective(ep, theta_k, model, cfg), [f_w])
+    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
+    (g_data,) = grad(task_objective([ep], theta_k, model, cfg).sum(), [f_w])
     assert np.abs(g_data).max() > 0
 
 
@@ -279,8 +289,8 @@ def test_maml_inner_identity_cases():
         query_inputs=np.ones((2, 1)), query_labels=np.ones(2),
         support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
     )
-    theta0 = constant([0.5])
-    out = maml_inner(theta0, ep, model, det_cfg(steps=0))
+    theta0 = constant([[0.5]])
+    out = maml_inner(theta0, [ep], model, det_cfg(steps=0))
     np.testing.assert_array_equal(out.data, theta0.data)
 
 
@@ -292,15 +302,15 @@ def test_maml_inner_one_step_matches_analytic_gradient():
         query_inputs=np.ones((2, 1)), query_labels=np.ones(2),
         support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
     )
-    out = maml_inner(constant([0.5]), ep, model, det_cfg(steps=1, eta_inner=0.1))
-    assert out.data[0] == pytest.approx(0.5 + 0.1 * 7.5, abs=1e-12)
+    out = maml_inner(constant([[0.5]]), [ep], model, det_cfg(steps=1, eta_inner=0.1))
+    assert out.data[0, 0] == pytest.approx(0.5 + 0.1 * 7.5, abs=1e-12)
 
 
 def test_maml_inner_requires_support():
     model = build_toy_model(seed=0)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
     with pytest.raises(ValueError):
-        maml_inner(constant([0.0]), ep, model, det_cfg(steps=1))
+        maml_inner(constant([[0.0]]), [ep], model, det_cfg(steps=1))
 
 
 def test_cross_entropy_perfect_logits_vanish():
@@ -324,15 +334,15 @@ def test_toy_zero_residual_objective_is_pure_kl():
     model.params["psi_log_var"].data[:] = math.log(0.5)
     cfg = toy_cfg()
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(6, "test", 4))
-    theta = constant([ep.truth["w"]])
-    data = data_term(ep, theta, model, cfg, eps_list=[np.zeros(1)])
-    assert data.item() == pytest.approx(0.0, abs=1e-25)
+    theta = constant([[ep.truth["w"]]])
+    data = data_term([ep], theta, model, cfg, eps=np.zeros((1, 1, 1)))
+    assert data.data[0] == pytest.approx(0.0, abs=1e-25)
     kl = prior_term(theta, model, cfg)
     expected = kl_diag_gaussian(
         DiagGaussian(np.array([ep.truth["w"]]), np.array([2 * math.log(0.1)])),
         DiagGaussian(np.array([0.3]), np.array([math.log(0.5)])),
     )
-    assert kl.item() == pytest.approx(expected.item(), abs=1e-15)
+    assert kl.data[0] == pytest.approx(expected.item(), abs=1e-15)
 
 
 def test_task_objective_matches_brute_force_recomputation():
@@ -343,7 +353,7 @@ def test_task_objective_matches_brute_force_recomputation():
     cfg = toy_cfg(mc_samples=3)
     ep = gen_spinning_lines(ToyConfig(n=10), derive_task_seed(10, "train", 7))
     theta = 0.9
-    out = task_objective(ep, constant([theta]), model, cfg).item()
+    out = task_objective([ep], constant([[theta]]), model, cfg).data[0]
 
     # brute force with the identical noise stream, no graph machinery
     from sgmeta.tasks import episode_rng
@@ -372,8 +382,8 @@ def test_ssl_init_steps_from_lambda():
     ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 0))
     lam = np.random.default_rng(2).normal(size=(4, 6))
     model.params["lambda_global"].data[:] = lam
-    small = ssl_init(model, ep, det_cfg(eta_inner=1e-3)).data - lam
-    large = ssl_init(model, ep, det_cfg(eta_inner=3e-3)).data - lam
+    small = ssl_init(model, [ep], det_cfg(eta_inner=1e-3)).data[0] - lam
+    large = ssl_init(model, [ep], det_cfg(eta_inner=3e-3)).data[0] - lam
     assert np.abs(small).max() > 0
     np.testing.assert_allclose(large, 3.0 * small, rtol=1e-9, atol=1e-15)
 
@@ -386,9 +396,8 @@ def test_ssl_init_is_data_dependent():
     ep_a = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 1))
     ep_b = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 2))
     cfg = det_cfg(eta_inner=0.1)
-    a = ssl_init(model, ep_a, cfg)
-    b = ssl_init(model, ep_b, cfg)
-    assert not np.array_equal(a.data, b.data)
+    both = ssl_init(model, [ep_a, ep_b], cfg)
+    assert not np.array_equal(both.data[0], both.data[1])
 
 
 def test_ssl_init_descends_for_small_rate():
@@ -398,8 +407,8 @@ def test_ssl_init_descends_for_small_rate():
                              class_pool={"train": 8, "val": 4, "test": 4})
     ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(12, "train", 4))
     at_lambda = ssl_loss(model, ep, model.params["lambda_global"].data)
-    theta0 = ssl_init(model, ep, det_cfg(eta_inner=1e-3))
-    at_theta0 = ssl_loss(model, ep, theta0.data)
+    theta0 = ssl_init(model, [ep], det_cfg(eta_inner=1e-3))
+    at_theta0 = ssl_loss(model, ep, theta0.data[0])
     assert at_theta0 <= at_lambda
 
 
@@ -431,6 +440,7 @@ def test_lambda_receives_gradient_on_generic_episode():
     ep = gen_spinning_lines(ToyConfig(n=8), derive_task_seed(3, "train", 0))
     cfg = toy_cfg(steps=2, eta_inner=0.05)
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(init_theta0_global(model), ep, model, cfg)
-    (g,) = grad(task_objective(ep, theta_k, model, cfg), [model.params["lambda_global"]])
+    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
+    (g,) = grad(task_objective([ep], theta_k, model, cfg).sum(),
+                [model.params["lambda_global"]])
     assert np.abs(g).max() > 0

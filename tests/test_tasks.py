@@ -13,10 +13,8 @@ from sgmeta.tasks import (
     ToyConfig,
     class_prototypes,
     derive_task_seed,
-    episode_from_pool,
     gen_fewshot_episode,
     gen_spinning_lines,
-    load_feature_pool_csv,
     resample_query_set,
     true_posterior,
     true_prior,
@@ -65,16 +63,16 @@ def test_true_prior_limit_cases():
 
 def test_true_posterior_zero_inputs():
     ep = Episode(query_inputs=np.zeros((8, 1)), query_labels=np.zeros(8), truth={"w": 1.0})
-    post = true_posterior(ep, REFERENCE_TOY)
-    assert post.mean.data[0] == pytest.approx(1.0)
-    assert np.exp(post.log_var.data[0]) == pytest.approx(0.01)
+    post = true_posterior([ep], REFERENCE_TOY)
+    assert post.mean.data[0, 0] == pytest.approx(1.0)
+    assert np.exp(post.log_var.data[0, 0]) == pytest.approx(0.01)
 
 
 def test_posterior_minus_prior_mean_is_input_mean_shift():
     ep = gen_spinning_lines(REFERENCE_TOY, derive_task_seed(5, "test", 9))
-    post = true_posterior(ep, REFERENCE_TOY)
+    post = true_posterior([ep], REFERENCE_TOY)
     prior = true_prior(REFERENCE_TOY)
-    shift = post.mean.data[0] - prior.mean.data[0]
+    shift = post.mean.data[0, 0] - prior.mean.data[0]
     assert shift == pytest.approx(ep.query_inputs.mean() - REFERENCE_TOY.mu)
 
 
@@ -85,10 +83,9 @@ def test_mean_posterior_prior_kl_matches_symbolic_expectation():
     symbolic = 0.5 * math.log(vp / REFERENCE_TOY.sigma_w**2)
     n_eps = 100_000
     prior = true_prior(REFERENCE_TOY)
-    kls = np.empty(n_eps)
-    for i in range(n_eps):
-        ep = gen_spinning_lines(REFERENCE_TOY, derive_task_seed(2024, "train", i))
-        kls[i] = kl_diag_gaussian(true_posterior(ep, REFERENCE_TOY), prior).item()
+    eps = [gen_spinning_lines(REFERENCE_TOY, derive_task_seed(2024, "train", i))
+           for i in range(n_eps)]
+    kls = kl_diag_gaussian(true_posterior(eps, REFERENCE_TOY), prior).data
     se = kls.std(ddof=1) / math.sqrt(n_eps)
     assert abs(kls.mean() - symbolic) < 3 * se
 
@@ -167,28 +164,3 @@ def test_resample_query_set_keeps_task_identity():
     np.testing.assert_array_equal(fresh.query_labels, ep.query_labels)
     assert not np.array_equal(fresh.query_inputs, ep.query_inputs)
     np.testing.assert_array_equal(fresh.truth["prototypes"], ep.truth["prototypes"])
-
-
-def test_feature_pool_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    path = tmp_path / "feats.csv"
-    d = 4
-    with open(path, "w") as fh:
-        fh.write("label," + ",".join(f"feat_{i}" for i in range(d)) + "\n")
-        for label in range(3):
-            for _ in range(6):
-                row = rng.normal(size=d)
-                fh.write(f"{label}," + ",".join(repr(float(v)) for v in row) + "\n")
-    pool = load_feature_pool_csv(path)
-    assert set(pool) == {0, 1, 2}
-    assert pool[0].shape == (6, 4)
-    ep = episode_from_pool(pool, k=2, n_shot=1, n_query_per_class=3, task_seed=11)
-    assert ep.query_inputs.shape == (6, 4)
-    assert ep.support_inputs.shape == (2, 4)
-
-
-def test_feature_pool_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("label,x0,x1\n0,1.0,2.0\n")
-    with pytest.raises(ValueError):
-        load_feature_pool_csv(path)
