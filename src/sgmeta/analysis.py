@@ -33,7 +33,9 @@ from . import diffcore as dc
 # ``batch_tasks``) through the batched unroll, on a constant copy of the
 # model, so no autodiff tape is built. ``theta0_fn(frozen, chunk)`` gives the
 # chunk's stacked initializations (default: the global one). Randomness is
-# drawn per trial in the order a one-trial-at-a-time loop would draw it.
+# drawn per trial in the order a one-trial-at-a-time loop would draw it. The
+# estimators of one gap estimate read their adapted weights from one table
+# (``AdaptedWeights``), so no trial is adapted twice.
 
 
 def _chunks(n: int, size: int):
@@ -60,30 +62,57 @@ def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
     return query_loss(frozen, inputs, labels, dc.constant(w)).data
 
 
-# -- toy-mode estimators ------------------------------------------------------
-
-
-def _episode_mean(model: MetaModel, episodes, inner: InnerLoopConfig, batch: int, value_fn,
-                  theta0_fn: Optional[Callable] = None) -> float:
-    """Mean over episodes of ``value_fn(frozen, chunk, theta_K)``, which gives
-    one value per episode of an adapted chunk."""
-    frozen = frozen_copy(model)
+def _mean_in_order(values: np.ndarray) -> float:
+    """Mean of per-episode values, summed one after another in episode order."""
     total = 0.0
-    for idx in _chunks(len(episodes), batch):
-        chunk = [episodes[i] for i in idx]
-        for value in value_fn(frozen, chunk, _adapt(frozen, chunk, inner, theta0_fn)):
-            total += float(value)
-    return total / len(episodes)
+    for value in values:
+        total += float(value)
+    return total / len(values)
 
 
-def mi_estimate(model: MetaModel, episodes, inner: InnerLoopConfig,
-                theta0_fn: Optional[Callable] = None, batch: int = 8) -> float:
-    """Mutual-information proxy: mean KL from adapted posteriors to the prior."""
-    value = _episode_mean(
-        model, episodes, inner, batch,
-        lambda frozen, _, theta_k: prior_term(dc.constant(theta_k), frozen, inner).data,
-        theta0_fn)
-    if value < -1e-12:
+class AdaptedWeights:
+    """Adapted weights θ_K of a trial sampler's datasets, by trial.
+
+    The estimators of one gap estimate share their trials' datasets, so they
+    share one table: each trial is drawn and adapted once. An episode's θ_K
+    does not depend on the chunk it is adapted in (its inner-loop draws are
+    keyed on its own task seed).
+    """
+
+    def __init__(self, model: MetaModel, task_sampler, inner: InnerLoopConfig,
+                 theta0_fn: Optional[Callable] = None, batch: int = 8):
+        self.frozen = frozen_copy(model)
+        self.task_sampler = task_sampler
+        self.inner = inner
+        self.theta0_fn = theta0_fn
+        self.batch = batch
+        self._by_trial: dict = {}
+
+    def __call__(self, trials, datasets=None) -> np.ndarray:
+        """Stacked θ_K of ``trials``. The ones not yet in the table are
+        adapted in chunks of ``batch``, on ``datasets`` (one per trial) when
+        given, else on the sampler's."""
+        missing = [i for i, t in enumerate(trials) if t not in self._by_trial]
+        for start in range(0, len(missing), self.batch):
+            chunk = missing[start:start + self.batch]
+            episodes = [datasets[i] if datasets is not None else self.task_sampler(trials[i])[0]
+                        for i in chunk]
+            thetas = _adapt(self.frozen, episodes, self.inner, self.theta0_fn)
+            for i, theta in zip(chunk, thetas):
+                self._by_trial[trials[i]] = theta
+        return np.stack([self._by_trial[t] for t in trials])
+
+
+def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -> float:
+    """Mutual-information proxy: mean KL from the posteriors of the stacked
+    adapted weights ``theta_k`` to the prior.
+
+    In the deterministic regime the term is the point-mass prior term, which
+    drops a divergent constant (a point mass has infinite KL to the prior),
+    so only there may it be negative.
+    """
+    value = _mean_in_order(prior_term(dc.constant(theta_k), model, inner).data)
+    if inner.posterior_regime == GAUSSIAN_FIXED_VAR and value < -1e-12:
         raise AssertionError("mutual-information proxy must be nonnegative")
     return value
 
@@ -97,7 +126,7 @@ class GapEstimate:
     stderr: float
     trials: int
     sigma: float
-    bound: float
+    bound: Optional[float]  # None in the deterministic regime, which has no bound
     mi: float
     n: int
 
@@ -139,16 +168,21 @@ def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) 
 
 
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
-            seed: int = 0, theta0_fn: Optional[Callable] = None, batch: int = 8) -> GapEstimate:
+            seed: int = 0, theta0_fn: Optional[Callable] = None, batch: int = 8,
+            adapted: Optional[AdaptedWeights] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
 
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
     the resulting posterior, and compare the loss on a fresh dataset of the
-    same task against the loss on the adapted-on dataset.
+    same task against the loss on the adapted-on dataset. The scale σ and
+    the mutual-information term read their adapted weights from the same
+    table (``adapted``, by default a new one for these arguments), so they
+    adapt only the trials the gap did not.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    frozen = frozen_copy(model)
+    if adapted is None:
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
     n_query = None
@@ -157,49 +191,58 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
         datasets = [d for d, _ in samples]
         n_query = datasets[-1].n_query
         w = np.stack([_draw_posterior_weight(theta, inner, rng)
-                      for theta in _adapt(frozen, datasets, inner, theta0_fn)])
-        on_d = _losses(frozen, stacked(datasets, "query_inputs"),
+                      for theta in adapted(idx, datasets)])
+        on_d = _losses(adapted.frozen, stacked(datasets, "query_inputs"),
                        stacked(datasets, "query_labels"), w)
         fresh = [sample_fresh() for _, sample_fresh in samples]
-        on_fresh = _losses(frozen, stacked(fresh, "query_inputs"),
+        on_fresh = _losses(adapted.frozen, stacked(fresh, "query_inputs"),
                            stacked(fresh, "query_labels"), w)
         diffs[idx.start:idx.stop] = on_fresh - on_d
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     sigma = estimate_sigma(model, task_sampler, inner, draws=min(trials, 2000),
-                           seed=seed + 1, theta0_fn=theta0_fn, batch=batch)
+                           seed=seed + 1, batch=batch, adapted=adapted)
     mi = mi_for_sampler(model, task_sampler, inner, episodes=min(trials, 200),
-                        theta0_fn=theta0_fn, batch=batch)
+                        batch=batch, adapted=adapted)
+    bound = gen_bound(sigma, n_query, mi) if inner.posterior_regime == GAUSSIAN_FIXED_VAR \
+        else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
-                       bound=gen_bound(sigma, n_query, mi), mi=mi, n=n_query)
+                       bound=bound, mi=mi, n=n_query)
 
 
 def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
                    draws: int = 2000, seed: int = 1,
-                   theta0_fn: Optional[Callable] = None, batch: int = 8) -> float:
+                   theta0_fn: Optional[Callable] = None, batch: int = 8,
+                   adapted: Optional[AdaptedWeights] = None) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
-    under independently drawn task weights and data points."""
-    frozen = frozen_copy(model)
+    under independently drawn task weights and data points. The weights of
+    draw t come from trial 2t, read from ``adapted`` (by default a new
+    table); the point from trial 2t + 1."""
+    if adapted is None:
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
     rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
     losses = []
     for idx in _chunks(draws, batch):
-        pairs = [(task_sampler(2 * t)[0], task_sampler(2 * t + 1)[0]) for t in idx]
-        thetas = _adapt(frozen, [d_w for d_w, _ in pairs], inner, theta0_fn)
+        thetas = adapted([2 * t for t in idx])
         w, inputs, labels = [], [], []
-        for theta, (_, d_z) in zip(thetas, pairs):
+        for t, theta in zip(idx, thetas):
+            d_z = task_sampler(2 * t + 1)[0]
             w.append(_draw_posterior_weight(theta, inner, rng))
             i = int(rng.integers(d_z.n_query))
             inputs.append(d_z.query_inputs[i : i + 1])
             labels.append(d_z.query_labels[i : i + 1])
-        losses.extend(_losses(frozen, np.stack(inputs), np.stack(labels), np.stack(w)))
+        losses.extend(_losses(adapted.frozen, np.stack(inputs), np.stack(labels), np.stack(w)))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
 
 def mi_for_sampler(model, task_sampler, inner, episodes=200, theta0_fn=None,
-                   batch: int = 8) -> float:
-    eps = [task_sampler(t)[0] for t in range(episodes)]
-    return mi_estimate(model, eps, inner, theta0_fn=theta0_fn, batch=batch)
+                   batch: int = 8, adapted: Optional[AdaptedWeights] = None) -> float:
+    """Mutual-information proxy over the sampler's first ``episodes`` trials,
+    their weights read from ``adapted`` (by default a new table)."""
+    if adapted is None:
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
+    return mi_estimate(adapted.frozen, adapted(range(episodes)), inner)
 
 
 def gen_bound(sigma: float, n: int, mi: float) -> float:
@@ -337,7 +380,7 @@ class SweepRow:
     n: int
     gap: float
     stderr: float
-    bound: float
+    bound: Optional[float]
     sigma: float
     mi: float
     metric: float  # query mse (toy) or accuracy (classification)
@@ -361,11 +404,13 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
     rows = []
     for n in n_values:
         sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)
-        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, batch=batch)
-        mse = _episode_mean(
-            model, [sampler(t)[0] for t in range(min(trials, 200))], inner, batch,
-            lambda frozen, chunk, theta_k: _losses(frozen, stacked(chunk, "query_inputs"),
-                                                   stacked(chunk, "query_labels"), theta_k))
+        adapted = AdaptedWeights(model, sampler, inner, batch=batch)
+        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, batch=batch,
+                      adapted=adapted)
+        metric_trials = range(min(trials, 200))
+        datasets = [sampler(t)[0] for t in metric_trials]
+        mse = _mean_in_order(_losses(adapted.frozen, stacked(datasets, "query_inputs"),
+                                     stacked(datasets, "query_labels"), adapted(metric_trials)))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
                              sigma=est.sigma, mi=est.mi, metric=mse))
     return rows

@@ -92,24 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--inner-steps", type=int, default=None,
+    p.add_argument("--episodes", type=count_at_least(1), default=None)
+    p.add_argument("--inner-steps", type=count_at_least(0), default=None,
                    help="override the number of adaptation steps at evaluation")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("analyze", help="information-theoretic diagnostics of a checkpoint")
     add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--mc-seeds", type=int, default=1, help="independent estimator seeds")
+    p.add_argument("--trials", type=count_at_least(2), default=2000)
+    p.add_argument("--mc-seeds", type=count_at_least(1), default=1,
+                   help="independent estimator seeds")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep-n", help="generalization gap versus query-set size")
     add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--n-values", default="4,8,16,32")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--mc-seeds", type=int, default=1)
+    p.add_argument("--n-values", type=counts_at_least(1), default="4,8,16,32")
+    p.add_argument("--trials", type=count_at_least(2), default=500)
+    p.add_argument("--mc-seeds", type=count_at_least(1), default=1)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every op and the unrolled graph")
@@ -119,6 +120,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_selftest)
 
     return parser
+
+
+def count_at_least(minimum: int):
+    """Argument type: an integer >= ``minimum`` (argparse names the flag)."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return count
+
+
+def counts_at_least(minimum: int):
+    """Argument type: comma-separated integers >= ``minimum``, at least one."""
+    count = count_at_least(minimum)
+    return lambda text: [count(item) for item in text.split(",")]
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -229,7 +251,7 @@ def cmd_eval(args) -> int:
     inner = cfg.inner
     if args.inner_steps is not None:
         inner = dataclasses.replace(cfg.inner, steps=args.inner_steps)
-    n_eps = args.episodes or cfg.eval_episodes
+    n_eps = cfg.eval_episodes if args.episodes is None else args.episodes
     episodes = [episode_for(cfg, args.split, i) for i in range(n_eps)]
     t0 = time.time()
     report = evaluate(model, cfg, args.split, episodes, inner=inner)
@@ -279,9 +301,10 @@ def cmd_analyze(args) -> int:
                           batch=cfg.batch_tasks)
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
-            quantities.append((f"gen_bound_seed{s}", est.bound, 0.0))
+            append_bound(quantities, f"gen_bound_seed{s}", est.bound)
             quantities.append((f"sigma_seed{s}", est.sigma, 0.0))
-        payload["bound_holds_all_seeds"] = all(
+        # null when the posterior regime has no bound
+        payload["bound_holds_all_seeds"] = None if gaps[0].bound is None else all(
             abs(e.gap) <= e.bound + 3 * e.stderr for e in gaps
         )
         payload["gaps"] = [dataclasses.asdict(e) for e in gaps]
@@ -296,7 +319,7 @@ def cmd_analyze(args) -> int:
                       theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
                       batch=cfg.batch_tasks)
         quantities.append(("gen_gap", est.gap, est.stderr))
-        quantities.append(("gen_bound", est.bound, 0.0))
+        append_bound(quantities, "gen_bound", est.bound)
         payload["gap"] = dataclasses.asdict(est)
     payload["eval_episodes"] = report.n_episodes
     payload["wall_time_ms"] = 1000.0 * (time.time() - t0)
@@ -307,6 +330,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def append_bound(quantities: list, name: str, bound) -> None:
+    """A bound row, unless the posterior regime has no bound (``None``)."""
+    if bound is not None:
+        quantities.append((name, bound, 0.0))
+
+
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if cfg.mode != "toy":
@@ -314,7 +343,7 @@ def cmd_sweep(args) -> int:
     out = prepare_out(args)
     echo_config(cfg, out)
     model = load_checkpoint(args.checkpoint, cfg)
-    n_values = [int(v) for v in str(args.n_values).split(",") if v]
+    n_values = args.n_values
     quantities = []
     all_rows = []
     correlations = []
@@ -327,7 +356,7 @@ def cmd_sweep(args) -> int:
         correlations.append(rho)
         for r in rows:
             quantities.append((f"gap_n{r.n}_seed{s}", r.gap, r.stderr))
-            quantities.append((f"bound_n{r.n}_seed{s}", r.bound, 0.0))
+            append_bound(quantities, f"bound_n{r.n}_seed{s}", r.bound)
             quantities.append((f"metric_n{r.n}_seed{s}", r.metric, 0.0))
         quantities.append((f"spearman_gap_vs_n_seed{s}", rho, 0.0))
     payload = {

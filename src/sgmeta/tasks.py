@@ -9,6 +9,9 @@ Two task families:
 * synthetic few-shot classification — k-way n-shot episodes over latent
   Gaussian clusters with unit-norm prototypes, standing in for frozen
   pretrained feature embeddings. Train/val/test class pools are disjoint.
+  Each pool is built once per (pool seed, split, pool size, d_x) and
+  shared read-only; an episode draws all its points in one normal draw,
+  class by class, each class's support points before its query points.
 
 Randomness: every episode is generated by a fresh counter-based Philox
 generator keyed on a 64-bit task seed, and task seeds come from a SplitMix64
@@ -18,6 +21,7 @@ reproducible across platforms and independent across splits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,10 +168,17 @@ def true_posterior(episodes, cfg: ToyConfig) -> DiagGaussian:
 
 
 def class_prototypes(cfg: FewShotConfig, split: str) -> np.ndarray:
-    """Unit-norm latent prototypes for one split's class pool (fixed per pool seed)."""
-    rng = episode_rng(derive_task_seed(cfg.pool_seed, split, 0x50524F544F))
-    protos = rng.normal(size=(cfg.class_pool[split], cfg.d_x))
+    """Unit-norm latent prototypes for one split's class pool (fixed per pool
+    seed), built once per pool and shared read-only."""
+    return _prototypes(cfg.pool_seed, split, cfg.class_pool[split], cfg.d_x)
+
+
+@functools.lru_cache(maxsize=32)
+def _prototypes(pool_seed: int, split: str, size: int, d_x: int) -> np.ndarray:
+    rng = episode_rng(derive_task_seed(pool_seed, split, 0x50524F544F))
+    protos = rng.normal(size=(size, d_x))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    protos.flags.writeable = False
     return protos
 
 
@@ -178,21 +189,18 @@ def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seed: int) -> Episo
         raise ValueError(f"k={cfg.k} exceeds pool of {protos.shape[0]} classes")
     nq = cfg.n_query_per_class
     rng = episode_rng(task_seed)
-    chosen = rng.choice(protos.shape[0], size=cfg.k, replace=False)
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
-    for new_label, cls in enumerate(chosen):
-        center = protos[cls]
-        pts = center + rng.normal(0.0, cfg.cluster_spread, size=(cfg.n_shot + nq, cfg.d_x))
-        sup_x.append(pts[: cfg.n_shot])
-        sup_y.append(np.full(cfg.n_shot, new_label, dtype=np.int64))
-        qry_x.append(pts[cfg.n_shot :])
-        qry_y.append(np.full(nq, new_label, dtype=np.int64))
+    centers = protos[rng.choice(protos.shape[0], size=cfg.k, replace=False)]
+    # class by class, each class's support points then its query points
+    pts = rng.normal(0.0, cfg.cluster_spread, size=(cfg.k, cfg.n_shot + nq, cfg.d_x))
+    pts += centers[:, None]
+    labels = np.arange(cfg.k, dtype=np.int64)
+    # concatenate copies, so no field keeps the whole draw alive
     return Episode(
-        query_inputs=np.concatenate(qry_x),
-        query_labels=np.concatenate(qry_y),
-        support_inputs=np.concatenate(sup_x) if cfg.n_shot > 0 else None,
-        support_labels=np.concatenate(sup_y) if cfg.n_shot > 0 else None,
-        truth={"prototypes": protos[chosen].copy(), "class_ids": chosen.copy()},
+        query_inputs=np.concatenate(pts[:, cfg.n_shot:]),
+        query_labels=np.repeat(labels, nq),
+        support_inputs=np.concatenate(pts[:, :cfg.n_shot]) if cfg.n_shot > 0 else None,
+        support_labels=np.repeat(labels, cfg.n_shot) if cfg.n_shot > 0 else None,
+        truth={"prototypes": centers},
         task_seed=task_seed,
     )
 
@@ -200,15 +208,13 @@ def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seed: int) -> Episo
 def resample_query_set(ep: Episode, cfg: FewShotConfig, fresh_seed: int) -> Episode:
     """Fresh query draw for the same task (same classes, new points)."""
     protos = ep.truth["prototypes"]
-    nq = ep.n_query // protos.shape[0]
-    rng = episode_rng(fresh_seed)
-    qry_x, qry_y = [], []
-    for label, center in enumerate(protos):
-        qry_x.append(center + rng.normal(0.0, cfg.cluster_spread, size=(nq, cfg.d_x)))
-        qry_y.append(np.full(nq, label, dtype=np.int64))
+    k = protos.shape[0]
+    nq = ep.n_query // k
+    pts = episode_rng(fresh_seed).normal(0.0, cfg.cluster_spread, size=(k, nq, cfg.d_x))
+    pts += protos[:, None]
     return Episode(
-        query_inputs=np.concatenate(qry_x),
-        query_labels=np.concatenate(qry_y),
+        query_inputs=pts.reshape(k * nq, cfg.d_x),
+        query_labels=np.repeat(np.arange(k, dtype=np.int64), nq),
         support_inputs=ep.support_inputs,
         support_labels=ep.support_labels,
         truth=ep.truth,

@@ -14,7 +14,7 @@ from sgmeta.analysis import (
     gen_bound,
     gen_gap,
     ib_decomposition_check,
-    mi_estimate,
+    mi_for_sampler,
     random_instance,
     spearman_rank_correlation,
     toy_task_sampler,
@@ -53,6 +53,11 @@ def toy_inner(**kw):
                 sum_convention=True, inner_eval_at_mean=True)
     base.update(kw)
     return InnerLoopConfig(**base)
+
+
+def mi_of(model, eps, inner):
+    """``mi_estimate`` of the weights adapted on a list of episodes."""
+    return mi_for_sampler(model, lambda t: (eps[t], None), inner, episodes=len(eps))
 
 
 def kl_to_true_posterior(model, eps, inner):
@@ -102,13 +107,13 @@ def test_mi_estimate_zero_when_posterior_equals_prior():
     model = oracle_posterior_model(lam=0.7)
     model.params["psi_mean"].data[:] = 0.7
     model.params["psi_log_var"].data[:] = 2 * math.log(TOY.sigma_w)
-    value = mi_estimate(model, episodes(20), toy_inner(steps=0))
+    value = mi_of(model, episodes(20), toy_inner(steps=0))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_estimate_nonnegative():
     model = oracle_posterior_model(lam=0.2)
-    assert mi_estimate(model, episodes(50, seed=9), toy_inner()) >= 0.0
+    assert mi_of(model, episodes(50, seed=9), toy_inner()) >= 0.0
 
 
 def test_discrete_mi_proxy_upper_bounds_exact_mi():

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from sgmeta import diffcore as dc
-from sgmeta.analysis import gen_gap, mi_estimate, toy_task_sampler
+import sgmeta.analysis as analysis
+from sgmeta.analysis import (
+    AdaptedWeights,
+    estimate_sigma,
+    fewshot_task_sampler,
+    gen_gap,
+    mi_for_sampler,
+    toy_task_sampler,
+)
 from sgmeta.distributions import (
     DiagGaussian,
     dirac_prior_term,
@@ -34,7 +42,14 @@ from sgmeta.sibcore import (
     prior_dist,
 )
 from sgmeta.tasks import FewShotConfig, ToyConfig, derive_task_seed, episode_rng
-from sgmeta.trainer import build_model, default_config, episode_for, episode_objective, evaluate
+from sgmeta.trainer import (
+    build_model,
+    default_config,
+    episode_for,
+    episode_objective,
+    evaluate,
+    make_theta0,
+)
 
 TOL = 1e-12
 
@@ -259,9 +274,8 @@ def test_analysis_chunks_keep_the_per_trial_random_order():
     chunked = gen_gap(model, sampler, cfg.inner, trials=13, seed=1, batch=5)
     for field in ("gap", "stderr", "sigma", "mi"):
         assert getattr(chunked, field) == pytest.approx(getattr(one, field), rel=TOL, abs=1e-15)
-    episodes = [sampler(t)[0] for t in range(9)]
-    assert mi_estimate(model, episodes, cfg.inner, batch=4) == pytest.approx(
-        mi_estimate(model, episodes, cfg.inner, batch=1), rel=TOL)
+    assert mi_for_sampler(model, sampler, cfg.inner, episodes=9, batch=4) == pytest.approx(
+        mi_for_sampler(model, sampler, cfg.inner, episodes=9, batch=1), rel=TOL)
 
 
 def test_gap_and_sigma_match_per_trial_loop():
@@ -299,3 +313,70 @@ def test_gap_and_sigma_match_per_trial_loop():
         losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
     assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
     assert est.sigma == pytest.approx((max(losses) - min(losses)) / 2.0, rel=TOL)
+
+
+# -- one table of adapted weights per gap estimate ----------------------------------
+
+
+def toy_inner_draws_analysis():
+    cfg = toy_case()
+    cfg.inner.inner_eval_at_mean = False  # inner draws too
+    return cfg, toy_task_sampler(cfg.toy, seed=5), None
+
+
+def fewshot_analysis():
+    cfg = fewshot_case()
+    return (cfg, fewshot_task_sampler(cfg.fewshot, seed=5),
+            lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
+
+
+ANALYSIS_CASES = {"toy-inner-draws": toy_inner_draws_analysis, "fewshot": fewshot_analysis}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
+def test_adapted_weights_do_not_depend_on_the_chunk_layout(case):
+    cfg, sampler, theta0_fn = ANALYSIS_CASES[case]()
+    model = perturbed_model(cfg, seed=4)
+    trials = list(range(17))
+    reference = AdaptedWeights(model, sampler, cfg.inner, theta0_fn, batch=1)(trials)
+    for batch in (2, 5, 17):
+        table = AdaptedWeights(model, sampler, cfg.inner, theta0_fn, batch=batch)
+        table(trials[3::4])  # some trials first, in chunks of their own
+        assert_close(table(trials), reference)
+        assert_close(table(trials[::-1]), reference[::-1])
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
+def test_sigma_and_mi_of_a_gap_estimate_match_standalone_calls(case):
+    cfg, sampler, theta0_fn = ANALYSIS_CASES[case]()
+    model = perturbed_model(cfg, seed=5)
+    trials, seed, batch = 13, 3, 4
+    est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=seed, theta0_fn=theta0_fn,
+                  batch=batch)
+    sigma = estimate_sigma(model, sampler, cfg.inner, draws=trials, seed=seed + 1,
+                           theta0_fn=theta0_fn, batch=batch)
+    mi = mi_for_sampler(model, sampler, cfg.inner, episodes=trials, theta0_fn=theta0_fn,
+                        batch=batch)
+    assert est.sigma == pytest.approx(sigma, rel=TOL)
+    assert est.mi == pytest.approx(mi, rel=TOL)
+
+
+@pytest.mark.parametrize("trials", [3, 13])
+def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
+    cfg, sampler, theta0_fn = fewshot_analysis()
+    model = perturbed_model(cfg, seed=6)
+    adapted = []
+
+    def counting_unroll(theta0, episodes, *args, **kwargs):
+        adapted.extend(ep.task_seed for ep in episodes)
+        return sib_unroll(theta0, episodes, *args, **kwargs)
+
+    sib_unroll = analysis.sib_unroll
+    monkeypatch.setattr(analysis, "sib_unroll", counting_unroll)
+    gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn, batch=4)
+    draws = min(trials, 2000)
+    # the gap's trials, then the weights trials 2t of sigma it lacks; the
+    # mutual-information term's trials are all among the gap's
+    expected = trials + len([t for t in range(trials, 2 * draws) if t % 2 == 0])
+    assert len(adapted) == expected
+    assert len(set(adapted)) == expected

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sgmeta.cli import main
+from sgmeta.trainer import build_model, config_from_dict, save_checkpoint
 
 
 TINY_TOY = {
@@ -328,4 +329,70 @@ def test_setting_the_mode_cannot_apply_exits_2_and_names_key(tmp_path, toy_cfg_f
     rc = main([command, "--config", str(cfg_file), "--set", setting, "--out", str(out)])
     assert rc == 2
     assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fewshot_analyze_reports_no_bound_in_the_deterministic_regime(tmp_path,
+                                                                      fewshot_cfg_file, capsys):
+    # A prior variance below 1/e, near the adapted weights' spread, drives the
+    # point-mass prior term (which drops a divergent constant) below zero, as
+    # a trained prior does.
+    cfg = config_from_dict(json.loads(fewshot_cfg_file.read_text()))
+    assert cfg.inner.posterior_regime == "deterministic"
+    model = build_model(cfg)
+    model.params["psi_log_var"].data[:] = -1.0
+    save_checkpoint(model, tmp_path / "checkpoint.json", cfg, step=0)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--config", str(fewshot_cfg_file),
+                 "--checkpoint", str(tmp_path / "checkpoint.json"), "--trials", "20",
+                 "--out", str(out)]) == 0
+    gap = json.loads((out / "summary.json").read_text())["gap"]
+    assert gap["mi"] < 0
+    assert gap["bound"] is None
+    names = [line.split(",")[0] for line in (out / "report.csv").read_text().splitlines()]
+    assert "gen_gap" in names and "gen_bound" not in names
+    assert "gen_bound" not in capsys.readouterr().out
+
+
+def test_toy_analysis_without_bound_in_the_deterministic_regime(tmp_path, toy_cfg_file):
+    run = tmp_path / "run"
+    assert main(["train-toy", "--config", str(toy_cfg_file),
+                 "--set", 'inner.posterior_regime="deterministic"', "--out", str(run)]) == 0
+    config = ["--config", str(run / "effective_config.json")]
+    out = tmp_path / "analysis"
+    assert main(["analyze", *config,
+                 "--checkpoint", str(run / "checkpoint.json"), "--trials", "20",
+                 "--mc-seeds", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bound_holds_all_seeds"] is None
+    assert [gap["bound"] for gap in summary["gaps"]] == [None, None]
+    assert "gen_bound" not in (out / "report.csv").read_text()
+    out = tmp_path / "sweep"
+    assert main(["sweep-n", *config,
+                 "--checkpoint", str(run / "checkpoint.json"), "--n-values", "2,4",
+                 "--trials", "20", "--out", str(out)]) == 0
+    report = (out / "report.csv").read_text()
+    assert "gap_n4_seed0" in report and "bound_n" not in report
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("analyze", "--mc-seeds", "0"),
+    ("analyze", "--trials", "1"),
+    ("analyze", "--trials", "x"),
+    ("eval", "--episodes", "0"),
+    ("eval", "--inner-steps", "-1"),
+    ("sweep-n", "--mc-seeds", "0"),
+    ("sweep-n", "--trials", "0"),
+    ("sweep-n", "--n-values", "0,4"),
+    ("sweep-n", "--n-values", "4,,8"),
+    ("sweep-n", "--n-values", ""),
+])
+def test_count_flags_out_of_range_exit_2_and_name_the_flag(tmp_path, toy_cfg_file, capsys,
+                                                          command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(toy_cfg_file), "--checkpoint", str(tmp_path / "none.json"),
+              flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()

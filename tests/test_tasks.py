@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sgmeta.distributions import kl_diag_gaussian
 from sgmeta.tasks import (
     Episode,
+    episode_rng,
     FewShotConfig,
     ToyConfig,
     class_prototypes,
@@ -164,3 +165,82 @@ def test_resample_query_set_keeps_task_identity():
     np.testing.assert_array_equal(fresh.query_labels, ep.query_labels)
     assert not np.array_equal(fresh.query_inputs, ep.query_inputs)
     np.testing.assert_array_equal(fresh.truth["prototypes"], ep.truth["prototypes"])
+
+
+# -- few-shot generation against the per-class loop -----------------------------------
+
+
+def ref_fewshot_episode(cfg, split, task_seed):
+    """The per-class formulation: one normal draw per class."""
+    protos = class_prototypes(cfg, split)
+    nq = cfg.n_query_per_class
+    rng = episode_rng(task_seed)
+    chosen = rng.choice(protos.shape[0], size=cfg.k, replace=False)
+    sup_x, sup_y, qry_x, qry_y = [], [], [], []
+    for new_label, cls in enumerate(chosen):
+        pts = protos[cls] + rng.normal(0.0, cfg.cluster_spread, size=(cfg.n_shot + nq, cfg.d_x))
+        sup_x.append(pts[: cfg.n_shot])
+        sup_y.append(np.full(cfg.n_shot, new_label, dtype=np.int64))
+        qry_x.append(pts[cfg.n_shot :])
+        qry_y.append(np.full(nq, new_label, dtype=np.int64))
+    support = (np.concatenate(sup_x), np.concatenate(sup_y)) if cfg.n_shot > 0 else (None, None)
+    return np.concatenate(qry_x), np.concatenate(qry_y), support, protos[chosen]
+
+
+def ref_resample(protos, nq, cfg, fresh_seed):
+    rng = episode_rng(fresh_seed)
+    qry_x, qry_y = [], []
+    for label, center in enumerate(protos):
+        qry_x.append(center + rng.normal(0.0, cfg.cluster_spread, size=(nq, cfg.d_x)))
+        qry_y.append(np.full(nq, label, dtype=np.int64))
+    return np.concatenate(qry_x), np.concatenate(qry_y)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def owns_its_buffer(arr):
+    """No larger buffer (such as the episode's whole draw) is kept alive."""
+    return arr.base is None or arr.base.nbytes == arr.nbytes
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("n_shot", [0, 1, 5])
+@pytest.mark.parametrize("spread", [0.0, 0.3])
+def test_fewshot_generation_matches_the_per_class_loop(k, n_shot, spread):
+    cfg = FewShotConfig(k=k, n_shot=n_shot, n_query_per_class=4, d_x=6, cluster_spread=spread)
+    for i in range(20):
+        seed = derive_task_seed(i, "val", 3 * i)
+        ep = gen_fewshot_episode(cfg, "val", seed)
+        qx, qy, (sx, sy), protos = ref_fewshot_episode(cfg, "val", seed)
+        assert_bitwise(ep.query_inputs, qx)
+        assert_bitwise(ep.query_labels, qy)
+        assert_bitwise(ep.truth["prototypes"], protos)
+        if n_shot == 0:
+            assert ep.support_inputs is None and ep.support_labels is None
+        else:
+            assert_bitwise(ep.support_inputs, sx)
+            assert_bitwise(ep.support_labels, sy)
+        fresh = resample_query_set(ep, cfg, seed + 1)
+        rx, ry = ref_resample(protos, 4, cfg, seed + 1)
+        assert_bitwise(fresh.query_inputs, rx)
+        assert_bitwise(fresh.query_labels, ry)
+        for arr in (ep.query_inputs, ep.support_inputs, ep.truth["prototypes"],
+                    fresh.query_inputs):
+            assert arr is None or owns_its_buffer(arr)
+
+
+def test_class_pool_is_built_once_and_read_only():
+    cfg = FewShotConfig()
+    pool = class_prototypes(cfg, "train")
+    assert class_prototypes(FewShotConfig(), "train") is pool
+    with pytest.raises(ValueError):
+        pool[0, 0] = 1.0
+    other = FewShotConfig(pool_seed=1)
+    assert not np.array_equal(class_prototypes(other, "train"), pool)
+    # an episode's prototypes are its own copy
+    ep = gen_fewshot_episode(cfg, "train", derive_task_seed(0, "train", 0))
+    ep.truth["prototypes"][0, 0] = 5.0
+    assert pool.max() <= 1.0
