@@ -16,10 +16,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .models import MetaModel, frozen_copy
-from .sibcore import GAUSSIAN_FIXED_VAR, InnerLoopConfig, prior_term, query_loss, sib_unroll
+from .sibcore import (
+    GAUSSIAN_FIXED_VAR,
+    InnerLoopConfig,
+    forward_chunks,
+    prior_term,
+    query_loss,
+    sib_unroll,
+)
 from .tasks import (
     Episode,
     FewShotConfig,
+    LazySequence,
     ToyConfig,
     derive_task_seed,
     episode_rng,
@@ -29,18 +37,15 @@ from .tasks import (
 )
 from . import diffcore as dc
 
-# Every estimator adapts its episodes in chunks of ``batch`` (the run's
-# ``batch_tasks``) through the batched unroll, on a constant copy of the
-# model, so no autodiff tape is built. ``theta0_fn(frozen, chunk)`` gives the
-# chunk's stacked initializations (default: the global one). Randomness is
-# drawn per trial in the order a one-trial-at-a-time loop would draw it. The
-# estimators of one gap estimate read their adapted weights from one table
-# (``AdaptedWeights``), so no trial is adapted twice.
-
-
-def _chunks(n: int, size: int):
-    for start in range(0, n, size):
-        yield range(start, min(start + size, n))
+# Every estimator generates and adapts its trials in chunks of at most
+# ``CHUNK_POINTS`` query points (``forward_chunks``, sized from the first
+# dataset) through the batched unroll, on a constant copy of the model, so no
+# autodiff tape is built and one chunk of datasets is alive at a time.
+# ``theta0_fn(frozen, chunk)`` gives the chunk's stacked initializations
+# (default: the global one). Randomness is drawn per trial in the order a
+# one-trial-at-a-time loop would draw it. The estimators of one gap estimate
+# read their adapted weights from one table (``AdaptedWeights``), so no trial
+# is adapted twice.
 
 
 def _adapt(frozen: MetaModel, episodes, inner: InnerLoopConfig,
@@ -80,26 +85,27 @@ class AdaptedWeights:
     """
 
     def __init__(self, model: MetaModel, task_sampler, inner: InnerLoopConfig,
-                 theta0_fn: Optional[Callable] = None, batch: int = 8):
+                 theta0_fn: Optional[Callable] = None):
         self.frozen = frozen_copy(model)
         self.task_sampler = task_sampler
         self.inner = inner
         self.theta0_fn = theta0_fn
-        self.batch = batch
         self._by_trial: dict = {}
 
     def __call__(self, trials, datasets=None) -> np.ndarray:
         """Stacked θ_K of ``trials``. The ones not yet in the table are
-        adapted in chunks of ``batch``, on ``datasets`` (one per trial) when
-        given, else on the sampler's."""
-        missing = [i for i, t in enumerate(trials) if t not in self._by_trial]
-        for start in range(0, len(missing), self.batch):
-            chunk = missing[start:start + self.batch]
-            episodes = [datasets[i] if datasets is not None else self.task_sampler(trials[i])[0]
-                        for i in chunk]
-            thetas = _adapt(self.frozen, episodes, self.inner, self.theta0_fn)
-            for i, theta in zip(chunk, thetas):
-                self._by_trial[trials[i]] = theta
+        adapted in chunks, on ``datasets`` (one per trial) when given, else
+        on the sampler's, generated chunk by chunk."""
+        missing = [t for t in trials if t not in self._by_trial]
+        if datasets is not None:
+            given = dict(zip(trials, datasets))
+            episodes = [given[t] for t in missing]
+        else:
+            episodes = LazySequence(len(missing), lambda j: self.task_sampler(missing[j])[0])
+        for start, chunk in forward_chunks(episodes):
+            thetas = _adapt(self.frozen, chunk, self.inner, self.theta0_fn)
+            for t, theta in zip(missing[start:], thetas):
+                self._by_trial[t] = theta
         return np.stack([self._by_trial[t] for t in trials])
 
 
@@ -168,7 +174,7 @@ def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) 
 
 
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
-            seed: int = 0, theta0_fn: Optional[Callable] = None, batch: int = 8,
+            seed: int = 0, theta0_fn: Optional[Callable] = None,
             adapted: Optional[AdaptedWeights] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
 
@@ -182,12 +188,13 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
     n_query = None
-    for idx in _chunks(trials, batch):
-        samples = [task_sampler(t) for t in idx]
+    for start, samples in forward_chunks(LazySequence(trials, task_sampler),
+                                         n_query=lambda sample: sample[0].n_query):
+        idx = range(start, start + len(samples))
         datasets = [d for d, _ in samples]
         n_query = datasets[-1].n_query
         w = np.stack([_draw_posterior_weight(theta, inner, rng)
@@ -201,9 +208,9 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     sigma = estimate_sigma(model, task_sampler, inner, draws=min(trials, 2000),
-                           seed=seed + 1, batch=batch, adapted=adapted)
+                           seed=seed + 1, adapted=adapted)
     mi = mi_for_sampler(model, task_sampler, inner, episodes=min(trials, 200),
-                        batch=batch, adapted=adapted)
+                        adapted=adapted)
     bound = gen_bound(sigma, n_query, mi) if inner.posterior_regime == GAUSSIAN_FIXED_VAR \
         else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
@@ -212,21 +219,21 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
 
 def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
                    draws: int = 2000, seed: int = 1,
-                   theta0_fn: Optional[Callable] = None, batch: int = 8,
+                   theta0_fn: Optional[Callable] = None,
                    adapted: Optional[AdaptedWeights] = None) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
     under independently drawn task weights and data points. The weights of
     draw t come from trial 2t, read from ``adapted`` (by default a new
     table); the point from trial 2t + 1."""
     if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
     rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
     losses = []
-    for idx in _chunks(draws, batch):
-        thetas = adapted([2 * t for t in idx])
+    points = LazySequence(draws, lambda t: task_sampler(2 * t + 1)[0])
+    for start, chunk in forward_chunks(points):
+        thetas = adapted([2 * t for t in range(start, start + len(chunk))])
         w, inputs, labels = [], [], []
-        for t, theta in zip(idx, thetas):
-            d_z = task_sampler(2 * t + 1)[0]
+        for d_z, theta in zip(chunk, thetas):
             w.append(_draw_posterior_weight(theta, inner, rng))
             i = int(rng.integers(d_z.n_query))
             inputs.append(d_z.query_inputs[i : i + 1])
@@ -237,11 +244,11 @@ def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
 
 
 def mi_for_sampler(model, task_sampler, inner, episodes=200, theta0_fn=None,
-                   batch: int = 8, adapted: Optional[AdaptedWeights] = None) -> float:
+                   adapted: Optional[AdaptedWeights] = None) -> float:
     """Mutual-information proxy over the sampler's first ``episodes`` trials,
     their weights read from ``adapted`` (by default a new table)."""
     if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn, batch)
+        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
     return mi_estimate(adapted.frozen, adapted(range(episodes)), inner)
 
 
@@ -387,7 +394,7 @@ class SweepRow:
 
 
 def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
-                 trials: int = 500, seed: int = 0, batch: int = 8) -> list:
+                 trials: int = 500, seed: int = 0) -> list:
     """Generalization gap, bound, and task metric at each query-set size.
 
     The trained model is adapted at each size. A sum-convention update would
@@ -404,9 +411,8 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
     rows = []
     for n in n_values:
         sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)
-        adapted = AdaptedWeights(model, sampler, inner, batch=batch)
-        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, batch=batch,
-                      adapted=adapted)
+        adapted = AdaptedWeights(model, sampler, inner)
+        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted)
         metric_trials = range(min(trials, 200))
         datasets = [sampler(t)[0] for t in metric_trials]
         mse = _mean_in_order(_losses(adapted.frozen, stacked(datasets, "query_inputs"),

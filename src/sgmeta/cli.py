@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .models import build_fewshot_model, build_toy_model, config_hash
 from .sibcore import InnerLoopConfig, InnerLoopError, sib_unroll, task_objective
-from .tasks import derive_task_seed, gen_fewshot_episode, gen_spinning_lines
+from .tasks import LazySequence, derive_task_seed, gen_fewshot_episode, gen_spinning_lines
 from .trainer import (
     RunConfig,
     config_from_dict,
@@ -252,7 +252,8 @@ def cmd_eval(args) -> int:
     if args.inner_steps is not None:
         inner = dataclasses.replace(cfg.inner, steps=args.inner_steps)
     n_eps = cfg.eval_episodes if args.episodes is None else args.episodes
-    episodes = [episode_for(cfg, args.split, i) for i in range(n_eps)]
+    # generated chunk by chunk as evaluation reads them
+    episodes = LazySequence(n_eps, lambda i: episode_for(cfg, args.split, i))
     t0 = time.time()
     report = evaluate(model, cfg, args.split, episodes, inner=inner)
     wall_ms = 1000.0 * (time.time() - t0)
@@ -284,12 +285,10 @@ def cmd_analyze(args) -> int:
     quantities = []
     payload = {"command": "analyze", "trials": args.trials, "mc_seeds": args.mc_seeds}
     t0 = time.time()
+    pool_size = cfg.toy.n_test_tasks if cfg.mode == "toy" else min(cfg.eval_episodes, 500)
+    report = evaluate(model, cfg, "test",
+                      LazySequence(pool_size, lambda i: episode_for(cfg, "test", i)))
     if cfg.mode == "toy":
-        eval_pool = [
-            gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-            for i in range(cfg.toy.n_test_tasks)
-        ]
-        report = evaluate(model, cfg, "test", eval_pool)
         quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
         quantities.append(("prior_kl_to_true", report.row.prior_kl_to_true, 0.0))
@@ -297,8 +296,7 @@ def cmd_analyze(args) -> int:
         gaps = []
         for s in range(args.mc_seeds):
             sampler = toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
-            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
-                          batch=cfg.batch_tasks)
+            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s)
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
             append_bound(quantities, f"gen_bound_seed{s}", est.bound)
@@ -309,15 +307,12 @@ def cmd_analyze(args) -> int:
         )
         payload["gaps"] = [dataclasses.asdict(e) for e in gaps]
     else:
-        pool = [episode_for(cfg, "test", i) for i in range(min(cfg.eval_episodes, 500))]
-        report = evaluate(model, cfg, "test", pool)
         quantities.append(("query_accuracy", report.row.query_accuracy,
                            report.ci95["query_accuracy"]))
         quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
         sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
         est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed,
-                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
-                      batch=cfg.batch_tasks)
+                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
         quantities.append(("gen_gap", est.gap, est.stderr))
         append_bound(quantities, "gen_bound", est.bound)
         payload["gap"] = dataclasses.asdict(est)
@@ -350,7 +345,7 @@ def cmd_sweep(args) -> int:
     t0 = time.time()
     for s in range(args.mc_seeds):
         rows = vary_n_sweep(model, cfg.toy, cfg.inner, n_values, trials=args.trials,
-                            seed=cfg.run_seed + 7919 * s, batch=cfg.batch_tasks)
+                            seed=cfg.run_seed + 7919 * s)
         all_rows.append([dataclasses.asdict(r) for r in rows])
         rho = spearman_rank_correlation([r.n for r in rows], [abs(r.gap) for r in rows])
         correlations.append(rho)

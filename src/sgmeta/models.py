@@ -223,6 +223,8 @@ def model_from_payload(payload: dict) -> MetaModel:
     params = {}
     for name, entry in payload["params"].items():
         arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint parameter {name} has non-finite values")
         requires = not (name == "f_weight" and not meta["train_f"])
         params[name] = Tensor(arr, requires_grad=requires)
     return MetaModel(

@@ -55,6 +55,11 @@ DETERMINISTIC = "deterministic"
 STREAM_INNER = 1
 STREAM_OBJECTIVE = 2
 
+# Forward-only passes (evaluation and analysis) adapt at most this many query
+# points at once. No per-episode value depends on the chunk; its size bounds
+# the activations alive at a time.
+CHUNK_POINTS = 2400
+
 
 class InnerLoopError(RuntimeError):
     def __init__(self, message: str, step: int):
@@ -231,6 +236,21 @@ def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
         eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
         thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k))
     return thetas[-1], thetas
+
+
+def forward_chunks(items, n_query=lambda ep: ep.n_query):
+    """Consecutive ``(first index, items)`` chunks of a sized sequence, each
+    of at most ``CHUNK_POINTS`` query points and at least one item. The size
+    is worked out from the first item, by ``n_query``, as it is read; every
+    item is read once, so a lazily generated sequence holds one chunk."""
+    start, size = 0, None
+    while start < len(items):
+        first = items[start]
+        if size is None:
+            size = max(1, CHUNK_POINTS // n_query(first))
+        stop = min(start + size, len(items))
+        yield start, [first] + [items[i] for i in range(start + 1, stop)]
+        start = stop
 
 
 # -- supervised losses ---------------------------------------------------------

@@ -22,6 +22,7 @@ reproducible across platforms and independent across splits.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,6 +72,23 @@ class Episode:
     @property
     def n_query(self) -> int:
         return self.query_inputs.shape[0]
+
+
+class LazySequence(Sequence):
+    """A sized sequence whose item i is ``make(i)``, made each time it is
+    indexed and not kept, so a pool of episodes need not be held at once."""
+
+    def __init__(self, n: int, make):
+        self._n = n
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self._n:
+            raise IndexError(f"index {i} out of range for {self._n} items")
+        return self._make(i)
 
 
 def stacked(episodes, name: str) -> np.ndarray:

@@ -48,6 +48,7 @@ from .sibcore import (
     accuracy_value,
     cross_entropy,
     data_term,
+    forward_chunks,
     objective_noise,
     prior_dist,
     prior_term,
@@ -442,13 +443,14 @@ def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
 
 def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
               inner: Optional[InnerLoopConfig] = None, step: int = 0) -> EvalReport:
-    """Frozen-model metrics over a list of episodes, with 95% intervals.
+    """Frozen-model metrics over a sized sequence of episodes (a list, or a
+    ``LazySequence`` that generates them), with 95% intervals.
 
-    Episodes are adapted in chunks of ``batch_tasks`` on a constant copy of
+    Episodes are read once each and adapted in chunks of at most
+    ``CHUNK_POINTS`` query points (``forward_chunks``) on a constant copy of
     the parameters, so no autodiff tape is kept.
     """
-    episodes = list(episodes)
-    if not episodes:
+    if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
     inner = cfg.inner if inner is None else inner
     start = time.perf_counter()
@@ -460,8 +462,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
     prior_now = prior_dist(frozen)
-    for first in range(0, len(episodes), cfg.batch_tasks):
-        chunk = episodes[first:first + cfg.batch_tasks]
+    for _, chunk in forward_chunks(episodes):
         theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
         inputs, labels = stacked(chunk, "query_inputs"), stacked(chunk, "query_labels")
         if model.mode == "toy":
@@ -507,7 +508,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
 class TrainResult:
     model: MetaModel
     records: list
-    final_eval: Optional[EvalReport]
+    final_eval: EvalReport
     best_snapshot: Optional[dict]
     best_metric: Optional[float]
     steps_run: int
@@ -522,10 +523,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
     if cfg.mode == "toy":
         n_train = cfg.toy.n_train_tasks
         train_pool = [episode_for(cfg, "train", i) for i in range(n_train)]
-        eval_pool = [
-            gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-            for i in range(cfg.toy.n_test_tasks)
-        ]
+        eval_pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
         steps_per_epoch = math.ceil(n_train / cfg.batch_tasks)
         total_steps = steps_per_epoch * (cfg.epochs or 1)
         eval_every = cfg.eval_every or steps_per_epoch
@@ -580,6 +578,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
             last_good = model.clone_data()
             records.append((step, "train", "query_loss", loss_value, 0.0))
 
+            # the last step always evaluates; its report is the final one
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
                 report = evaluate(model, cfg, split, eval_pool, step=step + 1)
                 records.extend(metric_records(report.row, report.ci95))
@@ -594,8 +593,6 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
                     best_snapshot = model.clone_data()
                 if progress is not None:
                     progress(step + 1, total_steps, report)
-
-        final_eval = evaluate(model, cfg, split, eval_pool, step=total_steps)
     except InnerLoopError as exc:
         model.load_data(last_good)
         raise TrainingDiverged(f"{exc} at outer step {step}",
@@ -603,7 +600,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
     return TrainResult(
         model=model,
         records=records,
-        final_eval=final_eval,
+        final_eval=report,
         best_snapshot=best_snapshot,
         best_metric=best_metric,
         steps_run=total_steps,

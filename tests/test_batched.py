@@ -8,12 +8,15 @@ and the gradient of every trainable parameter.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sgmeta import diffcore as dc
 import sgmeta.analysis as analysis
+import sgmeta.sibcore as sibcore
+import sgmeta.trainer as trainer
 from sgmeta.analysis import (
     AdaptedWeights,
     estimate_sigma,
@@ -38,10 +41,11 @@ from sgmeta.sibcore import (
     _ssl_projection,
     cosine_vjp,
     cross_entropy,
+    forward_chunks,
     orthogonal_transform_labeler,
     prior_dist,
 )
-from sgmeta.tasks import FewShotConfig, ToyConfig, derive_task_seed, episode_rng
+from sgmeta.tasks import FewShotConfig, LazySequence, ToyConfig, derive_task_seed, episode_rng
 from sgmeta.trainer import (
     build_model,
     default_config,
@@ -252,40 +256,84 @@ def test_batched_step_matches_per_episode_loop(case):
         assert_close(g, ref)
 
 
-def test_evaluation_chunks_do_not_change_per_episode_values():
+# -- forward-only chunks -------------------------------------------------------------
+
+
+def chunk_episodes(monkeypatch, episodes, n_query):
+    """Make forward-only chunks hold ``episodes`` episodes of ``n_query`` points."""
+    monkeypatch.setattr(sibcore, "CHUNK_POINTS", episodes * n_query)
+
+
+@pytest.mark.parametrize("n_query, sizes", [
+    (75, [32, 32, 32, 4]),  # few-shot episodes of the reference config
+    (32, [75, 25]),  # toy tasks of the reference config
+    (5000, [1] * 100),  # an episode larger than a chunk goes alone
+])
+def test_forward_chunks_size_from_the_first_item_and_read_each_once(n_query, sizes):
+    made = []
+
+    def make(i):
+        made.append(i)
+        return SimpleNamespace(n_query=n_query)
+
+    chunks = list(forward_chunks(LazySequence(sum(sizes), make)))
+    assert [len(chunk) for _, chunk in chunks] == sizes
+    assert [start for start, _ in chunks] == list(np.cumsum([0] + sizes[:-1]))
+    assert made == list(range(sum(sizes)))
+
+
+def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):
     cfg = fewshot_case()
     model = perturbed_model(cfg, seed=1)
     episodes = [episode_for(cfg, "val", i) for i in range(7)]
-    cfg.batch_tasks = 1
+    n_query = episodes[0].n_query
+    chunks = []
+
+    def recording_unroll(theta0, chunk, *args, **kwargs):
+        chunks.append(len(chunk))
+        return unroll(theta0, chunk, *args, **kwargs)
+
+    unroll = trainer.sib_unroll
+    monkeypatch.setattr(trainer, "sib_unroll", recording_unroll)
+    chunk_episodes(monkeypatch, 1, n_query)
     one = evaluate(model, cfg, "val", episodes)
-    cfg.batch_tasks = 3
-    chunked = evaluate(model, cfg, "val", episodes)
+    chunk_episodes(monkeypatch, 3, n_query)
+    chunked = evaluate(model, cfg, "val", LazySequence(7, lambda i: episode_for(cfg, "val", i)))
+    assert chunks == [1] * 7 + [3, 3, 1]
     assert set(chunked.per_episode) == set(one.per_episode)
     for name, values in one.per_episode.items():
         assert_close(chunked.per_episode[name], values)
 
 
-def test_analysis_chunks_keep_the_per_trial_random_order():
+def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
     cfg = toy_case()
     cfg.inner.inner_eval_at_mean = False  # inner draws too
     model = perturbed_model(cfg, seed=2)
     sampler = toy_task_sampler(cfg.toy, seed=4)
-    one = gen_gap(model, sampler, cfg.inner, trials=13, seed=1, batch=1)
-    chunked = gen_gap(model, sampler, cfg.inner, trials=13, seed=1, batch=5)
-    for field in ("gap", "stderr", "sigma", "mi"):
-        assert getattr(chunked, field) == pytest.approx(getattr(one, field), rel=TOL, abs=1e-15)
-    assert mi_for_sampler(model, sampler, cfg.inner, episodes=9, batch=4) == pytest.approx(
-        mi_for_sampler(model, sampler, cfg.inner, episodes=9, batch=1), rel=TOL)
+
+    def gap_and_mi(episodes_per_chunk):
+        chunk_episodes(monkeypatch, episodes_per_chunk, cfg.toy.n)
+        return (gen_gap(model, sampler, cfg.inner, trials=13, seed=1),
+                mi_for_sampler(model, sampler, cfg.inner, episodes=9))
+
+    one, one_mi = gap_and_mi(1)
+    for episodes_per_chunk in (4, 5):
+        chunked, chunked_mi = gap_and_mi(episodes_per_chunk)
+        for field in ("gap", "stderr", "sigma", "mi"):
+            assert getattr(chunked, field) == pytest.approx(getattr(one, field), rel=TOL,
+                                                            abs=1e-15)
+        assert chunked_mi == pytest.approx(one_mi, rel=TOL)
 
 
-def test_gap_and_sigma_match_per_trial_loop():
+def test_gap_and_sigma_match_per_trial_loop(monkeypatch):
     cfg = toy_case()
     cfg.inner.inner_eval_at_mean = False  # inner draws too
     inner = cfg.inner
     model = perturbed_model(cfg, seed=3)
     sampler = toy_task_sampler(cfg.toy, seed=6)
     trials, seed = 11, 2
-    est = gen_gap(model, sampler, inner, trials=trials, seed=seed, batch=4)
+    chunk_episodes(monkeypatch, 4, cfg.toy.n)
+    est = gen_gap(model, sampler, inner, trials=trials, seed=seed)
 
     std = math.exp(inner.q_log_var / 2.0)
 
@@ -321,50 +369,53 @@ def test_gap_and_sigma_match_per_trial_loop():
 def toy_inner_draws_analysis():
     cfg = toy_case()
     cfg.inner.inner_eval_at_mean = False  # inner draws too
-    return cfg, toy_task_sampler(cfg.toy, seed=5), None
+    return cfg, toy_task_sampler(cfg.toy, seed=5), None, cfg.toy.n
 
 
 def fewshot_analysis():
     cfg = fewshot_case()
     return (cfg, fewshot_task_sampler(cfg.fewshot, seed=5),
-            lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
+            lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
+            cfg.fewshot.k * cfg.fewshot.n_query_per_class)
 
 
 ANALYSIS_CASES = {"toy-inner-draws": toy_inner_draws_analysis, "fewshot": fewshot_analysis}
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
-def test_adapted_weights_do_not_depend_on_the_chunk_layout(case):
-    cfg, sampler, theta0_fn = ANALYSIS_CASES[case]()
+def test_adapted_weights_do_not_depend_on_the_chunk_layout(monkeypatch, case):
+    cfg, sampler, theta0_fn, n_query = ANALYSIS_CASES[case]()
     model = perturbed_model(cfg, seed=4)
     trials = list(range(17))
-    reference = AdaptedWeights(model, sampler, cfg.inner, theta0_fn, batch=1)(trials)
-    for batch in (2, 5, 17):
-        table = AdaptedWeights(model, sampler, cfg.inner, theta0_fn, batch=batch)
+    chunk_episodes(monkeypatch, 1, n_query)
+    reference = AdaptedWeights(model, sampler, cfg.inner, theta0_fn)(trials)
+    for episodes_per_chunk in (2, 5, 17):
+        chunk_episodes(monkeypatch, episodes_per_chunk, n_query)
+        table = AdaptedWeights(model, sampler, cfg.inner, theta0_fn)
         table(trials[3::4])  # some trials first, in chunks of their own
         assert_close(table(trials), reference)
         assert_close(table(trials[::-1]), reference[::-1])
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
-def test_sigma_and_mi_of_a_gap_estimate_match_standalone_calls(case):
-    cfg, sampler, theta0_fn = ANALYSIS_CASES[case]()
+def test_sigma_and_mi_of_a_gap_estimate_match_standalone_calls(monkeypatch, case):
+    cfg, sampler, theta0_fn, n_query = ANALYSIS_CASES[case]()
     model = perturbed_model(cfg, seed=5)
-    trials, seed, batch = 13, 3, 4
-    est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=seed, theta0_fn=theta0_fn,
-                  batch=batch)
+    trials, seed = 13, 3
+    chunk_episodes(monkeypatch, 4, n_query)
+    est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
     sigma = estimate_sigma(model, sampler, cfg.inner, draws=trials, seed=seed + 1,
-                           theta0_fn=theta0_fn, batch=batch)
-    mi = mi_for_sampler(model, sampler, cfg.inner, episodes=trials, theta0_fn=theta0_fn,
-                        batch=batch)
+                           theta0_fn=theta0_fn)
+    mi = mi_for_sampler(model, sampler, cfg.inner, episodes=trials, theta0_fn=theta0_fn)
     assert est.sigma == pytest.approx(sigma, rel=TOL)
     assert est.mi == pytest.approx(mi, rel=TOL)
 
 
 @pytest.mark.parametrize("trials", [3, 13])
 def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
-    cfg, sampler, theta0_fn = fewshot_analysis()
+    cfg, sampler, theta0_fn, n_query = fewshot_analysis()
     model = perturbed_model(cfg, seed=6)
+    chunk_episodes(monkeypatch, 4, n_query)
     adapted = []
 
     def counting_unroll(theta0, episodes, *args, **kwargs):
@@ -373,7 +424,7 @@ def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
 
     sib_unroll = analysis.sib_unroll
     monkeypatch.setattr(analysis, "sib_unroll", counting_unroll)
-    gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn, batch=4)
+    gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn)
     draws = min(trials, 2000)
     # the gap's trials, then the weights trials 2t of sigma it lacks; the
     # mutual-information term's trials are all among the gap's

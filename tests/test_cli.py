@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgmeta.sibcore as sibcore
+import sgmeta.trainer as trainer
 from sgmeta.cli import main
+from sgmeta.tasks import derive_task_seed
 from sgmeta.trainer import build_model, config_from_dict, save_checkpoint
 
 
@@ -218,6 +221,49 @@ def test_fewshot_analyze_runs_the_trials_it_records(tmp_path, fewshot_cfg_file):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["trials"] == summary["gap"]["trials"] == 501
     assert summary["eval_episodes"] == TINY_FEWSHOT["eval_episodes"]
+
+
+@pytest.mark.parametrize("command", [["eval"], ["analyze", "--trials", "4"]])
+def test_evaluation_pool_is_generated_once_chunk_by_chunk(tmp_path, fewshot_cfg_file,
+                                                          monkeypatch, command):
+    cfg = config_from_dict(json.loads(fewshot_cfg_file.read_text()))
+    save_checkpoint(build_model(cfg), tmp_path / "checkpoint.json", cfg, step=0)
+    events = []
+
+    def generating(task_cfg, split, seed):
+        events.append(seed)
+        return generate(task_cfg, split, seed)
+
+    def unrolling(theta0, episodes, *args, **kwargs):
+        events.append(f"unroll {len(episodes)}")
+        return unroll(theta0, episodes, *args, **kwargs)
+
+    generate, unroll = trainer.gen_fewshot_episode, trainer.sib_unroll
+    monkeypatch.setattr(trainer, "gen_fewshot_episode", generating)
+    monkeypatch.setattr(trainer, "sib_unroll", unrolling)
+    n_query = cfg.fewshot.k * cfg.fewshot.n_query_per_class
+    monkeypatch.setattr(sibcore, "CHUNK_POINTS", 3 * n_query)
+    assert main(command + ["--config", str(fewshot_cfg_file), "--set", "eval_episodes=10",
+                           "--checkpoint", str(tmp_path / "checkpoint.json"),
+                           "--out", str(tmp_path / "out")]) == 0
+    seeds = [derive_task_seed(cfg.run_seed, "test", i) for i in range(10)]
+    # each chunk's episodes are generated just before it is adapted, once each
+    assert events == (seeds[0:3] + ["unroll 3"] + seeds[3:6] + ["unroll 3"]
+                      + seeds[6:9] + ["unroll 3"] + seeds[9:] + ["unroll 1"])
+
+
+def test_eval_rejects_a_non_finite_checkpoint_parameter(tmp_path, fewshot_cfg_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
+                 "--out", str(run)]) == 0
+    payload = json.loads((run / "checkpoint.json").read_text())
+    payload["params"]["xi_w1"]["values"][0] = float("nan")
+    (run / "checkpoint.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
+               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "xi_w1" in capsys.readouterr().err
 
 
 def test_fewshot_analyze_rejects_several_estimator_seeds(tmp_path, fewshot_cfg_file, capsys):

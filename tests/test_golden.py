@@ -1,0 +1,152 @@
+"""Golden outputs: a fixed matrix of small CLI runs against recorded values.
+
+Every run goes through ``sgmeta.cli.main``. Its exit code, printed lines,
+``metrics.csv`` and ``report.csv`` rows and checkpoint parameters are
+compared with ``tests/golden/<run>.json``: row keys, counts, accuracies and
+printed lines exactly, every other value to 1e-12 relative (the tolerance
+for refactors that may change float summation order).
+
+Set ``SGMETA_REGEN_GOLDEN=1`` to rewrite the golden files from the current
+code instead of comparing; a change that rewrites them says why.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgmeta.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+REGEN = os.environ.get("SGMETA_REGEN_GOLDEN") == "1"
+RTOL = 1e-12
+
+TOY = {
+    "mode": "toy",
+    "epochs": 2,
+    "batch_tasks": 4,
+    "toy": {"n": 16, "n_train_tasks": 16, "n_test_tasks": 40},
+}
+TOY_INNER_DRAWS = {**TOY, "inner": {"inner_eval_at_mean": False, "mc_samples": 2}}
+FEWSHOT = {
+    "mode": "fewshot",
+    "total_steps": 20,
+    "batch_tasks": 4,
+    "eval_every": 10,
+    "val_pool_size": 6,
+    "eval_episodes": 210,
+    "fewshot": {
+        "k": 3,
+        "n_shot": 1,
+        "n_query_per_class": 4,
+        "d_x": 6,
+        "class_pool": {"train": 8, "val": 4, "test": 5},
+    },
+}
+FEWSHOT_GAUSSIAN = {
+    **FEWSHOT,
+    "inner": {"posterior_regime": "gaussian_fixed_var", "mc_samples": 2, "q_log_var": -4.0},
+}
+CONFIGS = {
+    "toy": TOY,
+    "toy-inner-draws": TOY_INNER_DRAWS,
+    "fewshot": FEWSHOT,
+    "fewshot-global": {**FEWSHOT, "theta_init": "global"},
+    "fewshot-ssl": {**FEWSHOT, "theta_init": "ssl"},
+    "fewshot-gaussian": FEWSHOT_GAUSSIAN,
+}
+
+# run name -> (config, argv after the config; "{name}" is that run's checkpoint)
+RUNS = {
+    "train-toy": ("toy", ["train-toy"]),
+    "train-toy-inner-draws": ("toy-inner-draws", ["train-toy"]),
+    "train-fewshot-proto": ("fewshot", ["train-fewshot"]),
+    "train-fewshot-global": ("fewshot-global", ["train-fewshot"]),
+    "train-fewshot-ssl": ("fewshot-ssl", ["train-fewshot"]),
+    "train-fewshot-gaussian": ("fewshot-gaussian", ["train-fewshot"]),
+    "eval-toy": ("toy", ["eval", "--checkpoint", "{train-toy}", "--episodes", "160"]),
+    "eval-toy-k0": ("toy", ["eval", "--checkpoint", "{train-toy}", "--inner-steps", "0"]),
+    "eval-fewshot": ("fewshot", ["eval", "--checkpoint", "{train-fewshot-proto}"]),
+    "eval-fewshot-k0": ("fewshot", ["eval", "--checkpoint", "{train-fewshot-proto}",
+                                    "--episodes", "30", "--inner-steps", "0"]),
+    "analyze-toy": ("toy-inner-draws", ["analyze", "--checkpoint", "{train-toy-inner-draws}",
+                                        "--trials", "160", "--mc-seeds", "2"]),
+    "analyze-fewshot": ("fewshot", ["analyze", "--checkpoint", "{train-fewshot-proto}",
+                                    "--trials", "250"]),
+    "analyze-fewshot-gaussian": ("fewshot-gaussian", [
+        "analyze", "--checkpoint", "{train-fewshot-gaussian}", "--trials", "30"]),
+    "sweep-n": ("toy", ["sweep-n", "--checkpoint", "{train-toy}", "--n-values", "4,16",
+                        "--trials", "160"]),
+}
+
+
+def _csv_rows(path: Path) -> list:
+    if not path.exists():
+        return []
+    lines = path.read_text().splitlines()[1:]
+    return [[int(f) if f.isdigit() else f for f in line.split(",")] for line in lines]
+
+
+def _run(name: str, root: Path) -> dict:
+    config, argv = RUNS[name]
+    cfg_path = root / f"{config}.json"
+    if not cfg_path.exists():
+        cfg_path.write_text(json.dumps(CONFIGS[config]))
+    argv = [str(root / a[1:-1] / "checkpoint.json") if a.startswith("{") else a for a in argv]
+    out = root / name
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    record = {"exit": code, "printed": printed.getvalue().splitlines(),
+              "metrics": _csv_rows(out / "metrics.csv"), "report": _csv_rows(out / "report.csv")}
+    if argv[0].startswith("train"):
+        payload = json.loads((out / "checkpoint.json").read_text())
+        record["params"] = {k: v["values"] for k, v in payload["params"].items()}
+    return record
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    # dict order runs every training before the commands reading its checkpoint
+    return {name: _run(name, root) for name in RUNS}
+
+
+def _assert_close(actual: float, expected: float, where: str) -> None:
+    assert abs(actual - expected) <= RTOL * max(abs(actual), abs(expected)), (
+        f"{where}: {actual!r} != {expected!r} (rel 1e-12)")
+
+
+def _compare_rows(actual: list, expected: list, where: str) -> None:
+    """Rows are (key fields..., value, spread); keys and accuracies exact."""
+    assert [r[:-2] for r in actual] == [r[:-2] for r in expected], f"{where}: row keys differ"
+    for got, want in zip(actual, expected):
+        label = f"{where} {got[:-2]}"
+        if "accuracy" in str(got[-3]):
+            assert got[-2] == want[-2], f"{label}: accuracy {got[-2]} != {want[-2]}"
+        else:
+            _assert_close(float(got[-2]), float(want[-2]), label)
+        _assert_close(float(got[-1]), float(want[-1]), f"{label} spread")
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_golden_outputs(outputs, name):
+    got = outputs[name]
+    path = GOLDEN_DIR / f"{name}.json"
+    if REGEN:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(json.dumps(got, indent=1) + "\n")
+        return
+    want = json.loads(path.read_text())
+    assert got["exit"] == want["exit"] == 0
+    assert got["printed"] == want["printed"]
+    _compare_rows(got["metrics"], want["metrics"], "metrics.csv")
+    _compare_rows(got["report"], want["report"], "report.csv")
+    assert sorted(got.get("params", {})) == sorted(want.get("params", {}))
+    for param, values in want.get("params", {}).items():
+        np.testing.assert_allclose(got["params"][param], values, rtol=RTOL, atol=0,
+                                   err_msg=f"checkpoint parameter {param}")

@@ -205,6 +205,14 @@ def test_checkpoint_payload_round_trip_bit_exact():
     assert text2 == text
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_checkpoint_parameter_is_rejected_by_name(bad):
+    payload = json.loads(json.dumps(checkpoint_payload(build_fewshot_model(k=3, d_x=5, seed=1))))
+    payload["params"]["xi_w1"]["values"][0] = bad
+    with pytest.raises(ValueError, match="xi_w1"):
+        model_from_payload(payload)
+
+
 def test_classifier_scale_must_be_positive():
     model = build_fewshot_model(k=2, d_x=2, seed=0)
     model.params["classifier_scale"].data = np.array(-1.0)
