@@ -402,7 +402,9 @@ def cmd_gradcheck(args) -> int:
             "sum": lambda: (a * b).sum(),
             "mean": lambda: (a * b).mean(),
             "square": lambda: dc.square(a + b).sum(),
-            "sqrt": lambda: dc.sqrt(dc.square(a) + 1.0).sum() * b.mean(),
+            "row_norm": lambda: (dc.row_norm(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),
+            "linear": lambda: dc.square(dc.linear(a.reshape(3, 2), b.reshape(2, 3),
+                                                  b.reshape(2, 3).mean(axis=0))).sum(),
             "matmul3d": lambda: dc.matmul(a.reshape(2, 3, 1),
                                           dc.transpose(b.reshape(2, 3, 1))).sum(),
             "transpose3d": lambda: (dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)).sum(),

@@ -127,15 +127,19 @@ def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
+    """Add cotangent ``g`` into ``t.grad``; callers pass only tensors that
+    require grad. The first write stores a copy, so no ``.grad`` aliases
+    another node's buffer or a read-only broadcast view."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast cotangent back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -144,53 +148,65 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(op, a.shape, b.shape) from None
-
-
 # -- elementwise arithmetic ---------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    try:
+        out_data = a.data + b.data
+    except ValueError:
+        raise ShapeError("add", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), back)
+    return _make(out_data, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
+    try:
+        out_data = a.data - b.data
+    except ValueError:
+        raise ShapeError("sub", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
-    return _make(a.data - b.data, (a, b), back)
+    return _make(out_data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    try:
+        out_data = a.data * b.data
+    except ValueError:
+        raise ShapeError("mul", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), back)
+    return _make(out_data, (a, b), back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    out_data = a.data / b.data
+    try:
+        out_data = a.data / b.data
+    except ValueError:
+        raise ShapeError("div", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * out_data / b.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * out_data / b.data, b.shape))
 
     return _make(out_data, (a, b), back)
 
@@ -217,18 +233,37 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast (stacks)."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul", a.shape, b.shape)
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out_data = a.data @ b.data
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape) from None
 
     def back(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    return _make(a.data @ b.data, (a, b), back)
+    return _make(out_data, (a, b), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of (n, d_in) rows by (d_in, d_out) weights and
+    a (d_out,) bias, as one node with the arithmetic of matmul then add."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+
+    def back(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _make(x.data @ w.data + b.data, (x, w, b), back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -257,12 +292,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
+    """max(a, 0): -0.0 maps to +0.0 and NaN propagates."""
 
     def back(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0.0))
 
-    return _make(np.where(mask, a.data, 0.0), (a,), back)
+    return _make(np.maximum(a.data, 0.0), (a,), back)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -288,11 +323,15 @@ def square(a: Tensor) -> Tensor:
     return _make(a.data * a.data, (a,), back)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
+def row_norm(a: Tensor) -> Tensor:
+    """Euclidean norm over the last axis, kept as a length-1 axis: one node
+    with the arithmetic of sqrt(sum(square(a), -1, keepdims=True))."""
+    if a.ndim < 1:
+        raise ShapeError("row_norm", a.shape)
+    out_data = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
 
     def back(g):
-        _accum(a, g * 0.5 / out_data)
+        _accum(a, g * 0.5 / out_data * 2.0 * a.data)
 
     return _make(out_data, (a,), back)
 
@@ -321,7 +360,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     def back(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape))
 
     return _make(out_data, (a,), back)
 
@@ -358,10 +397,9 @@ def take_per_row(a: Tensor, col_indices) -> Tensor:
         raise ShapeError("take_per_row", a.shape, idx.shape) from None
 
     def back(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.put_along_axis(acc, idx, g[..., None], axis=-1)
-            _accum(a, acc)
+        acc = np.zeros_like(a.data)
+        np.put_along_axis(acc, idx, g[..., None], axis=-1)
+        _accum(a, acc)
 
     return _make(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
 

@@ -150,9 +150,9 @@ def synth_grad(model: MetaModel, y_hat: Tensor) -> Tensor:
         raise dc.ShapeError("synth_grad", y_hat.shape, (None, model.head_dim))
     p = model.params
     rows = y_hat if y_hat.ndim == 2 else y_hat.reshape(-1, model.head_dim)
-    h = dc.relu(dc.matmul(rows, p["xi_w1"]) + p["xi_b1"])
-    h = dc.relu(dc.matmul(h, p["xi_w2"]) + p["xi_b2"])
-    out = dc.matmul(h, p["xi_w3"]) + p["xi_b3"]
+    h = dc.relu(dc.linear(rows, p["xi_w1"], p["xi_b1"]))
+    h = dc.relu(dc.linear(h, p["xi_w2"], p["xi_b2"]))
+    out = dc.linear(h, p["xi_w3"], p["xi_b3"])
     return out if y_hat.ndim == 2 else out.reshape(y_hat.shape)
 
 
@@ -168,8 +168,8 @@ def cosine_parts(features: Tensor, theta: Tensor, scale: Tensor):
     """
     if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
         raise dc.ShapeError("cosine_parts", features.shape, theta.shape)
-    a = dc.sqrt(dc.tsum(dc.square(features), axis=-1, keepdims=True))  # (..., n, 1)
-    b = dc.sqrt(dc.tsum(dc.square(theta), axis=-1, keepdims=True))  # (..., k, 1)
+    a = dc.row_norm(features)  # (..., n, 1)
+    b = dc.row_norm(theta)  # (..., k, 1)
     dots = dc.matmul(features, dc.transpose(theta))  # (..., n, k)
     inv_denom = 1.0 / (dc.matmul(a, dc.transpose(b)) + COSINE_EPS)  # (..., n, k)
     logits = scale * (dots * inv_denom)
@@ -216,15 +216,31 @@ def checkpoint_payload(model: MetaModel, cfg_hash: str = "", step: int = 0) -> d
     }
 
 
+def _field(section, key: str, where: str):
+    if not isinstance(section, dict) or key not in section:
+        raise ValueError(f"{where} is missing {key!r}")
+    return section[key]
+
+
 def model_from_payload(payload: dict) -> MetaModel:
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    meta = payload["meta"]
+    """Rebuild a model from a checkpoint payload. A missing section, meta key
+    or parameter field, and values that do not fit their shape or are not
+    finite, raise ValueError naming it."""
+    if _field(payload, "format_version", "checkpoint") != 1:
+        raise ValueError(f"unsupported checkpoint version {payload['format_version']!r}")
+    meta_section = _field(payload, "meta", "checkpoint")
+    meta = {key: _field(meta_section, key, "checkpoint meta")
+            for key in ("mode", "k", "d_x", "d_f", "train_f")}
     params = {}
-    for name, entry in payload["params"].items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+    for name, entry in _field(payload, "params", "checkpoint").items():
+        where = f"checkpoint parameter {name}"
+        values, shape = _field(entry, "values", where), _field(entry, "shape", where)
+        try:
+            arr = np.asarray(values, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} has values that do not fit its shape {shape!r}") from None
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"checkpoint parameter {name} has non-finite values")
+            raise ValueError(f"{where} has non-finite values")
         requires = not (name == "f_weight" and not meta["train_f"])
         params[name] = Tensor(arr, requires_grad=requires)
     return MetaModel(

@@ -256,6 +256,27 @@ def test_batched_step_matches_per_episode_loop(case):
         assert_close(g, ref)
 
 
+@pytest.mark.parametrize("case", ["toy-gaussian-8-draws", "fewshot-proto-deterministic",
+                                  "fewshot-ssl"])
+def test_backward_builds_no_cotangent_for_constants(monkeypatch, case):
+    """Every cotangent the backward pass computes lands in a tensor that requires grad."""
+    accum = dc._accum
+    reached = []
+
+    def checked_accum(t, g):
+        assert t.requires_grad, f"cotangent of shape {np.shape(g)} built for a constant"
+        reached.append(t)
+        accum(t, g)
+
+    cfg = CASES[case]()
+    model = perturbed_model(cfg)
+    batch = [episode_for(cfg, "train", i) for i in range(2)]
+    losses, _ = episode_objective(model, batch, cfg)
+    monkeypatch.setattr(dc, "_accum", checked_accum)
+    dc.backward(losses.sum())
+    assert any(t is model.params["xi_w1"] for t in reached)
+
+
 # -- forward-only chunks -------------------------------------------------------------
 
 

@@ -266,6 +266,41 @@ def test_eval_rejects_a_non_finite_checkpoint_parameter(tmp_path, fewshot_cfg_fi
     assert "xi_w1" in capsys.readouterr().err
 
 
+def _without(*keys):
+    def mutate(payload):
+        section = payload
+        for key in keys[:-1]:
+            section = section[key]
+        del section[keys[-1]]
+    return mutate
+
+
+def _truncate_values(payload):
+    payload["params"]["xi_w1"]["values"].pop()
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_without("meta"), "checkpoint is missing 'meta'"),
+    (_without("meta", "k"), "checkpoint meta is missing 'k'"),
+    (_without("params", "xi_w1", "shape"), "xi_w1 is missing 'shape'"),
+    (_without("params", "xi_w1", "values"), "xi_w1 is missing 'values'"),
+    (_truncate_values, "xi_w1 has values that do not fit its shape"),
+], ids=["no-meta", "no-meta-k", "no-shape", "no-values", "short-values"])
+def test_eval_rejects_a_malformed_checkpoint_naming_the_field(tmp_path, fewshot_cfg_file, capsys,
+                                                              mutate, named):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
+                 "--out", str(run)]) == 0
+    payload = json.loads((run / "checkpoint.json").read_text())
+    mutate(payload)
+    (run / "checkpoint.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
+               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_fewshot_analyze_rejects_several_estimator_seeds(tmp_path, fewshot_cfg_file, capsys):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0

@@ -92,7 +92,12 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
         ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
         ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
         ("square", lambda a, b: dc.square(a + b)),
-        ("sqrt", lambda a, b: dc.sqrt(dc.square(a) + 1.0) * b),
+        ("row_norm", lambda a, b: dc.row_norm(a.reshape(2, 3)) * b.reshape(2, 3)),
+        ("row_norm3d", lambda a, b: dc.row_norm(a.reshape(3, 1, 2) + b.reshape(1, 3, 2))),
+        ("linear", lambda a, b: dc.square(
+            dc.linear(a.reshape(3, 2), b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)))),
+        ("linear_1col", lambda a, b: dc.square(
+            dc.linear(a.reshape(6, 1), b.mean().reshape(1, 1), b.sum().reshape(1)))),
         ("matmul3d", lambda a, b: matmul(a.reshape(2, 3, 1), dc.transpose(b.reshape(2, 3, 1)))),
         ("matmul3d_2d", lambda a, b: matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
         ("neg", lambda a, b: (-a) * b),
@@ -167,6 +172,35 @@ def test_grad_outside_graph_errors_unless_allowed():
     np.testing.assert_array_equal(g[0], 0.0)
 
 
+def test_linear_bias_gradient_sums_over_rows():
+    rng = np.random.default_rng(5)
+    x = param(rng.normal(size=(5, 4)))
+    w = param(rng.normal(size=(4, 3)))
+    bias = param(rng.normal(size=3))
+    weights = constant(rng.normal(size=(5, 3)))
+
+    def loss():
+        return (dc.linear(x, w, bias) * weights).sum()
+
+    check_gradients(loss, [x, w, bias], tol=1e-6)
+    np.testing.assert_array_equal(bias.grad, weights.data.sum(axis=0))
+
+
+def test_linear_is_bitwise_matmul_plus_bias():
+    rng = np.random.default_rng(6)
+    params = [param(rng.normal(size=s)) for s in ((7, 4), (4, 3), (3,))]
+    weights = constant(rng.normal(size=(7, 3)))
+    fused = dc.linear(*params)
+    fused_grads = [g.copy() for g in grad((dc.relu(fused) * weights).sum(), params)]
+    zero_grad(params)
+    x, w, bias = params
+    composite = matmul(x, w) + bias
+    composite_grads = grad((dc.relu(composite) * weights).sum(), params)
+    np.testing.assert_array_equal(fused.data, composite.data)
+    for g_fused, g_composite in zip(fused_grads, composite_grads):
+        np.testing.assert_array_equal(g_fused, g_composite)
+
+
 @pytest.mark.parametrize(
     "op,args",
     [
@@ -174,13 +208,31 @@ def test_grad_outside_graph_errors_unless_allowed():
         (dc.matmul, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))),
         (dc.take_per_row, (Tensor(np.ones(3)), [0, 1, 2])),
         (dc.matmul, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 1))))),
+        (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
+        (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
+        (dc.div, (Tensor(np.ones(5)), Tensor(np.ones((2, 3))))),
+        (dc.linear, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))),
+        (dc.linear, (Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))),
+        (dc.linear, (Tensor(np.ones(3)), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))),
     ],
 )
 def test_shape_mismatch_raises_structured_error(op, args):
     with pytest.raises(ShapeError) as exc:
         op(*args)
-    assert exc.value.op
-    assert len(exc.value.shapes) >= 1
+    assert exc.value.op == op.__name__
+    shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in args)
+    assert exc.value.shapes == shapes
+
+
+def test_relu_edge_values():
+    x = param([-0.0, 0.0, -1.0, -np.inf, 2.5, np.inf, np.nan])
+    out = dc.relu(x)
+    np.testing.assert_array_equal(out.data[:4], 0.0)
+    assert not np.any(np.signbit(out.data[:4]))
+    np.testing.assert_array_equal(out.data[4:6], [2.5, np.inf])
+    assert np.isnan(out.data[6])  # propagated, not zeroed
+    backward((out * constant([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])).sum())
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 5.0, 6.0, 0.0])
 
 
 def test_backward_is_bitwise_deterministic():
