@@ -67,14 +67,6 @@ def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
     return query_loss(frozen, inputs, labels, dc.constant(w)).data
 
 
-def _mean_in_order(values: np.ndarray) -> float:
-    """Mean of per-episode values, summed one after another in episode order."""
-    total = 0.0
-    for value in values:
-        total += float(value)
-    return total / len(values)
-
-
 class AdaptedWeights:
     """Adapted weights θ_K of a trial sampler's datasets, by trial.
 
@@ -117,7 +109,7 @@ def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -
     drops a divergent constant (a point mass has infinite KL to the prior),
     so only there may it be negative.
     """
-    value = _mean_in_order(prior_term(dc.constant(theta_k), model, inner).data)
+    value = float(np.mean(prior_term(dc.constant(theta_k), model, inner).data))
     if inner.posterior_regime == GAUSSIAN_FIXED_VAR and value < -1e-12:
         raise AssertionError("mutual-information proxy must be nonnegative")
     return value
@@ -207,34 +199,27 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
         diffs[idx.start:idx.stop] = on_fresh - on_d
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    sigma = estimate_sigma(model, task_sampler, inner, draws=min(trials, 2000),
-                           seed=seed + 1, adapted=adapted)
-    mi = mi_for_sampler(model, task_sampler, inner, episodes=min(trials, 200),
-                        adapted=adapted)
+    sigma = estimate_sigma(adapted, draws=min(trials, 2000), seed=seed + 1)
+    mi = mi_for_sampler(adapted, episodes=min(trials, 200))
     bound = gen_bound(sigma, n_query, mi) if inner.posterior_regime == GAUSSIAN_FIXED_VAR \
         else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
                        bound=bound, mi=mi, n=n_query)
 
 
-def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
-                   draws: int = 2000, seed: int = 1,
-                   theta0_fn: Optional[Callable] = None,
-                   adapted: Optional[AdaptedWeights] = None) -> float:
+def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
     under independently drawn task weights and data points. The weights of
-    draw t come from trial 2t, read from ``adapted`` (by default a new
-    table); the point from trial 2t + 1."""
-    if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
+    draw t come from trial 2t, read from ``adapted``; the point from trial
+    2t + 1 of its sampler."""
     rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
     losses = []
-    points = LazySequence(draws, lambda t: task_sampler(2 * t + 1)[0])
+    points = LazySequence(draws, lambda t: adapted.task_sampler(2 * t + 1)[0])
     for start, chunk in forward_chunks(points):
         thetas = adapted([2 * t for t in range(start, start + len(chunk))])
         w, inputs, labels = [], [], []
         for d_z, theta in zip(chunk, thetas):
-            w.append(_draw_posterior_weight(theta, inner, rng))
+            w.append(_draw_posterior_weight(theta, adapted.inner, rng))
             i = int(rng.integers(d_z.n_query))
             inputs.append(d_z.query_inputs[i : i + 1])
             labels.append(d_z.query_labels[i : i + 1])
@@ -243,13 +228,10 @@ def estimate_sigma(model: MetaModel, task_sampler, inner: InnerLoopConfig,
     return float((losses.max() - losses.min()) / 2.0)
 
 
-def mi_for_sampler(model, task_sampler, inner, episodes=200, theta0_fn=None,
-                   adapted: Optional[AdaptedWeights] = None) -> float:
-    """Mutual-information proxy over the sampler's first ``episodes`` trials,
-    their weights read from ``adapted`` (by default a new table)."""
-    if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
-    return mi_estimate(adapted.frozen, adapted(range(episodes)), inner)
+def mi_for_sampler(adapted: AdaptedWeights, episodes: int) -> float:
+    """Mutual-information proxy over the first ``episodes`` trials of the
+    table's sampler, their weights read from ``adapted``."""
+    return mi_estimate(adapted.frozen, adapted(range(episodes)), adapted.inner)
 
 
 def gen_bound(sigma: float, n: int, mi: float) -> float:
@@ -373,12 +355,6 @@ def ib_decomposition_check(inst: DiscreteInstance, tol: float = 1e-9) -> IbRepor
     return report
 
 
-def discrete_mi_proxy(inst: DiscreteInstance) -> float:
-    """E_{t,d} KL(q(w|d,t) || p(w)) — the estimator analog on tables."""
-    joint = inst.q_t[:, None, None] * inst.q_d_given_t[:, :, None] * inst.q_w_given_dt
-    return float((joint * (np.log(inst.q_w_given_dt) - np.log(inst.p_w)[None, None, :])).sum())
-
-
 # -- query-size sweep ----------------------------------------------------------------
 
 
@@ -415,8 +391,8 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
         est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted)
         metric_trials = range(min(trials, 200))
         datasets = [sampler(t)[0] for t in metric_trials]
-        mse = _mean_in_order(_losses(adapted.frozen, stacked(datasets, "query_inputs"),
-                                     stacked(datasets, "query_labels"), adapted(metric_trials)))
+        mse = float(np.mean(_losses(adapted.frozen, stacked(datasets, "query_inputs"),
+                                    stacked(datasets, "query_labels"), adapted(metric_trials))))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
                              sigma=est.sigma, mi=est.mi, metric=mse))
     return rows

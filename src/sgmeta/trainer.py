@@ -340,7 +340,6 @@ class MetricsRow:
     kl_to_prior: Optional[float] = None
     kl_to_true_posterior: Optional[float] = None
     prior_kl_to_true: Optional[float] = None
-    mi_estimate: Optional[float] = None
     wall_time_ms: Optional[float] = None
 
 
@@ -373,7 +372,6 @@ def metric_records(row: MetricsRow, ci95: Optional[dict] = None):
         "kl_to_prior",
         "kl_to_true_posterior",
         "prior_kl_to_true",
-        "mi_estimate",
     ):
         value = getattr(row, name)
         if value is not None:
@@ -493,7 +491,6 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         warnings.warn("single-episode evaluation: confidence interval is degenerate")
     row = MetricsRow(step=step, split=split, **{k: means.get(k) for k in (
         "query_loss", "query_accuracy", "query_mse", "kl_to_prior", "kl_to_true_posterior")})
-    row.mi_estimate = means.get("kl_to_prior")
     if model.mode == "toy":
         row.prior_kl_to_true = kl_diag_gaussian(prior_now, true_prior(cfg.toy)).item()
     row.wall_time_ms = 1000.0 * (time.perf_counter() - start)
@@ -620,6 +617,7 @@ def save_checkpoint(model: MetaModel, path, cfg: Optional[RunConfig] = None,
 
 
 def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
+    """The checkpoint's model; with ``cfg``, its geometry must be ``build_model(cfg)``'s."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -632,4 +630,10 @@ def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
                 f"checkpoint config hash {payload['config_hash']} does not match the "
                 f"current config ({expect}); proceeding anyway"
             )
-    return model_from_payload(payload)
+    model = model_from_payload(payload)
+    want = model if cfg is None else build_model(cfg)
+    for attr, key in (("mode", "mode"), ("k", "fewshot.k"), ("d_x", "fewshot.d_x"), ("d_f", "d_f")):
+        if getattr(model, attr) != getattr(want, attr):
+            raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
+                             f"the config's {key} {getattr(want, attr)!r}")
+    return model

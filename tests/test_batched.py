@@ -335,7 +335,7 @@ def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
     def gap_and_mi(episodes_per_chunk):
         chunk_episodes(monkeypatch, episodes_per_chunk, cfg.toy.n)
         return (gen_gap(model, sampler, cfg.inner, trials=13, seed=1),
-                mi_for_sampler(model, sampler, cfg.inner, episodes=9))
+                mi_for_sampler(AdaptedWeights(model, sampler, cfg.inner), episodes=9))
 
     one, one_mi = gap_and_mi(1)
     for episodes_per_chunk in (4, 5):
@@ -425,9 +425,9 @@ def test_sigma_and_mi_of_a_gap_estimate_match_standalone_calls(monkeypatch, case
     trials, seed = 13, 3
     chunk_episodes(monkeypatch, 4, n_query)
     est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
-    sigma = estimate_sigma(model, sampler, cfg.inner, draws=trials, seed=seed + 1,
-                           theta0_fn=theta0_fn)
-    mi = mi_for_sampler(model, sampler, cfg.inner, episodes=trials, theta0_fn=theta0_fn)
+    sigma = estimate_sigma(AdaptedWeights(model, sampler, cfg.inner, theta0_fn),
+                           draws=trials, seed=seed + 1)
+    mi = mi_for_sampler(AdaptedWeights(model, sampler, cfg.inner, theta0_fn), episodes=trials)
     assert est.sigma == pytest.approx(sigma, rel=TOL)
     assert est.mi == pytest.approx(mi, rel=TOL)
 

@@ -1,7 +1,9 @@
 """Command-line behavior: reproducibility, run-dir discipline, exit codes."""
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
-from sgmeta.cli import main
+from sgmeta.cli import build_parser, main
 from sgmeta.tasks import derive_task_seed
 from sgmeta.trainer import build_model, config_from_dict, save_checkpoint
 
@@ -279,13 +281,20 @@ def _truncate_values(payload):
     payload["params"]["xi_w1"]["values"].pop()
 
 
+def _params_as_list(payload):
+    payload["params"] = list(payload["params"].values())
+
+
 @pytest.mark.parametrize("mutate, named", [
     (_without("meta"), "checkpoint is missing 'meta'"),
     (_without("meta", "k"), "checkpoint meta is missing 'k'"),
     (_without("params", "xi_w1", "shape"), "xi_w1 is missing 'shape'"),
     (_without("params", "xi_w1", "values"), "xi_w1 is missing 'values'"),
     (_truncate_values, "xi_w1 has values that do not fit its shape"),
-], ids=["no-meta", "no-meta-k", "no-shape", "no-values", "short-values"])
+    (_without("params", "xi_w1"), "missing ['xi_w1']"),
+    (_params_as_list, "checkpoint params must be an object"),
+], ids=["no-meta", "no-meta-k", "no-shape", "no-values", "short-values", "no-param",
+        "params-list"])
 def test_eval_rejects_a_malformed_checkpoint_naming_the_field(tmp_path, fewshot_cfg_file, capsys,
                                                               mutate, named):
     run = tmp_path / "run"
@@ -299,6 +308,34 @@ def test_eval_rejects_a_malformed_checkpoint_naming_the_field(tmp_path, fewshot_
                str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "eval")])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, overrides, named", [
+    ("fewshot", ["--set", "fewshot.k=2"], "the config's fewshot.k 2"),
+    ("fewshot", ["--set", "fewshot.d_x=5"], "the config's fewshot.d_x 5"),
+    ("fewshot", ["--set", "d_f=4"], "the config's d_f 4"),
+    ("toy", [], "the config's mode 'toy'"),
+], ids=["k", "d_x", "d_f", "toy-config"])
+@pytest.mark.filterwarnings("ignore:checkpoint config hash")
+def test_eval_rejects_a_checkpoint_of_another_geometry(tmp_path, toy_cfg_file, fewshot_cfg_file,
+                                                       capsys, config, overrides, named):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    cfg_file = toy_cfg_file if config == "toy" else fewshot_cfg_file
+    rc = main(["eval", "--config", str(cfg_file), *overrides, "--checkpoint",
+               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_readme_names_every_command_and_no_other():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    named = set(re.findall(r"^\s*sgmeta ([\w-]+)", readme, flags=re.MULTILINE))
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert named == set(commands)
 
 
 def test_fewshot_analyze_rejects_several_estimator_seeds(tmp_path, fewshot_cfg_file, capsys):
@@ -335,11 +372,6 @@ def test_gradcheck_exit_code(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
-
-
-def test_selftest_exit_code(capsys):
-    assert main(["selftest"]) == 0
-    assert "all self-tests passed" in capsys.readouterr().out
 
 
 def test_inner_divergence_leaves_checkpoint_metrics_and_summary(tmp_path, fewshot_cfg_file,

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sgmeta import diffcore as dc
 from sgmeta.diffcore import ShapeError, check_gradients, constant, grad
 from sgmeta.models import (
+    MetaModel,
     apply_features,
     build_fewshot_model,
     build_toy_model,
@@ -213,10 +214,92 @@ def test_non_finite_checkpoint_parameter_is_rejected_by_name(bad):
         model_from_payload(payload)
 
 
+def _setting(*keys, value):
+    def mutate(payload):
+        section = payload
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+    return mutate
+
+
+def _reshaped_xi_b1(payload):
+    # its 16 values as a (4, 4) array, which only the geometry rejects
+    payload["params"]["xi_b1"]["shape"] = [4, 4]
+
+
+@pytest.mark.parametrize("mode, mutate, named", [
+    ("fewshot", lambda p: p["params"].pop("xi_w1"), "missing ['xi_w1']"),
+    ("fewshot", lambda p: p["params"].update(extra=p["params"]["xi_b1"]), "unknown ['extra']"),
+    ("fewshot", _setting("params", value=[]), "checkpoint params must be an object"),
+    ("fewshot", _setting("meta", "k", value="2"), "checkpoint meta k must be an integer"),
+    ("fewshot", _setting("meta", "mode", value="zeroshot"), "checkpoint meta mode must be one"),
+    ("fewshot", _setting("meta", "train_f", value=1), "checkpoint meta train_f must be"),
+    ("fewshot", _setting("meta", "k", value=10**9), "meta k=1000000000 is no axis"),
+    ("fewshot", _setting("meta", "d_f", value=2), "f_weight has shape [3, 4]"),
+    ("fewshot", _reshaped_xi_b1, "xi_b1 has shape [4, 4]"),
+    ("toy", _setting("meta", "k", value=8), "is not the toy model's"),
+], ids=["no-param", "unknown-param", "params-list", "k-text", "bad-mode", "train-f-int",
+        "huge-k", "d_f-geometry", "shape-geometry", "toy-k"])
+def test_malformed_checkpoint_is_rejected_naming_the_field(mode, mutate, named):
+    model = build_toy_model() if mode == "toy" else build_fewshot_model(k=2, d_x=3, d_f=4)
+    payload = json.loads(json.dumps(checkpoint_payload(model)))
+    mutate(payload)
+    with pytest.raises(ValueError) as err:
+        model_from_payload(payload)
+    assert named in str(err.value)
+
+
+_PAYLOADS = [json.dumps(checkpoint_payload(model)) for model in (
+    build_toy_model(seed=1), build_fewshot_model(k=2, d_x=3, seed=1))]
+_WRONG_TYPED = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.lists(st.integers(), max_size=3)
+                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into the nested objects of a payload."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_payloads(draw):
+    """A checkpoint payload with keys dropped, sections or values given the
+    wrong type, and parameter values truncated."""
+    payload = json.loads(draw(st.sampled_from(_PAYLOADS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(payload))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        section = payload
+        for parent in parents:
+            section = section[parent]
+        kind = draw(st.sampled_from(["drop", "retype", "truncate"]))
+        if kind == "drop":
+            del section[key]
+        elif kind == "retype":
+            section[key] = draw(_WRONG_TYPED)
+        elif isinstance(section[key], list):
+            del section[key][draw(st.integers(0, len(section[key]))):]
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_mutated_payloads())
+def test_model_from_payload_returns_a_model_or_raises_value_error(payload):
+    try:
+        model = model_from_payload(payload)
+    except ValueError:
+        return
+    assert isinstance(model, MetaModel)
+
+
 def test_classifier_scale_must_be_positive():
     model = build_fewshot_model(k=2, d_x=2, seed=0)
     model.params["classifier_scale"].data = np.array(-1.0)
     with pytest.raises(ValueError):
-        from sgmeta.models import MetaModel
-
         MetaModel("fewshot", 2, 2, 2, model.params)

@@ -111,11 +111,13 @@ def test_fewshot_zero_spread_is_trivially_separable():
     assert (dists.argmin(axis=1) == ep.query_labels).all()
 
 
-def test_fewshot_same_seed_bitwise_identical():
-    cfg = FewShotConfig()
+@pytest.mark.parametrize("mode", ["toy", "fewshot"])
+def test_same_seed_bitwise_identical(mode):
     seed = derive_task_seed(9, "val", 13)
-    a = gen_fewshot_episode(cfg, "val", seed)
-    b = gen_fewshot_episode(cfg, "val", seed)
+    if mode == "toy":
+        a, b = (gen_spinning_lines(ToyConfig(), seed) for _ in range(2))
+    else:
+        a, b = (gen_fewshot_episode(FewShotConfig(), "val", seed) for _ in range(2))
     np.testing.assert_array_equal(a.query_inputs, b.query_inputs)
     np.testing.assert_array_equal(a.support_inputs, b.support_inputs)
     np.testing.assert_array_equal(a.query_labels, b.query_labels)
