@@ -376,6 +376,41 @@ def _check(name: str, fn, failures: list) -> None:
         print(f"FAIL {name}: {exc}")
 
 
+def _op_cases(a, b) -> dict:
+    """Scalar functions of two 6-vectors, named after the diffcore op each
+    checks (a name may carry a suffix: ``matmul3d``)."""
+    feats = dc.constant(np.linspace(-1.0, 2.0, 9).reshape(3, 3))
+    return {
+        "add": lambda: (a + b).sum(),
+        "sub": lambda: (a - b).sum(),
+        "mul": lambda: (a * b).sum(),
+        "div": lambda: (a / (b + 4.0)).sum(),
+        "neg": lambda: (-a * b).sum(),
+        "scale": lambda: dc.scale(a, 1.7).sum() + b.mean(),
+        "matmul": lambda: dc.matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3))).sum(),
+        "matmul3d": lambda: dc.matmul(a.reshape(2, 3, 1),
+                                      dc.transpose(b.reshape(2, 3, 1))).sum(),
+        "transpose3d": lambda: (dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)).sum(),
+        "reshape": lambda: (a.reshape(3, 2) * b.reshape(3, 2)).sum(),
+        "exp": lambda: dc.exp(a * 0.2).sum() + b.sum(),
+        "log": lambda: dc.log(dc.square(a) + 1.0).sum() * b.mean(),
+        "square": lambda: dc.square(a + b).sum(),
+        "softmax": lambda: (dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),
+        "relu_mlp": lambda: dc.square(dc.relu_mlp(a.reshape(3, 2), [
+            (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
+            (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))])).sum(),
+        "cosine_logits": lambda: dc.square(dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3),
+                                                            b.mean())).sum(),
+        "cosine_vjp": lambda: dc.square(dc.cosine_vjp(feats, b.reshape(2, 3), a.mean(),
+                                                      a.reshape(3, 2))).sum(),
+        "prior_pull": lambda: dc.square(dc.prior_pull(a, b.mean(), b * 0.3)).sum(),
+        "sum": lambda: (a * b).sum(),
+        "mean": lambda: (a * b).mean(),
+        "take_per_row": lambda: dc.take_per_row(a.reshape(3, 2) * b.reshape(3, 2),
+                                                [1, 0, 1]).sum(),
+    }
+
+
 def cmd_gradcheck(args) -> int:
     failures: list = []
     rng = np.random.default_rng(0)
@@ -383,28 +418,7 @@ def cmd_gradcheck(args) -> int:
     def op_suite():
         a = dc.param(rng.normal(size=6))
         b = dc.param(rng.normal(size=6))
-        cases = {
-            "add": lambda: (a + b).sum(),
-            "sub": lambda: (a - b).sum(),
-            "mul": lambda: (a * b).sum(),
-            "div": lambda: (a / (b + 4.0)).sum(),
-            "matmul": lambda: dc.matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3))).sum(),
-            "scale": lambda: dc.scale(a, 1.7).sum() + b.mean(),
-            "relu": lambda: dc.relu(a - b).sum(),
-            "exp": lambda: dc.exp(a * 0.2).sum() + b.sum(),
-            "log": lambda: dc.log(dc.square(a) + 1.0).sum() * b.mean(),
-            "softmax": lambda: (dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),
-            "sum": lambda: (a * b).sum(),
-            "mean": lambda: (a * b).mean(),
-            "square": lambda: dc.square(a + b).sum(),
-            "row_norm": lambda: (dc.row_norm(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),
-            "linear": lambda: dc.square(dc.linear(a.reshape(3, 2), b.reshape(2, 3),
-                                                  b.reshape(2, 3).mean(axis=0))).sum(),
-            "matmul3d": lambda: dc.matmul(a.reshape(2, 3, 1),
-                                          dc.transpose(b.reshape(2, 3, 1))).sum(),
-            "transpose3d": lambda: (dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)).sum(),
-        }
-        for name, f in cases.items():
+        for f in _op_cases(a, b).values():
             dc.check_gradients(f, [a, b], h=1e-5, tol=1e-6)
 
     _check("diffcore op suite vs central differences", op_suite, failures)
@@ -434,10 +448,11 @@ def cmd_gradcheck(args) -> int:
 
     _check("unrolled toy graph (K=3, 2 episodes) vs central differences", toy_graph, failures)
 
-    def fewshot_graph():
+    def fewshot_graph(train_f):
         from .tasks import FewShotConfig
 
-        model = build_fewshot_model(k=3, d_x=4, seed=5, identity_features=True)
+        model = build_fewshot_model(k=3, d_x=4, seed=5, train_f=train_f,
+                                    identity_features=not train_f)
         g = np.random.default_rng(9)
         for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
             model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.3
@@ -453,12 +468,21 @@ def cmd_gradcheck(args) -> int:
             ep.query_labels = ep.query_labels[:5]
         inner = InnerLoopConfig(steps=3, eta_inner=0.05, kl_in_inner=True,
                                 posterior_regime="deterministic")
-        params = [model.params[n] for n in sorted(model.params) if model.params[n].requires_grad]
-        dc.check_gradients(batch_loss(model, episodes, default_config("fewshot"), inner),
-                           params, h=1e-5, tol=1e-6)
+        cfg = default_config("fewshot")
+        params = [t for n, t in sorted(model.params.items()) if t.requires_grad and n != "f_weight"]
+        dc.check_gradients(batch_loss(model, episodes, cfg, inner), params, h=1e-5, tol=1e-6)
+        if train_f:
+            # theta0 and the inner loop read the features detached, so the map's
+            # gradient is the objective's at fixed adapted weights
+            theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, inner)
+            fixed = dc.constant(theta_k.data)
+            dc.check_gradients(lambda: task_objective(episodes, fixed, model, inner).sum(),
+                               [model.params["f_weight"]], h=1e-5, tol=1e-6)
 
     _check("unrolled classification graph (K=3, 3-way, 5 query points, 2 episodes)",
-           fewshot_graph, failures)
+           lambda: fewshot_graph(train_f=False), failures)
+    _check("the same with a trainable feature map (train_f)",
+           lambda: fewshot_graph(train_f=True), failures)
 
     if failures:
         print(f"{len(failures)} gradient check(s) failed")

@@ -249,23 +249,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of (n, d_in) rows by (d_in, d_out) weights and
-    a (d_out,) bias, as one node with the arithmetic of matmul then add."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError("linear", x.shape, w.shape, b.shape)
-
-    def back(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
-
-    return _make(x.data @ w.data + b.data, (x, w, b), back)
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.ndim < 2:
@@ -291,15 +274,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 # -- nonlinearities -------------------------------------------------------
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0): -0.0 maps to +0.0 and NaN propagates."""
-
-    def back(g):
-        _accum(a, g * (a.data > 0.0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), back)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
@@ -323,19 +297,6 @@ def square(a: Tensor) -> Tensor:
     return _make(a.data * a.data, (a,), back)
 
 
-def row_norm(a: Tensor) -> Tensor:
-    """Euclidean norm over the last axis, kept as a length-1 axis: one node
-    with the arithmetic of sqrt(sum(square(a), -1, keepdims=True))."""
-    if a.ndim < 1:
-        raise ShapeError("row_norm", a.shape)
-    out_data = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-
-    def back(g):
-        _accum(a, g * 0.5 / out_data * 2.0 * a.data)
-
-    return _make(out_data, (a,), back)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -347,6 +308,166 @@ def softmax(a: Tensor) -> Tensor:
         _accum(a, out_data * (g - inner))
 
     return _make(out_data, (a,), back)
+
+
+# -- fused ops of the model ----------------------------------------------------
+#
+# Each is one node with a hand-written backward. The forward keeps the
+# arithmetic order of the composite of elementary ops it replaces, so its
+# values are bitwise the composite's.
+
+COSINE_EPS = 1e-12
+
+
+def relu_mlp(x: Tensor, layers) -> Tensor:
+    """ReLU network on the rows of (..., d_in) inputs, leading axes folded
+    into the rows. Each (w, b) of ``layers`` maps h to h @ w + b with (d, d')
+    weights and a (d',) bias, and every layer but the last then applies
+    max(., 0): -0.0 maps to +0.0 and NaN propagates. The bias add and relu
+    are written into the matmul's output; backward reads the relu mask off
+    the post-activation."""
+    shapes = (x.shape,) + tuple(t.shape for layer in layers for t in layer)
+    if x.ndim < 1 or not layers:
+        raise ShapeError("relu_mlp", *shapes)
+    width = x.shape[-1]
+    for w, b in layers:
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ShapeError("relu_mlp", *shapes)
+        width = w.shape[1]
+    acts = [x.data.reshape(-1, x.shape[-1])]
+    for i, (w, b) in enumerate(layers):
+        h = acts[-1] @ w.data
+        h += b.data
+        if i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+
+    def back(g):
+        g = g.reshape(acts[-1].shape)
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if i < len(layers) - 1:
+                g = g * (acts[i + 1] > 0.0)
+            if w.requires_grad:
+                _accum(w, acts[i].T @ g)
+            if b.requires_grad:
+                _accum(b, g.sum(axis=0))
+            if i == 0 and not x.requires_grad:
+                return
+            g = g @ w.data.T
+        _accum(x, g.reshape(x.shape))
+
+    params = tuple(t for layer in layers for t in layer)
+    return _make(acts[-1].reshape(x.shape[:-1] + (width,)), (x,) + params, back)
+
+
+def _cosine_terms(op: str, features: Tensor, theta: Tensor, *rest: Tensor):
+    """Row norms a (..., n, 1) and b (..., k, 1), dots (..., n, k) and
+    1 / (a b^T + COSINE_EPS) of features against weights; ShapeError naming
+    ``op`` and all its operands' shapes when these two do not conform."""
+    shapes = (features.shape, theta.shape) + tuple(t.shape for t in rest)
+    if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
+        raise ShapeError(op, *shapes)
+    f, t = features.data, theta.data
+    a = np.sqrt((f * f).sum(axis=-1, keepdims=True))
+    b = np.sqrt((t * t).sum(axis=-1, keepdims=True))
+    try:
+        dots = f @ np.swapaxes(t, -1, -2).copy()
+    except ValueError:
+        raise ShapeError(op, *shapes) from None
+    inv_denom = 1.0 / (a @ np.swapaxes(b, -1, -2).copy() + COSINE_EPS)
+    return a, b, dots, inv_denom
+
+
+def cosine_logits(features: Tensor, theta: Tensor, scale: Tensor) -> Tensor:
+    """Cosine-classifier logits scale * <f_i, t_j> / (|f_i| |t_j| + COSINE_EPS)
+    of (..., n, d) features against (..., k, d) weights; leading axes
+    broadcast. Differentiable in all three operands."""
+    a, b, dots, inv_denom = _cosine_terms("cosine_logits", features, theta, scale)
+    f, t = features.data, theta.data
+    cos = dots * inv_denom
+
+    def back(g):
+        if scale.requires_grad:
+            _accum(scale, _unbroadcast(g * cos, scale.shape))
+        if not (theta.requires_grad or features.requires_grad):
+            return
+        g_cos = g * scale.data
+        g_dots = g_cos * inv_denom
+        g_denom = -(g_cos * cos) * inv_denom
+        if theta.requires_grad:
+            g_b = np.swapaxes(g_denom, -1, -2) @ a
+            g_t = np.swapaxes(g_dots, -1, -2) @ f + g_b / b * t
+            _accum(theta, _unbroadcast(g_t, theta.shape))
+        if features.requires_grad:
+            g_a = g_denom @ b
+            _accum(features, _unbroadcast(g_dots @ t + g_a / a * f, features.shape))
+
+    return _make(scale.data * cos, (features, theta, scale), back)
+
+
+def cosine_vjp(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor) -> Tensor:
+    """sum_i seed_{i,:}^T d logits_i / d theta of ``cosine_logits``, in closed
+    form: (..., k, d) from (..., n, k) seeds. Differentiable in theta, the
+    scale and the seed; the features must be constant."""
+    if features.requires_grad:
+        raise GraphError("cosine_vjp: features must be constant")
+    a, b, dots, inv_denom = _cosine_terms("cosine_vjp", features, theta, scale, seed)
+    f, t, s, sd = features.data, theta.data, scale.data, seed.data
+    try:
+        sr = sd * inv_denom
+    except ValueError:
+        raise ShapeError("cosine_vjp", features.shape, theta.shape, scale.shape,
+                         seed.shape) from None
+    term1 = np.swapaxes(sr, -1, -2).copy() @ f  # (..., k, d)
+    m = (sd * dots * inv_denom * inv_denom * a).sum(axis=-2)  # (..., k)
+    ratio = m / b[..., 0]
+    term2 = ratio[..., None] * t
+
+    def back(g):
+        if scale.requires_grad:
+            _accum(scale, _unbroadcast(g * (term1 - term2), scale.shape))
+        if not (theta.requires_grad or seed.requires_grad):
+            return
+        p = f @ np.swapaxes(g, -1, -2)  # (..., n, k): <f_i, g_j>
+        g_ratio = -s * (g * t).sum(axis=-1)  # (..., k)
+        g_m = (g_ratio / b[..., 0])[..., None, :]  # (..., 1, k)
+        sq = inv_denom * inv_denom
+        if seed.requires_grad:
+            _accum(seed, _unbroadcast(s * inv_denom * p + g_m * dots * sq * a, seed.shape))
+        if theta.requires_grad:
+            w = sd * a * sq  # d m / d dots
+            g_b = (-s * (w * p).sum(axis=-2)
+                   - 2.0 * g_m[..., 0, :] * (w * dots * inv_denom * a).sum(axis=-2)
+                   - g_ratio * m / (b[..., 0] * b[..., 0]))
+            g_t = (np.swapaxes(g_m * w, -1, -2) @ f + (g_b / b[..., 0])[..., None] * t
+                   - s * ratio[..., None] * g)
+            _accum(theta, _unbroadcast(g_t, theta.shape))
+
+    return _make(s * term1 - s * term2, (theta, scale, seed), back)
+
+
+def prior_pull(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
+    """(x - mean) * exp(-log_var): the gradient in x of the KL of a Gaussian
+    at x to N(mean, exp(log_var)); operands broadcast."""
+    try:
+        diff = x.data - mean.data
+        inv_var = np.exp(-log_var.data)
+        out_data = diff * inv_var
+    except ValueError:
+        raise ShapeError("prior_pull", x.shape, mean.shape, log_var.shape) from None
+
+    def back(g):
+        if x.requires_grad or mean.requires_grad:
+            g_diff = _unbroadcast(g * inv_var, diff.shape)
+            if x.requires_grad:
+                _accum(x, _unbroadcast(g_diff, x.shape))
+            if mean.requires_grad:
+                _accum(mean, _unbroadcast(-g_diff, mean.shape))
+        if log_var.requires_grad:
+            _accum(log_var, -(_unbroadcast(g * diff, inv_var.shape) * inv_var))
+
+    return _make(out_data, (x, mean, log_var), back)
 
 
 # -- reductions -----------------------------------------------------------

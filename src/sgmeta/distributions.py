@@ -89,10 +89,10 @@ def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
 def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
     """Closed-form d KL(q || p) / d q.mean = (mq - mp) / vp.
 
-    Built from graph ops so the expression itself stays differentiable
-    (w.r.t. the mean and the prior's parameters) without any
+    One graph node (``diffcore.prior_pull``), so the expression itself stays
+    differentiable (w.r.t. the mean and the prior's parameters) without any
     gradient-of-gradient machinery. The same formula is exact for both
     variational regimes since the posterior variance does not enter.
     """
     _check_last_axis("kl_grad_wrt_mean", q_mean, p.mean)
-    return (q_mean - p.mean) * dc.exp(-p.log_var)
+    return dc.prior_pull(q_mean, p.mean, p.log_var)

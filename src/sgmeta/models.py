@@ -1,5 +1,6 @@
 """Learnable networks: feature map, initialization, synthetic-gradient MLP,
-cosine classifier head, and the toy linear predictor.
+the cosine classifier's weights and scale (the head itself is
+``diffcore.cosine_logits``), and the toy linear predictor.
 
 A MetaModel is a named bag of Tensors plus static geometry. The synthetic
 gradient network consumes predictions only (a three-layer ReLU MLP whose
@@ -20,9 +21,6 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .rules import BOOL, check_fields, int_at_least, one_of
-
-COSINE_EPS = 1e-12
-
 
 class MetaModel:
     """Meta-parameters: feature map, init net, synthetic-gradient net, prior."""
@@ -151,31 +149,10 @@ def synth_grad(model: MetaModel, y_hat: Tensor) -> Tensor:
     if y_hat.ndim < 2 or y_hat.shape[-1] != model.head_dim:
         raise dc.ShapeError("synth_grad", y_hat.shape, (None, model.head_dim))
     p = model.params
-    rows = y_hat if y_hat.ndim == 2 else y_hat.reshape(-1, model.head_dim)
-    h = dc.relu(dc.linear(rows, p["xi_w1"], p["xi_b1"]))
-    h = dc.relu(dc.linear(h, p["xi_w2"], p["xi_b2"]))
-    out = dc.linear(h, p["xi_w3"], p["xi_b3"])
-    return out if y_hat.ndim == 2 else out.reshape(y_hat.shape)
+    return dc.relu_mlp(y_hat, [(p[f"xi_w{i}"], p[f"xi_b{i}"]) for i in (1, 2, 3)])
 
 
 # -- prediction heads --------------------------------------------------------
-
-
-def cosine_parts(features: Tensor, theta: Tensor, scale: Tensor):
-    """Common sub-expressions of the cosine head.
-
-    ``features`` is (..., n, d) and ``theta`` (..., k, d); leading axes
-    broadcast. Returns (logits, raw_dots, inv_denom, feat_norms,
-    theta_norms) so the closed-form update direction can reuse them.
-    """
-    if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
-        raise dc.ShapeError("cosine_parts", features.shape, theta.shape)
-    a = dc.row_norm(features)  # (..., n, 1)
-    b = dc.row_norm(theta)  # (..., k, 1)
-    dots = dc.matmul(features, dc.transpose(theta))  # (..., n, k)
-    inv_denom = 1.0 / (dc.matmul(a, dc.transpose(b)) + COSINE_EPS)  # (..., n, k)
-    logits = scale * (dots * inv_denom)
-    return logits, dots, inv_denom, a, b
 
 
 def linear_predict_toy(theta: Tensor, x: Tensor) -> Tensor:

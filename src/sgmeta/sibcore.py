@@ -5,10 +5,12 @@ network maps predictions to a surrogate for the unavailable loss gradient,
 and the update direction is the exact vector-Jacobian product of the
 predictions with that surrogate (conceptually, the gradient of the scalar
 ``(1/n) sum_i <stop_grad(net(y_hat_i)), y_hat_i>`` with respect to the task
-weights). The direction is assembled from closed-form graph expressions, so
-the whole K-step unroll is one first-order forward graph: the outer
-objective differentiates through it with respect to the initialization, the
-synthetic-gradient network, and the prior, with no higher-order machinery.
+weights). The direction is a closed-form graph expression, a few fused
+nodes per step (``diffcore.cosine_logits``, ``relu_mlp``, ``cosine_vjp``
+and ``prior_pull``), so the whole K-step unroll is one first-order forward
+graph: the outer objective differentiates through it with respect to the
+initialization, the synthetic-gradient network, and the prior, with no
+higher-order machinery.
 
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``.
@@ -38,13 +40,7 @@ from .distributions import (
     kl_grad_wrt_mean,
     sample_reparam,
 )
-from .models import (
-    MetaModel,
-    apply_features,
-    cosine_parts,
-    linear_predict_toy,
-    synth_grad,
-)
+from .models import MetaModel, apply_features, linear_predict_toy, synth_grad
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import episode_rng, stacked
 
@@ -164,34 +160,15 @@ def toy_direction(theta: Tensor, x: Tensor, model: MetaModel, cfg: InnerLoopConf
     return _mean_over_draws(contrib, eps)
 
 
-def cosine_vjp(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor,
-               parts=None) -> Tensor:
-    """sum_i seed_{i,:}^T d logits_i / d theta for the cosine head, in closed form.
-
-    ``seed`` is (..., n, k); the result matches a per-example loop over
-    analytic Jacobian rows exactly and remains differentiable in theta, the
-    scale, and whatever produced the seed.
-    """
-    if parts is None:
-        parts = cosine_parts(features, theta, scale)
-    logits, dots, inv_denom, a, b = parts
-    sr = seed * inv_denom
-    term1 = scale * dc.matmul(dc.transpose(sr), features)  # (..., k, d)
-    m = dc.tsum(seed * dots * inv_denom * inv_denom * a, axis=-2)  # (..., k)
-    ratio = m / b.reshape(b.shape[:-1])
-    term2 = scale * (ratio.reshape(ratio.shape + (1,)) * theta)
-    return term1 - term2
-
-
 def fewshot_direction(theta: Tensor, features: Tensor, model: MetaModel,
                       cfg: InnerLoopConfig, eps=None) -> Tensor:
     """Synthetic-gradient direction for the cosine head."""
     n = features.shape[-2]
     w = draw_weight(theta, cfg, eps)
-    parts = cosine_parts(features, w, model.params["classifier_scale"])
-    g = synth_grad(model, parts[0])
+    scale = model.params["classifier_scale"]
+    g = synth_grad(model, dc.cosine_logits(features, w, scale))
     seed = g if cfg.sum_convention else dc.scale(g, 1.0 / n)
-    contrib = cosine_vjp(features, w, model.params["classifier_scale"], seed, parts)
+    contrib = dc.cosine_vjp(features, w, scale, seed)
     return _mean_over_draws(contrib, eps)
 
 
@@ -287,8 +264,7 @@ def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tens
         sq = dc.square(pred - dc.constant(labels))
         return sq.sum(axis=-1) if sum_convention else sq.mean(axis=-1)
     feats = apply_features(model, inputs) if features is None else features
-    logits, *_ = cosine_parts(feats, w, model.params["classifier_scale"])
-    return cross_entropy(logits, labels)
+    return cross_entropy(dc.cosine_logits(feats, w, model.params["classifier_scale"]), labels)
 
 
 # -- per-task objective ---------------------------------------------------------
@@ -414,11 +390,10 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
-    parts = cosine_parts(aug_t, theta, scale)
     proj = dc.constant(_ssl_projection(model.k))
-    probs = dc.softmax(dc.matmul(parts[0], proj))
+    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), proj))
     one_hot = (ssl_labels[..., None] == np.arange(4)).astype(np.float64)
     ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / ssl_labels.shape[-1])
     seed = dc.matmul(ce_grad, dc.transpose(proj))  # (..., 4n, k)
-    direction = cosine_vjp(aug_t, theta, scale, seed, parts)
+    direction = dc.cosine_vjp(aug_t, theta, scale, seed)
     return theta - dc.scale(direction, cfg.eta_inner)

@@ -34,7 +34,6 @@ from .models import (
     build_toy_model,
     checkpoint_payload,
     config_hash,
-    cosine_parts,
     frozen_copy,
     init_theta0_global,
     init_theta0_proto,
@@ -471,7 +470,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
             push("kl_to_prior", kl_diag_gaussian(post, prior_now).data)
         else:
             feats = apply_features(frozen, inputs)
-            logits, *_ = cosine_parts(feats, theta_k, frozen.params["classifier_scale"])
+            logits = dc.cosine_logits(feats, theta_k, frozen.params["classifier_scale"])
             push("query_loss", cross_entropy(logits, labels).data)
             push("query_accuracy", accuracy_value(logits.data, labels))
             push("kl_to_prior", prior_term(theta_k, frozen, inner).data)

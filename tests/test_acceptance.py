@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from sgmeta import diffcore as dc
 from sgmeta.analysis import (
     gen_gap,
     ib_decomposition_check,
@@ -22,7 +23,7 @@ from sgmeta.analysis import (
     vary_n_sweep,
 )
 from sgmeta.cli import main as cli_main
-from sgmeta.models import apply_features, cosine_parts
+from sgmeta.models import apply_features
 from sgmeta.sibcore import accuracy_value, maml_inner, sib_unroll
 from sgmeta.tasks import derive_task_seed, gen_spinning_lines, stacked
 from sgmeta.trainer import default_config, episode_for, evaluate, make_theta0, train
@@ -176,7 +177,7 @@ def test_criterion_7_inductive_variant_report(fewshot_run):
     episodes = [episode_for(cfg, "test", i) for i in range(500)]
     theta_k = maml_inner(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
     feats = apply_features(model, stacked(episodes, "query_inputs"))
-    logits, *_ = cosine_parts(feats, theta_k, model.params["classifier_scale"])
+    logits = dc.cosine_logits(feats, theta_k, model.params["classifier_scale"])
     acc_inductive = float(np.mean(accuracy_value(logits.data, stacked(episodes, "query_labels"))))
     acc0 = getattr(test_criterion_6_adaptation_gain, "acc0", None)
     delta6 = getattr(test_criterion_6_adaptation_gain, "delta", None)

@@ -32,14 +32,13 @@ from sgmeta.distributions import (
     kl_grad_wrt_mean,
     sample_reparam,
 )
-from sgmeta.models import apply_features, cosine_parts, synth_grad
+from sgmeta.models import apply_features, synth_grad
 from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     STREAM_INNER,
     STREAM_OBJECTIVE,
     _ssl_projection,
-    cosine_vjp,
     cross_entropy,
     forward_chunks,
     orthogonal_transform_labeler,
@@ -78,10 +77,9 @@ def ref_direction(theta, x, model, cfg, eps_list):
             g = synth_grad(model, (w * x).reshape(n, 1)).reshape(n)
             contrib = ((g * x).sum() if cfg.sum_convention else (g * x).mean()).reshape(1)
         else:
-            parts = cosine_parts(x, w, scale)
-            g = synth_grad(model, parts[0])
+            g = synth_grad(model, dc.cosine_logits(x, w, scale))
             seed = g if cfg.sum_convention else dc.scale(g, 1.0 / x.shape[0])
-            contrib = cosine_vjp(x, w, scale, seed, parts)
+            contrib = dc.cosine_vjp(x, w, scale, seed)
         total = contrib if total is None else total + contrib
     return dc.scale(total, 1.0 / len(eps_list))
 
@@ -123,7 +121,7 @@ def ref_data_term(ep, theta, model, cfg, eps_list):
             contrib = sq.sum() if cfg.sum_convention else sq.mean()
         else:
             feats = apply_features(model, ep.query_inputs)
-            logits, *_ = cosine_parts(feats, w, model.params["classifier_scale"])
+            logits = dc.cosine_logits(feats, w, model.params["classifier_scale"])
             contrib = cross_entropy(logits, ep.query_labels)
         total = contrib if total is None else total + contrib
     return dc.scale(total, 1.0 / len(eps_list))
@@ -135,14 +133,13 @@ def ref_ssl_init(model, ep, cfg):
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
-    parts = cosine_parts(aug_t, theta, scale)
     proj = dc.constant(_ssl_projection(model.k))
-    probs = dc.softmax(dc.matmul(parts[0], proj))
+    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), proj))
     one_hot = np.zeros((len(ssl_labels), 4))
     one_hot[np.arange(len(ssl_labels)), ssl_labels] = 1.0
     ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / len(ssl_labels))
     seed = dc.matmul(ce_grad, dc.transpose(proj))
-    return theta - dc.scale(cosine_vjp(aug_t, theta, scale, seed, parts), cfg.inner.eta_inner)
+    return theta - dc.scale(dc.cosine_vjp(aug_t, theta, scale, seed), cfg.inner.eta_inner)
 
 
 def ref_theta0(model, ep, cfg):

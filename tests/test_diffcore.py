@@ -1,10 +1,15 @@
 """Tests for the reverse-mode engine, anchored on a finite-difference oracle."""
 
+import inspect
+import re
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta import diffcore as dc
+from sgmeta.cli import _op_cases
 from sgmeta.diffcore import (
     GraphError,
     ShapeError,
@@ -76,38 +81,53 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
     assert max(errors) < 1e-6
 
 
-@pytest.mark.parametrize(
-    "name,build",
-    [
-        ("add", lambda a, b: a + b),
-        ("sub", lambda a, b: a - b),
-        ("mul", lambda a, b: a * b),
-        ("div", lambda a, b: a / (b + 3.0)),
-        ("matmul", lambda a, b: matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3)))),
-        ("scale", lambda a, b: dc.scale(a, 2.5) + b),
-        ("relu", lambda a, b: dc.relu(a - b)),
-        ("exp", lambda a, b: dc.exp(a * 0.3) + b),
-        ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
-        ("softmax", lambda a, b: softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
-        ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
-        ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
-        ("square", lambda a, b: dc.square(a + b)),
-        ("row_norm", lambda a, b: dc.row_norm(a.reshape(2, 3)) * b.reshape(2, 3)),
-        ("row_norm3d", lambda a, b: dc.row_norm(a.reshape(3, 1, 2) + b.reshape(1, 3, 2))),
-        ("linear", lambda a, b: dc.square(
-            dc.linear(a.reshape(3, 2), b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)))),
-        ("linear_1col", lambda a, b: dc.square(
-            dc.linear(a.reshape(6, 1), b.mean().reshape(1, 1), b.sum().reshape(1)))),
-        ("matmul3d", lambda a, b: matmul(a.reshape(2, 3, 1), dc.transpose(b.reshape(2, 3, 1)))),
-        ("matmul3d_2d", lambda a, b: matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
-        ("neg", lambda a, b: (-a) * b),
-        ("transpose", lambda a, b: dc.transpose(a.reshape(2, 3)).sum() * b.mean()),
-        ("transpose3d", lambda a, b: dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)),
-        ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
-    ],
-)
+OP_CASES = [
+    ("add", lambda a, b: a + b),
+    ("sub", lambda a, b: a - b),
+    ("mul", lambda a, b: a * b),
+    ("div", lambda a, b: a / (b + 3.0)),
+    ("matmul", lambda a, b: matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3)))),
+    ("scale", lambda a, b: dc.scale(a, 2.5) + b),
+    ("exp", lambda a, b: dc.exp(a * 0.3) + b),
+    ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
+    ("softmax", lambda a, b: softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
+    ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
+    ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
+    ("square", lambda a, b: dc.square(a + b)),
+    # a one-layer relu_mlp is a linear layer
+    ("linear", lambda a, b: dc.square(
+        dc.relu_mlp(a.reshape(3, 2), [(b.reshape(2, 3), b.reshape(2, 3).mean(axis=0))]))),
+    ("linear_1col", lambda a, b: dc.square(
+        dc.relu_mlp(a.reshape(6, 1), [(b.mean().reshape(1, 1), b.sum().reshape(1))]))),
+    ("relu_mlp", lambda a, b: dc.square(dc.relu_mlp(a.reshape(3, 2), [
+        (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
+        (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))]))),
+    ("relu_mlp_1col", lambda a, b: dc.square(dc.relu_mlp(a.reshape(2, 3, 1), [
+        (b.reshape(1, 6), b * 0.1), (a.reshape(6, 1), b.mean().reshape(1))]))),
+    ("cosine_logits", lambda a, b: dc.square(
+        dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), b.mean()))),
+    ("cosine_logits3d", lambda a, b: dc.square(
+        dc.cosine_logits(a.reshape(3, 1, 2), b.reshape(1, 3, 2), a.sum()))),
+    ("cosine_vjp", lambda a, b: dc.square(dc.cosine_vjp(
+        constant(np.linspace(-1.0, 2.0, 9).reshape(3, 3)), b.reshape(2, 3), a.mean(),
+        a.reshape(3, 2)))),
+    ("cosine_vjp3d", lambda a, b: dc.square(dc.cosine_vjp(
+        constant(np.linspace(-1.0, 2.0, 9).reshape(3, 1, 3)), b.reshape(1, 2, 3),
+        b.sum(), a.reshape(3, 1, 2)))),
+    ("prior_pull", lambda a, b: dc.square(dc.prior_pull(a, b.mean(), b * 0.3))),
+    ("take_per_row", lambda a, b: take_per_row(a.reshape(3, 2) * b.reshape(3, 2), [1, 0, 1])),
+    ("matmul3d", lambda a, b: matmul(a.reshape(2, 3, 1), dc.transpose(b.reshape(2, 3, 1)))),
+    ("matmul3d_2d", lambda a, b: matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
+    ("neg", lambda a, b: (-a) * b),
+    ("transpose", lambda a, b: dc.transpose(a.reshape(2, 3)).sum() * b.mean()),
+    ("transpose3d", lambda a, b: dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)),
+    ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
+]
+
+
+@pytest.mark.parametrize("name,build", OP_CASES)
 def test_op_suite_matches_finite_differences(name, build):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hash() is salted per process
     a = param(rng.normal(size=6))
     b = param(rng.normal(size=6))
 
@@ -172,7 +192,29 @@ def test_grad_outside_graph_errors_unless_allowed():
     np.testing.assert_array_equal(g[0], 0.0)
 
 
+def test_op_suites_name_every_differentiable_op():
+    """Both finite-difference suites, this file's and ``sgmeta gradcheck``'s,
+    have a case named after each public differentiable op of diffcore."""
+    not_ops = {"constant", "param", "detach", "backward", "grad", "zero_grad",
+               "fd_gradient", "check_gradients"}
+    spelled = {"tsum": "sum", "tmean": "mean"}
+    ops = {spelled.get(name, name) for name, f in vars(dc).items()
+           if inspect.isfunction(f) and f.__module__ == dc.__name__
+           and not name.startswith("_") and name not in not_ops}
+    assert {"relu_mlp", "cosine_logits", "cosine_vjp", "prior_pull", "sum"} <= ops
+
+    def uncovered(case_names):
+        def named(op, case):  # "matmul", "matmul3d" and "relu_mlp_1col" name their op
+            return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
+
+        return sorted(op for op in ops if not any(named(op, c) for c in case_names))
+
+    assert uncovered([name for name, _ in OP_CASES]) == []
+    assert uncovered(list(_op_cases(param(np.ones(6)), param(np.ones(6))))) == []
+
+
 def test_linear_bias_gradient_sums_over_rows():
+    """A one-layer relu_mlp is the affine map x @ w + b, without a relu."""
     rng = np.random.default_rng(5)
     x = param(rng.normal(size=(5, 4)))
     w = param(rng.normal(size=(4, 3)))
@@ -180,7 +222,7 @@ def test_linear_bias_gradient_sums_over_rows():
     weights = constant(rng.normal(size=(5, 3)))
 
     def loss():
-        return (dc.linear(x, w, bias) * weights).sum()
+        return (dc.relu_mlp(x, [(w, bias)]) * weights).sum()
 
     check_gradients(loss, [x, w, bias], tol=1e-6)
     np.testing.assert_array_equal(bias.grad, weights.data.sum(axis=0))
@@ -190,12 +232,12 @@ def test_linear_is_bitwise_matmul_plus_bias():
     rng = np.random.default_rng(6)
     params = [param(rng.normal(size=s)) for s in ((7, 4), (4, 3), (3,))]
     weights = constant(rng.normal(size=(7, 3)))
-    fused = dc.linear(*params)
-    fused_grads = [g.copy() for g in grad((dc.relu(fused) * weights).sum(), params)]
-    zero_grad(params)
     x, w, bias = params
+    fused = dc.relu_mlp(x, [(w, bias)])
+    fused_grads = [g.copy() for g in grad((dc.square(fused) * weights).sum(), params)]
+    zero_grad(params)
     composite = matmul(x, w) + bias
-    composite_grads = grad((dc.relu(composite) * weights).sum(), params)
+    composite_grads = grad((dc.square(composite) * weights).sum(), params)
     np.testing.assert_array_equal(fused.data, composite.data)
     for g_fused, g_composite in zip(fused_grads, composite_grads):
         np.testing.assert_array_equal(g_fused, g_composite)
@@ -211,28 +253,40 @@ def test_linear_is_bitwise_matmul_plus_bias():
         (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
         (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
         (dc.div, (Tensor(np.ones(5)), Tensor(np.ones((2, 3))))),
-        (dc.linear, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))),
-        (dc.linear, (Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))),
-        (dc.linear, (Tensor(np.ones(3)), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))),
+        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))])),
+        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))])),
+        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(4))),
+                                                 (Tensor(np.ones((3, 4))), Tensor(np.ones(4)))])),
+        (dc.cosine_logits, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(1.0))),
+        (dc.cosine_logits, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 4, 3))), Tensor(1.0))),
+        (dc.cosine_vjp, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
+                         Tensor(np.ones((5, 3))))),
+        (dc.prior_pull, (Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(3)))),
     ],
 )
 def test_shape_mismatch_raises_structured_error(op, args):
     with pytest.raises(ShapeError) as exc:
         op(*args)
     assert exc.value.op == op.__name__
-    shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in args)
+    # relu_mlp's layers count as operands of their own
+    operands = [t for a in args for t in (
+        [t for layer in a for t in layer] if op is dc.relu_mlp and isinstance(a, list) else [a])]
+    shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in operands)
     assert exc.value.shapes == shapes
 
 
 def test_relu_edge_values():
-    x = param([-0.0, 0.0, -1.0, -np.inf, 2.5, np.inf, np.nan])
-    out = dc.relu(x)
-    np.testing.assert_array_equal(out.data[:4], 0.0)
+    """The hidden relu of relu_mlp: negatives and zeros give +0.0, inf
+    passes, NaN propagates, and the backward mask is off on NaN."""
+    x = param(np.array([-0.0, 0.0, -1.0, -np.inf, 2.5, np.inf, np.nan]).reshape(7, 1))
+    one, zero = constant(np.eye(1)), constant([-0.0])
+    out = dc.relu_mlp(x, [(one, zero), (one, zero)])
+    np.testing.assert_array_equal(out.data[:4, 0], 0.0)
     assert not np.any(np.signbit(out.data[:4]))
-    np.testing.assert_array_equal(out.data[4:6], [2.5, np.inf])
-    assert np.isnan(out.data[6])  # propagated, not zeroed
-    backward((out * constant([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])).sum())
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 5.0, 6.0, 0.0])
+    np.testing.assert_array_equal(out.data[4:6, 0], [2.5, np.inf])
+    assert np.isnan(out.data[6, 0])  # propagated, not zeroed
+    backward((out * constant(np.arange(1.0, 8.0).reshape(7, 1))).sum())
+    np.testing.assert_array_equal(x.grad[:, 0], [0.0, 0.0, 0.0, 0.0, 5.0, 6.0, 0.0])
 
 
 def test_backward_is_bitwise_deterministic():

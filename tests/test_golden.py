@@ -58,6 +58,7 @@ CONFIGS = {
     "fewshot-global": {**FEWSHOT, "theta_init": "global"},
     "fewshot-ssl": {**FEWSHOT, "theta_init": "ssl"},
     "fewshot-gaussian": FEWSHOT_GAUSSIAN,
+    "fewshot-train-f": {**FEWSHOT, "train_f": True},
 }
 
 # run name -> (config, argv after the config; "{name}" is that run's checkpoint)
@@ -68,6 +69,7 @@ RUNS = {
     "train-fewshot-global": ("fewshot-global", ["train-fewshot"]),
     "train-fewshot-ssl": ("fewshot-ssl", ["train-fewshot"]),
     "train-fewshot-gaussian": ("fewshot-gaussian", ["train-fewshot"]),
+    "train-fewshot-train-f": ("fewshot-train-f", ["train-fewshot"]),
     "eval-toy": ("toy", ["eval", "--checkpoint", "{train-toy}", "--episodes", "160"]),
     "eval-toy-k0": ("toy", ["eval", "--checkpoint", "{train-toy}", "--inner-steps", "0"]),
     "eval-fewshot": ("fewshot", ["eval", "--checkpoint", "{train-fewshot-proto}"]),

@@ -15,7 +15,6 @@ from sgmeta.models import (
     build_toy_model,
     checkpoint_payload,
     config_hash,
-    cosine_parts,
     init_theta0_global,
     init_theta0_proto,
     linear_predict_toy,
@@ -107,7 +106,7 @@ def test_synth_grad_width_mismatch_errors():
 
 
 def cosine_logits(model, features, theta):
-    return cosine_parts(features, theta, model.params["classifier_scale"])[0]
+    return dc.cosine_logits(features, theta, model.params["classifier_scale"])
 
 
 def test_cosine_parallel_gives_scale():

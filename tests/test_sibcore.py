@@ -12,7 +12,6 @@ from sgmeta.models import (
     apply_features,
     build_fewshot_model,
     build_toy_model,
-    cosine_parts,
     init_theta0_global,
     init_theta0_proto,
 )
@@ -21,7 +20,6 @@ from sgmeta.sibcore import (
     GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
     _ssl_projection,
-    cosine_vjp,
     cross_entropy,
     data_term,
     inner_inputs,
@@ -167,7 +165,7 @@ def test_cosine_vjp_matches_naive_per_example_loop():
     theta = rng.normal(size=(k, d))
     seed = rng.normal(size=(n, k))
     scale = 10.0
-    out = cosine_vjp(constant(feats), constant(theta), constant(scale), constant(seed))
+    out = dc.cosine_vjp(constant(feats), constant(theta), constant(scale), constant(seed))
 
     tau = 1e-12
     expected = np.zeros((k, d))
@@ -193,12 +191,11 @@ def test_cosine_vjp_matches_fd_of_seeded_logit_sum():
     scale = constant(7.0)
 
     def f():
-        logits, *_ = cosine_parts(constant(feats), theta, scale)
-        return (constant(seed) * logits).sum()
+        return (constant(seed) * dc.cosine_logits(constant(feats), theta, scale)).sum()
 
     zero_grad([theta])
     (auto,) = grad(f(), [theta])
-    direction = cosine_vjp(constant(feats), Tensor(theta.data), scale, constant(seed))
+    direction = dc.cosine_vjp(constant(feats), Tensor(theta.data), scale, constant(seed))
     np.testing.assert_allclose(direction.data, auto, rtol=1e-12, atol=1e-12)
 
 
@@ -415,8 +412,7 @@ def test_ssl_init_descends_for_small_rate():
 def ssl_loss(model, ep, theta_data):
     """Self-supervised cross entropy at fixed task weights."""
     aug, ssl_labels = orthogonal_transform_labeler(apply_features(model, ep.query_inputs).data)
-    logits, *_ = cosine_parts(constant(aug), constant(theta_data),
-                              model.params["classifier_scale"])
+    logits = dc.cosine_logits(constant(aug), constant(theta_data), model.params["classifier_scale"])
     return cross_entropy(dc.matmul(logits, constant(_ssl_projection(model.k))), ssl_labels).item()
 
 
