@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -219,17 +220,17 @@ def cmd_train(args) -> int:
         best = result.model
         current = best.clone_data()
         best.load_data(result.best_snapshot)
-        save_checkpoint(best, out / "checkpoint_best.json", cfg, step=result.steps_run)
+        save_checkpoint(best, out / "checkpoint_best.json", cfg, step=result.best_step)
         best.load_data(current)
     row = result.final_eval.row
     summary = {
         "command": f"train-{cfg.mode}",
         "config_hash": config_hash(config_to_dict(cfg)),
         "steps": result.steps_run,
-        "final": {k: v for k, v in dataclasses.asdict(row).items()
-                  if v is not None and k != "wall_time_ms"},
+        "final": {k: v for k, v in dataclasses.asdict(row).items() if v is not None},
         "final_ci95": result.final_eval.ci95,
         "best_metric": result.best_metric,
+        "best_step": result.best_step,
         "wall_time_ms": wall_ms,
     }
     write_report_json(out / "summary.json", summary)
@@ -376,50 +377,65 @@ def _check(name: str, fn, failures: list) -> None:
         print(f"FAIL {name}: {exc}")
 
 
-def _op_cases(a, b) -> dict:
-    """Scalar functions of two 6-vectors, named after the diffcore op each
-    checks (a name may carry a suffix: ``matmul3d``)."""
-    feats = dc.constant(np.linspace(-1.0, 2.0, 9).reshape(3, 3))
-    return {
-        "add": lambda: (a + b).sum(),
-        "sub": lambda: (a - b).sum(),
-        "mul": lambda: (a * b).sum(),
-        "div": lambda: (a / (b + 4.0)).sum(),
-        "neg": lambda: (-a * b).sum(),
-        "scale": lambda: dc.scale(a, 1.7).sum() + b.mean(),
-        "matmul": lambda: dc.matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3))).sum(),
-        "matmul3d": lambda: dc.matmul(a.reshape(2, 3, 1),
-                                      dc.transpose(b.reshape(2, 3, 1))).sum(),
-        "transpose3d": lambda: (dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)).sum(),
-        "reshape": lambda: (a.reshape(3, 2) * b.reshape(3, 2)).sum(),
-        "exp": lambda: dc.exp(a * 0.2).sum() + b.sum(),
-        "log": lambda: dc.log(dc.square(a) + 1.0).sum() * b.mean(),
-        "square": lambda: dc.square(a + b).sum(),
-        "softmax": lambda: (dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)).sum(),
-        "relu_mlp": lambda: dc.square(dc.relu_mlp(a.reshape(3, 2), [
-            (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
-            (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))])).sum(),
-        "cosine_logits": lambda: dc.square(dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3),
-                                                            b.mean())).sum(),
-        "cosine_vjp": lambda: dc.square(dc.cosine_vjp(feats, b.reshape(2, 3), a.mean(),
-                                                      a.reshape(3, 2))).sum(),
-        "prior_pull": lambda: dc.square(dc.prior_pull(a, b.mean(), b * 0.3)).sum(),
-        "sum": lambda: (a * b).sum(),
-        "mean": lambda: (a * b).mean(),
-        "take_per_row": lambda: dc.take_per_row(a.reshape(3, 2) * b.reshape(3, 2),
-                                                [1, 0, 1]).sum(),
-    }
+# Finite-difference cases of the diffcore ops: (name, build), where build(a, b)
+# is a tensor of two 6-vectors; a case is named after the op it checks, with
+# an optional suffix ("matmul3d").
+_FEATS = np.linspace(-1.0, 2.0, 9)
+OP_CASES = [
+    ("add", lambda a, b: a + b),
+    ("sub", lambda a, b: a - b),
+    ("mul", lambda a, b: a * b),
+    ("neg", lambda a, b: (-a) * b),
+    ("scale", lambda a, b: dc.scale(a, 2.5) + b),
+    ("matmul", lambda a, b: dc.matmul(a.reshape(2, 3), b.reshape(3, 2))),
+    ("matmul3d", lambda a, b: dc.matmul(a.reshape(2, 3, 1), b.reshape(2, 1, 3))),
+    ("matmul3d_2d", lambda a, b: dc.matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
+    ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
+    ("exp", lambda a, b: dc.exp(a * 0.3) + b),
+    ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
+    ("square", lambda a, b: dc.square(a + b)),
+    ("softmax", lambda a, b: dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
+    # a one-layer relu_mlp is a linear layer
+    ("linear", lambda a, b: dc.square(
+        dc.relu_mlp(a.reshape(3, 2), [(b.reshape(2, 3), b.reshape(2, 3).mean(axis=0))]))),
+    ("linear_1col", lambda a, b: dc.square(
+        dc.relu_mlp(a.reshape(6, 1), [(b.mean().reshape(1, 1), b.sum().reshape(1))]))),
+    ("relu_mlp", lambda a, b: dc.square(dc.relu_mlp(a.reshape(3, 2), [
+        (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
+        (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))]))),
+    ("relu_mlp_1col", lambda a, b: dc.square(dc.relu_mlp(a.reshape(2, 3, 1), [
+        (b.reshape(1, 6), b * 0.1), (a.reshape(6, 1), b.mean().reshape(1))]))),
+    ("cosine_logits", lambda a, b: dc.square(
+        dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), b.mean()))),
+    ("cosine_logits3d", lambda a, b: dc.square(
+        dc.cosine_logits(a.reshape(3, 1, 2), b.reshape(1, 3, 2), a.sum()))),
+    ("cosine_vjp", lambda a, b: dc.square(dc.cosine_vjp(
+        dc.constant(_FEATS.reshape(3, 3)), b.reshape(2, 3), a.mean(), a.reshape(3, 2)))),
+    ("cosine_vjp3d", lambda a, b: dc.square(dc.cosine_vjp(
+        dc.constant(_FEATS.reshape(3, 1, 3)), b.reshape(1, 2, 3), b.sum(),
+        a.reshape(3, 1, 2)))),
+    ("prior_pull", lambda a, b: dc.square(dc.prior_pull(a, b.mean(), b * 0.3))),
+    ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
+    ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
+    ("take_per_row", lambda a, b: dc.take_per_row(a.reshape(3, 2) * b.reshape(3, 2),
+                                                  [1, 0, 1])),
+]
+
+
+def check_op_case(name: str, build) -> None:
+    """Autodiff against central differences of sum(build(a, b)) at 1e-6, on
+    two normal 6-vectors drawn from a seed fixed by the case's name."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    a, b = dc.param(rng.normal(size=6)), dc.param(rng.normal(size=6))
+    dc.check_gradients(lambda: build(a, b).sum(), [a, b], h=1e-5, tol=1e-6)
 
 
 def cmd_gradcheck(args) -> int:
     failures: list = []
-    rng = np.random.default_rng(0)
 
     def op_suite():
-        a = dc.param(rng.normal(size=6))
-        b = dc.param(rng.normal(size=6))
-        for f in _op_cases(a, b).values():
-            dc.check_gradients(f, [a, b], h=1e-5, tol=1e-6)
+        for name, build in OP_CASES:
+            check_op_case(name, build)
 
     _check("diffcore op suite vs central differences", op_suite, failures)
 
@@ -451,8 +467,7 @@ def cmd_gradcheck(args) -> int:
     def fewshot_graph(train_f):
         from .tasks import FewShotConfig
 
-        model = build_fewshot_model(k=3, d_x=4, seed=5, train_f=train_f,
-                                    identity_features=not train_f)
+        model = build_fewshot_model(k=3, d_x=4, seed=5, train_f=train_f)
         g = np.random.default_rng(9)
         for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
             model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.3

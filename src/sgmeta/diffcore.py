@@ -66,29 +66,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __neg__(self):
         return neg(self)
@@ -196,21 +178,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape) from None
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * out_data / b.data, b.shape))
-
-    return _make(out_data, (a, b), back)
-
-
 def neg(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, -g)
@@ -247,17 +214,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out_data, (a, b), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ShapeError("transpose", a.shape)
-
-    def back(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2).copy(), (a,), back)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -4,7 +4,7 @@ All quantities are built from diffcore ops so they stay differentiable with
 respect to both distributions' parameters. Two variational regimes are used
 by the rest of the package:
 
-* ``toy_fixed_var`` — the posterior's log-variance is frozen and only the
+* ``gaussian_fixed_var`` — the posterior's log-variance is frozen and only the
   mean is optimized; sampling perturbs the mean with scaled noise.
 * ``deterministic`` — a point-mass posterior: sampling returns the mean and
   the KL term is replaced by ``dirac_prior_term`` (the cross term to the
@@ -15,8 +15,6 @@ one prior gives one value per posterior.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
@@ -35,10 +33,6 @@ class DiagGaussian:
 
     def std(self) -> Tensor:
         return dc.exp(dc.scale(self.log_var, 0.5))
-
-
-def standard(dim: int) -> DiagGaussian:
-    return DiagGaussian(np.zeros(dim), np.zeros(dim))
 
 
 def _check_last_axis(op: str, a: Tensor, b: Tensor) -> None:

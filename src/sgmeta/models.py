@@ -79,7 +79,7 @@ def build_toy_model(seed: int = 0) -> MetaModel:
 
 
 def build_fewshot_model(k: int, d_x: int, d_f: Optional[int] = None, seed: int = 0,
-                        train_f: bool = False, identity_features: bool = False) -> MetaModel:
+                        train_f: bool = False) -> MetaModel:
     d_f = d_x if d_f is None else d_f
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0xF00D))
     params = _xi_params(rng, p=k, hidden=8 * k)
@@ -91,27 +91,23 @@ def build_fewshot_model(k: int, d_x: int, d_f: Optional[int] = None, seed: int =
     params["psi_mean"] = dc.param(np.zeros(k * d_f))
     params["psi_log_var"] = dc.param(np.zeros(k * d_f))
     params["classifier_scale"] = dc.param(10.0)
-    if not identity_features:
-        # frozen random map by default; orthonormal columns keep feature scale
-        if d_f <= d_x:
-            q_mat, _ = np.linalg.qr(rng.normal(size=(d_x, d_x)))
-            f_w = q_mat[:, :d_f]
-        else:
-            f_w = rng.normal(size=(d_x, d_f)) / np.sqrt(d_x)
-        params["f_weight"] = Tensor(f_w, requires_grad=train_f)
-    model = MetaModel("fewshot", k=k, d_x=d_x, d_f=d_f, params=params, train_f=train_f)
-    return model
+    # a random linear map, frozen unless train_f; orthonormal columns keep
+    # the feature scale
+    if d_f <= d_x:
+        q_mat, _ = np.linalg.qr(rng.normal(size=(d_x, d_x)))
+        f_w = q_mat[:, :d_f]
+    else:
+        f_w = rng.normal(size=(d_x, d_f)) / np.sqrt(d_x)
+    params["f_weight"] = Tensor(f_w, requires_grad=train_f)
+    return MetaModel("fewshot", k=k, d_x=d_x, d_f=d_f, params=params, train_f=train_f)
 
 
 # -- feature map -----------------------------------------------------------
 
 
 def apply_features(model: MetaModel, inputs: np.ndarray) -> Tensor:
-    """Map raw inputs to feature space (identity when no map is configured)."""
-    x = dc.constant(inputs)
-    if "f_weight" not in model.params:
-        return x
-    return dc.matmul(x, model.params["f_weight"])
+    """Map raw inputs to feature space."""
+    return dc.matmul(dc.constant(inputs), model.params["f_weight"])
 
 
 # -- initialization --------------------------------------------------------

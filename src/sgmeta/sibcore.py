@@ -296,10 +296,24 @@ def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
     return dirac_prior_term(flat, prior_dist(model))
 
 
-def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
-    """Per-task negative evidence bound: expected query loss plus KL to prior."""
+def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
+                   kl_weight: float = 1.0) -> Tensor:
+    """Per-task negative evidence bound, one value per episode: expected query
+    loss plus KL to the prior.
+
+    The prior term is split at a stop-gradient: ``kl_weight`` of it sees
+    theta and the rest sees a constant copy, so the prior always receives
+    its full matching gradient while only ``kl_weight`` of its pull reaches
+    the adapted weights. Weight 1 is the plain bound.
+    """
     eps = objective_noise(theta, episodes, cfg)
-    return data_term(episodes, theta, model, cfg, eps) + prior_term(theta, model, cfg)
+    loss = data_term(episodes, theta, model, cfg, eps)
+    if kl_weight != 0.0:
+        loss = loss + dc.scale(prior_term(theta, model, cfg), kl_weight)
+    if kl_weight != 1.0:
+        frozen = dc.constant(theta.data)
+        loss = loss + dc.scale(prior_term(frozen, model, cfg), 1.0 - kl_weight)
+    return loss
 
 
 def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
@@ -390,10 +404,10 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
-    proj = dc.constant(_ssl_projection(model.k))
-    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), proj))
+    proj = _ssl_projection(model.k)
+    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), dc.constant(proj)))
     one_hot = (ssl_labels[..., None] == np.arange(4)).astype(np.float64)
     ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / ssl_labels.shape[-1])
-    seed = dc.matmul(ce_grad, dc.transpose(proj))  # (..., 4n, k)
+    seed = dc.matmul(ce_grad, dc.constant(proj.T.copy()))  # (..., 4n, k)
     direction = dc.cosine_vjp(aug_t, theta, scale, seed)
     return theta - dc.scale(direction, cfg.eta_inner)

@@ -2,12 +2,11 @@
 meta-parameters; plus evaluation, metric logging, and checkpointing.
 
 One optimizer step consumes a batch of episodes, stacked on a leading axis so
-the step builds and differentiates one graph. Per episode the loss is the
-expected query loss plus the prior term; the prior term is split so that the
-prior always receives its full matching gradient while the weight of the
-prior pull on the adapted task weights is configurable (``outer_kl_weight``:
-1 recovers the single merged objective, 0 trains the adaptation path on the
-data term alone while the prior still tracks the produced posteriors).
+the step builds and differentiates one graph. Per episode the loss is
+``sibcore.task_objective`` at the adapted weights, with the weight of the
+prior pull on those weights set by ``outer_kl_weight`` (1 is the plain
+per-task bound; 0 trains the adaptation path on the data term alone while
+the prior still tracks the produced posteriors).
 
 Everything is deterministic given the run seed: episode streams, adaptation
 noise, and batch order all derive from counter-based seeds.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from .distributions import DiagGaussian, kl_diag_gaussian
+from .distributions import kl_diag_gaussian
 from .models import (
     MetaModel,
     apply_features,
@@ -46,14 +44,14 @@ from .sibcore import (
     InnerLoopError,
     accuracy_value,
     cross_entropy,
-    data_term,
     forward_chunks,
-    objective_noise,
+    posterior_dist,
     prior_dist,
     prior_term,
     query_loss,
     sib_unroll,
     ssl_init,
+    task_objective,
 )
 from .rules import (
     BOOL,
@@ -197,8 +195,8 @@ class RunConfig:
         return "proto" if self.mode == "fewshot" else "global"
 
 
-def default_config(mode: str = "toy", **overrides) -> RunConfig:
-    """Mode-appropriate defaults; keyword overrides are applied on top."""
+def default_config(mode: str = "toy") -> RunConfig:
+    """Mode-appropriate defaults."""
     if mode == "toy":
         cfg = RunConfig(
             mode="toy",
@@ -236,11 +234,6 @@ def default_config(mode: str = "toy", **overrides) -> RunConfig:
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
-    cfg.__post_init__()
     return cfg
 
 
@@ -339,7 +332,6 @@ class MetricsRow:
     kl_to_prior: Optional[float] = None
     kl_to_true_posterior: Optional[float] = None
     prior_kl_to_true: Optional[float] = None
-    wall_time_ms: Optional[float] = None
 
 
 @dataclass
@@ -357,11 +349,7 @@ class EvalReport:
 
 
 def metric_records(row: MetricsRow, ci95: Optional[dict] = None):
-    """Expand a row into (step, split, metric, value, ci95) tuples.
-
-    Wall time is excluded: metric files must be byte-identical across
-    reruns of the same seed.
-    """
+    """Expand a row into (step, split, metric, value, ci95) tuples."""
     ci95 = ci95 or {}
     records = []
     for name in (
@@ -420,19 +408,10 @@ def episode_for(cfg: RunConfig, split: str, index: int) -> Episode:
 
 
 def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
-    """Per-episode training losses of a list of episodes, with the
-    prior-gradient split applied, and the adapted weights."""
-    klw = cfg.kl_weight
-    theta0 = make_theta0(model, episodes, cfg)
-    theta_k, _ = sib_unroll(theta0, episodes, model, cfg.inner)
-    eps = objective_noise(theta_k, episodes, cfg.inner)
-    loss = data_term(episodes, theta_k, model, cfg.inner, eps)
-    if klw != 0.0:
-        loss = loss + dc.scale(prior_term(theta_k, model, cfg.inner), klw)
-    if klw != 1.0:
-        frozen = dc.constant(theta_k.data)
-        loss = loss + dc.scale(prior_term(frozen, model, cfg.inner), 1.0 - klw)
-    return loss, theta_k
+    """Per-episode training losses of a list of episodes, and the adapted
+    weights."""
+    theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
+    return task_objective(episodes, theta_k, model, cfg.inner, cfg.kl_weight), theta_k
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -450,7 +429,6 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
     inner = cfg.inner if inner is None else inner
-    start = time.perf_counter()
     per = {}
 
     def push(name, values):
@@ -458,22 +436,19 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
 
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
-    prior_now = prior_dist(frozen)
     for _, chunk in forward_chunks(episodes):
         theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
         inputs, labels = stacked(chunk, "query_inputs"), stacked(chunk, "query_labels")
         if model.mode == "toy":
             push("query_mse", query_loss(frozen, inputs, labels, theta_k).data)
-            post = DiagGaussian(theta_k.data, np.full(theta_k.shape, inner.q_log_var))
-            push("kl_to_true_posterior",
-                 kl_diag_gaussian(post, true_posterior(chunk, cfg.toy)).data)
-            push("kl_to_prior", kl_diag_gaussian(post, prior_now).data)
+            push("kl_to_true_posterior", kl_diag_gaussian(
+                posterior_dist(theta_k, inner), true_posterior(chunk, cfg.toy)).data)
         else:
             feats = apply_features(frozen, inputs)
             logits = dc.cosine_logits(feats, theta_k, frozen.params["classifier_scale"])
             push("query_loss", cross_entropy(logits, labels).data)
             push("query_accuracy", accuracy_value(logits.data, labels))
-            push("kl_to_prior", prior_term(theta_k, frozen, inner).data)
+        push("kl_to_prior", prior_term(theta_k, frozen, inner).data)
     for name, arr in model.clone_data().items():
         if not np.array_equal(arr, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")
@@ -491,8 +466,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     row = MetricsRow(step=step, split=split, **{k: means.get(k) for k in (
         "query_loss", "query_accuracy", "query_mse", "kl_to_prior", "kl_to_true_posterior")})
     if model.mode == "toy":
-        row.prior_kl_to_true = kl_diag_gaussian(prior_now, true_prior(cfg.toy)).item()
-    row.wall_time_ms = 1000.0 * (time.perf_counter() - start)
+        row.prior_kl_to_true = kl_diag_gaussian(prior_dist(frozen), true_prior(cfg.toy)).item()
     return EvalReport(row=row, ci95=ci95, n_episodes=len(episodes),
                       degenerate=degenerate, per_episode={k: np.asarray(v) for k, v in per.items()})
 
@@ -507,10 +481,11 @@ class TrainResult:
     final_eval: EvalReport
     best_snapshot: Optional[dict]
     best_metric: Optional[float]
+    best_step: Optional[int]
     steps_run: int
 
 
-def train(cfg: RunConfig, progress=None) -> TrainResult:
+def train(cfg: RunConfig) -> TrainResult:
     """Run the outer loop; deterministic for a fixed config and seed."""
     model = build_model(cfg)
     trainables = [t for _, t in sorted(model.trainable().items())]
@@ -532,6 +507,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
     records = []
     best_metric = None
     best_snapshot = None
+    best_step = None
     last_good = model.clone_data()
     order = None
     split = "test" if cfg.mode == "toy" else "val"
@@ -587,8 +563,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
                 if better:
                     best_metric = value
                     best_snapshot = model.clone_data()
-                if progress is not None:
-                    progress(step + 1, total_steps, report)
+                    best_step = step + 1
     except InnerLoopError as exc:
         model.load_data(last_good)
         raise TrainingDiverged(f"{exc} at outer step {step}",
@@ -599,6 +574,7 @@ def train(cfg: RunConfig, progress=None) -> TrainResult:
         final_eval=report,
         best_snapshot=best_snapshot,
         best_metric=best_metric,
+        best_step=best_step,
         steps_run=total_steps,
     )
 

@@ -1,5 +1,6 @@
 """Analysis estimators against enumeration, symbolic, and resampling oracles."""
 
+import dataclasses
 import math
 import warnings
 
@@ -63,7 +64,7 @@ def mi_of(model, eps, inner):
 
 def kl_to_true_posterior(model, eps, inner):
     """Mean exact KL to the closed-form posterior, as ``evaluate`` reports it."""
-    cfg = default_config("toy", toy=TOY, inner=inner)
+    cfg = dataclasses.replace(default_config("toy"), toy=TOY, inner=inner)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a single episode has a degenerate interval
         return evaluate(model, cfg, "test", eps).row.kl_to_true_posterior
@@ -96,7 +97,7 @@ def test_kl_to_true_posterior_untrained_matches_closed_form():
 
 def test_kl_to_true_posterior_requires_toy_mode():
     # the closed-form posterior exists only for the toy regression
-    cfg = default_config("fewshot", fewshot=FewShotConfig(
+    cfg = dataclasses.replace(default_config("fewshot"), fewshot=FewShotConfig(
         k=2, d_x=3, n_query_per_class=2, class_pool={"train": 4, "val": 2, "test": 2}))
     pool = [episode_for(cfg, "test", i) for i in range(2)]
     report = evaluate(build_model(cfg), cfg, "test", pool)

@@ -133,12 +133,12 @@ def ref_ssl_init(model, ep, cfg):
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
-    proj = dc.constant(_ssl_projection(model.k))
-    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), proj))
+    proj = _ssl_projection(model.k)
+    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), dc.constant(proj)))
     one_hot = np.zeros((len(ssl_labels), 4))
     one_hot[np.arange(len(ssl_labels)), ssl_labels] = 1.0
     ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / len(ssl_labels))
-    seed = dc.matmul(ce_grad, dc.transpose(proj))
+    seed = dc.matmul(ce_grad, dc.constant(proj.T))
     return theta - dc.scale(dc.cosine_vjp(aug_t, theta, scale, seed), cfg.inner.eta_inner)
 
 

@@ -13,7 +13,14 @@ import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
 from sgmeta.cli import build_parser, main
 from sgmeta.tasks import derive_task_seed
-from sgmeta.trainer import build_model, config_from_dict, save_checkpoint
+from sgmeta.trainer import (
+    build_model,
+    config_from_dict,
+    episode_for,
+    load_checkpoint,
+    make_theta0,
+    save_checkpoint,
+)
 
 
 TINY_TOY = {
@@ -211,6 +218,26 @@ def test_analyze_toy_writes_report(tmp_path, toy_cfg_file):
     assert {"kl_to_true_posterior", "mi_estimate", "gen_gap_seed0", "gen_bound_seed0"} <= names
     summary = json.loads((out / "summary.json").read_text())
     assert "bound_holds_all_seeds" in summary
+
+
+def test_deterministic_toy_analyze_reports_the_prior_term(tmp_path, toy_cfg_file):
+    """In the deterministic regime too, ``mi_estimate`` is the mean point-mass
+    ``prior_term`` of the evaluation pool's adapted weights, the KL the
+    objective and the gap's ``mi`` use."""
+    run = tmp_path / "run"
+    assert main(["train-toy", "--config", str(toy_cfg_file), "--set",
+                 "inner.posterior_regime=deterministic", "--out", str(run)]) == 0
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--config", str(run / "effective_config.json"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--trials", "20",
+                 "--out", str(out)]) == 0
+    rows = dict(line.split(",")[:2] for line in (out / "report.csv").read_text().splitlines())
+    cfg = config_from_dict(json.loads((run / "effective_config.json").read_text()))
+    model = load_checkpoint(run / "checkpoint.json", cfg)
+    pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
+    theta_k, _ = sibcore.sib_unroll(make_theta0(model, pool, cfg), pool, model, cfg.inner)
+    expected = float(np.mean(sibcore.prior_term(theta_k, model, cfg.inner).data))
+    assert float(rows["mi_estimate"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_fewshot_analyze_runs_the_trials_it_records(tmp_path, fewshot_cfg_file):

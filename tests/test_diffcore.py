@@ -1,15 +1,15 @@
 """Tests for the reverse-mode engine, anchored on a finite-difference oracle."""
 
 import inspect
+import json
 import re
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta import diffcore as dc
-from sgmeta.cli import _op_cases
+from sgmeta.cli import OP_CASES, check_op_case, main
 from sgmeta.diffcore import (
     GraphError,
     ShapeError,
@@ -29,8 +29,10 @@ from sgmeta.diffcore import (
 
 
 def tanh(t):
-    """tanh composed of engine ops: 1 - 2 / (exp(2t) + 1)."""
-    return 1.0 - 2.0 / (dc.exp(dc.scale(t, 2.0)) + 1.0)
+    """tanh composed of engine ops: the difference of the two entries of
+    softmax([t, -t]), sigmoid(2t) - sigmoid(-2t)."""
+    pair = matmul(t.reshape(t.shape + (1,)), constant([[1.0, -1.0]]))
+    return matmul(softmax(pair), constant([[1.0], [-1.0]])).reshape(t.shape)
 
 
 def test_matmul_identity():
@@ -81,62 +83,9 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
     assert max(errors) < 1e-6
 
 
-OP_CASES = [
-    ("add", lambda a, b: a + b),
-    ("sub", lambda a, b: a - b),
-    ("mul", lambda a, b: a * b),
-    ("div", lambda a, b: a / (b + 3.0)),
-    ("matmul", lambda a, b: matmul(a.reshape(2, 3), dc.transpose(b.reshape(2, 3)))),
-    ("scale", lambda a, b: dc.scale(a, 2.5) + b),
-    ("exp", lambda a, b: dc.exp(a * 0.3) + b),
-    ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
-    ("softmax", lambda a, b: softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
-    ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
-    ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
-    ("square", lambda a, b: dc.square(a + b)),
-    # a one-layer relu_mlp is a linear layer
-    ("linear", lambda a, b: dc.square(
-        dc.relu_mlp(a.reshape(3, 2), [(b.reshape(2, 3), b.reshape(2, 3).mean(axis=0))]))),
-    ("linear_1col", lambda a, b: dc.square(
-        dc.relu_mlp(a.reshape(6, 1), [(b.mean().reshape(1, 1), b.sum().reshape(1))]))),
-    ("relu_mlp", lambda a, b: dc.square(dc.relu_mlp(a.reshape(3, 2), [
-        (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
-        (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))]))),
-    ("relu_mlp_1col", lambda a, b: dc.square(dc.relu_mlp(a.reshape(2, 3, 1), [
-        (b.reshape(1, 6), b * 0.1), (a.reshape(6, 1), b.mean().reshape(1))]))),
-    ("cosine_logits", lambda a, b: dc.square(
-        dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), b.mean()))),
-    ("cosine_logits3d", lambda a, b: dc.square(
-        dc.cosine_logits(a.reshape(3, 1, 2), b.reshape(1, 3, 2), a.sum()))),
-    ("cosine_vjp", lambda a, b: dc.square(dc.cosine_vjp(
-        constant(np.linspace(-1.0, 2.0, 9).reshape(3, 3)), b.reshape(2, 3), a.mean(),
-        a.reshape(3, 2)))),
-    ("cosine_vjp3d", lambda a, b: dc.square(dc.cosine_vjp(
-        constant(np.linspace(-1.0, 2.0, 9).reshape(3, 1, 3)), b.reshape(1, 2, 3),
-        b.sum(), a.reshape(3, 1, 2)))),
-    ("prior_pull", lambda a, b: dc.square(dc.prior_pull(a, b.mean(), b * 0.3))),
-    ("take_per_row", lambda a, b: take_per_row(a.reshape(3, 2) * b.reshape(3, 2), [1, 0, 1])),
-    ("matmul3d", lambda a, b: matmul(a.reshape(2, 3, 1), dc.transpose(b.reshape(2, 3, 1)))),
-    ("matmul3d_2d", lambda a, b: matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
-    ("neg", lambda a, b: (-a) * b),
-    ("transpose", lambda a, b: dc.transpose(a.reshape(2, 3)).sum() * b.mean()),
-    ("transpose3d", lambda a, b: dc.transpose(a.reshape(3, 2, 1)) * b.reshape(3, 1, 2)),
-    ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
-]
-
-
 @pytest.mark.parametrize("name,build", OP_CASES)
 def test_op_suite_matches_finite_differences(name, build):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hash() is salted per process
-    a = param(rng.normal(size=6))
-    b = param(rng.normal(size=6))
-
-    def loss():
-        out = build(a, b)
-        return out if out.size == 1 else out.sum()
-
-    errors = check_gradients(loss, [a, b], h=1e-5, tol=1e-6)
-    assert max(errors) < 1e-6
+    check_op_case(name, build)
 
 
 def test_take_per_row_gradient():
@@ -192,25 +141,64 @@ def test_grad_outside_graph_errors_unless_allowed():
     np.testing.assert_array_equal(g[0], 0.0)
 
 
-def test_op_suites_name_every_differentiable_op():
-    """Both finite-difference suites, this file's and ``sgmeta gradcheck``'s,
-    have a case named after each public differentiable op of diffcore."""
+def differentiable_ops() -> dict:
+    """The public differentiable ops of diffcore, by the name a case uses."""
     not_ops = {"constant", "param", "detach", "backward", "grad", "zero_grad",
                "fd_gradient", "check_gradients"}
     spelled = {"tsum": "sum", "tmean": "mean"}
-    ops = {spelled.get(name, name) for name, f in vars(dc).items()
-           if inspect.isfunction(f) and f.__module__ == dc.__name__
-           and not name.startswith("_") and name not in not_ops}
-    assert {"relu_mlp", "cosine_logits", "cosine_vjp", "prior_pull", "sum"} <= ops
+    return {spelled.get(name, name): name for name, f in vars(dc).items()
+            if inspect.isfunction(f) and f.__module__ == dc.__name__
+            and not name.startswith("_") and name not in not_ops}
 
-    def uncovered(case_names):
-        def named(op, case):  # "matmul", "matmul3d" and "relu_mlp_1col" name their op
-            return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
 
-        return sorted(op for op in ops if not any(named(op, c) for c in case_names))
+def test_op_suites_name_every_differentiable_op():
+    """``sgmeta gradcheck``'s finite-difference suite has a case named after
+    each public differentiable op of diffcore."""
+    ops = differentiable_ops()
+    assert {"relu_mlp", "cosine_logits", "cosine_vjp", "prior_pull", "sum"} <= set(ops)
 
-    assert uncovered([name for name, _ in OP_CASES]) == []
-    assert uncovered(list(_op_cases(param(np.ones(6)), param(np.ones(6))))) == []
+    def named(op, case):  # "matmul", "matmul3d" and "relu_mlp_1col" name their op
+        return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
+
+    assert sorted(op for op in ops if not any(named(op, c) for c, _ in OP_CASES)) == []
+
+
+GUARD_TOY = {"mode": "toy", "epochs": 1, "batch_tasks": 4,
+             "toy": {"n": 8, "n_train_tasks": 4, "n_test_tasks": 4},
+             "inner": {"inner_eval_at_mean": False, "mc_samples": 2}}
+GUARD_FEWSHOT = {"mode": "fewshot", "total_steps": 1, "batch_tasks": 2, "val_pool_size": 2,
+                 "fewshot": {"k": 3, "n_shot": 1, "n_query_per_class": 2, "d_x": 4,
+                             "class_pool": {"train": 6, "val": 4, "test": 4}}}
+GUARD_RUNS = {
+    "toy-inner-draws": ("train-toy", GUARD_TOY),
+    "fewshot-proto": ("train-fewshot", GUARD_FEWSHOT),
+    "fewshot-ssl": ("train-fewshot", {**GUARD_FEWSHOT, "theta_init": "ssl"}),
+    "fewshot-gaussian": ("train-fewshot", {**GUARD_FEWSHOT, "inner": {
+        "posterior_regime": "gaussian_fixed_var", "mc_samples": 2}}),
+}
+
+
+def test_training_commands_call_every_differentiable_op(tmp_path, monkeypatch):
+    """The engine keeps only the ops the model uses: tiny training runs, toy
+    with inner draws and few-shot with each initialization and regime, call
+    every public differentiable op of diffcore."""
+    called = set()
+
+    def counted(name, op):
+        def call(*args, **kwargs):
+            called.add(name)
+            return op(*args, **kwargs)
+
+        return call
+
+    ops = differentiable_ops()
+    for name, attr in ops.items():
+        monkeypatch.setattr(dc, attr, counted(name, getattr(dc, attr)))
+    for run, (command, config) in GUARD_RUNS.items():
+        path = tmp_path / f"{run}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / run)]) == 0
+    assert sorted(set(ops) - called) == []
 
 
 def test_linear_bias_gradient_sums_over_rows():
@@ -252,7 +240,7 @@ def test_linear_is_bitwise_matmul_plus_bias():
         (dc.matmul, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 1))))),
         (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
         (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
-        (dc.div, (Tensor(np.ones(5)), Tensor(np.ones((2, 3))))),
+        (dc.matmul, (Tensor(np.ones(3)), Tensor(np.ones((3, 2))))),
         (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))])),
         (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))])),
         (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(4))),

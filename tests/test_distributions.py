@@ -14,8 +14,11 @@ from sgmeta.distributions import (
     kl_diag_gaussian,
     kl_grad_wrt_mean,
     sample_reparam,
-    standard,
 )
+
+
+def standard(dim):
+    return DiagGaussian(np.zeros(dim), np.zeros(dim))
 
 
 def gaussian(mean, var):

@@ -32,6 +32,27 @@ def sqrt(a: Tensor) -> Tensor:
     return dc._make(out, (a,), back)
 
 
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data / b.data
+
+    def back(g):
+        if a.requires_grad:
+            dc._accum(a, dc._unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            dc._accum(b, dc._unbroadcast(-g * out / b.data, b.shape))
+
+    return dc._make(out, (a, b), back)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+
+    def back(g):
+        dc._accum(a, np.swapaxes(g, -1, -2))
+
+    return dc._make(np.swapaxes(a.data, -1, -2).copy(), (a,), back)
+
+
 def row_norm(a: Tensor) -> Tensor:
     return sqrt(dc.tsum(dc.square(a), axis=-1, keepdims=True))
 
@@ -48,16 +69,16 @@ def mlp_composite(x: Tensor, layers) -> Tensor:
 def cosine_parts(features: Tensor, theta: Tensor, scale: Tensor):
     a = row_norm(features)
     b = row_norm(theta)
-    dots = matmul(features, dc.transpose(theta))
-    inv_denom = 1.0 / (matmul(a, dc.transpose(b)) + dc.COSINE_EPS)
+    dots = matmul(features, transpose(theta))
+    inv_denom = div(constant(1.0), matmul(a, transpose(b)) + dc.COSINE_EPS)
     return scale * (dots * inv_denom), dots, inv_denom, a, b
 
 
 def cosine_vjp_composite(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor) -> Tensor:
     _, dots, inv_denom, a, b = cosine_parts(features, theta, scale)
-    term1 = scale * matmul(dc.transpose(seed * inv_denom), features)
+    term1 = scale * matmul(transpose(seed * inv_denom), features)
     m = dc.tsum(seed * dots * inv_denom * inv_denom * a, axis=-2)
-    ratio = m / b.reshape(b.shape[:-1])
+    ratio = div(m, b.reshape(b.shape[:-1]))
     return term1 - scale * (ratio.reshape(ratio.shape + (1,)) * theta)
 
 

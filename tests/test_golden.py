@@ -152,3 +152,19 @@ def test_golden_outputs(outputs, name):
     for param, values in want.get("params", {}).items():
         np.testing.assert_allclose(got["params"][param], values, rtol=RTOL, atol=0,
                                    err_msg=f"checkpoint parameter {param}")
+
+
+def test_best_checkpoint_records_the_step_it_was_taken(tmp_path):
+    """``checkpoint_best.json`` and the summary's ``best_step`` name the first
+    evaluation with the best validation accuracy (step 10 of this run's 20)."""
+    cfg_path = tmp_path / "fewshot-global.json"
+    cfg_path.write_text(json.dumps(CONFIGS["fewshot-global"]))
+    out = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(cfg_path), "--out", str(out)]) == 0
+    evals = [(step, float(value)) for step, split, metric, value, _ in _csv_rows(out / "metrics.csv")
+             if split == "val" and metric == "query_accuracy"]
+    best = max(value for _, value in evals)
+    best_step = next(step for step, value in evals if value == best)
+    assert best_step == 10 and [step for step, _ in evals] == [10, 20]
+    assert json.loads((out / "checkpoint_best.json").read_text())["step"] == best_step
+    assert json.loads((out / "summary.json").read_text())["best_step"] == best_step

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta import diffcore as dc
-from sgmeta.diffcore import ShapeError, check_gradients, constant, grad
+from sgmeta.diffcore import ShapeError, check_gradients, constant
 from sgmeta.models import (
     MetaModel,
     apply_features,
@@ -24,6 +24,13 @@ from sgmeta.models import (
 from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines
 
 
+def identity_map_model(k, d_x, seed):
+    """A few-shot model whose feature map is the identity."""
+    model = build_fewshot_model(k=k, d_x=d_x, seed=seed)
+    model.params["f_weight"].data = np.eye(d_x)
+    return model
+
+
 def test_global_init_is_data_independent():
     model = build_toy_model(seed=1)
     cfg = ToyConfig()
@@ -35,14 +42,14 @@ def test_global_init_is_data_independent():
 
 
 def test_proto_init_one_shot_equals_support_features():
-    model = build_fewshot_model(k=3, d_x=4, seed=0, identity_features=True)
+    model = identity_map_model(k=3, d_x=4, seed=0)
     feats = np.arange(12, dtype=float).reshape(3, 4)
     theta = init_theta0_proto(model, constant(feats), [0, 1, 2])
     np.testing.assert_array_equal(theta.data, feats)  # lambda_scale starts at ones
 
 
 def test_proto_init_duplication_invariance():
-    model = build_fewshot_model(k=2, d_x=3, seed=0, identity_features=True)
+    model = identity_map_model(k=2, d_x=3, seed=0)
     feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     once = init_theta0_proto(model, constant(feats), [0, 1])
     doubled = init_theta0_proto(model, constant(np.tile(feats, (2, 1))), [0, 1, 0, 1])
@@ -50,7 +57,7 @@ def test_proto_init_duplication_invariance():
 
 
 def test_proto_init_two_shot_hand_value():
-    model = build_fewshot_model(k=1, d_x=2, seed=0, identity_features=True)
+    model = identity_map_model(k=1, d_x=2, seed=0)
     model.params["lambda_scale"].data[:] = [2.0, 0.5]
     u, v = np.array([1.0, 4.0]), np.array([3.0, 2.0])
     theta = init_theta0_proto(model, constant(np.stack([u, v])), [0, 0])
@@ -59,7 +66,7 @@ def test_proto_init_two_shot_hand_value():
 
 def test_proto_init_permutation_invariance():
     rng = np.random.default_rng(2)
-    model = build_fewshot_model(k=4, d_x=5, seed=3, identity_features=True)
+    model = identity_map_model(k=4, d_x=5, seed=3)
     feats = rng.normal(size=(8, 5))
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     perm = rng.permutation(8)
@@ -69,7 +76,7 @@ def test_proto_init_permutation_invariance():
 
 
 def test_proto_init_missing_class_errors():
-    model = build_fewshot_model(k=3, d_x=2, seed=0, identity_features=True)
+    model = identity_map_model(k=3, d_x=2, seed=0)
     with pytest.raises(ValueError, match="missing class"):
         init_theta0_proto(model, constant(np.ones((2, 2))), [0, 1])
     with pytest.raises(ValueError, match="non-empty support"):
@@ -110,14 +117,14 @@ def cosine_logits(model, features, theta):
 
 
 def test_cosine_parallel_gives_scale():
-    model = build_fewshot_model(k=1, d_x=3, seed=0, identity_features=True)
+    model = identity_map_model(k=1, d_x=3, seed=0)
     v = np.array([[1.0, 2.0, 2.0]])
     logits = cosine_logits(model, constant(3.0 * v), constant(v))
     assert logits.data[0, 0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_cosine_feature_scale_invariance():
-    model = build_fewshot_model(k=2, d_x=4, seed=5, identity_features=True)
+    model = identity_map_model(k=2, d_x=4, seed=5)
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(6, 4))
     theta = constant(rng.normal(size=(2, 4)))
@@ -127,7 +134,7 @@ def test_cosine_feature_scale_invariance():
 
 
 def test_cosine_orthogonal_gives_zero():
-    model = build_fewshot_model(k=1, d_x=2, seed=0, identity_features=True)
+    model = identity_map_model(k=1, d_x=2, seed=0)
     logits = cosine_logits(model, constant([[1.0, 0.0]]), constant([[0.0, 5.0]]))
     assert logits.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -136,7 +143,7 @@ def test_cosine_orthogonal_gives_zero():
 @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.1, 50.0))
 def test_cosine_argmax_invariant_to_positive_rescaling(seed, c):
     rng = np.random.default_rng(seed)
-    model = build_fewshot_model(k=3, d_x=4, seed=0, identity_features=True)
+    model = identity_map_model(k=3, d_x=4, seed=0)
     feats = rng.normal(size=(5, 4))
     theta = rng.normal(size=(3, 4))
     base = cosine_logits(model, constant(feats), constant(theta)).data.argmax(axis=1)
@@ -164,7 +171,7 @@ def test_linear_toy_predictions():
 
 
 def test_model_pieces_are_differentiable():
-    model = build_fewshot_model(k=2, d_x=3, seed=7, identity_features=True)
+    model = identity_map_model(k=2, d_x=3, seed=7)
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(4, 3))
     labels = [0, 1, 0, 1]

@@ -241,7 +241,8 @@ def test_outer_gradients_through_toy_unroll_match_fd(steps):
 
 
 def test_outer_gradients_through_fewshot_unroll_match_fd():
-    model = build_fewshot_model(k=3, d_x=4, seed=5, identity_features=True)
+    model = build_fewshot_model(k=3, d_x=4, seed=5)
+    model.params["f_weight"].data = np.eye(4)  # identity feature map
     rng = np.random.default_rng(9)
     model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.3
     cfg_task = FewShotConfig(k=3, n_shot=1, n_query_per_class=2, d_x=4,

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta.tasks import FewShotConfig, ToyConfig
-from sgmeta.sibcore import DETERMINISTIC, InnerLoopConfig
+from sgmeta.sibcore import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
+    InnerLoopConfig,
+    prior_term,
+    sib_unroll,
+)
 from sgmeta.trainer import (
     SECTIONS,
     MetricsRow,
@@ -26,6 +32,7 @@ from sgmeta.trainer import (
     episode_for,
     evaluate,
     load_checkpoint,
+    make_theta0,
     metric_records,
     save_checkpoint,
     sgd_step,
@@ -213,6 +220,23 @@ def test_evaluate_ci_matches_direct_recomputation():
     assert report.row.query_accuracy == pytest.approx(acc.mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("regime", [GAUSSIAN_FIXED_VAR, DETERMINISTIC])
+def test_toy_kl_to_prior_is_the_mean_prior_term(regime):
+    """``kl_to_prior`` is the objective's KL to the prior (``prior_term``) at
+    the pool's adapted weights, in either posterior regime."""
+    cfg = tiny_toy_config()
+    cfg.inner.posterior_regime = regime
+    model = build_model(cfg)
+    rng = np.random.default_rng(2)
+    for name in ("xi_w3", "lambda_global", "psi_mean", "psi_log_var"):
+        model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.5
+    pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
+    theta_k, _ = sib_unroll(make_theta0(model, pool, cfg), pool, model, cfg.inner)
+    expected = float(np.mean(prior_term(theta_k, model, cfg.inner).data))
+    measured = evaluate(model, cfg, "test", pool).row.kl_to_prior
+    assert measured == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_evaluate_requires_episodes():
     cfg = tiny_toy_config()
     with pytest.raises(ValueError):
@@ -363,7 +387,7 @@ def test_config_mode_defaults():
 
 
 def test_metric_records_exclude_wall_time(tmp_path):
-    row = MetricsRow(step=3, split="val", query_accuracy=0.5, wall_time_ms=123.0)
+    row = MetricsRow(step=3, split="val", query_accuracy=0.5)
     recs = metric_records(row, {"query_accuracy": 0.01})
     assert recs == [(3, "val", "query_accuracy", 0.5, 0.01)]
     path = tmp_path / "m.csv"
