@@ -45,7 +45,8 @@ from . import diffcore as dc
 # (default: the global one). Randomness is drawn per trial in the order a
 # one-trial-at-a-time loop would draw it. The estimators of one gap estimate
 # read their adapted weights from one table (``AdaptedWeights``), so no trial
-# is adapted twice.
+# is adapted twice, and σ picks its points from the gap's datasets while they
+# are alive (``SigmaDraws``), so no trial is generated twice.
 
 
 def _adapt(frozen: MetaModel, episodes, inner: InnerLoopConfig,
@@ -167,7 +168,8 @@ def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) 
 
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
             seed: int = 0, theta0_fn: Optional[Callable] = None,
-            adapted: Optional[AdaptedWeights] = None) -> GapEstimate:
+            adapted: Optional[AdaptedWeights] = None,
+            on_chunk: Optional[Callable] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
 
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
@@ -175,12 +177,16 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     same task against the loss on the adapted-on dataset. The scale σ and
     the mutual-information term read their adapted weights from the same
     table (``adapted``, by default a new one for these arguments), so they
-    adapt only the trials the gap did not.
+    adapt only the trials the gap did not, and σ takes the points of the
+    odd trials here, so it generates only the trials the gap did not.
+    ``on_chunk(trials, datasets)`` is called on each chunk of trials while
+    their datasets are alive, after they are adapted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if adapted is None:
         adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
+    picked = SigmaDraws(adapted, draws=min(trials, 2000), seed=seed + 1)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
     n_query = None
@@ -197,9 +203,13 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
         on_fresh = _losses(adapted.frozen, stacked(fresh, "query_inputs"),
                            stacked(fresh, "query_labels"), w)
         diffs[idx.start:idx.stop] = on_fresh - on_d
+        for t, d in zip(idx, datasets):
+            picked.pick(t, d)
+        if on_chunk is not None:
+            on_chunk(idx, datasets)
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    sigma = estimate_sigma(adapted, draws=min(trials, 2000), seed=seed + 1)
+    sigma = estimate_sigma(adapted, draws=picked.draws, seed=picked.seed, picked=picked)
     mi = mi_for_sampler(adapted, episodes=min(trials, 200))
     bound = gen_bound(sigma, n_query, mi) if inner.posterior_regime == GAUSSIAN_FIXED_VAR \
         else None
@@ -207,23 +217,71 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
                        bound=bound, mi=mi, n=n_query)
 
 
-def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int) -> float:
+class SigmaDraws:
+    """The random draws of ``estimate_sigma`` and the points they pick.
+
+    Per draw t, in the order a one-draw-at-a-time loop makes them: the noise
+    of a weight drawn from trial 2t's posterior (Gaussian regime only), then
+    the index of the point taken from trial 2t + 1's dataset. No draw
+    depends on the data, only on the sampler's query size, so all are made
+    when the first dataset is picked from, and a trial's point can be picked
+    whenever its dataset is at hand. Only the point is kept.
+    """
+
+    def __init__(self, adapted: AdaptedWeights, draws: int, seed: int):
+        self.draws = draws
+        self.seed = seed
+        self.n_query = None
+        self.noise = None  # (draws, theta size), Gaussian regime only
+        self.index = None
+        self.points: dict = {}  # trial -> (inputs, labels) of its point
+        self._size = int(np.prod(adapted.frozen.theta_shape()))
+        self._gaussian = adapted.inner.posterior_regime == GAUSSIAN_FIXED_VAR
+
+    def pick(self, trial: int, dataset: Episode) -> None:
+        """Keep the point of ``trial``'s dataset that its draw takes, if any."""
+        t, odd = divmod(trial, 2)
+        if not odd or t >= self.draws:
+            return
+        if self.index is None:
+            self._make(dataset.n_query)
+        i = self.index[t]
+        self.points[trial] = (dataset.query_inputs[i:i + 1].copy(),
+                              dataset.query_labels[i:i + 1].copy())
+
+    def _make(self, n_query: int) -> None:
+        rng = episode_rng(derive_task_seed(self.seed, "test", 0x51E), stream=9)
+        noise, index = [], []
+        for _ in range(self.draws):
+            if self._gaussian:
+                noise.append(rng.normal(size=self._size))
+            index.append(int(rng.integers(n_query)))
+        self.n_query = n_query
+        self.noise = np.array(noise) if self._gaussian else None
+        self.index = index
+
+
+def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int,
+                   picked: Optional[SigmaDraws] = None) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
     under independently drawn task weights and data points. The weights of
     draw t come from trial 2t, read from ``adapted``; the point from trial
-    2t + 1 of its sampler."""
-    rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
+    2t + 1 of its sampler, taken from ``picked`` (made for these draws and
+    seed) where it was picked already, else generated here."""
+    if picked is None:
+        picked = SigmaDraws(adapted, draws, seed)
+    for trial in range(1, 2 * draws, 2):
+        if trial not in picked.points:
+            picked.pick(trial, adapted.task_sampler(trial)[0])
+    std = math.exp(adapted.inner.q_log_var / 2.0)
     losses = []
-    points = LazySequence(draws, lambda t: adapted.task_sampler(2 * t + 1)[0])
-    for start, chunk in forward_chunks(points):
-        thetas = adapted([2 * t for t in range(start, start + len(chunk))])
-        w, inputs, labels = [], [], []
-        for d_z, theta in zip(chunk, thetas):
-            w.append(_draw_posterior_weight(theta, adapted.inner, rng))
-            i = int(rng.integers(d_z.n_query))
-            inputs.append(d_z.query_inputs[i : i + 1])
-            labels.append(d_z.query_labels[i : i + 1])
-        losses.extend(_losses(adapted.frozen, np.stack(inputs), np.stack(labels), np.stack(w)))
+    for _, chunk in forward_chunks(range(draws), n_query=lambda t: picked.n_query):
+        w = adapted([2 * t for t in chunk]).reshape(len(chunk), -1)
+        if picked.noise is not None:
+            w = w + std * picked.noise[chunk]
+        inputs = np.stack([picked.points[2 * t + 1][0] for t in chunk])
+        labels = np.stack([picked.points[2 * t + 1][1] for t in chunk])
+        losses.extend(_losses(adapted.frozen, inputs, labels, w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
@@ -388,11 +446,19 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
     for n in n_values:
         sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)
         adapted = AdaptedWeights(model, sampler, inner)
-        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted)
-        metric_trials = range(min(trials, 200))
-        datasets = [sampler(t)[0] for t in metric_trials]
-        mse = float(np.mean(_losses(adapted.frozen, stacked(datasets, "query_inputs"),
-                                    stacked(datasets, "query_labels"), adapted(metric_trials))))
+        losses = []
+
+        def metric_losses(idx, datasets):
+            # losses of θ_K on the first min(trials, 200) trials' own datasets
+            kept = [(t, d) for t, d in zip(idx, datasets) if t < 200]
+            if kept:
+                ts, ds = zip(*kept)
+                losses.extend(_losses(adapted.frozen, stacked(ds, "query_inputs"),
+                                      stacked(ds, "query_labels"), adapted(ts)))
+
+        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted,
+                      on_chunk=metric_losses)
+        mse = float(np.mean(losses))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
                              sigma=est.sigma, mi=est.mi, metric=mse))
     return rows

@@ -10,6 +10,7 @@ fixed config and seed, except for wall-time fields in the summary.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -49,7 +50,24 @@ from .trainer import (
 )
 
 
+def keep_freed_pages() -> None:
+    """Let the C allocator keep the pages a command frees, for its next
+    allocations: by default glibc maps large arrays (from 128 KiB, a
+    threshold it raises only as it sees them freed) one by one and returns
+    freed heap tops to the kernel, so every chunk's temporaries are faulted
+    in afresh. Raising both thresholds keeps them in the heap. A no-op
+    where glibc's ``mallopt`` is not available."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of freed heap top
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-allocate arrays up to 32 MiB
+
+
 def main(argv=None) -> int:
+    keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -25,6 +25,7 @@ with B or M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,7 +43,7 @@ from .distributions import (
 )
 from .models import MetaModel, apply_features, linear_predict_toy, synth_grad
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
-from .tasks import episode_rng, stacked
+from .tasks import _stream, stacked
 
 GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
 DETERMINISTIC = "deterministic"
@@ -136,8 +137,9 @@ def _noise(episodes, stream: int, count: int, shape) -> np.ndarray:
     *shape), each episode from its own sub-stream in the order a per-episode
     loop would use."""
     size = int(np.prod(shape))
-    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in episodes]
-    eps = np.array([[rng.normal(size=size) for rng in rngs] for _ in range(count)])
+    eps = np.empty((count, len(episodes), size))
+    for b, ep in enumerate(episodes):
+        eps[:, b] = _stream(ep.task_seed, stream).normal(size=(count, size))
     return eps.reshape((count, len(episodes)) + tuple(shape))
 
 
@@ -378,10 +380,13 @@ def orthogonal_transform_labeler(features: np.ndarray):
     return aug, labels
 
 
+@functools.lru_cache(maxsize=8)
 def _ssl_projection(k: int) -> np.ndarray:
-    """Fixed map from class logits to the four transform logits."""
-    rng = np.random.Generator(np.random.Philox(key=0x55AA))
-    return rng.normal(size=(k, 4)) / np.sqrt(k)
+    """Fixed map from class logits to the four transform logits, built once
+    per k and shared read-only."""
+    proj = np.random.Generator(np.random.Philox(key=0x55AA)).normal(size=(k, 4)) / np.sqrt(k)
+    proj.flags.writeable = False
+    return proj
 
 
 def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:

@@ -68,8 +68,8 @@ from .tasks import (
     Episode,
     FewShotConfig,
     ToyConfig,
+    _stream,
     derive_task_seed,
-    episode_rng,
     gen_fewshot_episode,
     gen_spinning_lines,
     stacked,
@@ -519,7 +519,7 @@ def train(cfg: RunConfig) -> TrainResult:
                 epoch = step // steps_per_epoch
                 pos = (step % steps_per_epoch) * cfg.batch_tasks
                 if pos == 0:
-                    rng = episode_rng(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
+                    rng = _stream(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
                     order = rng.permutation(n_train)
                 batch = [train_pool[i] for i in order[pos : pos + cfg.batch_tasks]]
             else:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgmeta.analysis as analysis
 from sgmeta.analysis import (
     AdaptedWeights,
     DiscreteInstance,
@@ -280,6 +281,24 @@ def test_vary_n_sweep_runs_and_reports(tmp_path):
     text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "quantity,value,stderr"
     assert len(text) == 4
+
+
+def test_vary_n_sweep_generates_each_dataset_once(monkeypatch):
+    seeds = []
+
+    def counting(cfg, task_seed, n=None):
+        seeds.append(task_seed)
+        return generate(cfg, task_seed, n=n)
+
+    generate = analysis.gen_spinning_lines
+    monkeypatch.setattr(analysis, "gen_spinning_lines", counting)
+    trials = 30
+    vary_n_sweep(oracle_posterior_model(lam=0.5), TOY, toy_inner(), n_values=[4, 8],
+                 trials=trials, seed=0)
+    # per size: the gap's datasets and their fresh draws, and the trials
+    # 30..59 that sigma takes weights and points from; the metric reads the
+    # gap's datasets while they are alive
+    assert len(seeds) == len(set(seeds)) == 2 * 3 * trials
 
 
 def test_vary_n_sweep_requires_values():

@@ -1,6 +1,7 @@
 """Command-line behavior: reproducibility, run-dir discipline, exit codes."""
 
 import argparse
+import ctypes
 import json
 import math
 import re
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgmeta.analysis as analysis
+import sgmeta.cli as cli
 import sgmeta.sibcore as sibcore
+import sgmeta.tasks as tasks
 import sgmeta.trainer as trainer
 from sgmeta.cli import build_parser, main
 from sgmeta.tasks import derive_task_seed
@@ -536,3 +540,88 @@ def test_count_flags_out_of_range_exit_2_and_name_the_flag(tmp_path, toy_cfg_fil
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- what a command pays for once -------------------------------------------------
+
+
+def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
+        tmp_path, toy_cfg_file, fewshot_cfg_file, monkeypatch):
+    """A run builds a fixed handful of Philox generators, however many
+    episodes it draws (each episode's stream resets one shared generator),
+    and a gap estimate generates each of its trials' datasets once."""
+    tasks._stream(0)  # the shared generator, built once per process
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    generated, analysing = [], []
+
+    def counting(generate):
+        def wrapper(*args, **kwargs):
+            episode = generate(*args, **kwargs)
+            generated.append((bool(analysing), episode.task_seed))
+            return episode
+        return wrapper
+
+    # every module binding, as the analysis sampler imports from tasks when called
+    for name in ("gen_spinning_lines", "gen_fewshot_episode", "resample_query_set"):
+        wrapper = counting(getattr(tasks, name))
+        for module in (tasks, trainer, analysis, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    def analysing_gap(*args, **kwargs):
+        analysing.append(True)
+        try:
+            return gen_gap(*args, **kwargs)
+        finally:
+            analysing.pop()
+
+    gen_gap = cli.gen_gap
+    monkeypatch.setattr(cli, "gen_gap", analysing_gap)
+
+    def run(argv):
+        del built[:], generated[:]
+        assert main(argv) == 0
+        return len(built), [seed for in_gap, seed in generated if in_gap], len(generated)
+
+    toy = tmp_path / "toy"
+    philox_built, _, episodes = run(["train-toy", "--config", str(toy_cfg_file),
+                                     "--set", "inner.inner_eval_at_mean=false",
+                                     "--out", str(toy)])
+    assert philox_built == 1 and episodes >= 14  # the model's initialization
+    fewshot = tmp_path / "fewshot"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(fewshot)]) == 0
+    philox_built, gap_seeds, episodes = run([
+        "analyze", "--config", str(fewshot / "effective_config.json"),
+        "--checkpoint", str(fewshot / "checkpoint.json"), "--trials", "40",
+        "--out", str(tmp_path / "analysis")])
+    # the gap's 40 datasets and fresh draws, sigma's other 40 trials of 80
+    assert len(gap_seeds) == 40 + 40 + 40 and episodes >= len(gap_seeds)
+    assert len(set(gap_seeds)) == len(gap_seeds)
+    # two model builds while loading the checkpoint, the gap's and sigma's draws
+    assert philox_built == 4
+
+
+@pytest.mark.parametrize("libc", ["missing", "without mallopt"])
+def test_commands_run_where_the_allocator_cannot_be_tuned(tmp_path, toy_cfg_file, monkeypatch,
+                                                          libc):
+    def run(name):
+        out = tmp_path / name
+        assert main(["train-toy", "--config", str(toy_cfg_file), "--out", str(out)]) == 0
+        return (out / "metrics.csv").read_bytes()
+
+    tuned = [run("first"), run("second")]  # setting the allocator twice is harmless
+
+    def cdll(name, *args, **kwargs):
+        if libc == "missing":
+            raise OSError(f"{name}: cannot open shared object file")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert run("untuned") == tuned[0] == tuned[1]

@@ -1,5 +1,6 @@
 """Inner loop: hand-checked steps, VJP oracles, unrolled-gradient checks."""
 
+import json
 import math
 
 import numpy as np
@@ -15,10 +16,15 @@ from sgmeta.models import (
     init_theta0_global,
     init_theta0_proto,
 )
+import sgmeta.sibcore as sibcore
+from sgmeta.cli import main
 from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
+    STREAM_INNER,
+    STREAM_OBJECTIVE,
     InnerLoopConfig,
+    _noise,
     _ssl_projection,
     cross_entropy,
     data_term,
@@ -36,6 +42,7 @@ from sgmeta.tasks import (
     FewShotConfig,
     ToyConfig,
     derive_task_seed,
+    episode_rng,
     gen_fewshot_episode,
     gen_spinning_lines,
     stacked,
@@ -441,3 +448,43 @@ def test_lambda_receives_gradient_on_generic_episode():
     (g,) = grad(task_objective([ep], theta_k, model, cfg).sum(),
                 [model.params["lambda_global"]])
     assert np.abs(g).max() > 0
+
+
+# -- Monte-Carlo noise: one stream per episode ---------------------------------------
+
+
+def per_draw_noise(episodes, stream, count, shape):
+    """``_noise`` as a loop over draws, one fresh generator per episode."""
+    size = int(np.prod(shape))
+    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in episodes]
+    eps = np.array([[rng.normal(size=size) for rng in rngs] for _ in range(count)])
+    return eps.reshape((count, len(episodes)) + tuple(shape))
+
+
+@pytest.mark.parametrize("stream", [STREAM_INNER, STREAM_OBJECTIVE])
+@pytest.mark.parametrize("count,shape", [(1, (1,)), (6, (1,)), (3, (5, 16))])
+def test_noise_is_contiguous_and_bitwise_the_per_draw_loop(stream, count, shape):
+    episodes = [gen_spinning_lines(ToyConfig(n=4), derive_task_seed(1, "train", i))
+                for i in range(5)]
+    got = _noise(episodes, stream, count, shape)
+    want = per_draw_noise(episodes, stream, count, shape)
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_toy_training_with_inner_draws_is_bytewise_the_per_draw_noises(tmp_path, monkeypatch):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "mode": "toy", "epochs": 2, "batch_tasks": 4,
+        "toy": {"n": 16, "n_train_tasks": 16, "n_test_tasks": 40},
+        "inner": {"inner_eval_at_mean": False, "mc_samples": 2},
+    }))
+
+    def metrics(name):
+        out = tmp_path / name
+        assert main(["train-toy", "--config", str(config), "--out", str(out)]) == 0
+        return (out / "metrics.csv").read_bytes()
+
+    shared = metrics("shared")
+    monkeypatch.setattr(sibcore, "_noise", per_draw_noise)
+    assert shared == metrics("per-draw")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sgmeta.distributions import kl_diag_gaussian
 from sgmeta.tasks import (
     Episode,
+    _stream,
     episode_rng,
     FewShotConfig,
     ToyConfig,
@@ -246,3 +247,36 @@ def test_class_pool_is_built_once_and_read_only():
     ep = gen_fewshot_episode(cfg, "train", derive_task_seed(0, "train", 0))
     ep.truth["prototypes"][0, 0] = 5.0
     assert pool.max() <= 1.0
+
+
+# -- one shared generator, reset per stream ------------------------------------------
+
+
+def draw_some(rng):
+    """Draws of every kind the generators make, leaving the bit generator
+    mid-buffer and holding a spare 32-bit half."""
+    return (rng.normal(size=7), rng.integers(11, size=3), rng.choice(9, size=4, replace=False),
+            rng.permutation(6), rng.normal(0.5, 2.0, size=(2, 3)), rng.integers(11, size=3))
+
+
+@pytest.mark.parametrize("task_seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_reset_stream_is_the_fresh_generators_stream(task_seed, stream):
+    want = draw_some(episode_rng(task_seed, stream))
+    got = draw_some(_stream(task_seed, stream))
+    for a, b in zip(got, want):
+        assert_bitwise(a, b)
+
+
+def test_reset_stream_forgets_the_stream_drawn_from_in_between():
+    want = draw_some(episode_rng(5, 1))
+    _stream(5, 1).normal(size=3)
+    draw_some(_stream(6, 2))  # another stream, left with a spare 32-bit half
+    got = draw_some(_stream(5, 1))
+    for a, b in zip(got, want):
+        assert_bitwise(a, b)
+    # a fresh generator of one stream is not moved by resets of the shared one
+    rng = episode_rng(5, 1)
+    first = rng.normal(size=3)
+    _stream(5, 1).normal(size=3)
+    assert_bitwise(np.concatenate([first, rng.normal(size=4)]), want[0])
