@@ -395,10 +395,27 @@ def _check(name: str, fn, failures: list) -> None:
         print(f"FAIL {name}: {exc}")
 
 
+_FEATS = np.linspace(-1.0, 2.0, 9)
+_ROWS = np.linspace(-1.5, 1.0, 12)
+
+
+def _cosine_sg(feats, theta, scale, layers, seed_scale):
+    return dc.cosine_sg_direction(dc.constant(feats), theta, scale, layers, seed_scale,
+                                  dc.row_norms(feats))
+
+
+def _layers(a, b, k):
+    """A k -> 3 -> k relu network made of two 6-vectors' entries."""
+    if k == 1:
+        return [(b.reshape(2, 3).mean(axis=0).reshape(1, 3), a.reshape(2, 3).sum(axis=0)),
+                (b.reshape(3, 2).mean(axis=1).reshape(3, 1), a.mean().reshape(1))]
+    return [(a.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
+            (b.reshape(3, 2), a.reshape(3, 2).sum(axis=0))]
+
+
 # Finite-difference cases of the diffcore ops: (name, build), where build(a, b)
 # is a tensor of two 6-vectors; a case is named after the op it checks, with
 # an optional suffix ("matmul3d").
-_FEATS = np.linspace(-1.0, 2.0, 9)
 OP_CASES = [
     ("add", lambda a, b: a + b),
     ("sub", lambda a, b: a - b),
@@ -413,16 +430,23 @@ OP_CASES = [
     ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
     ("square", lambda a, b: dc.square(a + b)),
     ("softmax", lambda a, b: dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
-    # a one-layer relu_mlp is a linear layer
-    ("linear", lambda a, b: dc.square(
-        dc.relu_mlp(a.reshape(3, 2), [(b.reshape(2, 3), b.reshape(2, 3).mean(axis=0))]))),
-    ("linear_1col", lambda a, b: dc.square(
-        dc.relu_mlp(a.reshape(6, 1), [(b.mean().reshape(1, 1), b.sum().reshape(1))]))),
-    ("relu_mlp", lambda a, b: dc.square(dc.relu_mlp(a.reshape(3, 2), [
-        (b.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
-        (a.reshape(3, 2), b.reshape(3, 2).sum(axis=0))]))),
-    ("relu_mlp_1col", lambda a, b: dc.square(dc.relu_mlp(a.reshape(2, 3, 1), [
-        (b.reshape(1, 6), b * 0.1), (a.reshape(6, 1), b.mean().reshape(1))]))),
+    # the synthetic-gradient directions; "linear" and "linear_1col" take a
+    # one-layer (affine) net, "4d" and "3d" Monte-Carlo draws of stacked weights
+    ("linear", lambda a, b: dc.square(_cosine_sg(
+        _FEATS.reshape(3, 3), b.reshape(2, 3), a.mean(),
+        [(dc.matmul(a.reshape(2, 3), b.reshape(3, 2)), b.reshape(3, 2).sum(axis=0))], 0.5))),
+    ("linear_1col", lambda a, b: dc.square(dc.linear_sg_direction(
+        a.reshape(6, 1), dc.constant(_ROWS.reshape(6, 2)),
+        [(b.mean().reshape(1, 1), b.sum().reshape(1))], True))),
+    ("cosine_sg_direction", lambda a, b: dc.square(_cosine_sg(
+        _FEATS.reshape(3, 3), b.reshape(2, 3), a.mean(), _layers(a, b, 2), 1.0 / 3))),
+    ("cosine_sg_direction4d", lambda a, b: dc.square(_cosine_sg(
+        _ROWS.reshape(2, 2, 3), (a.reshape(6, 1) + b.reshape(1, 6)).reshape(3, 2, 2, 3),
+        b.sum(), _layers(a, b, 2), 1.0))),
+    ("linear_sg_direction", lambda a, b: dc.square(dc.linear_sg_direction(
+        a.reshape(6, 1), dc.constant(_ROWS.reshape(6, 2)), _layers(a, b, 1), False))),
+    ("linear_sg_direction3d", lambda a, b: dc.square(dc.linear_sg_direction(
+        a.reshape(2, 3, 1), dc.constant(_FEATS.reshape(3, 3)), _layers(b, a, 1), True))),
     ("cosine_logits", lambda a, b: dc.square(
         dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), b.mean()))),
     ("cosine_logits3d", lambda a, b: dc.square(

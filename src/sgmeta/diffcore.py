@@ -275,58 +275,20 @@ def softmax(a: Tensor) -> Tensor:
 COSINE_EPS = 1e-12
 
 
-def relu_mlp(x: Tensor, layers) -> Tensor:
-    """ReLU network on the rows of (..., d_in) inputs, leading axes folded
-    into the rows. Each (w, b) of ``layers`` maps h to h @ w + b with (d, d')
-    weights and a (d',) bias, and every layer but the last then applies
-    max(., 0): -0.0 maps to +0.0 and NaN propagates. The bias add and relu
-    are written into the matmul's output; backward reads the relu mask off
-    the post-activation."""
-    shapes = (x.shape,) + tuple(t.shape for layer in layers for t in layer)
-    if x.ndim < 1 or not layers:
-        raise ShapeError("relu_mlp", *shapes)
-    width = x.shape[-1]
-    for w, b in layers:
-        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
-            raise ShapeError("relu_mlp", *shapes)
-        width = w.shape[1]
-    acts = [x.data.reshape(-1, x.shape[-1])]
-    for i, (w, b) in enumerate(layers):
-        h = acts[-1] @ w.data
-        h += b.data
-        if i < len(layers) - 1:
-            np.maximum(h, 0.0, out=h)
-        acts.append(h)
-
-    def back(g):
-        g = g.reshape(acts[-1].shape)
-        for i in reversed(range(len(layers))):
-            w, b = layers[i]
-            if i < len(layers) - 1:
-                g = g * (acts[i + 1] > 0.0)
-            if w.requires_grad:
-                _accum(w, acts[i].T @ g)
-            if b.requires_grad:
-                _accum(b, g.sum(axis=0))
-            if i == 0 and not x.requires_grad:
-                return
-            g = g @ w.data.T
-        _accum(x, g.reshape(x.shape))
-
-    params = tuple(t for layer in layers for t in layer)
-    return _make(acts[-1].reshape(x.shape[:-1] + (width,)), (x,) + params, back)
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norms (..., n, 1) of the rows of (..., n, d) values."""
+    return np.sqrt((values * values).sum(axis=-1, keepdims=True))
 
 
-def _cosine_terms(op: str, features: Tensor, theta: Tensor, *rest: Tensor):
+def _cosine_terms(op: str, shapes, f: np.ndarray, t: np.ndarray, a=None):
     """Row norms a (..., n, 1) and b (..., k, 1), dots (..., n, k) and
-    1 / (a b^T + COSINE_EPS) of features against weights; ShapeError naming
-    ``op`` and all its operands' shapes when these two do not conform."""
-    shapes = (features.shape, theta.shape) + tuple(t.shape for t in rest)
-    if features.ndim < 2 or theta.ndim < 2 or features.shape[-1] != theta.shape[-1]:
+    1 / (a b^T + COSINE_EPS) of features ``f`` against weights ``t``;
+    ``a`` may be given, as ``row_norms(f)``. ShapeError naming ``op`` and
+    its operands' ``shapes`` when the two do not conform."""
+    if f.ndim < 2 or t.ndim < 2 or f.shape[-1] != t.shape[-1]:
         raise ShapeError(op, *shapes)
-    f, t = features.data, theta.data
-    a = np.sqrt((f * f).sum(axis=-1, keepdims=True))
-    b = np.sqrt((t * t).sum(axis=-1, keepdims=True))
+    a = row_norms(f) if a is None else a
+    b = row_norms(t)
     try:
         dots = f @ np.swapaxes(t, -1, -2).copy()
     except ValueError:
@@ -335,31 +297,79 @@ def _cosine_terms(op: str, features: Tensor, theta: Tensor, *rest: Tensor):
     return a, b, dots, inv_denom
 
 
+def _cosine_logits_back(g, features: Tensor, theta: Tensor, scale: Tensor, a, b, cos,
+                        inv_denom) -> None:
+    """Accumulate the cotangents of ``cosine_logits``' operands from the
+    logits' cotangent ``g``; ``cos`` is dots * inv_denom."""
+    if scale.requires_grad:
+        _accum(scale, _unbroadcast(g * cos, scale.shape))
+    if not (theta.requires_grad or features.requires_grad):
+        return
+    f, t = features.data, theta.data
+    g_cos = g * scale.data
+    g_dots = g_cos * inv_denom
+    g_denom = -(g_cos * cos) * inv_denom
+    if theta.requires_grad:
+        g_b = np.swapaxes(g_denom, -1, -2) @ a
+        g_t = np.swapaxes(g_dots, -1, -2) @ f + g_b / b * t
+        _accum(theta, _unbroadcast(g_t, theta.shape))
+    if features.requires_grad:
+        g_a = g_denom @ b
+        _accum(features, _unbroadcast(g_dots @ t + g_a / a * f, features.shape))
+
+
 def cosine_logits(features: Tensor, theta: Tensor, scale: Tensor) -> Tensor:
     """Cosine-classifier logits scale * <f_i, t_j> / (|f_i| |t_j| + COSINE_EPS)
     of (..., n, d) features against (..., k, d) weights; leading axes
     broadcast. Differentiable in all three operands."""
-    a, b, dots, inv_denom = _cosine_terms("cosine_logits", features, theta, scale)
-    f, t = features.data, theta.data
+    shapes = (features.shape, theta.shape, scale.shape)
+    a, b, dots, inv_denom = _cosine_terms("cosine_logits", shapes, features.data, theta.data)
     cos = dots * inv_denom
 
     def back(g):
-        if scale.requires_grad:
-            _accum(scale, _unbroadcast(g * cos, scale.shape))
-        if not (theta.requires_grad or features.requires_grad):
-            return
-        g_cos = g * scale.data
-        g_dots = g_cos * inv_denom
-        g_denom = -(g_cos * cos) * inv_denom
-        if theta.requires_grad:
-            g_b = np.swapaxes(g_denom, -1, -2) @ a
-            g_t = np.swapaxes(g_dots, -1, -2) @ f + g_b / b * t
-            _accum(theta, _unbroadcast(g_t, theta.shape))
-        if features.requires_grad:
-            g_a = g_denom @ b
-            _accum(features, _unbroadcast(g_dots @ t + g_a / a * f, features.shape))
+        _cosine_logits_back(g, features, theta, scale, a, b, cos, inv_denom)
 
     return _make(scale.data * cos, (features, theta, scale), back)
+
+
+def _cosine_vjp_terms(op: str, shapes, sd, f, t, a, b, dots, inv_denom):
+    """term1 = (sd * inv_denom)^T f (..., k, d), term2 = ratio * t, and
+    m (..., k) and ratio = m / b of seeds ``sd`` (..., n, k): the VJP is
+    s * term1 - s * term2."""
+    try:
+        sr = sd * inv_denom
+    except ValueError:
+        raise ShapeError(op, *shapes) from None
+    term1 = np.swapaxes(sr, -1, -2).copy() @ f  # (..., k, d)
+    m = (sd * dots * inv_denom * inv_denom * a).sum(axis=-2)  # (..., k)
+    ratio = m / b[..., 0]
+    return term1, ratio[..., None] * t, m, ratio
+
+
+def _cosine_vjp_back(g, f, theta: Tensor, scale: Tensor, sd, want_seed: bool, a, b, dots,
+                     inv_denom, term1, term2, m, ratio):
+    """Accumulate the cotangents of theta and the scale of the VJP of seeds
+    ``sd`` from its cotangent ``g``; return the seeds' cotangent when
+    ``want_seed``."""
+    t, s = theta.data, scale.data
+    if scale.requires_grad:
+        _accum(scale, _unbroadcast(g * (term1 - term2), scale.shape))
+    if not (theta.requires_grad or want_seed):
+        return None
+    p = f @ np.swapaxes(g, -1, -2)  # (..., n, k): <f_i, g_j>
+    g_ratio = -s * (g * t).sum(axis=-1)  # (..., k)
+    g_m = (g_ratio / b[..., 0])[..., None, :]  # (..., 1, k)
+    sq = inv_denom * inv_denom
+    g_seed = s * inv_denom * p + g_m * dots * sq * a if want_seed else None
+    if theta.requires_grad:
+        w = sd * a * sq  # d m / d dots
+        g_b = (-s * (w * p).sum(axis=-2)
+               - 2.0 * g_m[..., 0, :] * (w * dots * inv_denom * a).sum(axis=-2)
+               - g_ratio * m / (b[..., 0] * b[..., 0]))
+        g_t = (np.swapaxes(g_m * w, -1, -2) @ f + (g_b / b[..., 0])[..., None] * t
+               - s * ratio[..., None] * g)
+        _accum(theta, _unbroadcast(g_t, theta.shape))
+    return g_seed
 
 
 def cosine_vjp(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor) -> Tensor:
@@ -368,39 +378,136 @@ def cosine_vjp(features: Tensor, theta: Tensor, scale: Tensor, seed: Tensor) -> 
     scale and the seed; the features must be constant."""
     if features.requires_grad:
         raise GraphError("cosine_vjp: features must be constant")
-    a, b, dots, inv_denom = _cosine_terms("cosine_vjp", features, theta, scale, seed)
-    f, t, s, sd = features.data, theta.data, scale.data, seed.data
-    try:
-        sr = sd * inv_denom
-    except ValueError:
-        raise ShapeError("cosine_vjp", features.shape, theta.shape, scale.shape,
-                         seed.shape) from None
-    term1 = np.swapaxes(sr, -1, -2).copy() @ f  # (..., k, d)
-    m = (sd * dots * inv_denom * inv_denom * a).sum(axis=-2)  # (..., k)
-    ratio = m / b[..., 0]
-    term2 = ratio[..., None] * t
+    shapes = (features.shape, theta.shape, scale.shape, seed.shape)
+    f, sd = features.data, seed.data
+    terms = _cosine_terms("cosine_vjp", shapes, f, theta.data)
+    vjp = _cosine_vjp_terms("cosine_vjp", shapes, sd, f, theta.data, *terms)
 
     def back(g):
-        if scale.requires_grad:
-            _accum(scale, _unbroadcast(g * (term1 - term2), scale.shape))
-        if not (theta.requires_grad or seed.requires_grad):
-            return
-        p = f @ np.swapaxes(g, -1, -2)  # (..., n, k): <f_i, g_j>
-        g_ratio = -s * (g * t).sum(axis=-1)  # (..., k)
-        g_m = (g_ratio / b[..., 0])[..., None, :]  # (..., 1, k)
-        sq = inv_denom * inv_denom
-        if seed.requires_grad:
-            _accum(seed, _unbroadcast(s * inv_denom * p + g_m * dots * sq * a, seed.shape))
-        if theta.requires_grad:
-            w = sd * a * sq  # d m / d dots
-            g_b = (-s * (w * p).sum(axis=-2)
-                   - 2.0 * g_m[..., 0, :] * (w * dots * inv_denom * a).sum(axis=-2)
-                   - g_ratio * m / (b[..., 0] * b[..., 0]))
-            g_t = (np.swapaxes(g_m * w, -1, -2) @ f + (g_b / b[..., 0])[..., None] * t
-                   - s * ratio[..., None] * g)
-            _accum(theta, _unbroadcast(g_t, theta.shape))
+        g_seed = _cosine_vjp_back(g, f, theta, scale, sd, seed.requires_grad, *terms, *vjp)
+        if g_seed is not None:
+            _accum(seed, _unbroadcast(g_seed, seed.shape))
 
-    return _make(s * term1 - s * term2, (theta, scale, seed), back)
+    s = scale.data
+    return _make(s * vjp[0] - s * vjp[1], (theta, scale, seed), back)
+
+
+def _check_mlp(op: str, shapes, width: int, layers, out_width: int) -> None:
+    """ShapeError naming ``op`` and its operands' ``shapes`` unless ``layers``
+    chain (d, d') weights and (d',) biases from ``width`` to ``out_width``."""
+    for w, b in layers:
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ShapeError(op, *shapes)
+        width = w.shape[1]
+    if not layers or width != out_width:
+        raise ShapeError(op, *shapes)
+
+
+def _relu_mlp(rows: np.ndarray, layers) -> list:
+    """Activations of the synthetic-gradient network on (r, d) rows: the rows,
+    then each layer's h @ w + b with (d, d') weights and a (d',) bias, every
+    layer but the last followed by max(., 0): -0.0 maps to +0.0 and NaN
+    propagates. The bias add and relu are written into the matmul's
+    output."""
+    acts = [rows]
+    for i, (w, b) in enumerate(layers):
+        h = acts[-1] @ w.data
+        h += b.data
+        if i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
+
+
+def _relu_mlp_back(g: np.ndarray, acts: list, layers, want_input: bool):
+    """Accumulate the layers' cotangents from the output rows' cotangent
+    ``g``, last layer first, weight before bias; return the input rows'
+    cotangent when ``want_input``. The relu mask is read off the
+    post-activations."""
+    for i in reversed(range(len(layers))):
+        w, b = layers[i]
+        if i < len(layers) - 1:
+            g = g * (acts[i + 1] > 0.0)
+        if w.requires_grad:
+            _accum(w, acts[i].T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if i == 0 and not want_input:
+            return None
+        g = g @ w.data.T
+    return g
+
+
+def cosine_sg_direction(features: Tensor, theta: Tensor, scale: Tensor, layers,
+                        seed_scale: float, feature_norms: np.ndarray) -> Tensor:
+    """The synthetic-gradient direction of the cosine head as one node:
+    ``cosine_vjp(features, theta, scale, seed_scale * net(cosine_logits(
+    features, theta, scale)))``, where net is the ReLU network of ``layers``
+    (``_relu_mlp``) on the rows of the (..., n, k) logits. ``feature_norms``
+    are ``row_norms(features.data)``, computed once by a caller that steps on
+    the same constant features. Leading axes broadcast; differentiable in
+    theta, the scale and the layers."""
+    params = tuple(p for layer in layers for p in layer)
+    shapes = ((features.shape, theta.shape, scale.shape) + tuple(p.shape for p in params)
+              + (np.shape(feature_norms),))
+    if features.requires_grad:
+        raise GraphError("cosine_sg_direction: features must be constant")
+    if np.shape(feature_norms) != features.shape[:-1] + (1,):
+        raise ShapeError("cosine_sg_direction", *shapes)
+    f, t, s = features.data, theta.data, scale.data
+    a, b, dots, inv_denom = _cosine_terms("cosine_sg_direction", shapes, f, t, feature_norms)
+    _check_mlp("cosine_sg_direction", shapes, t.shape[-2], layers, t.shape[-2])
+    cos = dots * inv_denom
+    logits = s * cos
+    acts = _relu_mlp(logits.reshape(-1, logits.shape[-1]), layers)
+    sd = seed_scale * acts[-1].reshape(logits.shape)
+    vjp = _cosine_vjp_terms("cosine_sg_direction", shapes, sd, f, t, a, b, dots, inv_denom)
+
+    # cotangents reach theta and the scale in the order of the composite's
+    # backward: the VJP's first, then the logits'
+    def back(g):
+        g_seed = _cosine_vjp_back(g, f, theta, scale, sd, True, a, b, dots, inv_denom, *vjp)
+        g_logits = _relu_mlp_back((seed_scale * g_seed).reshape(acts[-1].shape), acts, layers,
+                                  theta.requires_grad or scale.requires_grad)
+        if g_logits is not None:
+            _cosine_logits_back(g_logits.reshape(logits.shape), features, theta, scale, a, b,
+                                cos, inv_denom)
+
+    return _make(s * vjp[0] - s * vjp[1], (theta, scale) + params, back)
+
+
+def linear_sg_direction(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
+    """The synthetic-gradient direction of the linear head as one node: the
+    mean over the last axis (the sum unless ``mean``) of net(theta * x) * x,
+    that axis kept, where theta (..., 1) are slopes, x (..., n) constant
+    inputs and net is the ReLU network of ``layers`` (``_relu_mlp``) on
+    each prediction. Leading axes broadcast; differentiable in theta and the
+    layers."""
+    params = tuple(p for layer in layers for p in layer)
+    shapes = (theta.shape, x.shape) + tuple(p.shape for p in params)
+    if x.requires_grad:
+        raise GraphError("linear_sg_direction: inputs must be constant")
+    if theta.ndim < 1 or theta.shape[-1] != 1 or x.ndim < 1:
+        raise ShapeError("linear_sg_direction", *shapes)
+    try:
+        y = theta.data * x.data
+    except ValueError:
+        raise ShapeError("linear_sg_direction", *shapes) from None
+    _check_mlp("linear_sg_direction", shapes, 1, layers, 1)
+    acts = _relu_mlp(y.reshape(-1, 1), layers)
+    gx = acts[-1].reshape(y.shape) * x.data
+    out_data = gx.mean(axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        g = np.broadcast_to(g, y.shape)
+        if mean:
+            g = g / y.shape[-1]
+        g_y = _relu_mlp_back((g * x.data).reshape(acts[-1].shape), acts, layers,
+                             theta.requires_grad)
+        if g_y is not None:
+            _accum(theta, _unbroadcast(g_y.reshape(y.shape) * x.data, theta.shape))
+
+    return _make(out_data, (theta,) + params, back)
 
 
 def prior_pull(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
-"""Learnable networks: feature map, initialization, synthetic-gradient MLP,
-the cosine classifier's weights and scale (the head itself is
-``diffcore.cosine_logits``), and the toy linear predictor.
+"""Learnable networks: feature map, initialization, the synthetic-gradient
+network's parameters, the cosine classifier's weights and scale (the head
+itself is ``diffcore.cosine_logits``), and the toy linear predictor.
 
 A MetaModel is a named bag of Tensors plus static geometry. The synthetic
 gradient network consumes predictions only (a three-layer ReLU MLP whose
-hidden width is eight times the prediction dimension); its final layer is
+hidden width is eight times the prediction dimension, ``sg_layers``); it is
+evaluated inside the fused direction ops of ``diffcore``. Its final layer is
 zero-initialized so that, at the start of meta-training, inner steps are
 no-ops and unrolled runs coincide with the no-adaptation baseline.
 """
@@ -44,6 +45,10 @@ class MetaModel:
 
     def theta_shape(self):
         return (1,) if self.mode == "toy" else (self.k, self.d_f)
+
+    def sg_layers(self) -> list:
+        """(weight, bias) of each layer of the synthetic-gradient network."""
+        return [(self.params[f"xi_w{i}"], self.params[f"xi_b{i}"]) for i in (1, 2, 3)]
 
     def clone_data(self) -> dict:
         return {name: t.data.copy() for name, t in self.params.items()}
@@ -134,18 +139,6 @@ def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -
         raise ValueError(f"support set is missing class {missing}")
     proto = dc.matmul(dc.constant(onehot / counts), support_feats)
     return proto * model.params["lambda_scale"]
-
-
-# -- synthetic gradient network ---------------------------------------------
-
-
-def synth_grad(model: MetaModel, y_hat: Tensor) -> Tensor:
-    """Three-layer ReLU MLP mapping predictions to a gradient surrogate; the
-    leading axes of (..., head_dim) inputs are folded into the MLP's rows."""
-    if y_hat.ndim < 2 or y_hat.shape[-1] != model.head_dim:
-        raise dc.ShapeError("synth_grad", y_hat.shape, (None, model.head_dim))
-    p = model.params
-    return dc.relu_mlp(y_hat, [(p[f"xi_w{i}"], p[f"xi_b{i}"]) for i in (1, 2, 3)])
 
 
 # -- prediction heads --------------------------------------------------------

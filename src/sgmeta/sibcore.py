@@ -5,12 +5,14 @@ network maps predictions to a surrogate for the unavailable loss gradient,
 and the update direction is the exact vector-Jacobian product of the
 predictions with that surrogate (conceptually, the gradient of the scalar
 ``(1/n) sum_i <stop_grad(net(y_hat_i)), y_hat_i>`` with respect to the task
-weights). The direction is a closed-form graph expression, a few fused
-nodes per step (``diffcore.cosine_logits``, ``relu_mlp``, ``cosine_vjp``
-and ``prior_pull``), so the whole K-step unroll is one first-order forward
-graph: the outer objective differentiates through it with respect to the
-initialization, the synthetic-gradient network, and the prior, with no
-higher-order machinery.
+weights). The direction is a closed-form graph expression, one fused node
+per step (``diffcore.cosine_sg_direction`` for the cosine head,
+``linear_sg_direction`` for the toy slope; ``prior_pull`` adds the KL's
+pull when it is in the inner loop), so the whole K-step unroll is one
+first-order forward graph: the outer objective differentiates through it
+with respect to the initialization, the synthetic-gradient network, and the
+prior, with no higher-order machinery. The constant query features' row
+norms are computed once per unroll, not once per step.
 
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``.
@@ -41,7 +43,7 @@ from .distributions import (
     kl_grad_wrt_mean,
     sample_reparam,
 )
-from .models import MetaModel, apply_features, linear_predict_toy, synth_grad
+from .models import MetaModel, apply_features, linear_predict_toy
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import _stream, stacked
 
@@ -151,36 +153,33 @@ def toy_direction(theta: Tensor, x: Tensor, model: MetaModel, cfg: InnerLoopConf
     """(1/n) sum_i net(y_hat_i) * x_i, averaged over weight draws.
 
     The predictor is y_hat = w * x, so dy_hat_i/dw = x_i and dw/dtheta = 1;
-    the expression below is exactly the surrogate's gradient in theta while
+    the expression is exactly the surrogate's gradient in theta while
     keeping the synthetic net's output in the graph.
     """
-    y_hat = linear_predict_toy(draw_weight(theta, cfg, eps), x)
-    g = synth_grad(model, y_hat.reshape(-1, 1)).reshape(y_hat.shape)
-    gx = g * x
-    contrib = gx.sum(axis=-1, keepdims=True) if cfg.sum_convention \
-        else gx.mean(axis=-1, keepdims=True)
+    contrib = dc.linear_sg_direction(draw_weight(theta, cfg, eps), x, model.sg_layers(),
+                                     mean=not cfg.sum_convention)
     return _mean_over_draws(contrib, eps)
 
 
-def fewshot_direction(theta: Tensor, features: Tensor, model: MetaModel,
-                      cfg: InnerLoopConfig, eps=None) -> Tensor:
-    """Synthetic-gradient direction for the cosine head."""
-    n = features.shape[-2]
-    w = draw_weight(theta, cfg, eps)
-    scale = model.params["classifier_scale"]
-    g = synth_grad(model, dc.cosine_logits(features, w, scale))
-    seed = g if cfg.sum_convention else dc.scale(g, 1.0 / n)
-    contrib = dc.cosine_vjp(features, w, scale, seed)
+def fewshot_direction(theta: Tensor, features: Tensor, feature_norms: np.ndarray,
+                      model: MetaModel, cfg: InnerLoopConfig, eps=None) -> Tensor:
+    """Synthetic-gradient direction for the cosine head; ``feature_norms``
+    are ``dc.row_norms(features.data)``."""
+    seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
+    contrib = dc.cosine_sg_direction(features, draw_weight(theta, cfg, eps),
+                                     model.params["classifier_scale"], model.sg_layers(),
+                                     seed_scale, feature_norms)
     return _mean_over_draws(contrib, eps)
 
 
 def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-             eps=None, step_index: int = 0) -> Tensor:
-    """One synthetic-gradient descent step on the query inputs (no labels)."""
+             eps=None, step_index: int = 0, feature_norms=None) -> Tensor:
+    """One synthetic-gradient descent step on the query inputs (no labels);
+    few-shot steps take the inputs' ``feature_norms``."""
     if model.mode == "toy":
         direction = toy_direction(theta, inner_x, model, cfg, eps)
     else:
-        direction = fewshot_direction(theta, inner_x, model, cfg, eps)
+        direction = fewshot_direction(theta, inner_x, feature_norms, model, cfg, eps)
     if cfg.kl_in_inner:
         kl_dir = kl_grad_wrt_mean(flat_weights(theta, model), prior_dist(model))
         direction = direction + kl_dir.reshape(theta.shape)
@@ -207,13 +206,15 @@ def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
     """Compose ``cfg.steps`` synthetic-gradient steps from ``theta0`` (one
     row per episode); returns (theta_K, the iterates theta_0 .. theta_K)."""
     x = inner_inputs(model, episodes)
+    # the constant features' row norms, for every step's cosine terms
+    norms = None if model.mode == "toy" else dc.row_norms(x.data)
     draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean
     noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
         if draws else None
     thetas = [theta0]
     for k in range(cfg.steps):
         eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
-        thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k))
+        thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k, feature_norms=norms))
     return thetas[-1], thetas
 
 

@@ -376,14 +376,23 @@ def write_metrics_csv(path, records) -> None:
 # -- model/episode plumbing -----------------------------------------------------
 
 
+def model_geometry(cfg: RunConfig) -> dict:
+    """The geometry of the model a config builds: its mode and, in few-shot
+    mode, k, d_x and d_f (the input width unless set). The toy model's k, d_x
+    and d_f are fixed by ``build_toy_model``."""
+    if cfg.mode == "toy":
+        return {"mode": "toy"}
+    fs = cfg.fewshot
+    return {"mode": "fewshot", "k": fs.k, "d_x": fs.d_x,
+            "d_f": fs.d_x if cfg.d_f is None else cfg.d_f}
+
+
 def build_model(cfg: RunConfig) -> MetaModel:
     seed = derive_task_seed(cfg.run_seed, "train", 0xA0DE1)
-    if cfg.mode == "toy":
+    geometry = model_geometry(cfg)
+    if geometry.pop("mode") == "toy":
         return build_toy_model(seed=seed)
-    fs = cfg.fewshot
-    return build_fewshot_model(
-        k=fs.k, d_x=fs.d_x, d_f=cfg.d_f, seed=seed, train_f=cfg.train_f
-    )
+    return build_fewshot_model(**geometry, seed=seed, train_f=cfg.train_f)
 
 
 def make_theta0(model: MetaModel, episodes, cfg: RunConfig):
@@ -592,7 +601,8 @@ def save_checkpoint(model: MetaModel, path, cfg: Optional[RunConfig] = None,
 
 
 def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
-    """The checkpoint's model; with ``cfg``, its geometry must be ``build_model(cfg)``'s."""
+    """The checkpoint's model; with ``cfg``, its geometry must be the config's
+    (``model_geometry``)."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -606,9 +616,10 @@ def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
                 f"current config ({expect}); proceeding anyway"
             )
     model = model_from_payload(payload)
-    want = model if cfg is None else build_model(cfg)
-    for attr, key in (("mode", "mode"), ("k", "fewshot.k"), ("d_x", "fewshot.d_x"), ("d_f", "d_f")):
-        if getattr(model, attr) != getattr(want, attr):
-            raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
-                             f"the config's {key} {getattr(want, attr)!r}")
+    if cfg is not None:
+        keys = {"mode": "mode", "k": "fewshot.k", "d_x": "fewshot.d_x", "d_f": "d_f"}
+        for attr, want in model_geometry(cfg).items():
+            if getattr(model, attr) != want:
+                raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
+                                 f"the config's {keys[attr]} {want!r}")
     return model

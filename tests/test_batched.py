@@ -32,7 +32,7 @@ from sgmeta.distributions import (
     kl_grad_wrt_mean,
     sample_reparam,
 )
-from sgmeta.models import apply_features, synth_grad
+from sgmeta.models import apply_features
 from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
@@ -53,6 +53,7 @@ from sgmeta.trainer import (
     evaluate,
     make_theta0,
 )
+from test_fused import relu_mlp
 
 TOL = 1e-12
 
@@ -74,10 +75,10 @@ def ref_direction(theta, x, model, cfg, eps_list):
         w = ref_draw(theta, cfg, eps)
         if model.mode == "toy":
             n = x.size
-            g = synth_grad(model, (w * x).reshape(n, 1)).reshape(n)
+            g = relu_mlp((w * x).reshape(n, 1), model.sg_layers()).reshape(n)
             contrib = ((g * x).sum() if cfg.sum_convention else (g * x).mean()).reshape(1)
         else:
-            g = synth_grad(model, dc.cosine_logits(x, w, scale))
+            g = relu_mlp(dc.cosine_logits(x, w, scale), model.sg_layers())
             seed = g if cfg.sum_convention else dc.scale(g, 1.0 / x.shape[0])
             contrib = dc.cosine_vjp(x, w, scale, seed)
         total = contrib if total is None else total + contrib

@@ -26,6 +26,7 @@ from sgmeta.diffcore import (
     take_per_row,
     zero_grad,
 )
+from test_fused import relu_mlp
 
 
 def tanh(t):
@@ -143,7 +144,7 @@ def test_grad_outside_graph_errors_unless_allowed():
 
 def differentiable_ops() -> dict:
     """The public differentiable ops of diffcore, by the name a case uses."""
-    not_ops = {"constant", "param", "detach", "backward", "grad", "zero_grad",
+    not_ops = {"constant", "param", "detach", "row_norms", "backward", "grad", "zero_grad",
                "fd_gradient", "check_gradients"}
     spelled = {"tsum": "sum", "tmean": "mean"}
     return {spelled.get(name, name): name for name, f in vars(dc).items()
@@ -155,9 +156,10 @@ def test_op_suites_name_every_differentiable_op():
     """``sgmeta gradcheck``'s finite-difference suite has a case named after
     each public differentiable op of diffcore."""
     ops = differentiable_ops()
-    assert {"relu_mlp", "cosine_logits", "cosine_vjp", "prior_pull", "sum"} <= set(ops)
+    assert {"cosine_sg_direction", "linear_sg_direction", "cosine_logits", "cosine_vjp",
+            "prior_pull", "sum"} <= set(ops)
 
-    def named(op, case):  # "matmul", "matmul3d" and "relu_mlp_1col" name their op
+    def named(op, case):  # "matmul", "matmul3d" and "matmul3d_2d" name their op
         return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
 
     assert sorted(op for op in ops if not any(named(op, c) for c, _ in OP_CASES)) == []
@@ -202,7 +204,8 @@ def test_training_commands_call_every_differentiable_op(tmp_path, monkeypatch):
 
 
 def test_linear_bias_gradient_sums_over_rows():
-    """A one-layer relu_mlp is the affine map x @ w + b, without a relu."""
+    """A one-layer synthetic-gradient net is the affine map x @ w + b, without
+    a relu."""
     rng = np.random.default_rng(5)
     x = param(rng.normal(size=(5, 4)))
     w = param(rng.normal(size=(4, 3)))
@@ -210,7 +213,7 @@ def test_linear_bias_gradient_sums_over_rows():
     weights = constant(rng.normal(size=(5, 3)))
 
     def loss():
-        return (dc.relu_mlp(x, [(w, bias)]) * weights).sum()
+        return (relu_mlp(x, [(w, bias)]) * weights).sum()
 
     check_gradients(loss, [x, w, bias], tol=1e-6)
     np.testing.assert_array_equal(bias.grad, weights.data.sum(axis=0))
@@ -221,7 +224,7 @@ def test_linear_is_bitwise_matmul_plus_bias():
     params = [param(rng.normal(size=s)) for s in ((7, 4), (4, 3), (3,))]
     weights = constant(rng.normal(size=(7, 3)))
     x, w, bias = params
-    fused = dc.relu_mlp(x, [(w, bias)])
+    fused = relu_mlp(x, [(w, bias)])
     fused_grads = [g.copy() for g in grad((dc.square(fused) * weights).sum(), params)]
     zero_grad(params)
     composite = matmul(x, w) + bias
@@ -241,34 +244,51 @@ def test_linear_is_bitwise_matmul_plus_bias():
         (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
         (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
         (dc.matmul, (Tensor(np.ones(3)), Tensor(np.ones((3, 2))))),
-        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))])),
-        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))])),
-        (dc.relu_mlp, (Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones(4))),
-                                                 (Tensor(np.ones((3, 4))), Tensor(np.ones(4)))])),
+        # a last layer 4 -> 3 against k = 4 classes; norms of other rows; the
+        # slopes' last axis not 1
+        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
+                                  [(Tensor(np.ones((4, 6))), Tensor(np.ones(6))),
+                                   (Tensor(np.ones((6, 3))), Tensor(np.ones(3)))],
+                                  0.2, np.ones((5, 1)))),
+        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
+                                  [(Tensor(np.ones((4, 4))), Tensor(np.ones(4)))],
+                                  0.2, np.ones((4, 1)))),
+        (dc.linear_sg_direction, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))),
+                                  [(Tensor(np.ones((1, 4))), Tensor(np.ones(4))),
+                                   (Tensor(np.ones((4, 1))), Tensor(np.ones(1)))], True)),
         (dc.cosine_logits, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(1.0))),
         (dc.cosine_logits, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 4, 3))), Tensor(1.0))),
         (dc.cosine_vjp, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
                          Tensor(np.ones((5, 3))))),
         (dc.prior_pull, (Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(3)))),
+        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 2))), Tensor(1.0),
+                                  [(Tensor(np.ones((4, 4))), Tensor(np.ones(4)))],
+                                  0.2, np.ones((5, 1)))),
+        (dc.linear_sg_direction, (Tensor(np.ones((3, 1))), Tensor(np.ones((2, 5))),
+                                  [(Tensor(np.ones((1, 1))), Tensor(np.ones(1)))], False)),
+        (dc.linear_sg_direction, (Tensor(np.ones((2, 1))), Tensor(np.ones((2, 5))),
+                                  [(Tensor(np.ones((1, 4))), Tensor(np.ones(3)))], False)),
     ],
 )
 def test_shape_mismatch_raises_structured_error(op, args):
     with pytest.raises(ShapeError) as exc:
         op(*args)
     assert exc.value.op == op.__name__
-    # relu_mlp's layers count as operands of their own
-    operands = [t for a in args for t in (
-        [t for layer in a for t in layer] if op is dc.relu_mlp and isinstance(a, list) else [a])]
+    # a network's layers count as operands of their own; flags and python
+    # scales are no operands
+    operands = [t for a in args if not isinstance(a, (bool, float)) for t in (
+        [t for layer in a for t in layer] if isinstance(a, list) and op is not take_per_row
+        else [a])]
     shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in operands)
     assert exc.value.shapes == shapes
 
 
 def test_relu_edge_values():
-    """The hidden relu of relu_mlp: negatives and zeros give +0.0, inf
-    passes, NaN propagates, and the backward mask is off on NaN."""
+    """The hidden relu of the synthetic-gradient net: negatives and zeros give
+    +0.0, inf passes, NaN propagates, and the backward mask is off on NaN."""
     x = param(np.array([-0.0, 0.0, -1.0, -np.inf, 2.5, np.inf, np.nan]).reshape(7, 1))
     one, zero = constant(np.eye(1)), constant([-0.0])
-    out = dc.relu_mlp(x, [(one, zero), (one, zero)])
+    out = relu_mlp(x, [(one, zero), (one, zero)])
     np.testing.assert_array_equal(out.data[:4, 0], 0.0)
     assert not np.any(np.signbit(out.data[:4]))
     np.testing.assert_array_equal(out.data[4:6, 0], [2.5, np.inf])

@@ -1,14 +1,21 @@
-"""The fused ops of diffcore against the composites of elementary ops they
-replace, written out here as the reference: forward values bitwise equal,
-gradients to 1e-13 relative (bitwise for relu_mlp and prior_pull), and
-central differences to 1e-6 on 2-D, stacked (B, ., .) and Monte-Carlo
-(M, B, k, d) weights against (B, n, d) features."""
+"""The fused ops of diffcore against the composites they replace, written
+out here as the reference: forward values bitwise equal, gradients to 1e-13
+relative against elementary ops (bitwise for the network helpers and
+prior_pull), and central differences to 1e-6 on 2-D, stacked (B, ., .) and
+Monte-Carlo (M, B, k, d) weights against (B, n, d) features. The two
+synthetic-gradient direction ops are bitwise the chains of fused nodes they
+replace, in values, in gradients, and in the bytes a training run writes."""
+
+import json
 
 import numpy as np
 import pytest
 
+import sgmeta.sibcore as sibcore
 from sgmeta import diffcore as dc
+from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, grad, matmul, param
+from sgmeta.models import linear_predict_toy
 
 GRAD_RTOL = 1e-13
 
@@ -57,6 +64,20 @@ def row_norm(a: Tensor) -> Tensor:
     return sqrt(dc.tsum(dc.square(a), axis=-1, keepdims=True))
 
 
+def relu_mlp(x: Tensor, layers) -> Tensor:
+    """The network helpers of the direction ops as a node of their own, on
+    the rows of (..., d) inputs."""
+    acts = dc._relu_mlp(x.data.reshape(-1, x.shape[-1]), layers)
+
+    def back(g):
+        g_x = dc._relu_mlp_back(g.reshape(acts[-1].shape), acts, layers, x.requires_grad)
+        if g_x is not None:
+            dc._accum(x, g_x.reshape(x.shape))
+
+    params = tuple(t for layer in layers for t in layer)
+    return dc._make(acts[-1].reshape(x.shape[:-1] + acts[-1].shape[-1:]), (x,) + params, back)
+
+
 def mlp_composite(x: Tensor, layers) -> Tensor:
     rows = x.reshape(-1, x.shape[-1])
     for i, (w, b) in enumerate(layers):
@@ -84,6 +105,37 @@ def cosine_vjp_composite(features: Tensor, theta: Tensor, scale: Tensor, seed: T
 
 def prior_pull_composite(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
     return (x - mean) * dc.exp(-log_var)
+
+
+# the synthetic-gradient directions as chains of fused nodes
+
+
+def cosine_sg_chain(features: Tensor, theta: Tensor, scale: Tensor, layers,
+                    seed_scale: float) -> Tensor:
+    g = relu_mlp(dc.cosine_logits(features, theta, scale), layers)
+    seed = g if seed_scale == 1.0 else dc.scale(g, seed_scale)
+    return dc.cosine_vjp(features, theta, scale, seed)
+
+
+def linear_sg_chain(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
+    y_hat = linear_predict_toy(theta, x)
+    gx = relu_mlp(y_hat.reshape(-1, 1), layers).reshape(y_hat.shape) * x
+    return gx.mean(axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
+
+
+def toy_direction_chain(theta, x, model, cfg, eps=None):
+    """``sibcore.toy_direction`` built from the chain."""
+    contrib = linear_sg_chain(sibcore.draw_weight(theta, cfg, eps), x, model.sg_layers(),
+                              not cfg.sum_convention)
+    return sibcore._mean_over_draws(contrib, eps)
+
+
+def fewshot_direction_chain(theta, features, feature_norms, model, cfg, eps=None):
+    """``sibcore.fewshot_direction`` built from the chain."""
+    seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
+    contrib = cosine_sg_chain(features, sibcore.draw_weight(theta, cfg, eps),
+                              model.params["classifier_scale"], model.sg_layers(), seed_scale)
+    return sibcore._mean_over_draws(contrib, eps)
 
 
 # -- comparison ------------------------------------------------------------------
@@ -119,6 +171,8 @@ COSINE_SHAPES = {
     "draws": ((2, 7, 4), (3, 2, 3, 4)),
 }
 MLP_INPUTS = {"2d": (6, 3), "stacked": (2, 6, 3), "draws": (4, 2, 6, 3)}
+# (inputs, slopes) shapes of the linear head, likewise
+LINEAR_SHAPES = {"2d": ((5,), (1,)), "stacked": ((2, 5), (2, 1)), "draws": ((2, 5), (3, 2, 1))}
 
 
 def _mlp_layers(rng, widths):
@@ -132,7 +186,7 @@ def test_relu_mlp_is_bitwise_its_composite(case):
     x = param(rng.normal(size=MLP_INPUTS[case]))
     layers = _mlp_layers(rng, (3, 24, 24, 3))
     leaves = [x] + [t for layer in layers for t in layer]
-    assert_matches(lambda: dc.relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
+    assert_matches(lambda: relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
                    bitwise_grads=True)
 
 
@@ -142,9 +196,9 @@ def test_relu_mlp_gradient_skips_constant_inputs():
     x = constant(rng.normal(size=(2, 5, 3)))
     layers = _mlp_layers(rng, (3, 6, 3))
     leaves = [t for layer in layers for t in layer]
-    assert_matches(lambda: dc.relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
+    assert_matches(lambda: relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
                    bitwise_grads=True)
-    check_gradients(lambda: dc.square(dc.relu_mlp(x, layers)).sum(), leaves, tol=1e-6)
+    check_gradients(lambda: dc.square(relu_mlp(x, layers)).sum(), leaves, tol=1e-6)
 
 
 @pytest.mark.parametrize("case", list(COSINE_SHAPES))
@@ -189,15 +243,23 @@ def test_fused_ops_match_finite_differences(case):
     layers = _mlp_layers(rng, (t_shape[-2], 8, t_shape[-2]))
     mlp_params = [t for layer in layers for t in layer]
 
+    norms = dc.row_norms(const_features.data)
+
     def inner_direction():
-        seed = dc.relu_mlp(dc.cosine_logits(const_features, theta, scale), layers)
-        return dc.square(dc.cosine_vjp(const_features, theta, scale, seed)).sum()
+        return dc.square(dc.cosine_sg_direction(const_features, theta, scale, layers, 0.5,
+                                                norms)).sum()
 
     def objective():
         return dc.square(dc.cosine_logits(features, theta, scale)).sum()
 
     check_gradients(inner_direction, [theta, scale] + mlp_params, h=1e-6, tol=1e-6)
     check_gradients(objective, [features, theta, scale], h=1e-6, tol=1e-6)
+    x_shape, slope_shape = LINEAR_SHAPES[case]
+    x, slope = constant(rng.normal(size=x_shape)), param(rng.normal(size=slope_shape))
+    toy_layers = _mlp_layers(rng, (1, 8, 1))
+    check_gradients(
+        lambda: dc.square(dc.linear_sg_direction(slope, x, toy_layers, True)).sum(),
+        [slope] + [t for layer in toy_layers for t in layer], h=1e-6, tol=1e-6)
     x, mean, log_var = (param(rng.normal(size=s)) for s in ((3, 5), (5,), (5,)))
     check_gradients(lambda: dc.square(dc.prior_pull(x, mean, log_var)).sum(),
                     [x, mean, log_var], h=1e-6, tol=1e-6)
@@ -209,3 +271,109 @@ def test_cosine_vjp_rejects_features_that_require_grad():
     theta, seed = param(rng.normal(size=(2, 3))), param(rng.normal(size=(5, 2)))
     with pytest.raises(GraphError, match="features must be constant"):
         dc.cosine_vjp(features, theta, param(1.0), seed)
+
+
+# -- the synthetic-gradient directions --------------------------------------------
+
+
+def _leaves(*tensors, layers):
+    return [t for t in tensors if t.requires_grad] + [t for layer in layers for t in layer]
+
+
+@pytest.mark.parametrize("seed_scale", [1.0, 1.0 / 7], ids=["sum", "mean"])
+@pytest.mark.parametrize("case", list(COSINE_SHAPES))
+def test_cosine_sg_direction_is_bitwise_its_chain(case, seed_scale):
+    rng = np.random.default_rng(8)
+    f_shape, t_shape = COSINE_SHAPES[case]
+    features = constant(rng.normal(size=f_shape))
+    theta, scale = param(rng.normal(size=t_shape)), param(7.5)
+    layers = _mlp_layers(rng, (3, 24, 24, 3))
+    norms = dc.row_norms(features.data)
+    # theta is also a summand of the output, as of the next inner step, so
+    # the order its three cotangents add up in shows
+    assert_matches(
+        lambda: dc.cosine_sg_direction(features, theta, scale, layers, seed_scale, norms) + theta,
+        lambda: cosine_sg_chain(features, theta, scale, layers, seed_scale) + theta,
+        _leaves(theta, scale, layers=layers), bitwise_grads=True)
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["mean", "sum"])
+@pytest.mark.parametrize("case", list(LINEAR_SHAPES))
+def test_linear_sg_direction_is_bitwise_its_chain(case, mean):
+    rng = np.random.default_rng(9)
+    x_shape, slope_shape = LINEAR_SHAPES[case]
+    x, slope = constant(rng.normal(size=x_shape)), param(rng.normal(size=slope_shape))
+    layers = _mlp_layers(rng, (1, 8, 8, 1))
+    assert_matches(lambda: dc.linear_sg_direction(slope, x, layers, mean) + slope,
+                   lambda: linear_sg_chain(slope, x, layers, mean) + slope,
+                   _leaves(slope, layers=layers), bitwise_grads=True)
+
+
+def test_direction_ops_give_a_constant_theta_no_cotangent():
+    """With constant weights, only the scale and the layers get cotangents,
+    bitwise the chain's."""
+    rng = np.random.default_rng(10)
+    features, theta = constant(rng.normal(size=(2, 7, 4))), constant(rng.normal(size=(3, 2, 3, 4)))
+    scale = param(2.0)
+    layers = _mlp_layers(rng, (3, 6, 3))
+    norms = dc.row_norms(features.data)
+    assert_matches(lambda: dc.cosine_sg_direction(features, theta, scale, layers, 0.25, norms),
+                   lambda: cosine_sg_chain(features, theta, scale, layers, 0.25),
+                   _leaves(scale, layers=layers), bitwise_grads=True)
+    slope, x = constant(rng.normal(size=(3, 2, 1))), constant(rng.normal(size=(2, 5)))
+    toy_layers = _mlp_layers(rng, (1, 6, 1))
+    assert_matches(lambda: dc.linear_sg_direction(slope, x, toy_layers, True),
+                   lambda: linear_sg_chain(slope, x, toy_layers, True),
+                   _leaves(layers=toy_layers), bitwise_grads=True)
+    assert theta.grad is None and slope.grad is None
+
+
+def test_direction_ops_reject_inputs_that_require_grad():
+    rng = np.random.default_rng(11)
+    layers = _mlp_layers(rng, (2, 4, 2))
+    features = param(rng.normal(size=(5, 3)))
+    with pytest.raises(GraphError, match="cosine_sg_direction: features must be constant"):
+        dc.cosine_sg_direction(features, param(rng.normal(size=(2, 3))), param(1.0), layers,
+                               1.0, dc.row_norms(features.data))
+    with pytest.raises(GraphError, match="linear_sg_direction: inputs must be constant"):
+        dc.linear_sg_direction(param([0.5]), param(rng.normal(size=4)),
+                               _mlp_layers(rng, (1, 4, 1)), True)
+
+
+# Tiny training runs: few-shot proto in the deterministic and the Gaussian
+# regime, toy with inner draws. Fast outer and inner rates make the
+# synthetic-gradient net matter within a few steps, so a change in the last
+# bit of a direction or its cotangents reaches the outputs.
+_FEWSHOT = {"mode": "fewshot", "total_steps": 6, "batch_tasks": 2, "eval_every": 3,
+            "val_pool_size": 3, "eval_episodes": 4, "learning_rate": 0.05,
+            "fewshot": {"k": 3, "n_shot": 1, "n_query_per_class": 4, "d_x": 6,
+                        "class_pool": {"train": 8, "val": 4, "test": 4}}}
+BYTE_RUNS = {
+    "fewshot-deterministic": ("train-fewshot", {**_FEWSHOT, "inner": {"eta_inner": 0.5}}),
+    "fewshot-gaussian": ("train-fewshot", {**_FEWSHOT, "inner": {
+        "eta_inner": 0.5, "posterior_regime": "gaussian_fixed_var", "mc_samples": 2}}),
+    "toy-inner-draws": ("train-toy", {
+        "mode": "toy", "epochs": 3, "batch_tasks": 4, "learning_rate": 0.05,
+        "toy": {"n": 12, "n_train_tasks": 8, "n_test_tasks": 6},
+        "inner": {"inner_eval_at_mean": False, "mc_samples": 2, "eta_inner": 0.1}}),
+}
+
+
+@pytest.mark.parametrize("run", list(BYTE_RUNS))
+def test_training_is_bytewise_the_chain_of_fused_nodes(tmp_path, monkeypatch, run):
+    """The golden runs compare to 1e-12, which a change of rounding passes:
+    these runs' metrics and checkpoints are byte-identical with the
+    directions built from the chains."""
+    command, config = BYTE_RUNS[run]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+
+    def outputs(name):
+        out = tmp_path / name
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        return {f: (out / f).read_bytes() for f in ("metrics.csv", "checkpoint.json")}
+
+    fused = outputs("fused")
+    monkeypatch.setattr(sibcore, "toy_direction", toy_direction_chain)
+    monkeypatch.setattr(sibcore, "fewshot_direction", fewshot_direction_chain)
+    assert outputs("chain") == fused

@@ -1,4 +1,4 @@
-"""Model components: init networks, synthetic-gradient MLP, cosine head."""
+"""Model components: init networks, synthetic-gradient net, cosine head."""
 
 import json
 
@@ -19,7 +19,6 @@ from sgmeta.models import (
     init_theta0_proto,
     linear_predict_toy,
     model_from_payload,
-    synth_grad,
 )
 from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines
 
@@ -91,25 +90,45 @@ def test_synth_grad_hidden_widths():
     assert toy.params["xi_w1"].shape == (1, 8)
 
 
+def fewshot_direction(model, features, theta, seed_scale=0.25):
+    """The synthetic-gradient direction of the cosine head at theta."""
+    return dc.cosine_sg_direction(constant(features), theta, model.params["classifier_scale"],
+                                  model.sg_layers(), seed_scale, dc.row_norms(features))
+
+
 def test_synth_grad_zero_weights_outputs_bias():
+    """A net of zero weights outputs its last bias on every row, so the
+    direction is the head's VJP of that bias."""
     model = build_fewshot_model(k=3, d_x=4, seed=1)
     for name in ("xi_w1", "xi_b1", "xi_w2", "xi_b2", "xi_w3"):
         model.params[name].data[:] = 0.0
     model.params["xi_b3"].data[:] = [0.5, -1.0, 2.0]
-    out = synth_grad(model, constant(np.random.default_rng(0).normal(size=(6, 3))))
-    np.testing.assert_array_equal(out.data, np.tile([0.5, -1.0, 2.0], (6, 1)))
+    rows = np.random.default_rng(0).normal(size=(6, 3))
+    out = dc._relu_mlp(rows, model.sg_layers())[-1]
+    np.testing.assert_array_equal(out, np.tile([0.5, -1.0, 2.0], (6, 1)))
+    features, theta = rows @ np.ones((3, 4)) + np.eye(6, 4), constant(np.eye(3, 4) + 0.5)
+    vjp = dc.cosine_vjp(constant(features), theta, model.params["classifier_scale"],
+                        constant(0.25 * np.tile([0.5, -1.0, 2.0], (6, 1))))
+    np.testing.assert_array_equal(fewshot_direction(model, features, theta).data, vjp.data)
 
 
 def test_synth_grad_is_zero_at_init():
+    """The last layer starts at zero: every direction is zero, in both heads."""
     model = build_fewshot_model(k=4, d_x=4, seed=9)
-    out = synth_grad(model, constant(np.random.default_rng(1).normal(size=(5, 4))))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+    rng = np.random.default_rng(1)
+    out = fewshot_direction(model, rng.normal(size=(2, 5, 4)), constant(rng.normal(size=(2, 4, 4))))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 4, 4)))
+    toy = build_toy_model(seed=2)
+    out = dc.linear_sg_direction(constant(rng.normal(size=(3, 1))),
+                                 constant(rng.normal(size=(3, 7))), toy.sg_layers(), True)
+    np.testing.assert_array_equal(out.data, np.zeros((3, 1)))
 
 
 def test_synth_grad_width_mismatch_errors():
+    """Weights of other than k rows do not fit the k-way net."""
     model = build_fewshot_model(k=3, d_x=4, seed=0)
-    with pytest.raises(ShapeError):
-        synth_grad(model, constant(np.ones((5, 4))))
+    with pytest.raises(ShapeError, match="cosine_sg_direction"):
+        fewshot_direction(model, np.ones((5, 4)), constant(np.ones((4, 4))))
 
 
 def cosine_logits(model, features, theta):
@@ -175,13 +194,15 @@ def test_model_pieces_are_differentiable():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(4, 3))
     labels = [0, 1, 0, 1]
-    target = rng.normal(size=(4, 2))
+    target, g_target = rng.normal(size=(4, 2)), rng.normal(size=(2, 3))
+    model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape)
 
     def loss():
         theta = init_theta0_proto(model, constant(feats), labels)
         logits = cosine_logits(model, constant(feats), theta)
-        g = synth_grad(model, logits)
-        return dc.tmean(dc.square(logits + g - constant(target)))
+        g = fewshot_direction(model, feats, theta)
+        return dc.tmean(dc.square(logits - constant(target))) + dc.tmean(
+            dc.square(g - constant(g_target)))
 
     params = [model.params[n] for n in ("lambda_scale", "classifier_scale", "xi_w1", "xi_b3")]
     errors = check_gradients(loss, params, h=1e-6, tol=1e-6)

@@ -47,6 +47,7 @@ from sgmeta.tasks import (
     gen_spinning_lines,
     stacked,
 )
+from test_fused import mlp_composite
 
 
 def toy_cfg(**kw):
@@ -215,10 +216,8 @@ def test_toy_direction_matches_naive_loop():
     theta = 0.4
     out = sib_step(constant([theta]), constant(x), model, det_cfg(eta_inner=1.0))
     # naive: per-example synthetic outputs times x_i, averaged
-    from sgmeta.models import synth_grad
-
     g = np.array([
-        synth_grad(model, constant([[theta * xi]])).data[0, 0] for xi in x
+        mlp_composite(constant([[theta * xi]]), model.sg_layers()).data[0, 0] for xi in x
     ])
     expected = theta - np.mean(g * x)
     assert out.data[0] == pytest.approx(expected, rel=1e-12)
