@@ -1,8 +1,9 @@
 """Theory-facing diagnostics.
 
 The mutual-information proxy, a Monte-Carlo generalization gap with its
-subgaussian upper bound, an exhaustively enumerated decomposition of the
-population objective on small discrete instances, and the query-size sweep.
+subgaussian upper bound, and the query-size sweep. Posterior weights are
+drawn, and the bound exists or not, as the posterior regime says
+(``distributions.Posterior``).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .distributions import Posterior
 from .models import MetaModel, frozen_copy
 from .sibcore import (
-    GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
     forward_chunks,
     prior_term,
@@ -82,6 +83,7 @@ class AdaptedWeights:
         self.frozen = frozen_copy(model)
         self.task_sampler = task_sampler
         self.inner = inner
+        self.posterior = Posterior(inner)
         self.theta0_fn = theta0_fn
         self._by_trial: dict = {}
 
@@ -111,7 +113,7 @@ def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -
     so only there may it be negative.
     """
     value = float(np.mean(prior_term(dc.constant(theta_k), model, inner).data))
-    if inner.posterior_regime == GAUSSIAN_FIXED_VAR and value < -1e-12:
+    if Posterior(inner).has_bound and value < -1e-12:
         raise AssertionError("mutual-information proxy must be nonnegative")
     return value
 
@@ -159,13 +161,6 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test"):
     return sample
 
 
-def _draw_posterior_weight(theta_data: np.ndarray, inner: InnerLoopConfig, rng) -> np.ndarray:
-    if inner.posterior_regime == GAUSSIAN_FIXED_VAR:
-        std = math.exp(inner.q_log_var / 2.0)
-        return theta_data.reshape(-1) + std * rng.normal(size=theta_data.size)
-    return theta_data.reshape(-1)
-
-
 def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
             seed: int = 0, theta0_fn: Optional[Callable] = None,
             adapted: Optional[AdaptedWeights] = None,
@@ -195,8 +190,10 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
         idx = range(start, start + len(samples))
         datasets = [d for d, _ in samples]
         n_query = datasets[-1].n_query
-        w = np.stack([_draw_posterior_weight(theta, inner, rng)
-                      for theta in adapted(idx, datasets)])
+        theta = adapted(idx, datasets).reshape(len(idx), -1)
+        # one draw per trial, in trial order
+        eps = rng.normal(size=theta.shape) if adapted.posterior.random else None
+        w = adapted.posterior.draw(dc.constant(theta), eps).data
         on_d = _losses(adapted.frozen, stacked(datasets, "query_inputs"),
                        stacked(datasets, "query_labels"), w)
         fresh = [sample_fresh() for _, sample_fresh in samples]
@@ -211,8 +208,7 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     sigma = estimate_sigma(adapted, draws=picked.draws, seed=picked.seed, picked=picked)
     mi = mi_for_sampler(adapted, episodes=min(trials, 200))
-    bound = gen_bound(sigma, n_query, mi) if inner.posterior_regime == GAUSSIAN_FIXED_VAR \
-        else None
+    bound = gen_bound(sigma, n_query, mi) if adapted.posterior.has_bound else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
                        bound=bound, mi=mi, n=n_query)
 
@@ -221,7 +217,7 @@ class SigmaDraws:
     """The random draws of ``estimate_sigma`` and the points they pick.
 
     Per draw t, in the order a one-draw-at-a-time loop makes them: the noise
-    of a weight drawn from trial 2t's posterior (Gaussian regime only), then
+    of a weight drawn from trial 2t's posterior (none for a point mass), then
     the index of the point taken from trial 2t + 1's dataset. No draw
     depends on the data, only on the sampler's query size, so all are made
     when the first dataset is picked from, and a trial's point can be picked
@@ -232,11 +228,11 @@ class SigmaDraws:
         self.draws = draws
         self.seed = seed
         self.n_query = None
-        self.noise = None  # (draws, theta size), Gaussian regime only
+        self.noise = None  # (draws, theta size); stays None for a point mass
         self.index = None
         self.points: dict = {}  # trial -> (inputs, labels) of its point
         self._size = int(np.prod(adapted.frozen.theta_shape()))
-        self._gaussian = adapted.inner.posterior_regime == GAUSSIAN_FIXED_VAR
+        self._random = adapted.posterior.random
 
     def pick(self, trial: int, dataset: Episode) -> None:
         """Keep the point of ``trial``'s dataset that its draw takes, if any."""
@@ -253,11 +249,11 @@ class SigmaDraws:
         rng = episode_rng(derive_task_seed(self.seed, "test", 0x51E), stream=9)
         noise, index = [], []
         for _ in range(self.draws):
-            if self._gaussian:
+            if self._random:
                 noise.append(rng.normal(size=self._size))
             index.append(int(rng.integers(n_query)))
         self.n_query = n_query
-        self.noise = np.array(noise) if self._gaussian else None
+        self.noise = np.array(noise) if self._random else None
         self.index = index
 
 
@@ -273,12 +269,10 @@ def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int,
     for trial in range(1, 2 * draws, 2):
         if trial not in picked.points:
             picked.pick(trial, adapted.task_sampler(trial)[0])
-    std = math.exp(adapted.inner.q_log_var / 2.0)
     losses = []
     for _, chunk in forward_chunks(range(draws), n_query=lambda t: picked.n_query):
-        w = adapted([2 * t for t in chunk]).reshape(len(chunk), -1)
-        if picked.noise is not None:
-            w = w + std * picked.noise[chunk]
+        w = dc.constant(adapted([2 * t for t in chunk]).reshape(len(chunk), -1))
+        w = adapted.posterior.draw(w, None if picked.noise is None else picked.noise[chunk]).data
         inputs = np.stack([picked.points[2 * t + 1][0] for t in chunk])
         labels = np.stack([picked.points[2 * t + 1][1] for t in chunk])
         losses.extend(_losses(adapted.frozen, inputs, labels, w))
@@ -299,118 +293,6 @@ def gen_bound(sigma: float, n: int, mi: float) -> float:
     if sigma <= 0 or n < 1:
         raise ValueError("requires sigma > 0 and n >= 1")
     return math.sqrt(2.0 * sigma * sigma * mi / n)
-
-
-# -- discrete decomposition check -------------------------------------------------
-
-
-@dataclass
-class DiscreteInstance:
-    """Tabulated joint model over tasks, datasets, and weights."""
-
-    q_t: np.ndarray  # (T,)
-    q_d_given_t: np.ndarray  # (T, D)
-    q_w_given_dt: np.ndarray  # (T, D, W)
-    p_w: np.ndarray  # (W,)
-    p_d_given_wt: np.ndarray  # (T, W, D)
-
-    def __post_init__(self):
-        for name in ("q_t", "q_d_given_t", "q_w_given_dt", "p_w", "p_d_given_wt"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} has negative entries")
-        _check_rows(self.q_t[None, :], "q_t")
-        _check_rows(self.q_d_given_t, "q_d_given_t")
-        _check_rows(self.q_w_given_dt.reshape(-1, self.q_w_given_dt.shape[-1]), "q_w_given_dt")
-        _check_rows(self.p_w[None, :], "p_w")
-        _check_rows(self.p_d_given_wt.reshape(-1, self.p_d_given_wt.shape[-1]), "p_d_given_wt")
-
-    @property
-    def sizes(self):
-        t, d, w = self.q_w_given_dt.shape
-        return t, d, w
-
-
-def _check_rows(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
-    sums = mat.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > tol):
-        raise ValueError(f"{name} rows must sum to 1 (max deviation {np.abs(sums-1).max():.2e})")
-
-
-def random_instance(rng, t: int = 2, d: int = 3, w: int = 4,
-                    concentration: float = 1.0) -> DiscreteInstance:
-    """Random strictly positive tables (Dirichlet rows); capped at 16^3."""
-    if max(t, d, w) > 16:
-        raise ValueError("instance sizes capped at 16 per axis")
-
-    def dirichlet(shape):
-        raw = rng.gamma(concentration, size=shape) + 1e-12
-        return raw / raw.sum(axis=-1, keepdims=True)
-
-    return DiscreteInstance(
-        q_t=dirichlet((t,)),
-        q_d_given_t=dirichlet((t, d)),
-        q_w_given_dt=dirichlet((t, d, w)),
-        p_w=dirichlet((w,)),
-        p_d_given_wt=dirichlet((t, w, d)),
-    )
-
-
-@dataclass
-class IbReport:
-    objective: float
-    mi_term: float
-    cross_entropy_term: float
-    prior_kl_term: float
-    residual: float
-    lower_bound: float
-    bound_satisfied: bool
-
-
-def ib_decomposition_check(inst: DiscreteInstance, tol: float = 1e-9) -> IbReport:
-    """Exhaustive check that the population objective equals the mutual
-    information plus the conditional cross entropy plus the aggregated
-    prior KL, and dominates the entropic lower bound."""
-    t_n, d_n, w_n = inst.sizes
-    q_t = inst.q_t
-    q_dt = inst.q_d_given_t
-    q_wdt = inst.q_w_given_dt
-    # joint over (t, d, w) and the aggregated posterior q(w | t)
-    joint = q_t[:, None, None] * q_dt[:, :, None] * q_wdt
-    q_w_t = (q_dt[:, :, None] * q_wdt).sum(axis=1)  # (T, W)
-
-    # objective: E_t E_d [ E_{q(w|d,t)}[-log p(d|w,t)] + KL(q(w|d,t) || p(w)) ]
-    log_p_d_wt = np.log(inst.p_d_given_wt)  # (T, W, D)
-    nll = -(joint * np.transpose(log_p_d_wt, (0, 2, 1))).sum()
-    kl_to_p = (joint * (np.log(q_wdt) - np.log(inst.p_w)[None, None, :])).sum()
-    objective = nll + kl_to_p
-
-    mi_term = (joint * (np.log(q_wdt) - np.log(q_w_t)[:, None, :])).sum()
-    cross_entropy_term = nll
-    prior_kl_term = (q_t[:, None] * q_w_t * (np.log(q_w_t) - np.log(inst.p_w)[None, :])).sum()
-
-    residual = objective - (mi_term + cross_entropy_term + prior_kl_term)
-
-    # entropic lower bound: I + H_q(d | w, t)
-    q_d_wt = joint / (q_t[:, None, None] * q_w_t[:, None, :])  # q(d | w, t)
-    h_q = -(joint * np.log(q_d_wt)).sum()
-    lower_bound = mi_term + h_q
-
-    report = IbReport(
-        objective=float(objective),
-        mi_term=float(mi_term),
-        cross_entropy_term=float(cross_entropy_term),
-        prior_kl_term=float(prior_kl_term),
-        residual=float(residual),
-        lower_bound=float(lower_bound),
-        bound_satisfied=bool(objective >= lower_bound - tol),
-    )
-    if abs(report.residual) > tol:
-        raise AssertionError(f"decomposition residual {report.residual:.3e} exceeds {tol:.1e}")
-    if not report.bound_satisfied:
-        raise AssertionError("population objective fell below its entropic lower bound")
-    return report
 
 
 # -- query-size sweep ----------------------------------------------------------------

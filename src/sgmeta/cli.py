@@ -314,7 +314,7 @@ def cmd_analyze(args) -> int:
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
             append_bound(quantities, f"gen_bound_seed{s}", est.bound)
-            quantities.append((f"sigma_seed{s}", est.sigma, 0.0))
+            append_bound_inputs(quantities, est, f"_seed{s}")
         # null when the posterior regime has no bound
         payload["bound_holds_all_seeds"] = None if gaps[0].bound is None else all(
             abs(e.gap) <= e.bound + 3 * e.stderr for e in gaps
@@ -329,6 +329,7 @@ def cmd_analyze(args) -> int:
                       theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
         quantities.append(("gen_gap", est.gap, est.stderr))
         append_bound(quantities, "gen_bound", est.bound)
+        append_bound_inputs(quantities, est, "")
         payload["gap"] = dataclasses.asdict(est)
     payload["eval_episodes"] = report.n_episodes
     payload["wall_time_ms"] = 1000.0 * (time.time() - t0)
@@ -343,6 +344,13 @@ def append_bound(quantities: list, name: str, bound) -> None:
     """A bound row, unless the posterior regime has no bound (``None``)."""
     if bound is not None:
         quantities.append((name, bound, 0.0))
+
+
+def append_bound_inputs(quantities: list, est, suffix: str) -> None:
+    """The bound's σ, mutual-information term and query size, from which the
+    bound row is recomputed as sqrt(2 σ² mi / n)."""
+    for name in ("sigma", "mi", "n"):
+        quantities.append((name + suffix, getattr(est, name), 0.0))
 
 
 def cmd_sweep(args) -> int:

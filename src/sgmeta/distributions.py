@@ -1,14 +1,18 @@
-"""Diagonal Gaussians: closed-form KL and reparameterized sampling.
+"""Diagonal Gaussians, and the posterior regime.
 
 All quantities are built from diffcore ops so they stay differentiable with
-respect to both distributions' parameters. Two variational regimes are used
-by the rest of the package:
+respect to both distributions' parameters. Each task's variational posterior
+q(θ | query set) has one of two regimes (``InnerLoopConfig.posterior_regime``):
 
-* ``gaussian_fixed_var`` — the posterior's log-variance is frozen and only the
-  mean is optimized; sampling perturbs the mean with scaled noise.
-* ``deterministic`` — a point-mass posterior: sampling returns the mean and
-  the KL term is replaced by ``dirac_prior_term`` (the cross term to the
-  prior plus the prior's log-variance, dropping additive constants).
+* ``gaussian_fixed_var`` — the posterior's log-variance is frozen at
+  ``q_log_var`` and only the mean is optimized; a draw perturbs the mean with
+  scaled noise, and the divergence is the Gaussian KL.
+* ``deterministic`` — a point-mass posterior: a draw returns the mean and the
+  KL is replaced by ``dirac_prior_term`` (the cross term to the target plus
+  its log-variance, dropping the divergent constant).
+
+``Posterior`` alone reads the regime and the knobs only the Gaussian regime
+uses (``q_log_var``, ``mc_samples``, ``objective_mc_samples``, ``inner_eval_at_mean``).
 
 Divergences reduce over the last axis only: a stack of posteriors against
 one prior gives one value per posterior.
@@ -16,8 +20,13 @@ one prior gives one value per posterior.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import diffcore as dc
 from .diffcore import Tensor
+
+GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
+DETERMINISTIC = "deterministic"
 
 
 class DiagGaussian:
@@ -30,9 +39,6 @@ class DiagGaussian:
         self.log_var = log_var if isinstance(log_var, Tensor) else Tensor(log_var)
         if self.mean.shape != self.log_var.shape:
             raise dc.ShapeError("DiagGaussian", self.mean.shape, self.log_var.shape)
-
-    def std(self) -> Tensor:
-        return dc.exp(dc.scale(self.log_var, 0.5))
 
 
 def _check_last_axis(op: str, a: Tensor, b: Tensor) -> None:
@@ -52,18 +58,6 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
     diff = q.mean - p.mean
     quad = (dc.exp(q.log_var) + dc.square(diff)) * inv_vp
     return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
-
-
-def sample_reparam(q: DiagGaussian, eps) -> Tensor:
-    """w = mean + exp(log_var / 2) * eps; differentiable in q's parameters.
-
-    ``eps`` may carry extra leading axes (independent draws); its trailing
-    shape must be the mean's.
-    """
-    eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
-    if eps_t.shape[eps_t.ndim - q.mean.ndim:] != q.mean.shape:
-        raise dc.ShapeError("sample_reparam", q.mean.shape, eps_t.shape)
-    return q.mean + q.std() * eps_t
 
 
 def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
@@ -90,3 +84,38 @@ def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
     """
     _check_last_axis("kl_grad_wrt_mean", q_mean, p.mean)
     return dc.prior_pull(q_mean, p.mean, p.log_var)
+
+
+class Posterior:
+    """The variational posterior of an ``InnerLoopConfig``'s regime: whether a
+    draw differs from the mean (``random``), the weights drawn per inner step
+    and for the outer objective (0: predict at the mean), and whether the
+    information bound exists (only the Gaussian KL is a nonnegative proxy)."""
+
+    def __init__(self, inner):
+        self.random = self.has_bound = inner.posterior_regime == GAUSSIAN_FIXED_VAR
+        self.log_var = inner.q_log_var
+        self.std = np.exp(0.5 * inner.q_log_var) if self.random else None
+        self.inner_draws = inner.mc_samples if self.random and not inner.inner_eval_at_mean else 0
+        draws = inner.objective_mc_samples or inner.mc_samples
+        self.objective_draws = draws if self.random else 0
+
+    def draw(self, theta: Tensor, eps) -> Tensor:
+        """Reparameterized weights theta + std * eps, differentiable in theta.
+
+        ``eps`` may carry extra leading axes (independent draws); its trailing
+        shape must be theta's. ``None``, or a point mass, returns theta itself.
+        """
+        if eps is None or not self.random:
+            return theta
+        if eps.shape[eps.ndim - theta.ndim:] != theta.shape:
+            raise dc.ShapeError("draw", theta.shape, eps.shape)
+        return theta + dc.constant(self.std * eps)
+
+    def divergence(self, theta_flat: Tensor, target: DiagGaussian) -> Tensor:
+        """KL of the posterior at ``theta_flat`` to ``target``: the Gaussian
+        KL, or for a point mass ``dirac_prior_term``."""
+        if not self.random:
+            return dirac_prior_term(theta_flat, target)
+        log_var = dc.constant(np.full(theta_flat.shape, self.log_var))
+        return kl_diag_gaussian(DiagGaussian(theta_flat, log_var), target)

@@ -22,7 +22,9 @@ leading episode axis (task weights (B, *theta_shape), query inputs
 (B, n, d)), and its results carry that axis, B = 1 included. Monte-Carlo
 weight draws go on one more leading axis in front of it, so an outer step
 over B episodes and M draws is one graph whose node count does not grow
-with B or M.
+with B or M. How many weights are drawn, the draw itself and the KL to the
+prior are the posterior regime's (``distributions.Posterior``); nothing
+here reads the regime.
 """
 
 from __future__ import annotations
@@ -37,18 +39,15 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .distributions import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
     DiagGaussian,
-    dirac_prior_term,
-    kl_diag_gaussian,
+    Posterior,
     kl_grad_wrt_mean,
-    sample_reparam,
 )
 from .models import MetaModel, apply_features, linear_predict_toy
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import _stream, stacked
-
-GAUSSIAN_FIXED_VAR = "gaussian_fixed_var"
-DETERMINISTIC = "deterministic"
 
 # rng sub-streams per episode, so adaptation noise never depends on labels
 STREAM_INNER = 1
@@ -112,22 +111,6 @@ def flat_weights(theta: Tensor, model: MetaModel) -> Tensor:
     return theta.reshape(theta.shape[:-2] + (theta.shape[-2] * theta.shape[-1],))
 
 
-def posterior_dist(theta: Tensor, cfg: InnerLoopConfig) -> DiagGaussian:
-    """Variational posterior at theta under the Gaussian fixed-variance regime."""
-    return DiagGaussian(theta, dc.constant(np.full(theta.shape, cfg.q_log_var)))
-
-
-def draw_weight(theta: Tensor, cfg: InnerLoopConfig, eps: Optional[np.ndarray]) -> Tensor:
-    """Reparameterized task weights, one per draw on a new leading axis.
-
-    ``eps`` is (M, *theta.shape); ``None`` (or the deterministic regime)
-    returns theta itself, every draw coinciding with it.
-    """
-    if eps is None or cfg.posterior_regime == DETERMINISTIC:
-        return theta
-    return sample_reparam(posterior_dist(theta, cfg), eps)
-
-
 def _mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
     if eps is None:
         return values
@@ -145,6 +128,13 @@ def _noise(episodes, stream: int, count: int, shape) -> np.ndarray:
     return eps.reshape((count, len(episodes)) + tuple(shape))
 
 
+def _step_noise(episodes, cfg: InnerLoopConfig, shape) -> list:
+    """Each inner step's weight draws, (M, B, *shape), or ``None`` at the mean."""
+    m = Posterior(cfg).inner_draws
+    noise = _noise(episodes, STREAM_INNER, cfg.steps * m, shape) if m else None
+    return [noise[k * m:(k + 1) * m] if m else None for k in range(cfg.steps)]
+
+
 # -- closed-form update directions -------------------------------------------
 
 
@@ -156,7 +146,7 @@ def toy_direction(theta: Tensor, x: Tensor, model: MetaModel, cfg: InnerLoopConf
     the expression is exactly the surrogate's gradient in theta while
     keeping the synthetic net's output in the graph.
     """
-    contrib = dc.linear_sg_direction(draw_weight(theta, cfg, eps), x, model.sg_layers(),
+    contrib = dc.linear_sg_direction(Posterior(cfg).draw(theta, eps), x, model.sg_layers(),
                                      mean=not cfg.sum_convention)
     return _mean_over_draws(contrib, eps)
 
@@ -166,7 +156,7 @@ def fewshot_direction(theta: Tensor, features: Tensor, feature_norms: np.ndarray
     """Synthetic-gradient direction for the cosine head; ``feature_norms``
     are ``dc.row_norms(features.data)``."""
     seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
-    contrib = dc.cosine_sg_direction(features, draw_weight(theta, cfg, eps),
+    contrib = dc.cosine_sg_direction(features, Posterior(cfg).draw(theta, eps),
                                      model.params["classifier_scale"], model.sg_layers(),
                                      seed_scale, feature_norms)
     return _mean_over_draws(contrib, eps)
@@ -208,12 +198,8 @@ def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
     x = inner_inputs(model, episodes)
     # the constant features' row norms, for every step's cosine terms
     norms = None if model.mode == "toy" else dc.row_norms(x.data)
-    draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean
-    noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
-        if draws else None
     thetas = [theta0]
-    for k in range(cfg.steps):
-        eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
+    for k, eps in enumerate(_step_noise(episodes, cfg, model.theta_shape())):
         thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k, feature_norms=norms))
     return thetas[-1], thetas
 
@@ -282,21 +268,18 @@ def data_term(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
     matching the likelihood convention used throughout. ``eps`` holds the
     draws, (M, *theta.shape); ``None`` evaluates at theta.
     """
-    if cfg.posterior_regime == DETERMINISTIC:
-        eps = None
+    posterior = Posterior(cfg)
+    eps = eps if posterior.objective_draws else None
     # the sum convention applies to the toy likelihood end to end
     loss = query_loss(model, stacked(episodes, "query_inputs"), stacked(episodes, "query_labels"),
-                      draw_weight(theta, cfg, eps), cfg.sum_convention, features)
+                      posterior.draw(theta, eps), cfg.sum_convention, features)
     return _mean_over_draws(loss, eps)
 
 
 def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
-    """KL of the posterior at theta to the learnable prior (regime-appropriate),
-    one value per episode."""
-    flat = flat_weights(theta, model)
-    if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-        return kl_diag_gaussian(posterior_dist(flat, cfg), prior_dist(model))
-    return dirac_prior_term(flat, prior_dist(model))
+    """The posterior's divergence at theta from the learnable prior, one value
+    per episode."""
+    return Posterior(cfg).divergence(flat_weights(theta, model), prior_dist(model))
 
 
 def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
@@ -322,10 +305,8 @@ def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConf
 def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
     """Weight draws for the outer objective, (M, *theta.shape); None when
     every draw returns the mean (deterministic regime)."""
-    if cfg.posterior_regime == DETERMINISTIC:
-        return None
-    draws = cfg.objective_mc_samples or cfg.mc_samples
-    return _noise(episodes, STREAM_OBJECTIVE, draws, theta.shape[1:])
+    draws = Posterior(cfg).objective_draws
+    return _noise(episodes, STREAM_OBJECTIVE, draws, theta.shape[1:]) if draws else None
 
 
 # -- inductive baseline ----------------------------------------------------------
@@ -337,20 +318,17 @@ def maml_inner(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
     Uses true support labels only; each step differentiates the support
     loss at the current iterates numerically, so the result is a constant
     with respect to the meta-parameters. Episodes share no parameters, so the
-    gradient of the summed loss is each episode's own gradient.
+    gradient of the summed loss is each episode's own gradient. Weights are
+    drawn per step as in ``sib_unroll``.
     """
     if any(ep.support_inputs is None or len(ep.support_inputs) == 0 for ep in episodes):
         raise ValueError("maml_inner requires a non-empty support set")
     inputs, labels = stacked(episodes, "support_inputs"), stacked(episodes, "support_labels")
     theta_data = theta0.data.copy()
     sup_feats = None if model.mode == "toy" else dc.detach(apply_features(model, inputs))
-    draws = cfg.posterior_regime == GAUSSIAN_FIXED_VAR
-    noise = _noise(episodes, STREAM_INNER, cfg.steps * cfg.mc_samples, model.theta_shape()) \
-        if draws else None
-    for k in range(cfg.steps):
+    for k, eps in enumerate(_step_noise(episodes, cfg, model.theta_shape())):
         leaf = dc.param(theta_data.copy())
-        eps = noise[k * cfg.mc_samples:(k + 1) * cfg.mc_samples] if draws else None
-        loss = _mean_over_draws(query_loss(model, inputs, labels, draw_weight(leaf, cfg, eps),
+        loss = _mean_over_draws(query_loss(model, inputs, labels, Posterior(cfg).draw(leaf, eps),
                                            features=sup_feats), eps)
         (g,) = dc.grad(loss.sum(), [leaf], allow_unused=True)
         theta_data = theta_data - cfg.eta_inner * g

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from .distributions import kl_diag_gaussian
+from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior, kl_diag_gaussian
 from .models import (
     MetaModel,
     apply_features,
@@ -38,14 +38,11 @@ from .models import (
     model_from_payload,
 )
 from .sibcore import (
-    DETERMINISTIC,
-    GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
     InnerLoopError,
     accuracy_value,
     cross_entropy,
     forward_chunks,
-    posterior_dist,
     prior_dist,
     prior_term,
     query_loss,
@@ -450,8 +447,8 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         inputs, labels = stacked(chunk, "query_inputs"), stacked(chunk, "query_labels")
         if model.mode == "toy":
             push("query_mse", query_loss(frozen, inputs, labels, theta_k).data)
-            push("kl_to_true_posterior", kl_diag_gaussian(
-                posterior_dist(theta_k, inner), true_posterior(chunk, cfg.toy)).data)
+            push("kl_to_true_posterior",
+                 Posterior(inner).divergence(theta_k, true_posterior(chunk, cfg.toy)).data)
         else:
             feats = apply_features(frozen, inputs)
             logits = dc.cosine_logits(feats, theta_k, frozen.params["classifier_scale"])

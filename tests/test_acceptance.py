@@ -16,8 +16,6 @@ import pytest
 from sgmeta import diffcore as dc
 from sgmeta.analysis import (
     gen_gap,
-    ib_decomposition_check,
-    random_instance,
     spearman_rank_correlation,
     toy_task_sampler,
     vary_n_sweep,
@@ -27,6 +25,7 @@ from sgmeta.models import apply_features
 from sgmeta.sibcore import accuracy_value, maml_inner, sib_unroll
 from sgmeta.tasks import derive_task_seed, gen_spinning_lines, stacked
 from sgmeta.trainer import default_config, episode_for, evaluate, make_theta0, train
+from ib_decomposition import ib_decomposition_check, random_instance
 
 
 def report(criterion: str, detail: str) -> None:

@@ -11,13 +11,10 @@ from hypothesis import given, settings, strategies as st
 import sgmeta.analysis as analysis
 from sgmeta.analysis import (
     AdaptedWeights,
-    DiscreteInstance,
     estimate_sigma,
     gen_bound,
     gen_gap,
-    ib_decomposition_check,
     mi_for_sampler,
-    random_instance,
     spearman_rank_correlation,
     toy_task_sampler,
     vary_n_sweep,
@@ -34,6 +31,7 @@ from sgmeta.tasks import (
     true_posterior,
 )
 from sgmeta.trainer import build_model, default_config, episode_for, evaluate
+from ib_decomposition import DiscreteInstance, ib_decomposition_check, random_instance
 
 
 TOY = ToyConfig()
@@ -259,6 +257,26 @@ def test_gen_gap_stderr_scales_with_trials():
     large = gen_gap(model, toy_task_sampler(TOY, seed=21), inner, trials=800, seed=4)
     ratio = small.stderr / large.stderr
     assert 1.4 < ratio < 2.9  # ~2 expected from 4x trials
+
+
+def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
+    """A toy Gaussian sampler with inner draws gives the estimate, bit for bit,
+    recorded when the gap drew each trial's weights as
+    ``theta + math.exp(q_log_var / 2) * rng.normal(size)`` and σ added
+    ``std * noise`` to its stack, before ``Posterior.draw`` took both over."""
+    cfg = default_config("toy")
+    cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
+    cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
+    cfg.inner.inner_eval_at_mean = False
+    model = build_model(cfg)
+    g = np.random.default_rng(3)
+    for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
+        model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
+    est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=37, seed=2)
+    assert dataclasses.asdict(est) == {
+        "gap": 0.4100809932220589, "stderr": 0.2591901861661375, "trials": 37,
+        "sigma": 14.029244874171434, "bound": 11.762427854411799, "mi": 2.108854460879188,
+        "n": 6}
 
 
 def test_sigma_estimator_positive_and_stable():

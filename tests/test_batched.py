@@ -30,7 +30,6 @@ from sgmeta.distributions import (
     dirac_prior_term,
     kl_diag_gaussian,
     kl_grad_wrt_mean,
-    sample_reparam,
 )
 from sgmeta.models import apply_features
 from sgmeta.sibcore import (
@@ -53,6 +52,7 @@ from sgmeta.trainer import (
     evaluate,
     make_theta0,
 )
+from test_distributions import tape_draw_reference
 from test_fused import relu_mlp
 
 TOL = 1e-12
@@ -64,8 +64,7 @@ TOL = 1e-12
 def ref_draw(theta, cfg, eps):
     if eps is None:
         return theta
-    q = DiagGaussian(theta.reshape(theta.size), dc.constant(np.full(theta.size, cfg.q_log_var)))
-    return sample_reparam(q, eps).reshape(theta.shape)
+    return tape_draw_reference(theta.reshape(theta.size), cfg.q_log_var, eps).reshape(theta.shape)
 
 
 def ref_direction(theta, x, model, cfg, eps_list):

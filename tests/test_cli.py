@@ -244,6 +244,23 @@ def test_deterministic_toy_analyze_reports_the_prior_term(tmp_path, toy_cfg_file
     assert float(rows["mi_estimate"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_deterministic_toy_metrics_do_not_read_q_log_var(tmp_path, toy_cfg_file):
+    """A point mass has no variance: deterministic toy trainings and
+    evaluations that differ only in ``inner.q_log_var`` write the same
+    ``metrics.csv``, ``kl_to_true_posterior`` (the point-mass term) included."""
+    written = []
+    for q_log_var in ("-4.0", "0.5"):
+        run, out = tmp_path / f"run{q_log_var}", tmp_path / f"eval{q_log_var}"
+        assert main(["train-toy", "--config", str(toy_cfg_file), "--set",
+                     "inner.posterior_regime=deterministic", "--set",
+                     f"inner.q_log_var={q_log_var}", "--out", str(run)]) == 0
+        assert main(["eval", "--config", str(run / "effective_config.json"),
+                     "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)]) == 0
+        written.append([(run / "metrics.csv").read_bytes(), (out / "metrics.csv").read_bytes()])
+    assert written[0] == written[1]
+    assert all(b"kl_to_true_posterior" in text for text in written[0])
+
+
 def test_fewshot_analyze_runs_the_trials_it_records(tmp_path, fewshot_cfg_file):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0

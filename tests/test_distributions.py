@@ -1,6 +1,9 @@
-"""Distribution oracles: Monte-Carlo and quadrature checks of closed forms."""
+"""Distribution oracles: Monte-Carlo and quadrature checks of closed forms,
+and the posterior regime's one owner."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from sgmeta import diffcore as dc
 from sgmeta.diffcore import ShapeError, Tensor, check_gradients, grad, param, zero_grad
 from sgmeta.distributions import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
     DiagGaussian,
+    Posterior,
     dirac_prior_term,
     kl_diag_gaussian,
     kl_grad_wrt_mean,
-    sample_reparam,
 )
+from sgmeta.sibcore import InnerLoopConfig
 
 
 def standard(dim):
@@ -52,40 +58,155 @@ def test_kl_variance_case_against_monte_carlo():
     assert abs(diffs.mean() - closed) < 3 * se
 
 
-def test_sample_reparam_zero_noise_returns_mean():
-    q = gaussian([1.0, -2.0], [4.0, 9.0])
-    w = sample_reparam(q, np.zeros(2))
+def posterior(regime=GAUSSIAN_FIXED_VAR, **inner):
+    return Posterior(InnerLoopConfig(posterior_regime=regime, **inner))
+
+
+def test_draw_zero_noise_returns_mean():
+    w = posterior(q_log_var=math.log(4.0)).draw(Tensor([1.0, -2.0]), np.zeros(2))
     np.testing.assert_array_equal(w.data, [1.0, -2.0])
 
 
-def test_sample_reparam_mean_jacobian_is_identity():
+def test_draw_jacobian_in_theta_is_identity():
     mean = param([0.3, -0.7])
-    q = DiagGaussian(mean, Tensor([0.1, 0.2]))
     for i in range(2):
         zero_grad([mean])
-        w = sample_reparam(q, np.array([0.5, -1.5]))
+        w = posterior(q_log_var=0.1).draw(mean, np.array([0.5, -1.5]))
         (g,) = grad(dc.take_per_row(w.reshape(1, 2), [i]).sum(), [mean])
         expected = np.zeros(2)
         expected[i] = 1.0
         np.testing.assert_allclose(g, expected, atol=0)
 
 
-def test_sample_reparam_moments_match():
-    q = gaussian([1.0, -1.0], [0.25, 4.0])
+def test_draw_moments_match():
+    mean = Tensor([1.0, -1.0])
     rng = np.random.default_rng(99)
     n = 1_000_000
-    # vectorized equivalent of n calls to sample_reparam (spot-check a few)
-    eps = rng.normal(size=(n, 2))
-    draws = q.mean.data + np.exp(q.log_var.data / 2) * eps
-    for row in eps[:3]:
-        np.testing.assert_array_equal(
-            sample_reparam(q, row).data, q.mean.data + np.exp(q.log_var.data / 2) * row
-        )
-    se_mean = np.sqrt(np.exp(q.log_var.data) / n)
-    assert np.all(np.abs(draws.mean(axis=0) - q.mean.data) < 3 * se_mean)
-    # variance of the sample variance for a Gaussian: 2 sigma^4 / (n - 1)
-    se_var = np.sqrt(2 * np.exp(2 * q.log_var.data) / (n - 1))
-    assert np.all(np.abs(draws.var(axis=0) - np.exp(q.log_var.data)) < 3 * se_var)
+    for var in (0.25, 4.0):
+        # n independent draws on one leading axis
+        draws = posterior(q_log_var=math.log(var)).draw(mean, rng.normal(size=(n, 2))).data
+        se_mean = np.sqrt(var / n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean.data) < 3 * se_mean)
+        # variance of the sample variance for a Gaussian: 2 sigma^4 / (n - 1)
+        se_var = np.sqrt(2 * var**2 / (n - 1))
+        assert np.all(np.abs(draws.var(axis=0) - var) < 3 * se_var)
+
+
+# -- the posterior regime ----------------------------------------------------------------
+
+# The three draw formulas ``Posterior.draw`` replaced, kept as references:
+# the tape's reparameterized sample, the gap's per-trial draw and σ's stacked
+# draw.
+
+
+def tape_draw_reference(theta, q_log_var, eps):
+    """theta + exp(log_var / 2) * eps on the tape, log_var a constant of theta's shape."""
+    log_var = dc.constant(np.full(theta.shape, q_log_var))
+    return theta + dc.exp(dc.scale(log_var, 0.5)) * Tensor(eps)
+
+
+def gap_draw_reference(theta_data, q_log_var, noise):
+    std = math.exp(q_log_var / 2.0)
+    return theta_data.reshape(-1) + std * noise
+
+
+def sigma_draw_reference(w, q_log_var, noise):
+    std = math.exp(q_log_var / 2.0)
+    return w + std * noise
+
+
+# every q_log_var in configs/, the goldens and the tests
+Q_LOG_VARS = [2 * math.log(0.1), 2 * math.log(0.05), 2 * math.log(0.2), -4.0, 0.0]
+
+
+@pytest.mark.parametrize("q_log_var", Q_LOG_VARS)
+@pytest.mark.parametrize("shape", [(4, 3, 5, 2), (4, 3, 1)])
+def test_draw_is_the_tape_draw_bitwise(q_log_var, shape):
+    rng = np.random.default_rng(11)
+    theta, eps = Tensor(rng.normal(size=shape[1:])), rng.normal(size=shape)
+    np.testing.assert_array_equal(posterior(q_log_var=q_log_var).draw(theta, eps).data,
+                                  tape_draw_reference(theta, q_log_var, eps).data)
+
+
+@pytest.mark.parametrize("q_log_var", Q_LOG_VARS)
+def test_draw_is_the_gap_and_sigma_draws_bitwise(q_log_var):
+    rng = np.random.default_rng(12)
+    theta, noise = rng.normal(size=(6, 10)), rng.normal(size=(6, 10))
+    drawn = posterior(q_log_var=q_log_var).draw(dc.constant(theta), noise).data
+    np.testing.assert_array_equal(
+        drawn, np.stack([gap_draw_reference(t, q_log_var, e) for t, e in zip(theta, noise)]))
+    np.testing.assert_array_equal(drawn, sigma_draw_reference(theta, q_log_var, noise))
+
+
+def test_point_mass_draw_is_theta_itself():
+    theta = Tensor(np.ones((3, 2)))
+    assert posterior(DETERMINISTIC).draw(theta, np.ones((2, 3, 2))) is theta
+    assert posterior().draw(theta, None) is theta
+
+
+@pytest.mark.parametrize("q_log_var", [-4.0, 0.3])
+def test_divergence_is_the_regime_term(q_log_var):
+    rng = np.random.default_rng(13)
+    theta = Tensor(rng.normal(size=(3, 4)))
+    target = DiagGaussian(rng.normal(size=4), rng.normal(size=4))
+    gaussian_q = DiagGaussian(theta, np.full((3, 4), q_log_var))
+    np.testing.assert_array_equal(
+        posterior(q_log_var=q_log_var).divergence(theta, target).data,
+        kl_diag_gaussian(gaussian_q, target).data)
+    np.testing.assert_array_equal(
+        posterior(DETERMINISTIC, q_log_var=q_log_var).divergence(theta, target).data,
+        dirac_prior_term(theta, target).data)
+
+
+@pytest.mark.parametrize("regime, at_mean, objective, expected", [
+    (GAUSSIAN_FIXED_VAR, False, None, (3, 3, True)),
+    (GAUSSIAN_FIXED_VAR, True, 8, (0, 8, True)),
+    (DETERMINISTIC, False, None, (0, 0, False)),
+    (DETERMINISTIC, True, 8, (0, 0, False)),
+])
+def test_draw_counts_and_bound(regime, at_mean, objective, expected):
+    post = posterior(regime, mc_samples=3, inner_eval_at_mean=at_mean,
+                     objective_mc_samples=objective)
+    assert (post.inner_draws, post.objective_draws, post.has_bound) == expected
+
+
+# Attribute reads of these knobs, and comparisons against them or a regime
+# name, are made in ``distributions`` only. The config field definitions, rule
+# rows, defaults and gradcheck's config set them (stores, keywords and dict
+# keys, none of them a read); ``config_from_dict`` tests whether a JSON inner
+# section names ``q_log_var`` before ``toy.sigma_w`` sets it.
+REGIME_KNOBS = {"posterior_regime", "q_log_var", "inner_eval_at_mean", "mc_samples",
+                "objective_mc_samples"}
+REGIME_NAMES = {"GAUSSIAN_FIXED_VAR", "DETERMINISTIC", "gaussian_fixed_var", "deterministic"}
+EXEMPT = {("trainer", "config_from_dict")}
+
+
+def _regime_sites(tree):
+    """(top-level definition, line) of every read of a regime knob and every
+    comparison against a regime name."""
+    for top in tree.body:
+        name = getattr(top, "name", None) or getattr(getattr(top, "targets", [None])[0], "id", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in REGIME_KNOBS \
+                    and isinstance(node.ctx, ast.Load):
+                yield name, node.lineno
+            elif isinstance(node, ast.Compare):
+                named = {getattr(n, "id", getattr(n, "value", None))
+                         for n in [node.left, *node.comparators]}
+                if named & (REGIME_NAMES | REGIME_KNOBS):
+                    yield name, node.lineno
+
+
+def test_only_distributions_reads_the_posterior_regime():
+    src = Path(__file__).resolve().parents[1] / "src" / "sgmeta"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "distributions":
+            continue
+        for top, line in set(_regime_sites(ast.parse(path.read_text()))):
+            if (path.stem, top) not in EXEMPT:
+                found.append(f"{path.name}:{line} ({top})")
+    assert not found, "regime read outside distributions.py: " + ", ".join(found)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,6 +299,6 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ShapeError):
         kl_diag_gaussian(standard(2), standard(3))
     with pytest.raises(ShapeError):
-        sample_reparam(standard(2), np.zeros(3))
+        posterior().draw(Tensor(np.zeros(2)), np.zeros(3))
     with pytest.raises(ShapeError):
         DiagGaussian(np.zeros(2), np.zeros(3))

@@ -15,6 +15,7 @@ import sgmeta.sibcore as sibcore
 from sgmeta import diffcore as dc
 from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, grad, matmul, param
+from sgmeta.distributions import Posterior
 from sgmeta.models import linear_predict_toy
 
 GRAD_RTOL = 1e-13
@@ -125,7 +126,7 @@ def linear_sg_chain(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
 
 def toy_direction_chain(theta, x, model, cfg, eps=None):
     """``sibcore.toy_direction`` built from the chain."""
-    contrib = linear_sg_chain(sibcore.draw_weight(theta, cfg, eps), x, model.sg_layers(),
+    contrib = linear_sg_chain(Posterior(cfg).draw(theta, eps), x, model.sg_layers(),
                               not cfg.sum_convention)
     return sibcore._mean_over_draws(contrib, eps)
 
@@ -133,7 +134,7 @@ def toy_direction_chain(theta, x, model, cfg, eps=None):
 def fewshot_direction_chain(theta, features, feature_norms, model, cfg, eps=None):
     """``sibcore.fewshot_direction`` built from the chain."""
     seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
-    contrib = cosine_sg_chain(features, sibcore.draw_weight(theta, cfg, eps),
+    contrib = cosine_sg_chain(features, Posterior(cfg).draw(theta, eps),
                               model.params["classifier_scale"], model.sg_layers(), seed_scale)
     return sibcore._mean_over_draws(contrib, eps)
 

@@ -13,6 +13,7 @@ code instead of comparing; a change that rewrites them says why.
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -152,6 +153,21 @@ def test_golden_outputs(outputs, name):
     for param, values in want.get("params", {}).items():
         np.testing.assert_allclose(got["params"][param], values, rtol=RTOL, atol=0,
                                    err_msg=f"checkpoint parameter {param}")
+
+
+@pytest.mark.parametrize("name", [name for name in RUNS if name.startswith("analyze")])
+def test_bound_rows_are_recomputed_from_their_report(outputs, name):
+    """Each ``gen_bound*`` row of ``report.csv`` is sqrt(2 σ² mi / n) of the
+    ``sigma*``, ``mi*`` and ``n*`` rows with its suffix in the same file. The
+    deterministic regime (``analyze-fewshot``) has no bound, only its inputs."""
+    rows = {row[0]: float(row[1]) for row in outputs[name]["report"]}
+    bounds = [key for key in rows if key.startswith("gen_bound")]
+    assert bool(bounds) == (name != "analyze-fewshot")
+    assert bounds or {"sigma", "mi", "n"} <= set(rows)
+    for key in bounds:
+        sigma, mi, n = (rows[q + key[len("gen_bound"):]] for q in ("sigma", "mi", "n"))
+        expected = math.sqrt(2.0 * sigma * sigma * mi / n)
+        assert abs(rows[key] - expected) <= 1e-12 * expected
 
 
 def test_best_checkpoint_records_the_step_it_was_taken(tmp_path):

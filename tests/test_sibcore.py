@@ -310,6 +310,22 @@ def test_maml_inner_one_step_matches_analytic_gradient():
     assert out.data[0, 0] == pytest.approx(0.5 + 0.1 * 7.5, abs=1e-12)
 
 
+def test_maml_inner_draws_by_the_unroll_rule():
+    """Under ``inner_eval_at_mean`` (toy's default) inner steps draw no
+    weights, in the inductive baseline as in ``sib_unroll``."""
+    model = build_toy_model(seed=0)
+    ep = Episode(
+        query_inputs=np.ones((2, 1)), query_labels=np.ones(2), task_seed=7,
+        support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
+    )
+    knobs = dict(steps=2, eta_inner=0.1, mc_samples=3)
+    no_draw = maml_inner(constant([[0.5]]), [ep], model, det_cfg(**knobs)).data
+    at_mean = maml_inner(constant([[0.5]]), [ep], model, toy_cfg(inner_eval_at_mean=True, **knobs))
+    np.testing.assert_array_equal(at_mean.data, no_draw)
+    drawn = maml_inner(constant([[0.5]]), [ep], model, toy_cfg(**knobs))
+    assert not np.array_equal(drawn.data, no_draw)
+
+
 def test_maml_inner_requires_support():
     model = build_toy_model(seed=0)
     ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
