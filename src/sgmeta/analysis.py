@@ -20,6 +20,7 @@ from .distributions import Posterior
 from .models import MetaModel, frozen_copy
 from .sibcore import (
     InnerLoopConfig,
+    chunk_slices,
     forward_chunks,
     prior_term,
     query_loss,
@@ -27,21 +28,22 @@ from .sibcore import (
 )
 from .tasks import (
     Episode,
+    EpisodePool,
     FewShotConfig,
-    LazySequence,
     ToyConfig,
     derive_task_seed,
     episode_rng,
+    gen_fewshot_episode,
     gen_spinning_lines,
     resample_query_set,
-    stacked,
 )
 from . import diffcore as dc
 
 # Every estimator generates and adapts its trials in chunks of at most
-# ``CHUNK_POINTS`` query points (``forward_chunks``, sized from the first
-# dataset) through the batched unroll, on a constant copy of the model, so no
-# autodiff tape is built and one chunk of datasets is alive at a time.
+# ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the sampler's
+# query size), each chunk's datasets one batch (``tasks.Episode``), through
+# the batched unroll, on a constant copy of the model, so no autodiff tape is
+# built and one chunk of datasets is alive at a time.
 # ``theta0_fn(frozen, chunk)`` gives the chunk's stacked initializations
 # (default: the global one). Randomness is drawn per trial in the order a
 # one-trial-at-a-time loop would draw it. The estimators of one gap estimate
@@ -50,9 +52,9 @@ from . import diffcore as dc
 # are alive (``SigmaDraws``), so no trial is generated twice.
 
 
-def _adapt(frozen: MetaModel, episodes, inner: InnerLoopConfig,
+def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
            theta0_fn: Optional[Callable] = None) -> np.ndarray:
-    """Adapted weights of a list of episodes, stacked."""
+    """Adapted weights of a batch of episodes, stacked."""
     if theta0_fn is None:
         lam = frozen.params["lambda_global"].data
         theta0 = dc.constant(np.broadcast_to(lam, (len(episodes),) + lam.shape))
@@ -78,7 +80,7 @@ class AdaptedWeights:
     keyed on its own task seed).
     """
 
-    def __init__(self, model: MetaModel, task_sampler, inner: InnerLoopConfig,
+    def __init__(self, model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
                  theta0_fn: Optional[Callable] = None):
         self.frozen = frozen_copy(model)
         self.task_sampler = task_sampler
@@ -87,16 +89,17 @@ class AdaptedWeights:
         self.theta0_fn = theta0_fn
         self._by_trial: dict = {}
 
-    def __call__(self, trials, datasets=None) -> np.ndarray:
+    def __call__(self, trials, datasets: Optional[Episode] = None) -> np.ndarray:
         """Stacked θ_K of ``trials``. The ones not yet in the table are
-        adapted in chunks, on ``datasets`` (one per trial) when given, else
-        on the sampler's, generated chunk by chunk."""
-        missing = [t for t in trials if t not in self._by_trial]
+        adapted in chunks, on ``datasets`` (a batch, one row per trial) when
+        given, else on the sampler's, generated chunk by chunk."""
+        rows = [i for i, t in enumerate(trials) if t not in self._by_trial]
+        missing = [trials[i] for i in rows]
         if datasets is not None:
-            given = dict(zip(trials, datasets))
-            episodes = [given[t] for t in missing]
+            episodes = datasets if len(rows) == len(trials) else datasets.take(rows)
         else:
-            episodes = LazySequence(len(missing), lambda j: self.task_sampler(missing[j])[0])
+            episodes = EpisodePool(len(missing), self.task_sampler.n_query,
+                                   lambda js: self.task_sampler.draw([missing[j] for j in js])[0])
         for start, chunk in forward_chunks(episodes):
             thetas = _adapt(self.frozen, chunk, self.inner, self.theta0_fn)
             for t, theta in zip(missing[start:], thetas):
@@ -132,37 +135,49 @@ class GapEstimate:
     n: int
 
 
-def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None):
+@dataclass(frozen=True)
+class TaskSampler:
+    """The datasets of a gap estimate's trials: ``draw(trials)`` gives the
+    trials' datasets as one batch and a function that draws a fresh dataset
+    of each trial's task, as another. Every dataset has ``n_query``
+    query points."""
+
+    n_query: int
+    draw: Callable
+
+
+def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> TaskSampler:
     """Trial sampler for the toy process: a dataset plus a fresh re-draw."""
 
-    def sample(trial: int):
-        d = gen_spinning_lines(cfg, derive_task_seed(seed, "test", 2 * trial), n=n)
+    def draw(trials):
+        d = gen_spinning_lines(cfg, [derive_task_seed(seed, "test", 2 * t) for t in trials], n=n)
 
         def fresh() -> Episode:
-            return gen_spinning_lines(cfg, derive_task_seed(seed, "test", 2 * trial + 0x10002), n=n)
+            return gen_spinning_lines(
+                cfg, [derive_task_seed(seed, "test", 2 * t + 0x10002) for t in trials], n=n)
 
         return d, fresh
 
-    return sample
+    return TaskSampler(cfg.n_query if n is None else int(n), draw)
 
 
-def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test"):
+def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test") -> TaskSampler:
     """Fresh query sets of the same classes define the task's dataset draw."""
-    from .tasks import gen_fewshot_episode
 
-    def sample(trial: int):
-        d = gen_fewshot_episode(cfg, split, derive_task_seed(seed, split, 3 * trial))
+    def draw(trials):
+        d = gen_fewshot_episode(cfg, split, [derive_task_seed(seed, split, 3 * t) for t in trials])
 
         def fresh() -> Episode:
-            return resample_query_set(d, cfg, derive_task_seed(seed, split, 3 * trial + 1))
+            return resample_query_set(d, cfg,
+                                      [derive_task_seed(seed, split, 3 * t + 1) for t in trials])
 
         return d, fresh
 
-    return sample
+    return TaskSampler(cfg.n_query, draw)
 
 
-def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int = 2000,
-            seed: int = 0, theta0_fn: Optional[Callable] = None,
+def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
+            trials: int = 2000, seed: int = 0, theta0_fn: Optional[Callable] = None,
             adapted: Optional[AdaptedWeights] = None,
             on_chunk: Optional[Callable] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process.
@@ -184,24 +199,19 @@ def gen_gap(model: MetaModel, task_sampler, inner: InnerLoopConfig, trials: int 
     picked = SigmaDraws(adapted, draws=min(trials, 2000), seed=seed + 1)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
-    n_query = None
-    for start, samples in forward_chunks(LazySequence(trials, task_sampler),
-                                         n_query=lambda sample: sample[0].n_query):
-        idx = range(start, start + len(samples))
-        datasets = [d for d, _ in samples]
-        n_query = datasets[-1].n_query
+    n_query = task_sampler.n_query
+    for rows in chunk_slices(trials, n_query):
+        idx = range(trials)[rows]
+        datasets, draw_fresh = task_sampler.draw(idx)
         theta = adapted(idx, datasets).reshape(len(idx), -1)
         # one draw per trial, in trial order
         eps = rng.normal(size=theta.shape) if adapted.posterior.random else None
         w = adapted.posterior.draw(dc.constant(theta), eps).data
-        on_d = _losses(adapted.frozen, stacked(datasets, "query_inputs"),
-                       stacked(datasets, "query_labels"), w)
-        fresh = [sample_fresh() for _, sample_fresh in samples]
-        on_fresh = _losses(adapted.frozen, stacked(fresh, "query_inputs"),
-                           stacked(fresh, "query_labels"), w)
-        diffs[idx.start:idx.stop] = on_fresh - on_d
-        for t, d in zip(idx, datasets):
-            picked.pick(t, d)
+        on_d = _losses(adapted.frozen, datasets.query_inputs, datasets.query_labels, w)
+        fresh = draw_fresh()
+        on_fresh = _losses(adapted.frozen, fresh.query_inputs, fresh.query_labels, w)
+        diffs[rows] = on_fresh - on_d
+        picked.pick(idx, datasets)
         if on_chunk is not None:
             on_chunk(idx, datasets)
     gap = float(diffs.mean())
@@ -221,7 +231,8 @@ class SigmaDraws:
     the index of the point taken from trial 2t + 1's dataset. No draw
     depends on the data, only on the sampler's query size, so all are made
     when the first dataset is picked from, and a trial's point can be picked
-    whenever its dataset is at hand. Only the point is kept.
+    whenever its dataset is at hand. Only the point is kept: draw t's input
+    and label are row t of ``inputs`` (draws, 1, d) and ``labels`` (draws, 1).
     """
 
     def __init__(self, adapted: AdaptedWeights, draws: int, seed: int):
@@ -230,22 +241,33 @@ class SigmaDraws:
         self.n_query = None
         self.noise = None  # (draws, theta size); stays None for a point mass
         self.index = None
-        self.points: dict = {}  # trial -> (inputs, labels) of its point
+        self.inputs = None
+        self.labels = None
+        self.picked = np.zeros(draws, dtype=bool)
         self._size = int(np.prod(adapted.frozen.theta_shape()))
         self._random = adapted.posterior.random
 
-    def pick(self, trial: int, dataset: Episode) -> None:
-        """Keep the point of ``trial``'s dataset that its draw takes, if any."""
-        t, odd = divmod(trial, 2)
-        if not odd or t >= self.draws:
+    def pick(self, trials, datasets: Episode) -> None:
+        """Keep the points that the draws take from ``trials``' datasets (a
+        batch, one row per trial)."""
+        trials = np.asarray(trials)
+        rows = np.nonzero((trials % 2 == 1) & (trials // 2 < self.draws))[0]
+        if len(rows) == 0:
             return
         if self.index is None:
-            self._make(dataset.n_query)
-        i = self.index[t]
-        self.points[trial] = (dataset.query_inputs[i:i + 1].copy(),
-                              dataset.query_labels[i:i + 1].copy())
+            self._make(datasets)
+        t = trials[rows] // 2
+        points = self.index[t]
+        self.inputs[t, 0] = datasets.query_inputs[rows, points]
+        self.labels[t, 0] = datasets.query_labels[rows, points]
+        self.picked[t] = True
 
-    def _make(self, n_query: int) -> None:
+    def lacking(self) -> list:
+        """The trials whose points are not picked yet."""
+        return [2 * int(t) + 1 for t in np.nonzero(~self.picked)[0]]
+
+    def _make(self, datasets: Episode) -> None:
+        n_query = datasets.n_query
         rng = episode_rng(derive_task_seed(self.seed, "test", 0x51E), stream=9)
         noise, index = [], []
         for _ in range(self.draws):
@@ -254,7 +276,9 @@ class SigmaDraws:
             index.append(int(rng.integers(n_query)))
         self.n_query = n_query
         self.noise = np.array(noise) if self._random else None
-        self.index = index
+        self.index = np.array(index)
+        self.inputs = np.empty((self.draws, 1) + datasets.query_inputs.shape[2:])
+        self.labels = np.empty((self.draws, 1), dtype=datasets.query_labels.dtype)
 
 
 def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int,
@@ -263,19 +287,20 @@ def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int,
     under independently drawn task weights and data points. The weights of
     draw t come from trial 2t, read from ``adapted``; the point from trial
     2t + 1 of its sampler, taken from ``picked`` (made for these draws and
-    seed) where it was picked already, else generated here."""
+    seed) where it was picked already, else generated here, chunk by
+    chunk."""
     if picked is None:
         picked = SigmaDraws(adapted, draws, seed)
-    for trial in range(1, 2 * draws, 2):
-        if trial not in picked.points:
-            picked.pick(trial, adapted.task_sampler(trial)[0])
+    lacking = picked.lacking()
+    for rows in chunk_slices(len(lacking), adapted.task_sampler.n_query):
+        trials = lacking[rows]
+        picked.pick(trials, adapted.task_sampler.draw(trials)[0])
     losses = []
-    for _, chunk in forward_chunks(range(draws), n_query=lambda t: picked.n_query):
+    for rows in chunk_slices(draws, picked.n_query):
+        chunk = range(draws)[rows]
         w = dc.constant(adapted([2 * t for t in chunk]).reshape(len(chunk), -1))
-        w = adapted.posterior.draw(w, None if picked.noise is None else picked.noise[chunk]).data
-        inputs = np.stack([picked.points[2 * t + 1][0] for t in chunk])
-        labels = np.stack([picked.points[2 * t + 1][1] for t in chunk])
-        losses.extend(_losses(adapted.frozen, inputs, labels, w))
+        w = adapted.posterior.draw(w, None if picked.noise is None else picked.noise[rows]).data
+        losses.extend(_losses(adapted.frozen, picked.inputs[rows], picked.labels[rows], w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
@@ -332,11 +357,11 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
 
         def metric_losses(idx, datasets):
             # losses of θ_K on the first min(trials, 200) trials' own datasets
-            kept = [(t, d) for t, d in zip(idx, datasets) if t < 200]
+            kept = range(idx.start, min(idx.stop, 200))
             if kept:
-                ts, ds = zip(*kept)
-                losses.extend(_losses(adapted.frozen, stacked(ds, "query_inputs"),
-                                      stacked(ds, "query_labels"), adapted(ts)))
+                ds = datasets.take(slice(0, len(kept)))
+                losses.extend(_losses(adapted.frozen, ds.query_inputs, ds.query_labels,
+                                      adapted(kept)))
 
         est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted,
                       on_chunk=metric_losses)

@@ -33,13 +33,13 @@ from .analysis import (
 )
 from .models import build_fewshot_model, build_toy_model, config_hash
 from .sibcore import InnerLoopConfig, InnerLoopError, sib_unroll, task_objective
-from .tasks import LazySequence, derive_task_seed, gen_fewshot_episode, gen_spinning_lines
+from .tasks import derive_task_seed, gen_fewshot_episode, gen_spinning_lines
 from .trainer import (
     RunConfig,
     config_from_dict,
     config_to_dict,
     default_config,
-    episode_for,
+    episode_pool,
     evaluate,
     load_checkpoint,
     make_theta0,
@@ -267,7 +267,7 @@ def cmd_eval(args) -> int:
         inner = dataclasses.replace(cfg.inner, steps=args.inner_steps)
     n_eps = cfg.eval_episodes if args.episodes is None else args.episodes
     # generated chunk by chunk as evaluation reads them
-    episodes = LazySequence(n_eps, lambda i: episode_for(cfg, args.split, i))
+    episodes = episode_pool(cfg, args.split, n_eps)
     t0 = time.time()
     report = evaluate(model, cfg, args.split, episodes, inner=inner)
     wall_ms = 1000.0 * (time.time() - t0)
@@ -300,8 +300,7 @@ def cmd_analyze(args) -> int:
     payload = {"command": "analyze", "trials": args.trials, "mc_seeds": args.mc_seeds}
     t0 = time.time()
     pool_size = cfg.toy.n_test_tasks if cfg.mode == "toy" else min(cfg.eval_episodes, 500)
-    report = evaluate(model, cfg, "test",
-                      LazySequence(pool_size, lambda i: episode_for(cfg, "test", i)))
+    report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size))
     if cfg.mode == "toy":
         quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
@@ -504,8 +503,8 @@ def cmd_gradcheck(args) -> int:
             model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
         model.params["lambda_global"].data[:] = 0.8
         cfg = default_config("toy")
-        episodes = [gen_spinning_lines(cfg.toy, derive_task_seed(4, "train", i), n=5)
-                    for i in (2, 3)]
+        episodes = gen_spinning_lines(cfg.toy, [derive_task_seed(4, "train", i) for i in (2, 3)],
+                                      n=5)
         inner = InnerLoopConfig(
             steps=3, eta_inner=0.05, kl_in_inner=True, q_log_var=2 * math.log(0.1)
         )
@@ -526,11 +525,10 @@ def cmd_gradcheck(args) -> int:
             class_pool={"train": 8, "val": 4, "test": 4}, cluster_spread=0.4,
         )
         # 5 query points: trim one (sizes per class stay balanced at generation)
-        episodes = [gen_fewshot_episode(task_cfg, "train", derive_task_seed(5, "train", i))
-                    for i in (1, 2)]
-        for ep in episodes:
-            ep.query_inputs = ep.query_inputs[:5]
-            ep.query_labels = ep.query_labels[:5]
+        episodes = gen_fewshot_episode(task_cfg, "train",
+                                       [derive_task_seed(5, "train", i) for i in (1, 2)])
+        episodes.query_inputs = episodes.query_inputs[:, :5]
+        episodes.query_labels = episodes.query_labels[:, :5]
         inner = InnerLoopConfig(steps=3, eta_inner=0.05, kl_in_inner=True,
                                 posterior_regime="deterministic")
         cfg = default_config("fewshot")

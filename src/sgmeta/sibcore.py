@@ -17,14 +17,15 @@ norms are computed once per unroll, not once per step.
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``.
 
-Every function here that takes episodes takes a list of them, stacked on a
-leading episode axis (task weights (B, *theta_shape), query inputs
-(B, n, d)), and its results carry that axis, B = 1 included. Monte-Carlo
-weight draws go on one more leading axis in front of it, so an outer step
-over B episodes and M draws is one graph whose node count does not grow
-with B or M. How many weights are drawn, the draw itself and the KL to the
-prior are the posterior regime's (``distributions.Posterior``); nothing
-here reads the regime.
+Every function here that takes episodes takes a batch of them
+(``tasks.Episode``, fields stacked on a leading episode axis: query inputs
+(B, n, d)), and its results carry that axis (task weights
+(B, *theta_shape)), B = 1 included. Monte-Carlo weight draws go on one
+more leading axis in front of it, so an outer step over B episodes and M
+draws is one graph whose node count does not grow with B or M. How many
+weights are drawn, the draw itself and the KL to the prior are the
+posterior regime's (``distributions.Posterior``); nothing here reads the
+regime.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .distributions import (
 )
 from .models import MetaModel, apply_features, linear_predict_toy
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
-from .tasks import _stream, stacked
+from .tasks import Episode, _stream
 
 # rng sub-streams per episode, so adaptation noise never depends on labels
 STREAM_INNER = 1
@@ -117,18 +118,18 @@ def _mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
     return dc.scale(dc.tsum(values, axis=0), 1.0 / len(eps))
 
 
-def _noise(episodes, stream: int, count: int, shape) -> np.ndarray:
+def _noise(episodes: Episode, stream: int, count: int, shape) -> np.ndarray:
     """``count`` standard-normal draws of ``shape`` per episode, (count, B,
     *shape), each episode from its own sub-stream in the order a per-episode
     loop would use."""
     size = int(np.prod(shape))
     eps = np.empty((count, len(episodes), size))
-    for b, ep in enumerate(episodes):
-        eps[:, b] = _stream(ep.task_seed, stream).normal(size=(count, size))
+    for b, task_seed in enumerate(episodes.task_seed):
+        eps[:, b] = _stream(task_seed, stream).normal(size=(count, size))
     return eps.reshape((count, len(episodes)) + tuple(shape))
 
 
-def _step_noise(episodes, cfg: InnerLoopConfig, shape) -> list:
+def _step_noise(episodes: Episode, cfg: InnerLoopConfig, shape) -> list:
     """Each inner step's weight draws, (M, B, *shape), or ``None`` at the mean."""
     m = Posterior(cfg).inner_draws
     noise = _noise(episodes, STREAM_INNER, cfg.steps * m, shape) if m else None
@@ -179,20 +180,19 @@ def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopCon
     return theta_next
 
 
-def inner_inputs(model: MetaModel, episodes) -> Tensor:
+def inner_inputs(model: MetaModel, episodes: Episode) -> Tensor:
     """Query-side inputs seen by the inner loop.
 
     Toy mode feeds raw inputs; few-shot mode feeds the feature map's output,
     detached so no gradient is back-propagated into the feature network from
     the adaptation path.
     """
-    inputs = stacked(episodes, "query_inputs")
     if model.mode == "toy":
-        return dc.constant(inputs[..., 0])
-    return dc.detach(apply_features(model, inputs))
+        return dc.constant(episodes.query_inputs[..., 0])
+    return dc.detach(apply_features(model, episodes.query_inputs))
 
 
-def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig):
+def sib_unroll(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig):
     """Compose ``cfg.steps`` synthetic-gradient steps from ``theta0`` (one
     row per episode); returns (theta_K, the iterates theta_0 .. theta_K)."""
     x = inner_inputs(model, episodes)
@@ -204,19 +204,20 @@ def sib_unroll(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
     return thetas[-1], thetas
 
 
-def forward_chunks(items, n_query=lambda ep: ep.n_query):
-    """Consecutive ``(first index, items)`` chunks of a sized sequence, each
-    of at most ``CHUNK_POINTS`` query points and at least one item. The size
-    is worked out from the first item, by ``n_query``, as it is read; every
-    item is read once, so a lazily generated sequence holds one chunk."""
-    start, size = 0, None
-    while start < len(items):
-        first = items[start]
-        if size is None:
-            size = max(1, CHUNK_POINTS // n_query(first))
-        stop = min(start + size, len(items))
-        yield start, [first] + [items[i] for i in range(start + 1, stop)]
-        start = stop
+def chunk_slices(n: int, n_query: int) -> list:
+    """Consecutive slices of ``range(n)``, each of at most ``CHUNK_POINTS``
+    query points (``n_query`` per item) and at least one item."""
+    size = max(1, CHUNK_POINTS // n_query)
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def forward_chunks(episodes):
+    """Consecutive ``(first index, batch)`` chunks of a batch
+    (``tasks.Episode``) or a pool (``tasks.EpisodePool``) of episodes, sized
+    by ``chunk_slices``. A pool generates each chunk as it is read, so one
+    chunk is held at a time."""
+    for rows in chunk_slices(len(episodes), episodes.n_query):
+        yield rows.start, episodes.take(rows)
 
 
 # -- supervised losses ---------------------------------------------------------
@@ -259,7 +260,7 @@ def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tens
 # -- per-task objective ---------------------------------------------------------
 
 
-def data_term(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
+def data_term(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
               eps: Optional[np.ndarray] = None, features: Optional[Tensor] = None) -> Tensor:
     """Monte-Carlo expected query loss under the variational posterior, one
     value per episode.
@@ -271,7 +272,7 @@ def data_term(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
     posterior = Posterior(cfg)
     eps = eps if posterior.objective_draws else None
     # the sum convention applies to the toy likelihood end to end
-    loss = query_loss(model, stacked(episodes, "query_inputs"), stacked(episodes, "query_labels"),
+    loss = query_loss(model, episodes.query_inputs, episodes.query_labels,
                       posterior.draw(theta, eps), cfg.sum_convention, features)
     return _mean_over_draws(loss, eps)
 
@@ -282,7 +283,7 @@ def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
     return Posterior(cfg).divergence(flat_weights(theta, model), prior_dist(model))
 
 
-def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
+def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
                    kl_weight: float = 1.0) -> Tensor:
     """Per-task negative evidence bound, one value per episode: expected query
     loss plus KL to the prior.
@@ -302,7 +303,7 @@ def task_objective(episodes, theta: Tensor, model: MetaModel, cfg: InnerLoopConf
     return loss
 
 
-def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
+def objective_noise(theta: Tensor, episodes: Episode, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
     """Weight draws for the outer objective, (M, *theta.shape); None when
     every draw returns the mean (deterministic regime)."""
     draws = Posterior(cfg).objective_draws
@@ -312,7 +313,7 @@ def objective_noise(theta: Tensor, episodes, cfg: InnerLoopConfig) -> Optional[n
 # -- inductive baseline ----------------------------------------------------------
 
 
-def maml_inner(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
+def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
     """Gradient ascent on the support log-likelihood (evaluation baseline).
 
     Uses true support labels only; each step differentiates the support
@@ -321,9 +322,9 @@ def maml_inner(theta0: Tensor, episodes, model: MetaModel, cfg: InnerLoopConfig)
     gradient of the summed loss is each episode's own gradient. Weights are
     drawn per step as in ``sib_unroll``.
     """
-    if any(ep.support_inputs is None or len(ep.support_inputs) == 0 for ep in episodes):
+    inputs, labels = episodes.support_inputs, episodes.support_labels
+    if inputs is None or inputs.shape[-2] == 0:
         raise ValueError("maml_inner requires a non-empty support set")
-    inputs, labels = stacked(episodes, "support_inputs"), stacked(episodes, "support_labels")
     theta_data = theta0.data.copy()
     sup_feats = None if model.mode == "toy" else dc.detach(apply_features(model, inputs))
     for k, eps in enumerate(_step_noise(episodes, cfg, model.theta_shape())):
@@ -368,7 +369,7 @@ def _ssl_projection(k: int) -> np.ndarray:
     return proj
 
 
-def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
+def ssl_init(model: MetaModel, episodes: Episode, cfg: InnerLoopConfig) -> Tensor:
     """One true-gradient step on a self-supervised task, starting from the
     global initialization; uses query inputs only, never class labels.
 
@@ -381,7 +382,7 @@ def ssl_init(model: MetaModel, episodes, cfg: InnerLoopConfig) -> Tensor:
     """
     if model.mode != "fewshot":
         raise ValueError("ssl initialization applies to classification mode only")
-    feats = dc.detach(apply_features(model, stacked(episodes, "query_inputs"))).data
+    feats = dc.detach(apply_features(model, episodes.query_inputs)).data
     per_episode = [orthogonal_transform_labeler(f) for f in feats]
     aug = np.stack([a for a, _ in per_episode])
     ssl_labels = np.stack([lab for _, lab in per_episode])

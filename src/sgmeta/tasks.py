@@ -13,6 +13,13 @@ Two task families:
   shared read-only; an episode draws all its points in one normal draw,
   class by class, each class's support points before its query points.
 
+Episodes are generated and read in batches (``Episode``): a generator takes
+a sequence of task seeds and draws each episode from its own stream, in
+seed order, into one preallocated array per field; one vectorised add then
+shifts every batch's points by their class centres. An episode's values do
+not depend on the batch it is drawn in. A pool too large to hold is an
+``EpisodePool``, generated a batch at a time as it is read.
+
 Randomness: every episode's stream is a counter-based Philox stream keyed
 on its 64-bit task seed and a small sub-stream number, and task seeds come
 from a SplitMix64 mix of (run seed, split, index) — pure integer
@@ -32,7 +39,6 @@ episode resets the shared generator.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,40 +99,53 @@ def _stream(task_seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class Episode:
-    """One task: optional labeled support set plus an unlabeled-at-adaptation query set."""
+    """A batch of B episodes, each field stacked on a leading episode axis:
+    query inputs (B, n, d) and labels (B, n), an optional labeled support set
+    (B, s, d) and (B, s), the generating truth (the class centres (B, k, d)
+    of a few-shot batch, the slopes (B,) of a toy one) and one task seed per
+    episode, a Python int. A generated few-shot batch's label fields are one
+    read-only row shared by every episode."""
 
     query_inputs: np.ndarray
     query_labels: np.ndarray
     support_inputs: Optional[np.ndarray] = None
     support_labels: Optional[np.ndarray] = None
-    truth: Optional[dict] = None
-    task_seed: int = 0
+    truth: Optional[np.ndarray] = None
+    task_seed: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.task_seed)
 
     @property
     def n_query(self) -> int:
-        return self.query_inputs.shape[0]
+        return self.query_inputs.shape[1]
+
+    def take(self, rows) -> Episode:
+        """The episodes at ``rows``, a slice (views of every field) or a
+        sequence of indices (copies)."""
+        seeds = (self.task_seed[rows] if isinstance(rows, slice)
+                 else tuple(self.task_seed[i] for i in rows))
+        fields = (self.query_inputs, self.query_labels, self.support_inputs,
+                  self.support_labels, self.truth)
+        return Episode(*(None if a is None else a[rows] for a in fields), task_seed=seeds)
 
 
-class LazySequence(Sequence):
-    """A sized sequence whose item i is ``make(i)``, made each time it is
-    indexed and not kept, so a pool of episodes need not be held at once."""
+class EpisodePool:
+    """``n`` episodes of ``n_query`` query points each, generated a batch at
+    a time: ``take(rows)`` is ``make(indices)`` of the pool indices at
+    ``rows``, made each time and not kept, so a pool need not be held at
+    once."""
 
-    def __init__(self, n: int, make):
+    def __init__(self, n: int, n_query: int, make):
         self._n = n
+        self.n_query = n_query
         self._make = make
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int):
-        if not 0 <= i < self._n:
-            raise IndexError(f"index {i} out of range for {self._n} items")
-        return self._make(i)
-
-
-def stacked(episodes, name: str) -> np.ndarray:
-    """One field of a list of episodes, stacked on a new leading axis."""
-    return np.stack([getattr(ep, name) for ep in episodes])
+    def take(self, rows: slice) -> Episode:
+        return self._make(range(self._n)[rows])
 
 
 @dataclass
@@ -143,6 +162,10 @@ class ToyConfig:
 
     def __post_init__(self, prefix: str = ""):
         check_fields(self, _TOY_RULES, prefix)
+
+    @property
+    def n_query(self) -> int:
+        return self.n
 
 
 _TOY_RULES = {
@@ -174,6 +197,10 @@ class FewShotConfig:
             if self.k > size:
                 raise ValueError(f"{prefix}k={self.k} exceeds the {split} class pool ({size})")
 
+    @property
+    def n_query(self) -> int:
+        return self.k * self.n_query_per_class
+
 
 _FEWSHOT_RULES = {
     "k": int_at_least(1),
@@ -188,20 +215,20 @@ _FEWSHOT_RULES = {
 }
 
 
-def gen_spinning_lines(cfg: ToyConfig, task_seed: int, n: Optional[int] = None) -> Episode:
-    """One zero-shot regression episode; targets satisfy y = w * x exactly."""
+def gen_spinning_lines(cfg: ToyConfig, task_seeds, n: Optional[int] = None) -> Episode:
+    """One zero-shot regression episode per task seed, as a batch; targets
+    satisfy y = w * x exactly."""
     n = cfg.n if n is None else int(n)
-    rng = _stream(task_seed)
-    x = rng.normal(cfg.mu, cfg.sigma, size=n)
-    eps_w = rng.normal(cfg.mu_w, cfg.sigma_w)
-    w = x.mean() + eps_w
-    y = w * x
-    return Episode(
-        query_inputs=x.reshape(n, 1),
-        query_labels=y,
-        truth={"w": float(w)},
-        task_seed=task_seed,
-    )
+    seeds = tuple(task_seeds)
+    x = np.empty((len(seeds), n))
+    eps_w = np.empty(len(seeds))
+    for b, seed in enumerate(seeds):
+        rng = _stream(seed)
+        x[b] = rng.normal(cfg.mu, cfg.sigma, size=n)
+        eps_w[b] = rng.normal(cfg.mu_w, cfg.sigma_w)
+    w = x.mean(axis=1) + eps_w
+    return Episode(query_inputs=x.reshape(len(seeds), n, 1), query_labels=w[:, None] * x,
+                   truth=w, task_seed=seeds)
 
 
 def true_prior(cfg: ToyConfig, n: Optional[int] = None) -> DiagGaussian:
@@ -211,10 +238,10 @@ def true_prior(cfg: ToyConfig, n: Optional[int] = None) -> DiagGaussian:
     return DiagGaussian(np.array([cfg.mu + cfg.mu_w]), np.array([np.log(var)]))
 
 
-def true_posterior(episodes, cfg: ToyConfig) -> DiagGaussian:
+def true_posterior(episodes: Episode, cfg: ToyConfig) -> DiagGaussian:
     """Slope posterior given the inputs: N(mean(x) + mu_w, sigma_w^2), one
-    row per episode of a list."""
-    mean = stacked(episodes, "query_inputs").mean(axis=(-2, -1))[:, None] + cfg.mu_w
+    row per episode of a batch."""
+    mean = episodes.query_inputs.mean(axis=(-2, -1))[:, None] + cfg.mu_w
     return DiagGaussian(mean, np.full(mean.shape, 2.0 * np.log(cfg.sigma_w)))
 
 
@@ -233,41 +260,61 @@ def _prototypes(pool_seed: int, split: str, size: int, d_x: int) -> np.ndarray:
     return protos
 
 
-def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seed: int) -> Episode:
-    """Sample k classes without replacement, then clustered support/query points."""
+def gen_fewshot_episode(cfg: FewShotConfig, split: str, task_seeds) -> Episode:
+    """One episode per task seed, as a batch: sample k classes without
+    replacement, then clustered support/query points."""
     protos = class_prototypes(cfg, split)
     if cfg.k > protos.shape[0]:
         raise ValueError(f"k={cfg.k} exceeds pool of {protos.shape[0]} classes")
-    nq = cfg.n_query_per_class
-    rng = _stream(task_seed)
-    centers = protos[rng.choice(protos.shape[0], size=cfg.k, replace=False)]
-    # class by class, each class's support points then its query points
-    pts = rng.normal(0.0, cfg.cluster_spread, size=(cfg.k, cfg.n_shot + nq, cfg.d_x))
-    pts += centers[:, None]
-    labels = np.arange(cfg.k, dtype=np.int64)
-    # concatenate copies, so no field keeps the whole draw alive
+    k, s, nq, d = cfg.k, cfg.n_shot, cfg.n_query_per_class, cfg.d_x
+    seeds = tuple(task_seeds)
+    chosen = np.empty((len(seeds), k), dtype=np.int64)
+    query = np.empty((len(seeds), k, nq, d))
+    support = np.empty((len(seeds), k, s, d))
+    for b, seed in enumerate(seeds):
+        rng = _stream(seed)
+        chosen[b] = rng.choice(protos.shape[0], size=k, replace=False)
+        # class by class, each class's support points then its query points
+        pts = rng.normal(0.0, cfg.cluster_spread, size=(k, s + nq, d))
+        query[b] = pts[:, s:]
+        support[b] = pts[:, :s]
+    centres = protos[chosen]
+    query += centres[:, :, None]
+    support += centres[:, :, None]
+    labels = np.arange(k, dtype=np.int64)
     return Episode(
-        query_inputs=np.concatenate(pts[:, cfg.n_shot:]),
-        query_labels=np.repeat(labels, nq),
-        support_inputs=np.concatenate(pts[:, :cfg.n_shot]) if cfg.n_shot > 0 else None,
-        support_labels=np.repeat(labels, cfg.n_shot) if cfg.n_shot > 0 else None,
-        truth={"prototypes": centers},
-        task_seed=task_seed,
+        query_inputs=query.reshape(len(seeds), k * nq, d),
+        query_labels=_shared_rows(np.repeat(labels, nq), len(seeds)),
+        support_inputs=support.reshape(len(seeds), k * s, d) if s > 0 else None,
+        support_labels=_shared_rows(np.repeat(labels, s), len(seeds)) if s > 0 else None,
+        truth=centres,
+        task_seed=seeds,
     )
 
 
-def resample_query_set(ep: Episode, cfg: FewShotConfig, fresh_seed: int) -> Episode:
-    """Fresh query draw for the same task (same classes, new points)."""
-    protos = ep.truth["prototypes"]
-    k = protos.shape[0]
-    nq = ep.n_query // k
-    pts = _stream(fresh_seed).normal(0.0, cfg.cluster_spread, size=(k, nq, cfg.d_x))
-    pts += protos[:, None]
+def resample_query_set(episodes: Episode, cfg: FewShotConfig, fresh_seeds) -> Episode:
+    """A fresh query draw for each task of a batch (same classes, new
+    points), one fresh seed per episode."""
+    protos = episodes.truth
+    seeds = tuple(fresh_seeds)
+    if len(seeds) != len(episodes):
+        raise ValueError(f"{len(seeds)} fresh seeds for {len(episodes)} episodes")
+    k = protos.shape[1]
+    nq = episodes.n_query // k
+    query = np.empty((len(seeds), k, nq, cfg.d_x))
+    for b, seed in enumerate(seeds):
+        query[b] = _stream(seed).normal(0.0, cfg.cluster_spread, size=(k, nq, cfg.d_x))
+    query += protos[:, :, None]
     return Episode(
-        query_inputs=pts.reshape(k * nq, cfg.d_x),
-        query_labels=np.repeat(np.arange(k, dtype=np.int64), nq),
-        support_inputs=ep.support_inputs,
-        support_labels=ep.support_labels,
-        truth=ep.truth,
-        task_seed=fresh_seed,
+        query_inputs=query.reshape(len(seeds), k * nq, cfg.d_x),
+        query_labels=episodes.query_labels,
+        support_inputs=episodes.support_inputs,
+        support_labels=episodes.support_labels,
+        truth=protos,
+        task_seed=seeds,
     )
+
+
+def _shared_rows(row: np.ndarray, count: int) -> np.ndarray:
+    """``count`` read-only views of one row, (count, len(row))."""
+    return np.broadcast_to(row, (count,) + row.shape)

@@ -63,13 +63,13 @@ from .rules import (
 )
 from .tasks import (
     Episode,
+    EpisodePool,
     FewShotConfig,
     ToyConfig,
     _stream,
     derive_task_seed,
     gen_fewshot_episode,
     gen_spinning_lines,
-    stacked,
     true_posterior,
     true_prior,
 )
@@ -392,29 +392,36 @@ def build_model(cfg: RunConfig) -> MetaModel:
     return build_fewshot_model(**geometry, seed=seed, train_f=cfg.train_f)
 
 
-def make_theta0(model: MetaModel, episodes, cfg: RunConfig):
-    """Initial task weights of a list of episodes, stacked on the episode axis."""
+def make_theta0(model: MetaModel, episodes: Episode, cfg: RunConfig):
+    """Initial task weights of a batch of episodes, stacked on the episode axis."""
     kind = cfg.init_kind
     if kind == "global":
         lam = init_theta0_global(model)
         return lam + dc.constant(np.zeros((len(episodes),) + lam.shape))
     if kind == "proto":
-        feats = dc.detach(apply_features(model, stacked(episodes, "support_inputs")))
-        return init_theta0_proto(model, feats, stacked(episodes, "support_labels"))
+        feats = dc.detach(apply_features(model, episodes.support_inputs))
+        return init_theta0_proto(model, feats, episodes.support_labels)
     if kind == "ssl":
         return ssl_init(model, episodes, cfg.inner)
     raise ValueError(f"unknown theta_init {kind!r}")
 
 
-def episode_for(cfg: RunConfig, split: str, index: int) -> Episode:
-    seed = derive_task_seed(cfg.run_seed, split, index)
+def episodes_for(cfg: RunConfig, split: str, indices) -> Episode:
+    """The run's episodes of ``split`` at ``indices``, as one batch."""
+    seeds = [derive_task_seed(cfg.run_seed, split, i) for i in indices]
     if cfg.mode == "toy":
-        return gen_spinning_lines(cfg.toy, seed)
-    return gen_fewshot_episode(cfg.fewshot, split, seed)
+        return gen_spinning_lines(cfg.toy, seeds)
+    return gen_fewshot_episode(cfg.fewshot, split, seeds)
 
 
-def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
-    """Per-episode training losses of a list of episodes, and the adapted
+def episode_pool(cfg: RunConfig, split: str, n: int) -> EpisodePool:
+    """The run's first ``n`` episodes of ``split``, generated as they are read."""
+    task_cfg = cfg.toy if cfg.mode == "toy" else cfg.fewshot
+    return EpisodePool(n, task_cfg.n_query, lambda indices: episodes_for(cfg, split, indices))
+
+
+def episode_objective(model: MetaModel, episodes: Episode, cfg: RunConfig):
+    """Per-episode training losses of a batch of episodes, and the adapted
     weights."""
     theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
     return task_objective(episodes, theta_k, model, cfg.inner, cfg.kl_weight), theta_k
@@ -425,12 +432,13 @@ def episode_objective(model: MetaModel, episodes, cfg: RunConfig):
 
 def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
               inner: Optional[InnerLoopConfig] = None, step: int = 0) -> EvalReport:
-    """Frozen-model metrics over a sized sequence of episodes (a list, or a
-    ``LazySequence`` that generates them), with 95% intervals.
+    """Frozen-model metrics over a batch of episodes (``tasks.Episode``) or a
+    pool that generates them (``tasks.EpisodePool``), with 95% intervals.
 
     Episodes are read once each and adapted in chunks of at most
     ``CHUNK_POINTS`` query points (``forward_chunks``) on a constant copy of
-    the parameters, so no autodiff tape is kept.
+    the parameters, so no autodiff tape is kept, and a pool holds one chunk
+    at a time.
     """
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
@@ -444,7 +452,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     frozen = frozen_copy(model)
     for _, chunk in forward_chunks(episodes):
         theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
-        inputs, labels = stacked(chunk, "query_inputs"), stacked(chunk, "query_labels")
+        inputs, labels = chunk.query_inputs, chunk.query_labels
         if model.mode == "toy":
             push("query_mse", query_loss(frozen, inputs, labels, theta_k).data)
             push("kl_to_true_posterior",
@@ -499,14 +507,14 @@ def train(cfg: RunConfig) -> TrainResult:
 
     if cfg.mode == "toy":
         n_train = cfg.toy.n_train_tasks
-        train_pool = [episode_for(cfg, "train", i) for i in range(n_train)]
-        eval_pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
+        train_pool = episodes_for(cfg, "train", range(n_train))
+        eval_pool = episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
         steps_per_epoch = math.ceil(n_train / cfg.batch_tasks)
         total_steps = steps_per_epoch * (cfg.epochs or 1)
         eval_every = cfg.eval_every or steps_per_epoch
     else:
         train_pool = None
-        eval_pool = [episode_for(cfg, "val", i) for i in range(cfg.val_pool_size)]
+        eval_pool = episodes_for(cfg, "val", range(cfg.val_pool_size))
         total_steps = cfg.total_steps or 3000
         eval_every = cfg.eval_every or 250
 
@@ -527,10 +535,10 @@ def train(cfg: RunConfig) -> TrainResult:
                 if pos == 0:
                     rng = _stream(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
                     order = rng.permutation(n_train)
-                batch = [train_pool[i] for i in order[pos : pos + cfg.batch_tasks]]
+                batch = train_pool.take(order[pos : pos + cfg.batch_tasks])
             else:
                 base = step * cfg.batch_tasks
-                batch = [episode_for(cfg, "train", base + j) for j in range(cfg.batch_tasks)]
+                batch = episodes_for(cfg, "train", range(base, base + cfg.batch_tasks))
 
             dc.zero_grad(trainables)
             losses, _ = episode_objective(model, batch, cfg)

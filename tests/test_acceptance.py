@@ -23,8 +23,8 @@ from sgmeta.analysis import (
 from sgmeta.cli import main as cli_main
 from sgmeta.models import apply_features
 from sgmeta.sibcore import accuracy_value, maml_inner, sib_unroll
-from sgmeta.tasks import derive_task_seed, gen_spinning_lines, stacked
-from sgmeta.trainer import default_config, episode_for, evaluate, make_theta0, train
+from sgmeta.tasks import derive_task_seed, gen_spinning_lines
+from sgmeta.trainer import default_config, episodes_for, evaluate, make_theta0, train
 from ib_decomposition import ib_decomposition_check, random_instance
 
 
@@ -70,10 +70,8 @@ def test_criterion_2_toy_reproduction(toy_run):
     assert row.prior_kl_to_true < 0.05, (
         f"KL(prior || true prior) = {row.prior_kl_to_true:.4f} >= 0.05"
     )
-    pool = [
-        gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-        for i in range(cfg.toy.n_test_tasks)
-    ]
+    pool = gen_spinning_lines(
+        cfg.toy, [derive_task_seed(cfg.run_seed, "test", i) for i in range(cfg.toy.n_test_tasks)])
     k0 = dataclasses.replace(cfg.inner, steps=0)
     base = evaluate(result.model, cfg, "test", pool, inner=k0)
     ratio = row.query_mse / base.row.query_mse
@@ -97,9 +95,9 @@ def test_criterion_2_toy_reproduction(toy_run):
 
 def test_criterion_3_trajectory_descent(toy_run):
     cfg, result, _ = toy_run
-    episodes = [gen_spinning_lines(cfg.toy, derive_task_seed(cfg.run_seed, "test", i))
-                for i in range(200)]
-    w = np.array([ep.truth["w"] for ep in episodes])
+    episodes = gen_spinning_lines(cfg.toy,
+                                  [derive_task_seed(cfg.run_seed, "test", i) for i in range(200)])
+    w = episodes.truth
     theta0 = make_theta0(result.model, episodes, cfg)
     _, thetas = sib_unroll(theta0, episodes, result.model, cfg.inner)
     dists = np.array([np.abs(theta.data[:, 0] - w).mean() for theta in thetas])
@@ -147,7 +145,7 @@ def test_criterion_5_generalization_bound(toy_run):
 def test_criterion_6_adaptation_gain(fewshot_run):
     cfg, result, elapsed = fewshot_run
     model = result.model
-    test_eps = [episode_for(cfg, "test", i) for i in range(2000)]
+    test_eps = episodes_for(cfg, "test", range(2000))
     start = time.perf_counter()
     rep3 = evaluate(model, cfg, "test", test_eps)
     rep0 = evaluate(model, cfg, "test", test_eps,
@@ -173,11 +171,11 @@ def test_criterion_6_adaptation_gain(fewshot_run):
 def test_criterion_7_inductive_variant_report(fewshot_run):
     cfg, result, _ = fewshot_run
     model = result.model
-    episodes = [episode_for(cfg, "test", i) for i in range(500)]
+    episodes = episodes_for(cfg, "test", range(500))
     theta_k = maml_inner(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
-    feats = apply_features(model, stacked(episodes, "query_inputs"))
+    feats = apply_features(model, episodes.query_inputs)
     logits = dc.cosine_logits(feats, theta_k, model.params["classifier_scale"])
-    acc_inductive = float(np.mean(accuracy_value(logits.data, stacked(episodes, "query_labels"))))
+    acc_inductive = float(np.mean(accuracy_value(logits.data, episodes.query_labels)))
     acc0 = getattr(test_criterion_6_adaptation_gain, "acc0", None)
     delta6 = getattr(test_criterion_6_adaptation_gain, "delta", None)
     assert np.isfinite(acc_inductive)
@@ -215,15 +213,15 @@ def test_criterion_9_transduction_purity(fewshot_run):
     cfg, result, _ = fewshot_run
     model = result.model
     rng = np.random.default_rng(99)
-    episodes = [episode_for(cfg, "test", 10_000 + i) for i in range(100)]
+    episodes = episodes_for(cfg, "test", range(10_000, 10_100))
     theta0 = make_theta0(model, episodes, cfg)
     ref, _ = sib_unroll(theta0, episodes, model, cfg.inner)
     permuted, randomized = [], []
-    for ep in episodes:
-        permuted.append(dataclasses.replace(ep, query_labels=rng.permutation(ep.query_labels)))
-        randomized.append(dataclasses.replace(
-            ep, query_labels=rng.integers(0, cfg.fewshot.k, size=ep.n_query)))
-    for mutated in (permuted, randomized):
+    for labels in episodes.query_labels:
+        permuted.append(rng.permutation(labels))
+        randomized.append(rng.integers(0, cfg.fewshot.k, size=episodes.n_query))
+    for labels in (permuted, randomized):
+        mutated = dataclasses.replace(episodes, query_labels=np.stack(labels))
         out, _ = sib_unroll(theta0, mutated, model, cfg.inner)
         changed = np.nonzero((ref.data != out.data).any(axis=(1, 2)))[0]
         assert changed.size == 0, (

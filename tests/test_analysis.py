@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import sgmeta.analysis as analysis
 from sgmeta.analysis import (
     AdaptedWeights,
+    TaskSampler,
     estimate_sigma,
     gen_bound,
     gen_gap,
@@ -30,7 +31,7 @@ from sgmeta.tasks import (
     gen_spinning_lines,
     true_posterior,
 )
-from sgmeta.trainer import build_model, default_config, episode_for, evaluate
+from sgmeta.trainer import build_model, default_config, episodes_for, evaluate
 from ib_decomposition import DiscreteInstance, ib_decomposition_check, random_instance
 
 
@@ -38,7 +39,7 @@ TOY = ToyConfig()
 
 
 def episodes(n, seed=0):
-    return [gen_spinning_lines(TOY, derive_task_seed(seed, "test", i)) for i in range(n)]
+    return gen_spinning_lines(TOY, [derive_task_seed(seed, "test", i) for i in range(n)])
 
 
 def oracle_posterior_model(lam=0.0):
@@ -56,9 +57,9 @@ def toy_inner(**kw):
 
 
 def mi_of(model, eps, inner):
-    """``mi_estimate`` of the weights adapted on a list of episodes."""
-    return mi_for_sampler(AdaptedWeights(model, lambda t: (eps[t], None), inner),
-                          episodes=len(eps))
+    """``mi_estimate`` of the weights adapted on a batch of episodes."""
+    sampler = TaskSampler(eps.n_query, lambda trials: (eps.take(list(trials)), None))
+    return mi_for_sampler(AdaptedWeights(model, sampler, inner), episodes=len(eps))
 
 
 def kl_to_true_posterior(model, eps, inner):
@@ -73,9 +74,11 @@ def test_kl_to_true_posterior_zero_for_exact_match():
     # identity update from lambda, and lambda forced to each episode's target
     model = oracle_posterior_model()
     inner = toy_inner(steps=0)
-    for ep in episodes(5):
+    eps = episodes(5)
+    for b in range(len(eps)):
+        ep = eps.take([b])
         model.params["lambda_global"].data[:] = ep.query_inputs.mean() + TOY.mu_w
-        assert kl_to_true_posterior(model, [ep], inner) == pytest.approx(0.0, abs=1e-12)
+        assert kl_to_true_posterior(model, ep, inner) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_to_true_posterior_untrained_matches_closed_form():
@@ -87,9 +90,9 @@ def test_kl_to_true_posterior_untrained_matches_closed_form():
     expected = np.mean([
         kl_diag_gaussian(
             DiagGaussian(np.zeros(1), np.full(1, 2 * math.log(TOY.sigma_w))),
-            true_posterior([ep], TOY),
+            true_posterior(eps.take([b]), TOY),
         ).data[0]
-        for ep in eps
+        for b in range(len(eps))
     ])
     assert measured == pytest.approx(expected, rel=1e-12)
 
@@ -98,7 +101,7 @@ def test_kl_to_true_posterior_requires_toy_mode():
     # the closed-form posterior exists only for the toy regression
     cfg = dataclasses.replace(default_config("fewshot"), fewshot=FewShotConfig(
         k=2, d_x=3, n_query_per_class=2, class_pool={"train": 4, "val": 2, "test": 2}))
-    pool = [episode_for(cfg, "test", i) for i in range(2)]
+    pool = episodes_for(cfg, "test", range(2))
     report = evaluate(build_model(cfg), cfg, "test", pool)
     assert report.row.kl_to_true_posterior is None
     assert "kl_to_true_posterior" not in report.per_episode
@@ -243,7 +246,7 @@ def test_gen_gap_oracle_posterior_matches_symbolic_value():
     def posterior_means(frozen, chunk):
         from sgmeta import diffcore as dc
 
-        return dc.constant(np.array([[ep.query_inputs.mean() + TOY.mu_w] for ep in chunk]))
+        return dc.constant(np.array([[x.mean() + TOY.mu_w] for x in chunk.query_inputs]))
 
     est = gen_gap(model, toy_task_sampler(TOY, seed=11), inner, trials=3000,
                   seed=3, theta0_fn=posterior_means)
@@ -304,9 +307,9 @@ def test_vary_n_sweep_runs_and_reports(tmp_path):
 def test_vary_n_sweep_generates_each_dataset_once(monkeypatch):
     seeds = []
 
-    def counting(cfg, task_seed, n=None):
-        seeds.append(task_seed)
-        return generate(cfg, task_seed, n=n)
+    def counting(cfg, task_seeds, n=None):
+        seeds.extend(task_seeds)
+        return generate(cfg, task_seeds, n=n)
 
     generate = analysis.gen_spinning_lines
     monkeypatch.setattr(analysis, "gen_spinning_lines", counting)

@@ -43,12 +43,13 @@ from sgmeta.sibcore import (
     orthogonal_transform_labeler,
     prior_dist,
 )
-from sgmeta.tasks import FewShotConfig, LazySequence, ToyConfig, derive_task_seed, episode_rng
+from sgmeta.tasks import EpisodePool, FewShotConfig, ToyConfig, derive_task_seed, episode_rng
 from sgmeta.trainer import (
     build_model,
     default_config,
-    episode_for,
     episode_objective,
+    episode_pool,
+    episodes_for,
     evaluate,
     make_theta0,
 )
@@ -56,6 +57,20 @@ from test_distributions import tape_draw_reference
 from test_fused import relu_mlp
 
 TOL = 1e-12
+FIELDS = ("query_inputs", "query_labels", "support_inputs", "support_labels", "truth")
+
+
+def each_episode(batch):
+    """The episodes of a batch one by one, each field without the batch axis."""
+    for b in range(len(batch)):
+        fields = {name: None if getattr(batch, name) is None else getattr(batch, name)[b]
+                  for name in FIELDS}
+        yield SimpleNamespace(**fields, task_seed=batch.task_seed[b], n_query=batch.n_query)
+
+
+def only_episode(batch):
+    (ep,) = each_episode(batch)
+    return ep
 
 
 # -- per-episode reference ----------------------------------------------------------
@@ -226,7 +241,7 @@ def assert_close(actual, expected):
 def test_batched_step_matches_per_episode_loop(case):
     cfg = CASES[case]()
     model = perturbed_model(cfg)
-    batch = [episode_for(cfg, "train", i) for i in range(4)]
+    batch = episodes_for(cfg, "train", range(4))
     trainables = [t for _, t in sorted(model.trainable().items())]
 
     dc.zero_grad(trainables)
@@ -237,7 +252,7 @@ def test_batched_step_matches_per_episode_loop(case):
     dc.zero_grad(trainables)
     total = None
     ref_losses, ref_thetas = [], []
-    for ep in batch:
+    for ep in each_episode(batch):
         loss_ep, theta_ep = ref_episode_objective(model, ep, cfg)
         ref_losses.append(loss_ep.item())
         ref_thetas.append(theta_ep.data)
@@ -267,7 +282,7 @@ def test_backward_builds_no_cotangent_for_constants(monkeypatch, case):
 
     cfg = CASES[case]()
     model = perturbed_model(cfg)
-    batch = [episode_for(cfg, "train", i) for i in range(2)]
+    batch = episodes_for(cfg, "train", range(2))
     losses, _ = episode_objective(model, batch, cfg)
     monkeypatch.setattr(dc, "_accum", checked_accum)
     dc.backward(losses.sum())
@@ -287,14 +302,18 @@ def chunk_episodes(monkeypatch, episodes, n_query):
     (32, [75, 25]),  # toy tasks of the reference config
     (5000, [1] * 100),  # an episode larger than a chunk goes alone
 ])
-def test_forward_chunks_size_from_the_first_item_and_read_each_once(n_query, sizes):
+def test_forward_chunks_size_from_the_query_size_and_make_each_once(n_query, sizes):
     made = []
 
-    def make(i):
-        made.append(i)
-        return SimpleNamespace(n_query=n_query)
+    def make(indices):
+        made.extend(indices)
+        return list(indices)
 
-    chunks = list(forward_chunks(LazySequence(sum(sizes), make)))
+    pool = EpisodePool(sum(sizes), n_query, make)
+    chunks = forward_chunks(pool)
+    start, first = next(chunks)
+    assert start == 0 and made == first == list(range(sizes[0]))  # made as it is read
+    chunks = [(start, first)] + list(chunks)
     assert [len(chunk) for _, chunk in chunks] == sizes
     assert [start for start, _ in chunks] == list(np.cumsum([0] + sizes[:-1]))
     assert made == list(range(sum(sizes)))
@@ -303,8 +322,8 @@ def test_forward_chunks_size_from_the_first_item_and_read_each_once(n_query, siz
 def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):
     cfg = fewshot_case()
     model = perturbed_model(cfg, seed=1)
-    episodes = [episode_for(cfg, "val", i) for i in range(7)]
-    n_query = episodes[0].n_query
+    episodes = episodes_for(cfg, "val", range(7))
+    n_query = episodes.n_query
     chunks = []
 
     def recording_unroll(theta0, chunk, *args, **kwargs):
@@ -316,7 +335,7 @@ def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):
     chunk_episodes(monkeypatch, 1, n_query)
     one = evaluate(model, cfg, "val", episodes)
     chunk_episodes(monkeypatch, 3, n_query)
-    chunked = evaluate(model, cfg, "val", LazySequence(7, lambda i: episode_for(cfg, "val", i)))
+    chunked = evaluate(model, cfg, "val", episode_pool(cfg, "val", 7))
     assert chunks == [1] * 7 + [3, 3, 1]
     assert set(chunked.per_episode) == set(one.per_episode)
     for name, values in one.per_episode.items():
@@ -365,15 +384,15 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch):
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = []
     for t in range(trials):
-        d, fresh = sampler(t)
+        d, fresh = sampler.draw([t])
+        d, f = only_episode(d), only_episode(fresh())
         w = adapted_draw(d, rng)
-        f = fresh()
         diffs.append(loss(f.query_inputs, f.query_labels, w)
                      - loss(d.query_inputs, d.query_labels, w))
     rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)
     losses = []
     for t in range(trials):
-        d_w, d_z = sampler(2 * t)[0], sampler(2 * t + 1)[0]
+        d_w, d_z = (only_episode(sampler.draw([trial])[0]) for trial in (2 * t, 2 * t + 1))
         w = adapted_draw(d_w, rng)
         i = int(rng.integers(d_z.n_query))
         losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
@@ -437,7 +456,7 @@ def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
     adapted = []
 
     def counting_unroll(theta0, episodes, *args, **kwargs):
-        adapted.extend(ep.task_seed for ep in episodes)
+        adapted.extend(episodes.task_seed)
         return sib_unroll(theta0, episodes, *args, **kwargs)
 
     sib_unroll = analysis.sib_unroll

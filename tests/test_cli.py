@@ -20,7 +20,7 @@ from sgmeta.tasks import derive_task_seed
 from sgmeta.trainer import (
     build_model,
     config_from_dict,
-    episode_for,
+    episodes_for,
     load_checkpoint,
     make_theta0,
     save_checkpoint,
@@ -238,7 +238,7 @@ def test_deterministic_toy_analyze_reports_the_prior_term(tmp_path, toy_cfg_file
     rows = dict(line.split(",")[:2] for line in (out / "report.csv").read_text().splitlines())
     cfg = config_from_dict(json.loads((run / "effective_config.json").read_text()))
     model = load_checkpoint(run / "checkpoint.json", cfg)
-    pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
+    pool = episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
     theta_k, _ = sibcore.sib_unroll(make_theta0(model, pool, cfg), pool, model, cfg.inner)
     expected = float(np.mean(sibcore.prior_term(theta_k, model, cfg.inner).data))
     assert float(rows["mi_estimate"]) == pytest.approx(expected, rel=1e-12, abs=0)
@@ -280,9 +280,9 @@ def test_evaluation_pool_is_generated_once_chunk_by_chunk(tmp_path, fewshot_cfg_
     save_checkpoint(build_model(cfg), tmp_path / "checkpoint.json", cfg, step=0)
     events = []
 
-    def generating(task_cfg, split, seed):
-        events.append(seed)
-        return generate(task_cfg, split, seed)
+    def generating(task_cfg, split, seeds):
+        events.extend(seeds)
+        return generate(task_cfg, split, seeds)
 
     def unrolling(theta0, episodes, *args, **kwargs):
         events.append(f"unroll {len(episodes)}")
@@ -580,9 +580,9 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
 
     def counting(generate):
         def wrapper(*args, **kwargs):
-            episode = generate(*args, **kwargs)
-            generated.append((bool(analysing), episode.task_seed))
-            return episode
+            episodes = generate(*args, **kwargs)
+            generated.extend((bool(analysing), seed) for seed in episodes.task_seed)
+            return episodes
         return wrapper
 
     # every module binding, as the analysis sampler imports from tasks when called

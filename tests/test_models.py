@@ -33,8 +33,8 @@ def identity_map_model(k, d_x, seed):
 def test_global_init_is_data_independent():
     model = build_toy_model(seed=1)
     cfg = ToyConfig()
-    ep_a = gen_spinning_lines(cfg, derive_task_seed(0, "train", 0))
-    ep_b = gen_spinning_lines(cfg, derive_task_seed(0, "train", 1))
+    ep_a = gen_spinning_lines(cfg, [derive_task_seed(0, "train", 0)])
+    ep_b = gen_spinning_lines(cfg, [derive_task_seed(0, "train", 1)])
     assert not np.array_equal(ep_a.query_inputs, ep_b.query_inputs)
     assert init_theta0_global(model) is init_theta0_global(model)
     np.testing.assert_array_equal(init_theta0_global(model).data, model.params["lambda_global"].data)
@@ -184,8 +184,8 @@ def test_linear_toy_predictions():
     x = constant([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(linear_predict_toy(constant([0.0]), x).data, np.zeros(3))
     np.testing.assert_array_equal(linear_predict_toy(constant([1.0]), x).data, [1.0, 2.0, 3.0])
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(1, "test", 5))
-    pred = linear_predict_toy(constant([ep.truth["w"]]), constant(ep.query_inputs[:, 0]))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(1, "test", 5)])
+    pred = linear_predict_toy(constant(ep.truth[:, None]), constant(ep.query_inputs[..., 0]))
     assert np.mean((pred.data - ep.query_labels) ** 2) == pytest.approx(0.0, abs=1e-28)
 
 

@@ -45,7 +45,6 @@ from sgmeta.tasks import (
     episode_rng,
     gen_fewshot_episode,
     gen_spinning_lines,
-    stacked,
 )
 from test_fused import mlp_composite
 
@@ -71,8 +70,8 @@ def global_theta0(model):
 
 
 def proto_theta0(model, episodes):
-    feats = dc.detach(apply_features(model, stacked(episodes, "support_inputs")))
-    return init_theta0_proto(model, feats, stacked(episodes, "support_labels"))
+    feats = dc.detach(apply_features(model, episodes.support_inputs))
+    return init_theta0_proto(model, feats, episodes.support_labels)
 
 
 def stub_xi_model_toy(value: float = 1.0):
@@ -110,19 +109,19 @@ def test_hand_checked_toy_step_sum_convention():
 
 def test_unroll_k0_returns_initialization():
     model = build_toy_model(seed=0)
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(0, "train", 0)])
     theta0 = constant([[1.3]])
-    theta_k, thetas = sib_unroll(theta0, [ep], model, toy_cfg(steps=0))
+    theta_k, thetas = sib_unroll(theta0, ep, model, toy_cfg(steps=0))
     assert theta_k is theta0
     assert thetas == [theta0]
 
 
 def test_unroll_equals_manual_composition():
     model = stub_xi_model_toy(0.8)
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(1, "train", 3))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(1, "train", 3)])
     cfg = det_cfg(steps=3)
-    theta_k, _ = sib_unroll(constant([[0.2]]), [ep], model, cfg)
-    x = inner_inputs(model, [ep])
+    theta_k, _ = sib_unroll(constant([[0.2]]), ep, model, cfg)
+    x = inner_inputs(model, ep)
     theta = constant([[0.2]])
     for k in range(3):
         theta = sib_step(theta, x, model, cfg, step_index=k)
@@ -131,8 +130,8 @@ def test_unroll_equals_manual_composition():
 
 def test_trajectory_records_k_plus_one_states():
     model = stub_xi_model_toy(0.3)
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(2, "train", 1))
-    theta_k, thetas = sib_unroll(constant([[0.0]]), [ep], model, det_cfg(steps=3))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(2, "train", 1)])
+    theta_k, thetas = sib_unroll(constant([[0.0]]), ep, model, det_cfg(steps=3))
     assert len(thetas) == 4
     assert thetas[-1] is theta_k
     # a constant synthetic gradient moves theta by the same amount each step
@@ -147,21 +146,18 @@ def test_theta_k_ignores_query_labels_bitwise():
     rng = np.random.default_rng(0)
     model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.1
     inner = det_cfg(steps=3, kl_in_inner=True)
-    episodes = [gen_fewshot_episode(cfg_task, "train", derive_task_seed(7, "train", i))
-                for i in range(10)]
+    episodes = gen_fewshot_episode(cfg_task, "train",
+                                   [derive_task_seed(7, "train", i) for i in range(10)])
     theta0 = proto_theta0(model, episodes)
     ref, _ = sib_unroll(theta0, episodes, model, inner)
-    shuffled = [
-        Episode(
-            query_inputs=ep.query_inputs,
-            query_labels=rng.permutation(ep.query_labels),
-            support_inputs=ep.support_inputs,
-            support_labels=ep.support_labels,
-            truth=ep.truth,
-            task_seed=ep.task_seed,
-        )
-        for ep in episodes
-    ]
+    shuffled = Episode(
+        query_inputs=episodes.query_inputs,
+        query_labels=np.stack([rng.permutation(row) for row in episodes.query_labels]),
+        support_inputs=episodes.support_inputs,
+        support_labels=episodes.support_labels,
+        truth=episodes.truth,
+        task_seed=episodes.task_seed,
+    )
     out, _ = sib_unroll(theta0, shuffled, model, inner)
     assert np.array_equal(ref.data, out.data)
 
@@ -232,15 +228,15 @@ def test_outer_gradients_through_toy_unroll_match_fd(steps):
     for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
         model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.5
     model.params["lambda_global"].data[:] = 0.8
-    ep = gen_spinning_lines(ToyConfig(n=6), derive_task_seed(4, "train", 2))
+    ep = gen_spinning_lines(ToyConfig(n=6), [derive_task_seed(4, "train", 2)])
     cfg = toy_cfg(steps=steps, eta_inner=0.05, kl_in_inner=True)
     names = ["lambda_global", "xi_w1", "xi_b1", "xi_w2", "xi_b2", "xi_w3", "xi_b3",
              "psi_mean", "psi_log_var"]
     params = [model.params[n] for n in names]
 
     def loss():
-        theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
-        return task_objective([ep], theta_k, model, cfg).sum()
+        theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
+        return task_objective(ep, theta_k, model, cfg).sum()
 
     errors = check_gradients(loss, params, h=1e-5, tol=1e-5)
     assert max(errors) < 1e-5
@@ -253,14 +249,14 @@ def test_outer_gradients_through_fewshot_unroll_match_fd():
     model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.3
     cfg_task = FewShotConfig(k=3, n_shot=1, n_query_per_class=2, d_x=4,
                              class_pool={"train": 8, "val": 4, "test": 4}, cluster_spread=0.4)
-    ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(5, "train", 1))
+    ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(5, "train", 1)])
     cfg = det_cfg(steps=2, eta_inner=0.05, kl_in_inner=True)
     names = ["lambda_scale", "classifier_scale", "xi_w1", "xi_b3", "psi_mean", "psi_log_var"]
     params = [model.params[n] for n in names]
 
     def loss():
-        theta_k, _ = sib_unroll(proto_theta0(model, [ep]), [ep], model, cfg)
-        return task_objective([ep], theta_k, model, cfg).sum()
+        theta_k, _ = sib_unroll(proto_theta0(model, ep), ep, model, cfg)
+        return task_objective(ep, theta_k, model, cfg).sum()
 
     errors = check_gradients(loss, params, h=1e-5, tol=1e-5)
     assert max(errors) < 1e-5
@@ -272,29 +268,30 @@ def test_feature_detach_blocks_synthetic_path():
     model.params["xi_w3"].data[:] = rng.normal(size=model.params["xi_w3"].shape) * 0.5
     cfg_task = FewShotConfig(k=2, n_shot=1, n_query_per_class=2, d_x=3,
                              class_pool={"train": 4, "val": 2, "test": 2})
-    ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(8, "train", 0))
+    ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(8, "train", 0)])
     f_w = model.params["f_weight"]
 
     cfg = det_cfg(steps=2, eta_inner=0.1)
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
+    theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
     (g_adapt,) = grad(theta_k.sum(), [f_w], allow_unused=True)
     np.testing.assert_array_equal(g_adapt, np.zeros_like(f_w.data))
     # the feature map still learns, through the data term
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
-    (g_data,) = grad(task_objective([ep], theta_k, model, cfg).sum(), [f_w])
+    theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
+    (g_data,) = grad(task_objective(ep, theta_k, model, cfg).sum(), [f_w])
     assert np.abs(g_data).max() > 0
 
 
 def test_maml_inner_identity_cases():
     model = build_toy_model(seed=0)
     ep = Episode(
-        query_inputs=np.ones((2, 1)), query_labels=np.ones(2),
-        support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
+        query_inputs=np.ones((1, 2, 1)), query_labels=np.ones((1, 2)),
+        support_inputs=np.array([[[1.0], [2.0]]]), support_labels=np.array([[2.0, 4.0]]),
+        task_seed=(0,),
     )
     theta0 = constant([[0.5]])
-    out = maml_inner(theta0, [ep], model, det_cfg(steps=0))
+    out = maml_inner(theta0, ep, model, det_cfg(steps=0))
     np.testing.assert_array_equal(out.data, theta0.data)
 
 
@@ -303,10 +300,11 @@ def test_maml_inner_one_step_matches_analytic_gradient():
     # grad = 2 * mean(x (theta x - y)) at theta=0.5: 2*mean([1*(-1.5), 2*(-3)]) = -7.5
     model = build_toy_model(seed=0)
     ep = Episode(
-        query_inputs=np.ones((2, 1)), query_labels=np.ones(2),
-        support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
+        query_inputs=np.ones((1, 2, 1)), query_labels=np.ones((1, 2)),
+        support_inputs=np.array([[[1.0], [2.0]]]), support_labels=np.array([[2.0, 4.0]]),
+        task_seed=(0,),
     )
-    out = maml_inner(constant([[0.5]]), [ep], model, det_cfg(steps=1, eta_inner=0.1))
+    out = maml_inner(constant([[0.5]]), ep, model, det_cfg(steps=1, eta_inner=0.1))
     assert out.data[0, 0] == pytest.approx(0.5 + 0.1 * 7.5, abs=1e-12)
 
 
@@ -315,22 +313,22 @@ def test_maml_inner_draws_by_the_unroll_rule():
     weights, in the inductive baseline as in ``sib_unroll``."""
     model = build_toy_model(seed=0)
     ep = Episode(
-        query_inputs=np.ones((2, 1)), query_labels=np.ones(2), task_seed=7,
-        support_inputs=np.array([[1.0], [2.0]]), support_labels=np.array([2.0, 4.0]),
+        query_inputs=np.ones((1, 2, 1)), query_labels=np.ones((1, 2)), task_seed=(7,),
+        support_inputs=np.array([[[1.0], [2.0]]]), support_labels=np.array([[2.0, 4.0]]),
     )
     knobs = dict(steps=2, eta_inner=0.1, mc_samples=3)
-    no_draw = maml_inner(constant([[0.5]]), [ep], model, det_cfg(**knobs)).data
-    at_mean = maml_inner(constant([[0.5]]), [ep], model, toy_cfg(inner_eval_at_mean=True, **knobs))
+    no_draw = maml_inner(constant([[0.5]]), ep, model, det_cfg(**knobs)).data
+    at_mean = maml_inner(constant([[0.5]]), ep, model, toy_cfg(inner_eval_at_mean=True, **knobs))
     np.testing.assert_array_equal(at_mean.data, no_draw)
-    drawn = maml_inner(constant([[0.5]]), [ep], model, toy_cfg(**knobs))
+    drawn = maml_inner(constant([[0.5]]), ep, model, toy_cfg(**knobs))
     assert not np.array_equal(drawn.data, no_draw)
 
 
 def test_maml_inner_requires_support():
     model = build_toy_model(seed=0)
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(0, "train", 0))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(0, "train", 0)])
     with pytest.raises(ValueError):
-        maml_inner(constant([[0.0]]), [ep], model, det_cfg(steps=1))
+        maml_inner(constant([[0.0]]), ep, model, det_cfg(steps=1))
 
 
 def test_cross_entropy_perfect_logits_vanish():
@@ -353,13 +351,13 @@ def test_toy_zero_residual_objective_is_pure_kl():
     model.params["psi_mean"].data[:] = 0.3
     model.params["psi_log_var"].data[:] = math.log(0.5)
     cfg = toy_cfg()
-    ep = gen_spinning_lines(ToyConfig(), derive_task_seed(6, "test", 4))
-    theta = constant([[ep.truth["w"]]])
-    data = data_term([ep], theta, model, cfg, eps=np.zeros((1, 1, 1)))
+    ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(6, "test", 4)])
+    theta = constant([[ep.truth[0]]])
+    data = data_term(ep, theta, model, cfg, eps=np.zeros((1, 1, 1)))
     assert data.data[0] == pytest.approx(0.0, abs=1e-25)
     kl = prior_term(theta, model, cfg)
     expected = kl_diag_gaussian(
-        DiagGaussian(np.array([ep.truth["w"]]), np.array([2 * math.log(0.1)])),
+        DiagGaussian(np.array([ep.truth[0]]), np.array([2 * math.log(0.1)])),
         DiagGaussian(np.array([0.3]), np.array([math.log(0.5)])),
     )
     assert kl.data[0] == pytest.approx(expected.item(), abs=1e-15)
@@ -371,17 +369,17 @@ def test_task_objective_matches_brute_force_recomputation():
     for name in ("xi_w3", "xi_b3", "psi_mean", "psi_log_var"):
         model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.2
     cfg = toy_cfg(mc_samples=3)
-    ep = gen_spinning_lines(ToyConfig(n=10), derive_task_seed(10, "train", 7))
+    ep = gen_spinning_lines(ToyConfig(n=10), [derive_task_seed(10, "train", 7)])
     theta = 0.9
-    out = task_objective([ep], constant([[theta]]), model, cfg).data[0]
+    out = task_objective(ep, constant([[theta]]), model, cfg).data[0]
 
     # brute force with the identical noise stream, no graph machinery
     from sgmeta.tasks import episode_rng
     from sgmeta.sibcore import STREAM_OBJECTIVE
 
-    rng2 = episode_rng(ep.task_seed, stream=STREAM_OBJECTIVE)
+    rng2 = episode_rng(ep.task_seed[0], stream=STREAM_OBJECTIVE)
     sw = math.exp(cfg.q_log_var / 2)
-    x, y = ep.query_inputs[:, 0], ep.query_labels
+    x, y = ep.query_inputs[0, :, 0], ep.query_labels[0]
     data = 0.0
     for _ in range(3):
         eps = rng2.normal(size=1)[0]
@@ -399,11 +397,11 @@ def test_ssl_init_steps_from_lambda():
     model = build_fewshot_model(k=4, d_x=6, seed=1)
     cfg_task = FewShotConfig(k=4, n_shot=1, n_query_per_class=3, d_x=6,
                              class_pool={"train": 8, "val": 4, "test": 4})
-    ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 0))
+    ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(9, "train", 0)])
     lam = np.random.default_rng(2).normal(size=(4, 6))
     model.params["lambda_global"].data[:] = lam
-    small = ssl_init(model, [ep], det_cfg(eta_inner=1e-3)).data[0] - lam
-    large = ssl_init(model, [ep], det_cfg(eta_inner=3e-3)).data[0] - lam
+    small = ssl_init(model, ep, det_cfg(eta_inner=1e-3)).data[0] - lam
+    large = ssl_init(model, ep, det_cfg(eta_inner=3e-3)).data[0] - lam
     assert np.abs(small).max() > 0
     np.testing.assert_allclose(large, 3.0 * small, rtol=1e-9, atol=1e-15)
 
@@ -413,10 +411,10 @@ def test_ssl_init_is_data_dependent():
     model.params["lambda_global"].data[:] = np.random.default_rng(3).normal(size=(4, 6))
     cfg_task = FewShotConfig(k=4, n_shot=1, n_query_per_class=3, d_x=6,
                              class_pool={"train": 8, "val": 4, "test": 4})
-    ep_a = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 1))
-    ep_b = gen_fewshot_episode(cfg_task, "train", derive_task_seed(9, "train", 2))
+    both_eps = gen_fewshot_episode(cfg_task, "train",
+                                   [derive_task_seed(9, "train", i) for i in (1, 2)])
     cfg = det_cfg(eta_inner=0.1)
-    both = ssl_init(model, [ep_a, ep_b], cfg)
+    both = ssl_init(model, both_eps, cfg)
     assert not np.array_equal(both.data[0], both.data[1])
 
 
@@ -425,16 +423,16 @@ def test_ssl_init_descends_for_small_rate():
     model.params["lambda_global"].data[:] = np.random.default_rng(5).normal(size=(4, 6))
     cfg_task = FewShotConfig(k=4, n_shot=1, n_query_per_class=5, d_x=6,
                              class_pool={"train": 8, "val": 4, "test": 4})
-    ep = gen_fewshot_episode(cfg_task, "train", derive_task_seed(12, "train", 4))
+    ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(12, "train", 4)])
     at_lambda = ssl_loss(model, ep, model.params["lambda_global"].data)
-    theta0 = ssl_init(model, [ep], det_cfg(eta_inner=1e-3))
+    theta0 = ssl_init(model, ep, det_cfg(eta_inner=1e-3))
     at_theta0 = ssl_loss(model, ep, theta0.data[0])
     assert at_theta0 <= at_lambda
 
 
 def ssl_loss(model, ep, theta_data):
     """Self-supervised cross entropy at fixed task weights."""
-    aug, ssl_labels = orthogonal_transform_labeler(apply_features(model, ep.query_inputs).data)
+    aug, ssl_labels = orthogonal_transform_labeler(apply_features(model, ep.query_inputs[0]).data)
     logits = dc.cosine_logits(constant(aug), constant(theta_data), model.params["classifier_scale"])
     return cross_entropy(dc.matmul(logits, constant(_ssl_projection(model.k))), ssl_labels).item()
 
@@ -456,11 +454,11 @@ def test_lambda_receives_gradient_on_generic_episode():
     rng = np.random.default_rng(14)
     for name in ("xi_w3", "xi_b3"):
         model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.4
-    ep = gen_spinning_lines(ToyConfig(n=8), derive_task_seed(3, "train", 0))
+    ep = gen_spinning_lines(ToyConfig(n=8), [derive_task_seed(3, "train", 0)])
     cfg = toy_cfg(steps=2, eta_inner=0.05)
     zero_grad(list(model.params.values()))
-    theta_k, _ = sib_unroll(global_theta0(model), [ep], model, cfg)
-    (g,) = grad(task_objective([ep], theta_k, model, cfg).sum(),
+    theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
+    (g,) = grad(task_objective(ep, theta_k, model, cfg).sum(),
                 [model.params["lambda_global"]])
     assert np.abs(g).max() > 0
 
@@ -471,7 +469,7 @@ def test_lambda_receives_gradient_on_generic_episode():
 def per_draw_noise(episodes, stream, count, shape):
     """``_noise`` as a loop over draws, one fresh generator per episode."""
     size = int(np.prod(shape))
-    rngs = [episode_rng(ep.task_seed, stream=stream) for ep in episodes]
+    rngs = [episode_rng(task_seed, stream=stream) for task_seed in episodes.task_seed]
     eps = np.array([[rng.normal(size=size) for rng in rngs] for _ in range(count)])
     return eps.reshape((count, len(episodes)) + tuple(shape))
 
@@ -479,8 +477,8 @@ def per_draw_noise(episodes, stream, count, shape):
 @pytest.mark.parametrize("stream", [STREAM_INNER, STREAM_OBJECTIVE])
 @pytest.mark.parametrize("count,shape", [(1, (1,)), (6, (1,)), (3, (5, 16))])
 def test_noise_is_contiguous_and_bitwise_the_per_draw_loop(stream, count, shape):
-    episodes = [gen_spinning_lines(ToyConfig(n=4), derive_task_seed(1, "train", i))
-                for i in range(5)]
+    episodes = gen_spinning_lines(ToyConfig(n=4),
+                                  [derive_task_seed(1, "train", i) for i in range(5)])
     got = _noise(episodes, stream, count, shape)
     want = per_draw_noise(episodes, stream, count, shape)
     assert got.flags.c_contiguous

@@ -23,28 +23,29 @@ from sgmeta.tasks import (
 )
 
 REFERENCE_TOY = ToyConfig(n=32, mu=0.0, sigma=1.0, mu_w=1.0, sigma_w=0.1)
+FIELDS = ("query_inputs", "query_labels", "support_inputs", "support_labels", "truth")
+
+
+def seeds(run_seed, split, n):
+    return [derive_task_seed(run_seed, split, i) for i in range(n)]
 
 
 def test_toy_episode_size_matches_config():
-    ep = gen_spinning_lines(REFERENCE_TOY, task_seed=derive_task_seed(0, "train", 0))
-    assert ep.n_query == 32
+    ep = gen_spinning_lines(REFERENCE_TOY, [derive_task_seed(0, "train", 0)])
+    assert len(ep) == 1 and ep.n_query == 32
+    assert ep.query_inputs.shape == (1, 32, 1) and ep.query_labels.shape == (1, 32)
     assert ep.support_inputs is None
 
 
 def test_toy_targets_exact_by_construction():
-    for i in range(20):
-        ep = gen_spinning_lines(REFERENCE_TOY, derive_task_seed(3, "train", i))
-        np.testing.assert_array_equal(ep.query_labels, ep.truth["w"] * ep.query_inputs[:, 0])
+    ep = gen_spinning_lines(REFERENCE_TOY, seeds(3, "train", 20))
+    np.testing.assert_array_equal(ep.query_labels, ep.truth[:, None] * ep.query_inputs[..., 0])
 
 
 def test_toy_slope_mean_monte_carlo():
     # Over many episodes the slope mean approaches mu + mu_w = 1.
     n_eps = 100_000
-    ws = np.empty(n_eps)
-    for i in range(n_eps):
-        rng_seed = derive_task_seed(777, "train", i)
-        ep = gen_spinning_lines(REFERENCE_TOY, rng_seed)
-        ws[i] = ep.truth["w"]
+    ws = gen_spinning_lines(REFERENCE_TOY, seeds(777, "train", n_eps)).truth
     se = ws.std(ddof=1) / math.sqrt(n_eps)
     assert abs(ws.mean() - 1.0) < 3 * se
 
@@ -64,15 +65,16 @@ def test_true_prior_limit_cases():
 
 
 def test_true_posterior_zero_inputs():
-    ep = Episode(query_inputs=np.zeros((8, 1)), query_labels=np.zeros(8), truth={"w": 1.0})
-    post = true_posterior([ep], REFERENCE_TOY)
+    ep = Episode(query_inputs=np.zeros((1, 8, 1)), query_labels=np.zeros((1, 8)),
+                 truth=np.ones(1), task_seed=(0,))
+    post = true_posterior(ep, REFERENCE_TOY)
     assert post.mean.data[0, 0] == pytest.approx(1.0)
     assert np.exp(post.log_var.data[0, 0]) == pytest.approx(0.01)
 
 
 def test_posterior_minus_prior_mean_is_input_mean_shift():
-    ep = gen_spinning_lines(REFERENCE_TOY, derive_task_seed(5, "test", 9))
-    post = true_posterior([ep], REFERENCE_TOY)
+    ep = gen_spinning_lines(REFERENCE_TOY, [derive_task_seed(5, "test", 9)])
+    post = true_posterior(ep, REFERENCE_TOY)
     prior = true_prior(REFERENCE_TOY)
     shift = post.mean.data[0, 0] - prior.mean.data[0]
     assert shift == pytest.approx(ep.query_inputs.mean() - REFERENCE_TOY.mu)
@@ -85,8 +87,7 @@ def test_mean_posterior_prior_kl_matches_symbolic_expectation():
     symbolic = 0.5 * math.log(vp / REFERENCE_TOY.sigma_w**2)
     n_eps = 100_000
     prior = true_prior(REFERENCE_TOY)
-    eps = [gen_spinning_lines(REFERENCE_TOY, derive_task_seed(2024, "train", i))
-           for i in range(n_eps)]
+    eps = gen_spinning_lines(REFERENCE_TOY, seeds(2024, "train", n_eps))
     kls = kl_diag_gaussian(true_posterior(eps, REFERENCE_TOY), prior).data
     se = kls.std(ddof=1) / math.sqrt(n_eps)
     assert abs(kls.mean() - symbolic) < 3 * se
@@ -94,27 +95,29 @@ def test_mean_posterior_prior_kl_matches_symbolic_expectation():
 
 def test_fewshot_episode_sizes():
     cfg = FewShotConfig(k=5, n_shot=1, n_query_per_class=15)
-    ep = gen_fewshot_episode(cfg, "train", derive_task_seed(1, "train", 0))
-    assert ep.support_inputs.shape == (5, 16)
-    assert ep.query_inputs.shape == (75, 16)
-    assert sorted(set(ep.query_labels)) == [0, 1, 2, 3, 4]
-    counts = np.bincount(ep.support_labels, minlength=5)
+    ep = gen_fewshot_episode(cfg, "train", [derive_task_seed(1, "train", 0)])
+    assert ep.support_inputs.shape == (1, 5, 16)
+    assert ep.query_inputs.shape == (1, 75, 16)
+    assert ep.truth.shape == (1, 5, 16)
+    assert ep.n_query == cfg.n_query == 75
+    assert sorted(set(ep.query_labels[0])) == [0, 1, 2, 3, 4]
+    counts = np.bincount(ep.support_labels[0], minlength=5)
     np.testing.assert_array_equal(counts, np.ones(5))
 
 
 def test_fewshot_zero_spread_is_trivially_separable():
     cfg = FewShotConfig(k=5, n_shot=1, cluster_spread=0.0)
-    ep = gen_fewshot_episode(cfg, "test", derive_task_seed(4, "test", 2))
-    protos = ep.truth["prototypes"]
-    np.testing.assert_allclose(ep.query_inputs, np.repeat(protos, 15, axis=0), atol=0)
+    ep = gen_fewshot_episode(cfg, "test", seeds(4, "test", 3))
+    protos = ep.truth
+    np.testing.assert_allclose(ep.query_inputs, np.repeat(protos, 15, axis=1), atol=0)
     # nearest-prototype classification is perfect
-    dists = ((ep.query_inputs[:, None, :] - protos[None]) ** 2).sum(-1)
-    assert (dists.argmin(axis=1) == ep.query_labels).all()
+    dists = ((ep.query_inputs[:, :, None, :] - protos[:, None]) ** 2).sum(-1)
+    assert (dists.argmin(axis=-1) == ep.query_labels).all()
 
 
 @pytest.mark.parametrize("mode", ["toy", "fewshot"])
 def test_same_seed_bitwise_identical(mode):
-    seed = derive_task_seed(9, "val", 13)
+    seed = [derive_task_seed(9, "val", 13)]
     if mode == "toy":
         a, b = (gen_spinning_lines(ToyConfig(), seed) for _ in range(2))
     else:
@@ -163,14 +166,17 @@ def test_derive_task_seed_distinct_across_indices_and_splits(run_seed, idx):
 
 def test_resample_query_set_keeps_task_identity():
     cfg = FewShotConfig()
-    ep = gen_fewshot_episode(cfg, "test", derive_task_seed(6, "test", 1))
-    fresh = resample_query_set(ep, cfg, derive_task_seed(6, "test", 10_001))
+    ep = gen_fewshot_episode(cfg, "test", seeds(6, "test", 2))
+    fresh = resample_query_set(ep, cfg, seeds(6, "val", 2))
     np.testing.assert_array_equal(fresh.query_labels, ep.query_labels)
     assert not np.array_equal(fresh.query_inputs, ep.query_inputs)
-    np.testing.assert_array_equal(fresh.truth["prototypes"], ep.truth["prototypes"])
+    np.testing.assert_array_equal(fresh.truth, ep.truth)
+    assert fresh.task_seed == tuple(seeds(6, "val", 2))
+    with pytest.raises(ValueError, match="3 fresh seeds for 2 episodes"):
+        resample_query_set(ep, cfg, seeds(6, "val", 3))
 
 
-# -- few-shot generation against the per-class loop -----------------------------------
+# -- batched generation against per-episode references --------------------------------
 
 
 def ref_fewshot_episode(cfg, split, task_seed):
@@ -199,14 +205,26 @@ def ref_resample(protos, nq, cfg, fresh_seed):
     return np.concatenate(qry_x), np.concatenate(qry_y)
 
 
+def ref_spinning_lines(cfg, task_seed, n):
+    """One toy episode from its own generator: inputs, targets and slope."""
+    rng = episode_rng(task_seed)
+    x = rng.normal(cfg.mu, cfg.sigma, size=n)
+    w = x.mean() + rng.normal(cfg.mu_w, cfg.sigma_w)
+    return x.reshape(n, 1), w * x, w
+
+
 def assert_bitwise(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
 
 
 def owns_its_buffer(arr):
-    """No larger buffer (such as the episode's whole draw) is kept alive."""
+    """No larger buffer (such as the batch's whole draw) is kept alive."""
     return arr.base is None or arr.base.nbytes == arr.nbytes
+
+
+def batch_seeds(size, salt):
+    return [derive_task_seed(salt, "val", 3 * i) for i in range(size)]
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -214,25 +232,87 @@ def owns_its_buffer(arr):
 @pytest.mark.parametrize("spread", [0.0, 0.3])
 def test_fewshot_generation_matches_the_per_class_loop(k, n_shot, spread):
     cfg = FewShotConfig(k=k, n_shot=n_shot, n_query_per_class=4, d_x=6, cluster_spread=spread)
-    for i in range(20):
-        seed = derive_task_seed(i, "val", 3 * i)
-        ep = gen_fewshot_episode(cfg, "val", seed)
-        qx, qy, (sx, sy), protos = ref_fewshot_episode(cfg, "val", seed)
-        assert_bitwise(ep.query_inputs, qx)
-        assert_bitwise(ep.query_labels, qy)
-        assert_bitwise(ep.truth["prototypes"], protos)
-        if n_shot == 0:
-            assert ep.support_inputs is None and ep.support_labels is None
-        else:
-            assert_bitwise(ep.support_inputs, sx)
-            assert_bitwise(ep.support_labels, sy)
-        fresh = resample_query_set(ep, cfg, seed + 1)
-        rx, ry = ref_resample(protos, 4, cfg, seed + 1)
-        assert_bitwise(fresh.query_inputs, rx)
-        assert_bitwise(fresh.query_labels, ry)
-        for arr in (ep.query_inputs, ep.support_inputs, ep.truth["prototypes"],
-                    fresh.query_inputs):
+    for batch in (1, 3, 33):
+        task_seeds = batch_seeds(batch, salt=k + n_shot)
+        fresh_seeds = [seed + 1 for seed in task_seeds]
+        ep = gen_fewshot_episode(cfg, "val", task_seeds)
+        fresh = resample_query_set(ep, cfg, fresh_seeds)
+        assert ep.task_seed == tuple(task_seeds) and fresh.task_seed == tuple(fresh_seeds)
+        assert all(type(seed) is int for seed in ep.task_seed + fresh.task_seed)
+        for b, seed in enumerate(task_seeds):
+            qx, qy, (sx, sy), protos = ref_fewshot_episode(cfg, "val", seed)
+            assert_bitwise(ep.query_inputs[b], qx)
+            assert_bitwise(ep.query_labels[b], qy)
+            assert_bitwise(ep.truth[b], protos)
+            if n_shot == 0:
+                assert ep.support_inputs is None and ep.support_labels is None
+            else:
+                assert_bitwise(ep.support_inputs[b], sx)
+                assert_bitwise(ep.support_labels[b], sy)
+            rx, ry = ref_resample(protos, 4, cfg, seed + 1)
+            assert_bitwise(fresh.query_inputs[b], rx)
+            assert_bitwise(fresh.query_labels[b], ry)
+        for arr in (ep.query_inputs, ep.support_inputs, ep.truth, fresh.query_inputs):
             assert arr is None or owns_its_buffer(arr)
+        # every episode reads one label row, which nothing can write to
+        for labels in (ep.query_labels, ep.support_labels, fresh.query_labels):
+            assert labels is None or not labels.flags.writeable
+
+
+@pytest.mark.parametrize("batch", [1, 3, 33])
+@pytest.mark.parametrize("n", [None, 1, 7])
+def test_toy_generation_matches_the_per_episode_draws(batch, n):
+    cfg = ToyConfig(n=12, mu=0.7, sigma=1.3, mu_w=-0.4, sigma_w=0.2)
+    task_seeds = batch_seeds(batch, salt=batch)
+    ep = gen_spinning_lines(cfg, task_seeds, n=n)
+    assert ep.task_seed == tuple(task_seeds)
+    assert all(type(seed) is int for seed in ep.task_seed)
+    for b, seed in enumerate(task_seeds):
+        x, y, w = ref_spinning_lines(cfg, seed, cfg.n if n is None else n)
+        assert_bitwise(ep.query_inputs[b], x)
+        assert_bitwise(ep.query_labels[b], y)
+        assert_bitwise(ep.truth[b], np.float64(w))
+    for arr in (ep.query_inputs, ep.query_labels, ep.truth):
+        assert owns_its_buffer(arr)
+
+
+@pytest.mark.parametrize("mode", ["toy", "fewshot"])
+def test_an_episode_is_the_same_in_any_batch(mode):
+    task_seeds = batch_seeds(9, salt=11)
+    order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
+    if mode == "toy":
+        cfg = ToyConfig(mu=0.3)
+
+        def generate(s):
+            return gen_spinning_lines(cfg, s)
+    else:
+        cfg = FewShotConfig(k=3, n_shot=2, n_query_per_class=5, d_x=4)
+
+        def generate(s):
+            return resample_query_set(gen_fewshot_episode(cfg, "val", s), cfg,
+                                      [seed ^ 1 for seed in s])
+    whole = generate(task_seeds)
+    shuffled = generate([task_seeds[i] for i in order])
+    for j, i in enumerate(order):
+        alone = generate([task_seeds[i]])
+        for name in FIELDS:
+            rows = getattr(whole, name)
+            if rows is not None:
+                assert_bitwise(getattr(shuffled, name)[j], rows[i])
+                assert_bitwise(getattr(alone, name)[0], rows[i])
+
+
+def test_a_batch_takes_its_rows_with_their_seeds():
+    cfg = FewShotConfig(k=3, n_shot=1, n_query_per_class=2, d_x=4)
+    ep = gen_fewshot_episode(cfg, "val", batch_seeds(6, salt=2))
+    for rows in (slice(1, 4), [5, 0, 5], np.array([2, 3])):
+        part = ep.take(rows)
+        picked = range(6)[rows] if isinstance(rows, slice) else list(rows)
+        assert part.task_seed == tuple(ep.task_seed[i] for i in picked)
+        assert all(type(seed) is int for seed in part.task_seed)
+        assert len(part) == len(picked)
+        for name in FIELDS:
+            assert_bitwise(getattr(part, name), np.stack([getattr(ep, name)[i] for i in picked]))
 
 
 def test_class_pool_is_built_once_and_read_only():
@@ -243,9 +323,9 @@ def test_class_pool_is_built_once_and_read_only():
         pool[0, 0] = 1.0
     other = FewShotConfig(pool_seed=1)
     assert not np.array_equal(class_prototypes(other, "train"), pool)
-    # an episode's prototypes are its own copy
-    ep = gen_fewshot_episode(cfg, "train", derive_task_seed(0, "train", 0))
-    ep.truth["prototypes"][0, 0] = 5.0
+    # a batch's prototypes are its own copy
+    ep = gen_fewshot_episode(cfg, "train", [derive_task_seed(0, "train", 0)])
+    ep.truth[0, 0, 0] = 5.0
     assert pool.max() <= 1.0
 
 

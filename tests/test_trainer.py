@@ -29,7 +29,7 @@ from sgmeta.trainer import (
     config_from_dict,
     config_to_dict,
     default_config,
-    episode_for,
+    episodes_for,
     evaluate,
     load_checkpoint,
     make_theta0,
@@ -194,7 +194,7 @@ def test_evaluate_all_correct_gives_perfect_accuracy():
     cfg.fewshot.cluster_spread = 0.0  # queries equal prototypes
     cfg.inner.steps = 0
     model = build_model(cfg)
-    eps = [episode_for(cfg, "test", i) for i in range(5)]
+    eps = episodes_for(cfg, "test", range(5))
     report = evaluate(model, cfg, "test", eps)
     assert report.row.query_accuracy == pytest.approx(1.0)
     assert report.ci95["query_accuracy"] == pytest.approx(0.0)
@@ -204,7 +204,7 @@ def test_evaluate_single_episode_is_degenerate():
     cfg = tiny_fewshot_config()
     model = build_model(cfg)
     with pytest.warns(UserWarning, match="degenerate"):
-        report = evaluate(model, cfg, "test", [episode_for(cfg, "test", 0)])
+        report = evaluate(model, cfg, "test", episodes_for(cfg, "test", [0]))
     assert report.degenerate
     assert all(v == 0.0 for v in report.ci95.values())
 
@@ -212,7 +212,7 @@ def test_evaluate_single_episode_is_degenerate():
 def test_evaluate_ci_matches_direct_recomputation():
     cfg = tiny_fewshot_config()
     model = build_model(cfg)
-    eps = [episode_for(cfg, "val", i) for i in range(6)]
+    eps = episodes_for(cfg, "val", range(6))
     report = evaluate(model, cfg, "val", eps)
     acc = report.per_episode["query_accuracy"]
     expect = 1.96 * acc.std(ddof=1) / math.sqrt(len(acc))
@@ -230,7 +230,7 @@ def test_toy_kl_to_prior_is_the_mean_prior_term(regime):
     rng = np.random.default_rng(2)
     for name in ("xi_w3", "lambda_global", "psi_mean", "psi_log_var"):
         model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.5
-    pool = [episode_for(cfg, "test", i) for i in range(cfg.toy.n_test_tasks)]
+    pool = episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
     theta_k, _ = sib_unroll(make_theta0(model, pool, cfg), pool, model, cfg.inner)
     expected = float(np.mean(prior_term(theta_k, model, cfg.inner).data))
     measured = evaluate(model, cfg, "test", pool).row.kl_to_prior
@@ -277,7 +277,7 @@ def test_checkpoint_malformed_errors(tmp_path):
 def test_metrics_identical_before_and_after_checkpoint_round_trip(tmp_path):
     cfg = tiny_fewshot_config()
     result = train(cfg)
-    eps = [episode_for(cfg, "test", i) for i in range(5)]
+    eps = episodes_for(cfg, "test", range(5))
     before = evaluate(result.model, cfg, "test", eps)
     path = tmp_path / "ck.json"
     save_checkpoint(result.model, path, cfg, step=result.steps_run)
