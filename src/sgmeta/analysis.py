@@ -21,14 +21,12 @@ from .models import MetaModel, frozen_copy
 from .sibcore import (
     InnerLoopConfig,
     chunk_slices,
-    forward_chunks,
     prior_term,
     query_loss,
     sib_unroll,
 )
 from .tasks import (
     Episode,
-    EpisodePool,
     FewShotConfig,
     ToyConfig,
     derive_task_seed,
@@ -39,17 +37,30 @@ from .tasks import (
 )
 from . import diffcore as dc
 
-# Every estimator generates and adapts its trials in chunks of at most
-# ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the sampler's
-# query size), each chunk's datasets one batch (``tasks.Episode``), through
-# the batched unroll, on a constant copy of the model, so no autodiff tape is
-# built and one chunk of datasets is alive at a time.
-# ``theta0_fn(frozen, chunk)`` gives the chunk's stacked initializations
-# (default: the global one). Randomness is drawn per trial in the order a
-# one-trial-at-a-time loop would draw it. The estimators of one gap estimate
-# read their adapted weights from one table (``AdaptedWeights``), so no trial
-# is adapted twice, and σ picks its points from the gap's datasets while they
-# are alive (``SigmaDraws``), so no trial is generated twice.
+# One gap estimate (``gen_gap``) is one pass over its trials, in chunks of at
+# most ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the
+# sampler's query size). Each chunk's datasets are one batch
+# (``tasks.Episode``), adapted through the batched unroll on a constant copy
+# of the model, so no autodiff tape is built and one chunk of datasets is
+# alive at a time. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
+# initializations (default: the global one). Each trial is generated once and
+# adapted at most once:
+#
+# - trials 0 .. T-1 are the gap's. Each is adapted; its weights are drawn and
+#   its loss is compared with a fresh dataset of its task. Then σ keeps the
+#   adapted weights of the even trials and one point of each odd trial, the
+#   mutual-information term keeps the adapted weights of the first 200, and
+#   ``on_chunk`` reads the chunk.
+# - trials T .. 2·min(T, 2000)-1 only σ reads: it keeps one point of each
+#   odd trial, and the adapted weights of the even ones, the only ones
+#   adapted.
+#
+# Randomness comes in the order a one-trial-at-a-time loop would draw it.
+# Each dataset and each inner-loop draw is keyed on its trial's task seed, so
+# an episode's values do not depend on the chunk it is in. The gap's weight
+# noise is drawn chunk by chunk in trial order from one stream; σ's draws
+# (``SigmaDraws``) depend only on the query size and are all made before the
+# first chunk, from another.
 
 
 def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
@@ -69,42 +80,6 @@ def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
     """Per-dataset empirical risk of fixed task weights, one per row of ``w``."""
     w = w.reshape((len(w),) + frozen.theta_shape())
     return query_loss(frozen, inputs, labels, dc.constant(w)).data
-
-
-class AdaptedWeights:
-    """Adapted weights θ_K of a trial sampler's datasets, by trial.
-
-    The estimators of one gap estimate share their trials' datasets, so they
-    share one table: each trial is drawn and adapted once. An episode's θ_K
-    does not depend on the chunk it is adapted in (its inner-loop draws are
-    keyed on its own task seed).
-    """
-
-    def __init__(self, model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
-                 theta0_fn: Optional[Callable] = None):
-        self.frozen = frozen_copy(model)
-        self.task_sampler = task_sampler
-        self.inner = inner
-        self.posterior = Posterior(inner)
-        self.theta0_fn = theta0_fn
-        self._by_trial: dict = {}
-
-    def __call__(self, trials, datasets: Optional[Episode] = None) -> np.ndarray:
-        """Stacked θ_K of ``trials``. The ones not yet in the table are
-        adapted in chunks, on ``datasets`` (a batch, one row per trial) when
-        given, else on the sampler's, generated chunk by chunk."""
-        rows = [i for i, t in enumerate(trials) if t not in self._by_trial]
-        missing = [trials[i] for i in rows]
-        if datasets is not None:
-            episodes = datasets if len(rows) == len(trials) else datasets.take(rows)
-        else:
-            episodes = EpisodePool(len(missing), self.task_sampler.n_query,
-                                   lambda js: self.task_sampler.draw([missing[j] for j in js])[0])
-        for start, chunk in forward_chunks(episodes):
-            thetas = _adapt(self.frozen, chunk, self.inner, self.theta0_fn)
-            for t, theta in zip(missing[start:], thetas):
-                self._by_trial[t] = theta
-        return np.stack([self._by_trial[t] for t in trials])
 
 
 def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -> float:
@@ -137,178 +112,153 @@ class GapEstimate:
 
 @dataclass(frozen=True)
 class TaskSampler:
-    """The datasets of a gap estimate's trials: ``draw(trials)`` gives the
-    trials' datasets as one batch and a function that draws a fresh dataset
-    of each trial's task, as another. Every dataset has ``n_query``
-    query points."""
+    """The datasets of a gap estimate's trials, each of ``n_query`` query
+    points: ``draw(trials)`` gives the trials' datasets as one batch, and
+    ``fresh(datasets, trials)`` a fresh dataset of each one's task, as
+    another."""
 
     n_query: int
     draw: Callable
+    fresh: Callable
 
 
 def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> TaskSampler:
     """Trial sampler for the toy process: a dataset plus a fresh re-draw."""
 
-    def draw(trials):
-        d = gen_spinning_lines(cfg, [derive_task_seed(seed, "test", 2 * t) for t in trials], n=n)
+    def seeds(trials, offset):
+        return [derive_task_seed(seed, "test", 2 * t + offset) for t in trials]
 
-        def fresh() -> Episode:
-            return gen_spinning_lines(
-                cfg, [derive_task_seed(seed, "test", 2 * t + 0x10002) for t in trials], n=n)
-
-        return d, fresh
-
-    return TaskSampler(cfg.n_query if n is None else int(n), draw)
+    return TaskSampler(cfg.n_query if n is None else int(n),
+                       lambda trials: gen_spinning_lines(cfg, seeds(trials, 0), n=n),
+                       lambda datasets, trials: gen_spinning_lines(cfg, seeds(trials, 0x10002),
+                                                                   n=n))
 
 
 def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test") -> TaskSampler:
     """Fresh query sets of the same classes define the task's dataset draw."""
 
-    def draw(trials):
-        d = gen_fewshot_episode(cfg, split, [derive_task_seed(seed, split, 3 * t) for t in trials])
+    def seeds(trials, offset):
+        return [derive_task_seed(seed, split, 3 * t + offset) for t in trials]
 
-        def fresh() -> Episode:
-            return resample_query_set(d, cfg,
-                                      [derive_task_seed(seed, split, 3 * t + 1) for t in trials])
-
-        return d, fresh
-
-    return TaskSampler(cfg.n_query, draw)
+    return TaskSampler(cfg.n_query,
+                       lambda trials: gen_fewshot_episode(cfg, split, seeds(trials, 0)),
+                       lambda datasets, trials: resample_query_set(datasets, cfg,
+                                                                   seeds(trials, 1)))
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
             trials: int = 2000, seed: int = 0, theta0_fn: Optional[Callable] = None,
-            adapted: Optional[AdaptedWeights] = None,
             on_chunk: Optional[Callable] = None) -> GapEstimate:
-    """Monte-Carlo generalization gap of the adaptation process.
+    """Monte-Carlo generalization gap of the adaptation process, with the
+    scale σ and the mutual-information term of its bound.
 
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
     the resulting posterior, and compare the loss on a fresh dataset of the
-    same task against the loss on the adapted-on dataset. The scale σ and
-    the mutual-information term read their adapted weights from the same
-    table (``adapted``, by default a new one for these arguments), so they
-    adapt only the trials the gap did not, and σ takes the points of the
-    odd trials here, so it generates only the trials the gap did not.
-    ``on_chunk(trials, datasets)`` is called on each chunk of trials while
-    their datasets are alive, after they are adapted.
+    same task against the loss on the adapted-on dataset. σ and the
+    mutual-information term read the same trials, and σ the ones after them
+    (see the comment at the top of this module). ``on_chunk(trials,
+    datasets, theta_k)`` is called on each chunk of the gap's trials with
+    their datasets and stacked adapted weights.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if adapted is None:
-        adapted = AdaptedWeights(model, task_sampler, inner, theta0_fn)
-    picked = SigmaDraws(adapted, draws=min(trials, 2000), seed=seed + 1)
+    frozen = frozen_copy(model)
+    posterior = Posterior(inner)
+    n_query = task_sampler.n_query
+    size = int(np.prod(frozen.theta_shape()))
+    picked = SigmaDraws(min(trials, 2000), seed + 1, n_query, size, posterior.random)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)
-    n_query = task_sampler.n_query
+    first_theta_k = []  # of the first min(trials, 200) trials, chunk by chunk
     for rows in chunk_slices(trials, n_query):
         idx = range(trials)[rows]
-        datasets, draw_fresh = task_sampler.draw(idx)
-        theta = adapted(idx, datasets).reshape(len(idx), -1)
+        datasets = task_sampler.draw(idx)
+        theta_k = _adapt(frozen, datasets, inner, theta0_fn)
+        theta = theta_k.reshape(len(idx), -1)
         # one draw per trial, in trial order
-        eps = rng.normal(size=theta.shape) if adapted.posterior.random else None
-        w = adapted.posterior.draw(dc.constant(theta), eps).data
-        on_d = _losses(adapted.frozen, datasets.query_inputs, datasets.query_labels, w)
-        fresh = draw_fresh()
-        on_fresh = _losses(adapted.frozen, fresh.query_inputs, fresh.query_labels, w)
-        diffs[rows] = on_fresh - on_d
-        picked.pick(idx, datasets)
+        eps = rng.normal(size=theta.shape) if posterior.random else None
+        w = posterior.draw(dc.constant(theta), eps).data
+        fresh = task_sampler.fresh(datasets, idx)
+        diffs[rows] = (_losses(frozen, fresh.query_inputs, fresh.query_labels, w)
+                       - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
+        picked.keep(idx, datasets, theta[idx.start % 2::2])
+        first_theta_k.append(theta_k[:max(0, 200 - idx.start)])
         if on_chunk is not None:
-            on_chunk(idx, datasets)
+            on_chunk(idx, datasets, theta_k)
+    sigma_only = range(trials, 2 * picked.draws)
+    for rows in chunk_slices(len(sigma_only), n_query):
+        idx = sigma_only[rows]
+        datasets = task_sampler.draw(idx)
+        even = range(idx.start % 2, len(idx), 2)  # a chunk of one odd trial has none
+        theta = _adapt(frozen, datasets.take(even), inner, theta0_fn) if even else np.empty(0)
+        picked.keep(idx, datasets, theta.reshape(len(even), size))
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    sigma = estimate_sigma(adapted, draws=picked.draws, seed=picked.seed, picked=picked)
-    mi = mi_for_sampler(adapted, episodes=min(trials, 200))
-    bound = gen_bound(sigma, n_query, mi) if adapted.posterior.has_bound else None
+    sigma = estimate_sigma(frozen, picked, inner)
+    mi = mi_for_sampler(frozen, first_theta_k, inner)
+    bound = gen_bound(sigma, n_query, mi) if posterior.has_bound else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
                        bound=bound, mi=mi, n=n_query)
 
 
 class SigmaDraws:
-    """The random draws of ``estimate_sigma`` and the points they pick.
+    """The random draws of ``estimate_sigma`` and what they read.
 
     Per draw t, in the order a one-draw-at-a-time loop makes them: the noise
     of a weight drawn from trial 2t's posterior (none for a point mass), then
-    the index of the point taken from trial 2t + 1's dataset. No draw
-    depends on the data, only on the sampler's query size, so all are made
-    when the first dataset is picked from, and a trial's point can be picked
-    whenever its dataset is at hand. Only the point is kept: draw t's input
-    and label are row t of ``inputs`` (draws, 1, d) and ``labels`` (draws, 1).
+    the index of the point taken from trial 2t + 1's dataset, of ``n_query``
+    points. ``keep`` is given the trials in order and keeps the flat adapted
+    weights of trial 2t and the point of trial 2t + 1: draw t's input and
+    label.
     """
 
-    def __init__(self, adapted: AdaptedWeights, draws: int, seed: int):
-        self.draws = draws
-        self.seed = seed
-        self.n_query = None
-        self.noise = None  # (draws, theta size); stays None for a point mass
-        self.index = None
-        self.inputs = None
-        self.labels = None
-        self.picked = np.zeros(draws, dtype=bool)
-        self._size = int(np.prod(adapted.frozen.theta_shape()))
-        self._random = adapted.posterior.random
-
-    def pick(self, trials, datasets: Episode) -> None:
-        """Keep the points that the draws take from ``trials``' datasets (a
-        batch, one row per trial)."""
-        trials = np.asarray(trials)
-        rows = np.nonzero((trials % 2 == 1) & (trials // 2 < self.draws))[0]
-        if len(rows) == 0:
-            return
-        if self.index is None:
-            self._make(datasets)
-        t = trials[rows] // 2
-        points = self.index[t]
-        self.inputs[t, 0] = datasets.query_inputs[rows, points]
-        self.labels[t, 0] = datasets.query_labels[rows, points]
-        self.picked[t] = True
-
-    def lacking(self) -> list:
-        """The trials whose points are not picked yet."""
-        return [2 * int(t) + 1 for t in np.nonzero(~self.picked)[0]]
-
-    def _make(self, datasets: Episode) -> None:
-        n_query = datasets.n_query
-        rng = episode_rng(derive_task_seed(self.seed, "test", 0x51E), stream=9)
+    def __init__(self, draws: int, seed: int, n_query: int, theta_size: int, random: bool):
+        rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
         noise, index = [], []
-        for _ in range(self.draws):
-            if self._random:
-                noise.append(rng.normal(size=self._size))
+        for _ in range(draws):
+            if random:
+                noise.append(rng.normal(size=theta_size))
             index.append(int(rng.integers(n_query)))
+        self.draws = draws
         self.n_query = n_query
-        self.noise = np.array(noise) if self._random else None
+        self.noise = np.array(noise) if random else None  # (draws, theta_size)
         self.index = np.array(index)
-        self.inputs = np.empty((self.draws, 1) + datasets.query_inputs.shape[2:])
-        self.labels = np.empty((self.draws, 1), dtype=datasets.query_labels.dtype)
+        self.weights, self.inputs, self.labels = [], [], []
+
+    def keep(self, trials: range, datasets: Episode, even_weights: np.ndarray) -> None:
+        """Keep what the draws read of ``trials``, the next consecutive ones:
+        ``even_weights``, the flat adapted weights of the even trials, and
+        the point of each odd trial from ``datasets`` (one row per trial)."""
+        trials = np.asarray(trials)
+        read = trials < 2 * self.draws
+        odd = np.nonzero(read & (trials % 2 == 1))[0]
+        points = self.index[trials[odd] // 2]
+        self.inputs.append(datasets.query_inputs[odd, points])
+        self.labels.append(datasets.query_labels[odd, points])
+        self.weights.append(even_weights[:np.count_nonzero(read & (trials % 2 == 0))])
 
 
-def estimate_sigma(adapted: AdaptedWeights, draws: int, seed: int,
-                   picked: Optional[SigmaDraws] = None) -> float:
+def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
-    under independently drawn task weights and data points. The weights of
-    draw t come from trial 2t, read from ``adapted``; the point from trial
-    2t + 1 of its sampler, taken from ``picked`` (made for these draws and
-    seed) where it was picked already, else generated here, chunk by
-    chunk."""
-    if picked is None:
-        picked = SigmaDraws(adapted, draws, seed)
-    lacking = picked.lacking()
-    for rows in chunk_slices(len(lacking), adapted.task_sampler.n_query):
-        trials = lacking[rows]
-        picked.pick(trials, adapted.task_sampler.draw(trials)[0])
+    under independently drawn task weights and data points, the draws and
+    what they read in ``picked``."""
+    posterior = Posterior(inner)
+    weights = np.concatenate(picked.weights)
+    inputs = np.concatenate(picked.inputs)[:, None]
+    labels = np.concatenate(picked.labels)[:, None]
     losses = []
-    for rows in chunk_slices(draws, picked.n_query):
-        chunk = range(draws)[rows]
-        w = dc.constant(adapted([2 * t for t in chunk]).reshape(len(chunk), -1))
-        w = adapted.posterior.draw(w, None if picked.noise is None else picked.noise[rows]).data
-        losses.extend(_losses(adapted.frozen, picked.inputs[rows], picked.labels[rows], w))
+    for rows in chunk_slices(picked.draws, picked.n_query):
+        noise = None if picked.noise is None else picked.noise[rows]
+        w = posterior.draw(dc.constant(weights[rows]), noise).data
+        losses.extend(_losses(model, inputs[rows], labels[rows], w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
 
-def mi_for_sampler(adapted: AdaptedWeights, episodes: int) -> float:
-    """Mutual-information proxy over the first ``episodes`` trials of the
-    table's sampler, their weights read from ``adapted``."""
-    return mi_estimate(adapted.frozen, adapted(range(episodes)), adapted.inner)
+def mi_for_sampler(model: MetaModel, theta_k: list, inner: InnerLoopConfig) -> float:
+    """Mutual-information proxy over a gap estimate's first trials, their
+    adapted weights given chunk by chunk."""
+    return mi_estimate(model, np.concatenate(theta_k), inner)
 
 
 def gen_bound(sigma: float, n: int, mi: float) -> float:
@@ -349,22 +299,20 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
     if inner.sum_convention:
         inner = dataclasses.replace(inner, sum_convention=False,
                                     eta_inner=inner.eta_inner * cfg.n)
+    frozen = frozen_copy(model)
     rows = []
     for n in n_values:
-        sampler = toy_task_sampler(cfg, seed=seed + 131 * n, n=n)
-        adapted = AdaptedWeights(model, sampler, inner)
         losses = []
 
-        def metric_losses(idx, datasets):
+        def metric_losses(trials, datasets, theta_k):
             # losses of θ_K on the first min(trials, 200) trials' own datasets
-            kept = range(idx.start, min(idx.stop, 200))
-            if kept:
-                ds = datasets.take(slice(0, len(kept)))
-                losses.extend(_losses(adapted.frozen, ds.query_inputs, ds.query_labels,
-                                      adapted(kept)))
+            if trials.start < 200:
+                first = slice(0, 200 - trials.start)
+                losses.extend(_losses(frozen, datasets.query_inputs[first],
+                                      datasets.query_labels[first], theta_k[first]))
 
-        est = gen_gap(model, sampler, inner, trials=trials, seed=seed + n, adapted=adapted,
-                      on_chunk=metric_losses)
+        est = gen_gap(model, toy_task_sampler(cfg, seed=seed + 131 * n, n=n), inner,
+                      trials=trials, seed=seed + n, on_chunk=metric_losses)
         mse = float(np.mean(losses))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
                              sigma=est.sigma, mi=est.mi, metric=mse))

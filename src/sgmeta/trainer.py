@@ -607,19 +607,14 @@ def save_checkpoint(model: MetaModel, path, cfg: Optional[RunConfig] = None,
 
 def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
     """The checkpoint's model; with ``cfg``, its geometry must be the config's
-    (``model_geometry``)."""
+    (``model_geometry``), and a valid checkpoint of another config hash warns."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed checkpoint file {path}: {exc}") from exc
-    if cfg is not None and payload.get("config_hash"):
-        expect = config_hash(config_to_dict(cfg))
-        if payload["config_hash"] != expect:
-            warnings.warn(
-                f"checkpoint config hash {payload['config_hash']} does not match the "
-                f"current config ({expect}); proceeding anyway"
-            )
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} must be a JSON object")
     model = model_from_payload(payload)
     if cfg is not None:
         keys = {"mode": "mode", "k": "fewshot.k", "d_x": "fewshot.d_x", "d_f": "d_f"}
@@ -627,4 +622,11 @@ def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
             if getattr(model, attr) != want:
                 raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
                                  f"the config's {keys[attr]} {want!r}")
+    if cfg is not None and payload.get("config_hash"):
+        expect = config_hash(config_to_dict(cfg))
+        if payload["config_hash"] != expect:
+            warnings.warn(
+                f"checkpoint config hash {payload['config_hash']} does not match the "
+                f"current config ({expect}); proceeding anyway"
+            )
     return model

@@ -10,19 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import sgmeta.analysis as analysis
 from sgmeta.analysis import (
-    AdaptedWeights,
-    TaskSampler,
-    estimate_sigma,
     gen_bound,
     gen_gap,
-    mi_for_sampler,
+    mi_estimate,
     spearman_rank_correlation,
     toy_task_sampler,
     vary_n_sweep,
     write_report_csv,
 )
 from sgmeta.distributions import DiagGaussian, kl_diag_gaussian
-from sgmeta.models import build_toy_model
+from sgmeta.models import build_toy_model, frozen_copy
 from sgmeta.sibcore import InnerLoopConfig
 from sgmeta.tasks import (
     FewShotConfig,
@@ -58,8 +55,7 @@ def toy_inner(**kw):
 
 def mi_of(model, eps, inner):
     """``mi_estimate`` of the weights adapted on a batch of episodes."""
-    sampler = TaskSampler(eps.n_query, lambda trials: (eps.take(list(trials)), None))
-    return mi_for_sampler(AdaptedWeights(model, sampler, inner), episodes=len(eps))
+    return mi_estimate(model, analysis._adapt(frozen_copy(model), eps, inner), inner)
 
 
 def kl_to_true_posterior(model, eps, inner):
@@ -262,11 +258,8 @@ def test_gen_gap_stderr_scales_with_trials():
     assert 1.4 < ratio < 2.9  # ~2 expected from 4x trials
 
 
-def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
-    """A toy Gaussian sampler with inner draws gives the estimate, bit for bit,
-    recorded when the gap drew each trial's weights as
-    ``theta + math.exp(q_log_var / 2) * rng.normal(size)`` and σ added
-    ``std * noise`` to its stack, before ``Posterior.draw`` took both over."""
+def toy_gap_estimate(trials):
+    """The gap estimate of a toy Gaussian sampler with inner draws."""
     cfg = default_config("toy")
     cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
     cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
@@ -275,20 +268,40 @@ def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
     g = np.random.default_rng(3)
     for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
         model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
-    est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=37, seed=2)
-    assert dataclasses.asdict(est) == {
+    est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=trials, seed=2)
+    return dataclasses.asdict(est)
+
+
+def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
+    """The estimate, bit for bit, recorded when the gap drew each trial's
+    weights as ``theta + math.exp(q_log_var / 2) * rng.normal(size)`` and σ
+    added ``std * noise`` to its stack, before ``Posterior.draw`` took both
+    over."""
+    assert toy_gap_estimate(37) == {
         "gap": 0.4100809932220589, "stderr": 0.2591901861661375, "trials": 37,
         "sigma": 14.029244874171434, "bound": 11.762427854411799, "mi": 2.108854460879188,
         "n": 6}
 
 
+@pytest.mark.parametrize("trials, gap, stderr", [
+    (2101, 0.36574956988222734, 0.10459353228881384),  # σ reads trials 2101..3999 too
+    (4001, 0.381531711691207, 0.0620666938774358),  # σ reads only the gap's trials
+], ids=["2101", "4001"])
+def test_gen_gap_beyond_the_sigma_draw_cap_is_bitwise_the_recorded_estimate(trials, gap,
+                                                                            stderr):
+    """σ makes at most 2000 draws and the mutual-information term reads 200
+    trials. The values were recorded when σ read its weights from a table of
+    adapted weights by trial and generated the trials it lacked itself."""
+    assert toy_gap_estimate(trials) == {
+        "gap": gap, "stderr": stderr, "trials": trials, "sigma": 57.569773004479096,
+        "bound": 50.70632698264424, "mi": 2.3273222736998607, "n": 6}
+
+
 def test_sigma_estimator_positive_and_stable():
     model = oracle_posterior_model(lam=0.5)
-    sigma = estimate_sigma(AdaptedWeights(model, toy_task_sampler(TOY, seed=31), toy_inner()),
-                           draws=500, seed=1)
+    sigma, sigma2 = (gen_gap(model, toy_task_sampler(TOY, seed=31), toy_inner(), trials=500,
+                             seed=0).sigma for _ in range(2))
     assert sigma > 0
-    sigma2 = estimate_sigma(AdaptedWeights(model, toy_task_sampler(TOY, seed=31), toy_inner()),
-                            draws=500, seed=1)
     assert sigma == sigma2
 
 

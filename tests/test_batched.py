@@ -17,14 +17,7 @@ from sgmeta import diffcore as dc
 import sgmeta.analysis as analysis
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
-from sgmeta.analysis import (
-    AdaptedWeights,
-    estimate_sigma,
-    fewshot_task_sampler,
-    gen_gap,
-    mi_for_sampler,
-    toy_task_sampler,
-)
+from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
 from sgmeta.distributions import (
     DiagGaussian,
     dirac_prior_term,
@@ -348,59 +341,16 @@ def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
     model = perturbed_model(cfg, seed=2)
     sampler = toy_task_sampler(cfg.toy, seed=4)
 
-    def gap_and_mi(episodes_per_chunk):
+    def gap(episodes_per_chunk):
         chunk_episodes(monkeypatch, episodes_per_chunk, cfg.toy.n)
-        return (gen_gap(model, sampler, cfg.inner, trials=13, seed=1),
-                mi_for_sampler(AdaptedWeights(model, sampler, cfg.inner), episodes=9))
+        return gen_gap(model, sampler, cfg.inner, trials=13, seed=1)
 
-    one, one_mi = gap_and_mi(1)
+    one = gap(1)
     for episodes_per_chunk in (4, 5):
-        chunked, chunked_mi = gap_and_mi(episodes_per_chunk)
+        chunked = gap(episodes_per_chunk)
         for field in ("gap", "stderr", "sigma", "mi"):
             assert getattr(chunked, field) == pytest.approx(getattr(one, field), rel=TOL,
                                                             abs=1e-15)
-        assert chunked_mi == pytest.approx(one_mi, rel=TOL)
-
-
-def test_gap_and_sigma_match_per_trial_loop(monkeypatch):
-    cfg = toy_case()
-    cfg.inner.inner_eval_at_mean = False  # inner draws too
-    inner = cfg.inner
-    model = perturbed_model(cfg, seed=3)
-    sampler = toy_task_sampler(cfg.toy, seed=6)
-    trials, seed = 11, 2
-    chunk_episodes(monkeypatch, 4, cfg.toy.n)
-    est = gen_gap(model, sampler, inner, trials=trials, seed=seed)
-
-    std = math.exp(inner.q_log_var / 2.0)
-
-    def adapted_draw(ep, rng):
-        theta = ref_unroll(model.params["lambda_global"], ep, model, inner).data
-        return theta + std * rng.normal(size=theta.size)
-
-    def loss(x, y, w):
-        return np.mean((w[0] * x[:, 0] - y) ** 2)
-
-    rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
-    diffs = []
-    for t in range(trials):
-        d, fresh = sampler.draw([t])
-        d, f = only_episode(d), only_episode(fresh())
-        w = adapted_draw(d, rng)
-        diffs.append(loss(f.query_inputs, f.query_labels, w)
-                     - loss(d.query_inputs, d.query_labels, w))
-    rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)
-    losses = []
-    for t in range(trials):
-        d_w, d_z = (only_episode(sampler.draw([trial])[0]) for trial in (2 * t, 2 * t + 1))
-        w = adapted_draw(d_w, rng)
-        i = int(rng.integers(d_z.n_query))
-        losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
-    assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
-    assert est.sigma == pytest.approx((max(losses) - min(losses)) / 2.0, rel=TOL)
-
-
-# -- one table of adapted weights per gap estimate ----------------------------------
 
 
 def toy_inner_draws_analysis():
@@ -409,43 +359,88 @@ def toy_inner_draws_analysis():
     return cfg, toy_task_sampler(cfg.toy, seed=5), None, cfg.toy.n
 
 
-def fewshot_analysis():
-    cfg = fewshot_case()
+def fewshot_analysis(**inner):
+    cfg = fewshot_case(**inner)
     return (cfg, fewshot_task_sampler(cfg.fewshot, seed=5),
             lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
             cfg.fewshot.k * cfg.fewshot.n_query_per_class)
 
 
 ANALYSIS_CASES = {"toy-inner-draws": toy_inner_draws_analysis, "fewshot": fewshot_analysis}
+GAP_CASES = {
+    "toy-inner-draws": toy_inner_draws_analysis,
+    "fewshot-proto-deterministic": fewshot_analysis,
+    "fewshot-proto-gaussian": lambda: fewshot_analysis(
+        posterior_regime=GAUSSIAN_FIXED_VAR, mc_samples=2, q_log_var=2 * math.log(0.05)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
+    """The gap, σ and the mutual-information term of one estimate, against a
+    loop that generates, adapts and draws for one trial at a time."""
+    cfg, sampler, theta0_fn, n_query = GAP_CASES[case]()
+    inner = cfg.inner
+    model = perturbed_model(cfg, seed=3)
+    trials, seed = 11, 2
+    chunk_episodes(monkeypatch, 3, n_query)  # chunks start at odd trials too
+    est = gen_gap(model, sampler, inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
+
+    def adapted(trial):
+        batch = sampler.draw([trial])
+        ep = only_episode(batch)
+        theta0 = model.params["lambda_global"] if theta0_fn is None else ref_theta0(model, ep, cfg)
+        return batch, ep, ref_unroll(theta0, ep, model, inner).data
+
+    def drawn(theta, rng):
+        if inner.posterior_regime == DETERMINISTIC:
+            return theta
+        std = math.exp(inner.q_log_var / 2.0)
+        return theta + std * rng.normal(size=theta.size).reshape(theta.shape)
+
+    def loss(x, y, w):
+        if model.mode == "toy":
+            return np.mean((w[0] * x[:, 0] - y) ** 2)
+        scale = model.params["classifier_scale"]
+        return cross_entropy(dc.cosine_logits(apply_features(model, x), dc.constant(w), scale),
+                             y).item()
+
+    rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
+    diffs, prior_terms = [], []
+    for t in range(trials):
+        batch, d, theta = adapted(t)
+        f = only_episode(sampler.fresh(batch, [t]))
+        w = drawn(theta, rng)
+        diffs.append(loss(f.query_inputs, f.query_labels, w)
+                     - loss(d.query_inputs, d.query_labels, w))
+        prior_terms.append(ref_prior_term(dc.constant(theta), model, inner).item())
+    rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)
+    losses = []
+    for t in range(trials):
+        w = drawn(adapted(2 * t)[2], rng)
+        d_z = only_episode(sampler.draw([2 * t + 1]))
+        i = int(rng.integers(d_z.n_query))
+        losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
+    assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
+    assert est.sigma == pytest.approx((max(losses) - min(losses)) / 2.0, rel=TOL)
+    assert est.mi == pytest.approx(np.mean(prior_terms), rel=TOL)
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
 def test_adapted_weights_do_not_depend_on_the_chunk_layout(monkeypatch, case):
     cfg, sampler, theta0_fn, n_query = ANALYSIS_CASES[case]()
     model = perturbed_model(cfg, seed=4)
-    trials = list(range(17))
-    chunk_episodes(monkeypatch, 1, n_query)
-    reference = AdaptedWeights(model, sampler, cfg.inner, theta0_fn)(trials)
-    for episodes_per_chunk in (2, 5, 17):
+
+    def theta_k(episodes_per_chunk):
         chunk_episodes(monkeypatch, episodes_per_chunk, n_query)
-        table = AdaptedWeights(model, sampler, cfg.inner, theta0_fn)
-        table(trials[3::4])  # some trials first, in chunks of their own
-        assert_close(table(trials), reference)
-        assert_close(table(trials[::-1]), reference[::-1])
+        chunks = []
+        gen_gap(model, sampler, cfg.inner, trials=17, seed=1, theta0_fn=theta0_fn,
+                on_chunk=lambda trials, datasets, theta_k: chunks.append(theta_k))
+        return np.concatenate(chunks)
 
-
-@pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
-def test_sigma_and_mi_of_a_gap_estimate_match_standalone_calls(monkeypatch, case):
-    cfg, sampler, theta0_fn, n_query = ANALYSIS_CASES[case]()
-    model = perturbed_model(cfg, seed=5)
-    trials, seed = 13, 3
-    chunk_episodes(monkeypatch, 4, n_query)
-    est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
-    sigma = estimate_sigma(AdaptedWeights(model, sampler, cfg.inner, theta0_fn),
-                           draws=trials, seed=seed + 1)
-    mi = mi_for_sampler(AdaptedWeights(model, sampler, cfg.inner, theta0_fn), episodes=trials)
-    assert est.sigma == pytest.approx(sigma, rel=TOL)
-    assert est.mi == pytest.approx(mi, rel=TOL)
+    reference = theta_k(1)
+    for episodes_per_chunk in (2, 5, 17):
+        assert_close(theta_k(episodes_per_chunk), reference)
 
 
 @pytest.mark.parametrize("trials", [3, 13])

@@ -5,6 +5,7 @@ import ctypes
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,10 @@ def _params_as_list(payload):
     payload["params"] = list(payload["params"].values())
 
 
+def _root_as_list(payload):
+    return []  # replaces the whole payload
+
+
 @pytest.mark.parametrize("mutate, named", [
     (_without("meta"), "checkpoint is missing 'meta'"),
     (_without("meta", "k"), "checkpoint meta is missing 'k'"),
@@ -341,21 +346,44 @@ def _params_as_list(payload):
     (_truncate_values, "xi_w1 has values that do not fit its shape"),
     (_without("params", "xi_w1"), "missing ['xi_w1']"),
     (_params_as_list, "checkpoint params must be an object"),
+    (_root_as_list, "checkpoint.json must be a JSON object"),
 ], ids=["no-meta", "no-meta-k", "no-shape", "no-values", "short-values", "no-param",
-        "params-list"])
+        "params-list", "root-list"])
 def test_eval_rejects_a_malformed_checkpoint_naming_the_field(tmp_path, fewshot_cfg_file, capsys,
                                                               mutate, named):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
                  "--out", str(run)]) == 0
     payload = json.loads((run / "checkpoint.json").read_text())
-    mutate(payload)
-    (run / "checkpoint.json").write_text(json.dumps(payload))
+    replaced = mutate(payload)
+    (run / "checkpoint.json").write_text(json.dumps(payload if replaced is None else replaced))
     capsys.readouterr()
-    rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
-               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "eval")])
+    # the checkpoint's config hash is another config's, but an invalid
+    # checkpoint reports only its fault
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
+                   str(run / "checkpoint.json"), "--episodes", "4", "--out",
+                   str(tmp_path / "eval")])
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--config", "--checkpoint"])
+def test_a_path_of_the_wrong_kind_exits_2_and_names_it(tmp_path, fewshot_cfg_file, capsys, flag):
+    run = tmp_path / "run"
+    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--set", "total_steps=2",
+                 "--out", str(run)]) == 0
+    paths = {"--out": str(tmp_path / "eval"), "--config": str(fewshot_cfg_file),
+             "--checkpoint": str(run / "checkpoint.json")}
+    # a file where a directory belongs, a directory where a file belongs
+    paths[flag] = str(fewshot_cfg_file) if flag == "--out" else str(run)
+    capsys.readouterr()
+    rc = main(["eval", "--episodes", "4", *(a for flag_path in paths.items() for a in flag_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths[flag] in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("config, overrides, named", [
