@@ -411,12 +411,17 @@ def _cosine_sg(feats, theta, scale, layers, seed_scale):
                                   dc.row_norms(feats))
 
 
+def _mean(t, axis=None):
+    """The mean of a tensor, over one axis or all."""
+    return dc.scale(t.sum(axis=axis), 1.0 / (t.size if axis is None else t.shape[axis]))
+
+
 def _layers(a, b, k):
     """A k -> 3 -> k relu network made of two 6-vectors' entries."""
     if k == 1:
-        return [(b.reshape(2, 3).mean(axis=0).reshape(1, 3), a.reshape(2, 3).sum(axis=0)),
-                (b.reshape(3, 2).mean(axis=1).reshape(3, 1), a.mean().reshape(1))]
-    return [(a.reshape(2, 3), b.reshape(2, 3).mean(axis=0)),
+        return [(_mean(b.reshape(2, 3), 0).reshape(1, 3), a.reshape(2, 3).sum(axis=0)),
+                (_mean(b.reshape(3, 2), 1).reshape(3, 1), _mean(a).reshape(1))]
+    return [(a.reshape(2, 3), _mean(b.reshape(2, 3), 0)),
             (b.reshape(3, 2), a.reshape(3, 2).sum(axis=0))]
 
 
@@ -434,19 +439,18 @@ OP_CASES = [
     ("matmul3d_2d", lambda a, b: dc.matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
     ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
     ("exp", lambda a, b: dc.exp(a * 0.3) + b),
-    ("log", lambda a, b: dc.log(dc.square(a) + 1.0) * b),
     ("square", lambda a, b: dc.square(a + b)),
     ("softmax", lambda a, b: dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
     # the synthetic-gradient directions; "linear" and "linear_1col" take a
     # one-layer (affine) net, "4d" and "3d" Monte-Carlo draws of stacked weights
     ("linear", lambda a, b: dc.square(_cosine_sg(
-        _FEATS.reshape(3, 3), b.reshape(2, 3), a.mean(),
+        _FEATS.reshape(3, 3), b.reshape(2, 3), _mean(a),
         [(dc.matmul(a.reshape(2, 3), b.reshape(3, 2)), b.reshape(3, 2).sum(axis=0))], 0.5))),
     ("linear_1col", lambda a, b: dc.square(dc.linear_sg_direction(
         a.reshape(6, 1), dc.constant(_ROWS.reshape(6, 2)),
-        [(b.mean().reshape(1, 1), b.sum().reshape(1))], True))),
+        [(_mean(b).reshape(1, 1), b.sum().reshape(1))], True))),
     ("cosine_sg_direction", lambda a, b: dc.square(_cosine_sg(
-        _FEATS.reshape(3, 3), b.reshape(2, 3), a.mean(), _layers(a, b, 2), 1.0 / 3))),
+        _FEATS.reshape(3, 3), b.reshape(2, 3), _mean(a), _layers(a, b, 2), 1.0 / 3))),
     ("cosine_sg_direction4d", lambda a, b: dc.square(_cosine_sg(
         _ROWS.reshape(2, 2, 3), (a.reshape(6, 1) + b.reshape(1, 6)).reshape(3, 2, 2, 3),
         b.sum(), _layers(a, b, 2), 1.0))),
@@ -455,19 +459,36 @@ OP_CASES = [
     ("linear_sg_direction3d", lambda a, b: dc.square(dc.linear_sg_direction(
         a.reshape(2, 3, 1), dc.constant(_FEATS.reshape(3, 3)), _layers(b, a, 1), True))),
     ("cosine_logits", lambda a, b: dc.square(
-        dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), b.mean()))),
+        dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), _mean(b)))),
     ("cosine_logits3d", lambda a, b: dc.square(
         dc.cosine_logits(a.reshape(3, 1, 2), b.reshape(1, 3, 2), a.sum()))),
     ("cosine_vjp", lambda a, b: dc.square(dc.cosine_vjp(
-        dc.constant(_FEATS.reshape(3, 3)), b.reshape(2, 3), a.mean(), a.reshape(3, 2)))),
+        dc.constant(_FEATS.reshape(3, 3)), b.reshape(2, 3), _mean(a), a.reshape(3, 2)))),
     ("cosine_vjp3d", lambda a, b: dc.square(dc.cosine_vjp(
         dc.constant(_FEATS.reshape(3, 1, 3)), b.reshape(1, 2, 3), b.sum(),
         a.reshape(3, 1, 2)))),
-    ("prior_pull", lambda a, b: dc.square(dc.prior_pull(a, b.mean(), b * 0.3))),
+    ("prior_pull", lambda a, b: dc.square(dc.prior_pull(a, _mean(b), b * 0.3))),
+    # the objective's terms: a (d,) prior against (B, d) and stacked (M, B, d)
+    # weights, in both regimes; slopes with and without Monte-Carlo offsets;
+    # rows of 2-D and stacked logits. The prior term's split weight is 1:
+    # central differences cannot see a stop-gradient.
+    ("prior_divergence", lambda a, b: dc.prior_divergence(
+        a.reshape(2, 3), _mean(b.reshape(2, 3), 0), dc.scale(b.reshape(3, 2).sum(axis=1), 0.3),
+        -0.7)),
+    ("prior_divergence_point_mass", lambda a, b: dc.prior_divergence(
+        a.reshape(2, 3), _mean(b.reshape(2, 3), 0), dc.scale(b.reshape(3, 2).sum(axis=1), 0.3))),
+    ("prior_divergence3d", lambda a, b: dc.prior_divergence(
+        (a.reshape(6, 1) * b.reshape(1, 6)).reshape(2, 3, 6), b, a * 0.3, 0.4)),
+    ("linear_squared_error", lambda a, b: dc.linear_squared_error(
+        (a * b).reshape(6, 1), None, _ROWS.reshape(6, 2), _ROWS.reshape(2, 6).T, True)),
+    ("linear_squared_error_draws", lambda a, b: dc.linear_squared_error(
+        (a + b).reshape(2, 3, 1), np.linspace(-0.5, 0.4, 18).reshape(3, 2, 3, 1),
+        _ROWS.reshape(3, 4), _FEATS[:4], False)),
+    ("softmax_cross_entropy", lambda a, b: dc.softmax_cross_entropy(
+        a.reshape(2, 3) * b.reshape(2, 3), [2, 0])),
+    ("softmax_cross_entropy3d", lambda a, b: dc.softmax_cross_entropy(
+        (a.reshape(6, 1) * b.reshape(1, 6)).reshape(3, 2, 6), [5, 1])),
     ("sum", lambda a, b: (a * b).sum().reshape(()) + a.sum(axis=0).sum()),
-    ("mean", lambda a, b: (a + b).mean() + a.reshape(2, 3).mean(axis=1).sum()),
-    ("take_per_row", lambda a, b: dc.take_per_row(a.reshape(3, 2) * b.reshape(3, 2),
-                                                  [1, 0, 1])),
 ]
 
 

@@ -78,9 +78,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -237,13 +234,6 @@ def exp(a: Tensor) -> Tensor:
         _accum(a, g * out_data)
 
     return _make(out_data, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), back)
 
 
 def square(a: Tensor) -> Tensor:
@@ -533,6 +523,117 @@ def prior_pull(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
     return _make(out_data, (x, mean, log_var), back)
 
 
+# the per-task objective's terms
+
+
+def prior_divergence(x: Tensor, mean: Tensor, log_var: Tensor, posterior_log_var=None,
+                     pull_weight: float = 1.0) -> Tensor:
+    """The divergence over the last axis of a posterior at ``x`` from the
+    Gaussian N(mean, v), v = exp(log_var). For a float ``posterior_log_var``
+    (u = its exp) it is the KL of N(x, u),
+    0.5 * sum(log_var - posterior_log_var + (u + (x - mean)^2) / v - 1);
+    for a point mass (``None``) the KL's limit with the divergent constant
+    dropped, 0.5 * sum((x - mean)^2 / v + log_var). Operands broadcast.
+
+    ``pull_weight`` splits the term at a stop-gradient: that share of it sees
+    x and the rest a constant copy, so x's cotangent is ``pull_weight`` times
+    the true one while the mean and log-variance get their full cotangents."""
+    shapes = (x.shape, mean.shape, log_var.shape)
+    if x.ndim == 0 or mean.ndim == 0 or x.shape[-1] != mean.shape[-1]:
+        raise ShapeError("prior_divergence", *shapes)
+    try:
+        diff = x.data - mean.data
+        inv_var = np.exp(-log_var.data)
+        spread = diff * diff
+        if posterior_log_var is None:
+            terms = spread * inv_var + log_var.data
+        else:
+            spread = np.exp(posterior_log_var) + spread
+            terms = (log_var.data - posterior_log_var) + spread * inv_var - 1.0
+    except ValueError:
+        raise ShapeError("prior_divergence", *shapes) from None
+    pull_weight = float(pull_weight)
+
+    def back(g):
+        g_terms = np.broadcast_to((0.5 * g)[..., None], terms.shape)
+        if x.requires_grad or mean.requires_grad:
+            g_diff = g_terms * inv_var * 2.0 * diff
+            if x.requires_grad and pull_weight != 0.0:
+                _accum(x, _unbroadcast(pull_weight * g_diff, x.shape))
+            if mean.requires_grad:
+                _accum(mean, _unbroadcast(-g_diff, mean.shape))
+        if log_var.requires_grad:
+            g_spread = _unbroadcast(g_terms * spread, inv_var.shape) * inv_var
+            _accum(log_var, _unbroadcast(g_terms, log_var.shape) - g_spread)
+
+    return _make(0.5 * terms.sum(axis=-1), (x, mean, log_var), back)
+
+
+def linear_squared_error(theta: Tensor, offsets, x: np.ndarray, y: np.ndarray,
+                         mean: bool) -> Tensor:
+    """The linear head's squared error as one node: the mean over the last
+    axis (the sum unless ``mean``) of (w * x - y)^2, where w are slopes
+    (..., 1) and x, y constant inputs and targets (..., n). With constant
+    ``offsets`` (M, *theta.shape), w = theta + offsets and the result is the
+    mean over the M draws; with ``None``, w = theta. Leading axes broadcast;
+    differentiable in theta."""
+    shapes = (theta.shape, np.shape(offsets), np.shape(x), np.shape(y))
+    if theta.ndim < 1 or theta.shape[-1] != 1 or (
+            offsets is not None and np.shape(offsets)[1:] != theta.shape):
+        raise ShapeError("linear_squared_error", *shapes)
+    w = theta.data if offsets is None else theta.data + offsets
+    try:
+        r = w * x - y
+    except ValueError:
+        raise ShapeError("linear_squared_error", *shapes) from None
+    sq = r * r
+    per = sq.mean(axis=-1) if mean else sq.sum(axis=-1)
+    draw_weight = None if offsets is None else 1.0 / len(offsets)
+
+    def back(g):
+        if offsets is not None:
+            g = np.broadcast_to(draw_weight * g, per.shape)
+        g_sq = np.broadcast_to(g[..., None], sq.shape)
+        if mean:
+            g_sq = g_sq / sq.shape[-1]
+        # summed over the points into each drawn slope, then over the draws
+        g_w = _unbroadcast(g_sq * 2.0 * r * x, w.shape)
+        _accum(theta, _unbroadcast(g_w, theta.shape))
+
+    out_data = per if offsets is None else draw_weight * per.sum(axis=0)
+    return _make(out_data, (theta,), back)
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean cross entropy over the rows of (..., n, k) logits, one value per
+    leading index; integer class ids ``labels`` (..., n) broadcast against
+    the rows. A label outside 0..k-1 raises ValueError."""
+    idx = np.asarray(labels, dtype=np.int64)
+    if logits.ndim < 2:
+        raise ShapeError("softmax_cross_entropy", logits.shape, idx.shape)
+    k = logits.shape[-1]
+    if idx.min() < 0 or idx.max() >= k:
+        raise ValueError(f"label out of range for {k} classes: {idx.min()}..{idx.max()}")
+    try:
+        idx = np.broadcast_to(idx, logits.shape[:-1])[..., None]
+    except ValueError:
+        raise ShapeError("softmax_cross_entropy", logits.shape, np.shape(labels)) from None
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    nll = np.log(total) - np.take_along_axis(shifted, idx, axis=-1)[..., 0]
+
+    # d nll / d logits = softmax - onehot, per row
+    def back(g):
+        g_row = np.broadcast_to(g[..., None], nll.shape) / nll.shape[-1]
+        g_logits = (g_row / total)[..., None] * e
+        picked = np.take_along_axis(g_logits, idx, axis=-1)
+        np.put_along_axis(g_logits, idx, picked - g_row[..., None], axis=-1)
+        _accum(logits, g_logits)
+
+    return _make(nll.mean(axis=-1), (logits,), back)
+
+
 # -- reductions -----------------------------------------------------------
 
 
@@ -549,43 +650,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), back)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is not None and not (-a.ndim <= axis < a.ndim):
-        raise ShapeError("mean", a.shape, (axis,))
-    count = a.size if axis is None else a.shape[axis]
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / count)
-
-    return _make(out_data, (a,), back)
-
-
 # -- structural ops ---------------------------------------------------------
-
-
-def take_per_row(a: Tensor, col_indices) -> Tensor:
-    """Pick a[..., i, col_indices[..., i]] along the last axis.
-
-    ``col_indices`` broadcasts against ``a.shape[:-1]``; each row contributes
-    one entry, so the result has shape ``a.shape[:-1]``.
-    """
-    idx = np.asarray(col_indices, dtype=np.int64)
-    try:
-        if a.ndim < 1:
-            raise ValueError
-        idx = np.broadcast_to(idx, a.shape[:-1])[..., None]
-    except ValueError:
-        raise ShapeError("take_per_row", a.shape, idx.shape) from None
-
-    def back(g):
-        acc = np.zeros_like(a.data)
-        np.put_along_axis(acc, idx, g[..., None], axis=-1)
-        _accum(a, acc)
-
-    return _make(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
 
 
 def detach(a: Tensor) -> Tensor:

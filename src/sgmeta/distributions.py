@@ -8,8 +8,10 @@ q(θ | query set) has one of two regimes (``InnerLoopConfig.posterior_regime``):
   ``q_log_var`` and only the mean is optimized; a draw perturbs the mean with
   scaled noise, and the divergence is the Gaussian KL.
 * ``deterministic`` — a point-mass posterior: a draw returns the mean and the
-  KL is replaced by ``dirac_prior_term`` (the cross term to the target plus
+  KL is replaced by the point-mass term (the cross term to the target plus
   its log-variance, dropping the divergent constant).
+
+Either divergence is one node, ``diffcore.prior_divergence``.
 
 ``Posterior`` alone reads the regime and the knobs only the Gaussian regime
 uses (``q_log_var``, ``mc_samples``, ``objective_mc_samples``, ``inner_eval_at_mean``).
@@ -60,20 +62,6 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
     return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
 
 
-def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
-    """Prior-matching term for a point-mass posterior at ``theta_flat``.
-
-    ||theta - mp||^2 weighted by 1/vp, halved, plus half the prior
-    log-variance; the limit of the Gaussian KL as the posterior variance
-    vanishes, with the divergent constant dropped. Differentiable in theta
-    and in the prior's parameters, and minimized over the prior exactly at
-    the moment-matching solution.
-    """
-    _check_last_axis("dirac_prior_term", theta_flat, p.mean)
-    quad = dc.square(theta_flat - p.mean) * dc.exp(-p.log_var)
-    return dc.scale((quad + p.log_var).sum(axis=-1), 0.5)
-
-
 def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
     """Closed-form d KL(q || p) / d q.mean = (mq - mp) / vp.
 
@@ -100,22 +88,30 @@ class Posterior:
         draws = inner.objective_mc_samples or inner.mc_samples
         self.objective_draws = draws if self.random else 0
 
+    def offsets(self, eps):
+        """The draws' offsets std * eps from the mean, or ``None`` when every
+        draw is the mean (``eps`` is ``None``, or a point mass)."""
+        return None if eps is None or not self.random else self.std * eps
+
     def draw(self, theta: Tensor, eps) -> Tensor:
         """Reparameterized weights theta + std * eps, differentiable in theta.
 
         ``eps`` may carry extra leading axes (independent draws); its trailing
         shape must be theta's. ``None``, or a point mass, returns theta itself.
         """
-        if eps is None or not self.random:
+        offsets = self.offsets(eps)
+        if offsets is None:
             return theta
         if eps.shape[eps.ndim - theta.ndim:] != theta.shape:
             raise dc.ShapeError("draw", theta.shape, eps.shape)
-        return theta + dc.constant(self.std * eps)
+        return theta + dc.constant(offsets)
 
-    def divergence(self, theta_flat: Tensor, target: DiagGaussian) -> Tensor:
-        """KL of the posterior at ``theta_flat`` to ``target``: the Gaussian
-        KL, or for a point mass ``dirac_prior_term``."""
-        if not self.random:
-            return dirac_prior_term(theta_flat, target)
-        log_var = dc.constant(np.full(theta_flat.shape, self.log_var))
-        return kl_diag_gaussian(DiagGaussian(theta_flat, log_var), target)
+    def divergence(self, theta_flat: Tensor, target: DiagGaussian,
+                   pull_weight: float = 1.0) -> Tensor:
+        """KL of the posterior at ``theta_flat`` to ``target`` as one node
+        (``diffcore.prior_divergence``): the Gaussian KL at the fixed
+        ``q_log_var``, or the point-mass term. Only ``pull_weight`` of the
+        cotangent reaches ``theta_flat``; the target gets all of it."""
+        q_log_var = self.log_var if self.random else None
+        return dc.prior_divergence(theta_flat, target.mean, target.log_var, q_log_var,
+                                   pull_weight)

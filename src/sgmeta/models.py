@@ -1,6 +1,8 @@
 """Learnable networks: feature map, initialization, the synthetic-gradient
 network's parameters, the cosine classifier's weights and scale (the head
-itself is ``diffcore.cosine_logits``), and the toy linear predictor.
+itself is ``diffcore.cosine_logits``), and the toy head's slope (its
+predictions live inside ``diffcore.linear_sg_direction`` and
+``linear_squared_error``).
 
 A MetaModel is a named bag of Tensors plus static geometry. The synthetic
 gradient network consumes predictions only (a three-layer ReLU MLP whose
@@ -139,15 +141,6 @@ def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -
         raise ValueError(f"support set is missing class {missing}")
     proto = dc.matmul(dc.constant(onehot / counts), support_feats)
     return proto * model.params["lambda_scale"]
-
-
-# -- prediction heads --------------------------------------------------------
-
-
-def linear_predict_toy(theta: Tensor, x: Tensor) -> Tensor:
-    """Toy head: predictions are slope times input; ``theta`` is (..., 1)
-    against inputs (..., n)."""
-    return theta * x
 
 
 def frozen_copy(model: MetaModel) -> MetaModel:

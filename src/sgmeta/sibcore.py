@@ -15,7 +15,11 @@ prior, with no higher-order machinery. The constant query features' row
 norms are computed once per unroll, not once per step.
 
 Query labels are never read while constructing the task weights; they enter
-only through ``task_objective``.
+only through ``task_objective``. Each of its terms is one fused node too:
+the data term is ``diffcore.linear_squared_error`` (the toy head, its weight
+draws inside it) or ``softmax_cross_entropy`` over the cosine logits, and
+the prior term is ``prior_divergence``, which carries the ``kl_weight``
+stop-gradient split in its backward.
 
 Every function here that takes episodes takes a batch of them
 (``tasks.Episode``, fields stacked on a leading episode axis: query inputs
@@ -46,7 +50,7 @@ from .distributions import (
     Posterior,
     kl_grad_wrt_mean,
 )
-from .models import MetaModel, apply_features, linear_predict_toy
+from .models import MetaModel, apply_features
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import Episode, _stream
 
@@ -223,19 +227,6 @@ def forward_chunks(episodes):
 # -- supervised losses ---------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross entropy over the rows of (..., n, k) logits; labels (..., n)
-    are integer class ids. Returns one value per leading index."""
-    labels = np.asarray(labels, dtype=np.int64)
-    k = logits.shape[-1]
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"label out of range for {k} classes: {labels.min()}..{labels.max()}")
-    shifted = logits - dc.constant(logits.data.max(axis=-1, keepdims=True))
-    lse = dc.log(dc.tsum(dc.exp(shifted), axis=-1))
-    picked = dc.take_per_row(shifted, labels)
-    return (lse - picked).mean(axis=-1)
-
-
 def accuracy_value(logits_data: np.ndarray, labels):
     """Share of rows whose argmax is the label, per leading index."""
     return np.mean(logits_data.argmax(axis=-1) == np.asarray(labels), axis=-1)
@@ -250,11 +241,10 @@ def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tens
     leading axes of ``w``; ``features`` replaces the feature map's output.
     """
     if model.mode == "toy":
-        pred = linear_predict_toy(w, dc.constant(inputs[..., 0]))
-        sq = dc.square(pred - dc.constant(labels))
-        return sq.sum(axis=-1) if sum_convention else sq.mean(axis=-1)
+        return dc.linear_squared_error(w, None, inputs[..., 0], labels, not sum_convention)
     feats = apply_features(model, inputs) if features is None else features
-    return cross_entropy(dc.cosine_logits(feats, w, model.params["classifier_scale"]), labels)
+    logits = dc.cosine_logits(feats, w, model.params["classifier_scale"])
+    return dc.softmax_cross_entropy(logits, labels)
 
 
 # -- per-task objective ---------------------------------------------------------
@@ -266,21 +256,27 @@ def data_term(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoop
     value per episode.
 
     MSE for the toy head, cross entropy for classification; per-point mean,
-    matching the likelihood convention used throughout. ``eps`` holds the
-    draws, (M, *theta.shape); ``None`` evaluates at theta.
+    matching the likelihood convention used throughout (the toy head's sum
+    under ``sum_convention``). ``eps`` holds the draws, (M, *theta.shape);
+    ``None`` evaluates at theta. The toy term is one node with the draws
+    inside it.
     """
     posterior = Posterior(cfg)
     eps = eps if posterior.objective_draws else None
-    # the sum convention applies to the toy likelihood end to end
+    if model.mode == "toy":
+        return dc.linear_squared_error(theta, posterior.offsets(eps),
+                                       episodes.query_inputs[..., 0], episodes.query_labels,
+                                       not cfg.sum_convention)
     loss = query_loss(model, episodes.query_inputs, episodes.query_labels,
-                      posterior.draw(theta, eps), cfg.sum_convention, features)
+                      posterior.draw(theta, eps), features=features)
     return _mean_over_draws(loss, eps)
 
 
-def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
+def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
+               pull_weight: float = 1.0) -> Tensor:
     """The posterior's divergence at theta from the learnable prior, one value
-    per episode."""
-    return Posterior(cfg).divergence(flat_weights(theta, model), prior_dist(model))
+    per episode; ``pull_weight`` of its cotangent reaches theta."""
+    return Posterior(cfg).divergence(flat_weights(theta, model), prior_dist(model), pull_weight)
 
 
 def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
@@ -288,19 +284,13 @@ def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: Inne
     """Per-task negative evidence bound, one value per episode: expected query
     loss plus KL to the prior.
 
-    The prior term is split at a stop-gradient: ``kl_weight`` of it sees
-    theta and the rest sees a constant copy, so the prior always receives
-    its full matching gradient while only ``kl_weight`` of its pull reaches
-    the adapted weights. Weight 1 is the plain bound.
+    The prior term is split at a stop-gradient inside its node: ``kl_weight``
+    of it sees theta and the rest a constant copy, so the prior always
+    receives its full matching gradient while only ``kl_weight`` of its pull
+    reaches the adapted weights. Weight 1 is the plain bound.
     """
     eps = objective_noise(theta, episodes, cfg)
-    loss = data_term(episodes, theta, model, cfg, eps)
-    if kl_weight != 0.0:
-        loss = loss + dc.scale(prior_term(theta, model, cfg), kl_weight)
-    if kl_weight != 1.0:
-        frozen = dc.constant(theta.data)
-        loss = loss + dc.scale(prior_term(frozen, model, cfg), 1.0 - kl_weight)
-    return loss
+    return data_term(episodes, theta, model, cfg, eps) + prior_term(theta, model, cfg, kl_weight)
 
 
 def objective_noise(theta: Tensor, episodes: Episode, cfg: InnerLoopConfig) -> Optional[np.ndarray]:

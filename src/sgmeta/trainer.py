@@ -41,7 +41,6 @@ from .sibcore import (
     InnerLoopConfig,
     InnerLoopError,
     accuracy_value,
-    cross_entropy,
     forward_chunks,
     prior_dist,
     prior_term,
@@ -460,7 +459,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         else:
             feats = apply_features(frozen, inputs)
             logits = dc.cosine_logits(feats, theta_k, frozen.params["classifier_scale"])
-            push("query_loss", cross_entropy(logits, labels).data)
+            push("query_loss", dc.softmax_cross_entropy(logits, labels).data)
             push("query_accuracy", accuracy_value(logits.data, labels))
         push("kl_to_prior", prior_term(theta_k, frozen, inner).data)
     for name, arr in model.clone_data().items():

@@ -18,12 +18,7 @@ import sgmeta.analysis as analysis
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
 from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
-from sgmeta.distributions import (
-    DiagGaussian,
-    dirac_prior_term,
-    kl_diag_gaussian,
-    kl_grad_wrt_mean,
-)
+from sgmeta.distributions import DiagGaussian, kl_diag_gaussian, kl_grad_wrt_mean
 from sgmeta.models import apply_features
 from sgmeta.sibcore import (
     DETERMINISTIC,
@@ -31,7 +26,6 @@ from sgmeta.sibcore import (
     STREAM_INNER,
     STREAM_OBJECTIVE,
     _ssl_projection,
-    cross_entropy,
     forward_chunks,
     orthogonal_transform_labeler,
     prior_dist,
@@ -47,7 +41,7 @@ from sgmeta.trainer import (
     make_theta0,
 )
 from test_distributions import tape_draw_reference
-from test_fused import relu_mlp
+from test_fused import cross_entropy_chain, dirac_prior_term, relu_mlp, tmean
 
 TOL = 1e-12
 FIELDS = ("query_inputs", "query_labels", "support_inputs", "support_labels", "truth")
@@ -83,7 +77,7 @@ def ref_direction(theta, x, model, cfg, eps_list):
         if model.mode == "toy":
             n = x.size
             g = relu_mlp((w * x).reshape(n, 1), model.sg_layers()).reshape(n)
-            contrib = ((g * x).sum() if cfg.sum_convention else (g * x).mean()).reshape(1)
+            contrib = ((g * x).sum() if cfg.sum_convention else tmean(g * x)).reshape(1)
         else:
             g = relu_mlp(dc.cosine_logits(x, w, scale), model.sg_layers())
             seed = g if cfg.sum_convention else dc.scale(g, 1.0 / x.shape[0])
@@ -126,11 +120,11 @@ def ref_data_term(ep, theta, model, cfg, eps_list):
         w = ref_draw(theta, cfg, eps)
         if model.mode == "toy":
             sq = dc.square(w * dc.constant(ep.query_inputs[:, 0]) - dc.constant(ep.query_labels))
-            contrib = sq.sum() if cfg.sum_convention else sq.mean()
+            contrib = sq.sum() if cfg.sum_convention else tmean(sq)
         else:
             feats = apply_features(model, ep.query_inputs)
             logits = dc.cosine_logits(feats, w, model.params["classifier_scale"])
-            contrib = cross_entropy(logits, ep.query_labels)
+            contrib = cross_entropy_chain(logits, ep.query_labels)
         total = contrib if total is None else total + contrib
     return dc.scale(total, 1.0 / len(eps_list))
 
@@ -402,8 +396,8 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
         if model.mode == "toy":
             return np.mean((w[0] * x[:, 0] - y) ** 2)
         scale = model.params["classifier_scale"]
-        return cross_entropy(dc.cosine_logits(apply_features(model, x), dc.constant(w), scale),
-                             y).item()
+        logits = dc.cosine_logits(apply_features(model, x), dc.constant(w), scale)
+        return cross_entropy_chain(logits, y).item()
 
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs, prior_terms = [], []

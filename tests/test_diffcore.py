@@ -23,10 +23,9 @@ from sgmeta.diffcore import (
     matmul,
     param,
     softmax,
-    take_per_row,
     zero_grad,
 )
-from test_fused import relu_mlp
+from test_fused import relu_mlp, tmean
 
 
 def tanh(t):
@@ -49,7 +48,7 @@ def test_softmax_symmetry():
 
 def test_mean_of_square_hand_value():
     # mean(square([1,2,3])) = (1 + 4 + 9) / 3
-    out = dc.tmean(dc.square(constant([1.0, 2.0, 3.0])))
+    out = dc.scale(dc.square(constant([1.0, 2.0, 3.0])).sum(), 1.0 / 3.0)
     assert out.item() == pytest.approx(14.0 / 3.0, abs=1e-15)
 
 
@@ -78,7 +77,7 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
     def loss():
         h = tanh(matmul(x, w1) + b1)
         out = matmul(h, w2) + b2
-        return dc.tmean(dc.square(out - target))
+        return tmean(dc.square(out - target))
 
     errors = check_gradients(loss, [w1, b1, w2, b2], h=1e-5, tol=1e-6)
     assert max(errors) < 1e-6
@@ -87,17 +86,6 @@ def test_two_layer_tanh_mlp_matches_finite_differences():
 @pytest.mark.parametrize("name,build", OP_CASES)
 def test_op_suite_matches_finite_differences(name, build):
     check_op_case(name, build)
-
-
-def test_take_per_row_gradient():
-    rng = np.random.default_rng(7)
-    a = param(rng.normal(size=(4, 3)))
-    labels = [2, 0, 1, 1]
-
-    def loss():
-        return take_per_row(a, labels).mean()
-
-    check_gradients(loss, [a], tol=1e-6)
 
 
 def test_broadcast_add_bias_gradient():
@@ -146,7 +134,7 @@ def differentiable_ops() -> dict:
     """The public differentiable ops of diffcore, by the name a case uses."""
     not_ops = {"constant", "param", "detach", "row_norms", "backward", "grad", "zero_grad",
                "fd_gradient", "check_gradients"}
-    spelled = {"tsum": "sum", "tmean": "mean"}
+    spelled = {"tsum": "sum"}
     return {spelled.get(name, name): name for name, f in vars(dc).items()
             if inspect.isfunction(f) and f.__module__ == dc.__name__
             and not name.startswith("_") and name not in not_ops}
@@ -157,7 +145,8 @@ def test_op_suites_name_every_differentiable_op():
     each public differentiable op of diffcore."""
     ops = differentiable_ops()
     assert {"cosine_sg_direction", "linear_sg_direction", "cosine_logits", "cosine_vjp",
-            "prior_pull", "sum"} <= set(ops)
+            "prior_pull", "prior_divergence", "linear_squared_error", "softmax_cross_entropy",
+            "sum"} <= set(ops)
 
     def named(op, case):  # "matmul", "matmul3d" and "matmul3d_2d" name their op
         return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
@@ -239,7 +228,7 @@ def test_linear_is_bitwise_matmul_plus_bias():
     [
         (dc.add, (Tensor(np.ones(3)), Tensor(np.ones(4)))),
         (dc.matmul, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))),
-        (dc.take_per_row, (Tensor(np.ones(3)), [0, 1, 2])),
+        (dc.softmax_cross_entropy, (Tensor(np.ones(3)), [0, 1, 2])),
         (dc.matmul, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 1))))),
         (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
         (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
@@ -268,6 +257,20 @@ def test_linear_is_bitwise_matmul_plus_bias():
                                   [(Tensor(np.ones((1, 1))), Tensor(np.ones(1)))], False)),
         (dc.linear_sg_direction, (Tensor(np.ones((2, 1))), Tensor(np.ones((2, 5))),
                                   [(Tensor(np.ones((1, 4))), Tensor(np.ones(3)))], False)),
+        # the objective's terms: labels of other rows; a prior of another
+        # width, or a log-variance that does not broadcast; slopes whose last
+        # axis is not 1, offsets of other slopes, and targets of other points
+        (dc.softmax_cross_entropy, (Tensor(np.ones((2, 4, 3))), np.zeros((3, 4), dtype=int))),
+        (dc.prior_divergence, (Tensor(np.ones((2, 3))), Tensor(np.ones(4)), Tensor(np.ones(4)),
+                               -1.0, 1.0)),
+        (dc.prior_divergence, (Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones(2)),
+                               -1.0, 0.5)),
+        (dc.linear_squared_error, (Tensor(np.ones((2, 3))), None, np.ones((2, 5)),
+                                   np.ones((2, 5)), True)),
+        (dc.linear_squared_error, (Tensor(np.ones((2, 1))), np.ones((4, 3, 1)), np.ones((2, 5)),
+                                   np.ones((2, 5)), True)),
+        (dc.linear_squared_error, (Tensor(np.ones((2, 1))), None, np.ones((2, 5)),
+                                   np.ones((2, 4)), False)),
     ],
 )
 def test_shape_mismatch_raises_structured_error(op, args):
@@ -277,7 +280,8 @@ def test_shape_mismatch_raises_structured_error(op, args):
     # a network's layers count as operands of their own; flags and python
     # scales are no operands
     operands = [t for a in args if not isinstance(a, (bool, float)) for t in (
-        [t for layer in a for t in layer] if isinstance(a, list) and op is not take_per_row
+        [t for layer in a for t in layer]
+        if isinstance(a, list) and op is not dc.softmax_cross_entropy
         else [a])]
     shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in operands)
     assert exc.value.shapes == shapes
@@ -304,7 +308,7 @@ def test_backward_is_bitwise_deterministic():
     def run():
         a, b, c = (param(data[k].copy()) for k in "abc")
         h = tanh(matmul(a, b)) + c
-        loss = dc.tmean(dc.square(h)) + softmax(h).sum()
+        loss = tmean(dc.square(h)) + softmax(h).sum()
         return grad(loss, [a, b, c])
 
     first = run()

@@ -4,9 +4,16 @@ relative against elementary ops (bitwise for the network helpers and
 prior_pull), and central differences to 1e-6 on 2-D, stacked (B, ., .) and
 Monte-Carlo (M, B, k, d) weights against (B, n, d) features. The two
 synthetic-gradient direction ops are bitwise the chains of fused nodes they
-replace, in values, in gradients, and in the bytes a training run writes."""
+replace, in values, in gradients, and in the bytes a training run writes.
+
+The per-task objective's three term nodes (``prior_divergence``,
+``linear_squared_error``, ``softmax_cross_entropy``) are checked against the
+elementary-op objective they replace, stop-gradient split included: each
+op bitwise its chain in values and gradients, and the objective bitwise
+wherever it keeps the chain's order."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +22,25 @@ import sgmeta.sibcore as sibcore
 from sgmeta import diffcore as dc
 from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, grad, matmul, param
-from sgmeta.distributions import Posterior
-from sgmeta.models import linear_predict_toy
+from sgmeta.distributions import DiagGaussian, Posterior, kl_diag_gaussian
+from sgmeta.models import apply_features, build_fewshot_model, build_toy_model
+from sgmeta.sibcore import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
+    InnerLoopConfig,
+    objective_noise,
+    prior_dist,
+    prior_term,
+    task_objective,
+)
+from sgmeta.tasks import (
+    FewShotConfig,
+    ToyConfig,
+    derive_task_seed,
+    gen_fewshot_episode,
+    gen_spinning_lines,
+)
+from sgmeta.trainer import build_model, config_from_dict, episode_objective, episodes_for
 
 GRAD_RTOL = 1e-13
 
@@ -108,6 +132,89 @@ def prior_pull_composite(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
     return (x - mean) * dc.exp(-log_var)
 
 
+def log(a: Tensor) -> Tensor:
+    def back(g):
+        dc._accum(a, g / a.data)
+
+    return dc._make(np.log(a.data), (a,), back)
+
+
+def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    count = a.size if axis is None else a.shape[axis]
+
+    def back(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        dc._accum(a, np.broadcast_to(g, a.shape) / count)
+
+    return dc._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
+
+
+def take_per_row(a: Tensor, col_indices) -> Tensor:
+    """a[..., i, col_indices[..., i]]: one entry of the last axis per row."""
+    idx = np.broadcast_to(np.asarray(col_indices, dtype=np.int64), a.shape[:-1])[..., None]
+
+    def back(g):
+        acc = np.zeros_like(a.data)
+        np.put_along_axis(acc, idx, g[..., None], axis=-1)
+        dc._accum(a, acc)
+
+    return dc._make(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
+
+
+# the per-task objective of elementary ops
+
+
+def cross_entropy_chain(logits: Tensor, labels) -> Tensor:
+    """Mean cross entropy over the rows of (..., n, k) logits."""
+    shifted = logits - constant(logits.data.max(axis=-1, keepdims=True))
+    lse = log(dc.tsum(dc.exp(shifted), axis=-1))
+    return tmean(lse - take_per_row(shifted, labels), axis=-1)
+
+
+def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
+    """The point-mass posterior's prior term."""
+    quad = dc.square(theta_flat - p.mean) * dc.exp(-p.log_var)
+    return dc.scale((quad + p.log_var).sum(axis=-1), 0.5)
+
+
+def prior_term_chain(theta: Tensor, model, cfg) -> Tensor:
+    flat = sibcore.flat_weights(theta, model)
+    if not Posterior(cfg).random:
+        return dirac_prior_term(flat, prior_dist(model))
+    q = DiagGaussian(flat, constant(np.full(flat.shape, cfg.q_log_var)))
+    return kl_diag_gaussian(q, prior_dist(model))
+
+
+def query_loss_chain(model, inputs, labels, w: Tensor, sum_convention: bool) -> Tensor:
+    if model.mode == "toy":
+        sq = dc.square(w * constant(inputs[..., 0]) - constant(labels))
+        return sq.sum(axis=-1) if sum_convention else tmean(sq, axis=-1)
+    feats = apply_features(model, inputs)
+    return cross_entropy_chain(dc.cosine_logits(feats, w, model.params["classifier_scale"]),
+                               labels)
+
+
+def data_term_chain(episodes, theta: Tensor, model, cfg, eps) -> Tensor:
+    posterior = Posterior(cfg)
+    eps = eps if posterior.objective_draws else None
+    loss = query_loss_chain(model, episodes.query_inputs, episodes.query_labels,
+                            posterior.draw(theta, eps), cfg.sum_convention)
+    return sibcore._mean_over_draws(loss, eps)
+
+
+def task_objective_chain(episodes, theta: Tensor, model, cfg, kl_weight: float) -> Tensor:
+    """The objective with the prior term split at a stop-gradient: a second
+    prior term on a constant copy of theta."""
+    loss = data_term_chain(episodes, theta, model, cfg, objective_noise(theta, episodes, cfg))
+    if kl_weight != 0.0:
+        loss = loss + dc.scale(prior_term_chain(theta, model, cfg), kl_weight)
+    if kl_weight != 1.0:
+        loss = loss + dc.scale(prior_term_chain(constant(theta.data), model, cfg),
+                               1.0 - kl_weight)
+    return loss
+
+
 # the synthetic-gradient directions as chains of fused nodes
 
 
@@ -119,9 +226,9 @@ def cosine_sg_chain(features: Tensor, theta: Tensor, scale: Tensor, layers,
 
 
 def linear_sg_chain(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
-    y_hat = linear_predict_toy(theta, x)
+    y_hat = theta * x
     gx = relu_mlp(y_hat.reshape(-1, 1), layers).reshape(y_hat.shape) * x
-    return gx.mean(axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
+    return tmean(gx, axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
 
 
 def toy_direction_chain(theta, x, model, cfg, eps=None):
@@ -378,3 +485,155 @@ def test_training_is_bytewise_the_chain_of_fused_nodes(tmp_path, monkeypatch, ru
     monkeypatch.setattr(sibcore, "toy_direction", toy_direction_chain)
     monkeypatch.setattr(sibcore, "fewshot_direction", fewshot_direction_chain)
     assert outputs("chain") == fused
+
+
+# -- the per-task objective ---------------------------------------------------------
+
+
+def objective_case(head, regime, sum_convention, draws, batch):
+    """A model with a generic prior, a batch of episodes, an inner config, and
+    adapted weights that are a leaf of their own; returns those and every
+    leaf that takes a gradient."""
+    rng = np.random.default_rng(12)
+    seeds = [derive_task_seed(3, "train", i) for i in range(batch)]
+    if head == "toy":
+        model = build_toy_model(seed=2)
+        episodes = gen_spinning_lines(ToyConfig(n=6), seeds)
+    else:
+        model = build_fewshot_model(k=3, d_x=4, seed=2, train_f=True)
+        task = FewShotConfig(k=3, n_shot=1, n_query_per_class=2, d_x=4,
+                             class_pool={"train": 8, "val": 4, "test": 4})
+        episodes = gen_fewshot_episode(task, "train", seeds)
+    for name in ("psi_mean", "psi_log_var"):
+        model.params[name].data = rng.normal(size=model.params[name].shape) * 0.5
+    theta = param(rng.normal(size=(batch,) + model.theta_shape()))
+    cfg = InnerLoopConfig(posterior_regime=regime, q_log_var=-3.0, sum_convention=sum_convention,
+                          objective_mc_samples=draws)
+    leaves = [theta] + [t for _, t in sorted(model.params.items()) if t.requires_grad]
+    return model, episodes, cfg, theta, leaves
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("draws", [1, 8])
+@pytest.mark.parametrize("sum_convention", [False, True], ids=["mean", "sum"])
+@pytest.mark.parametrize("kl_weight", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("regime", [GAUSSIAN_FIXED_VAR, DETERMINISTIC])
+@pytest.mark.parametrize("head", ["toy", "cosine"])
+def test_task_objective_is_its_elementary_chain(head, regime, kl_weight, sum_convention, draws,
+                                                batch):
+    """The value and every gradient, the adapted weights' included, bitwise
+    where the fused objective keeps the chain's order: a weight of 0 or 1,
+    where the chain adds one prior term. Otherwise it adds two, so the
+    fused objective is within 1e-12 relative."""
+    model, episodes, cfg, theta, leaves = objective_case(head, regime, sum_convention, draws,
+                                                         batch)
+    weights = np.random.default_rng(99).normal(size=batch)
+    out_f, grads_f = _run(lambda: task_objective(episodes, theta, model, cfg, kl_weight), leaves,
+                          weights)
+    out_c, grads_c = _run(lambda: task_objective_chain(episodes, theta, model, cfg, kl_weight),
+                          leaves, weights)
+    tol = 0.0 if kl_weight in (0.0, 1.0) else 1e-12
+    np.testing.assert_allclose(out_f, out_c, rtol=tol, atol=0)
+    for g_f, g_c in zip(grads_f, grads_c):
+        np.testing.assert_allclose(g_f, g_c, rtol=0, atol=tol * np.abs(g_c).max())
+
+
+@pytest.mark.parametrize("regime", [GAUSSIAN_FIXED_VAR, DETERMINISTIC])
+@pytest.mark.parametrize("head", ["toy", "cosine"])
+def test_prior_term_splits_only_the_adapted_weights_cotangent(head, regime):
+    """Central differences cannot see the stop-gradient split: the adapted
+    weights' cotangent is the pull weight times its weight-1 value, and the
+    prior's cotangents and the term's value do not depend on the weight."""
+    model, _, cfg, theta, _ = objective_case(head, regime, False, 1, 3)
+    prior = [model.params["psi_mean"], model.params["psi_log_var"]]
+
+    def run(weight):
+        dc.zero_grad([theta] + prior)
+        out = prior_term(theta, model, cfg, weight)
+        return out.data, [g.copy() for g in grad(out.sum(), [theta] + prior, allow_unused=True)]
+
+    value, (g_theta, *g_prior) = run(1.0)
+    assert np.abs(g_theta).min() > 0
+    for weight in (0.0, 0.05, 0.5):
+        value_w, (g_theta_w, *g_prior_w) = run(weight)
+        np.testing.assert_array_equal(value_w, value)
+        np.testing.assert_array_equal(g_theta_w, weight * g_theta)
+        for g_w, g in zip(g_prior_w, g_prior):
+            np.testing.assert_array_equal(g_w, g)
+
+
+@pytest.mark.parametrize("q_log_var", [None, -4.0, 2 * np.log(0.1)], ids=["point", "g4", "g01"])
+@pytest.mark.parametrize("x_shape", [(12,), (4, 12), (3, 4, 12)])
+def test_prior_divergence_is_its_chain(x_shape, q_log_var):
+    """Values and gradients bitwise the KL on a constant log-variance array
+    (or the point-mass term) of elementary ops."""
+    rng = np.random.default_rng(13)
+    x, mean, log_var = (param(rng.normal(size=s)) for s in (x_shape, (12,), (12,)))
+    target = DiagGaussian(mean, log_var)
+    if q_log_var is None:
+        chain = lambda: dirac_prior_term(x, target)  # noqa: E731
+    else:
+        chain = lambda: kl_diag_gaussian(  # noqa: E731
+            DiagGaussian(x, constant(np.full(x_shape, q_log_var))), target)
+    assert_matches(lambda: dc.prior_divergence(x, mean, log_var, q_log_var), chain,
+                   [x, mean, log_var], bitwise_grads=True)
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["mean", "sum"])
+@pytest.mark.parametrize("draws", [0, 1, 8])
+@pytest.mark.parametrize("case", list(LINEAR_SHAPES))
+def test_linear_squared_error_is_its_chain(case, draws, mean):
+    """The Monte-Carlo squared error of the linear head against draws of
+    slopes, squares, a mean or sum over points and a mean over draws."""
+    rng = np.random.default_rng(14)
+    x_shape, slope_shape = LINEAR_SHAPES[case]
+    x, y = rng.normal(size=x_shape), rng.normal(size=x_shape)
+    slope = param(rng.normal(size=slope_shape))
+    offsets = rng.normal(size=(draws,) + slope_shape) * 0.1 if draws else None
+
+    def chain():
+        w = slope if offsets is None else slope + constant(offsets)
+        sq = dc.square(w * constant(x) - constant(y))
+        per = tmean(sq, axis=-1) if mean else sq.sum(axis=-1)
+        return per if offsets is None else dc.scale(dc.tsum(per, axis=0), 1.0 / draws)
+
+    assert_matches(lambda: dc.linear_squared_error(slope, offsets, x, y, mean), chain, [slope],
+                   bitwise_grads=True)
+
+
+@pytest.mark.parametrize("case", list(COSINE_SHAPES))
+def test_softmax_cross_entropy_is_its_chain(case):
+    rng = np.random.default_rng(15)
+    f_shape, t_shape = COSINE_SHAPES[case]
+    logits = param(rng.normal(size=t_shape[:-2] + f_shape[-2:-1] + t_shape[-2:-1]) * 3.0)
+    labels = rng.integers(0, t_shape[-2], size=f_shape[:-1])
+    assert_matches(lambda: dc.softmax_cross_entropy(logits, labels),
+                   lambda: cross_entropy_chain(logits, labels), [logits], bitwise_grads=True)
+
+
+def test_softmax_cross_entropy_rejects_out_of_range_labels():
+    for labels in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="label out of range for 3 classes"):
+            dc.softmax_cross_entropy(constant(np.zeros((2, 3))), labels)
+
+
+# a training step's graph, leaves included: 9 leaves, θ_K's 10 ops and 5 in
+# the objective on toy (54 before the objective's terms were fused); 10
+# leaves, 22 and 7 on few-shot (53 before). Bounds: 30 and 40.
+STEP_NODES = {"toy": 24, "fewshot": 39}
+STEP_NODE_BOUNDS = {"toy": 30, "fewshot": 40}
+
+
+@pytest.mark.parametrize("mode", list(STEP_NODES))
+def test_training_step_node_count(mode):
+    """Graph nodes of one seed-0 training step of ``configs/<mode>.json``'s
+    batch of 8 episodes."""
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{mode}.json"
+    cfg = config_from_dict(json.loads(path.read_text()))
+    assert cfg.batch_tasks == 8
+    model = build_model(cfg)
+    batch = episodes_for(cfg, "train", range(cfg.batch_tasks))
+    losses, _ = episode_objective(model, batch, cfg)
+    nodes = len(dc._topo_order(dc.scale(losses.sum(), 1.0 / len(batch))))
+    assert nodes <= STEP_NODE_BOUNDS[mode]
+    assert nodes == STEP_NODES[mode]

@@ -17,10 +17,10 @@ from sgmeta.models import (
     config_hash,
     init_theta0_global,
     init_theta0_proto,
-    linear_predict_toy,
     model_from_payload,
 )
 from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines
+from test_fused import tmean
 
 
 def identity_map_model(k, d_x, seed):
@@ -181,12 +181,17 @@ def test_cosine_argmax_invariant_to_positive_rescaling(seed, c):
 
 
 def test_linear_toy_predictions():
-    x = constant([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(linear_predict_toy(constant([0.0]), x).data, np.zeros(3))
-    np.testing.assert_array_equal(linear_predict_toy(constant([1.0]), x).data, [1.0, 2.0, 3.0])
+    """The toy head predicts slope times input: its squared error is that of
+    those predictions, and vanishes at the slope of noiseless labels."""
+    x = np.array([1.0, 2.0, 3.0])
+    mse = dc.linear_squared_error(constant([0.0]), None, x, x, True)
+    assert mse.item() == pytest.approx(14.0 / 3.0, abs=1e-15)
+    assert dc.linear_squared_error(constant([1.0]), None, x, x, True).item() == 0.0
+    assert dc.linear_squared_error(constant([2.0]), None, x, x, False).item() == 14.0
     ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(1, "test", 5)])
-    pred = linear_predict_toy(constant(ep.truth[:, None]), constant(ep.query_inputs[..., 0]))
-    assert np.mean((pred.data - ep.query_labels) ** 2) == pytest.approx(0.0, abs=1e-28)
+    at_truth = dc.linear_squared_error(constant(ep.truth[:, None]), None,
+                                       ep.query_inputs[..., 0], ep.query_labels, True)
+    assert at_truth.data[0] == pytest.approx(0.0, abs=1e-28)
 
 
 def test_model_pieces_are_differentiable():
@@ -201,7 +206,7 @@ def test_model_pieces_are_differentiable():
         theta = init_theta0_proto(model, constant(feats), labels)
         logits = cosine_logits(model, constant(feats), theta)
         g = fewshot_direction(model, feats, theta)
-        return dc.tmean(dc.square(logits - constant(target))) + dc.tmean(
+        return tmean(dc.square(logits - constant(target))) + tmean(
             dc.square(g - constant(g_target)))
 
     params = [model.params[n] for n in ("lambda_scale", "classifier_scale", "xi_w1", "xi_b3")]

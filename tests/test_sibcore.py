@@ -26,7 +26,6 @@ from sgmeta.sibcore import (
     InnerLoopConfig,
     _noise,
     _ssl_projection,
-    cross_entropy,
     data_term,
     inner_inputs,
     maml_inner,
@@ -334,7 +333,7 @@ def test_maml_inner_requires_support():
 def test_cross_entropy_perfect_logits_vanish():
     labels = [0, 1, 2]
     logits = constant(1e4 * np.eye(3))
-    assert cross_entropy(logits, labels).item() == pytest.approx(0.0, abs=1e-12)
+    assert dc.softmax_cross_entropy(logits, labels).item() == pytest.approx(0.0, abs=1e-12)
     # posterior == prior (zero mean, unit variance) gives exactly zero KL
     prior_zero = prior_term(constant(np.zeros(1)), build_toy_model(seed=0),
                             toy_cfg(q_log_var=0.0))
@@ -343,7 +342,7 @@ def test_cross_entropy_perfect_logits_vanish():
 
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
-        cross_entropy(constant(np.zeros((2, 3))), [0, 3])
+        dc.softmax_cross_entropy(constant(np.zeros((2, 3))), [0, 3])
 
 
 def test_toy_zero_residual_objective_is_pure_kl():
@@ -434,7 +433,8 @@ def ssl_loss(model, ep, theta_data):
     """Self-supervised cross entropy at fixed task weights."""
     aug, ssl_labels = orthogonal_transform_labeler(apply_features(model, ep.query_inputs[0]).data)
     logits = dc.cosine_logits(constant(aug), constant(theta_data), model.params["classifier_scale"])
-    return cross_entropy(dc.matmul(logits, constant(_ssl_projection(model.k))), ssl_labels).item()
+    ssl_logits = dc.matmul(logits, constant(_ssl_projection(model.k)))
+    return dc.softmax_cross_entropy(ssl_logits, ssl_labels).item()
 
 
 def test_ssl_labeler_is_orthogonal():
