@@ -22,7 +22,6 @@ from .sibcore import (
     InnerLoopConfig,
     chunk_slices,
     prior_term,
-    query_loss,
     sib_unroll,
 )
 from .tasks import (
@@ -78,8 +77,8 @@ def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
 def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
             w: np.ndarray) -> np.ndarray:
     """Per-dataset empirical risk of fixed task weights, one per row of ``w``."""
-    w = w.reshape((len(w),) + frozen.theta_shape())
-    return query_loss(frozen, inputs, labels, dc.constant(w)).data
+    w = w.reshape((len(w),) + frozen.head.theta_shape)
+    return frozen.head.query_loss(inputs, labels, dc.constant(w)).data
 
 
 def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -> float:
@@ -165,7 +164,7 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     frozen = frozen_copy(model)
     posterior = Posterior(inner)
     n_query = task_sampler.n_query
-    size = int(np.prod(frozen.theta_shape()))
+    size = int(np.prod(frozen.head.theta_shape))
     picked = SigmaDraws(min(trials, 2000), seed + 1, n_query, size, posterior.random)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     diffs = np.empty(trials)

@@ -1,21 +1,23 @@
 """Learnable networks: feature map, initialization, the synthetic-gradient
-network's parameters, the cosine classifier's weights and scale (the head
-itself is ``diffcore.cosine_logits``), and the toy head's slope (its
-predictions live inside ``diffcore.linear_sg_direction`` and
-``linear_squared_error``).
+network's parameters, the prior, and the task heads.
 
-A MetaModel is a named bag of Tensors plus static geometry. The synthetic
-gradient network consumes predictions only (a three-layer ReLU MLP whose
-hidden width is eight times the prediction dimension, ``sg_layers``); it is
-evaluated inside the fused direction ops of ``diffcore``. Its final layer is
-zero-initialized so that, at the start of meta-training, inner steps are
-no-ops and unrolled runs coincide with the no-adaptation baseline.
+A MetaModel is a named bag of Tensors plus static geometry and the task head
+of its mode (``HEADS``). The modes share the meta-model and differ only in
+the head, which sets the likelihood and answers every question the mode
+decides (``ToyHead``, ``CosineHead``), with ``diffcore``'s fused ops.
+
+The synthetic gradient network consumes predictions only (a three-layer ReLU
+MLP whose hidden width is eight times the prediction dimension,
+``sg_layers``). Its final layer is zero-initialized so that, at the start of
+meta-training, inner steps are no-ops and unrolled runs coincide with the
+no-adaptation baseline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from types import SimpleNamespace
 from typing import Optional
 
@@ -23,30 +25,33 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
+from .distributions import DiagGaussian, Posterior, kl_diag_gaussian
 from .rules import BOOL, check_fields, int_at_least, one_of
+from .tasks import true_posterior, true_prior
+
 
 class MetaModel:
-    """Meta-parameters: feature map, init net, synthetic-gradient net, prior."""
+    """Meta-parameters: feature map, init net, synthetic-gradient net, prior;
+    and the mode's task head."""
 
     def __init__(self, mode: str, k: int, d_x: int, d_f: int, params: dict,
                  train_f: bool = False):
-        if mode not in ("toy", "fewshot"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.k = k
         self.d_x = d_x
         self.d_f = d_f
-        self.head_dim = 1 if mode == "toy" else k
         self.train_f = bool(train_f)
         self.params = params
         if "classifier_scale" in params and params["classifier_scale"].data <= 0:
             raise ValueError("classifier_scale must be positive")
+        self.head = HEADS[mode](self)
+
+    def meta(self) -> dict:
+        """The geometry a checkpoint records and a copy is built from."""
+        return {key: getattr(self, key) for key in _META_RULES}
 
     def trainable(self) -> dict:
         return {name: t for name, t in self.params.items() if t.requires_grad}
-
-    def theta_shape(self):
-        return (1,) if self.mode == "toy" else (self.k, self.d_f)
 
     def sg_layers(self) -> list:
         """(weight, bias) of each layer of the synthetic-gradient network."""
@@ -143,11 +148,133 @@ def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -
     return proto * model.params["lambda_scale"]
 
 
+def prior_dist(model: MetaModel) -> DiagGaussian:
+    return DiagGaussian(model.params["psi_mean"], model.params["psi_log_var"])
+
+
 def frozen_copy(model: MetaModel) -> MetaModel:
     """The same parameter values as constants: graphs built on it keep no tape."""
     params = {name: dc.constant(t.data) for name, t in model.params.items()}
-    return MetaModel(model.mode, k=model.k, d_x=model.d_x, d_f=model.d_f,
-                     params=params, train_f=model.train_f)
+    return MetaModel(**model.meta(), params=params)
+
+
+# -- task heads: inputs (..., n, d_x) and labels (..., n) broadcast against
+# the leading axes (draws, episodes) of weights ``w`` in front of theta_shape.
+
+
+def accuracy_value(logits_data: np.ndarray, labels):
+    """Share of rows whose argmax is the label, per leading index."""
+    return np.mean(logits_data.argmax(axis=-1) == np.asarray(labels), axis=-1)
+
+
+def mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
+    """The mean over the leading axis of weight draws ``eps``; ``None``: no draws."""
+    if eps is None:
+        return values
+    return dc.scale(dc.tsum(values, axis=0), 1.0 / len(eps))
+
+
+class ToyHead:
+    """The regression slope: predictions w * x of raw scalar inputs, and a
+    squared-error likelihood. A lower query MSE is better."""
+
+    primary = "query_mse"
+    improves = staticmethod(operator.lt)
+
+    def __init__(self, model: MetaModel):
+        self.model = model
+        self.theta_shape = (1,)
+
+    def flat(self, theta: Tensor) -> Tensor:
+        """Task weights as vectors; a slope is one."""
+        return theta
+
+    def inner_inputs(self, inputs: np.ndarray):
+        """The raw inputs (..., n), and no per-unroll constant."""
+        return dc.constant(inputs[..., 0]), None
+
+    def direction(self, w: Tensor, x: Tensor, _, sum_convention: bool) -> Tensor:
+        """(1/n) sum_i net(w * x_i) * x_i, the sum under ``sum_convention``:
+        with y_hat = w * x, dy_hat_i/dw = x_i, so it is exactly the
+        surrogate's gradient in w."""
+        return dc.linear_sg_direction(w, x, self.model.sg_layers(), mean=not sum_convention)
+
+    def query_loss(self, inputs: np.ndarray, labels, w: Tensor, features=None) -> Tensor:
+        """The per-point mean squared error."""
+        return dc.linear_squared_error(w, None, inputs[..., 0], labels, True)
+
+    def data_term(self, episodes, theta: Tensor, posterior, eps, sum_convention: bool) -> Tensor:
+        """One node with the draws' offsets inside it."""
+        return dc.linear_squared_error(theta, posterior.offsets(eps),
+                                       episodes.query_inputs[..., 0], episodes.query_labels,
+                                       not sum_convention)
+
+    def episode_metrics(self, episodes, theta_k: Tensor, cfg, inner) -> dict:
+        """Query MSE and the KL to the closed-form true posterior."""
+        truth = true_posterior(episodes, cfg.toy)
+        return {"query_mse": self.query_loss(episodes.query_inputs, episodes.query_labels,
+                                             theta_k).data,
+                "kl_to_true_posterior": Posterior(inner).divergence(theta_k, truth).data}
+
+    def prior_metrics(self, cfg) -> dict:
+        """The learned prior's KL to the true prior."""
+        truth = true_prior(cfg.toy)
+        return {"prior_kl_to_true": kl_diag_gaussian(prior_dist(self.model), truth).item()}
+
+
+class CosineHead:
+    """The cosine classifier on the feature map's output, and a
+    cross-entropy likelihood. A higher query accuracy is better."""
+
+    primary = "query_accuracy"
+    improves = staticmethod(operator.gt)
+
+    def __init__(self, model: MetaModel):
+        self.model = model
+        self.theta_shape = (model.k, model.d_f)
+
+    def flat(self, theta: Tensor) -> Tensor:
+        """Task weights as vectors: (..., k, d) -> (..., k*d)."""
+        return theta.reshape(theta.shape[:-2] + (theta.shape[-2] * theta.shape[-1],))
+
+    def inner_inputs(self, inputs: np.ndarray):
+        """The feature map's output, detached so no gradient reaches the
+        feature network from an adaptation path, and its row norms, which
+        every step's cosine terms read."""
+        features = dc.detach(apply_features(self.model, inputs))
+        return features, dc.row_norms(features.data)
+
+    def direction(self, w: Tensor, features: Tensor, norms: np.ndarray,
+                  sum_convention: bool) -> Tensor:
+        seed_scale = 1.0 if sum_convention else 1.0 / features.shape[-2]
+        return dc.cosine_sg_direction(features, w, self.model.params["classifier_scale"],
+                                      self.model.sg_layers(), seed_scale, norms)
+
+    def logits(self, inputs: np.ndarray, w: Tensor, features=None) -> Tensor:
+        features = apply_features(self.model, inputs) if features is None else features
+        return dc.cosine_logits(features, w, self.model.params["classifier_scale"])
+
+    def query_loss(self, inputs: np.ndarray, labels, w: Tensor, features=None) -> Tensor:
+        """``features``, if given, are ``inner_inputs``' of ``inputs``."""
+        return dc.softmax_cross_entropy(self.logits(inputs, w, features), labels)
+
+    def data_term(self, episodes, theta: Tensor, posterior, eps, sum_convention: bool) -> Tensor:
+        loss = self.query_loss(episodes.query_inputs, episodes.query_labels,
+                               posterior.draw(theta, eps))
+        return mean_over_draws(loss, eps)
+
+    def episode_metrics(self, episodes, theta_k: Tensor, cfg, inner) -> dict:
+        """Query cross entropy and accuracy."""
+        logits = self.logits(episodes.query_inputs, theta_k)
+        return {"query_loss": dc.softmax_cross_entropy(logits, episodes.query_labels).data,
+                "query_accuracy": accuracy_value(logits.data, episodes.query_labels)}
+
+    def prior_metrics(self, cfg) -> dict:
+        return {}
+
+
+# the modes, and the head each one builds
+HEADS = {"toy": ToyHead, "fewshot": CosineHead}
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -163,13 +290,7 @@ def checkpoint_payload(model: MetaModel, cfg_hash: str = "", step: int = 0) -> d
         "format_version": 1,
         "config_hash": cfg_hash,
         "step": int(step),
-        "meta": {
-            "mode": model.mode,
-            "k": model.k,
-            "d_x": model.d_x,
-            "d_f": model.d_f,
-            "train_f": model.train_f,
-        },
+        "meta": model.meta(),
         "params": {
             name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
             for name, t in sorted(model.params.items())
@@ -183,7 +304,7 @@ def _field(section, key: str, where: str):
     return section[key]
 
 
-_META_RULES = {"mode": one_of("toy", "fewshot"), "k": int_at_least(1), "d_x": int_at_least(1),
+_META_RULES = {"mode": one_of(*HEADS), "k": int_at_least(1), "d_x": int_at_least(1),
                "d_f": int_at_least(1), "train_f": BOOL}
 
 
@@ -231,4 +352,4 @@ def model_from_payload(payload: dict) -> MetaModel:
             raise ValueError(f"checkpoint parameter {name} has shape {list(arr.shape)}; the meta "
                              f"geometry needs {list(template.params[name].shape)}")
         template.params[name].data = arr
-    return MetaModel(meta["mode"], **geometry, params=template.params, train_f=meta["train_f"])
+    return MetaModel(**meta, params=template.params)

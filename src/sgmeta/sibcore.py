@@ -6,30 +6,30 @@ and the update direction is the exact vector-Jacobian product of the
 predictions with that surrogate (conceptually, the gradient of the scalar
 ``(1/n) sum_i <stop_grad(net(y_hat_i)), y_hat_i>`` with respect to the task
 weights). The direction is a closed-form graph expression, one fused node
-per step (``diffcore.cosine_sg_direction`` for the cosine head,
-``linear_sg_direction`` for the toy slope; ``prior_pull`` adds the KL's
-pull when it is in the inner loop), so the whole K-step unroll is one
-first-order forward graph: the outer objective differentiates through it
-with respect to the initialization, the synthetic-gradient network, and the
-prior, with no higher-order machinery. The constant query features' row
-norms are computed once per unroll, not once per step.
+per step (``prior_pull`` adds the KL's pull when it is in the inner loop),
+so the whole K-step unroll is one first-order forward graph: the outer
+objective differentiates through it with respect to the initialization, the
+synthetic-gradient network, and the prior, with no higher-order machinery.
 
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``. Each of its terms is one fused node too:
-the data term is ``diffcore.linear_squared_error`` (the toy head, its weight
-draws inside it) or ``softmax_cross_entropy`` over the cosine logits, and
-the prior term is ``prior_divergence``, which carries the ``kl_weight``
-stop-gradient split in its backward.
+the head's data term, and the prior term ``diffcore.prior_divergence``,
+which carries the ``kl_weight`` stop-gradient split in its backward.
+
+Neither the mode nor the posterior regime is read here. The model's task
+head (``models.ToyHead`` or ``CosineHead``) answers the mode's questions:
+the weight shape and flattening, the inner inputs and their per-unroll
+constant (the cosine head's feature row norms), the direction at drawn
+weights, the query loss and data term, and the baseline's support features.
+``distributions.Posterior`` answers the regime's: how many weights are
+drawn, the draw itself and the KL to the prior.
 
 Every function here that takes episodes takes a batch of them
 (``tasks.Episode``, fields stacked on a leading episode axis: query inputs
 (B, n, d)), and its results carry that axis (task weights
 (B, *theta_shape)), B = 1 included. Monte-Carlo weight draws go on one
 more leading axis in front of it, so an outer step over B episodes and M
-draws is one graph whose node count does not grow with B or M. How many
-weights are drawn, the draw itself and the KL to the prior are the
-posterior regime's (``distributions.Posterior``); nothing here reads the
-regime.
+draws is one graph whose node count does not grow with B or M.
 """
 
 from __future__ import annotations
@@ -43,14 +43,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .distributions import (
-    DETERMINISTIC,
-    GAUSSIAN_FIXED_VAR,
-    DiagGaussian,
-    Posterior,
-    kl_grad_wrt_mean,
-)
-from .models import MetaModel, apply_features
+from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior, kl_grad_wrt_mean
+from .models import MetaModel, apply_features, mean_over_draws, prior_dist
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import Episode, _stream
 
@@ -105,23 +99,6 @@ _INNER_RULES = {
 }
 
 
-def prior_dist(model: MetaModel) -> DiagGaussian:
-    return DiagGaussian(model.params["psi_mean"], model.params["psi_log_var"])
-
-
-def flat_weights(theta: Tensor, model: MetaModel) -> Tensor:
-    """Task weights as vectors: (..., k, d) -> (..., k*d); toy weights are (..., 1)."""
-    if model.mode == "toy":
-        return theta
-    return theta.reshape(theta.shape[:-2] + (theta.shape[-2] * theta.shape[-1],))
-
-
-def _mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
-    if eps is None:
-        return values
-    return dc.scale(dc.tsum(values, axis=0), 1.0 / len(eps))
-
-
 def _noise(episodes: Episode, stream: int, count: int, shape) -> np.ndarray:
     """``count`` standard-normal draws of ``shape`` per episode, (count, B,
     *shape), each episode from its own sub-stream in the order a per-episode
@@ -140,43 +117,15 @@ def _step_noise(episodes: Episode, cfg: InnerLoopConfig, shape) -> list:
     return [noise[k * m:(k + 1) * m] if m else None for k in range(cfg.steps)]
 
 
-# -- closed-form update directions -------------------------------------------
-
-
-def toy_direction(theta: Tensor, x: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-                  eps=None) -> Tensor:
-    """(1/n) sum_i net(y_hat_i) * x_i, averaged over weight draws.
-
-    The predictor is y_hat = w * x, so dy_hat_i/dw = x_i and dw/dtheta = 1;
-    the expression is exactly the surrogate's gradient in theta while
-    keeping the synthetic net's output in the graph.
-    """
-    contrib = dc.linear_sg_direction(Posterior(cfg).draw(theta, eps), x, model.sg_layers(),
-                                     mean=not cfg.sum_convention)
-    return _mean_over_draws(contrib, eps)
-
-
-def fewshot_direction(theta: Tensor, features: Tensor, feature_norms: np.ndarray,
-                      model: MetaModel, cfg: InnerLoopConfig, eps=None) -> Tensor:
-    """Synthetic-gradient direction for the cosine head; ``feature_norms``
-    are ``dc.row_norms(features.data)``."""
-    seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
-    contrib = dc.cosine_sg_direction(features, Posterior(cfg).draw(theta, eps),
-                                     model.params["classifier_scale"], model.sg_layers(),
-                                     seed_scale, feature_norms)
-    return _mean_over_draws(contrib, eps)
-
-
-def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-             eps=None, step_index: int = 0, feature_norms=None) -> Tensor:
-    """One synthetic-gradient descent step on the query inputs (no labels);
-    few-shot steps take the inputs' ``feature_norms``."""
-    if model.mode == "toy":
-        direction = toy_direction(theta, inner_x, model, cfg, eps)
-    else:
-        direction = fewshot_direction(theta, inner_x, feature_norms, model, cfg, eps)
+def sib_step(theta: Tensor, inputs, model: MetaModel, cfg: InnerLoopConfig, eps=None,
+             step_index: int = 0) -> Tensor:
+    """One synthetic-gradient descent step on the query inputs (no labels):
+    the head's direction at each weight draw, averaged over the draws.
+    ``inputs`` is the head's (inner inputs, per-unroll constant) pair."""
+    contrib = model.head.direction(Posterior(cfg).draw(theta, eps), *inputs, cfg.sum_convention)
+    direction = mean_over_draws(contrib, eps)
     if cfg.kl_in_inner:
-        kl_dir = kl_grad_wrt_mean(flat_weights(theta, model), prior_dist(model))
+        kl_dir = kl_grad_wrt_mean(model.head.flat(theta), prior_dist(model))
         direction = direction + kl_dir.reshape(theta.shape)
     theta_next = theta - dc.scale(direction, cfg.eta_inner)
     if not np.all(np.isfinite(theta_next.data)):
@@ -184,27 +133,13 @@ def sib_step(theta: Tensor, inner_x: Tensor, model: MetaModel, cfg: InnerLoopCon
     return theta_next
 
 
-def inner_inputs(model: MetaModel, episodes: Episode) -> Tensor:
-    """Query-side inputs seen by the inner loop.
-
-    Toy mode feeds raw inputs; few-shot mode feeds the feature map's output,
-    detached so no gradient is back-propagated into the feature network from
-    the adaptation path.
-    """
-    if model.mode == "toy":
-        return dc.constant(episodes.query_inputs[..., 0])
-    return dc.detach(apply_features(model, episodes.query_inputs))
-
-
 def sib_unroll(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig):
     """Compose ``cfg.steps`` synthetic-gradient steps from ``theta0`` (one
     row per episode); returns (theta_K, the iterates theta_0 .. theta_K)."""
-    x = inner_inputs(model, episodes)
-    # the constant features' row norms, for every step's cosine terms
-    norms = None if model.mode == "toy" else dc.row_norms(x.data)
+    inputs = model.head.inner_inputs(episodes.query_inputs)
     thetas = [theta0]
-    for k, eps in enumerate(_step_noise(episodes, cfg, model.theta_shape())):
-        thetas.append(sib_step(thetas[-1], x, model, cfg, eps, step_index=k, feature_norms=norms))
+    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
+        thetas.append(sib_step(thetas[-1], inputs, model, cfg, eps, step_index=k))
     return thetas[-1], thetas
 
 
@@ -224,59 +159,29 @@ def forward_chunks(episodes):
         yield rows.start, episodes.take(rows)
 
 
-# -- supervised losses ---------------------------------------------------------
-
-
-def accuracy_value(logits_data: np.ndarray, labels):
-    """Share of rows whose argmax is the label, per leading index."""
-    return np.mean(logits_data.argmax(axis=-1) == np.asarray(labels), axis=-1)
-
-
-def query_loss(model: MetaModel, inputs: np.ndarray, labels: np.ndarray, w: Tensor,
-               sum_convention: bool = False, features: Optional[Tensor] = None) -> Tensor:
-    """Loss of task weights ``w`` on labeled points, one value per episode
-    (and per draw): MSE for the toy head, cross entropy for classification.
-
-    ``inputs`` (..., n, d_x) and ``labels`` (..., n) broadcast against the
-    leading axes of ``w``; ``features`` replaces the feature map's output.
-    """
-    if model.mode == "toy":
-        return dc.linear_squared_error(w, None, inputs[..., 0], labels, not sum_convention)
-    feats = apply_features(model, inputs) if features is None else features
-    logits = dc.cosine_logits(feats, w, model.params["classifier_scale"])
-    return dc.softmax_cross_entropy(logits, labels)
-
-
 # -- per-task objective ---------------------------------------------------------
 
 
 def data_term(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
-              eps: Optional[np.ndarray] = None, features: Optional[Tensor] = None) -> Tensor:
+              eps: Optional[np.ndarray] = None) -> Tensor:
     """Monte-Carlo expected query loss under the variational posterior, one
-    value per episode.
+    value per episode: the head's data term.
 
     MSE for the toy head, cross entropy for classification; per-point mean,
     matching the likelihood convention used throughout (the toy head's sum
     under ``sum_convention``). ``eps`` holds the draws, (M, *theta.shape);
-    ``None`` evaluates at theta. The toy term is one node with the draws
-    inside it.
+    ``None`` evaluates at theta.
     """
     posterior = Posterior(cfg)
     eps = eps if posterior.objective_draws else None
-    if model.mode == "toy":
-        return dc.linear_squared_error(theta, posterior.offsets(eps),
-                                       episodes.query_inputs[..., 0], episodes.query_labels,
-                                       not cfg.sum_convention)
-    loss = query_loss(model, episodes.query_inputs, episodes.query_labels,
-                      posterior.draw(theta, eps), features=features)
-    return _mean_over_draws(loss, eps)
+    return model.head.data_term(episodes, theta, posterior, eps, cfg.sum_convention)
 
 
 def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
                pull_weight: float = 1.0) -> Tensor:
     """The posterior's divergence at theta from the learnable prior, one value
     per episode; ``pull_weight`` of its cotangent reaches theta."""
-    return Posterior(cfg).divergence(flat_weights(theta, model), prior_dist(model), pull_weight)
+    return Posterior(cfg).divergence(model.head.flat(theta), prior_dist(model), pull_weight)
 
 
 def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
@@ -316,11 +221,11 @@ def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLo
     if inputs is None or inputs.shape[-2] == 0:
         raise ValueError("maml_inner requires a non-empty support set")
     theta_data = theta0.data.copy()
-    sup_feats = None if model.mode == "toy" else dc.detach(apply_features(model, inputs))
-    for k, eps in enumerate(_step_noise(episodes, cfg, model.theta_shape())):
+    features, _ = model.head.inner_inputs(inputs)
+    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
         leaf = dc.param(theta_data.copy())
-        loss = _mean_over_draws(query_loss(model, inputs, labels, Posterior(cfg).draw(leaf, eps),
-                                           features=sup_feats), eps)
+        w = Posterior(cfg).draw(leaf, eps)
+        loss = mean_over_draws(model.head.query_loss(inputs, labels, w, features), eps)
         (g,) = dc.grad(loss.sum(), [leaf], allow_unused=True)
         theta_data = theta_data - cfg.eta_inner * g
         if not np.all(np.isfinite(theta_data)):
@@ -370,8 +275,6 @@ def ssl_init(model: MetaModel, episodes: Episode, cfg: InnerLoopConfig) -> Tenso
     with respect to the global initialization); one stacked step per episode
     from the shared initialization.
     """
-    if model.mode != "fewshot":
-        raise ValueError("ssl initialization applies to classification mode only")
     feats = dc.detach(apply_features(model, episodes.query_inputs)).data
     per_episode = [orthogonal_transform_labeler(f) for f in feats]
     aug = np.stack([a for a, _ in per_episode])

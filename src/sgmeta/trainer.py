@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior, kl_diag_gaussian
+from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR
 from .models import (
+    HEADS,
     MetaModel,
     apply_features,
     build_fewshot_model,
@@ -40,11 +41,8 @@ from .models import (
 from .sibcore import (
     InnerLoopConfig,
     InnerLoopError,
-    accuracy_value,
     forward_chunks,
-    prior_dist,
     prior_term,
-    query_loss,
     sib_unroll,
     ssl_init,
     task_objective,
@@ -69,13 +67,10 @@ from .tasks import (
     derive_task_seed,
     gen_fewshot_episode,
     gen_spinning_lines,
-    true_posterior,
-    true_prior,
 )
 
 METRICS_HEADER = "step,split,metric,value,ci95"
 
-MODES = ("toy", "fewshot")
 SECTIONS = ("inner", "toy", "fewshot")
 
 
@@ -94,7 +89,7 @@ _UNIT_INTERVAL = (lambda v: is_real(v) and 0 <= v < 1, "a number in [0, 1)")
 
 # rules for the scalar fields of RunConfig; the sections check their own
 _FIELD_RULES = {
-    "mode": one_of(*MODES),
+    "mode": one_of(*HEADS),
     "run_seed": INT,
     "optimizer": one_of("adam", "sgd"),
     "learning_rate": real_at_least(0),
@@ -337,11 +332,10 @@ class EvalReport:
     n_episodes: int
     degenerate: bool
     per_episode: dict
+    primary: str  # the head's primary metric
 
     def primary_metric(self) -> tuple:
-        if self.row.query_accuracy is not None:
-            return "query_accuracy", self.row.query_accuracy, self.ci95.get("query_accuracy", 0.0)
-        return "query_mse", self.row.query_mse, self.ci95.get("query_mse", 0.0)
+        return self.primary, getattr(self.row, self.primary), self.ci95.get(self.primary, 0.0)
 
 
 def metric_records(row: MetricsRow, ci95: Optional[dict] = None):
@@ -443,25 +437,14 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         raise ValueError("evaluate requires at least one episode")
     inner = cfg.inner if inner is None else inner
     per = {}
-
-    def push(name, values):
-        per.setdefault(name, []).extend(float(v) for v in values)
-
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
     for _, chunk in forward_chunks(episodes):
         theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
-        inputs, labels = chunk.query_inputs, chunk.query_labels
-        if model.mode == "toy":
-            push("query_mse", query_loss(frozen, inputs, labels, theta_k).data)
-            push("kl_to_true_posterior",
-                 Posterior(inner).divergence(theta_k, true_posterior(chunk, cfg.toy)).data)
-        else:
-            feats = apply_features(frozen, inputs)
-            logits = dc.cosine_logits(feats, theta_k, frozen.params["classifier_scale"])
-            push("query_loss", dc.softmax_cross_entropy(logits, labels).data)
-            push("query_accuracy", accuracy_value(logits.data, labels))
-        push("kl_to_prior", prior_term(theta_k, frozen, inner).data)
+        metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, inner)
+        metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
+        for name, values in metrics.items():
+            per.setdefault(name, []).extend(float(v) for v in values)
     for name, arr in model.clone_data().items():
         if not np.array_equal(arr, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")
@@ -476,12 +459,10 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
             ci95[k] = 1.96 * float(np.std(v, ddof=1)) / math.sqrt(len(v))
     if degenerate:
         warnings.warn("single-episode evaluation: confidence interval is degenerate")
-    row = MetricsRow(step=step, split=split, **{k: means.get(k) for k in (
-        "query_loss", "query_accuracy", "query_mse", "kl_to_prior", "kl_to_true_posterior")})
-    if model.mode == "toy":
-        row.prior_kl_to_true = kl_diag_gaussian(prior_dist(frozen), true_prior(cfg.toy)).item()
-    return EvalReport(row=row, ci95=ci95, n_episodes=len(episodes),
-                      degenerate=degenerate, per_episode={k: np.asarray(v) for k, v in per.items()})
+    row = MetricsRow(step=step, split=split, **means, **frozen.head.prior_metrics(cfg))
+    return EvalReport(row=row, ci95=ci95, n_episodes=len(episodes), degenerate=degenerate,
+                      per_episode={k: np.asarray(v) for k, v in per.items()},
+                      primary=frozen.head.primary)
 
 
 # -- training ------------------------------------------------------------------------
@@ -567,13 +548,8 @@ def train(cfg: RunConfig) -> TrainResult:
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
                 report = evaluate(model, cfg, split, eval_pool, step=step + 1)
                 records.extend(metric_records(report.row, report.ci95))
-                name, value, _ = report.primary_metric()
-                better = (
-                    best_metric is None
-                    or (name == "query_accuracy" and value > best_metric)
-                    or (name == "query_mse" and value < best_metric)
-                )
-                if better:
+                _, value, _ = report.primary_metric()
+                if best_metric is None or model.head.improves(value, best_metric):
                     best_metric = value
                     best_snapshot = model.clone_data()
                     best_step = step + 1

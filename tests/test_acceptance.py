@@ -21,8 +21,8 @@ from sgmeta.analysis import (
     vary_n_sweep,
 )
 from sgmeta.cli import main as cli_main
-from sgmeta.models import apply_features
-from sgmeta.sibcore import accuracy_value, maml_inner, sib_unroll
+from sgmeta.models import accuracy_value, apply_features
+from sgmeta.sibcore import maml_inner, sib_unroll
 from sgmeta.tasks import derive_task_seed, gen_spinning_lines
 from sgmeta.trainer import default_config, episodes_for, evaluate, make_theta0, train
 from ib_decomposition import ib_decomposition_check, random_instance

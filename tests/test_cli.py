@@ -504,6 +504,7 @@ def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, ca
 
 @pytest.mark.parametrize("command,setting,key", [
     ("train-toy", 'theta_init="proto"', "theta_init"),
+    ("train-toy", 'theta_init="ssl"', "theta_init"),
     ("train-toy", "total_steps=1", "total_steps"),
     ("train-toy", "fewshot.k=3", "fewshot"),
     ("train-fewshot", "fewshot.n_shot=0", "fewshot.n_shot"),

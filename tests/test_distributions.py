@@ -170,6 +170,41 @@ def test_draw_counts_and_bound(regime, at_mean, objective, expected):
     assert (post.inner_draws, post.objective_draws, post.has_bound) == expected
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "sgmeta"
+
+
+def _sites(tree, knobs, names):
+    """(top-level definition, line) of every attribute read of a knob and
+    every comparison against a knob or a name."""
+    for top in tree.body:
+        name = getattr(top, "name", None) or getattr(getattr(top, "targets", [None])[0], "id", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in knobs \
+                    and isinstance(node.ctx, ast.Load):
+                yield name, node.lineno
+            elif isinstance(node, ast.Compare):
+                named = {getattr(n, "id", getattr(n, "value", None))
+                         for n in [node.left, *node.comparators]}
+                if named & (names | knobs):
+                    yield name, node.lineno
+
+
+def vocabulary_sites(knobs, names, home, exempt):
+    """``file:line (definition)`` of each site of the vocabulary (``_sites``)
+    in a module of ``src/sgmeta`` other than ``home``, outside the
+    ``(module, top-level definition)`` pairs of ``exempt``; and each
+    exemption that has no site, so none outlives its reason."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != home:
+            tree = ast.parse(path.read_text())
+            sites |= {(path.stem, top, line) for top, line in _sites(tree, knobs, names)}
+    found = [f"{module}.py:{line} ({top})" for module, top, line in sorted(sites, key=str)
+             if (module, top) not in exempt]
+    unused = exempt - {(module, top) for module, top, _ in sites}
+    return found + [f"exempt {module}.{top} has none" for module, top in sorted(unused)]
+
+
 # Attribute reads of these knobs, and comparisons against them or a regime
 # name, are made in ``distributions`` only. The config field definitions, rule
 # rows, defaults and gradcheck's config set them (stores, keywords and dict
@@ -181,31 +216,8 @@ REGIME_NAMES = {"GAUSSIAN_FIXED_VAR", "DETERMINISTIC", "gaussian_fixed_var", "de
 EXEMPT = {("trainer", "config_from_dict")}
 
 
-def _regime_sites(tree):
-    """(top-level definition, line) of every read of a regime knob and every
-    comparison against a regime name."""
-    for top in tree.body:
-        name = getattr(top, "name", None) or getattr(getattr(top, "targets", [None])[0], "id", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in REGIME_KNOBS \
-                    and isinstance(node.ctx, ast.Load):
-                yield name, node.lineno
-            elif isinstance(node, ast.Compare):
-                named = {getattr(n, "id", getattr(n, "value", None))
-                         for n in [node.left, *node.comparators]}
-                if named & (REGIME_NAMES | REGIME_KNOBS):
-                    yield name, node.lineno
-
-
 def test_only_distributions_reads_the_posterior_regime():
-    src = Path(__file__).resolve().parents[1] / "src" / "sgmeta"
-    found = []
-    for path in sorted(src.glob("*.py")):
-        if path.stem == "distributions":
-            continue
-        for top, line in set(_regime_sites(ast.parse(path.read_text()))):
-            if (path.stem, top) not in EXEMPT:
-                found.append(f"{path.name}:{line} ({top})")
+    found = vocabulary_sites(REGIME_KNOBS, REGIME_NAMES, "distributions", EXEMPT)
     assert not found, "regime read outside distributions.py: " + ", ".join(found)
 
 

@@ -18,12 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sgmeta.sibcore as sibcore
 from sgmeta import diffcore as dc
 from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, grad, matmul, param
 from sgmeta.distributions import DiagGaussian, Posterior, kl_diag_gaussian
-from sgmeta.models import apply_features, build_fewshot_model, build_toy_model
+from sgmeta.models import (
+    CosineHead,
+    ToyHead,
+    apply_features,
+    build_fewshot_model,
+    build_toy_model,
+    mean_over_draws,
+)
 from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
@@ -179,7 +185,7 @@ def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
 
 
 def prior_term_chain(theta: Tensor, model, cfg) -> Tensor:
-    flat = sibcore.flat_weights(theta, model)
+    flat = model.head.flat(theta)
     if not Posterior(cfg).random:
         return dirac_prior_term(flat, prior_dist(model))
     q = DiagGaussian(flat, constant(np.full(flat.shape, cfg.q_log_var)))
@@ -200,7 +206,7 @@ def data_term_chain(episodes, theta: Tensor, model, cfg, eps) -> Tensor:
     eps = eps if posterior.objective_draws else None
     loss = query_loss_chain(model, episodes.query_inputs, episodes.query_labels,
                             posterior.draw(theta, eps), cfg.sum_convention)
-    return sibcore._mean_over_draws(loss, eps)
+    return mean_over_draws(loss, eps)
 
 
 def task_objective_chain(episodes, theta: Tensor, model, cfg, kl_weight: float) -> Tensor:
@@ -231,19 +237,16 @@ def linear_sg_chain(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
     return tmean(gx, axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
 
 
-def toy_direction_chain(theta, x, model, cfg, eps=None):
-    """``sibcore.toy_direction`` built from the chain."""
-    contrib = linear_sg_chain(Posterior(cfg).draw(theta, eps), x, model.sg_layers(),
-                              not cfg.sum_convention)
-    return sibcore._mean_over_draws(contrib, eps)
+def toy_direction_chain(head, w, x, _, sum_convention):
+    """``ToyHead.direction`` built from the chain."""
+    return linear_sg_chain(w, x, head.model.sg_layers(), not sum_convention)
 
 
-def fewshot_direction_chain(theta, features, feature_norms, model, cfg, eps=None):
-    """``sibcore.fewshot_direction`` built from the chain."""
-    seed_scale = 1.0 if cfg.sum_convention else 1.0 / features.shape[-2]
-    contrib = cosine_sg_chain(features, Posterior(cfg).draw(theta, eps),
-                              model.params["classifier_scale"], model.sg_layers(), seed_scale)
-    return sibcore._mean_over_draws(contrib, eps)
+def cosine_direction_chain(head, w, features, feature_norms, sum_convention):
+    """``CosineHead.direction`` built from the chain."""
+    seed_scale = 1.0 if sum_convention else 1.0 / features.shape[-2]
+    return cosine_sg_chain(features, w, head.model.params["classifier_scale"],
+                           head.model.sg_layers(), seed_scale)
 
 
 # -- comparison ------------------------------------------------------------------
@@ -482,8 +485,8 @@ def test_training_is_bytewise_the_chain_of_fused_nodes(tmp_path, monkeypatch, ru
         return {f: (out / f).read_bytes() for f in ("metrics.csv", "checkpoint.json")}
 
     fused = outputs("fused")
-    monkeypatch.setattr(sibcore, "toy_direction", toy_direction_chain)
-    monkeypatch.setattr(sibcore, "fewshot_direction", fewshot_direction_chain)
+    monkeypatch.setattr(ToyHead, "direction", toy_direction_chain)
+    monkeypatch.setattr(CosineHead, "direction", cosine_direction_chain)
     assert outputs("chain") == fused
 
 
@@ -506,7 +509,7 @@ def objective_case(head, regime, sum_convention, draws, batch):
         episodes = gen_fewshot_episode(task, "train", seeds)
     for name in ("psi_mean", "psi_log_var"):
         model.params[name].data = rng.normal(size=model.params[name].shape) * 0.5
-    theta = param(rng.normal(size=(batch,) + model.theta_shape()))
+    theta = param(rng.normal(size=(batch,) + model.head.theta_shape))
     cfg = InnerLoopConfig(posterior_regime=regime, q_log_var=-3.0, sum_convention=sum_convention,
                           objective_mc_samples=draws)
     leaves = [theta] + [t for _, t in sorted(model.params.items()) if t.requires_grad]

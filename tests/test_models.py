@@ -20,6 +20,7 @@ from sgmeta.models import (
     model_from_payload,
 )
 from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines
+from test_distributions import vocabulary_sites
 from test_fused import tmean
 
 
@@ -335,3 +336,17 @@ def test_classifier_scale_must_be_positive():
     model.params["classifier_scale"].data = np.array(-1.0)
     with pytest.raises(ValueError):
         MetaModel("fewshot", 2, 2, 2, model.params)
+
+
+# The mode is read, and compared with a mode name, only where a command
+# chooses it (``cli``), where a config is defaulted and checked, where the
+# model is built and a checkpoint rebuilt, and where the episodes are
+# generated. Everything else asks the model's task head.
+MODE_EXEMPT = {("trainer", name) for name in (
+    "RunConfig", "default_config", "config_from_dict", "model_geometry", "build_model",
+    "episodes_for", "episode_pool", "train")} | {("models", "model_from_payload")}
+
+
+def test_only_config_data_and_checkpoints_read_the_mode():
+    found = vocabulary_sites({"mode"}, {"toy", "fewshot"}, "cli", MODE_EXEMPT)
+    assert not found, "mode read outside its exemptions: " + ", ".join(found)

@@ -27,7 +27,6 @@ from sgmeta.sibcore import (
     _noise,
     _ssl_projection,
     data_term,
-    inner_inputs,
     maml_inner,
     orthogonal_transform_labeler,
     prior_term,
@@ -86,7 +85,7 @@ def test_zero_net_and_no_kl_is_identity():
     model = build_toy_model(seed=4)  # final xi layer is zero-initialized
     theta = constant([0.7])
     x = constant([1.0, -2.0, 0.5])
-    out = sib_step(theta, x, model, det_cfg())
+    out = sib_step(theta, (x, None), model, det_cfg())
     np.testing.assert_array_equal(out.data, theta.data)
 
 
@@ -94,14 +93,14 @@ def test_hand_checked_toy_step():
     # x=(1,2), theta=0.5, eta=1e-3, constant unit synthetic gradient:
     # theta' = 0.5 - 1e-3 * (1/2) * (1*1 + 1*2) = 0.4985
     model = stub_xi_model_toy(1.0)
-    out = sib_step(constant([0.5]), constant([1.0, 2.0]), model, det_cfg(eta_inner=1e-3))
+    out = sib_step(constant([0.5]), (constant([1.0, 2.0]), None), model, det_cfg(eta_inner=1e-3))
     assert out.data[0] == pytest.approx(0.4985, abs=1e-15)
 
 
 def test_hand_checked_toy_step_sum_convention():
     # Legacy form without the 1/n factor: theta' = 0.5 - 1e-3 * 3 = 0.497
     model = stub_xi_model_toy(1.0)
-    out = sib_step(constant([0.5]), constant([1.0, 2.0]), model,
+    out = sib_step(constant([0.5]), (constant([1.0, 2.0]), None), model,
                    det_cfg(eta_inner=1e-3, sum_convention=True))
     assert out.data[0] == pytest.approx(0.497, abs=1e-15)
 
@@ -120,10 +119,10 @@ def test_unroll_equals_manual_composition():
     ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(1, "train", 3)])
     cfg = det_cfg(steps=3)
     theta_k, _ = sib_unroll(constant([[0.2]]), ep, model, cfg)
-    x = inner_inputs(model, ep)
+    inputs = model.head.inner_inputs(ep.query_inputs)
     theta = constant([[0.2]])
     for k in range(3):
-        theta = sib_step(theta, x, model, cfg, step_index=k)
+        theta = sib_step(theta, inputs, model, cfg, step_index=k)
     np.testing.assert_array_equal(theta_k.data, theta.data)
 
 
@@ -209,7 +208,7 @@ def test_toy_direction_matches_naive_loop():
         model.params[name].data[:] = rng.normal(size=model.params[name].shape)
     x = rng.normal(size=6)
     theta = 0.4
-    out = sib_step(constant([theta]), constant(x), model, det_cfg(eta_inner=1.0))
+    out = sib_step(constant([theta]), (constant(x), None), model, det_cfg(eta_inner=1.0))
     # naive: per-example synthetic outputs times x_i, averaged
     g = np.array([
         mlp_composite(constant([[theta * xi]]), model.sg_layers()).data[0, 0] for xi in x
