@@ -697,24 +697,6 @@ def backward(out: Tensor) -> None:
             node._backward_fn(node.grad)
 
 
-def grad(out: Tensor, wrt, allow_unused: bool = False):
-    """Run backward and return gradients for ``wrt`` in order.
-
-    Tensors unreachable from ``out`` (e.g. cut off by detach) raise unless
-    ``allow_unused`` is set, in which case they yield zeros.
-    """
-    backward(out)
-    grads = []
-    for t in wrt:
-        if t.grad is None:
-            if not allow_unused:
-                raise GraphError("tensor not part of the graph rooted at the output")
-            grads.append(np.zeros_like(t.data))
-        else:
-            grads.append(t.grad)
-    return grads
-
-
 def zero_grad(tensors) -> None:
     for t in tensors:
         t.grad = None
@@ -758,8 +740,9 @@ def check_gradients(f, params, h: float = 1e-5, tol: float = 1e-6):
     raises AssertionError when any exceeds ``tol``.
     """
     zero_grad(params)
-    out = f()
-    ad = grad(out, params, allow_unused=True)
+    backward(f())
+    # a param the output does not reach has no .grad: its gradient is zero
+    ad = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     fd = fd_gradient(f, params, h=h)
     errors = []
     for a, b in zip(ad, fd):

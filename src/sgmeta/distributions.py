@@ -11,7 +11,10 @@ q(θ | query set) has one of two regimes (``InnerLoopConfig.posterior_regime``):
   KL is replaced by the point-mass term (the cross term to the target plus
   its log-variance, dropping the divergent constant).
 
-Either divergence is one node, ``diffcore.prior_divergence``.
+Either divergence is one node, ``diffcore.prior_divergence``. Its gradient
+in the posterior mean, which the inner loop adds under ``kl_in_inner``, is
+the same in both regimes; ``sibcore.sib_step`` builds it directly with
+``diffcore.prior_pull``.
 
 ``Posterior`` alone reads the regime and the knobs only the Gaussian regime
 uses (``q_log_var``, ``mc_samples``, ``objective_mc_samples``, ``inner_eval_at_mean``).
@@ -60,18 +63,6 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
     diff = q.mean - p.mean
     quad = (dc.exp(q.log_var) + dc.square(diff)) * inv_vp
     return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
-
-
-def kl_grad_wrt_mean(q_mean: Tensor, p: DiagGaussian) -> Tensor:
-    """Closed-form d KL(q || p) / d q.mean = (mq - mp) / vp.
-
-    One graph node (``diffcore.prior_pull``), so the expression itself stays
-    differentiable (w.r.t. the mean and the prior's parameters) without any
-    gradient-of-gradient machinery. The same formula is exact for both
-    variational regimes since the posterior variance does not enter.
-    """
-    _check_last_axis("kl_grad_wrt_mean", q_mean, p.mean)
-    return dc.prior_pull(q_mean, p.mean, p.log_var)
 
 
 class Posterior:

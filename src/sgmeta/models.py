@@ -167,6 +167,13 @@ def accuracy_value(logits_data: np.ndarray, labels):
     return np.mean(logits_data.argmax(axis=-1) == np.asarray(labels), axis=-1)
 
 
+def cross_entropy_seed(logits: Tensor, labels) -> Tensor:
+    """The mean cross entropy's gradient in (..., n, k) logits of integer
+    label arrays (..., n): (softmax(logits) - onehot(labels)) / n."""
+    one_hot = (labels[..., None] == np.arange(logits.shape[-1])).astype(np.float64)
+    return dc.scale(dc.softmax(logits) - dc.constant(one_hot), 1.0 / logits.shape[-2])
+
+
 def mean_over_draws(values: Tensor, eps: Optional[np.ndarray]) -> Tensor:
     """The mean over the leading axis of weight draws ``eps``; ``None``: no draws."""
     if eps is None:
@@ -199,9 +206,15 @@ class ToyHead:
         surrogate's gradient in w."""
         return dc.linear_sg_direction(w, x, self.model.sg_layers(), mean=not sum_convention)
 
-    def query_loss(self, inputs: np.ndarray, labels, w: Tensor, features=None) -> Tensor:
+    def query_loss(self, inputs: np.ndarray, labels, w: Tensor) -> Tensor:
         """The per-point mean squared error."""
         return dc.linear_squared_error(w, None, inputs[..., 0], labels, True)
+
+    def loss_gradient(self, w: Tensor, x: Tensor, labels) -> Tensor:
+        """``query_loss``' gradient in w at inner inputs ``x``: the mean of
+        2 (w x_i - y_i) x_i, under ``sum_convention`` too, as the loss is."""
+        r = w.data * x.data - labels
+        return dc.constant((2.0 * r * x.data).mean(axis=-1, keepdims=True))
 
     def data_term(self, episodes, theta: Tensor, posterior, eps, sum_convention: bool) -> Tensor:
         """One node with the draws' offsets inside it."""
@@ -250,13 +263,19 @@ class CosineHead:
         return dc.cosine_sg_direction(features, w, self.model.params["classifier_scale"],
                                       self.model.sg_layers(), seed_scale, norms)
 
-    def logits(self, inputs: np.ndarray, w: Tensor, features=None) -> Tensor:
-        features = apply_features(self.model, inputs) if features is None else features
-        return dc.cosine_logits(features, w, self.model.params["classifier_scale"])
+    def logits(self, inputs: np.ndarray, w: Tensor) -> Tensor:
+        return dc.cosine_logits(apply_features(self.model, inputs), w,
+                                self.model.params["classifier_scale"])
 
-    def query_loss(self, inputs: np.ndarray, labels, w: Tensor, features=None) -> Tensor:
-        """``features``, if given, are ``inner_inputs``' of ``inputs``."""
-        return dc.softmax_cross_entropy(self.logits(inputs, w, features), labels)
+    def query_loss(self, inputs: np.ndarray, labels, w: Tensor) -> Tensor:
+        return dc.softmax_cross_entropy(self.logits(inputs, w), labels)
+
+    def loss_gradient(self, w: Tensor, features: Tensor, labels) -> Tensor:
+        """``query_loss``' gradient in w at the inner inputs' ``features``:
+        the cross-entropy seed pushed through the cosine head."""
+        scale = self.model.params["classifier_scale"]
+        seed = cross_entropy_seed(dc.cosine_logits(features, w, scale), labels)
+        return dc.cosine_vjp(features, w, scale, seed)
 
     def data_term(self, episodes, theta: Tensor, posterior, eps, sum_convention: bool) -> Tensor:
         loss = self.query_loss(episodes.query_inputs, episodes.query_labels,

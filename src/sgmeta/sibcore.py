@@ -3,9 +3,9 @@
 The inner update descends on the query inputs only: a synthetic-gradient
 network maps predictions to a surrogate for the unavailable loss gradient,
 and the update direction is the exact vector-Jacobian product of the
-predictions with that surrogate (conceptually, the gradient of the scalar
-``(1/n) sum_i <stop_grad(net(y_hat_i)), y_hat_i>`` with respect to the task
-weights). The direction is a closed-form graph expression, one fused node
+predictions with that surrogate (conceptually, the gradient in the task
+weights of ``(1/n) sum_i <net(y_hat_i), y_hat_i>`` with net's output held
+constant). The direction is a closed-form graph expression, one fused node
 per step (``prior_pull`` adds the KL's pull when it is in the inner loop),
 so the whole K-step unroll is one first-order forward graph: the outer
 objective differentiates through it with respect to the initialization, the
@@ -20,9 +20,13 @@ Neither the mode nor the posterior regime is read here. The model's task
 head (``models.ToyHead`` or ``CosineHead``) answers the mode's questions:
 the weight shape and flattening, the inner inputs and their per-unroll
 constant (the cosine head's feature row norms), the direction at drawn
-weights, the query loss and data term, and the baseline's support features.
-``distributions.Posterior`` answers the regime's: how many weights are
-drawn, the draw itself and the KL to the prior.
+weights, the query loss and data term, and the query loss's closed-form
+gradient. ``distributions.Posterior`` answers the regime's: how many weights
+are drawn, the draw itself and the KL to the prior.
+
+The inductive baseline, ``maml_inner``, steps down the head's closed-form
+support-loss gradient (``loss_gradient``) on a frozen copy of the model, with
+no tape; the cosine head's shares ``models.cross_entropy_seed`` with ``ssl_init``.
 
 Every function here that takes episodes takes a batch of them
 (``tasks.Episode``, fields stacked on a leading episode axis: query inputs
@@ -43,8 +47,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior, kl_grad_wrt_mean
-from .models import MetaModel, apply_features, mean_over_draws, prior_dist
+from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior
+from .models import (MetaModel, apply_features, cross_entropy_seed, frozen_copy, mean_over_draws,
+                     prior_dist)
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import Episode, _stream
 
@@ -125,7 +130,9 @@ def sib_step(theta: Tensor, inputs, model: MetaModel, cfg: InnerLoopConfig, eps=
     contrib = model.head.direction(Posterior(cfg).draw(theta, eps), *inputs, cfg.sum_convention)
     direction = mean_over_draws(contrib, eps)
     if cfg.kl_in_inner:
-        kl_dir = kl_grad_wrt_mean(model.head.flat(theta), prior_dist(model))
+        # the KL's gradient in theta: exact in both regimes, as q's variance does not enter
+        prior = prior_dist(model)
+        kl_dir = dc.prior_pull(model.head.flat(theta), prior.mean, prior.log_var)
         direction = direction + kl_dir.reshape(theta.shape)
     theta_next = theta - dc.scale(direction, cfg.eta_inner)
     if not np.all(np.isfinite(theta_next.data)):
@@ -209,28 +216,26 @@ def objective_noise(theta: Tensor, episodes: Episode, cfg: InnerLoopConfig) -> O
 
 
 def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig) -> Tensor:
-    """Gradient ascent on the support log-likelihood (evaluation baseline).
+    """Gradient descent on the support loss (evaluation baseline).
 
-    Uses true support labels only; each step differentiates the support
-    loss at the current iterates numerically, so the result is a constant
-    with respect to the meta-parameters. Episodes share no parameters, so the
-    gradient of the summed loss is each episode's own gradient. Weights are
-    drawn per step as in ``sib_unroll``.
+    Uses true support labels only. Each step is the head's closed-form
+    support-loss gradient (``loss_gradient``) at the current iterate,
+    averaged over weights drawn per step as in ``sib_unroll``. It runs on a
+    frozen copy of the model, so it builds no tape and the result is a
+    constant with respect to the meta-parameters.
     """
     inputs, labels = episodes.support_inputs, episodes.support_labels
     if inputs is None or inputs.shape[-2] == 0:
         raise ValueError("maml_inner requires a non-empty support set")
-    theta_data = theta0.data.copy()
-    features, _ = model.head.inner_inputs(inputs)
-    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
-        leaf = dc.param(theta_data.copy())
-        w = Posterior(cfg).draw(leaf, eps)
-        loss = mean_over_draws(model.head.query_loss(inputs, labels, w, features), eps)
-        (g,) = dc.grad(loss.sum(), [leaf], allow_unused=True)
-        theta_data = theta_data - cfg.eta_inner * g
-        if not np.all(np.isfinite(theta_data)):
+    head, posterior = frozen_copy(model).head, Posterior(cfg)
+    features, _ = head.inner_inputs(inputs)
+    theta = dc.constant(theta0.data.copy())
+    for k, eps in enumerate(_step_noise(episodes, cfg, head.theta_shape)):
+        gradient = head.loss_gradient(posterior.draw(theta, eps), features, labels)
+        theta = theta - dc.scale(mean_over_draws(gradient, eps), cfg.eta_inner)
+        if not np.all(np.isfinite(theta.data)):
             raise InnerLoopError("non-finite inductive update", k)
-    return dc.constant(theta_data)
+    return theta
 
 
 # -- self-supervised initialization -------------------------------------------------
@@ -283,9 +288,8 @@ def ssl_init(model: MetaModel, episodes: Episode, cfg: InnerLoopConfig) -> Tenso
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)
     proj = _ssl_projection(model.k)
-    probs = dc.softmax(dc.matmul(dc.cosine_logits(aug_t, theta, scale), dc.constant(proj)))
-    one_hot = (ssl_labels[..., None] == np.arange(4)).astype(np.float64)
-    ce_grad = dc.scale(probs - dc.constant(one_hot), 1.0 / ssl_labels.shape[-1])
-    seed = dc.matmul(ce_grad, dc.constant(proj.T.copy()))  # (..., 4n, k)
+    transform_logits = dc.matmul(dc.cosine_logits(aug_t, theta, scale), dc.constant(proj))
+    seed = dc.matmul(cross_entropy_seed(transform_logits, ssl_labels),
+                     dc.constant(proj.T.copy()))  # (..., 4n, k)
     direction = dc.cosine_vjp(aug_t, theta, scale, seed)
     return theta - dc.scale(direction, cfg.eta_inner)

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from sgmeta import diffcore as dc
 from sgmeta.analysis import (
     gen_gap,
     spearman_rank_correlation,
@@ -21,7 +20,6 @@ from sgmeta.analysis import (
     vary_n_sweep,
 )
 from sgmeta.cli import main as cli_main
-from sgmeta.models import accuracy_value, apply_features
 from sgmeta.sibcore import maml_inner, sib_unroll
 from sgmeta.tasks import derive_task_seed, gen_spinning_lines
 from sgmeta.trainer import default_config, episodes_for, evaluate, make_theta0, train
@@ -173,9 +171,8 @@ def test_criterion_7_inductive_variant_report(fewshot_run):
     model = result.model
     episodes = episodes_for(cfg, "test", range(500))
     theta_k = maml_inner(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
-    feats = apply_features(model, episodes.query_inputs)
-    logits = dc.cosine_logits(feats, theta_k, model.params["classifier_scale"])
-    acc_inductive = float(np.mean(accuracy_value(logits.data, episodes.query_labels)))
+    metrics = model.head.episode_metrics(episodes, theta_k, cfg, cfg.inner)
+    acc_inductive = float(np.mean(metrics["query_accuracy"]))
     acc0 = getattr(test_criterion_6_adaptation_gain, "acc0", None)
     delta6 = getattr(test_criterion_6_adaptation_gain, "delta", None)
     assert np.isfinite(acc_inductive)

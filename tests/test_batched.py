@@ -18,7 +18,7 @@ import sgmeta.analysis as analysis
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
 from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
-from sgmeta.distributions import DiagGaussian, kl_diag_gaussian, kl_grad_wrt_mean
+from sgmeta.distributions import DiagGaussian, kl_diag_gaussian
 from sgmeta.models import apply_features
 from sgmeta.sibcore import (
     DETERMINISTIC,
@@ -100,7 +100,8 @@ def ref_unroll(theta0, ep, model, cfg):
             eps_list = [None]
         direction = ref_direction(theta, x, model, cfg, eps_list)
         if cfg.kl_in_inner:
-            kl_dir = kl_grad_wrt_mean(theta.reshape(theta.size), prior_dist(model))
+            prior = prior_dist(model)
+            kl_dir = dc.prior_pull(theta.reshape(theta.size), prior.mean, prior.log_var)
             direction = direction + kl_dir.reshape(theta.shape)
         theta = theta - dc.scale(direction, cfg.eta_inner)
     return theta

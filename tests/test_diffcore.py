@@ -19,7 +19,6 @@ from sgmeta.diffcore import (
     constant,
     detach,
     fd_gradient,
-    grad,
     matmul,
     param,
     softmax,
@@ -96,9 +95,9 @@ def test_broadcast_add_bias_gradient():
     def loss():
         return (w + bias).sum()
 
-    g_w, g_b = grad(loss(), [w, bias])
-    np.testing.assert_array_equal(g_w, np.ones((5, 3)))
-    np.testing.assert_array_equal(g_b, np.full(3, 5.0))
+    backward(loss())
+    np.testing.assert_array_equal(w.grad, np.ones((5, 3)))
+    np.testing.assert_array_equal(bias.grad, np.full(3, 5.0))
 
 
 def test_detach_cuts_one_branch_of_product():
@@ -119,20 +118,9 @@ def test_backward_rejects_non_scalar():
         backward(x * 2.0)
 
 
-def test_grad_outside_graph_errors_unless_allowed():
-    x = param(1.0)
-    y = param(1.0)
-    out = dc.square(x)
-    with pytest.raises(GraphError):
-        grad(out, [y])
-    zero_grad([x, y])
-    g = grad(dc.square(x), [y], allow_unused=True)
-    np.testing.assert_array_equal(g[0], 0.0)
-
-
 def differentiable_ops() -> dict:
     """The public differentiable ops of diffcore, by the name a case uses."""
-    not_ops = {"constant", "param", "detach", "row_norms", "backward", "grad", "zero_grad",
+    not_ops = {"constant", "param", "detach", "row_norms", "backward", "zero_grad",
                "fd_gradient", "check_gradients"}
     spelled = {"tsum": "sum"}
     return {spelled.get(name, name): name for name, f in vars(dc).items()
@@ -214,10 +202,12 @@ def test_linear_is_bitwise_matmul_plus_bias():
     weights = constant(rng.normal(size=(7, 3)))
     x, w, bias = params
     fused = relu_mlp(x, [(w, bias)])
-    fused_grads = [g.copy() for g in grad((dc.square(fused) * weights).sum(), params)]
+    backward((dc.square(fused) * weights).sum())
+    fused_grads = [p.grad for p in params]
     zero_grad(params)
     composite = matmul(x, w) + bias
-    composite_grads = grad((dc.square(composite) * weights).sum(), params)
+    backward((dc.square(composite) * weights).sum())
+    composite_grads = [p.grad for p in params]
     np.testing.assert_array_equal(fused.data, composite.data)
     for g_fused, g_composite in zip(fused_grads, composite_grads):
         np.testing.assert_array_equal(g_fused, g_composite)
@@ -308,8 +298,8 @@ def test_backward_is_bitwise_deterministic():
     def run():
         a, b, c = (param(data[k].copy()) for k in "abc")
         h = tanh(matmul(a, b)) + c
-        loss = tmean(dc.square(h)) + softmax(h).sum()
-        return grad(loss, [a, b, c])
+        backward(tmean(dc.square(h)) + softmax(h).sum())
+        return [a.grad, b.grad, c.grad]
 
     first = run()
     second = run()
@@ -334,7 +324,8 @@ def test_detach_blocks_gradients_in_random_graphs(seed, depth):
         live = ops[int(rng.integers(len(ops)))](live)
     loss = (blocked * detach(live)).sum() + dc.scale(live.sum(), 1e-3)
     zero_grad([x])
-    g_with = grad(loss, [x], allow_unused=True)[0].copy()
+    backward(loss)
+    g_with = x.grad
 
     # Reference: gradient of the live path alone.
     zero_grad([x])
@@ -344,7 +335,8 @@ def test_detach_blocks_gradients_in_random_graphs(seed, depth):
     for i in range(depth):
         rng2.integers(len(ops))
         live2 = ops[int(rng2.integers(len(ops)))](live2)
-    g_ref = grad(dc.scale(live2.sum(), 1e-3), [x])[0]
+    backward(dc.scale(live2.sum(), 1e-3))
+    g_ref = x.grad
     np.testing.assert_allclose(g_with, g_ref, rtol=0, atol=0)
 
 

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta import diffcore as dc
-from sgmeta.diffcore import ShapeError, Tensor, check_gradients, grad, param, zero_grad
+from sgmeta.diffcore import ShapeError, Tensor, backward, check_gradients, param, zero_grad
 from sgmeta.distributions import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     DiagGaussian,
     Posterior,
     kl_diag_gaussian,
-    kl_grad_wrt_mean,
 )
 from sgmeta.sibcore import InnerLoopConfig
 from test_fused import dirac_prior_term
@@ -74,8 +73,8 @@ def test_draw_jacobian_in_theta_is_identity():
         w = posterior(q_log_var=0.1).draw(mean, np.array([0.5, -1.5]))
         expected = np.zeros(2)
         expected[i] = 1.0
-        (g,) = grad((w * Tensor(expected)).sum(), [mean])
-        np.testing.assert_allclose(g, expected, atol=0)
+        backward((w * Tensor(expected)).sum())
+        np.testing.assert_allclose(mean.grad, expected, atol=0)
 
 
 def test_draw_moments_match():
@@ -253,9 +252,9 @@ def test_kl_grad_closed_form_matches_autodiff():
     mean = param(rng.normal(size=3))
     p = DiagGaussian(rng.normal(size=3), rng.normal(size=3))
     q = DiagGaussian(mean, Tensor(np.full(3, -2.0)))
-    (auto,) = grad(kl_diag_gaussian(q, p), [mean])
-    closed = kl_grad_wrt_mean(mean, p)
-    np.testing.assert_allclose(closed.data, auto, rtol=1e-12)
+    backward(kl_diag_gaussian(q, p))
+    closed = dc.prior_pull(mean, p.mean, p.log_var)
+    np.testing.assert_allclose(closed.data, mean.grad, rtol=1e-12)
 
 
 def test_expected_nll_converges_to_cross_entropy():
@@ -301,15 +300,12 @@ def test_dirac_prior_term_gradient_and_moment_matching():
     var50 = ((thetas[:50] - mu50) ** 2).mean(axis=0)
     p_mean.data[:] = mu50
     p_log_var.data[:] = np.log(var50)
-    g_mu, g_lv = grad(
-        sum(
-            (point_mass_term(Tensor(t), DiagGaussian(p_mean, p_log_var)) for t in thetas[:50]),
-            start=dc.constant(0.0),
-        ),
-        [p_mean, p_log_var],
-    )
-    np.testing.assert_allclose(g_mu, 0.0, atol=1e-10)
-    np.testing.assert_allclose(g_lv, 0.0, atol=1e-10)
+    backward(sum(
+        (point_mass_term(Tensor(t), DiagGaussian(p_mean, p_log_var)) for t in thetas[:50]),
+        start=dc.constant(0.0),
+    ))
+    np.testing.assert_allclose(p_mean.grad, 0.0, atol=1e-10)
+    np.testing.assert_allclose(p_log_var.grad, 0.0, atol=1e-10)
 
 
 def test_dimension_mismatch_errors():

@@ -1,5 +1,6 @@
 """Inner loop: hand-checked steps, VJP oracles, unrolled-gradient checks."""
 
+import dataclasses
 import json
 import math
 
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 
 from sgmeta import diffcore as dc
-from sgmeta.diffcore import Tensor, check_gradients, constant, grad, param, zero_grad
-from sgmeta.distributions import DiagGaussian, kl_diag_gaussian
+from sgmeta.diffcore import Tensor, backward, check_gradients, constant, param, zero_grad
+from sgmeta.distributions import DiagGaussian, Posterior, kl_diag_gaussian
 from sgmeta.models import (
     apply_features,
     build_fewshot_model,
     build_toy_model,
     init_theta0_global,
     init_theta0_proto,
+    mean_over_draws,
 )
 import sgmeta.sibcore as sibcore
 from sgmeta.cli import main
@@ -196,9 +198,9 @@ def test_cosine_vjp_matches_fd_of_seeded_logit_sum():
         return (constant(seed) * dc.cosine_logits(constant(feats), theta, scale)).sum()
 
     zero_grad([theta])
-    (auto,) = grad(f(), [theta])
+    backward(f())
     direction = dc.cosine_vjp(constant(feats), Tensor(theta.data), scale, constant(seed))
-    np.testing.assert_allclose(direction.data, auto, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(direction.data, theta.grad, rtol=1e-12, atol=1e-12)
 
 
 def test_toy_direction_matches_naive_loop():
@@ -272,13 +274,13 @@ def test_feature_detach_blocks_synthetic_path():
     cfg = det_cfg(steps=2, eta_inner=0.1)
     zero_grad(list(model.params.values()))
     theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
-    (g_adapt,) = grad(theta_k.sum(), [f_w], allow_unused=True)
-    np.testing.assert_array_equal(g_adapt, np.zeros_like(f_w.data))
+    backward(theta_k.sum())
+    assert f_w.grad is None
     # the feature map still learns, through the data term
     zero_grad(list(model.params.values()))
     theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
-    (g_data,) = grad(task_objective(ep, theta_k, model, cfg).sum(), [f_w])
-    assert np.abs(g_data).max() > 0
+    backward(task_objective(ep, theta_k, model, cfg).sum())
+    assert np.abs(f_w.grad).max() > 0
 
 
 def test_maml_inner_identity_cases():
@@ -327,6 +329,70 @@ def test_maml_inner_requires_support():
     ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(0, "train", 0)])
     with pytest.raises(ValueError):
         maml_inner(constant([[0.0]]), ep, model, det_cfg(steps=1))
+
+
+def tape_maml_inner(theta0, episodes, model, cfg):
+    """The inductive baseline as the tape differentiates it: at each step a
+    leaf at the current iterate, the support loss at its draws averaged over
+    them, and backward. The reference for ``maml_inner``'s closed form."""
+    inputs, labels = episodes.support_inputs, episodes.support_labels
+    theta = theta0.data.copy()
+    for eps in sibcore._step_noise(episodes, cfg, model.head.theta_shape):
+        leaf = param(theta.copy())
+        w = Posterior(cfg).draw(leaf, eps)
+        backward(mean_over_draws(model.head.query_loss(inputs, labels, w), eps).sum())
+        theta = theta - cfg.eta_inner * leaf.grad
+    return theta
+
+
+def inductive_case(init):
+    """A model, a batch of episodes with a support set and theta_0 of the
+    ``init`` kind ("proto", "global" or "toy"); every parameter requires grad,
+    the feature map's too."""
+    if init == "toy":
+        model = build_toy_model(seed=1)
+        ep = gen_spinning_lines(ToyConfig(n=6), [derive_task_seed(3, "train", i) for i in range(4)])
+        ep = dataclasses.replace(ep, support_inputs=ep.query_inputs,
+                                 support_labels=ep.query_labels)
+        return model, ep, model.params["lambda_global"] + constant(np.full((4, 1), 0.3))
+    model = build_fewshot_model(k=3, d_x=5, seed=4, train_f=True)
+    cfg_task = FewShotConfig(k=3, n_shot=2, n_query_per_class=2, d_x=5,
+                             class_pool={"train": 6, "val": 3, "test": 3})
+    ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(2, "train", i) for i in range(5)])
+    if init == "proto":
+        return model, ep, proto_theta0(model, ep)
+    lam = init_theta0_global(model)
+    return model, ep, lam + constant(np.zeros((len(ep),) + lam.shape))
+
+
+@pytest.mark.parametrize("regime", [DETERMINISTIC, GAUSSIAN_FIXED_VAR])
+@pytest.mark.parametrize("init", ["proto", "global", "toy"])
+def test_maml_inner_matches_the_tape_reference(init, regime):
+    """The closed-form support-loss gradient steps are the tape's to rounding."""
+    model, ep, theta0 = inductive_case(init)
+    cfg = InnerLoopConfig(steps=4, eta_inner=0.5, mc_samples=3, posterior_regime=regime)
+    out = maml_inner(theta0, ep, model, cfg).data
+    ref = tape_maml_inner(theta0, ep, model, cfg)
+    assert np.linalg.norm(ref - theta0.data) > 1e-2 * np.linalg.norm(theta0.data)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("init", ["proto", "toy"])
+def test_maml_inner_builds_no_tape(init, monkeypatch):
+    """Every node the baseline makes is a constant, although the model's
+    parameters and theta_0 require grad."""
+    model, ep, theta0 = inductive_case(init)
+    assert theta0.requires_grad and all(t.requires_grad for t in model.params.values())
+    made = []
+    make = dc._make
+
+    def recording_make(data, parents, backward_fn):
+        made.append(make(data, parents, backward_fn))
+        return made[-1]
+
+    monkeypatch.setattr(dc, "_make", recording_make)
+    maml_inner(theta0, ep, model, toy_cfg(steps=3, eta_inner=0.5, mc_samples=2))
+    assert made and not any(t.requires_grad for t in made)
 
 
 def test_cross_entropy_perfect_logits_vanish():
@@ -457,9 +523,8 @@ def test_lambda_receives_gradient_on_generic_episode():
     cfg = toy_cfg(steps=2, eta_inner=0.05)
     zero_grad(list(model.params.values()))
     theta_k, _ = sib_unroll(global_theta0(model), ep, model, cfg)
-    (g,) = grad(task_objective(ep, theta_k, model, cfg).sum(),
-                [model.params["lambda_global"]])
-    assert np.abs(g).max() > 0
+    backward(task_objective(ep, theta_k, model, cfg).sum())
+    assert np.abs(model.params["lambda_global"].grad).max() > 0
 
 
 # -- Monte-Carlo noise: one stream per episode ---------------------------------------
