@@ -72,9 +72,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __neg__(self):
-        return neg(self)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -175,13 +172,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), back)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python float (not a graph node)."""
     c = float(c)
@@ -225,22 +215,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 # -- nonlinearities -------------------------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def back(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), back)
-
-
-def square(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, g * 2.0 * a.data)
-
-    return _make(a.data * a.data, (a,), back)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -529,8 +503,9 @@ def prior_pull(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
 def prior_divergence(x: Tensor, mean: Tensor, log_var: Tensor, posterior_log_var=None,
                      pull_weight: float = 1.0) -> Tensor:
     """The divergence over the last axis of a posterior at ``x`` from the
-    Gaussian N(mean, v), v = exp(log_var). For a float ``posterior_log_var``
-    (u = its exp) it is the KL of N(x, u),
+    Gaussian N(mean, v), v = exp(log_var). For a ``posterior_log_var`` (u =
+    its exp), a float or a constant array that broadcasts against x, it is
+    the KL of N(x, u),
     0.5 * sum(log_var - posterior_log_var + (u + (x - mean)^2) / v - 1);
     for a point mass (``None``) the KL's limit with the divergent constant
     dropped, 0.5 * sum((x - mean)^2 / v + log_var). Operands broadcast.

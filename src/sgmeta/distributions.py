@@ -1,8 +1,7 @@
 """Diagonal Gaussians, and the posterior regime.
 
-All quantities are built from diffcore ops so they stay differentiable with
-respect to both distributions' parameters. Each task's variational posterior
-q(θ | query set) has one of two regimes (``InnerLoopConfig.posterior_regime``):
+Each task's variational posterior q(θ | query set) has one of two regimes
+(``InnerLoopConfig.posterior_regime``):
 
 * ``gaussian_fixed_var`` — the posterior's log-variance is frozen at
   ``q_log_var`` and only the mean is optimized; a draw perturbs the mean with
@@ -44,25 +43,6 @@ class DiagGaussian:
         self.log_var = log_var if isinstance(log_var, Tensor) else Tensor(log_var)
         if self.mean.shape != self.log_var.shape:
             raise dc.ShapeError("DiagGaussian", self.mean.shape, self.log_var.shape)
-
-
-def _check_last_axis(op: str, a: Tensor, b: Tensor) -> None:
-    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
-        raise dc.ShapeError(op, a.shape, b.shape)
-
-
-def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
-    """Exact KL(q || p) over the last axis; differentiable in both arguments'
-    parameters.
-
-    0.5 * sum( log(vp/vq) + (vq + (mq-mp)^2)/vp - 1 )
-    """
-    _check_last_axis("kl_diag_gaussian", q.mean, p.mean)
-    log_ratio = p.log_var - q.log_var
-    inv_vp = dc.exp(-p.log_var)
-    diff = q.mean - p.mean
-    quad = (dc.exp(q.log_var) + dc.square(diff)) * inv_vp
-    return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
 
 
 class Posterior:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .distributions import DiagGaussian, Posterior, kl_diag_gaussian
+from .distributions import DiagGaussian, Posterior
 from .rules import BOOL, check_fields, int_at_least, one_of
 from .tasks import true_posterior, true_prior
 
@@ -231,8 +231,9 @@ class ToyHead:
 
     def prior_metrics(self, cfg) -> dict:
         """The learned prior's KL to the true prior."""
-        truth = true_prior(cfg.toy)
-        return {"prior_kl_to_true": kl_diag_gaussian(prior_dist(self.model), truth).item()}
+        prior, truth = prior_dist(self.model), true_prior(cfg.toy)
+        kl = dc.prior_divergence(prior.mean, truth.mean, truth.log_var, prior.log_var.data)
+        return {"prior_kl_to_true": kl.item()}
 
 
 class CosineHead:

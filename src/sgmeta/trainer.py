@@ -75,8 +75,9 @@ SECTIONS = ("inner", "toy", "fewshot")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised on a non-finite loss or inner update; carries the last finite
-    state, the records so far and the number of completed steps."""
+    """Raised on a non-finite loss or inner update; carries the model with the
+    parameters from before the latest update, the records so far and the
+    number of updates those parameters had."""
 
     def __init__(self, message: str, model, records, step: int):
         super().__init__(message)
@@ -339,20 +340,14 @@ class EvalReport:
 
 
 def metric_records(row: MetricsRow, ci95: Optional[dict] = None):
-    """Expand a row into (step, split, metric, value, ci95) tuples."""
+    """Expand a row into (step, split, metric, value, ci95) tuples, one per
+    set metric in ``MetricsRow``'s field order."""
     ci95 = ci95 or {}
     records = []
-    for name in (
-        "query_loss",
-        "query_accuracy",
-        "query_mse",
-        "kl_to_prior",
-        "kl_to_true_posterior",
-        "prior_kl_to_true",
-    ):
-        value = getattr(row, name)
-        if value is not None:
-            records.append((row.step, row.split, name, value, ci95.get(name, 0.0)))
+    for f in dataclasses.fields(row):
+        value = getattr(row, f.name)
+        if f.name not in ("step", "split") and value is not None:
+            records.append((row.step, row.split, f.name, value, ci95.get(f.name, 0.0)))
     return records
 
 
@@ -502,9 +497,16 @@ def train(cfg: RunConfig) -> TrainResult:
     best_metric = None
     best_snapshot = None
     best_step = None
-    last_good = model.clone_data()
+    # the parameters before the latest update, and how many updates they had;
+    # the optimizers return new arrays, so holding references is enough
+    kept, kept_step = [t.data for t in trainables], 0
     order = None
     split = "test" if cfg.mode == "toy" else "val"
+
+    def diverged(message: str) -> TrainingDiverged:
+        for t, arr in zip(trainables, kept):
+            t.data = arr
+        return TrainingDiverged(message, model=model, records=records, step=kept_step)
 
     step = 0
     try:
@@ -525,9 +527,7 @@ def train(cfg: RunConfig) -> TrainResult:
             loss = dc.scale(losses.sum(), 1.0 / len(batch))
             loss_value = loss.item()
             if not math.isfinite(loss_value):
-                model.load_data(last_good)
-                raise TrainingDiverged(f"non-finite loss at step {step}",
-                                       model=model, records=records, step=step)
+                raise diverged(f"non-finite loss at step {step}")
             dc.backward(loss)
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in trainables]
             grads, _ = clip_global_norm(grads, cfg.grad_clip_norm)
@@ -538,10 +538,9 @@ def train(cfg: RunConfig) -> TrainResult:
                 )
             else:
                 new_params = sgd_step([t.data for t in trainables], grads, cfg.learning_rate)
+            kept, kept_step = [t.data for t in trainables], step
             for t, p in zip(trainables, new_params):
                 t.data = p
-
-            last_good = model.clone_data()
             records.append((step, "train", "query_loss", loss_value, 0.0))
 
             # the last step always evaluates; its report is the final one
@@ -554,9 +553,7 @@ def train(cfg: RunConfig) -> TrainResult:
                     best_snapshot = model.clone_data()
                     best_step = step + 1
     except InnerLoopError as exc:
-        model.load_data(last_good)
-        raise TrainingDiverged(f"{exc} at outer step {step}",
-                               model=model, records=records, step=step) from exc
+        raise diverged(f"{exc} at outer step {step}") from exc
     return TrainResult(
         model=model,
         records=records,

@@ -18,7 +18,7 @@ from sgmeta.analysis import (
     vary_n_sweep,
     write_report_csv,
 )
-from sgmeta.distributions import DiagGaussian, kl_diag_gaussian
+from sgmeta.distributions import DiagGaussian
 from sgmeta.models import build_toy_model, frozen_copy
 from sgmeta.sibcore import InnerLoopConfig
 from sgmeta.tasks import (
@@ -30,6 +30,7 @@ from sgmeta.tasks import (
 )
 from sgmeta.trainer import build_model, default_config, episodes_for, evaluate
 from ib_decomposition import DiscreteInstance, ib_decomposition_check, random_instance
+from test_fused import kl_diag_gaussian
 
 
 TOY = ToyConfig()

@@ -18,7 +18,7 @@ import sgmeta.analysis as analysis
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
 from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
-from sgmeta.distributions import DiagGaussian, kl_diag_gaussian
+from sgmeta.distributions import DiagGaussian
 from sgmeta.models import apply_features
 from sgmeta.sibcore import (
     DETERMINISTIC,
@@ -41,7 +41,14 @@ from sgmeta.trainer import (
     make_theta0,
 )
 from test_distributions import tape_draw_reference
-from test_fused import cross_entropy_chain, dirac_prior_term, relu_mlp, tmean
+from test_fused import (
+    cross_entropy_chain,
+    dirac_prior_term,
+    kl_diag_gaussian,
+    relu_mlp,
+    square,
+    tmean,
+)
 
 TOL = 1e-12
 FIELDS = ("query_inputs", "query_labels", "support_inputs", "support_labels", "truth")
@@ -120,7 +127,7 @@ def ref_data_term(ep, theta, model, cfg, eps_list):
     for eps in eps_list:
         w = ref_draw(theta, cfg, eps)
         if model.mode == "toy":
-            sq = dc.square(w * dc.constant(ep.query_inputs[:, 0]) - dc.constant(ep.query_labels))
+            sq = square(w * dc.constant(ep.query_inputs[:, 0]) - dc.constant(ep.query_labels))
             contrib = sq.sum() if cfg.sum_convention else tmean(sq)
         else:
             feats = apply_features(model, ep.query_inputs)

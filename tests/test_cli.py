@@ -465,6 +465,26 @@ def test_inner_divergence_leaves_checkpoint_metrics_and_summary(tmp_path, fewsho
     assert "non-finite inner update" in capsys.readouterr().err
 
 
+def test_diverged_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_file, capsys):
+    """An update to infinite weights diverges at the next step's inner loop;
+    the checkpoint holds the finite weights from before that update, and
+    ``eval`` loads it."""
+    run = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train-toy", "--config", str(toy_cfg_file), "--set", 'optimizer="sgd"',
+                   "--set", "learning_rate=1e308", "--set", "grad_clip_norm=0",
+                   "--out", str(run)])
+    assert rc == 1
+    assert "non-finite inner update (inner step 0) at outer step 1" in capsys.readouterr().err
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    assert checkpoint["step"] == 0
+    for name, param in checkpoint["params"].items():
+        assert np.all(np.isfinite(param["values"])), name
+    assert main(["eval", "--config", str(run / "effective_config.json"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--episodes", "4",
+                 "--out", str(tmp_path / "eval")]) == 0
+
+
 @pytest.mark.parametrize("command,size", [("eval", "--episodes"), ("analyze", "--trials")])
 def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewshot_cfg_file,
                                                                 capsys, command, size):

@@ -21,7 +21,7 @@ import pytest
 from sgmeta import diffcore as dc
 from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, matmul, param
-from sgmeta.distributions import DiagGaussian, Posterior, kl_diag_gaussian
+from sgmeta.distributions import DiagGaussian, Posterior
 from sgmeta.models import (
     CosineHead,
     ToyHead,
@@ -91,8 +91,24 @@ def transpose(a: Tensor) -> Tensor:
     return dc._make(np.swapaxes(a.data, -1, -2).copy(), (a,), back)
 
 
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+
+    def back(g):
+        dc._accum(a, g * out)
+
+    return dc._make(out, (a,), back)
+
+
+def square(a: Tensor) -> Tensor:
+    def back(g):
+        dc._accum(a, g * 2.0 * a.data)
+
+    return dc._make(a.data * a.data, (a,), back)
+
+
 def row_norm(a: Tensor) -> Tensor:
-    return sqrt(dc.tsum(dc.square(a), axis=-1, keepdims=True))
+    return sqrt(dc.tsum(square(a), axis=-1, keepdims=True))
 
 
 def relu_mlp(x: Tensor, layers) -> Tensor:
@@ -135,7 +151,7 @@ def cosine_vjp_composite(features: Tensor, theta: Tensor, scale: Tensor, seed: T
 
 
 def prior_pull_composite(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
-    return (x - mean) * dc.exp(-log_var)
+    return (x - mean) * exp(dc.scale(log_var, -1.0))
 
 
 def log(a: Tensor) -> Tensor:
@@ -174,13 +190,23 @@ def take_per_row(a: Tensor, col_indices) -> Tensor:
 def cross_entropy_chain(logits: Tensor, labels) -> Tensor:
     """Mean cross entropy over the rows of (..., n, k) logits."""
     shifted = logits - constant(logits.data.max(axis=-1, keepdims=True))
-    lse = log(dc.tsum(dc.exp(shifted), axis=-1))
+    lse = log(dc.tsum(exp(shifted), axis=-1))
     return tmean(lse - take_per_row(shifted, labels), axis=-1)
+
+
+def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> Tensor:
+    """KL(q || p) over the last axis,
+    0.5 * sum(log(vp / vq) + (vq + (mq - mp)^2) / vp - 1)."""
+    log_ratio = p.log_var - q.log_var
+    inv_vp = exp(dc.scale(p.log_var, -1.0))
+    diff = q.mean - p.mean
+    quad = (exp(q.log_var) + square(diff)) * inv_vp
+    return dc.scale((log_ratio + quad - 1.0).sum(axis=-1), 0.5)
 
 
 def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
     """The point-mass posterior's prior term."""
-    quad = dc.square(theta_flat - p.mean) * dc.exp(-p.log_var)
+    quad = square(theta_flat - p.mean) * exp(dc.scale(p.log_var, -1.0))
     return dc.scale((quad + p.log_var).sum(axis=-1), 0.5)
 
 
@@ -194,7 +220,7 @@ def prior_term_chain(theta: Tensor, model, cfg) -> Tensor:
 
 def query_loss_chain(model, inputs, labels, w: Tensor, sum_convention: bool) -> Tensor:
     if model.mode == "toy":
-        sq = dc.square(w * constant(inputs[..., 0]) - constant(labels))
+        sq = square(w * constant(inputs[..., 0]) - constant(labels))
         return sq.sum(axis=-1) if sum_convention else tmean(sq, axis=-1)
     feats = apply_features(model, inputs)
     return cross_entropy_chain(dc.cosine_logits(feats, w, model.params["classifier_scale"]),
@@ -315,7 +341,7 @@ def test_relu_mlp_gradient_skips_constant_inputs():
     leaves = [t for layer in layers for t in layer]
     assert_matches(lambda: relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
                    bitwise_grads=True)
-    check_gradients(lambda: dc.square(relu_mlp(x, layers)).sum(), leaves, tol=1e-6)
+    check_gradients(lambda: square(relu_mlp(x, layers)).sum(), leaves, tol=1e-6)
 
 
 @pytest.mark.parametrize("case", list(COSINE_SHAPES))
@@ -363,11 +389,11 @@ def test_fused_ops_match_finite_differences(case):
     norms = dc.row_norms(const_features.data)
 
     def inner_direction():
-        return dc.square(dc.cosine_sg_direction(const_features, theta, scale, layers, 0.5,
-                                                norms)).sum()
+        return square(dc.cosine_sg_direction(const_features, theta, scale, layers, 0.5,
+                                             norms)).sum()
 
     def objective():
-        return dc.square(dc.cosine_logits(features, theta, scale)).sum()
+        return square(dc.cosine_logits(features, theta, scale)).sum()
 
     check_gradients(inner_direction, [theta, scale] + mlp_params, h=1e-6, tol=1e-6)
     check_gradients(objective, [features, theta, scale], h=1e-6, tol=1e-6)
@@ -375,10 +401,10 @@ def test_fused_ops_match_finite_differences(case):
     x, slope = constant(rng.normal(size=x_shape)), param(rng.normal(size=slope_shape))
     toy_layers = _mlp_layers(rng, (1, 8, 1))
     check_gradients(
-        lambda: dc.square(dc.linear_sg_direction(slope, x, toy_layers, True)).sum(),
+        lambda: square(dc.linear_sg_direction(slope, x, toy_layers, True)).sum(),
         [slope] + [t for layer in toy_layers for t in layer], h=1e-6, tol=1e-6)
     x, mean, log_var = (param(rng.normal(size=s)) for s in ((3, 5), (5,), (5,)))
-    check_gradients(lambda: dc.square(dc.prior_pull(x, mean, log_var)).sum(),
+    check_gradients(lambda: square(dc.prior_pull(x, mean, log_var)).sum(),
                     [x, mean, log_var], h=1e-6, tol=1e-6)
 
 
@@ -602,7 +628,7 @@ def test_linear_squared_error_is_its_chain(case, draws, mean):
 
     def chain():
         w = slope if offsets is None else slope + constant(offsets)
-        sq = dc.square(w * constant(x) - constant(y))
+        sq = square(w * constant(x) - constant(y))
         per = tmean(sq, axis=-1) if mean else sq.sum(axis=-1)
         return per if offsets is None else dc.scale(dc.tsum(per, axis=0), 1.0 / draws)
 

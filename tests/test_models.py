@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from sgmeta.models import (
     init_theta0_global,
     init_theta0_proto,
     model_from_payload,
+    prior_dist,
 )
-from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines
+from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines, true_prior
+from sgmeta.trainer import default_config
 from test_distributions import SRC, vocabulary_sites
-from test_fused import tmean
+from test_fused import kl_diag_gaussian, tmean
 
 
 def identity_map_model(k, d_x, seed):
@@ -196,6 +199,21 @@ def test_linear_toy_predictions():
     assert at_truth.data[0] == pytest.approx(0.0, abs=1e-28)
 
 
+@pytest.mark.parametrize("mean, log_var", [(1.0, 0.0), (0.3, math.log(0.5)), (-2.5, -6.0)],
+                         ids=["unit", "half", "narrow"])
+def test_toy_prior_metric_is_the_kl_chain_bitwise(mean, log_var):
+    """The learned prior's KL to the true prior, one node, bitwise the
+    elementary-op KL on priors whose log-variance is not the truth's."""
+    cfg = default_config("toy")
+    model = build_toy_model(seed=3)
+    model.params["psi_mean"].data[:] = mean
+    model.params["psi_log_var"].data[:] = log_var
+    truth = true_prior(cfg.toy)
+    assert not np.array_equal(truth.log_var.data, model.params["psi_log_var"].data)
+    expected = kl_diag_gaussian(prior_dist(model), truth).item()
+    assert model.head.prior_metrics(cfg) == {"prior_kl_to_true": expected}
+
+
 def test_model_pieces_are_differentiable():
     model = identity_map_model(k=2, d_x=3, seed=7)
     rng = np.random.default_rng(0)
@@ -208,8 +226,8 @@ def test_model_pieces_are_differentiable():
         theta = init_theta0_proto(model, constant(feats), labels)
         logits = cosine_logits(model, constant(feats), theta)
         g = fewshot_direction(model, feats, theta)
-        return tmean(dc.square(logits - constant(target))) + tmean(
-            dc.square(g - constant(g_target)))
+        r, r_g = logits - constant(target), g - constant(g_target)
+        return tmean(r * r) + tmean(r_g * r_g)
 
     params = [model.params[n] for n in ("lambda_scale", "classifier_scale", "xi_w1", "xi_b3")]
     errors = check_gradients(loss, params, h=1e-6, tol=1e-6)

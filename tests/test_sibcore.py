@@ -9,7 +9,7 @@ import pytest
 
 from sgmeta import diffcore as dc
 from sgmeta.diffcore import Tensor, backward, check_gradients, constant, param, zero_grad
-from sgmeta.distributions import DiagGaussian, Posterior, kl_diag_gaussian
+from sgmeta.distributions import DiagGaussian, Posterior
 from sgmeta.models import (
     apply_features,
     build_fewshot_model,
@@ -46,7 +46,7 @@ from sgmeta.tasks import (
     gen_fewshot_episode,
     gen_spinning_lines,
 )
-from test_fused import mlp_composite
+from test_fused import kl_diag_gaussian, mlp_composite
 
 
 def toy_cfg(**kw):

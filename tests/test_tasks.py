@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgmeta.distributions import kl_diag_gaussian
 from sgmeta.tasks import (
     Episode,
     _stream,
@@ -21,6 +20,7 @@ from sgmeta.tasks import (
     true_posterior,
     true_prior,
 )
+from test_fused import kl_diag_gaussian
 
 REFERENCE_TOY = ToyConfig(n=32, mu=0.0, sigma=1.0, mu_w=1.0, sigma_w=0.1)
 FIELDS = ("query_inputs", "query_labels", "support_inputs", "support_labels", "truth")

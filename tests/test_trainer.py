@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgmeta.trainer as trainer
 from sgmeta.tasks import FewShotConfig, ToyConfig
 from sgmeta.sibcore import (
     DETERMINISTIC,
@@ -156,17 +157,28 @@ def test_fewshot_training_runs_and_freezes_features():
     assert any(r[2] == "query_accuracy" for r in result.records)
 
 
-def test_divergence_aborts_with_last_good_restored():
+def test_divergence_aborts_with_last_good_restored(monkeypatch):
     cfg = tiny_toy_config(learning_rate=1e12)  # blows up within a few steps
     cfg.inner.eta_inner = 1e6
     cfg.inner.sum_convention = True
+    before = []  # each update's input parameters, copied
+
+    def recording_adam_step(params, *args, **kwargs):
+        before.append([p.copy() for p in params])
+        return adam_step(params, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as exc:
             train(cfg)
-    # the carried model holds the last finite parameter values
-    assert exc.value.model is not None
-    for arr in exc.value.model.clone_data().values():
+    # the carried model holds the last finite parameter values: bitwise the
+    # ones from before the update that diverged, which had exc.step updates
+    model = exc.value.model
+    assert model is not None and len(before) == exc.value.step + 1
+    for arr in model.clone_data().values():
         assert np.all(np.isfinite(arr))
+    for (name, t), arr in zip(sorted(model.trainable().items()), before[exc.value.step]):
+        np.testing.assert_array_equal(t.data, arr, err_msg=name)
 
 
 def test_fewshot_ssl_init_trains():
