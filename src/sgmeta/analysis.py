@@ -9,6 +9,7 @@ drawn, and the bound exists or not, as the posterior regime says
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,12 +55,19 @@ from . import diffcore as dc
 #   odd trial, and the adapted weights of the even ones, the only ones
 #   adapted.
 #
+# A trial whose task seed an evaluation of the same model already generated
+# and adapted (``HeldTrials``, filled by ``trainer.evaluate``'s ``on_chunk``)
+# is read from there: its dataset and adapted weights, neither made again.
+# A chunk is split where held trials start or end, so each part is all held
+# or all drawn.
+#
 # Randomness comes in the order a one-trial-at-a-time loop would draw it.
 # Each dataset and each inner-loop draw is keyed on its trial's task seed, so
-# an episode's values do not depend on the chunk it is in. The gap's weight
-# noise is drawn chunk by chunk in trial order from one stream; σ's draws
-# (``SigmaDraws``) depend only on the query size and are all made before the
-# first chunk, from another.
+# an episode's values do not depend on the chunk it is in, and a held
+# trial's are the ones the gap would make. The gap's weight noise is drawn
+# chunk by chunk in trial order from one stream; σ's draws (``SigmaDraws``)
+# depend only on the query size and are all made before the first chunk,
+# from another.
 
 
 def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
@@ -112,23 +120,24 @@ class GapEstimate:
 @dataclass(frozen=True)
 class TaskSampler:
     """The datasets of a gap estimate's trials, each of ``n_query`` query
-    points: ``draw(trials)`` gives the trials' datasets as one batch, and
-    ``fresh(datasets, trials)`` a fresh dataset of each one's task, as
-    another."""
+    points: ``seeds(trials)`` gives the trials' dataset task seeds,
+    ``make(task_seeds)`` those datasets as one batch, and ``fresh(datasets,
+    trials)`` a fresh dataset of each one's task, as another."""
 
     n_query: int
-    draw: Callable
+    seeds: Callable
+    make: Callable
     fresh: Callable
 
 
 def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> TaskSampler:
     """Trial sampler for the toy process: a dataset plus a fresh re-draw."""
 
-    def seeds(trials, offset):
+    def seeds(trials, offset=0):
         return [derive_task_seed(seed, "test", 2 * t + offset) for t in trials]
 
-    return TaskSampler(cfg.n_query if n is None else int(n),
-                       lambda trials: gen_spinning_lines(cfg, seeds(trials, 0), n=n),
+    return TaskSampler(cfg.n_query if n is None else int(n), seeds,
+                       lambda task_seeds: gen_spinning_lines(cfg, task_seeds, n=n),
                        lambda datasets, trials: gen_spinning_lines(cfg, seeds(trials, 0x10002),
                                                                    n=n))
 
@@ -136,18 +145,72 @@ def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> Task
 def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test") -> TaskSampler:
     """Fresh query sets of the same classes define the task's dataset draw."""
 
-    def seeds(trials, offset):
+    def seeds(trials, offset=0):
         return [derive_task_seed(seed, split, 3 * t + offset) for t in trials]
 
-    return TaskSampler(cfg.n_query,
-                       lambda trials: gen_fewshot_episode(cfg, split, seeds(trials, 0)),
+    return TaskSampler(cfg.n_query, seeds,
+                       lambda task_seeds: gen_fewshot_episode(cfg, split, task_seeds),
                        lambda datasets, trials: resample_query_set(datasets, cfg,
                                                                    seeds(trials, 1)))
 
 
+def trials_read(trials: int) -> range:
+    """Every trial a gap estimate of ``trials`` trials reads: its own, then
+    the ones only σ reads."""
+    return range(max(trials, 2 * min(trials, 2000)))
+
+
+class HeldTrials:
+    """Trials an evaluation has already generated and adapted, by task seed.
+
+    ``keep(chunk, theta_k)`` is ``trainer.evaluate``'s ``on_chunk``: of the
+    chunk's episodes whose task seed is one of ``seeds``, it copies out what
+    a gap trial reads (query inputs and labels, the generating truth and the
+    adapted weights), so no chunk stays alive. ``take(task_seeds)`` gives
+    those trials as one batch with their stacked adapted weights, and
+    releases them.
+    """
+
+    def __init__(self, seeds=()):
+        self._wanted = frozenset(seeds)
+        self._rows = {}
+
+    def __contains__(self, task_seed) -> bool:
+        return task_seed in self._rows
+
+    def keep(self, chunk: Episode, theta_k: np.ndarray) -> None:
+        rows = [i for i, task_seed in enumerate(chunk.task_seed) if task_seed in self._wanted]
+        kept = [a[rows] for a in (chunk.query_inputs, chunk.query_labels, chunk.truth, theta_k)]
+        for j, i in enumerate(rows):
+            self._rows[chunk.task_seed[i]] = [a[j] for a in kept]
+
+    def take(self, task_seeds) -> tuple:
+        inputs, labels, truth, theta_k = map(np.stack,
+                                             zip(*(self._rows.pop(s) for s in task_seeds)))
+        return Episode(inputs, labels, truth=truth, task_seed=tuple(task_seeds)), theta_k
+
+
+def _trial_chunks(trials: range, sampler: TaskSampler, held: HeldTrials):
+    """``(trials, datasets, adapted weights)`` of consecutive chunks of
+    ``trials``: ``chunk_slices``' chunks, each split where held trials start
+    or end. The weights are ``None`` for trials not held, which are drawn."""
+    seeds = sampler.seeds(trials)
+    for rows in chunk_slices(len(trials), sampler.n_query):
+        for is_held, part in itertools.groupby(range(rows.start, rows.stop),
+                                               key=lambda i: seeds[i] in held):
+            part = list(part)
+            part_seeds = seeds[part[0]:part[-1] + 1]
+            idx = trials[part[0]:part[-1] + 1]
+            if is_held:
+                yield (idx, *held.take(part_seeds))
+            else:
+                yield idx, sampler.make(part_seeds), None
+
+
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
             trials: int = 2000, seed: int = 0, theta0_fn: Optional[Callable] = None,
-            on_chunk: Optional[Callable] = None) -> GapEstimate:
+            on_chunk: Optional[Callable] = None,
+            held: Optional[HeldTrials] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process, with the
     scale σ and the mutual-information term of its bound.
 
@@ -157,7 +220,9 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     mutual-information term read the same trials, and σ the ones after them
     (see the comment at the top of this module). ``on_chunk(trials,
     datasets, theta_k)`` is called on each chunk of the gap's trials with
-    their datasets and stacked adapted weights.
+    their datasets and stacked adapted weights. Trials in ``held`` are read
+    from it, not drawn and adapted; ``theta0_fn`` and ``inner`` must be the
+    ones that adapted them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -167,29 +232,33 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     size = int(np.prod(frozen.head.theta_shape))
     picked = SigmaDraws(min(trials, 2000), seed + 1, n_query, size, posterior.random)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
+    held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
     first_theta_k = []  # of the first min(trials, 200) trials, chunk by chunk
-    for rows in chunk_slices(trials, n_query):
-        idx = range(trials)[rows]
-        datasets = task_sampler.draw(idx)
-        theta_k = _adapt(frozen, datasets, inner, theta0_fn)
+    for idx, datasets, theta_k in _trial_chunks(range(trials), task_sampler, held):
+        if theta_k is None:
+            theta_k = _adapt(frozen, datasets, inner, theta0_fn)
         theta = theta_k.reshape(len(idx), -1)
         # one draw per trial, in trial order
         eps = rng.normal(size=theta.shape) if posterior.random else None
         w = posterior.draw(dc.constant(theta), eps).data
         fresh = task_sampler.fresh(datasets, idx)
-        diffs[rows] = (_losses(frozen, fresh.query_inputs, fresh.query_labels, w)
-                       - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
+        diffs[idx.start:idx.stop] = (
+            _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
+            - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
         picked.keep(idx, datasets, theta[idx.start % 2::2])
         first_theta_k.append(theta_k[:max(0, 200 - idx.start)])
         if on_chunk is not None:
             on_chunk(idx, datasets, theta_k)
-    sigma_only = range(trials, 2 * picked.draws)
-    for rows in chunk_slices(len(sigma_only), n_query):
-        idx = sigma_only[rows]
-        datasets = task_sampler.draw(idx)
+    sigma_only = range(trials, len(trials_read(trials)))
+    for idx, datasets, theta_k in _trial_chunks(sigma_only, task_sampler, held):
         even = range(idx.start % 2, len(idx), 2)  # a chunk of one odd trial has none
-        theta = _adapt(frozen, datasets.take(even), inner, theta0_fn) if even else np.empty(0)
+        if theta_k is not None:
+            theta = theta_k[even.start::2]
+        elif even:
+            theta = _adapt(frozen, datasets.take(even), inner, theta0_fn)
+        else:
+            theta = np.empty(0)
         picked.keep(idx, datasets, theta.reshape(len(even), size))
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -23,10 +23,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .analysis import (
+    HeldTrials,
     gen_gap,
     spearman_rank_correlation,
     toy_task_sampler,
     fewshot_task_sampler,
+    trials_read,
     vary_n_sweep,
     write_report_csv,
     write_report_json,
@@ -300,16 +302,26 @@ def cmd_analyze(args) -> int:
     payload = {"command": "analyze", "trials": args.trials, "mc_seeds": args.mc_seeds}
     t0 = time.time()
     pool_size = cfg.toy.n_test_tasks if cfg.mode == "toy" else min(cfg.eval_episodes, 500)
-    report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size))
+    if cfg.mode == "toy":
+        samplers = [toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
+                    for s in range(args.mc_seeds)]
+    else:
+        samplers = [fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)]
+    # gap trials that are evaluation episodes are generated and adapted once,
+    # by the evaluation, with the gap's θ₀ and inner loop
+    held = HeldTrials(seed for sampler in samplers
+                      for seed in sampler.seeds(trials_read(args.trials)))
+    report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size),
+                      on_chunk=held.keep)
     if cfg.mode == "toy":
         quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
         quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
         quantities.append(("prior_kl_to_true", report.row.prior_kl_to_true, 0.0))
         quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
         gaps = []
-        for s in range(args.mc_seeds):
-            sampler = toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
-            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s)
+        for s, sampler in enumerate(samplers):
+            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
+                          held=held)
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
             append_bound(quantities, f"gen_bound_seed{s}", est.bound)
@@ -323,9 +335,8 @@ def cmd_analyze(args) -> int:
         quantities.append(("query_accuracy", report.row.query_accuracy,
                            report.ci95["query_accuracy"]))
         quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
-        sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
-        est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed,
-                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg))
+        est = gen_gap(model, samplers[0], cfg.inner, trials=args.trials, seed=cfg.run_seed,
+                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg), held=held)
         quantities.append(("gen_gap", est.gap, est.stderr))
         append_bound(quantities, "gen_bound", est.bound)
         append_bound_inputs(quantities, est, "")

@@ -61,12 +61,16 @@ def splitmix64(z: int) -> int:
 
 def derive_task_seed(run_seed: int, split: str, task_index: int) -> int:
     """Deterministic 64-bit seed for one episode of one split."""
+    return splitmix64(_split_key(int(run_seed), split) ^ (int(task_index) & _MASK64))
+
+
+@functools.lru_cache(maxsize=64)
+def _split_key(run_seed: int, split: str) -> int:
+    """The mix of a run seed and a split that each of its episode seeds
+    starts from, made once per pair."""
     if split not in _SPLIT_SALTS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_SALTS)}")
-    z = (int(run_seed) & _MASK64) ^ _SPLIT_SALTS[split]
-    z = splitmix64(z)
-    z = splitmix64(z ^ (int(task_index) & _MASK64))
-    return z
+    return splitmix64((run_seed & _MASK64) ^ _SPLIT_SALTS[split])
 
 
 def episode_rng(task_seed: int, stream: int = 0) -> np.random.Generator:

@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,7 +75,8 @@ SECTIONS = ("inner", "toy", "fewshot")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised on a non-finite loss or inner update; carries the model with the
+    """Raised on a non-finite loss or inner update, or on non-finite
+    parameters that an evaluation would read; carries the model with the
     parameters from before the latest update, the records so far and the
     number of updates those parameters had."""
 
@@ -419,14 +420,17 @@ def episode_objective(model: MetaModel, episodes: Episode, cfg: RunConfig):
 
 
 def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
-              inner: Optional[InnerLoopConfig] = None, step: int = 0) -> EvalReport:
+              inner: Optional[InnerLoopConfig] = None, step: int = 0,
+              on_chunk: Optional[Callable] = None) -> EvalReport:
     """Frozen-model metrics over a batch of episodes (``tasks.Episode``) or a
     pool that generates them (``tasks.EpisodePool``), with 95% intervals.
 
     Episodes are read once each and adapted in chunks of at most
     ``CHUNK_POINTS`` query points (``forward_chunks``) on a constant copy of
     the parameters, so no autodiff tape is kept, and a pool holds one chunk
-    at a time.
+    at a time. ``on_chunk(chunk, theta_k)`` is called on each chunk with its
+    stacked adapted weights; ``analyze`` keeps the ones its gap estimate
+    reads (``analysis.HeldTrials``).
     """
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
@@ -440,6 +444,8 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
         for name, values in metrics.items():
             per.setdefault(name, []).extend(float(v) for v in values)
+        if on_chunk is not None:
+            on_chunk(chunk, theta_k.data)
     for name, arr in model.clone_data().items():
         if not np.array_equal(arr, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")
@@ -545,6 +551,10 @@ def train(cfg: RunConfig) -> TrainResult:
 
             # the last step always evaluates; its report is the final one
             if (step + 1) % eval_every == 0 or step + 1 == total_steps:
+                # the evaluation reads the parameters before the next loss checks
+                # them, and the last update has no next loss
+                if not all(np.all(np.isfinite(p)) for p in new_params):
+                    raise diverged(f"non-finite parameter update at step {step}")
                 report = evaluate(model, cfg, split, eval_pool, step=step + 1)
                 records.extend(metric_records(report.row, report.ci95))
                 _, value, _ = report.primary_metric()

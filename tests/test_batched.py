@@ -389,7 +389,7 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
     est = gen_gap(model, sampler, inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
 
     def adapted(trial):
-        batch = sampler.draw([trial])
+        batch = sampler.make(sampler.seeds([trial]))
         ep = only_episode(batch)
         theta0 = model.params["lambda_global"] if theta0_fn is None else ref_theta0(model, ep, cfg)
         return batch, ep, ref_unroll(theta0, ep, model, inner).data
@@ -420,7 +420,7 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
     losses = []
     for t in range(trials):
         w = drawn(adapted(2 * t)[2], rng)
-        d_z = only_episode(sampler.draw([2 * t + 1]))
+        d_z = only_episode(sampler.make(sampler.seeds([2 * t + 1])))
         i = int(rng.integers(d_z.n_query))
         losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
     assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
@@ -465,3 +465,65 @@ def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
     expected = trials + len([t for t in range(trials, 2 * draws) if t % 2 == 0])
     assert len(adapted) == expected
     assert len(set(adapted)) == expected
+
+
+def reuse_case(mode, init="proto", **inner):
+    cfg = toy_case() if mode == "toy" else fewshot_case(**inner)
+    if mode == "toy":
+        cfg.inner.inner_eval_at_mean = False  # inner draws too
+        sampler, theta0_fn = toy_task_sampler(cfg.toy, seed=cfg.run_seed), None
+    else:
+        cfg.theta_init = init
+        sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
+        theta0_fn = lambda frozen, chunk: make_theta0(frozen, chunk, cfg)  # noqa: E731
+    return cfg, sampler, theta0_fn
+
+
+GAUSSIAN_INNER = {"posterior_regime": GAUSSIAN_FIXED_VAR, "mc_samples": 2,
+                  "q_log_var": 2 * math.log(0.05)}
+REUSE_CASES = {
+    "toy-inner-draws": lambda: reuse_case("toy"),
+    "fewshot-proto-deterministic": lambda: reuse_case("fewshot"),
+    "fewshot-proto-gaussian": lambda: reuse_case("fewshot", **GAUSSIAN_INNER),
+    "fewshot-global-deterministic": lambda: reuse_case("fewshot", "global"),
+    "fewshot-global-gaussian": lambda: reuse_case("fewshot", "global", **GAUSSIAN_INNER),
+    "fewshot-ssl-deterministic": lambda: reuse_case("fewshot", "ssl"),
+}
+
+
+@pytest.mark.parametrize("held_trials", [4, 10])  # ending inside the gap's trials, or σ's
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypatch, case,
+                                                                       held_trials):
+    """An evaluation of the test split keeps the gap trials among its
+    episodes (``HeldTrials``); the gap reads them instead of generating and
+    adapting them, with the same datasets, bitwise the same adapted weights
+    and bitwise the same estimate, though its chunks split where they end."""
+    cfg, sampler, theta0_fn = REUSE_CASES[case]()
+    model = perturbed_model(cfg, seed=7)
+    trials = 7  # and σ's trials 7 .. 13
+    stride = 2 if cfg.mode == "toy" else 3  # gap trial t's dataset is test episode stride·t
+    pool = stride * (held_trials - 1) + 1
+    chunk_episodes(monkeypatch, 3, sampler.n_query)  # the chunk of trials 3 .. 5 straddles 4
+
+    def estimate(held):
+        chunks = []
+        est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn,
+                      held=held, on_chunk=lambda idx, datasets, theta_k: chunks.append(
+                          (idx, datasets.query_inputs, theta_k)))
+        return est, chunks
+
+    fresh, fresh_chunks = estimate(None)
+    seeds = sampler.seeds(analysis.trials_read(trials))
+    held = analysis.HeldTrials(seeds)
+    evaluate(model, cfg, "test", episode_pool(cfg, "test", pool), on_chunk=held.keep)
+    assert sum(seed in held for seed in seeds) == held_trials
+    reused, reused_chunks = estimate(held)
+    assert not any(seed in held for seed in seeds)  # each released once read
+    assert reused == fresh
+    if held_trials == 4:
+        assert [idx for idx, _, _ in reused_chunks] == [range(0, 3), range(3, 4), range(4, 6),
+                                                        range(6, 7)]
+    for i in (1, 2):
+        assert np.array_equal(np.concatenate([c[i] for c in reused_chunks]),
+                              np.concatenate([c[i] for c in fresh_chunks]))

@@ -485,6 +485,31 @@ def test_diverged_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_file,
                  "--out", str(tmp_path / "eval")]) == 0
 
 
+def test_diverged_last_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_file, capsys):
+    """An update to infinite weights that no later loss or inner update
+    reads (the last one, with no inner steps) diverges before the final
+    evaluation; the checkpoint holds the finite weights from before it."""
+    run = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train-toy", "--config", str(toy_cfg_file), "--set", "epochs=1",
+                   "--set", "toy.n_train_tasks=4", "--set", "toy.n_test_tasks=4",
+                   "--set", "batch_tasks=4", "--set", "inner.steps=0",
+                   "--set", 'optimizer="sgd"', "--set", "learning_rate=1e308",
+                   "--set", "grad_clip_norm=0", "--out", str(run)])
+    assert rc == 1
+    assert "non-finite parameter update at step 0" in capsys.readouterr().err
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["step"] == 0 and "non-finite parameter update" in summary["error"]
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    assert checkpoint["step"] == 0
+    for name, param in checkpoint["params"].items():
+        assert np.all(np.isfinite(param["values"])), name
+    assert "query_mse" not in (run / "metrics.csv").read_text()
+    assert main(["eval", "--config", str(run / "effective_config.json"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--episodes", "4",
+                 "--out", str(tmp_path / "eval")]) == 0
+
+
 @pytest.mark.parametrize("command,size", [("eval", "--episodes"), ("analyze", "--trials")])
 def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewshot_cfg_file,
                                                                 capsys, command, size):
@@ -615,7 +640,8 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         tmp_path, toy_cfg_file, fewshot_cfg_file, monkeypatch):
     """A run builds a fixed handful of Philox generators, however many
     episodes it draws (each episode's stream resets one shared generator),
-    and a gap estimate generates each of its trials' datasets once."""
+    and an ``analyze`` command generates and adapts each task once: gap
+    trials that are evaluation episodes are read from the evaluation."""
     tasks._stream(0)  # the shared generator, built once per process
     built = []
     philox = np.random.Philox
@@ -625,53 +651,64 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    generated, analysing = [], []
+    generated, adapted = [], []
 
-    def counting(generate):
+    def counting(name, generate):
         def wrapper(*args, **kwargs):
             episodes = generate(*args, **kwargs)
-            generated.extend((bool(analysing), seed) for seed in episodes.task_seed)
+            generated.extend((name, seed) for seed in episodes.task_seed)
             return episodes
         return wrapper
 
     # every module binding, as the analysis sampler imports from tasks when called
     for name in ("gen_spinning_lines", "gen_fewshot_episode", "resample_query_set"):
-        wrapper = counting(getattr(tasks, name))
+        wrapper = counting(name, getattr(tasks, name))
         for module in (tasks, trainer, analysis, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
 
-    def analysing_gap(*args, **kwargs):
-        analysing.append(True)
-        try:
-            return gen_gap(*args, **kwargs)
-        finally:
-            analysing.pop()
+    def counting_unroll(theta0, episodes, *args, **kwargs):
+        adapted.extend(episodes.task_seed)
+        return sib_unroll(theta0, episodes, *args, **kwargs)
 
-    gen_gap = cli.gen_gap
-    monkeypatch.setattr(cli, "gen_gap", analysing_gap)
+    sib_unroll = sibcore.sib_unroll
+    for module in (sibcore, trainer, analysis, cli):
+        monkeypatch.setattr(module, "sib_unroll", counting_unroll)
 
     def run(argv):
-        del built[:], generated[:]
+        del built[:], generated[:], adapted[:]
         assert main(argv) == 0
-        return len(built), [seed for in_gap, seed in generated if in_gap], len(generated)
+        return len(built)
 
     toy = tmp_path / "toy"
-    philox_built, _, episodes = run(["train-toy", "--config", str(toy_cfg_file),
-                                     "--set", "inner.inner_eval_at_mean=false",
-                                     "--out", str(toy)])
-    assert philox_built == 1 and episodes >= 14  # the model's initialization
-    fewshot = tmp_path / "fewshot"
-    assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(fewshot)]) == 0
-    philox_built, gap_seeds, episodes = run([
-        "analyze", "--config", str(fewshot / "effective_config.json"),
-        "--checkpoint", str(fewshot / "checkpoint.json"), "--trials", "40",
-        "--out", str(tmp_path / "analysis")])
-    # the gap's 40 datasets and fresh draws, sigma's other 40 trials of 80
-    assert len(gap_seeds) == 40 + 40 + 40 and episodes >= len(gap_seeds)
-    assert len(set(gap_seeds)) == len(gap_seeds)
-    # one model build while loading the checkpoint, the gap's and sigma's draws
-    assert philox_built == 3
+    assert run(["train-toy", "--config", str(toy_cfg_file),
+                "--set", "inner.inner_eval_at_mean=false", "--out", str(toy)]) == 1
+    assert len(generated) >= 14  # one Philox: the model's initialization
+
+    def analyze(run_dir, *flags):
+        return run(["analyze", "--config", str(run_dir / "effective_config.json"),
+                    "--checkpoint", str(run_dir / "checkpoint.json"), "--trials", "40", *flags,
+                    "--out", str(run_dir / "analysis")])
+
+    def each_task_once(pool, reused, estimates):
+        # per estimate: the gap's 40 datasets and fresh draws, and σ's other
+        # 40 trials of 80, of which it adapts the 20 even ones
+        assert len(generated) == pool + estimates * (40 + 40 + 40) - reused
+        assert len(adapted) == pool + estimates * (40 + 20) - reused
+        assert len(set(generated)) == len(generated)
+        assert len(set(adapted)) == len(adapted)
+
+    # one model build while loading the checkpoint, then each estimate's gap and σ draws;
+    # test episodes 0, 2 and 4 of the pool of 6 are the first estimate's trials 0, 1 and 2
+    assert analyze(toy, "--mc-seeds", "2") == 1 + 2 * 2
+    each_task_once(pool=6, reused=3, estimates=2)
+    for regime in ("deterministic", "gaussian_fixed_var"):
+        fewshot = tmp_path / regime
+        assert main(["train-fewshot", "--config", str(fewshot_cfg_file),
+                     "--set", f'inner.posterior_regime="{regime}"', "--out", str(fewshot)]) == 0
+        assert analyze(fewshot) == 1 + 2
+        # test episodes 0 and 3 of the pool of 4 are trials 0 and 1
+        each_task_once(pool=4, reused=2, estimates=1)
 
 
 @pytest.mark.parametrize("libc", ["missing", "without mallopt"])
