@@ -37,23 +37,19 @@ from .tasks import (
 )
 from . import diffcore as dc
 
-# One gap estimate (``gen_gap``) is one pass over its trials, in chunks of at
-# most ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the
+# One gap estimate (``gen_gap``) is one pass over its T trials, in chunks of
+# at most ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the
 # sampler's query size). Each chunk's datasets are one batch
 # (``tasks.Episode``), adapted through the batched unroll on a constant copy
 # of the model, so no autodiff tape is built and one chunk of datasets is
 # alive at a time. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
-# initializations (default: the global one). Each trial is generated once and
-# adapted at most once:
-#
-# - trials 0 .. T-1 are the gap's. Each is adapted; its weights are drawn and
-#   its loss is compared with a fresh dataset of its task. Then σ keeps the
-#   adapted weights of the even trials and one point of each odd trial, the
-#   mutual-information term keeps the adapted weights of the first 200, and
-#   ``on_chunk`` reads the chunk.
-# - trials T .. 2·min(T, 2000)-1 only σ reads: it keeps one point of each
-#   odd trial, and the adapted weights of the even ones, the only ones
-#   adapted.
+# initializations (default: the global one). Each trial is generated and
+# adapted once. Its weights are drawn and its loss is compared with a fresh
+# dataset of its task. Then σ (``SigmaDraws``) keeps what its draws read of
+# the chunk: the adapted weights of trial t and one point of trial
+# (t + 1) mod T, for draws t < min(T, 2000). The mutual-information term
+# keeps the adapted weights of the first 200 trials, and ``on_chunk`` reads
+# the chunk.
 #
 # A trial whose task seed an evaluation of the same model already generated
 # and adapted (``HeldTrials``, filled by ``trainer.evaluate``'s ``on_chunk``)
@@ -65,9 +61,8 @@ from . import diffcore as dc
 # Each dataset and each inner-loop draw is keyed on its trial's task seed, so
 # an episode's values do not depend on the chunk it is in, and a held
 # trial's are the ones the gap would make. The gap's weight noise is drawn
-# chunk by chunk in trial order from one stream; σ's draws (``SigmaDraws``)
-# depend only on the query size and are all made before the first chunk,
-# from another.
+# chunk by chunk in trial order from one stream; σ's draws depend only on
+# the query size and are all made before the first chunk, from another.
 
 
 def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
@@ -154,12 +149,6 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test") -> 
                                                                    seeds(trials, 1)))
 
 
-def trials_read(trials: int) -> range:
-    """Every trial a gap estimate of ``trials`` trials reads: its own, then
-    the ones only σ reads."""
-    return range(max(trials, 2 * min(trials, 2000)))
-
-
 class HeldTrials:
     """Trials an evaluation has already generated and adapted, by task seed.
 
@@ -190,21 +179,21 @@ class HeldTrials:
         return Episode(inputs, labels, truth=truth, task_seed=tuple(task_seeds)), theta_k
 
 
-def _trial_chunks(trials: range, sampler: TaskSampler, held: HeldTrials):
+def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
     """``(trials, datasets, adapted weights)`` of consecutive chunks of
-    ``trials``: ``chunk_slices``' chunks, each split where held trials start
-    or end. The weights are ``None`` for trials not held, which are drawn."""
-    seeds = sampler.seeds(trials)
-    for rows in chunk_slices(len(trials), sampler.n_query):
+    trials 0 .. ``trials`` - 1: ``chunk_slices``' chunks, each split where
+    held trials start or end. The weights are ``None`` for trials not held,
+    which are drawn."""
+    seeds = sampler.seeds(range(trials))
+    for rows in chunk_slices(trials, sampler.n_query):
         for is_held, part in itertools.groupby(range(rows.start, rows.stop),
                                                key=lambda i: seeds[i] in held):
             part = list(part)
-            part_seeds = seeds[part[0]:part[-1] + 1]
-            idx = trials[part[0]:part[-1] + 1]
+            idx = range(part[0], part[-1] + 1)
             if is_held:
-                yield (idx, *held.take(part_seeds))
+                yield (idx, *held.take(seeds[idx.start:idx.stop]))
             else:
-                yield idx, sampler.make(part_seeds), None
+                yield idx, sampler.make(seeds[idx.start:idx.stop]), None
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
@@ -217,25 +206,25 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     Per trial: draw a dataset, adapt on its inputs, draw task weights from
     the resulting posterior, and compare the loss on a fresh dataset of the
     same task against the loss on the adapted-on dataset. σ and the
-    mutual-information term read the same trials, and σ the ones after them
-    (see the comment at the top of this module). ``on_chunk(trials,
-    datasets, theta_k)`` is called on each chunk of the gap's trials with
-    their datasets and stacked adapted weights. Trials in ``held`` are read
-    from it, not drawn and adapted; ``theta0_fn`` and ``inner`` must be the
-    ones that adapted them.
+    mutual-information term read the same trials (see the comment at the
+    top of this module); σ pairs each trial's weights with a point of the
+    next trial, so it needs ``trials >= 2``. ``on_chunk(trials, datasets,
+    theta_k)`` is called on each chunk with its datasets and stacked
+    adapted weights. Trials in ``held`` are read from it, not drawn and
+    adapted; ``theta0_fn`` and ``inner`` must be the ones that adapted them.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2: σ pairs each trial with another")
     frozen = frozen_copy(model)
     posterior = Posterior(inner)
     n_query = task_sampler.n_query
     size = int(np.prod(frozen.head.theta_shape))
-    picked = SigmaDraws(min(trials, 2000), seed + 1, n_query, size, posterior.random)
+    picked = SigmaDraws(trials, seed + 1, n_query, size, posterior.random)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
     first_theta_k = []  # of the first min(trials, 200) trials, chunk by chunk
-    for idx, datasets, theta_k in _trial_chunks(range(trials), task_sampler, held):
+    for idx, datasets, theta_k in _trial_chunks(trials, task_sampler, held):
         if theta_k is None:
             theta_k = _adapt(frozen, datasets, inner, theta0_fn)
         theta = theta_k.reshape(len(idx), -1)
@@ -246,22 +235,12 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
         diffs[idx.start:idx.stop] = (
             _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
             - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
-        picked.keep(idx, datasets, theta[idx.start % 2::2])
+        picked.keep(idx, datasets, theta)
         first_theta_k.append(theta_k[:max(0, 200 - idx.start)])
         if on_chunk is not None:
             on_chunk(idx, datasets, theta_k)
-    sigma_only = range(trials, len(trials_read(trials)))
-    for idx, datasets, theta_k in _trial_chunks(sigma_only, task_sampler, held):
-        even = range(idx.start % 2, len(idx), 2)  # a chunk of one odd trial has none
-        if theta_k is not None:
-            theta = theta_k[even.start::2]
-        elif even:
-            theta = _adapt(frozen, datasets.take(even), inner, theta0_fn)
-        else:
-            theta = np.empty(0)
-        picked.keep(idx, datasets, theta.reshape(len(even), size))
     gap = float(diffs.mean())
-    stderr = float(diffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(diffs.std(ddof=1) / math.sqrt(trials))
     sigma = estimate_sigma(frozen, picked, inner)
     mi = mi_for_sampler(frozen, first_theta_k, inner)
     bound = gen_bound(sigma, n_query, mi) if posterior.has_bound else None
@@ -270,40 +249,45 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
 
 
 class SigmaDraws:
-    """The random draws of ``estimate_sigma`` and what they read.
+    """The random draws of ``estimate_sigma`` and what they read, for a gap
+    estimate of T = ``trials`` trials.
 
-    Per draw t, in the order a one-draw-at-a-time loop makes them: the noise
-    of a weight drawn from trial 2t's posterior (none for a point mass), then
-    the index of the point taken from trial 2t + 1's dataset, of ``n_query``
-    points. ``keep`` is given the trials in order and keeps the flat adapted
-    weights of trial 2t and the point of trial 2t + 1: draw t's input and
-    label.
+    σ makes min(T, 2000) draws. Per draw t, in the order a one-draw-at-a-time
+    loop makes them: the noise of a weight drawn from trial t's posterior
+    (none for a point mass), then the index of the point taken from trial
+    (t + 1) mod T's dataset, of ``n_query`` points. The two trials are
+    different tasks, so the weights and the point are drawn independently.
+    ``keep`` is given the trials in order and keeps, of each, the flat
+    adapted weights and the point that a draw reads.
     """
 
-    def __init__(self, draws: int, seed: int, n_query: int, theta_size: int, random: bool):
+    def __init__(self, trials: int, seed: int, n_query: int, theta_size: int, random: bool):
+        draws = min(trials, 2000)
         rng = episode_rng(derive_task_seed(seed, "test", 0x51E), stream=9)
         noise, index = [], []
         for _ in range(draws):
             if random:
                 noise.append(rng.normal(size=theta_size))
             index.append(int(rng.integers(n_query)))
+        self.trials = trials
         self.draws = draws
         self.n_query = n_query
         self.noise = np.array(noise) if random else None  # (draws, theta_size)
         self.index = np.array(index)
-        self.weights, self.inputs, self.labels = [], [], []
+        self.weights, self.point_draws, self.inputs, self.labels = [], [], [], []
 
-    def keep(self, trials: range, datasets: Episode, even_weights: np.ndarray) -> None:
+    def keep(self, trials: range, datasets: Episode, weights: np.ndarray) -> None:
         """Keep what the draws read of ``trials``, the next consecutive ones:
-        ``even_weights``, the flat adapted weights of the even trials, and
-        the point of each odd trial from ``datasets`` (one row per trial)."""
-        trials = np.asarray(trials)
-        read = trials < 2 * self.draws
-        odd = np.nonzero(read & (trials % 2 == 1))[0]
-        points = self.index[trials[odd] // 2]
-        self.inputs.append(datasets.query_inputs[odd, points])
-        self.labels.append(datasets.query_labels[odd, points])
-        self.weights.append(even_weights[:np.count_nonzero(read & (trials % 2 == 0))])
+        their flat adapted ``weights`` up to trial min(T, 2000) - 1, and from
+        ``datasets`` (one row per trial) the point of each trial s that draw
+        (s - 1) mod T reads."""
+        self.weights.append(weights[:max(0, self.draws - trials.start)])
+        draw = (np.asarray(trials) - 1) % self.trials
+        rows = np.nonzero(draw < self.draws)[0]
+        points = self.index[draw[rows]]
+        self.point_draws.append(draw[rows])
+        self.inputs.append(datasets.query_inputs[rows, points])
+        self.labels.append(datasets.query_labels[rows, points])
 
 
 def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig) -> float:
@@ -312,8 +296,9 @@ def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig)
     what they read in ``picked``."""
     posterior = Posterior(inner)
     weights = np.concatenate(picked.weights)
-    inputs = np.concatenate(picked.inputs)[:, None]
-    labels = np.concatenate(picked.labels)[:, None]
+    order = np.argsort(np.concatenate(picked.point_draws))  # trial 0's point is read last
+    inputs = np.concatenate(picked.inputs)[order, None]
+    labels = np.concatenate(picked.labels)[order, None]
     losses = []
     for rows in chunk_slices(picked.draws, picked.n_query):
         noise = None if picked.noise is None else picked.noise[rows]

@@ -28,7 +28,6 @@ from .analysis import (
     spearman_rank_correlation,
     toy_task_sampler,
     fewshot_task_sampler,
-    trials_read,
     vary_n_sweep,
     write_report_csv,
     write_report_json,
@@ -310,7 +309,7 @@ def cmd_analyze(args) -> int:
     # gap trials that are evaluation episodes are generated and adapted once,
     # by the evaluation, with the gap's θ₀ and inner loop
     held = HeldTrials(seed for sampler in samplers
-                      for seed in sampler.seeds(trials_read(args.trials)))
+                      for seed in sampler.seeds(range(args.trials)))
     report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size),
                       on_chunk=held.keep)
     if cfg.mode == "toy":

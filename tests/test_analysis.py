@@ -21,10 +21,13 @@ from sgmeta.analysis import (
 from sgmeta.distributions import DiagGaussian
 from sgmeta.models import build_toy_model, frozen_copy
 from sgmeta.sibcore import InnerLoopConfig
+from sgmeta import diffcore as dc
 from sgmeta.tasks import (
+    Episode,
     FewShotConfig,
     ToyConfig,
     derive_task_seed,
+    episode_rng,
     gen_spinning_lines,
     true_posterior,
 )
@@ -259,7 +262,7 @@ def test_gen_gap_stderr_scales_with_trials():
     assert 1.4 < ratio < 2.9  # ~2 expected from 4x trials
 
 
-def toy_gap_estimate(trials):
+def toy_gap_estimate(trials, on_chunk=None):
     """The gap estimate of a toy Gaussian sampler with inner draws."""
     cfg = default_config("toy")
     cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
@@ -269,33 +272,84 @@ def toy_gap_estimate(trials):
     g = np.random.default_rng(3)
     for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
         model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
-    est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=trials, seed=2)
+    est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=trials, seed=2,
+                  on_chunk=on_chunk)
     return dataclasses.asdict(est)
 
 
 def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
-    """The estimate, bit for bit, recorded when the gap drew each trial's
-    weights as ``theta + math.exp(q_log_var / 2) * rng.normal(size)`` and σ
-    added ``std * noise`` to its stack, before ``Posterior.draw`` took both
-    over."""
-    assert toy_gap_estimate(37) == {
-        "gap": 0.4100809932220589, "stderr": 0.2591901861661375, "trials": 37,
-        "sigma": 14.029244874171434, "bound": 11.762427854411799, "mi": 2.108854460879188,
-        "n": 6}
+    """The estimate, bit for bit. The gap, its stderr and the
+    mutual-information term are the values recorded when the gap drew each
+    trial's weights as ``theta + math.exp(q_log_var / 2) * rng.normal(size)``,
+    before ``Posterior.draw`` took the draw over. σ is a loop of the same
+    formulas over the gap's adapted slopes: draw t adds ``std * noise`` to
+    trial t's slope and takes a point of trial (t + 1) mod T."""
+    trials, n, std = 37, 6, math.exp(2 * math.log(TOY.sigma_w) / 2)
+    chunks = []
+    est = toy_gap_estimate(trials, on_chunk=lambda idx, datasets, theta_k: chunks.append(
+        (datasets.query_inputs[..., 0], datasets.query_labels, theta_k[:, 0])))
+    x, y, slope = (np.concatenate(a) for a in zip(*chunks))
+    rng = episode_rng(derive_task_seed(3, "test", 0x51E), stream=9)
+    losses = []
+    for t in range(trials):
+        w = slope[t] + std * rng.normal(size=1)[0]
+        i, s = int(rng.integers(n)), (t + 1) % trials
+        losses.append((w * x[s, i] - y[s, i]) ** 2)
+    sigma = (max(losses) - min(losses)) / 2.0
+    mi = 2.108854460879188
+    assert est == {
+        "gap": 0.4100809932220589, "stderr": 0.2591901861661375, "trials": trials,
+        "sigma": sigma, "bound": gen_bound(sigma, n, mi), "mi": mi, "n": n}
 
 
 @pytest.mark.parametrize("trials, gap, stderr", [
-    (2101, 0.36574956988222734, 0.10459353228881384),  # σ reads trials 2101..3999 too
-    (4001, 0.381531711691207, 0.0620666938774358),  # σ reads only the gap's trials
+    (2101, 0.36574956988222734, 0.10459353228881384),  # trial 0's point is not read
+    (4001, 0.381531711691207, 0.0620666938774358),
 ], ids=["2101", "4001"])
 def test_gen_gap_beyond_the_sigma_draw_cap_is_bitwise_the_recorded_estimate(trials, gap,
                                                                             stderr):
-    """σ makes at most 2000 draws and the mutual-information term reads 200
-    trials. The values were recorded when σ read its weights from a table of
-    adapted weights by trial and generated the trials it lacked itself."""
+    """σ makes at most 2000 draws, which read trials 0 .. 2000 alike at both
+    sizes, and the mutual-information term reads 200 trials. The gap and the
+    mutual-information term were recorded when σ read its weights from a
+    table of adapted weights by trial and generated the trials it lacked
+    itself; σ and the bound when it first paired each trial with the next."""
     assert toy_gap_estimate(trials) == {
-        "gap": gap, "stderr": stderr, "trials": trials, "sigma": 57.569773004479096,
-        "bound": 50.70632698264424, "mi": 2.3273222736998607, "n": 6}
+        "gap": gap, "stderr": stderr, "trials": trials, "sigma": 22.471248731369514,
+        "bound": 19.792235168141115, "mi": 2.3273222736998607, "n": 6}
+
+
+def test_gen_gap_needs_two_trials():
+    with pytest.raises(ValueError, match="trials"):
+        gen_gap(oracle_posterior_model(), toy_task_sampler(TOY, seed=1), toy_inner(), trials=1)
+
+
+@pytest.mark.parametrize("trials", [2, 3, 2101])
+def test_no_sigma_draw_reads_the_weights_and_the_point_of_one_trial(monkeypatch, trials):
+    """Every trial's query inputs and (unadapted, point-mass) slope are its
+    trial number, so each loss σ computes shows which trial's slope met
+    which trial's point: draw t pairs trial t with trial (t + 1) mod T."""
+    n = 3
+
+    def make(task_seeds):
+        inputs = np.repeat(np.asarray(task_seeds, dtype=float), n).reshape(-1, n, 1)
+        return Episode(inputs, np.zeros(inputs.shape[:2]), task_seed=tuple(task_seeds))
+
+    sampler = analysis.TaskSampler(n, list, make, lambda datasets, trials: datasets)
+    pairs = []
+
+    def recording_losses(model, inputs, labels, w):
+        if inputs.shape[1] == 1:  # σ's one point per draw
+            pairs.extend(zip(w[:, 0], inputs[:, 0, 0]))
+        return losses(model, inputs, labels, w)
+
+    losses = analysis._losses
+    theta0 = lambda frozen, chunk: dc.constant(  # noqa: E731
+        np.asarray(chunk.task_seed, dtype=float)[:, None])
+    monkeypatch.setattr(analysis, "_losses", recording_losses)
+    gen_gap(oracle_posterior_model(), sampler,
+            toy_inner(steps=0, posterior_regime="deterministic"), trials=trials, theta0_fn=theta0)
+    assert pairs == [(t, (t + 1) % trials) for t in range(min(trials, 2000))]
+    assert all(weights_trial != point_trial for weights_trial, point_trial in pairs)
 
 
 def test_sigma_estimator_positive_and_stable():
@@ -330,10 +384,9 @@ def test_vary_n_sweep_generates_each_dataset_once(monkeypatch):
     trials = 30
     vary_n_sweep(oracle_posterior_model(lam=0.5), TOY, toy_inner(), n_values=[4, 8],
                  trials=trials, seed=0)
-    # per size: the gap's datasets and their fresh draws, and the trials
-    # 30..59 that sigma takes weights and points from; the metric reads the
-    # gap's datasets while they are alive
-    assert len(seeds) == len(set(seeds)) == 2 * 3 * trials
+    # per size: the gap's datasets and their fresh draws; σ and the metric
+    # read the gap's datasets while they are alive
+    assert len(seeds) == len(set(seeds)) == 2 * 2 * trials
 
 
 def test_vary_n_sweep_requires_values():

@@ -419,8 +419,8 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
     rng = episode_rng(derive_task_seed(seed + 1, "test", 0x51E), stream=9)
     losses = []
     for t in range(trials):
-        w = drawn(adapted(2 * t)[2], rng)
-        d_z = only_episode(sampler.make(sampler.seeds([2 * t + 1])))
+        w = drawn(adapted(t)[2], rng)
+        d_z = only_episode(sampler.make(sampler.seeds([(t + 1) % trials])))
         i = int(rng.integers(d_z.n_query))
         losses.append(loss(d_z.query_inputs[i:i + 1], d_z.query_labels[i:i + 1], w))
     assert est.gap == pytest.approx(np.mean(diffs), rel=TOL, abs=1e-15)
@@ -459,12 +459,8 @@ def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
     sib_unroll = analysis.sib_unroll
     monkeypatch.setattr(analysis, "sib_unroll", counting_unroll)
     gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn)
-    draws = min(trials, 2000)
-    # the gap's trials, then the weights trials 2t of sigma it lacks; the
-    # mutual-information term's trials are all among the gap's
-    expected = trials + len([t for t in range(trials, 2 * draws) if t % 2 == 0])
-    assert len(adapted) == expected
-    assert len(set(adapted)) == expected
+    # σ and the mutual-information term read only the gap's trials
+    assert len(adapted) == len(set(adapted)) == trials
 
 
 def reuse_case(mode, init="proto", **inner):
@@ -491,17 +487,19 @@ REUSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("held_trials", [4, 10])  # ending inside the gap's trials, or σ's
+@pytest.mark.filterwarnings("ignore:single-episode evaluation")  # a pool of one
+@pytest.mark.parametrize("held_trials", [1, 4, 7])  # only trial 0, to a chunk's middle, all
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypatch, case,
                                                                        held_trials):
     """An evaluation of the test split keeps the gap trials among its
     episodes (``HeldTrials``); the gap reads them instead of generating and
     adapting them, with the same datasets, bitwise the same adapted weights
-    and bitwise the same estimate, though its chunks split where they end."""
+    and bitwise the same estimate, though its chunks split where they end.
+    Trial 0 is always held, and σ's last draw reads its point."""
     cfg, sampler, theta0_fn = REUSE_CASES[case]()
     model = perturbed_model(cfg, seed=7)
-    trials = 7  # and σ's trials 7 .. 13
+    trials = 7
     stride = 2 if cfg.mode == "toy" else 3  # gap trial t's dataset is test episode stride·t
     pool = stride * (held_trials - 1) + 1
     chunk_episodes(monkeypatch, 3, sampler.n_query)  # the chunk of trials 3 .. 5 straddles 4
@@ -514,7 +512,7 @@ def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypat
         return est, chunks
 
     fresh, fresh_chunks = estimate(None)
-    seeds = sampler.seeds(analysis.trials_read(trials))
+    seeds = sampler.seeds(range(trials))
     held = analysis.HeldTrials(seeds)
     evaluate(model, cfg, "test", episode_pool(cfg, "test", pool), on_chunk=held.keep)
     assert sum(seed in held for seed in seeds) == held_trials

@@ -691,10 +691,9 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
                     "--out", str(run_dir / "analysis")])
 
     def each_task_once(pool, reused, estimates):
-        # per estimate: the gap's 40 datasets and fresh draws, and σ's other
-        # 40 trials of 80, of which it adapts the 20 even ones
-        assert len(generated) == pool + estimates * (40 + 40 + 40) - reused
-        assert len(adapted) == pool + estimates * (40 + 20) - reused
+        # per estimate: the gap's 40 datasets, all adapted, and their fresh draws
+        assert len(generated) == pool + estimates * (40 + 40) - reused
+        assert len(adapted) == pool + estimates * 40 - reused
         assert len(set(generated)) == len(generated)
         assert len(set(adapted)) == len(adapted)
 
