@@ -43,7 +43,8 @@ from . import diffcore as dc
 # (``tasks.Episode``), adapted through the batched unroll on a constant copy
 # of the model, so no autodiff tape is built and one chunk of datasets is
 # alive at a time. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
-# initializations (default: the global one). Each trial is generated and
+# initializations: the commands pass the run's rule, ``trainer.make_theta0``
+# bound to the run config. Each trial is generated and
 # adapted once. Its weights are drawn and its loss is compared with a fresh
 # dataset of its task. Then σ (``SigmaDraws``) keeps what its draws read of
 # the chunk: the adapted weights of trial t and one point of trial
@@ -63,18 +64,6 @@ from . import diffcore as dc
 # trial's are the ones the gap would make. The gap's weight noise is drawn
 # chunk by chunk in trial order from one stream; σ's draws depend only on
 # the query size and are all made before the first chunk, from another.
-
-
-def _adapt(frozen: MetaModel, episodes: Episode, inner: InnerLoopConfig,
-           theta0_fn: Optional[Callable] = None) -> np.ndarray:
-    """Adapted weights of a batch of episodes, stacked."""
-    if theta0_fn is None:
-        lam = frozen.params["lambda_global"].data
-        theta0 = dc.constant(np.broadcast_to(lam, (len(episodes),) + lam.shape))
-    else:
-        theta0 = theta0_fn(frozen, episodes)
-    theta_k, _ = sib_unroll(theta0, episodes, frozen, inner)
-    return theta_k.data
 
 
 def _losses(frozen: MetaModel, inputs: np.ndarray, labels: np.ndarray,
@@ -197,14 +186,15 @@ def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
-            trials: int = 2000, seed: int = 0, theta0_fn: Optional[Callable] = None,
+            trials: int = 2000, seed: int = 0, *, theta0_fn: Callable,
             on_chunk: Optional[Callable] = None,
             held: Optional[HeldTrials] = None) -> GapEstimate:
     """Monte-Carlo generalization gap of the adaptation process, with the
     scale σ and the mutual-information term of its bound.
 
-    Per trial: draw a dataset, adapt on its inputs, draw task weights from
-    the resulting posterior, and compare the loss on a fresh dataset of the
+    Per trial: draw a dataset, adapt on its inputs from
+    ``theta0_fn(frozen model, datasets)``, draw task weights from the
+    resulting posterior, and compare the loss on a fresh dataset of the
     same task against the loss on the adapted-on dataset. σ and the
     mutual-information term read the same trials (see the comment at the
     top of this module); σ pairs each trial's weights with a point of the
@@ -226,7 +216,7 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     first_theta_k = []  # of the first min(trials, 200) trials, chunk by chunk
     for idx, datasets, theta_k in _trial_chunks(trials, task_sampler, held):
         if theta_k is None:
-            theta_k = _adapt(frozen, datasets, inner, theta0_fn)
+            theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
         theta = theta_k.reshape(len(idx), -1)
         # one draw per trial, in trial order
         eps = rng.normal(size=theta.shape) if posterior.random else None
@@ -338,7 +328,7 @@ class SweepRow:
 
 
 def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
-                 trials: int = 500, seed: int = 0) -> list:
+                 trials: int = 500, seed: int = 0, *, theta0_fn: Callable) -> list:
     """Generalization gap, bound, and task metric at each query-set size.
 
     The trained model is adapted at each size. A sum-convention update would
@@ -365,7 +355,8 @@ def vary_n_sweep(model: MetaModel, cfg, inner: InnerLoopConfig, n_values,
                                       datasets.query_labels[first], theta_k[first]))
 
         est = gen_gap(model, toy_task_sampler(cfg, seed=seed + 131 * n, n=n), inner,
-                      trials=trials, seed=seed + n, on_chunk=metric_losses)
+                      trials=trials, seed=seed + n, theta0_fn=theta0_fn,
+                      on_chunk=metric_losses)
         mse = float(np.mean(losses))
         rows.append(SweepRow(n=int(n), gap=est.gap, stderr=est.stderr, bound=est.bound,
                              sigma=est.sigma, mi=est.mi, metric=mse))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -306,8 +307,9 @@ def cmd_analyze(args) -> int:
                     for s in range(args.mc_seeds)]
     else:
         samplers = [fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)]
-    # gap trials that are evaluation episodes are generated and adapted once,
-    # by the evaluation, with the gap's θ₀ and inner loop
+    # every gap adapts from the run's θ₀ rule, so gap trials that are
+    # evaluation episodes are generated and adapted once, by the evaluation
+    theta0_fn = functools.partial(make_theta0, cfg=cfg)
     held = HeldTrials(seed for sampler in samplers
                       for seed in sampler.seeds(range(args.trials)))
     report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size),
@@ -320,7 +322,7 @@ def cmd_analyze(args) -> int:
         gaps = []
         for s, sampler in enumerate(samplers):
             est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
-                          held=held)
+                          theta0_fn=theta0_fn, held=held)
             gaps.append(est)
             quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
             append_bound(quantities, f"gen_bound_seed{s}", est.bound)
@@ -335,7 +337,7 @@ def cmd_analyze(args) -> int:
                            report.ci95["query_accuracy"]))
         quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
         est = gen_gap(model, samplers[0], cfg.inner, trials=args.trials, seed=cfg.run_seed,
-                      theta0_fn=lambda frozen, chunk: make_theta0(frozen, chunk, cfg), held=held)
+                      theta0_fn=theta0_fn, held=held)
         quantities.append(("gen_gap", est.gap, est.stderr))
         append_bound(quantities, "gen_bound", est.bound)
         append_bound_inputs(quantities, est, "")
@@ -376,7 +378,8 @@ def cmd_sweep(args) -> int:
     t0 = time.time()
     for s in range(args.mc_seeds):
         rows = vary_n_sweep(model, cfg.toy, cfg.inner, n_values, trials=args.trials,
-                            seed=cfg.run_seed + 7919 * s)
+                            seed=cfg.run_seed + 7919 * s,
+                            theta0_fn=functools.partial(make_theta0, cfg=cfg))
         all_rows.append([dataclasses.asdict(r) for r in rows])
         rho = spearman_rank_correlation([r.n for r in rows], [abs(r.gap) for r in rows])
         correlations.append(rho)

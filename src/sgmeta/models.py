@@ -125,11 +125,6 @@ def apply_features(model: MetaModel, inputs: np.ndarray) -> Tensor:
 # -- initialization --------------------------------------------------------
 
 
-def init_theta0_global(model: MetaModel) -> Tensor:
-    """Data-independent start: the learnable global initialization itself."""
-    return model.params["lambda_global"]
-
-
 def init_theta0_proto(model: MetaModel, support_feats: Tensor, support_labels) -> Tensor:
     """Per-class feature means, scaled per dimension by a learnable vector.
 

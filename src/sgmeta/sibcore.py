@@ -24,9 +24,11 @@ weights, the query loss and data term, and the query loss's closed-form
 gradient. ``distributions.Posterior`` answers the regime's: how many weights
 are drawn, the draw itself and the KL to the prior.
 
-The inductive baseline, ``maml_inner``, steps down the head's closed-form
-support-loss gradient (``loss_gradient``) on a frozen copy of the model, with
-no tape; the cosine head's shares ``models.cross_entropy_seed`` with ``ssl_init``.
+The inductive baseline, ``maml_inner``, steps through the same loop
+(``_descend``) along the head's closed-form support-loss gradient
+(``loss_gradient``), with no prior pull, on a frozen copy of the model, so
+it builds no tape; the cosine head's shares ``models.cross_entropy_seed``
+with ``ssl_init``.
 
 Every function here that takes episodes takes a batch of them
 (``tasks.Episode``, fields stacked on a leading episode axis: query inputs
@@ -122,31 +124,36 @@ def _step_noise(episodes: Episode, cfg: InnerLoopConfig, shape) -> list:
     return [noise[k * m:(k + 1) * m] if m else None for k in range(cfg.steps)]
 
 
-def sib_step(theta: Tensor, inputs, model: MetaModel, cfg: InnerLoopConfig, eps=None,
-             step_index: int = 0) -> Tensor:
-    """One synthetic-gradient descent step on the query inputs (no labels):
-    the head's direction at each weight draw, averaged over the draws.
-    ``inputs`` is the head's (inner inputs, per-unroll constant) pair."""
-    contrib = model.head.direction(Posterior(cfg).draw(theta, eps), *inputs, cfg.sum_convention)
-    direction = mean_over_draws(contrib, eps)
-    if cfg.kl_in_inner:
-        # the KL's gradient in theta: exact in both regimes, as q's variance does not enter
-        prior = prior_dist(model)
-        kl_dir = dc.prior_pull(model.head.flat(theta), prior.mean, prior.log_var)
-        direction = direction + kl_dir.reshape(theta.shape)
-    theta_next = theta - dc.scale(direction, cfg.eta_inner)
-    if not np.all(np.isfinite(theta_next.data)):
-        raise InnerLoopError("non-finite inner update", step_index)
-    return theta_next
+def _descend(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig,
+             direction, pull: bool) -> list:
+    """``cfg.steps`` descent steps from ``theta0`` (one row per episode);
+    returns the iterates theta_0 .. theta_K. Each step is ``direction`` at
+    each of the step's weight draws, averaged over the draws, plus the
+    prior's pull when ``pull``."""
+    posterior = Posterior(cfg)
+    thetas = [theta0]
+    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
+        theta = thetas[-1]
+        step = mean_over_draws(direction(posterior.draw(theta, eps)), eps)
+        if pull:
+            # the KL's gradient in theta: exact in both regimes, as q's variance does not enter
+            prior = prior_dist(model)
+            kl_dir = dc.prior_pull(model.head.flat(theta), prior.mean, prior.log_var)
+            step = step + kl_dir.reshape(theta.shape)
+        thetas.append(theta - dc.scale(step, cfg.eta_inner))
+        if not np.all(np.isfinite(thetas[-1].data)):
+            raise InnerLoopError("non-finite inner update", k)
+    return thetas
 
 
 def sib_unroll(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig):
-    """Compose ``cfg.steps`` synthetic-gradient steps from ``theta0`` (one
-    row per episode); returns (theta_K, the iterates theta_0 .. theta_K)."""
+    """Compose ``cfg.steps`` synthetic-gradient steps on the query inputs (no
+    labels) from ``theta0`` (one row per episode), with the prior's pull
+    under ``kl_in_inner``; returns (theta_K, the iterates theta_0 .. theta_K)."""
     inputs = model.head.inner_inputs(episodes.query_inputs)
-    thetas = [theta0]
-    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
-        thetas.append(sib_step(thetas[-1], inputs, model, cfg, eps, step_index=k))
+    thetas = _descend(theta0, episodes, model, cfg,
+                      lambda w: model.head.direction(w, *inputs, cfg.sum_convention),
+                      cfg.kl_in_inner)
     return thetas[-1], thetas
 
 
@@ -219,23 +226,19 @@ def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLo
     """Gradient descent on the support loss (evaluation baseline).
 
     Uses true support labels only. Each step is the head's closed-form
-    support-loss gradient (``loss_gradient``) at the current iterate,
-    averaged over weights drawn per step as in ``sib_unroll``. It runs on a
+    support-loss gradient (``loss_gradient``) at the weights drawn as in
+    ``sib_unroll``, through the same loop, with no prior pull. It runs on a
     frozen copy of the model, so it builds no tape and the result is a
     constant with respect to the meta-parameters.
     """
     inputs, labels = episodes.support_inputs, episodes.support_labels
     if inputs is None or inputs.shape[-2] == 0:
         raise ValueError("maml_inner requires a non-empty support set")
-    head, posterior = frozen_copy(model).head, Posterior(cfg)
-    features, _ = head.inner_inputs(inputs)
-    theta = dc.constant(theta0.data.copy())
-    for k, eps in enumerate(_step_noise(episodes, cfg, head.theta_shape)):
-        gradient = head.loss_gradient(posterior.draw(theta, eps), features, labels)
-        theta = theta - dc.scale(mean_over_draws(gradient, eps), cfg.eta_inner)
-        if not np.all(np.isfinite(theta.data)):
-            raise InnerLoopError("non-finite inductive update", k)
-    return theta
+    frozen = frozen_copy(model)
+    features, _ = frozen.head.inner_inputs(inputs)
+    thetas = _descend(dc.constant(theta0.data.copy()), episodes, frozen, cfg,
+                      lambda w: frozen.head.loss_gradient(w, features, labels), pull=False)
+    return thetas[-1]
 
 
 # -- self-supervised initialization -------------------------------------------------

@@ -34,7 +34,6 @@ from .models import (
     checkpoint_payload,
     config_hash,
     frozen_copy,
-    init_theta0_global,
     init_theta0_proto,
     model_from_payload,
 )
@@ -382,10 +381,11 @@ def build_model(cfg: RunConfig) -> MetaModel:
 
 
 def make_theta0(model: MetaModel, episodes: Episode, cfg: RunConfig):
-    """Initial task weights of a batch of episodes, stacked on the episode axis."""
+    """Initial task weights of a batch of episodes, stacked on the episode
+    axis: the global initialization itself (data-independent), proto or ssl."""
     kind = cfg.init_kind
     if kind == "global":
-        lam = init_theta0_global(model)
+        lam = model.params["lambda_global"]
         return lam + dc.constant(np.zeros((len(episodes),) + lam.shape))
     if kind == "proto":
         feats = dc.detach(apply_features(model, episodes.support_inputs))

@@ -7,6 +7,7 @@ configurations.
 """
 
 import dataclasses
+import functools
 import json
 import time
 
@@ -128,7 +129,8 @@ def test_criterion_5_generalization_bound(toy_run):
     margins = []
     for s in range(10):
         sampler = toy_task_sampler(cfg.toy, seed=1000 + s)
-        est = gen_gap(result.model, sampler, cfg.inner, trials=2000, seed=2000 + s)
+        est = gen_gap(result.model, sampler, cfg.inner, trials=2000, seed=2000 + s,
+                      theta0_fn=functools.partial(make_theta0, cfg=cfg))
         assert abs(est.gap) <= est.bound + 3 * est.stderr, (
             f"seed {s}: |gap| {abs(est.gap):.4f} exceeds bound {est.bound:.4f} "
             f"+ 3*stderr {3 * est.stderr:.4f}"
@@ -193,7 +195,8 @@ def test_criterion_8_query_size_trend(toy_run):
     rhos = []
     for s in range(5):
         rows = vary_n_sweep(result.model, cfg.toy, cfg.inner, [4, 8, 16, 32],
-                            trials=1000, seed=777 + s)
+                            trials=1000, seed=777 + s,
+                            theta0_fn=functools.partial(make_theta0, cfg=cfg))
         rho = spearman_rank_correlation([r.n for r in rows], [abs(r.gap) for r in rows])
         rhos.append(rho)
         assert rho < 0, (

@@ -1,6 +1,7 @@
 """Analysis estimators against enumeration, symbolic, and resampling oracles."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -20,7 +21,7 @@ from sgmeta.analysis import (
 )
 from sgmeta.distributions import DiagGaussian
 from sgmeta.models import build_toy_model, frozen_copy
-from sgmeta.sibcore import InnerLoopConfig
+from sgmeta.sibcore import InnerLoopConfig, sib_unroll
 from sgmeta import diffcore as dc
 from sgmeta.tasks import (
     Episode,
@@ -31,12 +32,14 @@ from sgmeta.tasks import (
     gen_spinning_lines,
     true_posterior,
 )
-from sgmeta.trainer import build_model, default_config, episodes_for, evaluate
+from sgmeta.trainer import build_model, default_config, episodes_for, evaluate, make_theta0
 from ib_decomposition import DiscreteInstance, ib_decomposition_check, random_instance
 from test_fused import kl_diag_gaussian
 
 
 TOY = ToyConfig()
+# the toy run's θ₀ rule: the global initialization, one row per episode
+TOY_THETA0 = functools.partial(make_theta0, cfg=default_config("toy"))
 
 
 def episodes(n, seed=0):
@@ -59,7 +62,9 @@ def toy_inner(**kw):
 
 def mi_of(model, eps, inner):
     """``mi_estimate`` of the weights adapted on a batch of episodes."""
-    return mi_estimate(model, analysis._adapt(frozen_copy(model), eps, inner), inner)
+    frozen = frozen_copy(model)
+    theta_k, _ = sib_unroll(TOY_THETA0(frozen, eps), eps, frozen, inner)
+    return mi_estimate(model, theta_k.data, inner)
 
 
 def kl_to_true_posterior(model, eps, inner):
@@ -210,7 +215,7 @@ def test_gen_gap_zero_for_constant_predictor():
     model = oracle_posterior_model(lam=0.9)
     inner = toy_inner(posterior_regime="deterministic")
     sampler = toy_task_sampler(TOY, seed=5)
-    est = gen_gap(model, sampler, inner, trials=400, seed=2)
+    est = gen_gap(model, sampler, inner, trials=400, seed=2, theta0_fn=TOY_THETA0)
     assert abs(est.gap) <= 3 * est.stderr + 1e-9
 
 
@@ -256,8 +261,8 @@ def test_gen_gap_oracle_posterior_matches_symbolic_value():
 def test_gen_gap_stderr_scales_with_trials():
     model = oracle_posterior_model(lam=0.5)
     inner = toy_inner()
-    small = gen_gap(model, toy_task_sampler(TOY, seed=21), inner, trials=200, seed=4)
-    large = gen_gap(model, toy_task_sampler(TOY, seed=21), inner, trials=800, seed=4)
+    small, large = (gen_gap(model, toy_task_sampler(TOY, seed=21), inner, trials=trials, seed=4,
+                            theta0_fn=TOY_THETA0) for trials in (200, 800))
     ratio = small.stderr / large.stderr
     assert 1.4 < ratio < 2.9  # ~2 expected from 4x trials
 
@@ -273,7 +278,7 @@ def toy_gap_estimate(trials, on_chunk=None):
     for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
         model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
     est = gen_gap(model, toy_task_sampler(cfg.toy, seed=4), cfg.inner, trials=trials, seed=2,
-                  on_chunk=on_chunk)
+                  theta0_fn=functools.partial(make_theta0, cfg=cfg), on_chunk=on_chunk)
     return dataclasses.asdict(est)
 
 
@@ -320,7 +325,8 @@ def test_gen_gap_beyond_the_sigma_draw_cap_is_bitwise_the_recorded_estimate(tria
 
 def test_gen_gap_needs_two_trials():
     with pytest.raises(ValueError, match="trials"):
-        gen_gap(oracle_posterior_model(), toy_task_sampler(TOY, seed=1), toy_inner(), trials=1)
+        gen_gap(oracle_posterior_model(), toy_task_sampler(TOY, seed=1), toy_inner(), trials=1,
+                theta0_fn=TOY_THETA0)
 
 
 @pytest.mark.parametrize("trials", [2, 3, 2101])
@@ -355,7 +361,7 @@ def test_no_sigma_draw_reads_the_weights_and_the_point_of_one_trial(monkeypatch,
 def test_sigma_estimator_positive_and_stable():
     model = oracle_posterior_model(lam=0.5)
     sigma, sigma2 = (gen_gap(model, toy_task_sampler(TOY, seed=31), toy_inner(), trials=500,
-                             seed=0).sigma for _ in range(2))
+                             seed=0, theta0_fn=TOY_THETA0).sigma for _ in range(2))
     assert sigma > 0
     assert sigma == sigma2
 
@@ -363,7 +369,8 @@ def test_sigma_estimator_positive_and_stable():
 def test_vary_n_sweep_runs_and_reports(tmp_path):
     model = oracle_posterior_model(lam=0.5)
     inner = toy_inner()
-    rows = vary_n_sweep(model, TOY, inner, n_values=[1, 4, 8], trials=60, seed=0)
+    rows = vary_n_sweep(model, TOY, inner, n_values=[1, 4, 8], trials=60, seed=0,
+                        theta0_fn=TOY_THETA0)
     assert [r.n for r in rows] == [1, 4, 8]
     assert all(np.isfinite([r.gap, r.bound, r.metric]).all() for r in rows)
     write_report_csv(tmp_path / "sweep.csv", [(f"gap_n{r.n}", r.gap, r.stderr) for r in rows])
@@ -383,7 +390,7 @@ def test_vary_n_sweep_generates_each_dataset_once(monkeypatch):
     monkeypatch.setattr(analysis, "gen_spinning_lines", counting)
     trials = 30
     vary_n_sweep(oracle_posterior_model(lam=0.5), TOY, toy_inner(), n_values=[4, 8],
-                 trials=trials, seed=0)
+                 trials=trials, seed=0, theta0_fn=TOY_THETA0)
     # per size: the gap's datasets and their fresh draws; σ and the metric
     # read the gap's datasets while they are alive
     assert len(seeds) == len(set(seeds)) == 2 * 2 * trials
@@ -392,7 +399,7 @@ def test_vary_n_sweep_generates_each_dataset_once(monkeypatch):
 def test_vary_n_sweep_requires_values():
     model = oracle_posterior_model()
     with pytest.raises(ValueError):
-        vary_n_sweep(model, TOY, toy_inner(), n_values=[])
+        vary_n_sweep(model, TOY, toy_inner(), n_values=[], theta0_fn=TOY_THETA0)
 
 
 def test_spearman_rank_correlation():

@@ -7,6 +7,7 @@ two must agree to rounding (1e-12) on per-episode losses, adapted weights
 and the gradient of every trainable parameter.
 """
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -214,6 +215,11 @@ CASES = {
 }
 
 
+def run_theta0(cfg):
+    """The run's θ₀ rule as a gap takes it: ``make_theta0`` bound to ``cfg``."""
+    return functools.partial(make_theta0, cfg=cfg)
+
+
 def perturbed_model(cfg, seed=0):
     model = build_model(cfg)
     rng = np.random.default_rng(seed)
@@ -345,7 +351,7 @@ def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
 
     def gap(episodes_per_chunk):
         chunk_episodes(monkeypatch, episodes_per_chunk, cfg.toy.n)
-        return gen_gap(model, sampler, cfg.inner, trials=13, seed=1)
+        return gen_gap(model, sampler, cfg.inner, trials=13, seed=1, theta0_fn=run_theta0(cfg))
 
     one = gap(1)
     for episodes_per_chunk in (4, 5):
@@ -358,13 +364,12 @@ def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
 def toy_inner_draws_analysis():
     cfg = toy_case()
     cfg.inner.inner_eval_at_mean = False  # inner draws too
-    return cfg, toy_task_sampler(cfg.toy, seed=5), None, cfg.toy.n
+    return cfg, toy_task_sampler(cfg.toy, seed=5), cfg.toy.n
 
 
 def fewshot_analysis(**inner):
     cfg = fewshot_case(**inner)
     return (cfg, fewshot_task_sampler(cfg.fewshot, seed=5),
-            lambda frozen, chunk: make_theta0(frozen, chunk, cfg),
             cfg.fewshot.k * cfg.fewshot.n_query_per_class)
 
 
@@ -381,18 +386,17 @@ GAP_CASES = {
 def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
     """The gap, σ and the mutual-information term of one estimate, against a
     loop that generates, adapts and draws for one trial at a time."""
-    cfg, sampler, theta0_fn, n_query = GAP_CASES[case]()
+    cfg, sampler, n_query = GAP_CASES[case]()
     inner = cfg.inner
     model = perturbed_model(cfg, seed=3)
     trials, seed = 11, 2
     chunk_episodes(monkeypatch, 3, n_query)  # chunks start at odd trials too
-    est = gen_gap(model, sampler, inner, trials=trials, seed=seed, theta0_fn=theta0_fn)
+    est = gen_gap(model, sampler, inner, trials=trials, seed=seed, theta0_fn=run_theta0(cfg))
 
     def adapted(trial):
         batch = sampler.make(sampler.seeds([trial]))
         ep = only_episode(batch)
-        theta0 = model.params["lambda_global"] if theta0_fn is None else ref_theta0(model, ep, cfg)
-        return batch, ep, ref_unroll(theta0, ep, model, inner).data
+        return batch, ep, ref_unroll(ref_theta0(model, ep, cfg), ep, model, inner).data
 
     def drawn(theta, rng):
         if inner.posterior_regime == DETERMINISTIC:
@@ -430,13 +434,13 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
 def test_adapted_weights_do_not_depend_on_the_chunk_layout(monkeypatch, case):
-    cfg, sampler, theta0_fn, n_query = ANALYSIS_CASES[case]()
+    cfg, sampler, n_query = ANALYSIS_CASES[case]()
     model = perturbed_model(cfg, seed=4)
 
     def theta_k(episodes_per_chunk):
         chunk_episodes(monkeypatch, episodes_per_chunk, n_query)
         chunks = []
-        gen_gap(model, sampler, cfg.inner, trials=17, seed=1, theta0_fn=theta0_fn,
+        gen_gap(model, sampler, cfg.inner, trials=17, seed=1, theta0_fn=run_theta0(cfg),
                 on_chunk=lambda trials, datasets, theta_k: chunks.append(theta_k))
         return np.concatenate(chunks)
 
@@ -447,7 +451,7 @@ def test_adapted_weights_do_not_depend_on_the_chunk_layout(monkeypatch, case):
 
 @pytest.mark.parametrize("trials", [3, 13])
 def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
-    cfg, sampler, theta0_fn, n_query = fewshot_analysis()
+    cfg, sampler, n_query = fewshot_analysis()
     model = perturbed_model(cfg, seed=6)
     chunk_episodes(monkeypatch, 4, n_query)
     adapted = []
@@ -458,27 +462,31 @@ def test_gen_gap_adapts_each_trial_once(monkeypatch, trials):
 
     sib_unroll = analysis.sib_unroll
     monkeypatch.setattr(analysis, "sib_unroll", counting_unroll)
-    gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn)
+    gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=run_theta0(cfg))
     # σ and the mutual-information term read only the gap's trials
     assert len(adapted) == len(set(adapted)) == trials
 
 
-def reuse_case(mode, init="proto", **inner):
-    cfg = toy_case() if mode == "toy" else fewshot_case(**inner)
+def reuse_case(mode, init="proto", lambda_global=None, **inner):
+    """A run config, its gap sampler and, unless ``None``, the value the
+    model's global initialization is set to."""
     if mode == "toy":
+        cfg = toy_case()
         cfg.inner.inner_eval_at_mean = False  # inner draws too
-        sampler, theta0_fn = toy_task_sampler(cfg.toy, seed=cfg.run_seed), None
-    else:
-        cfg.theta_init = init
-        sampler = fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)
-        theta0_fn = lambda frozen, chunk: make_theta0(frozen, chunk, cfg)  # noqa: E731
-    return cfg, sampler, theta0_fn
+        for key, value in inner.items():
+            setattr(cfg.inner, key, value)
+        return cfg, toy_task_sampler(cfg.toy, seed=cfg.run_seed), lambda_global
+    cfg = fewshot_case(**inner)
+    cfg.theta_init = init
+    return cfg, fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed), lambda_global
 
 
 GAUSSIAN_INNER = {"posterior_regime": GAUSSIAN_FIXED_VAR, "mc_samples": 2,
                   "q_log_var": 2 * math.log(0.05)}
 REUSE_CASES = {
     "toy-inner-draws": lambda: reuse_case("toy"),
+    # θ_K is θ₀, whose sign bit shows whether both paths start from one rule
+    "toy-negative-zero-k0": lambda: reuse_case("toy", lambda_global=-0.0, steps=0),
     "fewshot-proto-deterministic": lambda: reuse_case("fewshot"),
     "fewshot-proto-gaussian": lambda: reuse_case("fewshot", **GAUSSIAN_INNER),
     "fewshot-global-deterministic": lambda: reuse_case("fewshot", "global"),
@@ -496,9 +504,12 @@ def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypat
     episodes (``HeldTrials``); the gap reads them instead of generating and
     adapting them, with the same datasets, bitwise the same adapted weights
     and bitwise the same estimate, though its chunks split where they end.
-    Trial 0 is always held, and σ's last draw reads its point."""
-    cfg, sampler, theta0_fn = REUSE_CASES[case]()
+    Trial 0 is always held, and σ's last draw reads its point. Adapted
+    weights match to the sign of zero."""
+    cfg, sampler, lambda_global = REUSE_CASES[case]()
     model = perturbed_model(cfg, seed=7)
+    if lambda_global is not None:
+        model.params["lambda_global"].data[:] = lambda_global
     trials = 7
     stride = 2 if cfg.mode == "toy" else 3  # gap trial t's dataset is test episode stride·t
     pool = stride * (held_trials - 1) + 1
@@ -506,8 +517,9 @@ def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypat
 
     def estimate(held):
         chunks = []
-        est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=1, theta0_fn=theta0_fn,
-                      held=held, on_chunk=lambda idx, datasets, theta_k: chunks.append(
+        est = gen_gap(model, sampler, cfg.inner, trials=trials, seed=1,
+                      theta0_fn=run_theta0(cfg), held=held,
+                      on_chunk=lambda idx, datasets, theta_k: chunks.append(
                           (idx, datasets.query_inputs, theta_k)))
         return est, chunks
 
@@ -523,5 +535,7 @@ def test_gap_trials_held_from_an_evaluation_are_the_ones_it_would_make(monkeypat
         assert [idx for idx, _, _ in reused_chunks] == [range(0, 3), range(3, 4), range(4, 6),
                                                         range(6, 7)]
     for i in (1, 2):
-        assert np.array_equal(np.concatenate([c[i] for c in reused_chunks]),
-                              np.concatenate([c[i] for c in fresh_chunks]))
+        got, want = (np.concatenate([c[i] for c in chunks])
+                     for chunks in (reused_chunks, fresh_chunks))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -7,7 +7,9 @@ printed lines exactly, every other value to 1e-12 relative (the tolerance
 for refactors that may change float summation order).
 
 Set ``SGMETA_REGEN_GOLDEN=1`` to rewrite the golden files from the current
-code instead of comparing; a change that rewrites them says why.
+code instead of comparing. A rewrite keeps each recorded value that passes
+its comparison and writes the new one only where it fails, so a golden file
+changes only where the outputs moved; a change that rewrites them says why.
 """
 
 import contextlib
@@ -119,9 +121,22 @@ def outputs(tmp_path_factory):
     return {name: _run(name, root) for name in RUNS}
 
 
+def _close(actual: float, expected: float) -> bool:
+    return abs(actual - expected) <= RTOL * max(abs(actual), abs(expected))
+
+
 def _assert_close(actual: float, expected: float, where: str) -> None:
-    assert abs(actual - expected) <= RTOL * max(abs(actual), abs(expected)), (
-        f"{where}: {actual!r} != {expected!r} (rel 1e-12)")
+    assert _close(actual, expected), f"{where}: {actual!r} != {expected!r} (rel 1e-12)"
+
+
+def _row_passes(got: list, want: list) -> tuple:
+    """Whether a row's value and its spread pass: an accuracy exactly, any
+    other value and every spread to ``RTOL``."""
+    if "accuracy" in str(got[-3]):
+        value = got[-2] == want[-2]
+    else:
+        value = _close(float(got[-2]), float(want[-2]))
+    return value, _close(float(got[-1]), float(want[-1]))
 
 
 def _compare_rows(actual: list, expected: list, where: str) -> None:
@@ -129,11 +144,35 @@ def _compare_rows(actual: list, expected: list, where: str) -> None:
     assert [r[:-2] for r in actual] == [r[:-2] for r in expected], f"{where}: row keys differ"
     for got, want in zip(actual, expected):
         label = f"{where} {got[:-2]}"
-        if "accuracy" in str(got[-3]):
-            assert got[-2] == want[-2], f"{label}: accuracy {got[-2]} != {want[-2]}"
-        else:
-            _assert_close(float(got[-2]), float(want[-2]), label)
-        _assert_close(float(got[-1]), float(want[-1]), f"{label} spread")
+        value, spread = _row_passes(got, want)
+        assert value, f"{label}: {got[-2]} != {want[-2]}"
+        assert spread, f"{label} spread: {got[-1]} != {want[-1]}"
+
+
+def _regenerated(got: dict, want: dict) -> dict:
+    """The record a rewrite stores: ``got``, with each recorded value of
+    ``want`` that passes its comparison kept. Exact comparisons pass only
+    on equal values, so only rows and parameters compared to ``RTOL`` keep
+    a recorded value; rows whose keys changed and parameters whose names or
+    sizes changed are written new."""
+    record = dict(got)
+    for csv in ("metrics", "report"):
+        if [r[:-2] for r in got[csv]] == [r[:-2] for r in want[csv]]:
+            record[csv] = [_kept_row(g, w) for g, w in zip(got[csv], want[csv])]
+    if "params" in got:
+        record["params"] = dict(got["params"])
+        for name, values in got["params"].items():
+            old = want.get("params", {}).get(name, [])
+            if len(old) == len(values):  # passes as ``assert_allclose`` below compares it
+                passes = np.isclose(values, old, rtol=RTOL, atol=0, equal_nan=True)
+                record["params"][name] = np.where(passes, old, values).tolist()
+    return record
+
+
+def _kept_row(got: list, want: list) -> list:
+    """A row with its recorded value and spread kept where each passes."""
+    value, spread = _row_passes(got, want)
+    return got[:-2] + [want[-2] if value else got[-2], want[-1] if spread else got[-1]]
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -142,7 +181,8 @@ def test_golden_outputs(outputs, name):
     path = GOLDEN_DIR / f"{name}.json"
     if REGEN:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(got, indent=1) + "\n")
+        record = _regenerated(got, json.loads(path.read_text())) if path.exists() else got
+        path.write_text(json.dumps(record, indent=1) + "\n")
         return
     want = json.loads(path.read_text())
     assert got["exit"] == want["exit"] == 0
@@ -153,6 +193,21 @@ def test_golden_outputs(outputs, name):
     for param, values in want.get("params", {}).items():
         np.testing.assert_allclose(got["params"][param], values, rtol=RTOL, atol=0,
                                    err_msg=f"checkpoint parameter {param}")
+
+
+def test_regeneration_keeps_the_recorded_values_that_pass():
+    want = {"exit": 0, "printed": ["a"], "metrics": [],
+            "report": [["gap", "1.0", "0.5"], ["query_accuracy", "0.25", "0.125"]],
+            "params": {"w": [1.0, 2.0], "b": [3.0]}}
+    got = {"exit": 0, "printed": ["b"], "metrics": [],
+           "report": [["gap", "1.0000000000000002", "0.6"], ["query_accuracy", "0.5", "0.125"]],
+           "params": {"w": [1.0000000000000002, 2.5], "b": [3.0, 4.0]}}
+    assert _regenerated(got, want) == {
+        "exit": 0, "printed": ["b"], "metrics": [],
+        "report": [["gap", "1.0", "0.6"], ["query_accuracy", "0.5", "0.125"]],
+        "params": {"w": [1.0, 2.5], "b": [3.0, 4.0]}}
+    renamed = {**got, "report": [["gen_gap", "1.0", "0.5"], got["report"][1]]}
+    assert _regenerated(renamed, want)["report"] == renamed["report"]
 
 
 @pytest.mark.parametrize("name", [name for name in RUNS if name.startswith("analyze")])

@@ -17,13 +17,12 @@ from sgmeta.models import (
     build_toy_model,
     checkpoint_payload,
     config_hash,
-    init_theta0_global,
     init_theta0_proto,
     model_from_payload,
     prior_dist,
 )
 from sgmeta.tasks import ToyConfig, derive_task_seed, gen_spinning_lines, true_prior
-from sgmeta.trainer import default_config
+from sgmeta.trainer import default_config, make_theta0
 from test_distributions import SRC, vocabulary_sites
 from test_fused import kl_diag_gaussian, tmean
 
@@ -41,8 +40,11 @@ def test_global_init_is_data_independent():
     ep_a = gen_spinning_lines(cfg, [derive_task_seed(0, "train", 0)])
     ep_b = gen_spinning_lines(cfg, [derive_task_seed(0, "train", 1)])
     assert not np.array_equal(ep_a.query_inputs, ep_b.query_inputs)
-    assert init_theta0_global(model) is init_theta0_global(model)
-    np.testing.assert_array_equal(init_theta0_global(model).data, model.params["lambda_global"].data)
+    run = default_config("toy")
+    assert run.init_kind == "global"
+    for ep in (ep_a, ep_b):
+        np.testing.assert_array_equal(make_theta0(model, ep, run).data,
+                                      model.params["lambda_global"].data[None])
 
 
 def test_proto_init_one_shot_equals_support_features():

@@ -14,7 +14,6 @@ from sgmeta.models import (
     apply_features,
     build_fewshot_model,
     build_toy_model,
-    init_theta0_global,
     init_theta0_proto,
     mean_over_draws,
 )
@@ -26,13 +25,13 @@ from sgmeta.sibcore import (
     STREAM_INNER,
     STREAM_OBJECTIVE,
     InnerLoopConfig,
+    InnerLoopError,
     _noise,
     _ssl_projection,
     data_term,
     maml_inner,
     orthogonal_transform_labeler,
     prior_term,
-    sib_step,
     sib_unroll,
     ssl_init,
     task_objective,
@@ -65,13 +64,22 @@ def det_cfg(**kw):
 
 def global_theta0(model):
     """The global initialization as a batch of one episode."""
-    lam = init_theta0_global(model)
+    lam = model.params["lambda_global"]
     return lam.reshape((1,) + lam.shape)
 
 
 def proto_theta0(model, episodes):
     feats = dc.detach(apply_features(model, episodes.support_inputs))
     return init_theta0_proto(model, feats, episodes.support_labels)
+
+
+def one_step(theta: float, x, model, cfg) -> np.ndarray:
+    """Theta after one synthetic step on query inputs ``x`` (no labels read),
+    for a batch of one toy episode: shape (1, 1)."""
+    x = np.asarray(x, dtype=float)
+    ep = Episode(x.reshape(1, -1, 1), np.zeros((1, x.size)), task_seed=(0,))
+    theta_k, _ = sib_unroll(constant([[theta]]), ep, model, dataclasses.replace(cfg, steps=1))
+    return theta_k.data
 
 
 def stub_xi_model_toy(value: float = 1.0):
@@ -85,26 +93,23 @@ def stub_xi_model_toy(value: float = 1.0):
 
 def test_zero_net_and_no_kl_is_identity():
     model = build_toy_model(seed=4)  # final xi layer is zero-initialized
-    theta = constant([0.7])
-    x = constant([1.0, -2.0, 0.5])
-    out = sib_step(theta, (x, None), model, det_cfg())
-    np.testing.assert_array_equal(out.data, theta.data)
+    out = one_step(0.7, [1.0, -2.0, 0.5], model, det_cfg())
+    np.testing.assert_array_equal(out, [[0.7]])
 
 
 def test_hand_checked_toy_step():
     # x=(1,2), theta=0.5, eta=1e-3, constant unit synthetic gradient:
     # theta' = 0.5 - 1e-3 * (1/2) * (1*1 + 1*2) = 0.4985
     model = stub_xi_model_toy(1.0)
-    out = sib_step(constant([0.5]), (constant([1.0, 2.0]), None), model, det_cfg(eta_inner=1e-3))
-    assert out.data[0] == pytest.approx(0.4985, abs=1e-15)
+    out = one_step(0.5, [1.0, 2.0], model, det_cfg(eta_inner=1e-3))
+    assert out[0, 0] == pytest.approx(0.4985, abs=1e-15)
 
 
 def test_hand_checked_toy_step_sum_convention():
     # Legacy form without the 1/n factor: theta' = 0.5 - 1e-3 * 3 = 0.497
     model = stub_xi_model_toy(1.0)
-    out = sib_step(constant([0.5]), (constant([1.0, 2.0]), None), model,
-                   det_cfg(eta_inner=1e-3, sum_convention=True))
-    assert out.data[0] == pytest.approx(0.497, abs=1e-15)
+    out = one_step(0.5, [1.0, 2.0], model, det_cfg(eta_inner=1e-3, sum_convention=True))
+    assert out[0, 0] == pytest.approx(0.497, abs=1e-15)
 
 
 def test_unroll_k0_returns_initialization():
@@ -121,10 +126,9 @@ def test_unroll_equals_manual_composition():
     ep = gen_spinning_lines(ToyConfig(), [derive_task_seed(1, "train", 3)])
     cfg = det_cfg(steps=3)
     theta_k, _ = sib_unroll(constant([[0.2]]), ep, model, cfg)
-    inputs = model.head.inner_inputs(ep.query_inputs)
     theta = constant([[0.2]])
-    for k in range(3):
-        theta = sib_step(theta, inputs, model, cfg, step_index=k)
+    for _ in range(3):
+        theta, _ = sib_unroll(theta, ep, model, det_cfg(steps=1))
     np.testing.assert_array_equal(theta_k.data, theta.data)
 
 
@@ -210,13 +214,13 @@ def test_toy_direction_matches_naive_loop():
         model.params[name].data[:] = rng.normal(size=model.params[name].shape)
     x = rng.normal(size=6)
     theta = 0.4
-    out = sib_step(constant([theta]), (constant(x), None), model, det_cfg(eta_inner=1.0))
+    out = one_step(theta, x, model, det_cfg(eta_inner=1.0))
     # naive: per-example synthetic outputs times x_i, averaged
     g = np.array([
         mlp_composite(constant([[theta * xi]]), model.sg_layers()).data[0, 0] for xi in x
     ])
     expected = theta - np.mean(g * x)
-    assert out.data[0] == pytest.approx(expected, rel=1e-12)
+    assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -361,7 +365,7 @@ def inductive_case(init):
     ep = gen_fewshot_episode(cfg_task, "train", [derive_task_seed(2, "train", i) for i in range(5)])
     if init == "proto":
         return model, ep, proto_theta0(model, ep)
-    lam = init_theta0_global(model)
+    lam = model.params["lambda_global"]
     return model, ep, lam + constant(np.zeros((len(ep),) + lam.shape))
 
 
@@ -393,6 +397,34 @@ def test_maml_inner_builds_no_tape(init, monkeypatch):
     monkeypatch.setattr(dc, "_make", recording_make)
     maml_inner(theta0, ep, model, toy_cfg(steps=3, eta_inner=0.5, mc_samples=2))
     assert made and not any(t.requires_grad for t in made)
+
+
+def overflow_case(rule):
+    """A run of ``rule`` whose step 0 is finite and whose step 1 overflows:
+    a constant synthetic direction of 1.5 at a step size of 1e308, or the
+    support gradient, -7.5 and then about 3.75e201, at 1e200."""
+    ep = Episode(
+        query_inputs=np.array([[[1.0], [2.0]]]), query_labels=np.zeros((1, 2)),
+        support_inputs=np.array([[[1.0], [2.0]]]), support_labels=np.array([[2.0, 4.0]]),
+        task_seed=(0,),
+    )
+    if rule == "sib_unroll":
+        model = stub_xi_model_toy(1.0)
+        return lambda steps: sib_unroll(constant([[0.0]]), ep, model,
+                                        det_cfg(steps=steps, eta_inner=1e308))[0]
+    model = build_toy_model(seed=0)
+    return lambda steps: maml_inner(constant([[0.5]]), ep, model,
+                                    det_cfg(steps=steps, eta_inner=1e200))
+
+
+@pytest.mark.parametrize("rule", ["sib_unroll", "maml_inner"])
+def test_a_step_to_non_finite_weights_names_that_step(rule):
+    run = overflow_case(rule)
+    assert np.all(np.isfinite(run(1).data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InnerLoopError, match="non-finite inner update") as raised:
+            run(3)
+    assert raised.value.step == 1
 
 
 def test_cross_entropy_perfect_logits_vanish():
