@@ -217,9 +217,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 # -- nonlinearities -------------------------------------------------------
 
 
+def _last_axis_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, one column at a time: the last
+    axis is a few classes, and a strided reduction over it costs far more
+    than k - 1 maximum passes over the leading axes. Max is exact, so the
+    values are the reduction's."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out[..., None]
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - _last_axis_max(a.data)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
@@ -387,11 +398,12 @@ def _relu_mlp_back(g: np.ndarray, acts: list, layers, want_input: bool):
     """Accumulate the layers' cotangents from the output rows' cotangent
     ``g``, last layer first, weight before bias; return the input rows'
     cotangent when ``want_input``. The relu mask is read off the
-    post-activations."""
+    post-activations and applied in place: below the last layer, ``g`` is the
+    fresh product ``g @ w.T`` of the layer above."""
     for i in reversed(range(len(layers))):
         w, b = layers[i]
         if i < len(layers) - 1:
-            g = g * (acts[i + 1] > 0.0)
+            np.multiply(g, acts[i + 1] > 0.0, out=g)
         if w.requires_grad:
             _accum(w, acts[i].T @ g)
         if b.requires_grad:
@@ -463,7 +475,6 @@ def linear_sg_direction(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
     out_data = gx.mean(axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
 
     def back(g):
-        g = np.broadcast_to(g, y.shape)
         if mean:
             g = g / y.shape[-1]
         g_y = _relu_mlp_back((g * x.data).reshape(acts[-1].shape), acts, layers,
@@ -567,8 +578,8 @@ def linear_squared_error(theta: Tensor, offsets, x: np.ndarray, y: np.ndarray,
 
     def back(g):
         if offsets is not None:
-            g = np.broadcast_to(draw_weight * g, per.shape)
-        g_sq = np.broadcast_to(g[..., None], sq.shape)
+            g = draw_weight * g
+        g_sq = g[..., None]
         if mean:
             g_sq = g_sq / sq.shape[-1]
         # summed over the points into each drawn slope, then over the draws
@@ -593,7 +604,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         idx = np.broadcast_to(idx, logits.shape[:-1])[..., None]
     except ValueError:
         raise ShapeError("softmax_cross_entropy", logits.shape, np.shape(labels)) from None
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted = logits.data - _last_axis_max(logits.data)
     e = np.exp(shifted)
     total = e.sum(axis=-1)
     nll = np.log(total) - np.take_along_axis(shifted, idx, axis=-1)[..., 0]

@@ -277,26 +277,33 @@ def _apply_nested(obj, updates: dict, section: str) -> None:
 
 
 def adam_init(shapes) -> dict:
-    return {
-        "t": 0,
-        "m": [np.zeros(s) for s in shapes],
-        "v": [np.zeros(s) for s in shapes],
-    }
+    """Adam's state for parameters of ``shapes``: the moments are flat
+    vectors covering every parameter, in order."""
+    size = sum(math.prod(s) for s in shapes)
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam; returns (new params, new state), inputs untouched."""
+    """Bias-corrected Adam; returns (new params, new state), inputs untouched.
+
+    The update runs once over all parameters, concatenated into one flat
+    vector; it is elementwise, so each element goes through the arithmetic of
+    a per-parameter update. The new parameters are shaped views of one new
+    array."""
     t = state["t"] + 1
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m_new = beta1 * m + (1 - beta1) * g
-        v_new = beta2 * v + (1 - beta2) * g * g
-        m_hat = m_new / (1 - beta1**t)
-        v_hat = v_new / (1 - beta2**t)
-        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m_new)
-        new_v.append(v_new)
-    return new_p, {"t": t, "m": new_m, "v": new_v}
+    p = np.concatenate([x.reshape(-1) for x in params])
+    g = np.concatenate([x.reshape(-1) for x in grads])
+    m = beta1 * state["m"] + (1 - beta1) * g
+    v = beta2 * state["v"] + (1 - beta2) * g * g
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    flat = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    new_p, start = [], 0
+    for x in params:
+        end = start + x.size
+        new_p.append(flat[start:end].reshape(x.shape))
+        start = end
+    return new_p, {"t": t, "m": m, "v": v}
 
 
 def sgd_step(params, grads, lr):

@@ -77,10 +77,54 @@ def test_adam_zero_gradient_leaves_params_and_decays_moments():
     new_params, _ = adam_step(params, [np.zeros(2)], fresh, lr=0.1)
     np.testing.assert_array_equal(new_params[0], params[0])
     # with accumulated moments, zero gradients decay them geometrically
-    state = {"t": 5, "m": [np.array([0.5, 0.5])], "v": [np.array([0.25, 0.25])]}
+    state = {"t": 5, "m": np.array([0.5, 0.5]), "v": np.array([0.25, 0.25])}
     _, new_state = adam_step(params, [np.zeros(2)], state, lr=0.1)
-    assert np.all(new_state["m"][0] < state["m"][0])
-    assert np.all(new_state["v"][0] < state["v"][0])
+    assert np.all(new_state["m"] < state["m"])
+    assert np.all(new_state["v"] < state["v"])
+
+
+def _adam_step_per_parameter(params, grads, state, lr, beta1, beta2, eps):
+    """The per-parameter Adam loop that the flat update replaced, with its
+    moments held as one array per parameter."""
+    t = state["t"] + 1
+    new_m, new_v, new_p = [], [], []
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m_new = beta1 * m + (1 - beta1) * g
+        v_new = beta2 * v + (1 - beta2) * g * g
+        m_hat = m_new / (1 - beta1**t)
+        v_hat = v_new / (1 - beta2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_new)
+        new_v.append(v_new)
+    return new_p, {"t": t, "m": new_m, "v": new_v}
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_loop():
+    rng = np.random.default_rng(3)
+    # a 0-d scale like classifier_scale, a (d, d) matrix, vectors and a column
+    shapes = [(), (5, 5), (5,), (1,), (4, 1)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref = list(params)
+    state = adam_init(shapes)
+    assert state["m"].shape == state["v"].shape == (sum(math.prod(s) for s in shapes),)
+    ref_state = {"t": 0, "m": [np.zeros(s) for s in shapes], "v": [np.zeros(s) for s in shapes]}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.98, 1e-8
+    for _ in range(100):
+        # gradients over many scales, exact zeros included
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        grads[2][rng.integers(5)] = 0.0
+        new_params, state = adam_step(params, grads, state, lr, b1, b2, eps)
+        ref, ref_state = _adam_step_per_parameter(ref, grads, ref_state, lr, b1, b2, eps)
+        for new, old, want in zip(new_params, params, ref):
+            assert np.shape(new) == np.shape(old)
+            np.testing.assert_array_equal(new, want)
+            for other in [old, state["m"], state["v"]]:
+                assert not np.shares_memory(new, other)
+        for key in ("m", "v"):
+            flat_ref = np.concatenate([np.ravel(a) for a in ref_state[key]])
+            np.testing.assert_array_equal(state[key], flat_ref)
+        params = new_params
+    assert state["t"] == ref_state["t"] == 100
 
 
 def test_adam_constant_gradient_approaches_signed_step():
