@@ -47,10 +47,10 @@ from . import diffcore as dc
 # bound to the run config. Each trial is generated and
 # adapted once. Its weights are drawn and its loss is compared with a fresh
 # dataset of its task. Then σ (``SigmaDraws``) keeps what its draws read of
-# the chunk: the adapted weights of trial t and one point of trial
-# (t + 1) mod T, for draws t < min(T, 2000). The mutual-information term
-# keeps the adapted weights of the first 200 trials, and ``on_chunk`` reads
-# the chunk.
+# the chunk: the adapted weights of trial t, in row t of one table, and one
+# point of trial (t + 1) mod T, for draws t < min(T, 2000). The
+# mutual-information term reads the table's first 200 rows, and
+# ``on_chunk`` reads the chunk.
 #
 # A trial whose task seed an evaluation of the same model already generated
 # and adapted (``HeldTrials``, filled by ``trainer.evaluate``'s ``on_chunk``)
@@ -126,14 +126,14 @@ def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> Task
                                                                    n=n))
 
 
-def fewshot_task_sampler(cfg: FewShotConfig, seed: int, split: str = "test") -> TaskSampler:
+def fewshot_task_sampler(cfg: FewShotConfig, seed: int) -> TaskSampler:
     """Fresh query sets of the same classes define the task's dataset draw."""
 
     def seeds(trials, offset=0):
-        return [derive_task_seed(seed, split, 3 * t + offset) for t in trials]
+        return [derive_task_seed(seed, "test", 3 * t + offset) for t in trials]
 
     return TaskSampler(cfg.n_query, seeds,
-                       lambda task_seeds: gen_fewshot_episode(cfg, split, task_seeds),
+                       lambda task_seeds: gen_fewshot_episode(cfg, "test", task_seeds),
                        lambda datasets, trials: resample_query_set(datasets, cfg,
                                                                    seeds(trials, 1)))
 
@@ -196,9 +196,10 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     ``theta0_fn(frozen model, datasets)``, draw task weights from the
     resulting posterior, and compare the loss on a fresh dataset of the
     same task against the loss on the adapted-on dataset. σ and the
-    mutual-information term read the same trials (see the comment at the
-    top of this module); σ pairs each trial's weights with a point of the
-    next trial, so it needs ``trials >= 2``. ``on_chunk(trials, datasets,
+    mutual-information term read the same trials' adapted weights, from
+    one table (see the comment at the top of this module); σ pairs each
+    trial's weights with a point of the next trial, so it needs
+    ``trials >= 2``. ``on_chunk(trials, datasets,
     theta_k)`` is called on each chunk with its datasets and stacked
     adapted weights. Trials in ``held`` are read from it, not drawn and
     adapted; ``theta0_fn`` and ``inner`` must be the ones that adapted them.
@@ -208,12 +209,11 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     frozen = frozen_copy(model)
     posterior = Posterior(inner)
     n_query = task_sampler.n_query
-    size = int(np.prod(frozen.head.theta_shape))
-    picked = SigmaDraws(trials, seed + 1, n_query, size, posterior.random)
+    theta_shape = frozen.head.theta_shape
+    picked = SigmaDraws(trials, seed + 1, n_query, int(np.prod(theta_shape)), posterior.random)
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
-    first_theta_k = []  # of the first min(trials, 200) trials, chunk by chunk
     for idx, datasets, theta_k in _trial_chunks(trials, task_sampler, held):
         if theta_k is None:
             theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
@@ -226,13 +226,12 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
             _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
             - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
         picked.keep(idx, datasets, theta)
-        first_theta_k.append(theta_k[:max(0, 200 - idx.start)])
         if on_chunk is not None:
             on_chunk(idx, datasets, theta_k)
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials))
     sigma = estimate_sigma(frozen, picked, inner)
-    mi = mi_for_sampler(frozen, first_theta_k, inner)
+    mi = mi_for_sampler(frozen, picked.weights[:200].reshape((-1,) + theta_shape), inner)
     bound = gen_bound(sigma, n_query, mi) if posterior.has_bound else None
     return GapEstimate(gap=gap, stderr=stderr, trials=trials, sigma=sigma,
                        bound=bound, mi=mi, n=n_query)
@@ -247,8 +246,9 @@ class SigmaDraws:
     (none for a point mass), then the index of the point taken from trial
     (t + 1) mod T's dataset, of ``n_query`` points. The two trials are
     different tasks, so the weights and the point are drawn independently.
-    ``keep`` is given the trials in order and keeps, of each, the flat
-    adapted weights and the point that a draw reads.
+    ``keep`` is given the trials in order and keeps, of each, the point that
+    a draw reads and, in row t of ``weights``, trial t's flat adapted
+    weights; the mutual-information term reads that table's first rows.
     """
 
     def __init__(self, trials: int, seed: int, n_query: int, theta_size: int, random: bool):
@@ -261,17 +261,17 @@ class SigmaDraws:
             index.append(int(rng.integers(n_query)))
         self.trials = trials
         self.draws = draws
-        self.n_query = n_query
         self.noise = np.array(noise) if random else None  # (draws, theta_size)
         self.index = np.array(index)
-        self.weights, self.point_draws, self.inputs, self.labels = [], [], [], []
+        self.weights = np.empty((draws, theta_size))
+        self.point_draws, self.inputs, self.labels = [], [], []
 
     def keep(self, trials: range, datasets: Episode, weights: np.ndarray) -> None:
         """Keep what the draws read of ``trials``, the next consecutive ones:
         their flat adapted ``weights`` up to trial min(T, 2000) - 1, and from
         ``datasets`` (one row per trial) the point of each trial s that draw
         (s - 1) mod T reads."""
-        self.weights.append(weights[:max(0, self.draws - trials.start)])
+        self.weights[trials.start:trials.stop] = weights[:max(0, self.draws - trials.start)]
         draw = (np.asarray(trials) - 1) % self.trials
         rows = np.nonzero(draw < self.draws)[0]
         points = self.index[draw[rows]]
@@ -283,25 +283,25 @@ class SigmaDraws:
 def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig) -> float:
     """Plug-in subgaussian scale: half the observed per-example loss range
     under independently drawn task weights and data points, the draws and
-    what they read in ``picked``."""
+    what they read in ``picked``: one point per draw, in chunks of at most
+    ``CHUNK_POINTS`` draws."""
     posterior = Posterior(inner)
-    weights = np.concatenate(picked.weights)
     order = np.argsort(np.concatenate(picked.point_draws))  # trial 0's point is read last
     inputs = np.concatenate(picked.inputs)[order, None]
     labels = np.concatenate(picked.labels)[order, None]
     losses = []
-    for rows in chunk_slices(picked.draws, picked.n_query):
+    for rows in chunk_slices(picked.draws, 1):
         noise = None if picked.noise is None else picked.noise[rows]
-        w = posterior.draw(dc.constant(weights[rows]), noise).data
+        w = posterior.draw(dc.constant(picked.weights[rows]), noise).data
         losses.extend(_losses(model, inputs[rows], labels[rows], w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 
 
-def mi_for_sampler(model: MetaModel, theta_k: list, inner: InnerLoopConfig) -> float:
+def mi_for_sampler(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -> float:
     """Mutual-information proxy over a gap estimate's first trials, their
-    adapted weights given chunk by chunk."""
-    return mi_estimate(model, np.concatenate(theta_k), inner)
+    stacked adapted weights ``theta_k``."""
+    return mi_estimate(model, theta_k, inner)
 
 
 def gen_bound(sigma: float, n: int, mi: float) -> float:

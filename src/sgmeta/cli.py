@@ -89,15 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgmeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override run_seed")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (dotted keys, JSON values)")
-        if needs_out:
-            p.add_argument("--out", type=Path, required=True, help="run directory")
-            p.add_argument("--force", action="store_true",
-                           help="allow writing into an existing run directory")
+        p.add_argument("--out", type=Path, required=True, help="run directory")
+        p.add_argument("--force", action="store_true",
+                       help="allow writing into an existing run directory")
 
     p = sub.add_parser("train-toy", help="train the zero-shot regression model")
     add_common(p)
@@ -293,20 +292,35 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = resolve_config(args)
-    if cfg.mode != "toy" and args.mc_seeds != 1:
-        raise ValueError("--mc-seeds must be 1 in fewshot mode (one gap estimate)")
+    # the mode chooses the evaluation rows (its primary metric with its
+    # interval, the others without), the pool, the gap samplers, the gap
+    # rows' suffix and the summary's gap keys
+    if cfg.mode == "toy":
+        rows = ("kl_to_true_posterior", "query_mse", "prior_kl_to_true")
+        pool_size = cfg.toy.n_test_tasks
+        samplers = [toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
+                    for s in range(args.mc_seeds)]
+        suffix = "_seed{}"
+
+        def gap_summary(gaps):
+            # null when the posterior regime has no bound
+            holds = None if gaps[0].bound is None else all(
+                abs(e.gap) <= e.bound + 3 * e.stderr for e in gaps)
+            return {"bound_holds_all_seeds": holds, "gaps": [dataclasses.asdict(e) for e in gaps]}
+    else:
+        if args.mc_seeds != 1:
+            raise ValueError("--mc-seeds must be 1 in fewshot mode (one gap estimate)")
+        rows = ("query_accuracy",)
+        pool_size = min(cfg.eval_episodes, 500)
+        samplers = [fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)]
+        suffix = ""
+
+        def gap_summary(gaps):
+            return {"gap": dataclasses.asdict(gaps[0])}
     out = prepare_out(args)
     echo_config(cfg, out)
     model = load_checkpoint(args.checkpoint, cfg)
-    quantities = []
-    payload = {"command": "analyze", "trials": args.trials, "mc_seeds": args.mc_seeds}
     t0 = time.time()
-    pool_size = cfg.toy.n_test_tasks if cfg.mode == "toy" else min(cfg.eval_episodes, 500)
-    if cfg.mode == "toy":
-        samplers = [toy_task_sampler(cfg.toy, seed=cfg.run_seed + 1000 * s)
-                    for s in range(args.mc_seeds)]
-    else:
-        samplers = [fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed)]
     # every gap adapts from the run's θ₀ rule, so gap trials that are
     # evaluation episodes are generated and adapted once, by the evaluation
     theta0_fn = functools.partial(make_theta0, cfg=cfg)
@@ -314,54 +328,28 @@ def cmd_analyze(args) -> int:
                       for seed in sampler.seeds(range(args.trials)))
     report = evaluate(model, cfg, "test", episode_pool(cfg, "test", pool_size),
                       on_chunk=held.keep)
-    if cfg.mode == "toy":
-        quantities.append(("kl_to_true_posterior", report.row.kl_to_true_posterior, 0.0))
-        quantities.append(("query_mse", report.row.query_mse, report.ci95["query_mse"]))
-        quantities.append(("prior_kl_to_true", report.row.prior_kl_to_true, 0.0))
-        quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
-        gaps = []
-        for s, sampler in enumerate(samplers):
-            est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
-                          theta0_fn=theta0_fn, held=held)
-            gaps.append(est)
-            quantities.append((f"gen_gap_seed{s}", est.gap, est.stderr))
-            append_bound(quantities, f"gen_bound_seed{s}", est.bound)
-            append_bound_inputs(quantities, est, f"_seed{s}")
-        # null when the posterior regime has no bound
-        payload["bound_holds_all_seeds"] = None if gaps[0].bound is None else all(
-            abs(e.gap) <= e.bound + 3 * e.stderr for e in gaps
-        )
-        payload["gaps"] = [dataclasses.asdict(e) for e in gaps]
-    else:
-        quantities.append(("query_accuracy", report.row.query_accuracy,
-                           report.ci95["query_accuracy"]))
-        quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
-        est = gen_gap(model, samplers[0], cfg.inner, trials=args.trials, seed=cfg.run_seed,
+    quantities = [(name, getattr(report.row, name),
+                   report.ci95[name] if name == report.primary else 0.0) for name in rows]
+    quantities.append(("mi_estimate", report.row.kl_to_prior, 0.0))
+    gaps = []
+    for s, sampler in enumerate(samplers):
+        est = gen_gap(model, sampler, cfg.inner, trials=args.trials, seed=cfg.run_seed + s,
                       theta0_fn=theta0_fn, held=held)
-        quantities.append(("gen_gap", est.gap, est.stderr))
-        append_bound(quantities, "gen_bound", est.bound)
-        append_bound_inputs(quantities, est, "")
-        payload["gap"] = dataclasses.asdict(est)
-    payload["eval_episodes"] = report.n_episodes
-    payload["wall_time_ms"] = 1000.0 * (time.time() - t0)
+        gaps.append(est)
+        tag = suffix.format(s)
+        quantities.append((f"gen_gap{tag}", est.gap, est.stderr))
+        if est.bound is not None:  # the posterior regime has a bound
+            quantities.append((f"gen_bound{tag}", est.bound, 0.0))
+        # the bound's inputs, from which it is recomputed as sqrt(2 σ² mi / n)
+        quantities.extend((name + tag, getattr(est, name), 0.0) for name in ("sigma", "mi", "n"))
+    payload = {"command": "analyze", "trials": args.trials, "mc_seeds": args.mc_seeds,
+               **gap_summary(gaps), "eval_episodes": report.n_episodes,
+               "wall_time_ms": 1000.0 * (time.time() - t0)}
     write_report_csv(out / "report.csv", quantities)
     write_report_json(out / "summary.json", payload)
     for name, value, stderr in quantities:
         print(f"{name} {value:.6f} (stderr {stderr:.6f})")
     return 0
-
-
-def append_bound(quantities: list, name: str, bound) -> None:
-    """A bound row, unless the posterior regime has no bound (``None``)."""
-    if bound is not None:
-        quantities.append((name, bound, 0.0))
-
-
-def append_bound_inputs(quantities: list, est, suffix: str) -> None:
-    """The bound's σ, mutual-information term and query size, from which the
-    bound row is recomputed as sqrt(2 σ² mi / n)."""
-    for name in ("sigma", "mi", "n"):
-        quantities.append((name + suffix, getattr(est, name), 0.0))
 
 
 def cmd_sweep(args) -> int:
@@ -385,7 +373,8 @@ def cmd_sweep(args) -> int:
         correlations.append(rho)
         for r in rows:
             quantities.append((f"gap_n{r.n}_seed{s}", r.gap, r.stderr))
-            append_bound(quantities, f"bound_n{r.n}_seed{s}", r.bound)
+            if r.bound is not None:  # the posterior regime has a bound
+                quantities.append((f"bound_n{r.n}_seed{s}", r.bound, 0.0))
             quantities.append((f"metric_n{r.n}_seed{s}", r.metric, 0.0))
         quantities.append((f"spearman_gap_vs_n_seed{s}", rho, 0.0))
     payload = {

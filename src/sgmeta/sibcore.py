@@ -164,15 +164,6 @@ def chunk_slices(n: int, n_query: int) -> list:
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def forward_chunks(episodes):
-    """Consecutive ``(first index, batch)`` chunks of a batch
-    (``tasks.Episode``) or a pool (``tasks.EpisodePool``) of episodes, sized
-    by ``chunk_slices``. A pool generates each chunk as it is read, so one
-    chunk is held at a time."""
-    for rows in chunk_slices(len(episodes), episodes.n_query):
-        yield rows.start, episodes.take(rows)
-
-
 # -- per-task objective ---------------------------------------------------------
 
 
@@ -245,21 +236,22 @@ def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLo
 
 
 def orthogonal_transform_labeler(features: np.ndarray):
-    """Four deterministic orthogonal transforms of the feature vector.
+    """Four deterministic orthogonal transforms of (..., n, d) feature rows.
 
-    Returns (augmented features, transform ids): identity, negation, a
-    coordinate roll by one, and an alternating sign flip.
+    Returns (augmented features (..., 4n, d), transform ids (4n,), one row
+    for every leading index): identity, negation, a coordinate roll by one,
+    and an alternating sign flip.
     """
-    d = features.shape[1]
+    d = features.shape[-1]
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     variants = [
         features,
         -features,
-        np.roll(features, 1, axis=1),
+        np.roll(features, 1, axis=-1),
         features * signs,
     ]
-    aug = np.concatenate(variants, axis=0)
-    labels = np.repeat(np.arange(4), features.shape[0])
+    aug = np.concatenate(variants, axis=-2)
+    labels = np.repeat(np.arange(4), features.shape[-2])
     return aug, labels
 
 
@@ -284,9 +276,7 @@ def ssl_init(model: MetaModel, episodes: Episode, cfg: InnerLoopConfig) -> Tenso
     from the shared initialization.
     """
     feats = dc.detach(apply_features(model, episodes.query_inputs)).data
-    per_episode = [orthogonal_transform_labeler(f) for f in feats]
-    aug = np.stack([a for a, _ in per_episode])
-    ssl_labels = np.stack([lab for _, lab in per_episode])
+    aug, ssl_labels = orthogonal_transform_labeler(feats)
     theta = model.params["lambda_global"]
     scale = model.params["classifier_scale"]
     aug_t = dc.constant(aug)

@@ -235,10 +235,9 @@ def gen_spinning_lines(cfg: ToyConfig, task_seeds, n: Optional[int] = None) -> E
                    truth=w, task_seed=seeds)
 
 
-def true_prior(cfg: ToyConfig, n: Optional[int] = None) -> DiagGaussian:
+def true_prior(cfg: ToyConfig) -> DiagGaussian:
     """Marginal over the slope: N(mu + mu_w, sigma^2/n + sigma_w^2)."""
-    n = cfg.n if n is None else int(n)
-    var = cfg.sigma**2 / n + cfg.sigma_w**2
+    var = cfg.sigma**2 / cfg.n + cfg.sigma_w**2
     return DiagGaussian(np.array([cfg.mu + cfg.mu_w]), np.array([np.log(var)]))
 
 

@@ -40,7 +40,7 @@ from .models import (
 from .sibcore import (
     InnerLoopConfig,
     InnerLoopError,
-    forward_chunks,
+    chunk_slices,
     prior_term,
     sib_unroll,
     ssl_init,
@@ -433,11 +433,12 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     pool that generates them (``tasks.EpisodePool``), with 95% intervals.
 
     Episodes are read once each and adapted in chunks of at most
-    ``CHUNK_POINTS`` query points (``forward_chunks``) on a constant copy of
-    the parameters, so no autodiff tape is kept, and a pool holds one chunk
-    at a time. ``on_chunk(chunk, theta_k)`` is called on each chunk with its
-    stacked adapted weights; ``analyze`` keeps the ones its gap estimate
-    reads (``analysis.HeldTrials``).
+    ``CHUNK_POINTS`` query points (``chunk_slices``) on a constant copy of
+    the parameters, so no autodiff tape is kept. A pool generates each
+    chunk as it is read, so it holds one chunk at a time.
+    ``on_chunk(chunk, theta_k)`` is called on each chunk with its stacked
+    adapted weights; ``analyze`` keeps the ones its gap estimate reads
+    (``analysis.HeldTrials``).
     """
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
@@ -445,7 +446,8 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     per = {}
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
-    for _, chunk in forward_chunks(episodes):
+    for rows in chunk_slices(len(episodes), episodes.n_query):
+        chunk = episodes.take(rows)
         theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
         metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, inner)
         metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
@@ -453,8 +455,8 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
             per.setdefault(name, []).extend(float(v) for v in values)
         if on_chunk is not None:
             on_chunk(chunk, theta_k.data)
-    for name, arr in model.clone_data().items():
-        if not np.array_equal(arr, snapshot[name]):
+    for name, t in model.params.items():
+        if not np.array_equal(t.data, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")
 
     means = {k: float(np.mean(v)) for k, v in per.items()}

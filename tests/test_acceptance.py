@@ -55,6 +55,7 @@ def test_criterion_1_gradient_integrity(capsys):
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     assert rc == 0, f"gradcheck failed:\n{out}"
+    assert "all gradient checks passed" in out.splitlines()
     assert elapsed < 30.0, f"gradcheck took {elapsed:.1f}s (budget 30s)"
     report("1 (gradient integrity)", f"all finite-difference checks passed in {elapsed:.1f}s")
 

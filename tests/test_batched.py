@@ -27,7 +27,6 @@ from sgmeta.sibcore import (
     STREAM_INNER,
     STREAM_OBJECTIVE,
     _ssl_projection,
-    forward_chunks,
     orthogonal_transform_labeler,
     prior_dist,
 )
@@ -298,25 +297,28 @@ def chunk_episodes(monkeypatch, episodes, n_query):
     monkeypatch.setattr(sibcore, "CHUNK_POINTS", episodes * n_query)
 
 
-@pytest.mark.parametrize("n_query, sizes", [
-    (75, [32, 32, 32, 4]),  # few-shot episodes of the reference config
-    (32, [75, 25]),  # toy tasks of the reference config
-    (5000, [1] * 100),  # an episode larger than a chunk goes alone
+@pytest.mark.parametrize("mode, n_query, sizes", [
+    ("fewshot", 75, [32, 32, 32, 4]),  # few-shot episodes of the reference config
+    ("toy", 32, [75, 25]),  # toy tasks of the reference config
+    ("toy", 5000, [1] * 100),  # an episode larger than a chunk goes alone
 ])
-def test_forward_chunks_size_from_the_query_size_and_make_each_once(n_query, sizes):
-    made = []
+def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_query, sizes):
+    cfg = default_config(mode)
+    if mode == "toy":
+        cfg.toy.n = n_query
+    assert episode_pool(cfg, "test", 1).n_query == n_query
+    made, events = [], []
 
     def make(indices):
         made.extend(indices)
-        return list(indices)
+        events.append(("made", len(indices)))
+        return episodes_for(cfg, "test", indices)
 
     pool = EpisodePool(sum(sizes), n_query, make)
-    chunks = forward_chunks(pool)
-    start, first = next(chunks)
-    assert start == 0 and made == first == list(range(sizes[0]))  # made as it is read
-    chunks = [(start, first)] + list(chunks)
-    assert [len(chunk) for _, chunk in chunks] == sizes
-    assert [start for start, _ in chunks] == list(np.cumsum([0] + sizes[:-1]))
+    evaluate(build_model(cfg), cfg, "test", pool,
+             on_chunk=lambda chunk, theta_k: events.append(("read", len(chunk))))
+    # each chunk is made once, as it is read
+    assert events == [(event, size) for size in sizes for event in ("made", "read")]
     assert made == list(range(sum(sizes)))
 
 

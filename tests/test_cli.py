@@ -444,12 +444,6 @@ def test_sweep_n_writes_table(tmp_path, toy_cfg_file):
     assert any(l.startswith("gap_n2_seed0,") for l in lines)
 
 
-def test_gradcheck_exit_code(capsys):
-    assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "all gradient checks passed" in out
-
-
 def test_inner_divergence_leaves_checkpoint_metrics_and_summary(tmp_path, fewshot_cfg_file,
                                                                capsys):
     out = tmp_path / "run"

@@ -397,3 +397,61 @@ def test_every_src_definition_is_referenced_by_src():
     unreached = {(module, name) for module, name in defined if name not in referenced}
     assert unreached - UNREACHED_EXEMPT == set(), "only tests reach these"
     assert UNREACHED_EXEMPT - unreached == set(), "exempt but referenced"
+
+
+# The entry point's ``argv`` defaults to the command line; only tests pass it.
+DEFAULTED_EXEMPT = {("cli", "main", "argv")}
+
+
+def _defaulted_parameters(path):
+    """``(module, function, parameter, position, call names)`` of each
+    defaulted parameter of the functions and methods defined in ``path``.
+    ``position`` counts the call's positional arguments (a method's ``self``
+    not among them), ``None`` for a keyword-only parameter. A method is
+    called by its name, ``__init__`` by its class's."""
+    tree = ast.parse(path.read_text())
+    owners = {method: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for method in node.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = fn.args.posonlyargs + fn.args.args
+        if fn in owners and not any(getattr(d, "id", None) == "staticmethod"
+                                    for d in fn.decorator_list):
+            params = params[1:]
+        names = {owners[fn].name} if fn.name == "__init__" and fn in owners else {fn.name}
+        first = len(params) - len(fn.args.defaults)
+        for position, param in enumerate(params[first:], start=first):
+            yield path.stem, fn.name, param.arg, position, names
+        for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield path.stem, fn.name, param.arg, None, names
+
+
+def _call_arguments(tree):
+    """``(called name, positional count, keyword names)`` of each call in
+    ``tree``; a starred argument or ``**`` mapping passes every parameter."""
+    every = float("inf")
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            yield name, every if starred else len(call.args), keywords
+
+
+def test_every_defaulted_parameter_is_passed_by_some_src_call():
+    """Each defaulted parameter of a ``src/sgmeta`` function or method is
+    passed, by position or by keyword, by some call in ``src/sgmeta``, so
+    no default hides a setting that only tests change."""
+    paths = sorted(SRC.glob("*.py"))
+    calls = [c for path in paths for c in _call_arguments(ast.parse(path.read_text()))]
+    unpassed = set()
+    for module, fn, param, position, names in (p for path in paths
+                                               for p in _defaulted_parameters(path)):
+        if not any(name in names and ((position is not None and count > position)
+                                      or param in keywords or None in keywords)
+                   for name, count, keywords in calls):
+            unpassed.add((module, fn, param))
+    assert unpassed - DEFAULTED_EXEMPT == set(), "no src call passes these"
+    assert DEFAULTED_EXEMPT <= unpassed, "exempt but passed"

@@ -544,6 +544,12 @@ def test_ssl_labeler_is_orthogonal():
     base = np.linalg.norm(feats, axis=1)
     for j in range(4):
         np.testing.assert_allclose(np.linalg.norm(aug[3 * j : 3 * (j + 1)], axis=1), base)
+    # a batch of rows is labeled at once: bitwise each episode's, one label row for all
+    batch = np.stack([feats, rng.normal(size=(3, 8))])
+    batch_aug, batch_labels = orthogonal_transform_labeler(batch)
+    for rows, rows_aug in zip(batch, batch_aug):
+        np.testing.assert_array_equal(rows_aug, orthogonal_transform_labeler(rows)[0])
+    np.testing.assert_array_equal(batch_labels, labels)
 
 
 def test_lambda_receives_gradient_on_generic_episode():
