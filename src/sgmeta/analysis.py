@@ -246,9 +246,10 @@ class SigmaDraws:
     (none for a point mass), then the index of the point taken from trial
     (t + 1) mod T's dataset, of ``n_query`` points. The two trials are
     different tasks, so the weights and the point are drawn independently.
-    ``keep`` is given the trials in order and keeps, of each, the point that
-    a draw reads and, in row t of ``weights``, trial t's flat adapted
-    weights; the mutual-information term reads that table's first rows.
+    ``keep`` is given the trials in order and keeps, in row t of
+    ``weights``, trial t's flat adapted weights and, in row t of ``inputs``
+    and ``labels``, the point draw t reads; the mutual-information term
+    reads the weight table's first rows.
     """
 
     def __init__(self, trials: int, seed: int, n_query: int, theta_size: int, random: bool):
@@ -264,20 +265,24 @@ class SigmaDraws:
         self.noise = np.array(noise) if random else None  # (draws, theta_size)
         self.index = np.array(index)
         self.weights = np.empty((draws, theta_size))
-        self.point_draws, self.inputs, self.labels = [], [], []
+        self.inputs = self.labels = None  # the point each draw reads, by draw
 
     def keep(self, trials: range, datasets: Episode, weights: np.ndarray) -> None:
         """Keep what the draws read of ``trials``, the next consecutive ones:
         their flat adapted ``weights`` up to trial min(T, 2000) - 1, and from
         ``datasets`` (one row per trial) the point of each trial s that draw
-        (s - 1) mod T reads."""
+        (s - 1) mod T reads, in row (s - 1) mod T of ``inputs`` and
+        ``labels``, made on the first call."""
         self.weights[trials.start:trials.stop] = weights[:max(0, self.draws - trials.start)]
+        if self.inputs is None:
+            self.inputs = np.empty((self.draws,) + datasets.query_inputs.shape[2:],
+                                   dtype=datasets.query_inputs.dtype)
+            self.labels = np.empty(self.draws, dtype=datasets.query_labels.dtype)
         draw = (np.asarray(trials) - 1) % self.trials
         rows = np.nonzero(draw < self.draws)[0]
-        points = self.index[draw[rows]]
-        self.point_draws.append(draw[rows])
-        self.inputs.append(datasets.query_inputs[rows, points])
-        self.labels.append(datasets.query_labels[rows, points])
+        draw = draw[rows]
+        self.inputs[draw] = datasets.query_inputs[rows, self.index[draw]]
+        self.labels[draw] = datasets.query_labels[rows, self.index[draw]]
 
 
 def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig) -> float:
@@ -286,14 +291,11 @@ def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig)
     what they read in ``picked``: one point per draw, in chunks of at most
     ``CHUNK_POINTS`` draws."""
     posterior = Posterior(inner)
-    order = np.argsort(np.concatenate(picked.point_draws))  # trial 0's point is read last
-    inputs = np.concatenate(picked.inputs)[order, None]
-    labels = np.concatenate(picked.labels)[order, None]
     losses = []
     for rows in chunk_slices(picked.draws, 1):
         noise = None if picked.noise is None else picked.noise[rows]
         w = posterior.draw(dc.constant(picked.weights[rows]), noise).data
-        losses.extend(_losses(model, inputs[rows], labels[rows], w))
+        losses.extend(_losses(model, picked.inputs[rows, None], picked.labels[rows, None], w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)
 

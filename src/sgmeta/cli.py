@@ -14,7 +14,6 @@ import ctypes
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 import zlib
@@ -33,15 +32,16 @@ from .analysis import (
     write_report_csv,
     write_report_json,
 )
-from .models import build_fewshot_model, build_toy_model, config_hash
-from .sibcore import InnerLoopConfig, InnerLoopError, sib_unroll, task_objective
-from .tasks import derive_task_seed, gen_fewshot_episode, gen_spinning_lines
+from .models import config_hash
+from .sibcore import InnerLoopError, task_objective
 from .trainer import (
     RunConfig,
+    build_model,
     config_from_dict,
     config_to_dict,
-    default_config,
+    episode_objective,
     episode_pool,
+    episodes_for,
     evaluate,
     load_checkpoint,
     make_theta0,
@@ -235,12 +235,7 @@ def cmd_train(args) -> int:
     wall_ms = 1000.0 * (time.time() - t0)
     write_metrics_csv(out / "metrics.csv", result.records)
     save_checkpoint(result.model, out / "checkpoint.json", cfg, step=result.steps_run)
-    if result.best_snapshot is not None:
-        best = result.model
-        current = best.clone_data()
-        best.load_data(result.best_snapshot)
-        save_checkpoint(best, out / "checkpoint_best.json", cfg, step=result.best_step)
-        best.load_data(current)
+    save_checkpoint(result.best, out / "checkpoint_best.json", cfg, step=result.best_step)
     row = result.final_eval.row
     summary = {
         "command": f"train-{cfg.mode}",
@@ -513,64 +508,50 @@ def cmd_gradcheck(args) -> int:
 
     _check("diffcore op suite vs central differences", op_suite, failures)
 
-    # both unrolled graphs run on a batch of two episodes, as training does
-    def batch_loss(model, episodes, cfg, inner):
-        def loss():
-            theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, inner)
-            return task_objective(episodes, theta_k, model, inner).sum()
-
-        return loss
-
-    def toy_graph():
-        model = build_toy_model(seed=8)
-        g = np.random.default_rng(3)
-        for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
-            model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.5
-        model.params["lambda_global"].data[:] = 0.8
-        cfg = default_config("toy")
-        episodes = gen_spinning_lines(cfg.toy, [derive_task_seed(4, "train", i) for i in (2, 3)],
-                                      n=5)
-        inner = InnerLoopConfig(
-            steps=3, eta_inner=0.05, kl_in_inner=True, q_log_var=2 * math.log(0.1)
-        )
-        params = [model.params[n] for n in sorted(model.params) if model.params[n].requires_grad]
-        dc.check_gradients(batch_loss(model, episodes, cfg, inner), params, h=1e-5, tol=1e-6)
-
-    _check("unrolled toy graph (K=3, 2 episodes) vs central differences", toy_graph, failures)
-
-    def fewshot_graph(train_f):
-        from .tasks import FewShotConfig
-
-        model = build_fewshot_model(k=3, d_x=4, seed=5, train_f=train_f)
-        g = np.random.default_rng(9)
-        for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
-            model.params[name].data[:] = g.normal(size=model.params[name].shape) * 0.3
-        task_cfg = FewShotConfig(
-            k=3, n_shot=1, n_query_per_class=2, d_x=4,
-            class_pool={"train": 8, "val": 4, "test": 4}, cluster_spread=0.4,
-        )
-        # 5 query points: trim one (sizes per class stay balanced at generation)
-        episodes = gen_fewshot_episode(task_cfg, "train",
-                                       [derive_task_seed(5, "train", i) for i in (1, 2)])
+    # the unrolled graphs are the training objective itself, episode_objective,
+    # on a batch of two episodes of 5 query points, as training reads it: a
+    # parsed config with outer_kl_weight 1 (central differences cannot see
+    # the prior term's stop-gradient split), the model it builds with every
+    # zero-initialized parameter drawn away from zero, and its episodes
+    def objective_graph(data, scale, seed):
+        cfg = config_from_dict({**data, "outer_kl_weight": 1})
+        model = build_model(cfg)
+        g = np.random.default_rng(seed)
+        for t in model.trainable().values():
+            if not t.data.any():
+                t.data = g.normal(size=t.shape) * scale
+        episodes = episodes_for(cfg, "train", (1, 2))
+        # few-shot: trim one of 6 (sizes per class stay balanced at generation)
         episodes.query_inputs = episodes.query_inputs[:, :5]
         episodes.query_labels = episodes.query_labels[:, :5]
-        inner = InnerLoopConfig(steps=3, eta_inner=0.05, kl_in_inner=True,
-                                posterior_regime="deterministic")
-        cfg = default_config("fewshot")
-        params = [t for n, t in sorted(model.params.items()) if t.requires_grad and n != "f_weight"]
-        dc.check_gradients(batch_loss(model, episodes, cfg, inner), params, h=1e-5, tol=1e-6)
-        if train_f:
+        params = [t for n, t in sorted(model.trainable().items()) if n != "f_weight"]
+        dc.check_gradients(lambda: episode_objective(model, episodes, cfg)[0].sum(), params,
+                           h=1e-5, tol=1e-6)
+        if cfg.train_f:
             # theta0 and the inner loop read the features detached, so the map's
             # gradient is the objective's at fixed adapted weights
-            theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, inner)
-            fixed = dc.constant(theta_k.data)
-            dc.check_gradients(lambda: task_objective(episodes, fixed, model, inner).sum(),
-                               [model.params["f_weight"]], h=1e-5, tol=1e-6)
+            fixed = dc.constant(episode_objective(model, episodes, cfg)[1].data)
+            dc.check_gradients(
+                lambda: task_objective(episodes, fixed, model, cfg.inner, cfg.kl_weight).sum(),
+                [model.params["f_weight"]], h=1e-5, tol=1e-6)
 
+    # inner draws, the prior pull inside the inner loop, the mean convention
+    toy = {"mode": "toy", "run_seed": 4, "toy": {"n": 5},
+           "inner": {"eta_inner": 0.05, "kl_in_inner": True,
+                     "posterior_regime": "gaussian_fixed_var", "sum_convention": False,
+                     "inner_eval_at_mean": False, "objective_mc_samples": 1}}
+    fewshot = {"mode": "fewshot", "run_seed": 5, "theta_init": "proto",
+               "fewshot": {"k": 3, "n_shot": 1, "n_query_per_class": 2, "d_x": 4,
+                           "class_pool": {"train": 8, "val": 4, "test": 4},
+                           "cluster_spread": 0.4},
+               "inner": {"eta_inner": 0.05, "kl_in_inner": True,
+                         "posterior_regime": "deterministic"}}
+    _check("unrolled toy graph (K=3, 2 episodes) vs central differences",
+           lambda: objective_graph(toy, 0.5, 3), failures)
     _check("unrolled classification graph (K=3, 3-way, 5 query points, 2 episodes)",
-           lambda: fewshot_graph(train_f=False), failures)
+           lambda: objective_graph(fewshot, 0.3, 9), failures)
     _check("the same with a trainable feature map (train_f)",
-           lambda: fewshot_graph(train_f=True), failures)
+           lambda: objective_graph({**fewshot, "train_f": True}, 0.3, 9), failures)
 
     if failures:
         print(f"{len(failures)} gradient check(s) failed")

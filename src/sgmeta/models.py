@@ -60,10 +60,6 @@ class MetaModel:
     def clone_data(self) -> dict:
         return {name: t.data.copy() for name, t in self.params.items()}
 
-    def load_data(self, snapshot: dict) -> None:
-        for name, arr in snapshot.items():
-            self.params[name].data = np.array(arr, dtype=np.float64)
-
 
 def _he_uniform(rng, fan_in: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)

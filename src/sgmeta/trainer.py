@@ -15,6 +15,7 @@ noise, and batch order all derive from counter-based seeds.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -146,7 +147,7 @@ class RunConfig:
     epochs: Optional[int] = None  # toy mode: passes over the fixed task pool
     total_steps: Optional[int] = None  # fewshot modes: outer steps
     eval_every: int = 0  # 0 -> toy: each epoch; fewshot: every 250 steps
-    outer_kl_weight: Optional[float] = None  # None -> 0.0 for toy, 1.0 otherwise
+    outer_kl_weight: Optional[float] = None  # None -> 0.05 for toy, 1.0 otherwise
     grad_clip_norm: float = 10.0
     train_f: bool = False
     theta_init: Optional[str] = None  # global | proto | ssl; None -> mode default
@@ -483,10 +484,19 @@ class TrainResult:
     model: MetaModel
     records: list
     final_eval: EvalReport
-    best_snapshot: Optional[dict]
-    best_metric: Optional[float]
-    best_step: Optional[int]
+    best: MetaModel  # frozen, with the parameters of the best evaluation
+    best_metric: float
+    best_step: int
     steps_run: int
+
+
+def _passes(pool: Episode, batch_tasks: int, run_seed: int):
+    """Batches of ``batch_tasks`` episodes of ``pool``, endlessly: each pass
+    reads the pool in an order of its own, drawn from the run seed."""
+    for p in itertools.count():
+        order = _stream(derive_task_seed(run_seed, "train", (1 << 40) + p)).permutation(len(pool))
+        for pos in range(0, len(pool), batch_tasks):
+            yield pool.take(order[pos:pos + batch_tasks])
 
 
 def train(cfg: RunConfig) -> TrainResult:
@@ -495,28 +505,29 @@ def train(cfg: RunConfig) -> TrainResult:
     trainables = [t for _, t in sorted(model.trainable().items())]
     state = adam_init([t.shape for t in trainables]) if cfg.optimizer == "adam" else None
 
+    # the mode chooses the batches, the step count, the evaluation interval
+    # and the evaluation pool: toy runs passes over a fixed task pool and is
+    # evaluated on the test tasks, few-shot draws fresh episodes every step
     if cfg.mode == "toy":
-        n_train = cfg.toy.n_train_tasks
-        train_pool = episodes_for(cfg, "train", range(n_train))
-        eval_pool = episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
-        steps_per_epoch = math.ceil(n_train / cfg.batch_tasks)
-        total_steps = steps_per_epoch * (cfg.epochs or 1)
-        eval_every = cfg.eval_every or steps_per_epoch
+        pool = episodes_for(cfg, "train", range(cfg.toy.n_train_tasks))
+        batches = _passes(pool, cfg.batch_tasks, cfg.run_seed)
+        steps_per_pass = math.ceil(len(pool) / cfg.batch_tasks)
+        total_steps = steps_per_pass * (cfg.epochs or 1)
+        eval_every = cfg.eval_every or steps_per_pass
+        split, eval_pool = "test", episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
     else:
-        train_pool = None
-        eval_pool = episodes_for(cfg, "val", range(cfg.val_pool_size))
+        b = cfg.batch_tasks
+        batches = (episodes_for(cfg, "train", range(s * b, (s + 1) * b))
+                   for s in itertools.count())
         total_steps = cfg.total_steps or 3000
         eval_every = cfg.eval_every or 250
+        split, eval_pool = "val", episodes_for(cfg, "val", range(cfg.val_pool_size))
 
     records = []
-    best_metric = None
-    best_snapshot = None
-    best_step = None
+    best_metric = best = best_step = None
     # the parameters before the latest update, and how many updates they had;
     # the optimizers return new arrays, so holding references is enough
     kept, kept_step = [t.data for t in trainables], 0
-    order = None
-    split = "test" if cfg.mode == "toy" else "val"
 
     def diverged(message: str) -> TrainingDiverged:
         for t, arr in zip(trainables, kept):
@@ -525,18 +536,7 @@ def train(cfg: RunConfig) -> TrainResult:
 
     step = 0
     try:
-        for step in range(total_steps):
-            if cfg.mode == "toy":
-                epoch = step // steps_per_epoch
-                pos = (step % steps_per_epoch) * cfg.batch_tasks
-                if pos == 0:
-                    rng = _stream(derive_task_seed(cfg.run_seed, "train", (1 << 40) + epoch))
-                    order = rng.permutation(n_train)
-                batch = train_pool.take(order[pos : pos + cfg.batch_tasks])
-            else:
-                base = step * cfg.batch_tasks
-                batch = episodes_for(cfg, "train", range(base, base + cfg.batch_tasks))
-
+        for step, batch in zip(range(total_steps), batches):
             dc.zero_grad(trainables)
             losses, _ = episode_objective(model, batch, cfg)
             loss = dc.scale(losses.sum(), 1.0 / len(batch))
@@ -568,16 +568,15 @@ def train(cfg: RunConfig) -> TrainResult:
                 records.extend(metric_records(report.row, report.ci95))
                 _, value, _ = report.primary_metric()
                 if best_metric is None or model.head.improves(value, best_metric):
-                    best_metric = value
-                    best_snapshot = model.clone_data()
-                    best_step = step + 1
+                    # shares the arrays, which no later update writes into
+                    best_metric, best, best_step = value, frozen_copy(model), step + 1
     except InnerLoopError as exc:
         raise diverged(f"{exc} at outer step {step}") from exc
     return TrainResult(
         model=model,
         records=records,
         final_eval=report,
-        best_snapshot=best_snapshot,
+        best=best,
         best_metric=best_metric,
         best_step=best_step,
         steps_run=total_steps,

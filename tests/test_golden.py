@@ -227,7 +227,10 @@ def test_bound_rows_are_recomputed_from_their_report(outputs, name):
 
 def test_best_checkpoint_records_the_step_it_was_taken(tmp_path):
     """``checkpoint_best.json`` and the summary's ``best_step`` name the first
-    evaluation with the best validation accuracy (step 10 of this run's 20)."""
+    evaluation with the best validation accuracy (step 10 of this run's 20),
+    and the checkpoint holds that evaluation's parameters: evaluating it on
+    the validation pool writes the step-10 rows again, and its parameters
+    are not the last ones."""
     cfg_path = tmp_path / "fewshot-global.json"
     cfg_path.write_text(json.dumps(CONFIGS["fewshot-global"]))
     out = tmp_path / "run"
@@ -239,3 +242,13 @@ def test_best_checkpoint_records_the_step_it_was_taken(tmp_path):
     assert best_step == 10 and [step for step, _ in evals] == [10, 20]
     assert json.loads((out / "checkpoint_best.json").read_text())["step"] == best_step
     assert json.loads((out / "summary.json").read_text())["best_step"] == best_step
+
+    evaluated = tmp_path / "eval"
+    assert main(["eval", "--config", str(out / "effective_config.json"),
+                 "--checkpoint", str(out / "checkpoint_best.json"), "--split", "val",
+                 "--episodes", "6", "--out", str(evaluated)]) == 0
+    step_10 = [row[1:] for row in _csv_rows(out / "metrics.csv") if row[:2] == [10, "val"]]
+    assert step_10 and [row[1:] for row in _csv_rows(evaluated / "metrics.csv")] == step_10
+    params = [json.loads((out / name).read_text())["params"]
+              for name in ("checkpoint_best.json", "checkpoint.json")]
+    assert params[0] != params[1]

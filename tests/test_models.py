@@ -399,6 +399,24 @@ def test_every_src_definition_is_referenced_by_src():
     assert UNREACHED_EXEMPT - unreached == set(), "exempt but referenced"
 
 
+def test_every_top_level_import_is_read():
+    """Each name a ``src/sgmeta`` module imports at top level is read in that
+    module (``from __future__ import annotations`` aside), so no import
+    outlives the code that used it."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)) and \
+                    getattr(top, "module", None) != "__future__":
+                unread += [f"{path.name}:{top.lineno} {alias.asname or alias.name}"
+                           for alias in top.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not unread, "imported but never read: " + ", ".join(unread)
+
+
 # The entry point's ``argv`` defaults to the command line; only tests pass it.
 DEFAULTED_EXEMPT = {("cli", "main", "argv")}
 
