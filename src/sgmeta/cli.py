@@ -403,9 +403,18 @@ _FEATS = np.linspace(-1.0, 2.0, 9)
 _ROWS = np.linspace(-1.5, 1.0, 12)
 
 
-def _cosine_sg(feats, theta, scale, layers, seed_scale):
-    return dc.cosine_sg_direction(dc.constant(feats), theta, scale, layers, seed_scale,
-                                  dc.row_norms(feats))
+def _cosine_rule(feats, scale, layers, seed_scale):
+    """The cosine head's synthetic-gradient rule on constant features."""
+    return dc._cosine_sg_direction(dc.constant(feats), scale, layers, seed_scale,
+                                   dc.row_norms(feats))
+
+
+def _descent(theta0, rule, steps, draws=0, pull=None):
+    """theta_K of ``steps`` descent steps at a rate of 0.4 along ``rule``,
+    with ``draws`` fixed offsets per step, squared."""
+    offsets = [np.linspace(-0.3, 0.2, draws * theta0.size).reshape((draws,) + theta0.shape)
+               * (k + 1) if draws else None for k in range(steps)]
+    return _sq(dc.descent(theta0, rule, 0.4, offsets, pull)[-1])
 
 
 def _mean(t, axis=None):
@@ -429,7 +438,7 @@ def _layers(a, b, k):
 
 # Finite-difference cases of the diffcore ops: (name, build), where build(a, b)
 # is a tensor of two 6-vectors; a case is named after the op it checks, with
-# an optional suffix ("matmul3d", "cosine_sg_direction_affine").
+# an optional suffix ("matmul3d", "descent_cosine_affine").
 OP_CASES = [
     ("add", lambda a, b: a + b),
     ("sub", lambda a, b: a - b),
@@ -440,23 +449,28 @@ OP_CASES = [
     ("matmul3d_2d", lambda a, b: dc.matmul(a.reshape(3, 1, 2), b.reshape(2, 3))),
     ("reshape", lambda a, b: (a.reshape(3, 2) * b.reshape(3, 2)).sum()),
     ("softmax", lambda a, b: dc.softmax(a.reshape(2, 3)) * b.reshape(2, 3)),
-    # the synthetic-gradient directions; "affine" cases take a one-layer net,
-    # "4d" and "3d" Monte-Carlo draws of stacked weights
-    ("cosine_sg_direction_affine", lambda a, b: _sq(_cosine_sg(
-        _FEATS.reshape(3, 3), b.reshape(2, 3), _mean(a),
-        [(dc.matmul(a.reshape(2, 3), b.reshape(3, 2)), b.reshape(3, 2).sum(axis=0))], 0.5))),
-    ("linear_sg_direction_affine", lambda a, b: _sq(dc.linear_sg_direction(
-        a.reshape(6, 1), dc.constant(_ROWS.reshape(6, 2)),
-        [(_mean(b).reshape(1, 1), b.sum().reshape(1))], True))),
-    ("cosine_sg_direction", lambda a, b: _sq(_cosine_sg(
-        _FEATS.reshape(3, 3), b.reshape(2, 3), _mean(a), _layers(a, b, 2), 1.0 / 3))),
-    ("cosine_sg_direction4d", lambda a, b: _sq(_cosine_sg(
-        _ROWS.reshape(2, 2, 3), (a.reshape(6, 1) + b.reshape(1, 6)).reshape(3, 2, 2, 3),
-        b.sum(), _layers(a, b, 2), 1.0))),
-    ("linear_sg_direction", lambda a, b: _sq(dc.linear_sg_direction(
-        a.reshape(6, 1), dc.constant(_ROWS.reshape(6, 2)), _layers(a, b, 1), False))),
-    ("linear_sg_direction3d", lambda a, b: _sq(dc.linear_sg_direction(
-        a.reshape(2, 3, 1), dc.constant(_FEATS.reshape(3, 3)), _layers(b, a, 1), True))),
+    # the unrolled synthetic-gradient descent, both heads: "affine" cases
+    # take a one-layer net, "draws" cases Monte-Carlo offsets and the prior's
+    # pull on stacked (B, k, d) weights; cosine seeds and linear directions
+    # by the mean and the sum convention
+    ("descent_cosine_affine", lambda a, b: _descent(b.reshape(1, 2, 3), _cosine_rule(
+        _FEATS.reshape(3, 3), _mean(a),
+        [(dc.matmul(a.reshape(2, 3), b.reshape(3, 2)), b.reshape(3, 2).sum(axis=0))], 0.5), 2)),
+    ("descent_linear_affine", lambda a, b: _descent(a.reshape(6, 1), dc._linear_sg_direction(
+        dc.constant(_ROWS.reshape(6, 2)), [(_mean(b).reshape(1, 1), b.sum().reshape(1))],
+        True), 2)),
+    ("descent_cosine", lambda a, b: _descent(b.reshape(1, 2, 3), _cosine_rule(
+        _FEATS.reshape(3, 3), _mean(a), _layers(a, b, 2), 1.0 / 3), 3)),
+    ("descent_cosine_draws_pull", lambda a, b: _descent(
+        a.reshape(2, 1, 3) * b.reshape(1, 2, 3),
+        _cosine_rule(_ROWS.reshape(2, 2, 3), b.sum(), _layers(a, b, 2), 1.0), 2, draws=3,
+        pull=(dc.scale(b, 0.5), a * 0.3))),
+    ("descent_linear", lambda a, b: _descent(a.reshape(6, 1), dc._linear_sg_direction(
+        dc.constant(_ROWS.reshape(6, 2)), _layers(a, b, 1), False), 3)),
+    ("descent_linear_draws_pull", lambda a, b: _descent(
+        _mean(a.reshape(2, 3), 0).reshape(3, 1),
+        dc._linear_sg_direction(dc.constant(_FEATS.reshape(3, 3)), _layers(b, a, 1), True), 3,
+        draws=2, pull=(_mean(b).reshape(1), (a.sum() * 0.3).reshape(1)))),
     ("cosine_logits", lambda a, b: _sq(
         dc.cosine_logits(a.reshape(2, 3), b.reshape(2, 3), _mean(b)))),
     ("cosine_logits3d", lambda a, b: _sq(
@@ -466,7 +480,6 @@ OP_CASES = [
     ("cosine_vjp3d", lambda a, b: _sq(dc.cosine_vjp(
         dc.constant(_FEATS.reshape(3, 1, 3)), b.reshape(1, 2, 3), b.sum(),
         a.reshape(3, 1, 2)))),
-    ("prior_pull", lambda a, b: _sq(dc.prior_pull(a, _mean(b), b * 0.3))),
     # the objective's terms: a (d,) prior against (B, d) and stacked (M, B, d)
     # weights, in both regimes; slopes with and without Monte-Carlo offsets;
     # rows of 2-D and stacked logits. The prior term's split weight is 1:

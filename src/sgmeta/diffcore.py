@@ -243,9 +243,11 @@ def softmax(a: Tensor) -> Tensor:
 
 # -- fused ops of the model ----------------------------------------------------
 #
-# Each is one node with a hand-written backward. The forward keeps the
-# arithmetic order of the composite of elementary ops it replaces, so its
-# values are bitwise the composite's.
+# Each is one node with a hand-written backward; the synthetic-gradient
+# direction rules are array-level values and VJPs that ``descent`` steps
+# along inside its one node. The forward keeps the arithmetic order of the
+# composite of elementary ops it replaces, so its values are bitwise the
+# composite's.
 
 COSINE_EPS = 1e-12
 
@@ -414,98 +416,173 @@ def _relu_mlp_back(g: np.ndarray, acts: list, layers, want_input: bool):
     return g
 
 
-def cosine_sg_direction(features: Tensor, theta: Tensor, scale: Tensor, layers,
-                        seed_scale: float, feature_norms: np.ndarray) -> Tensor:
-    """The synthetic-gradient direction of the cosine head as one node:
-    ``cosine_vjp(features, theta, scale, seed_scale * net(cosine_logits(
-    features, theta, scale)))``, where net is the ReLU network of ``layers``
-    (``_relu_mlp``) on the rows of the (..., n, k) logits. ``feature_norms``
-    are ``row_norms(features.data)``, computed once by a caller that steps on
-    the same constant features. Leading axes broadcast; differentiable in
-    theta, the scale and the layers."""
+def _cosine_sg_direction(features: Tensor, scale: Tensor, layers, seed_scale: float,
+                         feature_norms: np.ndarray):
+    """The synthetic-gradient direction rule of the cosine head on constant
+    (..., n, d) ``features``, and the tensors it reads: the scale and the
+    layers. At (..., k, d) weights held by a tensor theta, the rule returns
+    the values of ``cosine_vjp(features, theta, scale, seed_scale * net(
+    cosine_logits(features, theta, scale)))``, where net is the ReLU network
+    of ``layers`` (``_relu_mlp``) on the rows of the logits, and their VJP,
+    ``vjp(g)``, which accumulates the cotangents of theta, the scale and the
+    layers that require grad in the order of the composite's backward: the
+    VJP's first, then the logits'. ``feature_norms`` are
+    ``row_norms(features.data)``. Leading axes broadcast."""
     params = tuple(p for layer in layers for p in layer)
-    shapes = ((features.shape, theta.shape, scale.shape) + tuple(p.shape for p in params)
+    shapes = ((features.shape, scale.shape) + tuple(p.shape for p in params)
               + (np.shape(feature_norms),))
     if features.requires_grad:
         raise GraphError("cosine_sg_direction: features must be constant")
+    k = layers[0][0].shape[0] if layers and layers[0][0].ndim else 0
+    _check_mlp("cosine_sg_direction", shapes, k, layers, k)
     if np.shape(feature_norms) != features.shape[:-1] + (1,):
         raise ShapeError("cosine_sg_direction", *shapes)
-    f, t, s = features.data, theta.data, scale.data
-    a, b, dots, inv_denom = _cosine_terms("cosine_sg_direction", shapes, f, t, feature_norms)
-    _check_mlp("cosine_sg_direction", shapes, t.shape[-2], layers, t.shape[-2])
-    cos = dots * inv_denom
-    logits = s * cos
-    acts = _relu_mlp(logits.reshape(-1, logits.shape[-1]), layers)
-    sd = seed_scale * acts[-1].reshape(logits.shape)
-    vjp = _cosine_vjp_terms("cosine_sg_direction", shapes, sd, f, t, a, b, dots, inv_denom)
+    f, s = features.data, scale.data
 
-    # cotangents reach theta and the scale in the order of the composite's
-    # backward: the VJP's first, then the logits'
-    def back(g):
-        g_seed = _cosine_vjp_back(g, f, theta, scale, sd, True, a, b, dots, inv_denom, *vjp)
-        g_logits = _relu_mlp_back((seed_scale * g_seed).reshape(acts[-1].shape), acts, layers,
-                                  theta.requires_grad or scale.requires_grad)
-        if g_logits is not None:
-            _cosine_logits_back(g_logits.reshape(logits.shape), features, theta, scale, a, b,
-                                cos, inv_denom)
+    def rule(theta: Tensor):
+        t = theta.data
+        if t.ndim < 2 or t.shape[-2] != k:
+            raise ShapeError("cosine_sg_direction", features.shape, theta.shape)
+        a, b, dots, inv_denom = _cosine_terms("cosine_sg_direction",
+                                              (features.shape, theta.shape), f, t, feature_norms)
+        cos = dots * inv_denom
+        logits = s * cos
+        acts = _relu_mlp(logits.reshape(-1, k), layers)
+        sd = seed_scale * acts[-1].reshape(logits.shape)
+        terms = _cosine_vjp_terms("cosine_sg_direction", (features.shape, theta.shape), sd, f,
+                                  t, a, b, dots, inv_denom)
 
-    return _make(s * vjp[0] - s * vjp[1], (theta, scale) + params, back)
+        def vjp(g):
+            g_seed = _cosine_vjp_back(g, f, theta, scale, sd, True, a, b, dots, inv_denom,
+                                      *terms)
+            g_logits = _relu_mlp_back((seed_scale * g_seed).reshape(acts[-1].shape), acts,
+                                      layers, theta.requires_grad or scale.requires_grad)
+            if g_logits is not None:
+                _cosine_logits_back(g_logits.reshape(logits.shape), features, theta, scale, a, b,
+                                    cos, inv_denom)
+
+        return s * terms[0] - s * terms[1], vjp
+
+    return rule, (scale,) + params
 
 
-def linear_sg_direction(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
-    """The synthetic-gradient direction of the linear head as one node: the
-    mean over the last axis (the sum unless ``mean``) of net(theta * x) * x,
-    that axis kept, where theta (..., 1) are slopes, x (..., n) constant
-    inputs and net is the ReLU network of ``layers`` (``_relu_mlp``) on
-    each prediction. Leading axes broadcast; differentiable in theta and the
-    layers."""
+def _linear_sg_direction(x: Tensor, layers, mean: bool):
+    """The synthetic-gradient direction rule of the linear head on constant
+    inputs x (..., n), and the tensors it reads: the layers. At slopes
+    (..., 1) held by a tensor theta, the rule returns the mean over the last
+    axis (the sum unless ``mean``) of net(theta * x) * x, that axis kept,
+    where net is the ReLU network of ``layers`` (``_relu_mlp``) on each
+    prediction, and its VJP, ``vjp(g)``, which accumulates the cotangents of
+    theta and the layers that require grad. Leading axes broadcast."""
     params = tuple(p for layer in layers for p in layer)
-    shapes = (theta.shape, x.shape) + tuple(p.shape for p in params)
+    shapes = (x.shape,) + tuple(p.shape for p in params)
     if x.requires_grad:
         raise GraphError("linear_sg_direction: inputs must be constant")
-    if theta.ndim < 1 or theta.shape[-1] != 1 or x.ndim < 1:
+    if x.ndim < 1:
         raise ShapeError("linear_sg_direction", *shapes)
-    try:
-        y = theta.data * x.data
-    except ValueError:
-        raise ShapeError("linear_sg_direction", *shapes) from None
     _check_mlp("linear_sg_direction", shapes, 1, layers, 1)
-    acts = _relu_mlp(y.reshape(-1, 1), layers)
-    gx = acts[-1].reshape(y.shape) * x.data
-    out_data = gx.mean(axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
+    n = x.shape[-1]
+
+    def rule(theta: Tensor):
+        if theta.ndim < 1 or theta.shape[-1] != 1:
+            raise ShapeError("linear_sg_direction", theta.shape, x.shape)
+        try:
+            y = theta.data * x.data
+        except ValueError:
+            raise ShapeError("linear_sg_direction", theta.shape, x.shape) from None
+        acts = _relu_mlp(y.reshape(-1, 1), layers)
+        gx = acts[-1].reshape(y.shape) * x.data
+        values = gx.sum(axis=-1, keepdims=True)
+
+        def vjp(g):
+            if mean:
+                g = g / n
+            g_y = _relu_mlp_back((g * x.data).reshape(acts[-1].shape), acts, layers,
+                                 theta.requires_grad)
+            if g_y is not None:
+                _accum(theta, _unbroadcast(g_y.reshape(y.shape) * x.data, theta.shape))
+
+        return (values / n if mean else values), vjp
+
+    return rule, params
+
+
+def descent(theta0: Tensor, direction, eta: float, offsets, pull=None, on_step=None) -> list:
+    """K = ``len(offsets)`` steps theta_{k+1} = theta_k - eta * (d_k + p_k)
+    from ``theta0`` (B, ...), one row of weights per episode, as one node;
+    returns theta_0 .. theta_K: ``theta0``, constants, and the node.
+
+    ``direction`` is (rule, the tensors it reads), as ``_cosine_sg_direction``
+    returns it: ``rule(w)``, at the weights of a tensor ``w``, returns the
+    direction's values and a VJP that accumulates the cotangents of w and of
+    those tensors. d_k is the rule at theta_k, or its mean over the draws
+    theta_k + offsets[k], (M, *theta0.shape). ``pull``, a prior's (mean,
+    log_var), adds p_k = (row - mean) * exp(-log_var) per flattened row, the
+    gradient of a Gaussian's KL to the prior. ``on_step(k, values)`` sees
+    each new iterate theta_{k+1} and may raise.
+
+    Reverse-pass state is kept only when some operand requires grad, so a
+    constant unroll holds one step's activations at a time. The backward
+    walks the steps in reverse and accumulates each cotangent in the order
+    and association of the per-step graph it replaces (the draws' ``add``,
+    the direction, ``tsum`` and ``scale`` over the draws, the pull, ``add``,
+    ``scale`` by eta, ``sub``), so its gradients are bitwise that graph's."""
+    if not offsets:
+        return [theta0]
+    eta = float(eta)
+    rule, params = direction
+    mean, log_var = (None, None) if pull is None else pull
+    if pull is not None and not mean.shape == log_var.shape == (int(np.prod(theta0.shape[1:])),):
+        raise ShapeError("descent", theta0.shape, mean.shape, log_var.shape)
+    parents = (theta0,) + tuple(params) + (() if pull is None else (mean, log_var))
+    grad = any(p.requires_grad for p in parents)
+    inv_var = None if pull is None else np.exp(-log_var.data)
+    thetas, tape = [theta0], []
+    for k, off in enumerate(offsets):
+        theta = thetas[-1]
+        t = theta.data
+        if off is not None and np.shape(off)[1:] != t.shape:
+            raise ShapeError("descent", theta0.shape, np.shape(off))
+        w = theta if off is None else Tensor(t + off, requires_grad=theta.requires_grad)
+        values, vjp = rule(w)
+        step = values if off is None else (1.0 / len(off)) * values.sum(axis=0)
+        diff = None
+        if pull is not None:
+            diff = t.reshape(len(t), -1) - mean.data
+            step = step + (diff * inv_var).reshape(t.shape)
+        t = t - eta * step
+        if on_step is not None:
+            on_step(k, t)
+        if grad:
+            tape.append((theta, w, vjp, diff))
+        del vjp  # a constant unroll drops each step's activations before the next
+        thetas.append(Tensor(t, requires_grad=grad))
 
     def back(g):
-        if mean:
-            g = g / y.shape[-1]
-        g_y = _relu_mlp_back((g * x.data).reshape(acts[-1].shape), acts, layers,
-                             theta.requires_grad)
-        if g_y is not None:
-            _accum(theta, _unbroadcast(g_y.reshape(y.shape) * x.data, theta.shape))
+        for theta, w, vjp, diff in reversed(tape):
+            if theta.requires_grad:
+                _accum(theta, g)
+            g = eta * -g
+            if diff is not None:
+                g_flat = g.reshape(diff.shape)
+                if theta.requires_grad or mean.requires_grad:
+                    g_diff = g_flat * inv_var
+                    if theta.requires_grad:
+                        _accum(theta, g_diff.reshape(theta.shape))
+                    if mean.requires_grad:
+                        _accum(mean, _unbroadcast(-g_diff, mean.shape))
+                if log_var.requires_grad:
+                    _accum(log_var, -(_unbroadcast(g_flat * diff, inv_var.shape) * inv_var))
+            if w is theta:
+                vjp(g)
+            else:
+                vjp(np.broadcast_to((1.0 / len(w.data)) * g, w.shape).copy())
+                if theta.requires_grad:
+                    _accum(theta, _unbroadcast(w.grad, theta.shape))
+            g = theta.grad
 
-    return _make(out_data, (theta,) + params, back)
-
-
-def prior_pull(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
-    """(x - mean) * exp(-log_var): the gradient in x of the KL of a Gaussian
-    at x to N(mean, exp(log_var)); operands broadcast."""
-    try:
-        diff = x.data - mean.data
-        inv_var = np.exp(-log_var.data)
-        out_data = diff * inv_var
-    except ValueError:
-        raise ShapeError("prior_pull", x.shape, mean.shape, log_var.shape) from None
-
-    def back(g):
-        if x.requires_grad or mean.requires_grad:
-            g_diff = _unbroadcast(g * inv_var, diff.shape)
-            if x.requires_grad:
-                _accum(x, _unbroadcast(g_diff, x.shape))
-            if mean.requires_grad:
-                _accum(mean, _unbroadcast(-g_diff, mean.shape))
-        if log_var.requires_grad:
-            _accum(log_var, -(_unbroadcast(g * diff, inv_var.shape) * inv_var))
-
-    return _make(out_data, (x, mean, log_var), back)
+    out = _make(thetas[-1].data, parents, back)
+    return [theta0] + [Tensor(t.data) for t in thetas[1:-1]] + [out]
 
 
 # the per-task objective's terms

@@ -12,8 +12,8 @@ Each task's variational posterior q(θ | query set) has one of two regimes
 
 Either divergence is one node, ``diffcore.prior_divergence``. Its gradient
 in the posterior mean, which the inner loop adds under ``kl_in_inner``, is
-the same in both regimes; the inner loop (``sibcore.sib_unroll``) builds it
-directly with ``diffcore.prior_pull``.
+the same in both regimes; the inner loop's node (``diffcore.descent``)
+computes it in each step as the prior's pull.
 
 ``Posterior`` alone reads the regime and the knobs only the Gaussian regime
 uses (``q_log_var``, ``mc_samples``, ``objective_mc_samples``, ``inner_eval_at_mean``).

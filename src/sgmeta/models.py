@@ -191,11 +191,12 @@ class ToyHead:
         """The raw inputs (..., n), and no per-unroll constant."""
         return dc.constant(inputs[..., 0]), None
 
-    def direction(self, w: Tensor, x: Tensor, _, sum_convention: bool) -> Tensor:
-        """(1/n) sum_i net(w * x_i) * x_i, the sum under ``sum_convention``:
-        with y_hat = w * x, dy_hat_i/dw = x_i, so it is exactly the
-        surrogate's gradient in w."""
-        return dc.linear_sg_direction(w, x, self.model.sg_layers(), mean=not sum_convention)
+    def direction(self, x: Tensor, _, sum_convention: bool):
+        """The rule (1/n) sum_i net(w * x_i) * x_i at slopes w, the sum under
+        ``sum_convention``: with y_hat = w * x, dy_hat_i/dw = x_i, so it is
+        exactly the surrogate's gradient in w. Returns the array-level rule
+        ``diffcore.descent`` steps along, and the parameters it reads."""
+        return dc._linear_sg_direction(x, self.model.sg_layers(), not sum_convention)
 
     def query_loss(self, inputs: np.ndarray, labels, w: Tensor) -> Tensor:
         """The per-point mean squared error."""
@@ -249,11 +250,13 @@ class CosineHead:
         features = dc.detach(apply_features(self.model, inputs))
         return features, dc.row_norms(features.data)
 
-    def direction(self, w: Tensor, features: Tensor, norms: np.ndarray,
-                  sum_convention: bool) -> Tensor:
+    def direction(self, features: Tensor, norms: np.ndarray, sum_convention: bool):
+        """The synthetic-gradient rule at weights w, the seed net(logits)
+        pushed through the head's VJP, as ``ToyHead.direction`` returns its
+        own: with the scale and layers it reads."""
         seed_scale = 1.0 if sum_convention else 1.0 / features.shape[-2]
-        return dc.cosine_sg_direction(features, w, self.model.params["classifier_scale"],
-                                      self.model.sg_layers(), seed_scale, norms)
+        return dc._cosine_sg_direction(features, self.model.params["classifier_scale"],
+                                       self.model.sg_layers(), seed_scale, norms)
 
     def logits(self, inputs: np.ndarray, w: Tensor) -> Tensor:
         return dc.cosine_logits(apply_features(self.model, inputs), w,

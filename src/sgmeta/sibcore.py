@@ -5,11 +5,12 @@ network maps predictions to a surrogate for the unavailable loss gradient,
 and the update direction is the exact vector-Jacobian product of the
 predictions with that surrogate (conceptually, the gradient in the task
 weights of ``(1/n) sum_i <net(y_hat_i), y_hat_i>`` with net's output held
-constant). The direction is a closed-form graph expression, one fused node
-per step (``prior_pull`` adds the KL's pull when it is in the inner loop),
-so the whole K-step unroll is one first-order forward graph: the outer
-objective differentiates through it with respect to the initialization, the
-synthetic-gradient network, and the prior, with no higher-order machinery.
+constant). The direction is a closed-form array expression with a
+hand-written VJP, and the whole K-step unroll, the KL's pull included when
+it is in the inner loop, is one node (``diffcore.descent``) whose backward
+walks the steps in reverse: the outer objective differentiates through it
+with respect to the initialization, the synthetic-gradient network, and the
+prior, with no higher-order machinery.
 
 Query labels are never read while constructing the task weights; they enter
 only through ``task_objective``. Each of its terms is one fused node too:
@@ -19,23 +20,24 @@ which carries the ``kl_weight`` stop-gradient split in its backward.
 Neither the mode nor the posterior regime is read here. The model's task
 head (``models.ToyHead`` or ``CosineHead``) answers the mode's questions:
 the weight shape and flattening, the inner inputs and their per-unroll
-constant (the cosine head's feature row norms), the direction at drawn
-weights, the query loss and data term, and the query loss's closed-form
-gradient. ``distributions.Posterior`` answers the regime's: how many weights
-are drawn, the draw itself and the KL to the prior.
+constant (the cosine head's feature row norms), the direction rule and the
+parameters it reads, the query loss and data term, and the query loss's
+closed-form gradient. ``distributions.Posterior`` answers the regime's: how
+many weights are drawn, the draw itself and the KL to the prior.
 
 The inductive baseline, ``maml_inner``, steps through the same loop
 (``_descend``) along the head's closed-form support-loss gradient
 (``loss_gradient``), with no prior pull, on a frozen copy of the model, so
-it builds no tape; the cosine head's shares ``models.cross_entropy_seed``
-with ``ssl_init``.
+it keeps no reverse-pass state; the cosine head's shares
+``models.cross_entropy_seed`` with ``ssl_init``.
 
 Every function here that takes episodes takes a batch of them
 (``tasks.Episode``, fields stacked on a leading episode axis: query inputs
 (B, n, d)), and its results carry that axis (task weights
 (B, *theta_shape)), B = 1 included. Monte-Carlo weight draws go on one
-more leading axis in front of it, so an outer step over B episodes and M
-draws is one graph whose node count does not grow with B or M.
+more leading axis in front of it, so an outer step over B episodes, M
+draws and K inner steps is one graph whose node count does not grow with B,
+M or K.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior
-from .models import (MetaModel, apply_features, cross_entropy_seed, frozen_copy, mean_over_draws,
-                     prior_dist)
+from .models import MetaModel, apply_features, cross_entropy_seed, frozen_copy, prior_dist
 from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
 from .tasks import Episode, _stream
 
@@ -124,26 +125,26 @@ def _step_noise(episodes: Episode, cfg: InnerLoopConfig, shape) -> list:
     return [noise[k * m:(k + 1) * m] if m else None for k in range(cfg.steps)]
 
 
+def _check_finite(k: int, theta: np.ndarray) -> None:
+    """``InnerLoopError`` naming inner step ``k`` when its update is not finite."""
+    if not np.isfinite(theta).all():
+        raise InnerLoopError("non-finite inner update", k)
+
+
 def _descend(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig,
              direction, pull: bool) -> list:
-    """``cfg.steps`` descent steps from ``theta0`` (one row per episode);
-    returns the iterates theta_0 .. theta_K. Each step is ``direction`` at
-    each of the step's weight draws, averaged over the draws, plus the
-    prior's pull when ``pull``."""
+    """``cfg.steps`` descent steps from ``theta0`` (one row per episode) as one
+    node (``diffcore.descent``); returns the iterates theta_0 .. theta_K. Each
+    step is the rule of ``direction``, (rule, the tensors it reads), at each
+    of the step's weight draws, averaged over the draws, plus the prior's
+    pull when ``pull``: the KL's gradient in theta, exact in both regimes, as
+    q's variance does not enter."""
     posterior = Posterior(cfg)
-    thetas = [theta0]
-    for k, eps in enumerate(_step_noise(episodes, cfg, model.head.theta_shape)):
-        theta = thetas[-1]
-        step = mean_over_draws(direction(posterior.draw(theta, eps)), eps)
-        if pull:
-            # the KL's gradient in theta: exact in both regimes, as q's variance does not enter
-            prior = prior_dist(model)
-            kl_dir = dc.prior_pull(model.head.flat(theta), prior.mean, prior.log_var)
-            step = step + kl_dir.reshape(theta.shape)
-        thetas.append(theta - dc.scale(step, cfg.eta_inner))
-        if not np.all(np.isfinite(thetas[-1].data)):
-            raise InnerLoopError("non-finite inner update", k)
-    return thetas
+    offsets = [posterior.offsets(eps)
+               for eps in _step_noise(episodes, cfg, model.head.theta_shape)]
+    prior = prior_dist(model)
+    return dc.descent(theta0, direction, cfg.eta_inner, offsets,
+                      (prior.mean, prior.log_var) if pull else None, _check_finite)
 
 
 def sib_unroll(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoopConfig):
@@ -152,8 +153,7 @@ def sib_unroll(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLo
     under ``kl_in_inner``; returns (theta_K, the iterates theta_0 .. theta_K)."""
     inputs = model.head.inner_inputs(episodes.query_inputs)
     thetas = _descend(theta0, episodes, model, cfg,
-                      lambda w: model.head.direction(w, *inputs, cfg.sum_convention),
-                      cfg.kl_in_inner)
+                      model.head.direction(*inputs, cfg.sum_convention), cfg.kl_in_inner)
     return thetas[-1], thetas
 
 
@@ -227,8 +227,8 @@ def maml_inner(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLo
         raise ValueError("maml_inner requires a non-empty support set")
     frozen = frozen_copy(model)
     features, _ = frozen.head.inner_inputs(inputs)
-    thetas = _descend(dc.constant(theta0.data.copy()), episodes, frozen, cfg,
-                      lambda w: frozen.head.loss_gradient(w, features, labels), pull=False)
+    rule = (lambda w: (frozen.head.loss_gradient(w, features, labels).data, None), ())
+    thetas = _descend(dc.constant(theta0.data.copy()), episodes, frozen, cfg, rule, pull=False)
     return thetas[-1]
 
 

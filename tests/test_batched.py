@@ -45,6 +45,7 @@ from test_fused import (
     cross_entropy_chain,
     dirac_prior_term,
     kl_diag_gaussian,
+    prior_pull_composite,
     relu_mlp,
     square,
     tmean,
@@ -108,7 +109,8 @@ def ref_unroll(theta0, ep, model, cfg):
         direction = ref_direction(theta, x, model, cfg, eps_list)
         if cfg.kl_in_inner:
             prior = prior_dist(model)
-            kl_dir = dc.prior_pull(theta.reshape(theta.size), prior.mean, prior.log_var)
+            kl_dir = prior_pull_composite(theta.reshape(theta.size), prior.mean,
+                                          prior.log_var)
             direction = direction + kl_dir.reshape(theta.shape)
         theta = theta - dc.scale(direction, cfg.eta_inner)
     return theta

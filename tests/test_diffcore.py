@@ -135,9 +135,8 @@ def test_op_suites_name_every_differentiable_op():
     each public differentiable op of diffcore, and every case is named after
     one, so a deleted op leaves no case behind."""
     ops = differentiable_ops()
-    assert {"cosine_sg_direction", "linear_sg_direction", "cosine_logits", "cosine_vjp",
-            "prior_pull", "prior_divergence", "linear_squared_error", "softmax_cross_entropy",
-            "sum"} <= set(ops)
+    assert {"descent", "cosine_logits", "cosine_vjp", "prior_divergence",
+            "linear_squared_error", "softmax_cross_entropy", "sum"} <= set(ops)
 
     def named(op, case):  # "matmul", "matmul3d" and "matmul3d_2d" name their op
         return re.fullmatch(re.escape(op) + r"([\d_].*)?", case)
@@ -227,30 +226,10 @@ def test_linear_is_bitwise_matmul_plus_bias():
         (dc.sub, (Tensor(np.ones((2, 3))), Tensor(np.ones(2)))),
         (dc.mul, (Tensor(np.ones((4, 1, 3))), Tensor(np.ones((2, 5))))),
         (dc.matmul, (Tensor(np.ones(3)), Tensor(np.ones((3, 2))))),
-        # a last layer 4 -> 3 against k = 4 classes; norms of other rows; the
-        # slopes' last axis not 1
-        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
-                                  [(Tensor(np.ones((4, 6))), Tensor(np.ones(6))),
-                                   (Tensor(np.ones((6, 3))), Tensor(np.ones(3)))],
-                                  0.2, np.ones((5, 1)))),
-        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
-                                  [(Tensor(np.ones((4, 4))), Tensor(np.ones(4)))],
-                                  0.2, np.ones((4, 1)))),
-        (dc.linear_sg_direction, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))),
-                                  [(Tensor(np.ones((1, 4))), Tensor(np.ones(4))),
-                                   (Tensor(np.ones((4, 1))), Tensor(np.ones(1)))], True)),
         (dc.cosine_logits, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(1.0))),
         (dc.cosine_logits, (Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 4, 3))), Tensor(1.0))),
         (dc.cosine_vjp, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3))), Tensor(1.0),
                          Tensor(np.ones((5, 3))))),
-        (dc.prior_pull, (Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(3)))),
-        (dc.cosine_sg_direction, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 2))), Tensor(1.0),
-                                  [(Tensor(np.ones((4, 4))), Tensor(np.ones(4)))],
-                                  0.2, np.ones((5, 1)))),
-        (dc.linear_sg_direction, (Tensor(np.ones((3, 1))), Tensor(np.ones((2, 5))),
-                                  [(Tensor(np.ones((1, 1))), Tensor(np.ones(1)))], False)),
-        (dc.linear_sg_direction, (Tensor(np.ones((2, 1))), Tensor(np.ones((2, 5))),
-                                  [(Tensor(np.ones((1, 4))), Tensor(np.ones(3)))], False)),
         # the objective's terms: labels of other rows; a prior of another
         # width, or a log-variance that does not broadcast; slopes whose last
         # axis is not 1, offsets of other slopes, and targets of other points
@@ -279,6 +258,59 @@ def test_shape_mismatch_raises_structured_error(op, args):
         else [a])]
     shapes = tuple(np.shape(a.data if isinstance(a, Tensor) else a) for a in operands)
     assert exc.value.shapes == shapes
+
+
+def _ones(*shapes):
+    return [Tensor(np.ones(shape)) for shape in shapes]
+
+
+COSINE_NET = [tuple(_ones((4, 4), (4,)))]
+# the direction rules, when built (a last layer 4 -> 3 for 4 classes; norms
+# of other rows; a bias of another width) and at weights (another width than
+# the features; slopes whose last axis is not 1, or that do not broadcast)
+RULE_ERRORS = {
+    "cosine-net": (lambda: dc._cosine_sg_direction(
+        Tensor(np.ones((5, 3))), Tensor(1.0), [tuple(_ones((4, 6), (6,))),
+                                               tuple(_ones((6, 3), (3,)))], 0.2, np.ones((5, 1))),
+        ((5, 3), (), (4, 6), (6,), (6, 3), (3,), (5, 1))),
+    "cosine-norms": (lambda: dc._cosine_sg_direction(
+        Tensor(np.ones((5, 3))), Tensor(1.0), COSINE_NET, 0.2, np.ones((4, 1))),
+        ((5, 3), (), (4, 4), (4,), (4, 1))),
+    "linear-bias": (lambda: dc._linear_sg_direction(
+        Tensor(np.ones((2, 5))), [tuple(_ones((1, 4), (3,)))], False), ((2, 5), (1, 4), (3,))),
+    "cosine-width": (lambda: dc._cosine_sg_direction(
+        Tensor(np.ones((5, 3))), Tensor(1.0), COSINE_NET, 0.2, np.ones((5, 1)))[0](
+        Tensor(np.ones((4, 2)))), ((5, 3), (4, 2))),
+    "linear-axis": (lambda: dc._linear_sg_direction(
+        Tensor(np.ones((2, 5))), [tuple(_ones((1, 1), (1,)))], True)[0](Tensor(np.ones((2, 3)))),
+        ((2, 3), (2, 5))),
+    "linear-broadcast": (lambda: dc._linear_sg_direction(
+        Tensor(np.ones((2, 5))), [tuple(_ones((1, 1), (1,)))], False)[0](Tensor(np.ones((3, 1)))),
+        ((3, 1), (2, 5))),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_ERRORS))
+def test_direction_rules_raise_structured_errors(case):
+    build, shapes = RULE_ERRORS[case]
+    with pytest.raises(ShapeError) as exc:
+        build()
+    assert exc.value.op == case.split("-")[0] + "_sg_direction"
+    assert exc.value.shapes == shapes
+
+
+def test_descent_rejects_draws_and_priors_of_other_weights():
+    """Offsets must be draws of theta0's shape, and the prior one mean and
+    log-variance per entry of a row."""
+    theta0 = Tensor(np.ones((2, 3, 4)))
+    rule = (lambda w: (np.zeros_like(w.data), None), [])
+    for offsets, pull, shapes in (
+            ([np.ones((2, 3, 4))], None, ((2, 3, 4), (2, 3, 4))),
+            ([None], (Tensor(np.ones(12)), Tensor(np.ones(4))), ((2, 3, 4), (12,), (4,))),
+            ([None], (Tensor(np.ones(4)), Tensor(np.ones(4))), ((2, 3, 4), (4,), (4,)))):
+        with pytest.raises(ShapeError) as exc:
+            dc.descent(theta0, rule, 0.1, offsets, pull)
+        assert exc.value.op == "descent" and exc.value.shapes == shapes
 
 
 def test_relu_edge_values():

@@ -1,10 +1,13 @@
 """The fused ops of diffcore against the composites they replace, written
 out here as the reference: forward values bitwise equal, gradients to 1e-13
-relative against elementary ops (bitwise for the network helpers and
-prior_pull), and central differences to 1e-6 on 2-D, stacked (B, ., .) and
-Monte-Carlo (M, B, k, d) weights against (B, n, d) features. The two
-synthetic-gradient direction ops are bitwise the chains of fused nodes they
-replace, in values, in gradients, and in the bytes a training run writes.
+relative against elementary ops (bitwise for the network helpers), and
+central differences to 1e-6 on 2-D, stacked (B, ., .) and Monte-Carlo
+(M, B, k, d) weights against (B, n, d) features. The two synthetic-gradient
+direction rules are bitwise the chains of fused nodes they replace, in
+values and gradients. The one-node unroll (``diffcore.descent``) is bitwise
+the per-step graph it replaces, the prior's pull of elementary ops
+included: in every iterate, in every gradient, and in the bytes a training
+run writes.
 
 The per-task objective's three term nodes (``prior_divergence``,
 ``linear_squared_error``, ``softmax_cross_entropy``) are checked against the
@@ -30,6 +33,8 @@ from sgmeta.models import (
     build_toy_model,
     mean_over_draws,
 )
+import sgmeta.sibcore as sibcore
+from sgmeta import analysis, trainer
 from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
@@ -46,7 +51,8 @@ from sgmeta.tasks import (
     gen_fewshot_episode,
     gen_spinning_lines,
 )
-from sgmeta.trainer import build_model, config_from_dict, episode_objective, episodes_for
+from sgmeta.trainer import (build_model, config_from_dict, episode_objective, episodes_for,
+                            make_theta0)
 
 GRAD_RTOL = 1e-13
 
@@ -263,16 +269,43 @@ def linear_sg_chain(theta: Tensor, x: Tensor, layers, mean: bool) -> Tensor:
     return tmean(gx, axis=-1, keepdims=True) if mean else gx.sum(axis=-1, keepdims=True)
 
 
-def toy_direction_chain(head, w, x, _, sum_convention):
-    """``ToyHead.direction`` built from the chain."""
-    return linear_sg_chain(w, x, head.model.sg_layers(), not sum_convention)
+def direction_chain(model, w, inputs, _, sum_convention):
+    """The head's synthetic-gradient direction at weights w, built from the
+    chain, on its inner inputs."""
+    if model.mode == "toy":
+        return linear_sg_chain(w, inputs, model.sg_layers(), not sum_convention)
+    seed_scale = 1.0 if sum_convention else 1.0 / inputs.shape[-2]
+    return cosine_sg_chain(inputs, w, model.params["classifier_scale"], model.sg_layers(),
+                           seed_scale)
 
 
-def cosine_direction_chain(head, w, features, feature_norms, sum_convention):
-    """``CosineHead.direction`` built from the chain."""
-    seed_scale = 1.0 if sum_convention else 1.0 / features.shape[-2]
-    return cosine_sg_chain(features, w, head.model.params["classifier_scale"],
-                           head.model.sg_layers(), seed_scale)
+def direction_node(rule, theta):
+    """A direction rule's values and VJP at weights theta as a node of its
+    own, as the direction ops were."""
+    values, vjp = rule[0](theta)
+    return dc._make(values, (theta,) + tuple(rule[1]), vjp)
+
+
+# the unroll as the per-step graph it replaces
+
+
+def sib_unroll_chain(theta0, episodes, model, cfg):
+    """``sib_unroll`` with each inner step a graph of its own: the direction
+    chain at each weight draw (``Posterior.draw``), its mean over the draws,
+    the prior's pull of elementary ops, an add, a scale by eta and a sub."""
+    inputs = model.head.inner_inputs(episodes.query_inputs)
+    posterior = Posterior(cfg)
+    thetas = [theta0]
+    for eps in sibcore._step_noise(episodes, cfg, model.head.theta_shape):
+        theta = thetas[-1]
+        step = mean_over_draws(direction_chain(model, posterior.draw(theta, eps), *inputs,
+                                               cfg.sum_convention), eps)
+        if cfg.kl_in_inner:
+            prior = prior_dist(model)
+            kl_dir = prior_pull_composite(model.head.flat(theta), prior.mean, prior.log_var)
+            step = step + kl_dir.reshape(theta.shape)
+        thetas.append(theta - dc.scale(step, cfg.eta_inner))
+    return thetas[-1], thetas
 
 
 # -- comparison ------------------------------------------------------------------
@@ -367,45 +400,31 @@ def test_cosine_vjp_matches_composite(case):
                    [theta, scale, seed])
 
 
-@pytest.mark.parametrize("x_shape", [(12,), (4, 12)])
-def test_prior_pull_is_bitwise_its_composite(x_shape):
-    rng = np.random.default_rng(5)
-    x, mean, log_var = (param(rng.normal(size=s)) for s in (x_shape, (12,), (12,)))
-    assert_matches(lambda: dc.prior_pull(x, mean, log_var),
-                   lambda: prior_pull_composite(x, mean, log_var), [x, mean, log_var],
-                   bitwise_grads=True)
+def _cosine_rule(features, scale, layers, seed_scale):
+    return dc._cosine_sg_direction(features, scale, layers, seed_scale,
+                                   dc.row_norms(features.data))
 
 
 @pytest.mark.parametrize("case", list(COSINE_SHAPES))
 def test_fused_ops_match_finite_differences(case):
+    """``cosine_logits``, and the direction rules as nodes of their own (the
+    unroll's cases are ``sgmeta gradcheck``'s)."""
     rng = np.random.default_rng(6)
     f_shape, t_shape = COSINE_SHAPES[case]
     features, theta = param(rng.normal(size=f_shape)), param(rng.normal(size=t_shape))
-    const_features = constant(features.data)
     scale = param(2.5)
     layers = _mlp_layers(rng, (t_shape[-2], 8, t_shape[-2]))
-    mlp_params = [t for layer in layers for t in layer]
+    rule = _cosine_rule(constant(features.data), scale, layers, 0.5)
 
-    norms = dc.row_norms(const_features.data)
-
-    def inner_direction():
-        return square(dc.cosine_sg_direction(const_features, theta, scale, layers, 0.5,
-                                             norms)).sum()
-
-    def objective():
-        return square(dc.cosine_logits(features, theta, scale)).sum()
-
-    check_gradients(inner_direction, [theta, scale] + mlp_params, h=1e-6, tol=1e-6)
-    check_gradients(objective, [features, theta, scale], h=1e-6, tol=1e-6)
+    check_gradients(lambda: square(direction_node(rule, theta)).sum(), [theta, *rule[1]],
+                    h=1e-6, tol=1e-6)
+    check_gradients(lambda: square(dc.cosine_logits(features, theta, scale)).sum(),
+                    [features, theta, scale], h=1e-6, tol=1e-6)
     x_shape, slope_shape = LINEAR_SHAPES[case]
     x, slope = constant(rng.normal(size=x_shape)), param(rng.normal(size=slope_shape))
-    toy_layers = _mlp_layers(rng, (1, 8, 1))
-    check_gradients(
-        lambda: square(dc.linear_sg_direction(slope, x, toy_layers, True)).sum(),
-        [slope] + [t for layer in toy_layers for t in layer], h=1e-6, tol=1e-6)
-    x, mean, log_var = (param(rng.normal(size=s)) for s in ((3, 5), (5,), (5,)))
-    check_gradients(lambda: square(dc.prior_pull(x, mean, log_var)).sum(),
-                    [x, mean, log_var], h=1e-6, tol=1e-6)
+    toy_rule = dc._linear_sg_direction(x, _mlp_layers(rng, (1, 8, 1)), True)
+    check_gradients(lambda: square(direction_node(toy_rule, slope)).sum(), [slope, *toy_rule[1]],
+                    h=1e-6, tol=1e-6)
 
 
 def test_cosine_vjp_rejects_features_that_require_grad():
@@ -431,11 +450,11 @@ def test_cosine_sg_direction_is_bitwise_its_chain(case, seed_scale):
     features = constant(rng.normal(size=f_shape))
     theta, scale = param(rng.normal(size=t_shape)), param(7.5)
     layers = _mlp_layers(rng, (3, 24, 24, 3))
-    norms = dc.row_norms(features.data)
+    rule = _cosine_rule(features, scale, layers, seed_scale)
     # theta is also a summand of the output, as of the next inner step, so
     # the order its three cotangents add up in shows
     assert_matches(
-        lambda: dc.cosine_sg_direction(features, theta, scale, layers, seed_scale, norms) + theta,
+        lambda: direction_node(rule, theta) + theta,
         lambda: cosine_sg_chain(features, theta, scale, layers, seed_scale) + theta,
         _leaves(theta, scale, layers=layers), bitwise_grads=True)
 
@@ -447,7 +466,7 @@ def test_linear_sg_direction_is_bitwise_its_chain(case, mean):
     x_shape, slope_shape = LINEAR_SHAPES[case]
     x, slope = constant(rng.normal(size=x_shape)), param(rng.normal(size=slope_shape))
     layers = _mlp_layers(rng, (1, 8, 8, 1))
-    assert_matches(lambda: dc.linear_sg_direction(slope, x, layers, mean) + slope,
+    assert_matches(lambda: direction_node(dc._linear_sg_direction(x, layers, mean), slope) + slope,
                    lambda: linear_sg_chain(slope, x, layers, mean) + slope,
                    _leaves(slope, layers=layers), bitwise_grads=True)
 
@@ -459,13 +478,12 @@ def test_direction_ops_give_a_constant_theta_no_cotangent():
     features, theta = constant(rng.normal(size=(2, 7, 4))), constant(rng.normal(size=(3, 2, 3, 4)))
     scale = param(2.0)
     layers = _mlp_layers(rng, (3, 6, 3))
-    norms = dc.row_norms(features.data)
-    assert_matches(lambda: dc.cosine_sg_direction(features, theta, scale, layers, 0.25, norms),
+    assert_matches(lambda: direction_node(_cosine_rule(features, scale, layers, 0.25), theta),
                    lambda: cosine_sg_chain(features, theta, scale, layers, 0.25),
                    _leaves(scale, layers=layers), bitwise_grads=True)
     slope, x = constant(rng.normal(size=(3, 2, 1))), constant(rng.normal(size=(2, 5)))
     toy_layers = _mlp_layers(rng, (1, 6, 1))
-    assert_matches(lambda: dc.linear_sg_direction(slope, x, toy_layers, True),
+    assert_matches(lambda: direction_node(dc._linear_sg_direction(x, toy_layers, True), slope),
                    lambda: linear_sg_chain(slope, x, toy_layers, True),
                    _leaves(layers=toy_layers), bitwise_grads=True)
     assert theta.grad is None and slope.grad is None
@@ -476,11 +494,83 @@ def test_direction_ops_reject_inputs_that_require_grad():
     layers = _mlp_layers(rng, (2, 4, 2))
     features = param(rng.normal(size=(5, 3)))
     with pytest.raises(GraphError, match="cosine_sg_direction: features must be constant"):
-        dc.cosine_sg_direction(features, param(rng.normal(size=(2, 3))), param(1.0), layers,
-                               1.0, dc.row_norms(features.data))
+        dc._cosine_sg_direction(features, param(1.0), layers, 1.0, dc.row_norms(features.data))
     with pytest.raises(GraphError, match="linear_sg_direction: inputs must be constant"):
-        dc.linear_sg_direction(param([0.5]), param(rng.normal(size=4)),
-                               _mlp_layers(rng, (1, 4, 1)), True)
+        dc._linear_sg_direction(param(rng.normal(size=4)), _mlp_layers(rng, (1, 4, 1)), True)
+
+
+# -- the one-node unroll ----------------------------------------------------------------
+
+_TASK = {"k": 3, "n_shot": 2, "n_query_per_class": 3, "d_x": 5,
+         "class_pool": {"train": 8, "val": 4, "test": 4}}
+_GAUSSIAN_DRAWS = {"posterior_regime": GAUSSIAN_FIXED_VAR, "mc_samples": 2}
+# run configs: both conventions, inner draws and the pull, each theta_0 rule
+UNROLLS = {
+    "toy-mean": {"mode": "toy", "inner": {"eta_inner": 0.1, "sum_convention": False}},
+    "toy-sum": {"mode": "toy", "inner": {"eta_inner": 0.01, "sum_convention": True}},
+    "toy-draws": {"mode": "toy", "inner": {"eta_inner": 0.1, "sum_convention": False,
+                                           "inner_eval_at_mean": False, "mc_samples": 2}},
+    "fewshot-deterministic-pull": {"mode": "fewshot", "fewshot": _TASK, "inner": {
+        "eta_inner": 0.3, "kl_in_inner": True, "posterior_regime": DETERMINISTIC}},
+    "fewshot-gaussian-draws": {"mode": "fewshot", "fewshot": _TASK, "inner": {
+        "eta_inner": 0.3, "kl_in_inner": True, **_GAUSSIAN_DRAWS}},
+    "fewshot-global": {"mode": "fewshot", "fewshot": _TASK, "theta_init": "global",
+                       "inner": {"eta_inner": 0.3, "sum_convention": True}},
+    "fewshot-ssl": {"mode": "fewshot", "fewshot": _TASK, "theta_init": "ssl", "train_f": True,
+                    "inner": {"eta_inner": 0.3, "kl_in_inner": True, **_GAUSSIAN_DRAWS}},
+    "fewshot-constant-theta0": {"mode": "fewshot", "fewshot": _TASK, "inner": {
+        "eta_inner": 0.3, "kl_in_inner": True, **_GAUSSIAN_DRAWS}},
+}
+
+
+def unroll_case(name, steps):
+    """The run config ``name`` at ``steps`` inner steps, its model with every
+    trainable parameter drawn away from its initialization (the
+    synthetic-gradient net's zero last layer included), and a batch of 3
+    episodes."""
+    data = UNROLLS[name]
+    cfg = config_from_dict({**data, "inner": {**data["inner"], "steps": steps}})
+    model = build_model(cfg)
+    rng = np.random.default_rng(16)
+    for t in model.trainable().values():
+        t.data = t.data + rng.normal(size=t.shape) * 0.3
+    return cfg, model, episodes_for(cfg, "train", range(3))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+@pytest.mark.parametrize("name", list(UNROLLS))
+def test_unroll_node_is_bitwise_the_step_chain(name, steps):
+    """theta_K, every iterate and every parameter's gradient of the training
+    objective through the unroll, and theta_0's, bitwise the per-step
+    graph's."""
+    cfg, model, episodes = unroll_case(name, steps)
+    leaves = list(model.trainable().values())
+
+    def run(unroll):
+        dc.zero_grad(leaves)
+        theta0 = make_theta0(model, episodes, cfg)
+        if name.endswith("constant-theta0"):
+            theta0 = constant(theta0.data)
+        elif steps:
+            assert theta0.requires_grad
+        theta_k, thetas = unroll(theta0, episodes, model, cfg.inner)
+        losses = task_objective(episodes, theta_k, model, cfg.inner, cfg.kl_weight)
+        grads = leaf_grads((losses * constant([0.5, -1.0, 2.0])).sum() + theta0.sum(), leaves)
+        return [t.data for t in thetas], grads, theta0.grad
+
+    thetas, grads, theta0_grad = run(sibcore.sib_unroll)
+    ref_thetas, ref_grads, ref_theta0_grad = run(sib_unroll_chain)
+    assert len(thetas) == steps + 1
+    for t, ref in zip(thetas, ref_thetas):
+        np.testing.assert_array_equal(t, ref)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(g, ref)
+    if ref_theta0_grad is not None:
+        np.testing.assert_array_equal(theta0_grad, ref_theta0_grad)
+    assert (theta0_grad is None) == name.endswith("constant-theta0")
+    if steps:
+        assert not np.array_equal(thetas[-1], thetas[0])
+        assert np.abs(model.params["xi_w1"].grad).max() > 0
 
 
 # Tiny training runs: few-shot proto in the deterministic and the Gaussian
@@ -505,8 +595,8 @@ BYTE_RUNS = {
 @pytest.mark.parametrize("run", list(BYTE_RUNS))
 def test_training_is_bytewise_the_chain_of_fused_nodes(tmp_path, monkeypatch, run):
     """The golden runs compare to 1e-12, which a change of rounding passes:
-    these runs' metrics and checkpoints are byte-identical with the
-    directions built from the chains."""
+    these runs' metrics and checkpoints are byte-identical with every inner
+    step a graph of its own, the directions built from the chains."""
     command, config = BYTE_RUNS[run]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -517,8 +607,8 @@ def test_training_is_bytewise_the_chain_of_fused_nodes(tmp_path, monkeypatch, ru
         return {f: (out / f).read_bytes() for f in ("metrics.csv", "checkpoint.json")}
 
     fused = outputs("fused")
-    monkeypatch.setattr(ToyHead, "direction", toy_direction_chain)
-    monkeypatch.setattr(CosineHead, "direction", cosine_direction_chain)
+    for module in (trainer, analysis):
+        monkeypatch.setattr(module, "sib_unroll", sib_unroll_chain)
     assert outputs("chain") == fused
 
 
@@ -652,11 +742,12 @@ def test_softmax_cross_entropy_rejects_out_of_range_labels():
             dc.softmax_cross_entropy(constant(np.zeros((2, 3))), labels)
 
 
-# a training step's graph, leaves included: 9 leaves, θ_K's 10 ops and 5 in
-# the objective on toy (54 before the objective's terms were fused); 10
-# leaves, 22 and 7 on few-shot (53 before). Bounds: 30 and 40.
-STEP_NODES = {"toy": 24, "fewshot": 39}
-STEP_NODE_BOUNDS = {"toy": 30, "fewshot": 40}
+# a training step's graph, leaves included: 9 leaves, θ_K's 2 ops (θ_0's and
+# the one-node unroll) and 5 in the objective on toy (24 with a graph per
+# inner step, 54 before the objective's terms were fused); 10 leaves, 2 and
+# 7 on few-shot (39 and 53 before). Bounds: the counts.
+STEP_NODES = {"toy": 16, "fewshot": 19}
+STEP_NODE_BOUNDS = {"toy": 16, "fewshot": 19}
 
 
 @pytest.mark.parametrize("mode", list(STEP_NODES))

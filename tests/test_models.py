@@ -99,8 +99,9 @@ def test_synth_grad_hidden_widths():
 
 def fewshot_direction(model, features, theta, seed_scale=0.25):
     """The synthetic-gradient direction of the cosine head at theta."""
-    return dc.cosine_sg_direction(constant(features), theta, model.params["classifier_scale"],
-                                  model.sg_layers(), seed_scale, dc.row_norms(features))
+    rule, _ = dc._cosine_sg_direction(constant(features), model.params["classifier_scale"],
+                                      model.sg_layers(), seed_scale, dc.row_norms(features))
+    return rule(theta)[0]
 
 
 def test_synth_grad_zero_weights_outputs_bias():
@@ -116,7 +117,7 @@ def test_synth_grad_zero_weights_outputs_bias():
     features, theta = rows @ np.ones((3, 4)) + np.eye(6, 4), constant(np.eye(3, 4) + 0.5)
     vjp = dc.cosine_vjp(constant(features), theta, model.params["classifier_scale"],
                         constant(0.25 * np.tile([0.5, -1.0, 2.0], (6, 1))))
-    np.testing.assert_array_equal(fewshot_direction(model, features, theta).data, vjp.data)
+    np.testing.assert_array_equal(fewshot_direction(model, features, theta), vjp.data)
 
 
 def test_synth_grad_is_zero_at_init():
@@ -124,11 +125,11 @@ def test_synth_grad_is_zero_at_init():
     model = build_fewshot_model(k=4, d_x=4, seed=9)
     rng = np.random.default_rng(1)
     out = fewshot_direction(model, rng.normal(size=(2, 5, 4)), constant(rng.normal(size=(2, 4, 4))))
-    np.testing.assert_array_equal(out.data, np.zeros((2, 4, 4)))
+    np.testing.assert_array_equal(out, np.zeros((2, 4, 4)))
     toy = build_toy_model(seed=2)
-    out = dc.linear_sg_direction(constant(rng.normal(size=(3, 1))),
-                                 constant(rng.normal(size=(3, 7))), toy.sg_layers(), True)
-    np.testing.assert_array_equal(out.data, np.zeros((3, 1)))
+    rule, _ = dc._linear_sg_direction(constant(rng.normal(size=(3, 7))), toy.sg_layers(), True)
+    out, _ = rule(constant(rng.normal(size=(3, 1))))
+    np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
 
 def test_synth_grad_width_mismatch_errors():
@@ -227,8 +228,10 @@ def test_model_pieces_are_differentiable():
     def loss():
         theta = init_theta0_proto(model, constant(feats), labels)
         logits = cosine_logits(model, constant(feats), theta)
-        g = fewshot_direction(model, feats, theta)
-        r, r_g = logits - constant(target), g - constant(g_target)
+        # one unit step along the head's direction: theta - g
+        step = model.head.direction(constant(feats), dc.row_norms(feats), False)
+        theta_1 = dc.descent(theta.reshape((1,) + theta.shape), step, 1.0, [None])[-1]
+        r, r_g = logits - constant(target), theta_1 - constant(g_target)
         return tmean(r * r) + tmean(r_g * r_g)
 
     params = [model.params[n] for n in ("lambda_scale", "classifier_scale", "xi_w1", "xi_b3")]

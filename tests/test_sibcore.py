@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from sgmeta.models import (
     apply_features,
     build_fewshot_model,
     build_toy_model,
+    frozen_copy,
     init_theta0_proto,
     mean_over_draws,
 )
 import sgmeta.sibcore as sibcore
 from sgmeta.cli import main
 from sgmeta.sibcore import (
+    CHUNK_POINTS,
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     STREAM_INNER,
@@ -264,6 +267,30 @@ def test_outer_gradients_through_fewshot_unroll_match_fd():
 
     errors = check_gradients(loss, params, h=1e-5, tol=1e-5)
     assert max(errors) < 1e-5
+
+
+def test_a_constant_unroll_holds_one_steps_state():
+    """A frozen unroll keeps no reverse-pass state: over one chunk of
+    ``CHUNK_POINTS`` query points, its peak traced memory at K = 3 is within
+    10% of its peak at K = 1 (each step's activations are about 2 MB)."""
+    task = FewShotConfig()
+    model = build_fewshot_model(k=5, d_x=16, seed=3)
+    model.params["xi_w3"].data[:] = np.random.default_rng(0).normal(
+        size=model.params["xi_w3"].shape) * 0.1
+    frozen = frozen_copy(model)
+    seeds = [derive_task_seed(0, "test", i) for i in range(CHUNK_POINTS // task.n_query)]
+    episodes = gen_fewshot_episode(task, "test", seeds)
+    theta0 = proto_theta0(frozen, episodes)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            sib_unroll(theta0, episodes, frozen, det_cfg(steps=steps, kl_in_inner=True))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.1 * peak(1)
 
 
 def test_feature_detach_blocks_synthetic_path():
