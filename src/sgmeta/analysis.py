@@ -8,6 +8,7 @@ drawn, and the bound exists or not, as the posterior regime says
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -29,6 +30,7 @@ from .tasks import (
     Episode,
     FewShotConfig,
     ToyConfig,
+    ahead,
     derive_task_seed,
     episode_rng,
     gen_fewshot_episode,
@@ -41,8 +43,12 @@ from . import diffcore as dc
 # at most ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the
 # sampler's query size). Each chunk's datasets are one batch
 # (``tasks.Episode``), adapted through the batched unroll on a constant copy
-# of the model, so no autodiff tape is built and one chunk of datasets is
-# alive at a time. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
+# of the model, so no autodiff tape is built. A worker thread makes each
+# chunk's datasets and their fresh draws while the chunk before is adapted
+# (``tasks.ahead``), so at most two chunks of datasets are alive: the one
+# being adapted and the next. The worker reads the held trials and the
+# sampler, which the caller does not touch while the gap runs, and draws from
+# its own thread's generator. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
 # initializations: the commands pass the run's rule, ``trainer.make_theta0``
 # bound to the run config. Each trial is generated and
 # adapted once. Its weights are drawn and its loss is compared with a fresh
@@ -169,10 +175,10 @@ class HeldTrials:
 
 
 def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
-    """``(trials, datasets, adapted weights)`` of consecutive chunks of
-    trials 0 .. ``trials`` - 1: ``chunk_slices``' chunks, each split where
-    held trials start or end. The weights are ``None`` for trials not held,
-    which are drawn."""
+    """``(trials, datasets, adapted weights, fresh datasets)`` of
+    consecutive chunks of trials 0 .. ``trials`` - 1: ``chunk_slices``'
+    chunks, each split where held trials start or end. The weights are
+    ``None`` for trials not held, which are drawn."""
     seeds = sampler.seeds(range(trials))
     for rows in chunk_slices(trials, sampler.n_query):
         for is_held, part in itertools.groupby(range(rows.start, rows.stop),
@@ -180,9 +186,10 @@ def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
             part = list(part)
             idx = range(part[0], part[-1] + 1)
             if is_held:
-                yield (idx, *held.take(seeds[idx.start:idx.stop]))
+                datasets, theta_k = held.take(seeds[idx.start:idx.stop])
             else:
-                yield idx, sampler.make(seeds[idx.start:idx.stop]), None
+                datasets, theta_k = sampler.make(seeds[idx.start:idx.stop]), None
+            yield idx, datasets, theta_k, sampler.fresh(datasets, idx)
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
@@ -203,6 +210,8 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     theta_k)`` is called on each chunk with its datasets and stacked
     adapted weights. Trials in ``held`` are read from it, not drawn and
     adapted; ``theta0_fn`` and ``inner`` must be the ones that adapted them.
+    Each chunk's datasets and fresh datasets are made in a worker thread
+    while the chunk before is adapted, so at most two chunks are alive.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2: σ pairs each trial with another")
@@ -214,20 +223,20 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
-    for idx, datasets, theta_k in _trial_chunks(trials, task_sampler, held):
-        if theta_k is None:
-            theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
-        theta = theta_k.reshape(len(idx), -1)
-        # one draw per trial, in trial order
-        eps = rng.normal(size=theta.shape) if posterior.random else None
-        w = posterior.draw(dc.constant(theta), eps).data
-        fresh = task_sampler.fresh(datasets, idx)
-        diffs[idx.start:idx.stop] = (
-            _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
-            - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
-        picked.keep(idx, datasets, theta)
-        if on_chunk is not None:
-            on_chunk(idx, datasets, theta_k)
+    with contextlib.closing(ahead(_trial_chunks(trials, task_sampler, held))) as chunks:
+        for idx, datasets, theta_k, fresh in chunks:
+            if theta_k is None:
+                theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
+            theta = theta_k.reshape(len(idx), -1)
+            # one draw per trial, in trial order
+            eps = rng.normal(size=theta.shape) if posterior.random else None
+            w = posterior.draw(dc.constant(theta), eps).data
+            diffs[idx.start:idx.stop] = (
+                _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
+                - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
+            picked.keep(idx, datasets, theta)
+            if on_chunk is not None:
+                on_chunk(idx, datasets, theta_k)
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials))
     sigma = estimate_sigma(frozen, picked, inner)

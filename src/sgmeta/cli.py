@@ -57,8 +57,10 @@ def keep_freed_pages() -> None:
     allocations: by default glibc maps large arrays (from 128 KiB, a
     threshold it raises only as it sees them freed) one by one and returns
     freed heap tops to the kernel, so every chunk's temporaries are faulted
-    in afresh. Raising both thresholds keeps them in the heap. A no-op
-    where glibc's ``mallopt`` is not available."""
+    in afresh. Raising both thresholds keeps them in the heap. One arena
+    serves every thread, so the worker that generates episodes ahead
+    (``tasks.ahead``) reuses those pages instead of growing an arena of its
+    own. A no-op where glibc's ``mallopt`` is not available."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
@@ -66,6 +68,7 @@ def keep_freed_pages() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of freed heap top
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-allocate arrays up to 32 MiB
+    mallopt(-8, 1)  # M_ARENA_MAX: one arena for all threads
 
 
 def main(argv=None) -> int:

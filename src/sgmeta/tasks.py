@@ -18,7 +18,10 @@ a sequence of task seeds and draws each episode from its own stream, in
 seed order, into one preallocated array per field; one vectorised add then
 shifts every batch's points by their class centres. An episode's values do
 not depend on the batch it is drawn in. A pool too large to hold is an
-``EpisodePool``, generated a batch at a time as it is read.
+``EpisodePool``, generated a batch at a time as it is read. ``ahead``
+makes the batches of a forward-only loop in a worker thread, each while the
+caller adapts the one before: numpy releases the interpreter lock while it
+fills its draws, so generation and adaptation overlap on two cores.
 
 Randomness: every episode's stream is a counter-based Philox stream keyed
 on its 64-bit task seed and a small sub-stream number, and task seeds come
@@ -28,17 +31,20 @@ across splits. A stream is fully set by its key. Where all of a stream's
 draws are made at once — an episode's points (``gen_spinning_lines``,
 ``gen_fewshot_episode``, ``resample_query_set``), a class pool, a toy
 epoch's task order and the inner-loop and objective noise of
-``sibcore._noise`` — one shared generator is reset to the stream
-(``_stream``): about 1 µs, against 9 µs for building a Philox and a
-Generator. The analysis estimators' streams keep a generator of their own
-(``episode_rng``), one each per gap estimate: the gap draws its weights
+``sibcore._noise`` — the calling thread's own generator is reset to the
+stream (``_stream``): about 1 µs, against 9 µs for building a Philox and a
+Generator. Each thread has one such generator, built on its first reset,
+so a worker that generates episodes never resets the stream the caller is
+drawing from. The analysis estimators' streams keep a generator of their
+own (``episode_rng``), one each per gap estimate: the gap draws its weights
 chunk by chunk, with episodes generated in between, and generating an
-episode resets the shared generator.
+episode resets the thread's generator.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,19 +85,24 @@ def episode_rng(task_seed: int, stream: int = 0) -> np.random.Generator:
 
 
 _ZEROS = np.zeros(4, dtype=np.uint64)
+_THREAD = threading.local()
 
 
-@functools.lru_cache(maxsize=1)
 def _shared_generator() -> np.random.Generator:
-    # built on first use, so importing the package does not import numpy.random
-    return np.random.Generator(np.random.Philox(0))
+    """The calling thread's generator, shared by its ``_stream`` calls."""
+    try:
+        return _THREAD.generator
+    except AttributeError:
+        # built on first use, so importing the package does not import numpy.random
+        _THREAD.generator = np.random.Generator(np.random.Philox(0))
+        return _THREAD.generator
 
 
 def _stream(task_seed: int, stream: int = 0) -> np.random.Generator:
-    """The shared generator, reset to the start of ``episode_rng(task_seed,
-    stream)``'s stream: the same draws, without building a Philox. The next
-    ``_stream`` call resets it again, so draw everything before calling
-    anything that may make one."""
+    """The calling thread's generator, reset to the start of
+    ``episode_rng(task_seed, stream)``'s stream: the same draws, without
+    building a Philox. The thread's next ``_stream`` call resets it again,
+    so draw everything before calling anything that may make one."""
     rng = _shared_generator()
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -138,7 +149,8 @@ class EpisodePool:
     """``n`` episodes of ``n_query`` query points each, generated a batch at
     a time: ``take(rows)`` is ``make(indices)`` of the pool indices at
     ``rows``, made each time and not kept, so a pool need not be held at
-    once."""
+    once. ``trainer.evaluate`` reads its chunks through ``ahead``, so at
+    most two are alive: the one being adapted and the next."""
 
     def __init__(self, n: int, n_query: int, make):
         self._n = n
@@ -150,6 +162,58 @@ class EpisodePool:
 
     def take(self, rows: slice) -> Episode:
         return self._make(range(self._n)[rows])
+
+
+_DONE = object()
+
+
+def ahead(items):
+    """The items of ``items``, in order, each made in a worker thread while
+    the caller uses the one before.
+
+    Each item is made once, and at most one item ahead of the caller. An
+    exception raised while making an item is raised to the caller when it
+    asks for that item, after every item before it. When the caller stops
+    early, or an exception leaves its loop, closing this generator waits
+    for the item in the making and ends the worker; the worker is a daemon
+    thread, so an interrupted command never waits for it at exit. The worker
+    starts on the first item asked for.
+    """
+    items = iter(items)
+    made = []  # the one item, or exception, handed from the worker
+    asked, ready = threading.Semaphore(1), threading.Semaphore(0)
+    stopping = False
+
+    def work():
+        while True:
+            asked.acquire()
+            if stopping:
+                return
+            try:
+                item, error = next(items, _DONE), None
+            except BaseException as exc:  # re-raised by the caller
+                item, error = None, exc
+            made.append((item, error))
+            ready.release()
+            if item is _DONE or error is not None:
+                return
+
+    worker = threading.Thread(target=work, name="sgmeta-ahead", daemon=True)
+    worker.start()
+    try:
+        while True:
+            ready.acquire()
+            item, error = made.pop()
+            if error is not None:
+                raise error
+            if item is _DONE:
+                return
+            asked.release()  # the next item is made while the caller uses this one
+            yield item
+    finally:
+        stopping = True
+        asked.release()
+        worker.join()
 
 
 @dataclass

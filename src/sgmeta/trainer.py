@@ -14,6 +14,7 @@ noise, and batch order all derive from counter-based seeds.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -64,6 +65,7 @@ from .tasks import (
     FewShotConfig,
     ToyConfig,
     _stream,
+    ahead,
     derive_task_seed,
     gen_fewshot_episode,
     gen_spinning_lines,
@@ -435,8 +437,10 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
 
     Episodes are read once each and adapted in chunks of at most
     ``CHUNK_POINTS`` query points (``chunk_slices``) on a constant copy of
-    the parameters, so no autodiff tape is kept. A pool generates each
-    chunk as it is read, so it holds one chunk at a time.
+    the parameters, so no autodiff tape is kept. A pool's chunks are
+    generated in a worker thread (``tasks.ahead``), each while the chunk
+    before it is adapted, so at most two are alive: the one being adapted
+    and the next.
     ``on_chunk(chunk, theta_k)`` is called on each chunk with its stacked
     adapted weights; ``analyze`` keeps the ones its gap estimate reads
     (``analysis.HeldTrials``).
@@ -447,15 +451,18 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     per = {}
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
-    for rows in chunk_slices(len(episodes), episodes.n_query):
-        chunk = episodes.take(rows)
-        theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
-        metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, inner)
-        metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
-        for name, values in metrics.items():
-            per.setdefault(name, []).extend(float(v) for v in values)
-        if on_chunk is not None:
-            on_chunk(chunk, theta_k.data)
+    chunks = (episodes.take(rows) for rows in chunk_slices(len(episodes), episodes.n_query))
+    if isinstance(episodes, EpisodePool):
+        chunks = ahead(chunks)
+    with contextlib.closing(chunks):
+        for chunk in chunks:
+            theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
+            metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, inner)
+            metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
+            for name, values in metrics.items():
+                per.setdefault(name, []).extend(float(v) for v in values)
+            if on_chunk is not None:
+                on_chunk(chunk, theta_k.data)
     for name, t in model.params.items():
         if not np.array_equal(t.data, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")

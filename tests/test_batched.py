@@ -9,6 +9,7 @@ and the gradient of every trainable parameter.
 
 import functools
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from sgmeta.sibcore import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
     STREAM_INNER,
+    InnerLoopError,
     STREAM_OBJECTIVE,
     _ssl_projection,
     orthogonal_transform_labeler,
@@ -319,9 +321,64 @@ def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_que
     pool = EpisodePool(sum(sizes), n_query, make)
     evaluate(build_model(cfg), cfg, "test", pool,
              on_chunk=lambda chunk, theta_k: events.append(("read", len(chunk))))
-    # each chunk is made once, as it is read
-    assert events == [(event, size) for size in sizes for event in ("made", "read")]
+    # each chunk is made once, in order, and read in order
     assert made == list(range(sum(sizes)))
+    for kind in ("made", "read"):
+        assert [size for event, size in events if event == kind] == sizes
+    # chunk j is read after it is made, and before chunk j + 2 is begun:
+    # the maker is never more than one chunk ahead
+    made_before = [sum(event == "made" for event, _ in events[:i])
+                   for i, (event, _) in enumerate(events) if event == "read"]
+    assert all(j + 1 <= n <= j + 2 for j, n in enumerate(made_before))
+
+
+def test_evaluate_raises_a_make_error_at_its_chunk_and_ends_the_worker(monkeypatch):
+    cfg = fewshot_case()
+    chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
+    made, read = [], []
+
+    def make(indices):
+        made.append(len(made))
+        if len(made) == 3:
+            raise ValueError("cannot make chunk 2")
+        return episodes_for(cfg, "test", indices)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^cannot make chunk 2$"):
+        evaluate(build_model(cfg), cfg, "test", EpisodePool(10, cfg.fewshot.n_query, make),
+                 on_chunk=lambda chunk, theta_k: read.append(len(read)))
+    assert made == [0, 1, 2] and read == [0, 1]  # raised where a one-chunk loop would raise
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("loop", ["evaluate", "gen_gap"])
+def test_an_inner_loop_error_mid_loop_ends_the_worker(monkeypatch, loop):
+    cfg = fewshot_case()
+    model = perturbed_model(cfg, seed=1)
+    chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
+    unrolled = []
+
+    def diverging(theta0, chunk, *args, **kwargs):
+        unrolled.append(len(chunk))
+        if len(unrolled) == 2:
+            raise InnerLoopError("non-finite inner update", step=1)
+        return unroll(theta0, chunk, *args, **kwargs)
+
+    unroll = sibcore.sib_unroll
+    monkeypatch.setattr(trainer, "sib_unroll", diverging)
+    monkeypatch.setattr(analysis, "sib_unroll", diverging)
+    before = threading.active_count()
+    with pytest.raises(InnerLoopError) as raised:
+        if loop == "evaluate":
+            evaluate(model, cfg, "test", episode_pool(cfg, "test", 10))
+        else:
+            gen_gap(model, fewshot_task_sampler(cfg.fewshot, seed=0), cfg.inner, trials=10,
+                    theta0_fn=functools.partial(make_theta0, cfg=cfg))
+    assert unrolled == [2, 2]
+    # the worker is gone while the error, and the loop's frame in its traceback,
+    # is still held, as ``cli.main`` holds it while it writes the summary
+    assert threading.active_count() == before
+    assert raised.traceback[-1].name == "diverging"
 
 
 def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):

@@ -4,7 +4,13 @@ import argparse
 import ctypes
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -298,9 +304,82 @@ def test_evaluation_pool_is_generated_once_chunk_by_chunk(tmp_path, fewshot_cfg_
                            "--checkpoint", str(tmp_path / "checkpoint.json"),
                            "--out", str(tmp_path / "out")]) == 0
     seeds = [derive_task_seed(cfg.run_seed, "test", i) for i in range(10)]
-    # each chunk's episodes are generated just before it is adapted, once each
-    assert events == (seeds[0:3] + ["unroll 3"] + seeds[3:6] + ["unroll 3"]
-                      + seeds[6:9] + ["unroll 3"] + seeds[9:] + ["unroll 1"])
+    # each episode is generated once, in order, and the chunks are adapted in order
+    assert [e for e in events if isinstance(e, int)] == seeds
+    unrolls = [i for i, e in enumerate(events) if isinstance(e, str)]
+    assert [events[i] for i in unrolls] == ["unroll 3"] * 3 + ["unroll 1"]
+    # chunk j is generated before it is adapted, and chunk j + 2 is not begun
+    # until chunk j + 1 is read: generation runs at most one chunk ahead
+    ends = [3, 6, 9, 10]
+    for j, i in enumerate(unrolls):
+        generated = sum(isinstance(e, int) for e in events[:i])
+        assert ends[j] <= generated <= ends[min(j + 1, 3)]
+
+
+def test_a_generation_error_in_a_chunk_still_exits_2(tmp_path, fewshot_cfg_file, monkeypatch,
+                                                     capsys):
+    cfg = config_from_dict(json.loads(fewshot_cfg_file.read_text()))
+    save_checkpoint(build_model(cfg), tmp_path / "checkpoint.json", cfg, step=0)
+    calls = []
+
+    def generating(task_cfg, split, seeds):
+        calls.append(len(seeds))
+        if len(calls) == 2:
+            raise ValueError("k=9 exceeds pool of 4 classes")
+        return generate(task_cfg, split, seeds)
+
+    generate = trainer.gen_fewshot_episode
+    monkeypatch.setattr(trainer, "gen_fewshot_episode", generating)
+    monkeypatch.setattr(sibcore, "CHUNK_POINTS", 3 * cfg.fewshot.n_query)
+    before = threading.active_count()
+    assert main(["eval", "--config", str(fewshot_cfg_file), "--episodes", "10",
+                 "--checkpoint", str(tmp_path / "checkpoint.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert calls == [3, 3]
+    assert capsys.readouterr().err == "error: k=9 exceeds pool of 4 classes\n"
+    assert threading.active_count() == before
+
+
+def test_an_interrupted_analyze_exits_promptly(tmp_path, toy_cfg_file):
+    """SIGINT in the middle of the evaluation's chunks ends the command at
+    once, as an uncaught interrupt (exit status 130 in a shell): no worker
+    thread is left to wait for."""
+    cfg = config_from_dict(json.loads(toy_cfg_file.read_text()))
+    save_checkpoint(build_model(cfg), tmp_path / "checkpoint.json", cfg, step=0)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sgmeta.cli", "analyze", "--config", str(toy_cfg_file),
+         "--set", "toy.n_test_tasks=10000000", "--trials", "4",
+         "--checkpoint", str(tmp_path / "checkpoint.json"), "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "effective_config.json").exists() and proc.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1.0)  # into the evaluation's chunks
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    # Python ends on an uncaught KeyboardInterrupt by SIGINT itself, which a shell reports as 130
+    assert proc.returncode in (-signal.SIGINT, 130)
+    assert b"KeyboardInterrupt" in err
+
+
+def test_importing_the_cli_starts_no_thread_and_no_executor():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = ("import sys, threading, sgmeta.cli; "
+             "print(threading.active_count(), 'queue' in sys.modules, "
+             "'concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False", "False"]
 
 
 def test_eval_rejects_a_non_finite_checkpoint_parameter(tmp_path, fewshot_cfg_file, capsys):
@@ -633,10 +712,11 @@ def test_count_flags_out_of_range_exit_2_and_name_the_flag(tmp_path, toy_cfg_fil
 def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         tmp_path, toy_cfg_file, fewshot_cfg_file, monkeypatch):
     """A run builds a fixed handful of Philox generators, however many
-    episodes it draws (each episode's stream resets one shared generator),
+    episodes it draws (each episode's stream resets its thread's generator,
+    so a worker thread that generates a pool or a gap's chunks builds one),
     and an ``analyze`` command generates and adapts each task once: gap
     trials that are evaluation episodes are read from the evaluation."""
-    tasks._stream(0)  # the shared generator, built once per process
+    tasks._stream(0)  # this thread's generator, built once per thread
     built = []
     philox = np.random.Philox
 
@@ -692,15 +772,16 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         assert len(set(generated)) == len(generated)
         assert len(set(adapted)) == len(adapted)
 
-    # one model build while loading the checkpoint, then each estimate's gap and σ draws;
+    # one model build while loading the checkpoint, then each estimate's gap and σ draws,
+    # and one generator for each worker thread: the evaluation's and each estimate's;
     # test episodes 0, 2 and 4 of the pool of 6 are the first estimate's trials 0, 1 and 2
-    assert analyze(toy, "--mc-seeds", "2") == 1 + 2 * 2
+    assert analyze(toy, "--mc-seeds", "2") == 1 + 2 * 2 + (1 + 2)
     each_task_once(pool=6, reused=3, estimates=2)
     for regime in ("deterministic", "gaussian_fixed_var"):
         fewshot = tmp_path / regime
         assert main(["train-fewshot", "--config", str(fewshot_cfg_file),
                      "--set", f'inner.posterior_regime="{regime}"', "--out", str(fewshot)]) == 0
-        assert analyze(fewshot) == 1 + 2
+        assert analyze(fewshot) == 1 + 2 + (1 + 1)
         # test episodes 0 and 3 of the pool of 4 are trials 0 and 1
         each_task_once(pool=4, reused=2, estimates=1)
 
