@@ -2,8 +2,8 @@
 
 The mutual-information proxy, a Monte-Carlo generalization gap with its
 subgaussian upper bound, and the query-size sweep. Posterior weights are
-drawn, and the bound exists or not, as the posterior regime says
-(``distributions.Posterior``).
+drawn, and the bound exists or not, as the posterior section says
+(``inner.posterior``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Posterior
 from .models import MetaModel, frozen_copy
 from .sibcore import (
     InnerLoopConfig,
@@ -60,7 +59,8 @@ from . import diffcore as dc
 #
 # A trial whose task seed an evaluation of the same model already generated
 # and adapted (``HeldTrials``, filled by ``trainer.evaluate``'s ``on_chunk``)
-# is read from there: its dataset and adapted weights, neither made again.
+# is read from there: its dataset and adapted weights, neither made again,
+# and, for a point mass, whose weights are θ_K, its own-dataset loss.
 # A chunk is split where held trials start or end, so each part is all held
 # or all drawn.
 #
@@ -88,7 +88,7 @@ def mi_estimate(model: MetaModel, theta_k: np.ndarray, inner: InnerLoopConfig) -
     so only there may it be negative.
     """
     value = float(np.mean(prior_term(dc.constant(theta_k), model, inner).data))
-    if Posterior(inner).has_bound and value < -1e-12:
+    if inner.posterior.has_bound and value < -1e-12:
         raise AssertionError("mutual-information proxy must be nonnegative")
     return value
 
@@ -147,12 +147,12 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int) -> TaskSampler:
 class HeldTrials:
     """Trials an evaluation has already generated and adapted, by task seed.
 
-    ``keep(chunk, theta_k)`` is ``trainer.evaluate``'s ``on_chunk``: of the
-    chunk's episodes whose task seed is one of ``seeds``, it copies out what
-    a gap trial reads (query inputs and labels, the generating truth and the
-    adapted weights), so no chunk stays alive. ``take(task_seeds)`` gives
-    those trials as one batch with their stacked adapted weights, and
-    releases them.
+    ``keep(chunk, theta_k, loss)`` is ``trainer.evaluate``'s ``on_chunk``:
+    of the chunk's episodes whose task seed is one of ``seeds``, it copies
+    out what a gap trial reads (query inputs and labels, the generating
+    truth, the adapted weights and their query loss), so no chunk stays
+    alive. ``take(task_seeds)`` gives those trials as one batch with their
+    stacked adapted weights and query losses, and releases them.
     """
 
     def __init__(self, seeds=()):
@@ -162,23 +162,24 @@ class HeldTrials:
     def __contains__(self, task_seed) -> bool:
         return task_seed in self._rows
 
-    def keep(self, chunk: Episode, theta_k: np.ndarray) -> None:
+    def keep(self, chunk: Episode, theta_k: np.ndarray, loss: np.ndarray) -> None:
         rows = [i for i, task_seed in enumerate(chunk.task_seed) if task_seed in self._wanted]
-        kept = [a[rows] for a in (chunk.query_inputs, chunk.query_labels, chunk.truth, theta_k)]
+        kept = [a[rows] for a in (chunk.query_inputs, chunk.query_labels, chunk.truth, theta_k,
+                                  loss)]
         for j, i in enumerate(rows):
             self._rows[chunk.task_seed[i]] = [a[j] for a in kept]
 
     def take(self, task_seeds) -> tuple:
-        inputs, labels, truth, theta_k = map(np.stack,
-                                             zip(*(self._rows.pop(s) for s in task_seeds)))
-        return Episode(inputs, labels, truth=truth, task_seed=tuple(task_seeds)), theta_k
+        inputs, labels, truth, theta_k, losses = map(
+            np.stack, zip(*(self._rows.pop(s) for s in task_seeds)))
+        return Episode(inputs, labels, truth=truth, task_seed=tuple(task_seeds)), theta_k, losses
 
 
 def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
-    """``(trials, datasets, adapted weights, fresh datasets)`` of
-    consecutive chunks of trials 0 .. ``trials`` - 1: ``chunk_slices``'
-    chunks, each split where held trials start or end. The weights are
-    ``None`` for trials not held, which are drawn."""
+    """``(trials, datasets, adapted weights, their losses, fresh datasets)``
+    of consecutive chunks of trials 0 .. ``trials`` - 1: ``chunk_slices``'
+    chunks, each split where held trials start or end. The weights and
+    losses are ``None`` for trials not held, which are drawn."""
     seeds = sampler.seeds(range(trials))
     for rows in chunk_slices(trials, sampler.n_query):
         for is_held, part in itertools.groupby(range(rows.start, rows.stop),
@@ -186,10 +187,10 @@ def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
             part = list(part)
             idx = range(part[0], part[-1] + 1)
             if is_held:
-                datasets, theta_k = held.take(seeds[idx.start:idx.stop])
+                datasets, theta_k, own = held.take(seeds[idx.start:idx.stop])
             else:
-                datasets, theta_k = sampler.make(seeds[idx.start:idx.stop]), None
-            yield idx, datasets, theta_k, sampler.fresh(datasets, idx)
+                datasets, theta_k, own = sampler.make(seeds[idx.start:idx.stop]), None, None
+            yield idx, datasets, theta_k, own, sampler.fresh(datasets, idx)
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
@@ -216,7 +217,7 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     if trials < 2:
         raise ValueError("trials must be >= 2: σ pairs each trial with another")
     frozen = frozen_copy(model)
-    posterior = Posterior(inner)
+    posterior = inner.posterior
     n_query = task_sampler.n_query
     theta_shape = frozen.head.theta_shape
     picked = SigmaDraws(trials, seed + 1, n_query, int(np.prod(theta_shape)), posterior.random)
@@ -224,16 +225,17 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
     with contextlib.closing(ahead(_trial_chunks(trials, task_sampler, held))) as chunks:
-        for idx, datasets, theta_k, fresh in chunks:
+        for idx, datasets, theta_k, own, fresh in chunks:
             if theta_k is None:
                 theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
             theta = theta_k.reshape(len(idx), -1)
             # one draw per trial, in trial order
             eps = rng.normal(size=theta.shape) if posterior.random else None
             w = posterior.draw(dc.constant(theta), eps).data
-            diffs[idx.start:idx.stop] = (
-                _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
-                - _losses(frozen, datasets.query_inputs, datasets.query_labels, w))
+            if own is None or posterior.random:  # a held point mass's is its evaluation's
+                own = _losses(frozen, datasets.query_inputs, datasets.query_labels, w)
+            fresh_loss = _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
+            diffs[idx.start:idx.stop] = fresh_loss - own
             picked.keep(idx, datasets, theta)
             if on_chunk is not None:
                 on_chunk(idx, datasets, theta_k)
@@ -299,11 +301,10 @@ def estimate_sigma(model: MetaModel, picked: SigmaDraws, inner: InnerLoopConfig)
     under independently drawn task weights and data points, the draws and
     what they read in ``picked``: one point per draw, in chunks of at most
     ``CHUNK_POINTS`` draws."""
-    posterior = Posterior(inner)
     losses = []
     for rows in chunk_slices(picked.draws, 1):
         noise = None if picked.noise is None else picked.noise[rows]
-        w = posterior.draw(dc.constant(picked.weights[rows]), noise).data
+        w = inner.posterior.draw(dc.constant(picked.weights[rows]), noise).data
         losses.extend(_losses(model, picked.inputs[rows, None], picked.labels[rows, None], w))
     losses = np.asarray(losses)
     return float((losses.max() - losses.min()) / 2.0)

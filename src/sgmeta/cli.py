@@ -553,15 +553,14 @@ def cmd_gradcheck(args) -> int:
 
     # inner draws, the prior pull inside the inner loop, the mean convention
     toy = {"mode": "toy", "run_seed": 4, "toy": {"n": 5},
-           "inner": {"eta_inner": 0.05, "kl_in_inner": True,
-                     "posterior_regime": "gaussian_fixed_var", "sum_convention": False,
-                     "inner_eval_at_mean": False, "objective_mc_samples": 1}}
+           "inner": {"eta_inner": 0.05, "kl_in_inner": True, "sum_convention": False,
+                     "posterior": {"regime": "gaussian_fixed_var"}}}  # one draw each
     fewshot = {"mode": "fewshot", "run_seed": 5, "theta_init": "proto",
                "fewshot": {"k": 3, "n_shot": 1, "n_query_per_class": 2, "d_x": 4,
                            "class_pool": {"train": 8, "val": 4, "test": 4},
                            "cluster_spread": 0.4},
                "inner": {"eta_inner": 0.05, "kl_in_inner": True,
-                         "posterior_regime": "deterministic"}}
+                         "posterior": {"regime": "deterministic"}}}
     _check("unrolled toy graph (K=3, 2 episodes) vs central differences",
            lambda: objective_graph(toy, 0.5, 3), failures)
     _check("unrolled classification graph (K=3, 3-way, 5 query points, 2 episodes)",

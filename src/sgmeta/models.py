@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .distributions import DiagGaussian, Posterior
+from .distributions import DiagGaussian
 from .rules import BOOL, check_fields, int_at_least, one_of
 from .tasks import true_posterior, true_prior
 
@@ -176,7 +176,7 @@ class ToyHead:
     """The regression slope: predictions w * x of raw scalar inputs, and a
     squared-error likelihood. A lower query MSE is better."""
 
-    primary = "query_mse"
+    primary = loss_metric = "query_mse"
     improves = staticmethod(operator.lt)
 
     def __init__(self, model: MetaModel):
@@ -219,7 +219,7 @@ class ToyHead:
         truth = true_posterior(episodes, cfg.toy)
         return {"query_mse": self.query_loss(episodes.query_inputs, episodes.query_labels,
                                              theta_k).data,
-                "kl_to_true_posterior": Posterior(inner).divergence(theta_k, truth).data}
+                "kl_to_true_posterior": inner.posterior.divergence(theta_k, truth).data}
 
     def prior_metrics(self, cfg) -> dict:
         """The learned prior's KL to the true prior."""
@@ -233,6 +233,7 @@ class CosineHead:
     cross-entropy likelihood. A higher query accuracy is better."""
 
     primary = "query_accuracy"
+    loss_metric = "query_loss"
     improves = staticmethod(operator.gt)
 
     def __init__(self, model: MetaModel):

@@ -22,8 +22,8 @@ head (``models.ToyHead`` or ``CosineHead``) answers the mode's questions:
 the weight shape and flattening, the inner inputs and their per-unroll
 constant (the cosine head's feature row norms), the direction rule and the
 parameters it reads, the query loss and data term, and the query loss's
-closed-form gradient. ``distributions.Posterior`` answers the regime's: how
-many weights are drawn, the draw itself and the KL to the prior.
+closed-form gradient. The posterior section ``cfg.posterior`` (``distributions``)
+answers the regime's: how many weights are drawn, the draw and the KL.
 
 The inductive baseline, ``maml_inner``, steps through the same loop
 (``_descend``) along the head's closed-form support-loss gradient
@@ -43,17 +43,16 @@ M or K.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR, Posterior
+from .distributions import Deterministic, GaussianFixedVar
 from .models import MetaModel, apply_features, cross_entropy_seed, frozen_copy, prior_dist
-from .rules import BOOL, REAL, check_fields, int_at_least, one_of, optional, real_above
+from .rules import BOOL, check_fields, int_at_least, real_above
 from .tasks import Episode, _stream
 
 # rng sub-streams per episode, so adaptation noise never depends on labels
@@ -79,31 +78,20 @@ class InnerLoopConfig:
     steps: int = 3
     eta_inner: float = 1e-3
     kl_in_inner: bool = False
-    mc_samples: int = 1
-    posterior_regime: str = GAUSSIAN_FIXED_VAR
-    q_log_var: float = 2.0 * math.log(0.1)
     # legacy form of the toy update: sum over the query set instead of mean
     sum_convention: bool = False
-    # evaluate inner-step predictions at the posterior mean instead of at
-    # sampled weights (the exactly-solvable regression uses this form)
-    inner_eval_at_mean: bool = False
-    # Monte-Carlo draws for the outer objective; None reuses mc_samples
-    objective_mc_samples: Optional[int] = None
+    posterior: GaussianFixedVar | Deterministic = field(default_factory=GaussianFixedVar)
 
     def __post_init__(self, prefix: str = ""):
         check_fields(self, _INNER_RULES, prefix)
+        check_fields(self.posterior, self.posterior.rules, f"{prefix}posterior.")
 
 
 _INNER_RULES = {
     "steps": int_at_least(0),
     "eta_inner": real_above(0),
     "kl_in_inner": BOOL,
-    "mc_samples": int_at_least(1),
-    "posterior_regime": one_of(GAUSSIAN_FIXED_VAR, DETERMINISTIC),
-    "q_log_var": REAL,
     "sum_convention": BOOL,
-    "inner_eval_at_mean": BOOL,
-    "objective_mc_samples": optional(int_at_least(1)),
 }
 
 
@@ -120,7 +108,7 @@ def _noise(episodes: Episode, stream: int, count: int, shape) -> np.ndarray:
 
 def _step_noise(episodes: Episode, cfg: InnerLoopConfig, shape) -> list:
     """Each inner step's weight draws, (M, B, *shape), or ``None`` at the mean."""
-    m = Posterior(cfg).inner_draws
+    m = cfg.posterior.inner_draws
     noise = _noise(episodes, STREAM_INNER, cfg.steps * m, shape) if m else None
     return [noise[k * m:(k + 1) * m] if m else None for k in range(cfg.steps)]
 
@@ -139,8 +127,7 @@ def _descend(theta0: Tensor, episodes: Episode, model: MetaModel, cfg: InnerLoop
     of the step's weight draws, averaged over the draws, plus the prior's
     pull when ``pull``: the KL's gradient in theta, exact in both regimes, as
     q's variance does not enter."""
-    posterior = Posterior(cfg)
-    offsets = [posterior.offsets(eps)
+    offsets = [cfg.posterior.offsets(eps)
                for eps in _step_noise(episodes, cfg, model.head.theta_shape)]
     prior = prior_dist(model)
     return dc.descent(theta0, direction, cfg.eta_inner, offsets,
@@ -177,16 +164,15 @@ def data_term(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoop
     under ``sum_convention``). ``eps`` holds the draws, (M, *theta.shape);
     ``None`` evaluates at theta.
     """
-    posterior = Posterior(cfg)
-    eps = eps if posterior.objective_draws else None
-    return model.head.data_term(episodes, theta, posterior, eps, cfg.sum_convention)
+    eps = eps if cfg.posterior.objective_draws else None
+    return model.head.data_term(episodes, theta, cfg.posterior, eps, cfg.sum_convention)
 
 
 def prior_term(theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
                pull_weight: float = 1.0) -> Tensor:
     """The posterior's divergence at theta from the learnable prior, one value
     per episode; ``pull_weight`` of its cotangent reaches theta."""
-    return Posterior(cfg).divergence(model.head.flat(theta), prior_dist(model), pull_weight)
+    return cfg.posterior.divergence(model.head.flat(theta), prior_dist(model), pull_weight)
 
 
 def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoopConfig,
@@ -206,7 +192,7 @@ def task_objective(episodes: Episode, theta: Tensor, model: MetaModel, cfg: Inne
 def objective_noise(theta: Tensor, episodes: Episode, cfg: InnerLoopConfig) -> Optional[np.ndarray]:
     """Weight draws for the outer objective, (M, *theta.shape); None when
     every draw returns the mean (deterministic regime)."""
-    draws = Posterior(cfg).objective_draws
+    draws = cfg.posterior.objective_draws
     return _noise(episodes, STREAM_OBJECTIVE, draws, theta.shape[1:]) if draws else None
 
 

@@ -37,8 +37,9 @@ Generator. Each thread has one such generator, built on its first reset,
 so a worker that generates episodes never resets the stream the caller is
 drawing from. The analysis estimators' streams keep a generator of their
 own (``episode_rng``), one each per gap estimate: the gap draws its weights
-chunk by chunk, with episodes generated in between, and generating an
-episode resets the thread's generator.
+chunk by chunk, and in between, adapting a chunk with inner weight draws
+(``inner_draws`` > 0) resets the thread's generator to each episode's
+noise stream (``sibcore._noise``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffcore as dc
-from .distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR
+from .distributions import Deterministic, GaussianFixedVar, posterior_for
 from .models import (
     HEADS,
     MetaModel,
@@ -205,11 +205,9 @@ def default_config(mode: str = "toy") -> RunConfig:
                 steps=3,
                 eta_inner=0.03,
                 kl_in_inner=False,
-                posterior_regime=GAUSSIAN_FIXED_VAR,
-                q_log_var=2.0 * math.log(ToyConfig().sigma_w),
                 sum_convention=True,
-                inner_eval_at_mean=True,
-                objective_mc_samples=8,
+                posterior=GaussianFixedVar(log_var=2.0 * math.log(ToyConfig().sigma_w),
+                                           inner_draws=0, objective_draws=8),
             ),
         )
     elif mode == "fewshot":
@@ -224,7 +222,7 @@ def default_config(mode: str = "toy") -> RunConfig:
                 steps=3,
                 eta_inner=1e-3,
                 kl_in_inner=True,
-                posterior_regime=DETERMINISTIC,
+                posterior=Deterministic(),
             ),
         )
     else:
@@ -258,13 +256,14 @@ def config_from_dict(data: dict) -> RunConfig:
             known = sorted(simple_fields + list(SECTIONS))
             raise ValueError(f"unknown config key {key!r}; expected one of {known}")
     cfg.__post_init__()
-    # a toy section sets the posterior variance unless the inner section does
-    if data.get("toy") is not None and "q_log_var" not in data.get("inner", {}):
-        cfg.inner.q_log_var = 2.0 * math.log(cfg.toy.sigma_w)
+    # a toy section sets a Gaussian posterior's variance unless the posterior section does
+    posterior = data.get("inner", {}).get("posterior", {})
+    if data.get("toy") is not None and cfg.inner.posterior.random and "log_var" not in posterior:
+        cfg.inner.posterior.log_var = 2.0 * math.log(cfg.toy.sigma_w)
     return cfg
 
 
-def _apply_nested(obj, updates: dict, section: str) -> None:
+def _apply_nested(obj, updates: dict, section: str):
     if not isinstance(updates, dict):
         raise ValueError(f"config section {section!r} must be an object")
     valid = [f.name for f in dataclasses.fields(obj)]
@@ -273,7 +272,11 @@ def _apply_nested(obj, updates: dict, section: str) -> None:
             raise ValueError(
                 f"unknown config key '{section}.{key}'; expected one of {sorted(valid)}"
             )
+        if key == "posterior":  # a new section of the regime it names, or the current one
+            value = _apply_nested(posterior_for(obj.posterior, value, section + ".posterior"),
+                                  value, section + ".posterior")
         setattr(obj, key, value)
+    return obj
 
 
 # -- optimizers -------------------------------------------------------------------
@@ -441,9 +444,9 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     generated in a worker thread (``tasks.ahead``), each while the chunk
     before it is adapted, so at most two are alive: the one being adapted
     and the next.
-    ``on_chunk(chunk, theta_k)`` is called on each chunk with its stacked
-    adapted weights; ``analyze`` keeps the ones its gap estimate reads
-    (``analysis.HeldTrials``).
+    ``on_chunk(chunk, theta_k, losses)`` gets each chunk, its stacked adapted
+    weights and query losses (the head's ``loss_metric``); ``analyze`` keeps
+    the ones its gap estimate reads (``analysis.HeldTrials``).
     """
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
@@ -462,7 +465,7 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
             for name, values in metrics.items():
                 per.setdefault(name, []).extend(float(v) for v in values)
             if on_chunk is not None:
-                on_chunk(chunk, theta_k.data)
+                on_chunk(chunk, theta_k.data, metrics[frozen.head.loss_metric])
     for name, t in model.params.items():
         if not np.array_equal(t.data, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")

@@ -19,7 +19,7 @@ from sgmeta.analysis import (
     vary_n_sweep,
     write_report_csv,
 )
-from sgmeta.distributions import DiagGaussian
+from sgmeta.distributions import DiagGaussian, Deterministic, GaussianFixedVar
 from sgmeta.models import build_toy_model, frozen_copy
 from sgmeta.sibcore import InnerLoopConfig, sib_unroll
 from sgmeta import diffcore as dc
@@ -54,8 +54,8 @@ def oracle_posterior_model(lam=0.0):
 
 
 def toy_inner(**kw):
-    base = dict(steps=3, eta_inner=1e-3, q_log_var=2 * math.log(TOY.sigma_w),
-                sum_convention=True, inner_eval_at_mean=True)
+    base = dict(steps=3, eta_inner=1e-3, sum_convention=True,
+                posterior=GaussianFixedVar(log_var=2 * math.log(TOY.sigma_w), inner_draws=0))
     base.update(kw)
     return InnerLoopConfig(**base)
 
@@ -213,7 +213,7 @@ def test_gen_bound_monotonicity(sigma, n, mi):
 def test_gen_gap_zero_for_constant_predictor():
     # zero synthetic net and fixed global init: weights ignore the dataset
     model = oracle_posterior_model(lam=0.9)
-    inner = toy_inner(posterior_regime="deterministic")
+    inner = toy_inner(posterior=Deterministic())
     sampler = toy_task_sampler(TOY, seed=5)
     est = gen_gap(model, sampler, inner, trials=400, seed=2, theta0_fn=TOY_THETA0)
     assert abs(est.gap) <= 3 * est.stderr + 1e-9
@@ -271,8 +271,8 @@ def toy_gap_estimate(trials, on_chunk=None):
     """The gap estimate of a toy Gaussian sampler with inner draws."""
     cfg = default_config("toy")
     cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
-    cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
-    cfg.inner.inner_eval_at_mean = False
+    cfg.inner.posterior.log_var = 2 * math.log(cfg.toy.sigma_w)
+    cfg.inner.posterior.inner_draws = 1
     model = build_model(cfg)
     g = np.random.default_rng(3)
     for name in ("xi_w3", "xi_b3", "xi_b1", "xi_b2"):
@@ -285,8 +285,8 @@ def toy_gap_estimate(trials, on_chunk=None):
 def test_gen_gap_is_bitwise_the_per_trial_draw_formulas():
     """The estimate, bit for bit. The gap, its stderr and the
     mutual-information term are the values recorded when the gap drew each
-    trial's weights as ``theta + math.exp(q_log_var / 2) * rng.normal(size)``,
-    before ``Posterior.draw`` took the draw over. σ is a loop of the same
+    trial's weights as ``theta + math.exp(log_var / 2) * rng.normal(size)``,
+    before the posterior section's ``draw`` took the draw over. σ is a loop of the same
     formulas over the gap's adapted slopes: draw t adds ``std * noise`` to
     trial t's slope and takes a point of trial (t + 1) mod T."""
     trials, n, std = 37, 6, math.exp(2 * math.log(TOY.sigma_w) / 2)
@@ -353,7 +353,7 @@ def test_no_sigma_draw_reads_the_weights_and_the_point_of_one_trial(monkeypatch,
         np.asarray(chunk.task_seed, dtype=float)[:, None])
     monkeypatch.setattr(analysis, "_losses", recording_losses)
     gen_gap(oracle_posterior_model(), sampler,
-            toy_inner(steps=0, posterior_regime="deterministic"), trials=trials, theta0_fn=theta0)
+            toy_inner(steps=0, posterior=Deterministic()), trials=trials, theta0_fn=theta0)
     assert pairs == [(t, (t + 1) % trials) for t in range(min(trials, 2000))]
     assert all(weights_trial != point_trial for weights_trial, point_trial in pairs)
 

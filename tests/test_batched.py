@@ -20,11 +20,14 @@ import sgmeta.analysis as analysis
 import sgmeta.sibcore as sibcore
 import sgmeta.trainer as trainer
 from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
-from sgmeta.distributions import DiagGaussian
-from sgmeta.models import apply_features
-from sgmeta.sibcore import (
+from sgmeta.distributions import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
+    DiagGaussian,
+    GaussianFixedVar,
+)
+from sgmeta.models import apply_features
+from sgmeta.sibcore import (
     STREAM_INNER,
     InnerLoopError,
     STREAM_OBJECTIVE,
@@ -76,7 +79,8 @@ def only_episode(batch):
 def ref_draw(theta, cfg, eps):
     if eps is None:
         return theta
-    return tape_draw_reference(theta.reshape(theta.size), cfg.q_log_var, eps).reshape(theta.shape)
+    flat = theta.reshape(theta.size)
+    return tape_draw_reference(flat, cfg.posterior.log_var, eps).reshape(theta.shape)
 
 
 def ref_direction(theta, x, model, cfg, eps_list):
@@ -104,8 +108,8 @@ def ref_unroll(theta0, ep, model, cfg):
     rng = episode_rng(ep.task_seed, stream=STREAM_INNER)
     theta = theta0
     for _ in range(cfg.steps):
-        if cfg.posterior_regime == GAUSSIAN_FIXED_VAR and not cfg.inner_eval_at_mean:
-            eps_list = [rng.normal(size=theta.size) for _ in range(cfg.mc_samples)]
+        if cfg.posterior.regime == GAUSSIAN_FIXED_VAR and cfg.posterior.inner_draws:
+            eps_list = [rng.normal(size=theta.size) for _ in range(cfg.posterior.inner_draws)]
         else:
             eps_list = [None]
         direction = ref_direction(theta, x, model, cfg, eps_list)
@@ -120,8 +124,8 @@ def ref_unroll(theta0, ep, model, cfg):
 
 def ref_prior_term(theta, model, cfg):
     flat = theta.reshape(theta.size)
-    if cfg.posterior_regime == GAUSSIAN_FIXED_VAR:
-        q = DiagGaussian(flat, dc.constant(np.full(theta.size, cfg.q_log_var)))
+    if cfg.posterior.regime == GAUSSIAN_FIXED_VAR:
+        q = DiagGaussian(flat, dc.constant(np.full(theta.size, cfg.posterior.log_var)))
         return kl_diag_gaussian(q, prior_dist(model))
     return dirac_prior_term(flat, prior_dist(model))
 
@@ -169,11 +173,11 @@ def ref_theta0(model, ep, cfg):
 def ref_episode_objective(model, ep, cfg):
     klw = cfg.kl_weight
     theta_k = ref_unroll(ref_theta0(model, ep, cfg), ep, model, cfg.inner)
-    if cfg.inner.posterior_regime == DETERMINISTIC:
+    if cfg.inner.posterior.regime == DETERMINISTIC:
         eps_list = [None]
     else:
         rng = episode_rng(ep.task_seed, stream=STREAM_OBJECTIVE)
-        draws = cfg.inner.objective_mc_samples or cfg.inner.mc_samples
+        draws = cfg.inner.posterior.objective_draws
         eps_list = [rng.normal(size=theta_k.size) for _ in range(draws)]
     loss = ref_data_term(ep, theta_k, model, cfg.inner, eps_list)
     if klw != 0.0:
@@ -190,8 +194,13 @@ def ref_episode_objective(model, ep, cfg):
 def toy_case():
     cfg = default_config("toy")  # Gaussian regime, 8 objective draws
     cfg.toy = ToyConfig(n=6, n_train_tasks=8, n_test_tasks=8)
-    cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
+    cfg.inner.posterior.log_var = 2 * math.log(cfg.toy.sigma_w)
     return cfg
+
+
+def two_draws():
+    """A Gaussian posterior of two weight draws per inner step and for the objective."""
+    return GaussianFixedVar(log_var=2 * math.log(0.05), inner_draws=2, objective_draws=2)
 
 
 def fewshot_case(**inner):
@@ -214,7 +223,7 @@ CASES = {
     "fewshot-proto-deterministic": fewshot_case,
     "fewshot-ssl": ssl_case,
     "fewshot-gaussian-2-draws": lambda: fewshot_case(
-        posterior_regime=GAUSSIAN_FIXED_VAR, mc_samples=2, q_log_var=2 * math.log(0.05)),
+        posterior=two_draws()),
 }
 
 
@@ -320,7 +329,7 @@ def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_que
 
     pool = EpisodePool(sum(sizes), n_query, make)
     evaluate(build_model(cfg), cfg, "test", pool,
-             on_chunk=lambda chunk, theta_k: events.append(("read", len(chunk))))
+             on_chunk=lambda chunk, theta_k, losses: events.append(("read", len(chunk))))
     # each chunk is made once, in order, and read in order
     assert made == list(range(sum(sizes)))
     for kind in ("made", "read"):
@@ -346,7 +355,7 @@ def test_evaluate_raises_a_make_error_at_its_chunk_and_ends_the_worker(monkeypat
     before = threading.active_count()
     with pytest.raises(ValueError, match="^cannot make chunk 2$"):
         evaluate(build_model(cfg), cfg, "test", EpisodePool(10, cfg.fewshot.n_query, make),
-                 on_chunk=lambda chunk, theta_k: read.append(len(read)))
+                 on_chunk=lambda chunk, theta_k, losses: read.append(len(read)))
     assert made == [0, 1, 2] and read == [0, 1]  # raised where a one-chunk loop would raise
     assert threading.active_count() == before
 
@@ -406,7 +415,7 @@ def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):
 
 def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
     cfg = toy_case()
-    cfg.inner.inner_eval_at_mean = False  # inner draws too
+    cfg.inner.posterior.inner_draws = 1  # inner draws too
     model = perturbed_model(cfg, seed=2)
     sampler = toy_task_sampler(cfg.toy, seed=4)
 
@@ -424,7 +433,7 @@ def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):
 
 def toy_inner_draws_analysis():
     cfg = toy_case()
-    cfg.inner.inner_eval_at_mean = False  # inner draws too
+    cfg.inner.posterior.inner_draws = 1  # inner draws too
     return cfg, toy_task_sampler(cfg.toy, seed=5), cfg.toy.n
 
 
@@ -439,7 +448,7 @@ GAP_CASES = {
     "toy-inner-draws": toy_inner_draws_analysis,
     "fewshot-proto-deterministic": fewshot_analysis,
     "fewshot-proto-gaussian": lambda: fewshot_analysis(
-        posterior_regime=GAUSSIAN_FIXED_VAR, mc_samples=2, q_log_var=2 * math.log(0.05)),
+        posterior=two_draws()),
 }
 
 
@@ -460,9 +469,9 @@ def test_gap_and_sigma_match_per_trial_loop(monkeypatch, case):
         return batch, ep, ref_unroll(ref_theta0(model, ep, cfg), ep, model, inner).data
 
     def drawn(theta, rng):
-        if inner.posterior_regime == DETERMINISTIC:
+        if inner.posterior.regime == DETERMINISTIC:
             return theta
-        std = math.exp(inner.q_log_var / 2.0)
+        std = math.exp(inner.posterior.log_var / 2.0)
         return theta + std * rng.normal(size=theta.size).reshape(theta.shape)
 
     def loss(x, y, w):
@@ -533,7 +542,7 @@ def reuse_case(mode, init="proto", lambda_global=None, **inner):
     model's global initialization is set to."""
     if mode == "toy":
         cfg = toy_case()
-        cfg.inner.inner_eval_at_mean = False  # inner draws too
+        cfg.inner.posterior.inner_draws = 1  # inner draws too
         for key, value in inner.items():
             setattr(cfg.inner, key, value)
         return cfg, toy_task_sampler(cfg.toy, seed=cfg.run_seed), lambda_global
@@ -542,16 +551,14 @@ def reuse_case(mode, init="proto", lambda_global=None, **inner):
     return cfg, fewshot_task_sampler(cfg.fewshot, seed=cfg.run_seed), lambda_global
 
 
-GAUSSIAN_INNER = {"posterior_regime": GAUSSIAN_FIXED_VAR, "mc_samples": 2,
-                  "q_log_var": 2 * math.log(0.05)}
 REUSE_CASES = {
     "toy-inner-draws": lambda: reuse_case("toy"),
     # θ_K is θ₀, whose sign bit shows whether both paths start from one rule
     "toy-negative-zero-k0": lambda: reuse_case("toy", lambda_global=-0.0, steps=0),
     "fewshot-proto-deterministic": lambda: reuse_case("fewshot"),
-    "fewshot-proto-gaussian": lambda: reuse_case("fewshot", **GAUSSIAN_INNER),
+    "fewshot-proto-gaussian": lambda: reuse_case("fewshot", posterior=two_draws()),
     "fewshot-global-deterministic": lambda: reuse_case("fewshot", "global"),
-    "fewshot-global-gaussian": lambda: reuse_case("fewshot", "global", **GAUSSIAN_INNER),
+    "fewshot-global-gaussian": lambda: reuse_case("fewshot", "global", posterior=two_draws()),
     "fewshot-ssl-deterministic": lambda: reuse_case("fewshot", "ssl"),
 }
 

@@ -23,10 +23,13 @@ import sgmeta.sibcore as sibcore
 import sgmeta.tasks as tasks
 import sgmeta.trainer as trainer
 from sgmeta.cli import build_parser, main
+from sgmeta.distributions import DETERMINISTIC, GAUSSIAN_FIXED_VAR
 from sgmeta.tasks import derive_task_seed
 from sgmeta.trainer import (
     build_model,
     config_from_dict,
+    config_to_dict,
+    default_config,
     episodes_for,
     load_checkpoint,
     make_theta0,
@@ -151,7 +154,7 @@ def test_seed_and_set_overrides(tmp_path, toy_cfg_file):
 
 
 def test_set_means_what_the_config_file_means(tmp_path, toy_cfg_file):
-    # toy.sigma_w sets inner.q_log_var unless the inner section does, on both routes
+    # toy.sigma_w sets inner.posterior.log_var unless the posterior section does, on both routes
     edited = json.loads(toy_cfg_file.read_text())
     edited["toy"]["sigma_w"] = 0.2
     edited["epochs"] = 1
@@ -163,7 +166,7 @@ def test_set_means_what_the_config_file_means(tmp_path, toy_cfg_file):
                  "--set", "epochs=1", "--out", str(by_set)]) == 0
     echoed = (by_set / "effective_config.json").read_bytes()
     assert echoed == (by_file / "effective_config.json").read_bytes()
-    assert json.loads(echoed)["inner"]["q_log_var"] == pytest.approx(2 * math.log(0.2))
+    assert json.loads(echoed)["inner"]["posterior"]["log_var"] == pytest.approx(2 * math.log(0.2))
 
 
 def test_eval_matches_training_final_row(tmp_path, fewshot_cfg_file, capsys):
@@ -237,7 +240,7 @@ def test_deterministic_toy_analyze_reports_the_prior_term(tmp_path, toy_cfg_file
     objective and the gap's ``mi`` use."""
     run = tmp_path / "run"
     assert main(["train-toy", "--config", str(toy_cfg_file), "--set",
-                 "inner.posterior_regime=deterministic", "--out", str(run)]) == 0
+                 'inner.posterior={"regime": "deterministic"}', "--out", str(run)]) == 0
     out = tmp_path / "analysis"
     assert main(["analyze", "--config", str(run / "effective_config.json"),
                  "--checkpoint", str(run / "checkpoint.json"), "--trials", "20",
@@ -251,16 +254,17 @@ def test_deterministic_toy_analyze_reports_the_prior_term(tmp_path, toy_cfg_file
     assert float(rows["mi_estimate"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_deterministic_toy_metrics_do_not_read_q_log_var(tmp_path, toy_cfg_file):
-    """A point mass has no variance: deterministic toy trainings and
-    evaluations that differ only in ``inner.q_log_var`` write the same
+def test_deterministic_toy_metrics_do_not_read_a_replaced_log_var(tmp_path, toy_cfg_file):
+    """A point mass has no variance, and switching to it replaces the whole
+    posterior section: deterministic toy trainings and evaluations switched
+    from Gaussian sections that differ only in ``log_var`` write the same
     ``metrics.csv``, ``kl_to_true_posterior`` (the point-mass term) included."""
     written = []
-    for q_log_var in ("-4.0", "0.5"):
-        run, out = tmp_path / f"run{q_log_var}", tmp_path / f"eval{q_log_var}"
+    for log_var in ("-4.0", "0.5"):
+        run, out = tmp_path / f"run{log_var}", tmp_path / f"eval{log_var}"
         assert main(["train-toy", "--config", str(toy_cfg_file), "--set",
-                     "inner.posterior_regime=deterministic", "--set",
-                     f"inner.q_log_var={q_log_var}", "--out", str(run)]) == 0
+                     f"inner.posterior.log_var={log_var}", "--set",
+                     'inner.posterior={"regime": "deterministic"}', "--out", str(run)]) == 0
         assert main(["eval", "--config", str(run / "effective_config.json"),
                      "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)]) == 0
         written.append([(run / "metrics.csv").read_bytes(), (out / "metrics.csv").read_bytes()])
@@ -493,6 +497,29 @@ def test_readme_names_every_command_and_no_other():
     assert named == set(commands)
 
 
+def readme_schema_keys() -> set:
+    """The keys the README's "Config schema" table names in its first column."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("## Config schema", 1)[1].split("\n\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    return {key for row in rows for key in re.findall(r"`([^`]+)`", row)}
+
+
+def test_readme_schema_names_every_config_key_and_no_other():
+    """Every key of both modes' default configs has a row (``toy.*`` and
+    ``fewshot.*`` name their sections' keys), and every row names a key
+    that a config accepts, so the table cannot drift from the config."""
+    named = readme_schema_keys()
+    wildcards = {"toy.*", "fewshot.*"}  # a mode's section, null in the other mode
+    accepted = set(wildcards)
+    for mode in ("toy", "fewshot"):
+        keys = set(flat_keys(config_to_dict(default_config(mode))))
+        accepted |= keys
+        missing = {k for k in keys if k not in named and k.split(".")[0] + ".*" not in named}
+        assert not missing, f"README config schema lacks {sorted(missing)} ({mode})"
+    assert named <= accepted, f"README config schema names {sorted(named - accepted)}"
+
+
 def test_fewshot_analyze_rejects_several_estimator_seeds(tmp_path, fewshot_cfg_file, capsys):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
@@ -640,13 +667,115 @@ def test_setting_the_mode_cannot_apply_exits_2_and_names_key(tmp_path, toy_cfg_f
     assert not out.exists()
 
 
+OLD_POSTERIOR_KEYS = ["posterior_regime", "q_log_var", "mc_samples", "objective_mc_samples",
+                      "inner_eval_at_mean"]
+GAUSSIAN_ONLY = {"log_var": -3.0, "inner_draws": 2, "objective_draws": 3}
+
+
+@pytest.mark.parametrize("command,setting,key", [
+    *((command, f"inner.{key}=1", f"inner.{key}")
+      for command in ("train-toy", "train-fewshot") for key in OLD_POSTERIOR_KEYS),
+    # the few-shot default section is deterministic; toy's is replaced by one
+    *(("train-fewshot", f"inner.posterior.{key}={value}", f"inner.posterior.{key}")
+      for key, value in GAUSSIAN_ONLY.items()),
+    *(("train-toy", "inner.posterior=" + json.dumps({"regime": DETERMINISTIC, key: value}),
+       f"inner.posterior.{key}") for key, value in GAUSSIAN_ONLY.items()),
+])
+def test_a_posterior_key_the_regime_cannot_apply_exits_2_and_names_it(
+        tmp_path, toy_cfg_file, fewshot_cfg_file, capsys, command, setting, key):
+    """The flat posterior keys are gone, and a point mass takes no Gaussian
+    knob: each exits 2 naming the dotted key, before any run file is
+    written."""
+    cfg_file = toy_cfg_file if command == "train-toy" else fewshot_cfg_file
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg_file), "--set", setting, "--out", str(out)]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def flat_keys(section: dict, prefix: str = "") -> dict:
+    """Dotted keys of a config dict's nested sections, with their values."""
+    keys = {}
+    for key, value in section.items():
+        if isinstance(value, dict):
+            keys.update(flat_keys(value, f"{prefix}{key}."))
+        else:
+            keys[prefix + key] = value
+    return keys
+
+
+def flipped(key: str, value):
+    """A value other than ``value`` that the key accepts: the other truth
+    value or regime, one more step or draw, twice the rate, one more
+    log-variance."""
+    if isinstance(value, bool):
+        return not value
+    if key.endswith("regime"):
+        return DETERMINISTIC if value == GAUSSIAN_FIXED_VAR else GAUSSIAN_FIXED_VAR
+    if isinstance(value, int):
+        return value + 1
+    return value * 2 if key.endswith("eta_inner") else value + 1.0
+
+
+FLIP_BASES = {(mode, regime): ({"toy": TINY_TOY, "fewshot": TINY_FEWSHOT}[mode],
+                               {"inner": {"posterior": {"regime": regime}}})
+              for mode in ("toy", "fewshot") for regime in (GAUSSIAN_FIXED_VAR, DETERMINISTIC)}
+FLIP_BASES["toy", GAUSSIAN_FIXED_VAR] = (TINY_TOY, {})  # toy's own Gaussian default
+FLIPS = [(mode, regime, key) for (mode, regime), (tiny, extra) in FLIP_BASES.items()
+         for key in flat_keys(config_to_dict(config_from_dict({**tiny, **extra})).get("inner"))]
+
+
+@pytest.fixture(scope="module")
+def flip_runs(tmp_path_factory):
+    """The written outputs of a short run of each base config, and of it
+    with one setting, by (mode, regime, setting)."""
+    root = tmp_path_factory.mktemp("flips")
+    made = {}
+
+    def outputs(mode, regime, setting=None):
+        if (mode, regime, setting) not in made:
+            tiny, extra = FLIP_BASES[mode, regime]
+            base = root / f"{mode}-{regime}.json"
+            base.write_text(json.dumps({**tiny, **extra}))
+            out = root / f"run{len(made)}"
+            argv = ["train-" + mode, "--config", str(base), "--out", str(out)]
+            assert main(argv + (["--set", setting] if setting else [])) == 0
+            params = json.loads((out / "checkpoint.json").read_text())["params"]
+            made[mode, regime, setting] = ((out / "metrics.csv").read_bytes(), params)
+        return made[mode, regime, setting]
+
+    return outputs
+
+
+@pytest.mark.parametrize("mode,regime,key", FLIPS)
+def test_every_inner_setting_changes_what_a_run_writes(flip_runs, mode, regime, key):
+    """The flip matrix: each key under ``inner`` that the config accepts, the
+    posterior section's included, set to another value than its default in
+    a short run, changes ``metrics.csv`` or the checkpoint's parameters (the
+    config hash alone does not count). No knob is accepted and ignored."""
+    tiny, extra = FLIP_BASES[mode, regime]
+    default = flat_keys(config_to_dict(config_from_dict({**tiny, **extra}))["inner"])[key]
+    setting = f"inner.{key}={json.dumps(flipped(key, default))}"
+    assert flip_runs(mode, regime, setting) != flip_runs(mode, regime)
+
+
+def test_flip_matrix_covers_every_inner_key_of_both_regimes():
+    """Both regimes' sections, and every other key under ``inner``."""
+    covered = {key for _, _, key in FLIPS}
+    for mode in ("toy", "fewshot"):
+        assert set(flat_keys(config_to_dict(default_config(mode))["inner"])) <= covered
+    assert {"posterior.regime", "posterior.log_var", "posterior.inner_draws",
+            "posterior.objective_draws", "steps", "eta_inner", "kl_in_inner",
+            "sum_convention"} == covered
+
+
 def test_fewshot_analyze_reports_no_bound_in_the_deterministic_regime(tmp_path,
                                                                       fewshot_cfg_file, capsys):
     # A prior variance below 1/e, near the adapted weights' spread, drives the
     # point-mass prior term (which drops a divergent constant) below zero, as
     # a trained prior does.
     cfg = config_from_dict(json.loads(fewshot_cfg_file.read_text()))
-    assert cfg.inner.posterior_regime == "deterministic"
+    assert cfg.inner.posterior.regime == "deterministic"
     model = build_model(cfg)
     model.params["psi_log_var"].data[:] = -1.0
     save_checkpoint(model, tmp_path / "checkpoint.json", cfg, step=0)
@@ -665,7 +794,7 @@ def test_fewshot_analyze_reports_no_bound_in_the_deterministic_regime(tmp_path,
 def test_toy_analysis_without_bound_in_the_deterministic_regime(tmp_path, toy_cfg_file):
     run = tmp_path / "run"
     assert main(["train-toy", "--config", str(toy_cfg_file),
-                 "--set", 'inner.posterior_regime="deterministic"', "--out", str(run)]) == 0
+                 "--set", 'inner.posterior={"regime": "deterministic"}', "--out", str(run)]) == 0
     config = ["--config", str(run / "effective_config.json")]
     out = tmp_path / "analysis"
     assert main(["analyze", *config,
@@ -757,7 +886,7 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
 
     toy = tmp_path / "toy"
     assert run(["train-toy", "--config", str(toy_cfg_file),
-                "--set", "inner.inner_eval_at_mean=false", "--out", str(toy)]) == 1
+                "--set", "inner.posterior.inner_draws=1", "--out", str(toy)]) == 1
     assert len(generated) >= 14  # one Philox: the model's initialization
 
     def analyze(run_dir, *flags):
@@ -780,7 +909,8 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
     for regime in ("deterministic", "gaussian_fixed_var"):
         fewshot = tmp_path / regime
         assert main(["train-fewshot", "--config", str(fewshot_cfg_file),
-                     "--set", f'inner.posterior_regime="{regime}"', "--out", str(fewshot)]) == 0
+                     "--set", f'inner.posterior={{"regime": "{regime}"}}',
+                     "--out", str(fewshot)]) == 0
         assert analyze(fewshot) == 1 + 2 + (1 + 1)
         # test episodes 0 and 3 of the pool of 4 are trials 0 and 1
         each_task_once(pool=4, reused=2, estimates=1)

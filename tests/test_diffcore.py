@@ -147,7 +147,7 @@ def test_op_suites_name_every_differentiable_op():
 
 GUARD_TOY = {"mode": "toy", "epochs": 1, "batch_tasks": 4,
              "toy": {"n": 8, "n_train_tasks": 4, "n_test_tasks": 4},
-             "inner": {"inner_eval_at_mean": False, "mc_samples": 2}}
+             "inner": {"posterior": {"inner_draws": 2}}}
 GUARD_FEWSHOT = {"mode": "fewshot", "total_steps": 1, "batch_tasks": 2, "val_pool_size": 2,
                  "fewshot": {"k": 3, "n_shot": 1, "n_query_per_class": 2, "d_x": 4,
                              "class_pool": {"train": 6, "val": 4, "test": 4}}}
@@ -155,8 +155,8 @@ GUARD_RUNS = {
     "toy-inner-draws": ("train-toy", GUARD_TOY),
     "fewshot-proto": ("train-fewshot", GUARD_FEWSHOT),
     "fewshot-ssl": ("train-fewshot", {**GUARD_FEWSHOT, "theta_init": "ssl"}),
-    "fewshot-gaussian": ("train-fewshot", {**GUARD_FEWSHOT, "inner": {
-        "posterior_regime": "gaussian_fixed_var", "mc_samples": 2}}),
+    "fewshot-gaussian": ("train-fewshot", {**GUARD_FEWSHOT, "inner": {"posterior": {
+        "regime": "gaussian_fixed_var", "inner_draws": 2, "objective_draws": 2}}}),
 }
 
 

@@ -14,10 +14,10 @@ from sgmeta.diffcore import ShapeError, Tensor, backward, check_gradients, param
 from sgmeta.distributions import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
+    REGIMES,
     DiagGaussian,
-    Posterior,
 )
-from sgmeta.sibcore import InnerLoopConfig
+from sgmeta.trainer import config_from_dict
 from test_fused import dirac_prior_term, exp, kl_diag_gaussian
 
 
@@ -61,12 +61,13 @@ def test_kl_variance_case_against_monte_carlo():
     assert abs(diffs.mean() - closed) < 3 * se
 
 
-def posterior(regime=GAUSSIAN_FIXED_VAR, **inner):
-    return Posterior(InnerLoopConfig(posterior_regime=regime, **inner))
+def posterior(regime=GAUSSIAN_FIXED_VAR, **knobs):
+    """The posterior section of ``regime`` with ``knobs``."""
+    return REGIMES[regime](**knobs)
 
 
 def test_draw_zero_noise_returns_mean():
-    w = posterior(q_log_var=math.log(4.0)).draw(Tensor([1.0, -2.0]), np.zeros(2))
+    w = posterior(log_var=math.log(4.0)).draw(Tensor([1.0, -2.0]), np.zeros(2))
     np.testing.assert_array_equal(w.data, [1.0, -2.0])
 
 
@@ -74,7 +75,7 @@ def test_draw_jacobian_in_theta_is_identity():
     mean = param([0.3, -0.7])
     for i in range(2):
         zero_grad([mean])
-        w = posterior(q_log_var=0.1).draw(mean, np.array([0.5, -1.5]))
+        w = posterior(log_var=0.1).draw(mean, np.array([0.5, -1.5]))
         expected = np.zeros(2)
         expected[i] = 1.0
         backward((w * Tensor(expected)).sum())
@@ -87,7 +88,7 @@ def test_draw_moments_match():
     n = 1_000_000
     for var in (0.25, 4.0):
         # n independent draws on one leading axis
-        draws = posterior(q_log_var=math.log(var)).draw(mean, rng.normal(size=(n, 2))).data
+        draws = posterior(log_var=math.log(var)).draw(mean, rng.normal(size=(n, 2))).data
         se_mean = np.sqrt(var / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean.data) < 3 * se_mean)
         # variance of the sample variance for a Gaussian: 2 sigma^4 / (n - 1)
@@ -97,48 +98,48 @@ def test_draw_moments_match():
 
 # -- the posterior regime ----------------------------------------------------------------
 
-# The three draw formulas ``Posterior.draw`` replaced, kept as references:
+# The three draw formulas ``GaussianFixedVar.draw`` replaced, kept as references:
 # the tape's reparameterized sample, the gap's per-trial draw and σ's stacked
 # draw.
 
 
-def tape_draw_reference(theta, q_log_var, eps):
+def tape_draw_reference(theta, log_var, eps):
     """theta + exp(log_var / 2) * eps on the tape, log_var a constant of theta's shape."""
-    log_var = dc.constant(np.full(theta.shape, q_log_var))
+    log_var = dc.constant(np.full(theta.shape, log_var))
     return theta + exp(dc.scale(log_var, 0.5)) * Tensor(eps)
 
 
-def gap_draw_reference(theta_data, q_log_var, noise):
-    std = math.exp(q_log_var / 2.0)
+def gap_draw_reference(theta_data, log_var, noise):
+    std = math.exp(log_var / 2.0)
     return theta_data.reshape(-1) + std * noise
 
 
-def sigma_draw_reference(w, q_log_var, noise):
-    std = math.exp(q_log_var / 2.0)
+def sigma_draw_reference(w, log_var, noise):
+    std = math.exp(log_var / 2.0)
     return w + std * noise
 
 
-# every q_log_var in configs/, the goldens and the tests
-Q_LOG_VARS = [2 * math.log(0.1), 2 * math.log(0.05), 2 * math.log(0.2), -4.0, 0.0]
+# every log_var in configs/, the goldens and the tests
+LOG_VARS = [2 * math.log(0.1), 2 * math.log(0.05), 2 * math.log(0.2), -4.0, 0.0]
 
 
-@pytest.mark.parametrize("q_log_var", Q_LOG_VARS)
+@pytest.mark.parametrize("log_var", LOG_VARS)
 @pytest.mark.parametrize("shape", [(4, 3, 5, 2), (4, 3, 1)])
-def test_draw_is_the_tape_draw_bitwise(q_log_var, shape):
+def test_draw_is_the_tape_draw_bitwise(log_var, shape):
     rng = np.random.default_rng(11)
     theta, eps = Tensor(rng.normal(size=shape[1:])), rng.normal(size=shape)
-    np.testing.assert_array_equal(posterior(q_log_var=q_log_var).draw(theta, eps).data,
-                                  tape_draw_reference(theta, q_log_var, eps).data)
+    np.testing.assert_array_equal(posterior(log_var=log_var).draw(theta, eps).data,
+                                  tape_draw_reference(theta, log_var, eps).data)
 
 
-@pytest.mark.parametrize("q_log_var", Q_LOG_VARS)
-def test_draw_is_the_gap_and_sigma_draws_bitwise(q_log_var):
+@pytest.mark.parametrize("log_var", LOG_VARS)
+def test_draw_is_the_gap_and_sigma_draws_bitwise(log_var):
     rng = np.random.default_rng(12)
     theta, noise = rng.normal(size=(6, 10)), rng.normal(size=(6, 10))
-    drawn = posterior(q_log_var=q_log_var).draw(dc.constant(theta), noise).data
+    drawn = posterior(log_var=log_var).draw(dc.constant(theta), noise).data
     np.testing.assert_array_equal(
-        drawn, np.stack([gap_draw_reference(t, q_log_var, e) for t, e in zip(theta, noise)]))
-    np.testing.assert_array_equal(drawn, sigma_draw_reference(theta, q_log_var, noise))
+        drawn, np.stack([gap_draw_reference(t, log_var, e) for t, e in zip(theta, noise)]))
+    np.testing.assert_array_equal(drawn, sigma_draw_reference(theta, log_var, noise))
 
 
 def test_point_mass_draw_is_theta_itself():
@@ -147,52 +148,61 @@ def test_point_mass_draw_is_theta_itself():
     assert posterior().draw(theta, None) is theta
 
 
-@pytest.mark.parametrize("q_log_var", [-4.0, 0.3])
-def test_divergence_is_the_regime_term(q_log_var):
+@pytest.mark.parametrize("log_var", [-4.0, 0.3])
+def test_divergence_is_the_regime_term(log_var):
     rng = np.random.default_rng(13)
     theta = Tensor(rng.normal(size=(3, 4)))
     target = DiagGaussian(rng.normal(size=4), rng.normal(size=4))
-    gaussian_q = DiagGaussian(theta, np.full((3, 4), q_log_var))
+    gaussian_q = DiagGaussian(theta, np.full((3, 4), log_var))
     np.testing.assert_array_equal(
-        posterior(q_log_var=q_log_var).divergence(theta, target).data,
+        posterior(log_var=log_var).divergence(theta, target).data,
         kl_diag_gaussian(gaussian_q, target).data)
     np.testing.assert_array_equal(
-        posterior(DETERMINISTIC, q_log_var=q_log_var).divergence(theta, target).data,
+        posterior(DETERMINISTIC).divergence(theta, target).data,
         dirac_prior_term(theta, target).data)
 
 
-@pytest.mark.parametrize("regime, at_mean, objective, expected", [
-    (GAUSSIAN_FIXED_VAR, False, None, (3, 3, True)),
-    (GAUSSIAN_FIXED_VAR, True, 8, (0, 8, True)),
-    (DETERMINISTIC, False, None, (0, 0, False)),
-    (DETERMINISTIC, True, 8, (0, 0, False)),
+@pytest.mark.parametrize("section, expected", [
+    ({"regime": GAUSSIAN_FIXED_VAR, "inner_draws": 3, "objective_draws": 3}, (3, 3, True)),
+    ({"regime": GAUSSIAN_FIXED_VAR, "inner_draws": 0, "objective_draws": 8}, (0, 8, True)),
+    ({"regime": GAUSSIAN_FIXED_VAR}, (1, 1, True)),  # a bare section's
+    ({}, (0, 8, True)),  # toy's
+    ({"regime": DETERMINISTIC}, (0, 0, False)),
 ])
-def test_draw_counts_and_bound(regime, at_mean, objective, expected):
-    post = posterior(regime, mc_samples=3, inner_eval_at_mean=at_mean,
-                     objective_mc_samples=objective)
+def test_draw_counts_and_bound(section, expected):
+    post = config_from_dict({"mode": "toy", "inner": {"posterior": section}}).inner.posterior
     assert (post.inner_draws, post.objective_draws, post.has_bound) == expected
+    assert post.random == post.has_bound
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgmeta"
 
 
-def _sites(tree, knobs, names):
-    """(top-level definition, line) of every attribute read of a knob and
-    every comparison against a knob or a name."""
+def _of_section(node, section):
+    """Whether ``node`` is the name ``section`` or an attribute of that name."""
+    return getattr(node, "id", None) == section or getattr(node, "attr", None) == section
+
+
+def _sites(tree, knobs, names, section_knobs):
+    """(top-level definition, line) of every attribute read of a knob, every
+    read of a ``section_knobs`` knob off a section (``{section: knobs}``:
+    ``section.knob`` or ``x.section.knob``), and every comparison against a
+    knob or a name."""
     for top in tree.body:
         name = getattr(top, "name", None) or getattr(getattr(top, "targets", [None])[0], "id", None)
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in knobs \
-                    and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and (
+                    node.attr in knobs or any(node.attr in owned and _of_section(node.value, s)
+                                              for s, owned in section_knobs.items())):
                 yield name, node.lineno
             elif isinstance(node, ast.Compare):
                 named = {getattr(n, "id", getattr(n, "value", None))
                          for n in [node.left, *node.comparators]}
-                if named & (names | knobs):
+                if named & (names | knobs | set().union(*section_knobs.values())):
                     yield name, node.lineno
 
 
-def vocabulary_sites(knobs, names, home, exempt):
+def vocabulary_sites(knobs, names, home, exempt, section_knobs=None):
     """``file:line (definition)`` of each site of the vocabulary (``_sites``)
     in a module of ``src/sgmeta`` other than ``home``, outside the
     ``(module, top-level definition)`` pairs of ``exempt``; and each
@@ -201,26 +211,31 @@ def vocabulary_sites(knobs, names, home, exempt):
     for path in sorted(SRC.glob("*.py")):
         if path.stem != home:
             tree = ast.parse(path.read_text())
-            sites |= {(path.stem, top, line) for top, line in _sites(tree, knobs, names)}
+            sites |= {(path.stem, top, line)
+                      for top, line in _sites(tree, knobs, names, section_knobs or {})}
     found = [f"{module}.py:{line} ({top})" for module, top, line in sorted(sites, key=str)
              if (module, top) not in exempt]
     unused = exempt - {(module, top) for module, top, _ in sites}
     return found + [f"exempt {module}.{top} has none" for module, top in sorted(unused)]
 
 
-# Attribute reads of these knobs, and comparisons against them or a regime
-# name, are made in ``distributions`` only. The config field definitions, rule
-# rows, defaults and gradcheck's config set them (stores, keywords and dict
-# keys, none of them a read); ``config_from_dict`` tests whether a JSON inner
-# section names ``q_log_var`` before ``toy.sigma_w`` sets it.
-REGIME_KNOBS = {"posterior_regime", "q_log_var", "inner_eval_at_mean", "mc_samples",
-                "objective_mc_samples"}
+# Attribute reads of the posterior section's keys, and comparisons against
+# them or a regime name, are made in ``distributions`` only. ``log_var`` is
+# also a ``DiagGaussian``'s, so only its reads off a posterior section count.
+# The defaults and gradcheck's config set them (keywords and dict keys, none
+# of them a read). ``config_from_dict`` tests whether a JSON posterior
+# section names ``log_var`` before ``toy.sigma_w`` sets it; sibcore's
+# ``_step_noise``, ``data_term`` and ``objective_noise`` size the weight
+# noise by the section's draw counts.
+REGIME_KNOBS = {"regime", "inner_draws", "objective_draws"}
+SECTION_KNOBS = {"posterior": {"log_var"}}
 REGIME_NAMES = {"GAUSSIAN_FIXED_VAR", "DETERMINISTIC", "gaussian_fixed_var", "deterministic"}
-EXEMPT = {("trainer", "config_from_dict")}
+EXEMPT = {("trainer", "config_from_dict"), ("sibcore", "_step_noise"), ("sibcore", "data_term"),
+          ("sibcore", "objective_noise")}
 
 
 def test_only_distributions_reads_the_posterior_regime():
-    found = vocabulary_sites(REGIME_KNOBS, REGIME_NAMES, "distributions", EXEMPT)
+    found = vocabulary_sites(REGIME_KNOBS, REGIME_NAMES, "distributions", EXEMPT, SECTION_KNOBS)
     assert not found, "regime read outside distributions.py: " + ", ".join(found)
 
 

@@ -24,7 +24,13 @@ import pytest
 from sgmeta import diffcore as dc
 from sgmeta.cli import main
 from sgmeta.diffcore import GraphError, Tensor, check_gradients, constant, matmul, param
-from sgmeta.distributions import DiagGaussian, Posterior
+from sgmeta.distributions import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
+    DiagGaussian,
+    Deterministic,
+    GaussianFixedVar,
+)
 from sgmeta.models import (
     CosineHead,
     ToyHead,
@@ -36,8 +42,6 @@ from sgmeta.models import (
 import sgmeta.sibcore as sibcore
 from sgmeta import analysis, trainer
 from sgmeta.sibcore import (
-    DETERMINISTIC,
-    GAUSSIAN_FIXED_VAR,
     InnerLoopConfig,
     objective_noise,
     prior_dist,
@@ -218,9 +222,9 @@ def dirac_prior_term(theta_flat: Tensor, p: DiagGaussian) -> Tensor:
 
 def prior_term_chain(theta: Tensor, model, cfg) -> Tensor:
     flat = model.head.flat(theta)
-    if not Posterior(cfg).random:
+    if not cfg.posterior.random:
         return dirac_prior_term(flat, prior_dist(model))
-    q = DiagGaussian(flat, constant(np.full(flat.shape, cfg.q_log_var)))
+    q = DiagGaussian(flat, constant(np.full(flat.shape, cfg.posterior.log_var)))
     return kl_diag_gaussian(q, prior_dist(model))
 
 
@@ -234,7 +238,7 @@ def query_loss_chain(model, inputs, labels, w: Tensor, sum_convention: bool) -> 
 
 
 def data_term_chain(episodes, theta: Tensor, model, cfg, eps) -> Tensor:
-    posterior = Posterior(cfg)
+    posterior = cfg.posterior
     eps = eps if posterior.objective_draws else None
     loss = query_loss_chain(model, episodes.query_inputs, episodes.query_labels,
                             posterior.draw(theta, eps), cfg.sum_convention)
@@ -291,10 +295,10 @@ def direction_node(rule, theta):
 
 def sib_unroll_chain(theta0, episodes, model, cfg):
     """``sib_unroll`` with each inner step a graph of its own: the direction
-    chain at each weight draw (``Posterior.draw``), its mean over the draws,
+    chain at each weight draw (the posterior section's ``draw``), its mean over the draws,
     the prior's pull of elementary ops, an add, a scale by eta and a sub."""
     inputs = model.head.inner_inputs(episodes.query_inputs)
-    posterior = Posterior(cfg)
+    posterior = cfg.posterior
     thetas = [theta0]
     for eps in sibcore._step_noise(episodes, cfg, model.head.theta_shape):
         theta = thetas[-1]
@@ -503,15 +507,16 @@ def test_direction_ops_reject_inputs_that_require_grad():
 
 _TASK = {"k": 3, "n_shot": 2, "n_query_per_class": 3, "d_x": 5,
          "class_pool": {"train": 8, "val": 4, "test": 4}}
-_GAUSSIAN_DRAWS = {"posterior_regime": GAUSSIAN_FIXED_VAR, "mc_samples": 2}
+_GAUSSIAN_DRAWS = {"posterior": {"regime": GAUSSIAN_FIXED_VAR, "inner_draws": 2,
+                                  "objective_draws": 2}}
 # run configs: both conventions, inner draws and the pull, each theta_0 rule
 UNROLLS = {
     "toy-mean": {"mode": "toy", "inner": {"eta_inner": 0.1, "sum_convention": False}},
     "toy-sum": {"mode": "toy", "inner": {"eta_inner": 0.01, "sum_convention": True}},
     "toy-draws": {"mode": "toy", "inner": {"eta_inner": 0.1, "sum_convention": False,
-                                           "inner_eval_at_mean": False, "mc_samples": 2}},
+                                           "posterior": {"inner_draws": 2}}},
     "fewshot-deterministic-pull": {"mode": "fewshot", "fewshot": _TASK, "inner": {
-        "eta_inner": 0.3, "kl_in_inner": True, "posterior_regime": DETERMINISTIC}},
+        "eta_inner": 0.3, "kl_in_inner": True, "posterior": {"regime": DETERMINISTIC}}},
     "fewshot-gaussian-draws": {"mode": "fewshot", "fewshot": _TASK, "inner": {
         "eta_inner": 0.3, "kl_in_inner": True, **_GAUSSIAN_DRAWS}},
     "fewshot-global": {"mode": "fewshot", "fewshot": _TASK, "theta_init": "global",
@@ -584,11 +589,11 @@ _FEWSHOT = {"mode": "fewshot", "total_steps": 6, "batch_tasks": 2, "eval_every":
 BYTE_RUNS = {
     "fewshot-deterministic": ("train-fewshot", {**_FEWSHOT, "inner": {"eta_inner": 0.5}}),
     "fewshot-gaussian": ("train-fewshot", {**_FEWSHOT, "inner": {
-        "eta_inner": 0.5, "posterior_regime": "gaussian_fixed_var", "mc_samples": 2}}),
+        "eta_inner": 0.5, **_GAUSSIAN_DRAWS}}),
     "toy-inner-draws": ("train-toy", {
         "mode": "toy", "epochs": 3, "batch_tasks": 4, "learning_rate": 0.05,
         "toy": {"n": 12, "n_train_tasks": 8, "n_test_tasks": 6},
-        "inner": {"inner_eval_at_mean": False, "mc_samples": 2, "eta_inner": 0.1}}),
+        "inner": {"posterior": {"inner_draws": 2}, "eta_inner": 0.1}}),
 }
 
 
@@ -632,8 +637,9 @@ def objective_case(head, regime, sum_convention, draws, batch):
     for name in ("psi_mean", "psi_log_var"):
         model.params[name].data = rng.normal(size=model.params[name].shape) * 0.5
     theta = param(rng.normal(size=(batch,) + model.head.theta_shape))
-    cfg = InnerLoopConfig(posterior_regime=regime, q_log_var=-3.0, sum_convention=sum_convention,
-                          objective_mc_samples=draws)
+    posterior = GaussianFixedVar(log_var=-3.0, objective_draws=draws) \
+        if regime == GAUSSIAN_FIXED_VAR else Deterministic()
+    cfg = InnerLoopConfig(sum_convention=sum_convention, posterior=posterior)
     leaves = [theta] + [t for _, t in sorted(model.params.items()) if t.requires_grad]
     return model, episodes, cfg, theta, leaves
 

@@ -34,7 +34,7 @@ TOY = {
     "batch_tasks": 4,
     "toy": {"n": 16, "n_train_tasks": 16, "n_test_tasks": 40},
 }
-TOY_INNER_DRAWS = {**TOY, "inner": {"inner_eval_at_mean": False, "mc_samples": 2}}
+TOY_INNER_DRAWS = {**TOY, "inner": {"posterior": {"inner_draws": 2}}}
 FEWSHOT = {
     "mode": "fewshot",
     "total_steps": 20,
@@ -52,7 +52,8 @@ FEWSHOT = {
 }
 FEWSHOT_GAUSSIAN = {
     **FEWSHOT,
-    "inner": {"posterior_regime": "gaussian_fixed_var", "mc_samples": 2, "q_log_var": -4.0},
+    "inner": {"posterior": {"regime": "gaussian_fixed_var", "log_var": -4.0, "inner_draws": 2,
+                            "objective_draws": 2}},
 }
 CONFIGS = {
     "toy": TOY,

@@ -10,7 +10,13 @@ import pytest
 
 from sgmeta import diffcore as dc
 from sgmeta.diffcore import Tensor, backward, check_gradients, constant, param, zero_grad
-from sgmeta.distributions import DiagGaussian, Posterior
+from sgmeta.distributions import (
+    DETERMINISTIC,
+    GAUSSIAN_FIXED_VAR,
+    DiagGaussian,
+    Deterministic,
+    GaussianFixedVar,
+)
 from sgmeta.models import (
     apply_features,
     build_fewshot_model,
@@ -23,8 +29,6 @@ import sgmeta.sibcore as sibcore
 from sgmeta.cli import main
 from sgmeta.sibcore import (
     CHUNK_POINTS,
-    DETERMINISTIC,
-    GAUSSIAN_FIXED_VAR,
     STREAM_INNER,
     STREAM_OBJECTIVE,
     InnerLoopConfig,
@@ -51,16 +55,16 @@ from sgmeta.tasks import (
 from test_fused import kl_diag_gaussian, mlp_composite
 
 
-def toy_cfg(**kw):
-    base = dict(steps=3, eta_inner=1e-3, kl_in_inner=False, mc_samples=1,
-                posterior_regime=GAUSSIAN_FIXED_VAR, q_log_var=2 * math.log(0.1))
+def toy_cfg(log_var=2 * math.log(0.1), inner_draws=1, objective_draws=1, **kw):
+    base = dict(steps=3, eta_inner=1e-3, kl_in_inner=False,
+                posterior=GaussianFixedVar(log_var=log_var, inner_draws=inner_draws,
+                                           objective_draws=objective_draws))
     base.update(kw)
     return InnerLoopConfig(**base)
 
 
 def det_cfg(**kw):
-    base = dict(steps=3, eta_inner=1e-3, kl_in_inner=False, mc_samples=1,
-                posterior_regime=DETERMINISTIC)
+    base = dict(steps=3, eta_inner=1e-3, kl_in_inner=False, posterior=Deterministic())
     base.update(kw)
     return InnerLoopConfig(**base)
 
@@ -340,18 +344,18 @@ def test_maml_inner_one_step_matches_analytic_gradient():
 
 
 def test_maml_inner_draws_by_the_unroll_rule():
-    """Under ``inner_eval_at_mean`` (toy's default) inner steps draw no
-    weights, in the inductive baseline as in ``sib_unroll``."""
+    """At ``inner_draws`` 0 (toy's default) inner steps draw no weights, in
+    the inductive baseline as in ``sib_unroll``."""
     model = build_toy_model(seed=0)
     ep = Episode(
         query_inputs=np.ones((1, 2, 1)), query_labels=np.ones((1, 2)), task_seed=(7,),
         support_inputs=np.array([[[1.0], [2.0]]]), support_labels=np.array([[2.0, 4.0]]),
     )
-    knobs = dict(steps=2, eta_inner=0.1, mc_samples=3)
+    knobs = dict(steps=2, eta_inner=0.1)
     no_draw = maml_inner(constant([[0.5]]), ep, model, det_cfg(**knobs)).data
-    at_mean = maml_inner(constant([[0.5]]), ep, model, toy_cfg(inner_eval_at_mean=True, **knobs))
+    at_mean = maml_inner(constant([[0.5]]), ep, model, toy_cfg(inner_draws=0, **knobs))
     np.testing.assert_array_equal(at_mean.data, no_draw)
-    drawn = maml_inner(constant([[0.5]]), ep, model, toy_cfg(**knobs))
+    drawn = maml_inner(constant([[0.5]]), ep, model, toy_cfg(inner_draws=3, **knobs))
     assert not np.array_equal(drawn.data, no_draw)
 
 
@@ -370,7 +374,7 @@ def tape_maml_inner(theta0, episodes, model, cfg):
     theta = theta0.data.copy()
     for eps in sibcore._step_noise(episodes, cfg, model.head.theta_shape):
         leaf = param(theta.copy())
-        w = Posterior(cfg).draw(leaf, eps)
+        w = cfg.posterior.draw(leaf, eps)
         backward(mean_over_draws(model.head.query_loss(inputs, labels, w), eps).sum())
         theta = theta - cfg.eta_inner * leaf.grad
     return theta
@@ -401,7 +405,8 @@ def inductive_case(init):
 def test_maml_inner_matches_the_tape_reference(init, regime):
     """The closed-form support-loss gradient steps are the tape's to rounding."""
     model, ep, theta0 = inductive_case(init)
-    cfg = InnerLoopConfig(steps=4, eta_inner=0.5, mc_samples=3, posterior_regime=regime)
+    knobs = dict(steps=4, eta_inner=0.5)
+    cfg = toy_cfg(inner_draws=3, **knobs) if regime == GAUSSIAN_FIXED_VAR else det_cfg(**knobs)
     out = maml_inner(theta0, ep, model, cfg).data
     ref = tape_maml_inner(theta0, ep, model, cfg)
     assert np.linalg.norm(ref - theta0.data) > 1e-2 * np.linalg.norm(theta0.data)
@@ -422,7 +427,7 @@ def test_maml_inner_builds_no_tape(init, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(dc, "_make", recording_make)
-    maml_inner(theta0, ep, model, toy_cfg(steps=3, eta_inner=0.5, mc_samples=2))
+    maml_inner(theta0, ep, model, toy_cfg(steps=3, eta_inner=0.5, inner_draws=2))
     assert made and not any(t.requires_grad for t in made)
 
 
@@ -460,7 +465,7 @@ def test_cross_entropy_perfect_logits_vanish():
     assert dc.softmax_cross_entropy(logits, labels).item() == pytest.approx(0.0, abs=1e-12)
     # posterior == prior (zero mean, unit variance) gives exactly zero KL
     prior_zero = prior_term(constant(np.zeros(1)), build_toy_model(seed=0),
-                            toy_cfg(q_log_var=0.0))
+                            toy_cfg(log_var=0.0))
     assert prior_zero.item() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -491,7 +496,7 @@ def test_task_objective_matches_brute_force_recomputation():
     rng = np.random.default_rng(21)
     for name in ("xi_w3", "xi_b3", "psi_mean", "psi_log_var"):
         model.params[name].data[:] = rng.normal(size=model.params[name].shape) * 0.2
-    cfg = toy_cfg(mc_samples=3)
+    cfg = toy_cfg(inner_draws=3, objective_draws=3)
     ep = gen_spinning_lines(ToyConfig(n=10), [derive_task_seed(10, "train", 7)])
     theta = 0.9
     out = task_objective(ep, constant([[theta]]), model, cfg).data[0]
@@ -501,7 +506,7 @@ def test_task_objective_matches_brute_force_recomputation():
     from sgmeta.sibcore import STREAM_OBJECTIVE
 
     rng2 = episode_rng(ep.task_seed[0], stream=STREAM_OBJECTIVE)
-    sw = math.exp(cfg.q_log_var / 2)
+    sw = math.exp(cfg.posterior.log_var / 2)
     x, y = ep.query_inputs[0, :, 0], ep.query_labels[0]
     data = 0.0
     for _ in range(3):
@@ -511,7 +516,7 @@ def test_task_objective_matches_brute_force_recomputation():
     data /= 3
     mp, lvp = model.params["psi_mean"].data[0], model.params["psi_log_var"].data[0]
     vp = math.exp(lvp)
-    kl = 0.5 * (lvp - cfg.q_log_var + (sw**2 + (theta - mp) ** 2) / vp - 1.0)
+    kl = 0.5 * (lvp - cfg.posterior.log_var + (sw**2 + (theta - mp) ** 2) / vp - 1.0)
     assert out == pytest.approx(data + kl, abs=1e-12)
 
 
@@ -619,7 +624,7 @@ def test_toy_training_with_inner_draws_is_bytewise_the_per_draw_noises(tmp_path,
     config.write_text(json.dumps({
         "mode": "toy", "epochs": 2, "batch_tasks": 4,
         "toy": {"n": 16, "n_train_tasks": 16, "n_test_tasks": 40},
-        "inner": {"inner_eval_at_mean": False, "mc_samples": 2},
+        "inner": {"posterior": {"inner_draws": 2}},
     }))
 
     def metrics(name):

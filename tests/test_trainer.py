@@ -11,9 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import sgmeta.trainer as trainer
 from sgmeta.tasks import FewShotConfig, ToyConfig
-from sgmeta.sibcore import (
+from sgmeta.distributions import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
+    REGIMES,
+    Deterministic,
+    GaussianFixedVar,
+)
+from sgmeta.sibcore import (
     InnerLoopConfig,
     prior_term,
     sib_unroll,
@@ -45,7 +50,7 @@ from sgmeta.trainer import (
 def tiny_toy_config(**overrides):
     cfg = default_config("toy")
     cfg.toy = ToyConfig(n=8, n_train_tasks=16, n_test_tasks=8)
-    cfg.inner.q_log_var = 2 * math.log(cfg.toy.sigma_w)
+    cfg.inner.posterior.log_var = 2 * math.log(cfg.toy.sigma_w)
     cfg.epochs = 2
     cfg.batch_tasks = 4
     for k, v in overrides.items():
@@ -281,7 +286,8 @@ def test_toy_kl_to_prior_is_the_mean_prior_term(regime):
     """``kl_to_prior`` is the objective's KL to the prior (``prior_term``) at
     the pool's adapted weights, in either posterior regime."""
     cfg = tiny_toy_config()
-    cfg.inner.posterior_regime = regime
+    if regime == DETERMINISTIC:
+        cfg.inner.posterior = Deterministic()
     model = build_model(cfg)
     rng = np.random.default_rng(2)
     for name in ("xi_w3", "lambda_global", "psi_mean", "psi_log_var"):
@@ -385,18 +391,24 @@ def test_config_rejects_bad_scalar_values_naming_the_key(key, value):
 @pytest.mark.parametrize("section,key,value", [
     ("fewshot", "class_pool", 5),
     ("toy", "sigma_w", "x"),
-    ("inner", "q_log_var", [1]),
-    ("inner", "mc_samples", "2"),
+    ("inner.posterior", "log_var", [1]),
+    ("inner.posterior", "inner_draws", "2"),
     ("fewshot", "k", "5"),
     ("inner", "steps", 1.5),
     ("toy", "n", 2.5),
-    ("inner", "objective_mc_samples", -3),
+    ("inner.posterior", "objective_draws", -3),
+    ("inner.posterior", "inner_draws", -1),
+    ("inner.posterior", "objective_draws", 0),
+    ("inner.posterior", "regime", "gaussian"),
     ("inner", "kl_in_inner", "yes"),
 ])
 def test_config_rejects_bad_nested_values_naming_the_key(section, key, value):
     mode = "fewshot" if section == "fewshot" else "toy"
+    data = {key: value}
+    for part in reversed(section.split(".")):
+        data = {part: data}
     with pytest.raises(ValueError, match=re.escape(f"{section}.{key} must be")):
-        config_from_dict({"mode": mode, section: {key: value}})
+        config_from_dict({"mode": mode, **data})
 
 
 _JSON = st.recursive(
@@ -407,14 +419,16 @@ _JSON = st.recursive(
 )
 
 
-def _section(cls):
+def _section(cls, values=_JSON):
     names = st.sampled_from([f.name for f in dataclasses.fields(cls)])
-    return st.dictionaries(names, _JSON, max_size=4) | _JSON
+    return st.dictionaries(names, values, max_size=4) | _JSON
 
 
+# a posterior section of either regime's keys, naming a regime or not
+_POSTERIOR = _section(GaussianFixedVar, _JSON | st.sampled_from(sorted(REGIMES)))
 _CONFIG_DICTS = st.fixed_dictionaries({}, optional={
     "mode": st.sampled_from(["toy", "fewshot"]) | _JSON,
-    "inner": _section(InnerLoopConfig),
+    "inner": _section(InnerLoopConfig) | st.fixed_dictionaries({"posterior": _POSTERIOR}),
     "toy": _section(ToyConfig),
     "fewshot": _section(FewShotConfig),
     **{f.name: _JSON for f in dataclasses.fields(RunConfig) if f.name not in SECTIONS},
@@ -439,7 +453,12 @@ def test_config_mode_defaults():
     fs = default_config("fewshot")
     assert fs.kl_weight == 1.0
     assert fs.init_kind == "proto"
-    assert fs.inner.posterior_regime == DETERMINISTIC
+    assert fs.inner.posterior == Deterministic()
+    # the posterior of toy, and of a bare inner section
+    assert toy.inner.posterior == GaussianFixedVar(log_var=2 * math.log(0.1), inner_draws=0,
+                                                   objective_draws=8)
+    assert InnerLoopConfig().posterior == GaussianFixedVar(log_var=2 * math.log(0.1),
+                                                           inner_draws=1, objective_draws=1)
 
 
 def test_metric_records_exclude_wall_time(tmp_path):
