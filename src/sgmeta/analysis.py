@@ -40,7 +40,8 @@ from . import diffcore as dc
 
 # One gap estimate (``gen_gap``) is one pass over its T trials, in chunks of
 # at most ``CHUNK_POINTS`` query points (``chunk_slices``, sized by the
-# sampler's query size). Each chunk's datasets are one batch
+# sampler's query size: 64 few-shot or 150 toy trials). No trial's numbers
+# depend on the chunk. Each chunk's datasets are one batch
 # (``tasks.Episode``), adapted through the batched unroll on a constant copy
 # of the model, so no autodiff tape is built. A worker thread makes each
 # chunk's datasets and their fresh draws while the chunk before is adapted

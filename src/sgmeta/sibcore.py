@@ -60,9 +60,14 @@ STREAM_INNER = 1
 STREAM_OBJECTIVE = 2
 
 # Forward-only passes (evaluation and analysis) adapt at most this many query
-# points at once. No per-episode value depends on the chunk; its size bounds
-# the activations alive at a time.
-CHUNK_POINTS = 2400
+# points at once: 64 few-shot episodes of 75, or 150 toy tasks of 32. No
+# per-episode value depends on the chunk (tests/test_batched.py checks it bit
+# for bit). Each chunk carries a fixed cost of per-call numpy overhead, so
+# fewer chunks are faster; the size bounds the activations alive at a time.
+# The synthetic-gradient network's hidden activations, the widest, do not
+# grow with it: a forward-only pass runs that network in row blocks
+# (``diffcore.MLP_BLOCK_VALUES``) and keeps none of them.
+CHUNK_POINTS = 4800
 
 
 class InnerLoopError(RuntimeError):

@@ -439,8 +439,10 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     pool that generates them (``tasks.EpisodePool``), with 95% intervals.
 
     Episodes are read once each and adapted in chunks of at most
-    ``CHUNK_POINTS`` query points (``chunk_slices``) on a constant copy of
-    the parameters, so no autodiff tape is kept. A pool's chunks are
+    ``CHUNK_POINTS`` query points (``chunk_slices``: 64 few-shot episodes or
+    150 toy tasks) on a constant copy of the parameters, so no autodiff tape
+    or synthetic-gradient activation is kept, and no per-episode value
+    depends on the chunk. A pool's chunks are
     generated in a worker thread (``tasks.ahead``), each while the chunk
     before it is adapted, so at most two are alive: the one being adapted
     and the next.

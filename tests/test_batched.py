@@ -23,6 +23,7 @@ from sgmeta.analysis import fewshot_task_sampler, gen_gap, toy_task_sampler
 from sgmeta.distributions import (
     DETERMINISTIC,
     GAUSSIAN_FIXED_VAR,
+    Deterministic,
     DiagGaussian,
     GaussianFixedVar,
 )
@@ -311,8 +312,8 @@ def chunk_episodes(monkeypatch, episodes, n_query):
 
 
 @pytest.mark.parametrize("mode, n_query, sizes", [
-    ("fewshot", 75, [32, 32, 32, 4]),  # few-shot episodes of the reference config
-    ("toy", 32, [75, 25]),  # toy tasks of the reference config
+    ("fewshot", 75, [64, 64, 64, 8]),  # few-shot episodes of the reference config
+    ("toy", 32, [150, 50]),  # toy tasks of the reference config
     ("toy", 5000, [1] * 100),  # an episode larger than a chunk goes alone
 ])
 def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_query, sizes):
@@ -411,6 +412,58 @@ def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):
     assert set(chunked.per_episode) == set(one.per_episode)
     for name, values in one.per_episode.items():
         assert_close(chunked.per_episode[name], values)
+
+
+def reference_case(mode, posterior):
+    """The reference config of ``mode``, whose episodes have the reference
+    query sizes, under ``posterior``."""
+    cfg = default_config(mode)
+    cfg.inner.posterior = posterior
+    return cfg
+
+
+TOY_LOG_VAR = 2 * math.log(ToyConfig().sigma_w)
+REFERENCE_CASES = {
+    "toy-deterministic": lambda: reference_case("toy", Deterministic()),
+    "toy-gaussian-2-draws": lambda: reference_case(
+        "toy", GaussianFixedVar(log_var=TOY_LOG_VAR, inner_draws=2, objective_draws=8)),
+    "fewshot-deterministic": lambda: reference_case("fewshot", Deterministic()),
+    "fewshot-gaussian-2-draws": lambda: reference_case("fewshot", two_draws()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_no_per_episode_value_depends_on_the_chunk(monkeypatch, case):
+    """``evaluate``, and ``gen_gap`` with the evaluation's held trials, as
+    ``analyze`` runs them, give bitwise the same per-episode values, report
+    row and gap estimate whether a chunk holds one episode, seven, 2400
+    points or 4800. There are more episodes than a 4800-point chunk holds,
+    so every size leaves a remainder chunk, and with the draws the
+    synthetic-gradient network runs in several row blocks."""
+    cfg = REFERENCE_CASES[case]()
+    model = perturbed_model(cfg, seed=4)
+    task_cfg = cfg.toy if cfg.mode == "toy" else cfg.fewshot
+    make_sampler = toy_task_sampler if cfg.mode == "toy" else fewshot_task_sampler
+    sampler = make_sampler(task_cfg, seed=cfg.run_seed)
+    n_query = task_cfg.n_query
+    n = 4800 // n_query + 6
+
+    def run(points):
+        monkeypatch.setattr(sibcore, "CHUNK_POINTS", points)
+        held = analysis.HeldTrials(sampler.seeds(range(n)))
+        report = evaluate(model, cfg, "test", episode_pool(cfg, "test", n), on_chunk=held.keep)
+        assert sum(seed in held for seed in sampler.seeds(range(n))) > 1
+        return report, gen_gap(model, sampler, cfg.inner, trials=n, seed=cfg.run_seed,
+                               theta0_fn=run_theta0(cfg), held=held)
+
+    one, one_gap = run(n_query)
+    for points in (7 * n_query, 2400, 4800):
+        report, gap = run(points)
+        assert report.per_episode.keys() == one.per_episode.keys()
+        for name, values in one.per_episode.items():
+            np.testing.assert_array_equal(report.per_episode[name], values)
+        assert (report.row, report.ci95) == (one.row, one.ci95)
+        assert gap == one_gap
 
 
 def test_analysis_chunks_keep_the_per_trial_random_order(monkeypatch):

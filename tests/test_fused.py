@@ -124,7 +124,7 @@ def row_norm(a: Tensor) -> Tensor:
 def relu_mlp(x: Tensor, layers) -> Tensor:
     """The network helpers of the direction ops as a node of their own, on
     the rows of (..., d) inputs."""
-    acts = dc._relu_mlp(x.data.reshape(-1, x.shape[-1]), layers)
+    acts = dc._relu_mlp(x.data.reshape(-1, x.shape[-1]), layers, True)
 
     def back(g):
         g_x = dc._relu_mlp_back(g.reshape(acts[-1].shape), acts, layers, x.requires_grad)
@@ -368,6 +368,20 @@ def test_relu_mlp_is_bitwise_its_composite(case):
     leaves = [x] + [t for layer in layers for t in layer]
     assert_matches(lambda: relu_mlp(x, layers), lambda: mlp_composite(x, layers), leaves,
                    bitwise_grads=True)
+
+
+@pytest.mark.parametrize("rows", [0, 999, 1000, 1600, 2000, 2100])
+def test_relu_mlp_blocks_give_each_row_its_one_block_output(rows):
+    """Without ``keep`` the network runs in blocks of 1000 rows here (24
+    wide), with tiled biases from two blocks on; each output row is bitwise
+    the one all the rows give as one block."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(rows, 3))
+    layers = _mlp_layers(rng, (3, 24, 24, 3))
+    whole = dc._relu_mlp(x, layers, True)
+    blocked = dc._relu_mlp(x, layers, False)
+    assert len(whole) == 4 and len(blocked) == 2 and blocked[0] is x
+    np.testing.assert_array_equal(blocked[1], whole[-1])
 
 
 def test_relu_mlp_gradient_skips_constant_inputs():

@@ -112,7 +112,7 @@ def test_synth_grad_zero_weights_outputs_bias():
         model.params[name].data[:] = 0.0
     model.params["xi_b3"].data[:] = [0.5, -1.0, 2.0]
     rows = np.random.default_rng(0).normal(size=(6, 3))
-    out = dc._relu_mlp(rows, model.sg_layers())[-1]
+    out = dc._relu_mlp(rows, model.sg_layers(), False)[-1]
     np.testing.assert_array_equal(out, np.tile([0.5, -1.0, 2.0], (6, 1)))
     features, theta = rows @ np.ones((3, 4)) + np.eye(6, 4), constant(np.eye(3, 4) + 0.5)
     vjp = dc.cosine_vjp(constant(features), theta, model.params["classifier_scale"],

@@ -276,7 +276,8 @@ def test_outer_gradients_through_fewshot_unroll_match_fd():
 def test_a_constant_unroll_holds_one_steps_state():
     """A frozen unroll keeps no reverse-pass state: over one chunk of
     ``CHUNK_POINTS`` query points, its peak traced memory at K = 3 is within
-    10% of its peak at K = 1 (each step's activations are about 2 MB)."""
+    10% of its peak at K = 1 (one step's activations are about 1.2 MB: the
+    peak is 1.3 MB at K = 0 and 2.5 MB at K = 1)."""
     task = FewShotConfig()
     model = build_fewshot_model(k=5, d_x=16, seed=3)
     model.params["xi_w3"].data[:] = np.random.default_rng(0).normal(
@@ -295,6 +296,42 @@ def test_a_constant_unroll_holds_one_steps_state():
             tracemalloc.stop()
 
     assert peak(3) <= 1.1 * peak(1)
+
+
+def test_a_forward_only_sg_pass_keeps_one_block_of_hidden_activations(monkeypatch):
+    """The direction rule keeps the synthetic-gradient network's hidden
+    activations only when its VJP has a cotangent to accumulate. Without
+    them the network runs in row blocks and drops each block's activations,
+    so its peak traced memory beyond its output is the same, within 10%,
+    over 4800 rows as over 1200: about 790 kB, two 600 x 40 blocks and the
+    biases tiled to a block's rows."""
+    task = FewShotConfig()
+    model = build_fewshot_model(k=5, d_x=16, seed=3)
+    frozen = frozen_copy(model)
+    episodes = gen_fewshot_episode(task, "test", [derive_task_seed(0, "test", i)
+                                                  for i in range(2)])
+    relu_mlp, keeps = dc._relu_mlp, []
+
+    def recording(rows, layers, keep):
+        keeps.append(keep)
+        return relu_mlp(rows, layers, keep)
+
+    monkeypatch.setattr(dc, "_relu_mlp", recording)
+    sib_unroll(proto_theta0(frozen, episodes), episodes, frozen, det_cfg())
+    assert keeps == [False] * 3
+    sib_unroll(proto_theta0(model, episodes), episodes, model, det_cfg())
+    assert keeps[3:] == [True] * 3
+
+    def beyond_output(n):
+        rows = np.random.default_rng(1).normal(size=(n, task.k))
+        tracemalloc.start()
+        try:
+            out = relu_mlp(rows, frozen.sg_layers(), False)[-1]
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert beyond_output(4800) <= 1.1 * beyond_output(1200)
 
 
 def test_feature_detach_blocks_synthetic_path():
