@@ -548,7 +548,8 @@ def cmd_gradcheck(args) -> int:
             # gradient is the objective's at fixed adapted weights
             fixed = dc.constant(episode_objective(model, episodes, cfg)[1].data)
             dc.check_gradients(
-                lambda: task_objective(episodes, fixed, model, cfg.inner, cfg.kl_weight).sum(),
+                lambda: task_objective(episodes, fixed, model, cfg.inner,
+                                       cfg.outer_kl_weight).sum(),
                 [model.params["f_weight"]], h=1e-5, tol=1e-6)
 
     # inner draws, the prior pull inside the inner loop, the mean convention

@@ -169,7 +169,6 @@ def data_term(episodes: Episode, theta: Tensor, model: MetaModel, cfg: InnerLoop
     under ``sum_convention``). ``eps`` holds the draws, (M, *theta.shape);
     ``None`` evaluates at theta.
     """
-    eps = eps if cfg.posterior.objective_draws else None
     return model.head.data_term(episodes, theta, cfg.posterior, eps, cfg.sum_convention)
 
 

@@ -91,7 +91,7 @@ class TrainingDiverged(RuntimeError):
 
 _UNIT_INTERVAL = (lambda v: is_real(v) and 0 <= v < 1, "a number in [0, 1)")
 
-# rules for the scalar fields of RunConfig; the sections check their own
+# rules for the scalar fields every mode reads alike; the sections check their own
 _FIELD_RULES = {
     "mode": one_of(*HEADS),
     "run_seed": INT,
@@ -101,16 +101,12 @@ _FIELD_RULES = {
     "adam_beta2": _UNIT_INTERVAL,
     "adam_eps": real_above(0),
     "batch_tasks": int_at_least(1),
-    "epochs": optional(int_at_least(1)),
-    "total_steps": optional(int_at_least(1)),
     "eval_every": int_at_least(0),
-    "outer_kl_weight": optional(real_at_least(0)),
+    "outer_kl_weight": real_at_least(0),
     "grad_clip_norm": real_at_least(0),
     "train_f": BOOL,
-    "theta_init": optional(one_of("global", "proto", "ssl")),
-    "val_pool_size": int_at_least(1),
+    "theta_init": one_of("global", "proto", "ssl"),
     "eval_episodes": int_at_least(1),
-    "d_f": optional(int_at_least(1)),
 }
 
 
@@ -118,15 +114,23 @@ def _unused_in(mode: str):
     return (lambda v: v is None, f"null in {mode} mode")
 
 
-# rows that depend on the mode: settings that mode cannot apply
+# what each mode reads: its schedule, and null or off for what it cannot apply
 _MODE_RULES = {
     "toy": {
+        "epochs": int_at_least(1),
         "total_steps": _unused_in("toy"),
+        "theta_init": one_of("global"),
+        "train_f": (lambda v: v is False, "false in toy mode"),
+        "val_pool_size": _unused_in("toy"),
+        "d_f": _unused_in("toy"),
         "fewshot": _unused_in("toy"),
-        "theta_init": optional(one_of("global")),
     },
     "fewshot": {
         "epochs": _unused_in("fewshot"),
+        "total_steps": int_at_least(1),
+        "eval_every": int_at_least(1),
+        "val_pool_size": int_at_least(1),
+        "d_f": optional(int_at_least(1)),
         "toy": _unused_in("fewshot"),
     },
 }
@@ -134,11 +138,12 @@ _MODE_RULES = {
 _PROTO_RULES = {"n_shot": (lambda v: v >= 1, "an integer >= 1 with theta_init proto")}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Experiment configuration; every field has a documented JSON key."""
+    """Experiment configuration; every field has a documented JSON key, and
+    ``default_config`` writes each mode's values."""
 
-    mode: str = "toy"
+    mode: str
     run_seed: int = 0
     optimizer: str = "adam"  # adam | sgd
     learning_rate: float = 1e-3
@@ -146,16 +151,16 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_tasks: int = 8
-    epochs: Optional[int] = None  # toy mode: passes over the fixed task pool
-    total_steps: Optional[int] = None  # fewshot modes: outer steps
-    eval_every: int = 0  # 0 -> toy: each epoch; fewshot: every 250 steps
-    outer_kl_weight: Optional[float] = None  # None -> 0.05 for toy, 1.0 otherwise
+    epochs: Optional[int] = None  # toy: passes over the fixed task pool
+    total_steps: Optional[int] = None  # fewshot: outer steps
+    eval_every: int = 0  # toy: 0 -> once per pass
+    outer_kl_weight: float
     grad_clip_norm: float = 10.0
-    train_f: bool = False
-    theta_init: Optional[str] = None  # global | proto | ssl; None -> mode default
-    val_pool_size: int = 200
+    train_f: bool = False  # fewshot only
+    theta_init: str  # global | proto | ssl
+    val_pool_size: Optional[int] = None  # fewshot only
     eval_episodes: int = 2000
-    d_f: Optional[int] = None
+    d_f: Optional[int] = None  # fewshot only; null -> fewshot.d_x
     inner: InnerLoopConfig = field(default_factory=InnerLoopConfig)
     toy: Optional[ToyConfig] = None
     fewshot: Optional[FewShotConfig] = None
@@ -169,37 +174,21 @@ class RunConfig:
             if section is not None:
                 section.__post_init__(prefix=f"{name}.")
         check_fields(self, _MODE_RULES[self.mode])
-        if self.init_kind == "proto" and self.fewshot is not None:
+        if self.theta_init == "proto" and self.fewshot is not None:
             check_fields(self.fewshot, _PROTO_RULES, "fewshot.")
-
-    @property
-    def kl_weight(self) -> float:
-        """Weight of the prior pull on the adapted weights; the prior itself
-        always receives its full matching gradient. Toy default is small:
-        the exactly-solvable regression needs the data term to dominate for
-        the posterior to track its closed form, while a mild pull anchors
-        the global initialization (see the README's objective notes)."""
-        if self.outer_kl_weight is not None:
-            return float(self.outer_kl_weight)
-        return 0.05 if self.mode == "toy" else 1.0
-
-    @property
-    def init_kind(self) -> str:
-        if self.theta_init is not None:
-            return self.theta_init
-        return "proto" if self.mode == "fewshot" else "global"
 
 
 def default_config(mode: str = "toy") -> RunConfig:
-    """Mode-appropriate defaults."""
+    """Each mode's values of the config. Toy's ``outer_kl_weight`` is small so
+    that the data term dominates and the posterior of the exactly-solvable
+    regression tracks its closed form (see the README's objective notes)."""
     if mode == "toy":
-        cfg = RunConfig(
+        return RunConfig(
             mode="toy",
-            optimizer="adam",
-            learning_rate=1e-3,
             adam_beta2=0.98,
-            batch_tasks=8,
             epochs=150,
+            outer_kl_weight=0.05,
+            theta_init="global",
             toy=ToyConfig(),
             inner=InnerLoopConfig(
                 steps=3,
@@ -210,13 +199,14 @@ def default_config(mode: str = "toy") -> RunConfig:
                                            inner_draws=0, objective_draws=8),
             ),
         )
-    elif mode == "fewshot":
-        cfg = RunConfig(
+    if mode == "fewshot":
+        return RunConfig(
             mode="fewshot",
-            optimizer="adam",
-            learning_rate=1e-3,
-            batch_tasks=8,
             total_steps=3000,
+            eval_every=250,
+            outer_kl_weight=1.0,
+            theta_init="proto",
+            val_pool_size=200,
             fewshot=FewShotConfig(),
             inner=InnerLoopConfig(
                 steps=3,
@@ -225,9 +215,7 @@ def default_config(mode: str = "toy") -> RunConfig:
                 posterior=Deterministic(),
             ),
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return cfg
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- config (de)serialization ---------------------------------------------------
@@ -244,8 +232,8 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg = default_config(data.get("mode", "toy"))
     simple_fields = [f.name for f in dataclasses.fields(RunConfig) if f.name not in SECTIONS]
     for key, value in data.items():
-        if key == "mode" or value is None and key in ("toy", "fewshot", "epochs", "total_steps"):
-            continue
+        if key == "mode" or value is None and key in SECTIONS and getattr(cfg, key) is None:
+            continue  # the section the mode does not read
         if key in SECTIONS:
             if getattr(cfg, key) is None:
                 setattr(cfg, key, ToyConfig() if key == "toy" else FewShotConfig())
@@ -396,7 +384,7 @@ def build_model(cfg: RunConfig) -> MetaModel:
 def make_theta0(model: MetaModel, episodes: Episode, cfg: RunConfig):
     """Initial task weights of a batch of episodes, stacked on the episode
     axis: the global initialization itself (data-independent), proto or ssl."""
-    kind = cfg.init_kind
+    kind = cfg.theta_init
     if kind == "global":
         lam = model.params["lambda_global"]
         return lam + dc.constant(np.zeros((len(episodes),) + lam.shape))
@@ -426,7 +414,7 @@ def episode_objective(model: MetaModel, episodes: Episode, cfg: RunConfig):
     """Per-episode training losses of a batch of episodes, and the adapted
     weights."""
     theta_k, _ = sib_unroll(make_theta0(model, episodes, cfg), episodes, model, cfg.inner)
-    return task_objective(episodes, theta_k, model, cfg.inner, cfg.kl_weight), theta_k
+    return task_objective(episodes, theta_k, model, cfg.inner, cfg.outer_kl_weight), theta_k
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -524,15 +512,14 @@ def train(cfg: RunConfig) -> TrainResult:
         pool = episodes_for(cfg, "train", range(cfg.toy.n_train_tasks))
         batches = _passes(pool, cfg.batch_tasks, cfg.run_seed)
         steps_per_pass = math.ceil(len(pool) / cfg.batch_tasks)
-        total_steps = steps_per_pass * (cfg.epochs or 1)
+        total_steps = steps_per_pass * cfg.epochs
         eval_every = cfg.eval_every or steps_per_pass
         split, eval_pool = "test", episodes_for(cfg, "test", range(cfg.toy.n_test_tasks))
     else:
         b = cfg.batch_tasks
         batches = (episodes_for(cfg, "train", range(s * b, (s + 1) * b))
                    for s in itertools.count())
-        total_steps = cfg.total_steps or 3000
-        eval_every = cfg.eval_every or 250
+        total_steps, eval_every = cfg.total_steps, cfg.eval_every
         split, eval_pool = "val", episodes_for(cfg, "val", range(cfg.val_pool_size))
 
     records = []

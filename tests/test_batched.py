@@ -162,9 +162,9 @@ def ref_ssl_init(model, ep, cfg):
 
 
 def ref_theta0(model, ep, cfg):
-    if cfg.init_kind == "global":
+    if cfg.theta_init == "global":
         return model.params["lambda_global"]
-    if cfg.init_kind == "proto":
+    if cfg.theta_init == "proto":
         feats = apply_features(model, ep.support_inputs).data
         means = np.stack([feats[ep.support_labels == c].mean(axis=0) for c in range(model.k)])
         return dc.constant(means) * model.params["lambda_scale"]
@@ -172,7 +172,7 @@ def ref_theta0(model, ep, cfg):
 
 
 def ref_episode_objective(model, ep, cfg):
-    klw = cfg.kl_weight
+    klw = cfg.outer_kl_weight
     theta_k = ref_unroll(ref_theta0(model, ep, cfg), ep, model, cfg.inner)
     if cfg.inner.posterior.regime == DETERMINISTIC:
         eps_list = [None]

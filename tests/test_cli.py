@@ -41,7 +41,6 @@ TINY_TOY = {
     "mode": "toy",
     "epochs": 2,
     "batch_tasks": 4,
-    "val_pool_size": 4,
     "toy": {"n": 8, "n_train_tasks": 8, "n_test_tasks": 6},
     "inner": {"steps": 2},
 }
@@ -106,12 +105,20 @@ def test_cli_runs_are_byte_identical(tmp_path, toy_cfg_file):
     assert read_masked_summary(out1 / "summary.json") == read_masked_summary(out2 / "summary.json")
 
 
-def test_rerun_from_echoed_config_is_identical(tmp_path, toy_cfg_file):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["train-toy", "--config", str(toy_cfg_file), "--out", str(out1)]) == 0
-    echoed = out1 / "effective_config.json"
-    assert main(["train-toy", "--config", str(echoed), "--out", str(out2)]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+@pytest.mark.parametrize("mode,used", [("toy", (0.05, "global")), ("fewshot", (1.0, "proto"))])
+def test_rerun_from_echoed_config_is_identical(tmp_path, toy_cfg_file, fewshot_cfg_file, mode,
+                                               used):
+    """A run from the echoed config writes the same files, and echoes the
+    same config: the echo is complete, with the values the mode used."""
+    runs = [tmp_path / name for name in "abc"]
+    config = toy_cfg_file if mode == "toy" else fewshot_cfg_file
+    for out in runs:
+        assert main(["train-" + mode, "--config", str(config), "--out", str(out)]) == 0
+        config = out / "effective_config.json"
+    for name in ("metrics.csv", "checkpoint.json", "effective_config.json"):
+        assert len({(out / name).read_bytes() for out in runs}) == 1
+    echoed = json.loads(config.read_text())
+    assert (echoed["outer_kl_weight"], echoed["theta_init"]) == used
 
 
 def test_refuses_to_overwrite_run_dir(tmp_path, toy_cfg_file, capsys):
@@ -633,6 +640,9 @@ def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewsho
     ("learning_rate=abc", "learning_rate"),
     ("epochs=-1", "epochs"),
     ("eval_every=-3", "eval_every"),
+    ("epochs=null", "epochs"),
+    ("outer_kl_weight=null", "outer_kl_weight"),
+    ("theta_init=null", "theta_init"),
     ("inner.steps=1.5", "inner.steps"),
     ("toy.n=abc", "toy.n"),
     ("inner.steps.x=1", "inner.steps.x"),
@@ -652,8 +662,13 @@ def test_invalid_scalar_setting_exits_2_and_names_key(tmp_path, toy_cfg_file, ca
     ("train-toy", 'theta_init="ssl"', "theta_init"),
     ("train-toy", "total_steps=1", "total_steps"),
     ("train-toy", "fewshot.k=3", "fewshot"),
+    ("train-toy", "d_f=3", "d_f"),
+    ("train-toy", "train_f=true", "train_f"),
+    ("train-toy", "val_pool_size=7", "val_pool_size"),
     ("train-fewshot", "fewshot.n_shot=0", "fewshot.n_shot"),
     ("train-fewshot", "epochs=7", "epochs"),
+    ("train-fewshot", "total_steps=null", "total_steps"),
+    ("train-fewshot", "eval_every=0", "eval_every"),
     ("train-fewshot", "toy.n=4", "toy"),
 ])
 def test_setting_the_mode_cannot_apply_exits_2_and_names_key(tmp_path, toy_cfg_file,
@@ -725,6 +740,12 @@ FLIPS = [(mode, regime, key) for (mode, regime), (tiny, extra) in FLIP_BASES.ite
          for key in flat_keys(config_to_dict(config_from_dict({**tiny, **extra})).get("inner"))]
 
 
+def written(out: Path) -> tuple:
+    """What a run wrote: its metrics and its checkpoint's parameters."""
+    return ((out / "metrics.csv").read_bytes(),
+            json.loads((out / "checkpoint.json").read_text())["params"])
+
+
 @pytest.fixture(scope="module")
 def flip_runs(tmp_path_factory):
     """The written outputs of a short run of each base config, and of it
@@ -740,8 +761,7 @@ def flip_runs(tmp_path_factory):
             out = root / f"run{len(made)}"
             argv = ["train-" + mode, "--config", str(base), "--out", str(out)]
             assert main(argv + (["--set", setting] if setting else [])) == 0
-            params = json.loads((out / "checkpoint.json").read_text())["params"]
-            made[mode, regime, setting] = ((out / "metrics.csv").read_bytes(), params)
+            made[mode, regime, setting] = written(out)
         return made[mode, regime, setting]
 
     return outputs
@@ -767,6 +787,74 @@ def test_flip_matrix_covers_every_inner_key_of_both_regimes():
     assert {"posterior.regime", "posterior.log_var", "posterior.inner_draws",
             "posterior.objective_draws", "steps", "eta_inner", "kl_in_inner",
             "sum_convention"} == covered
+
+
+def run_flipped(key: str, value):
+    """A value other than ``value`` of a top-level run key: the other
+    optimizer, another initialization, 2 for a null count, a hundredth of a
+    rate or weight, or as ``flipped``."""
+    if key == "optimizer":
+        return "sgd" if value == "adam" else "adam"
+    if key == "theta_init":
+        return "ssl" if value == "proto" else "proto"
+    if value is None:
+        return 2
+    return value / 100 if isinstance(value, float) else flipped(key, value)
+
+
+# each mode's base run: its tiny config in its own posterior regime
+RUN_BASES = {"toy": ("toy", GAUSSIAN_FIXED_VAR), "fewshot": ("fewshot", DETERMINISTIC)}
+
+
+def run_base(mode: str) -> dict:
+    tiny, extra = FLIP_BASES[RUN_BASES[mode]]
+    return {**tiny, **extra}
+
+
+RUN_FLIPS = [(mode, key) for mode in RUN_BASES
+             for key in config_to_dict(config_from_dict(run_base(mode)))
+             if key not in ("mode", *trainer.SECTIONS)]
+
+
+@pytest.mark.parametrize("mode,key", RUN_FLIPS)
+def test_every_run_setting_changes_what_a_run_writes_or_exits_2(flip_runs, tmp_path, capsys,
+                                                                mode, key):
+    """The flip matrix's top level: each run key of a mode, set to another
+    value in a short run, changes ``metrics.csv`` or the checkpoint's
+    parameters, or exits 2 naming the key; ``eval_episodes`` goes through
+    ``eval``, the command that reads it. No knob is accepted and ignored."""
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(run_base(mode)))
+    value = config_to_dict(config_from_dict(run_base(mode)))[key]
+    setting = ["--set", f"{key}={json.dumps(run_flipped(key, value))}"]
+    if key == "eval_episodes":
+        assert main(["train-" + mode, "--config", str(base), "--out", str(tmp_path / "t")]) == 0
+        evals = [["eval", "--config", str(base), "--out", str(tmp_path / name),
+                  "--checkpoint", str(tmp_path / "t/checkpoint.json")] for name in ("e0", "e1")]
+        assert main(evals[0]) == 0
+        with pytest.warns(UserWarning, match="config hash"):
+            assert main(evals[1] + setting) == 0
+        assert (tmp_path / "e0/metrics.csv").read_bytes() != \
+            (tmp_path / "e1/metrics.csv").read_bytes()
+        return
+    out = tmp_path / "run"
+    rc = main(["train-" + mode, "--config", str(base), "--out", str(out)] + setting)
+    if rc == 2:
+        assert f"error: {key} must be" in capsys.readouterr().err
+    else:
+        assert rc == 0
+        assert written(out) != flip_runs(*RUN_BASES[mode])
+
+
+def test_flip_matrix_covers_every_run_key_of_both_modes():
+    """Every top-level key of both modes' configs but the mode and the sections."""
+    for mode in ("toy", "fewshot"):
+        keys = set(config_to_dict(default_config(mode))) - {"mode", *trainer.SECTIONS}
+        assert keys == {key for m, key in RUN_FLIPS if m == mode}
+    assert {key for _, key in RUN_FLIPS} == {
+        "run_seed", "optimizer", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
+        "batch_tasks", "epochs", "total_steps", "eval_every", "outer_kl_weight",
+        "grad_clip_norm", "train_f", "theta_init", "val_pool_size", "eval_episodes", "d_f"}
 
 
 def test_fewshot_analyze_reports_no_bound_in_the_deterministic_regime(tmp_path,

@@ -230,7 +230,7 @@ def vocabulary_sites(knobs, names, home, exempt, section_knobs=None):
 REGIME_KNOBS = {"regime", "inner_draws", "objective_draws"}
 SECTION_KNOBS = {"posterior": {"log_var"}}
 REGIME_NAMES = {"GAUSSIAN_FIXED_VAR", "DETERMINISTIC", "gaussian_fixed_var", "deterministic"}
-EXEMPT = {("trainer", "config_from_dict"), ("sibcore", "_step_noise"), ("sibcore", "data_term"),
+EXEMPT = {("trainer", "config_from_dict"), ("sibcore", "_step_noise"),
           ("sibcore", "objective_noise")}
 
 

@@ -573,7 +573,7 @@ def test_unroll_node_is_bitwise_the_step_chain(name, steps):
         elif steps:
             assert theta0.requires_grad
         theta_k, thetas = unroll(theta0, episodes, model, cfg.inner)
-        losses = task_objective(episodes, theta_k, model, cfg.inner, cfg.kl_weight)
+        losses = task_objective(episodes, theta_k, model, cfg.inner, cfg.outer_kl_weight)
         grads = leaf_grads((losses * constant([0.5, -1.0, 2.0])).sum() + theta0.sum(), leaves)
         return [t.data for t in thetas], grads, theta0.grad
 

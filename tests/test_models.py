@@ -41,7 +41,7 @@ def test_global_init_is_data_independent():
     ep_b = gen_spinning_lines(cfg, [derive_task_seed(0, "train", 1)])
     assert not np.array_equal(ep_a.query_inputs, ep_b.query_inputs)
     run = default_config("toy")
-    assert run.init_kind == "global"
+    assert run.theta_init == "global"
     for ep in (ep_a, ep_b):
         np.testing.assert_array_equal(make_theta0(model, ep, run).data,
                                       model.params["lambda_global"].data[None])

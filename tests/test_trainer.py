@@ -244,7 +244,7 @@ def test_fewshot_ssl_init_trains():
     result = train(cfg)
     assert result.steps_run == 3
     assert any(r[2] == "query_accuracy" for r in result.records)
-    assert cfg.init_kind == "ssl"
+    assert cfg.theta_init == "ssl"
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -447,12 +447,14 @@ def test_config_from_dict_returns_a_config_or_raises_value_error(data):
 
 def test_config_mode_defaults():
     toy = default_config("toy")
-    assert toy.kl_weight == 0.05
+    assert (toy.outer_kl_weight, toy.theta_init, toy.epochs, toy.total_steps) == \
+        (0.05, "global", 150, None)
+    assert (toy.eval_every, toy.val_pool_size, toy.d_f, toy.train_f) == (0, None, None, False)
     assert toy.inner.sum_convention
-    assert toy.init_kind == "global"
     fs = default_config("fewshot")
-    assert fs.kl_weight == 1.0
-    assert fs.init_kind == "proto"
+    assert (fs.outer_kl_weight, fs.theta_init, fs.epochs, fs.total_steps) == \
+        (1.0, "proto", None, 3000)
+    assert (fs.eval_every, fs.val_pool_size) == (250, 200)
     assert fs.inner.posterior == Deterministic()
     # the posterior of toy, and of a bare inner section
     assert toy.inner.posterior == GaussianFixedVar(log_var=2 * math.log(0.1), inner_draws=0,
