@@ -7,9 +7,9 @@ incoming cotangent. ``backward`` materializes the DAG in topological order
 and visits every node exactly once, so gradient accumulation is
 deterministic (bitwise-reproducible for identical graphs).
 
-Graphs are rebuilt on every forward pass; tensors that require gradients
-are never mutated in place. ``detach`` cuts a tensor out of the graph
-while sharing its values.
+Graphs are rebuilt on every forward pass and consumed by the ``backward``
+that walks them; tensors that require gradients are never mutated in
+place. ``detach`` cuts a tensor out of the graph while sharing its values.
 """
 
 from __future__ import annotations
@@ -775,10 +775,17 @@ def _topo_order(root: Tensor):
     return order
 
 
+def _consumed(g) -> None:
+    raise GraphError("backward: this graph was already differentiated, and its saved values are freed")
+
+
 def backward(out: Tensor) -> None:
     """Populate ``.grad`` on every reachable tensor that requires grad.
 
-    ``out`` must be a scalar (0-dim or single-element) tensor.
+    ``out`` must be a scalar (0-dim or single-element) tensor. The walk
+    consumes the graph: each node it visits drops its closure and parents,
+    freeing the values they saved, so a second ``backward`` through any of
+    them raises GraphError. Leaves are untouched.
     """
     if out.size != 1:
         raise GraphError(f"backward requires a scalar output, got shape {out.shape}")
@@ -787,8 +794,11 @@ def backward(out: Tensor) -> None:
     order = _topo_order(out)
     out.grad = np.ones_like(out.data)
     for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+        fn = node._backward_fn
+        if fn is not None:
+            node._backward_fn, node._parents = _consumed, ()
+            if node.grad is not None:
+                fn(node.grad)
 
 
 def zero_grad(tensors) -> None:

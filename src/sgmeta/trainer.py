@@ -507,7 +507,8 @@ def train(cfg: RunConfig) -> TrainResult:
 
     # the mode chooses the batches, the step count, the evaluation interval
     # and the evaluation pool: toy runs passes over a fixed task pool and is
-    # evaluated on the test tasks, few-shot draws fresh episodes every step
+    # evaluated on the test tasks, few-shot draws fresh episodes every step and
+    # generates its validation pool as each evaluation reads it
     if cfg.mode == "toy":
         pool = episodes_for(cfg, "train", range(cfg.toy.n_train_tasks))
         batches = _passes(pool, cfg.batch_tasks, cfg.run_seed)
@@ -520,7 +521,7 @@ def train(cfg: RunConfig) -> TrainResult:
         batches = (episodes_for(cfg, "train", range(s * b, (s + 1) * b))
                    for s in itertools.count())
         total_steps, eval_every = cfg.total_steps, cfg.eval_every
-        split, eval_pool = "val", episodes_for(cfg, "val", range(cfg.val_pool_size))
+        split, eval_pool = "val", episode_pool(cfg, "val", cfg.val_pool_size)
 
     records = []
     best_metric = best = best_step = None
@@ -590,8 +591,8 @@ def save_checkpoint(model: MetaModel, path, cfg: Optional[RunConfig] = None,
     cfg_hash = config_hash(config_to_dict(cfg)) if cfg is not None else ""
     payload = checkpoint_payload(model, cfg_hash=cfg_hash, step=step)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        # dumps runs the C encoder; dump(payload, fh) the Python one, same bytes
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sgmeta.diffcore import (
     softmax,
     zero_grad,
 )
+from sgmeta.trainer import build_model, default_config, episode_objective, episodes_for
 from test_fused import exp, relu_mlp, tmean
 
 
@@ -118,6 +120,71 @@ def test_backward_rejects_non_scalar():
     x = param([1.0, 2.0])
     with pytest.raises(GraphError):
         backward(x * 2.0)
+
+
+def walk_keeping_the_graph(out):
+    """``backward``'s walk without consuming the graph it walks."""
+    order = dc._topo_order(out)
+    out.grad = np.ones_like(out.data)
+    for node in reversed(order):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+def test_backward_consumes_a_training_steps_graph(monkeypatch):
+    """After ``backward`` on one few-shot training step, every node it
+    visited has dropped its closure and parents, so the synthetic-gradient
+    activations ``descent`` saved for its reverse pass are freed; a second
+    ``backward`` raises; and the leaves' gradients are bitwise those of a
+    walk that keeps the graph."""
+    cfg = default_config("fewshot")
+    model = build_model(cfg)
+    model.params["xi_w3"].data[:] = np.random.default_rng(0).normal(
+        size=model.params["xi_w3"].shape) * 0.1
+    batch = episodes_for(cfg, "train", range(cfg.batch_tasks))
+    leaves = [t for _, t in sorted(model.trainable().items())]
+    run_mlp, kept = dc._relu_mlp, []
+
+    def recording(rows, layers, keep):
+        acts = run_mlp(rows, layers, keep)
+        if keep:
+            kept.append(weakref.ref(acts[1]))
+        return acts
+
+    monkeypatch.setattr(dc, "_relu_mlp", recording)
+
+    def step_loss():
+        zero_grad(leaves)
+        kept.clear()
+        losses, _ = episode_objective(model, batch, cfg)
+        return dc.scale(losses.sum(), 1.0 / len(batch))
+
+    loss = step_loss()
+    walk_keeping_the_graph(loss)
+    expected = [t.grad for t in leaves]
+    assert kept and all(ref() is not None for ref in kept)
+
+    loss = step_loss()
+    inner = [node for node in dc._topo_order(loss) if node._backward_fn is not None]
+    backward(loss)
+    assert all(node._parents == () and node._backward_fn is dc._consumed for node in inner)
+    assert all(ref() is None for ref in kept)
+    assert any(g is not None for g in expected)
+    for t, g in zip(leaves, expected):
+        assert (t.grad is None) == (g is None) and (g is None or np.array_equal(t.grad, g))
+    with pytest.raises(GraphError, match="already differentiated"):
+        backward(loss)
+
+
+def test_a_graph_built_on_a_differentiated_node_raises():
+    """A consumed node stays consumed: a new output built on it cannot be
+    differentiated through it, rather than giving its inputs zero gradients."""
+    x = param([1.0, 2.0])
+    y = x * x
+    backward(y.sum())
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(GraphError, match="already differentiated"):
+        backward((y * 3.0).sum())
 
 
 def differentiable_ops() -> dict:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from sgmeta.trainer import (
     config_from_dict,
     config_to_dict,
     default_config,
+    episode_objective,
     episodes_for,
     evaluate,
     load_checkpoint,
@@ -204,6 +206,33 @@ def test_fewshot_training_runs_and_freezes_features():
     np.testing.assert_array_equal(result.model.params["f_weight"].data, f_before)
     assert result.steps_run == 4
     assert any(r[2] == "query_accuracy" for r in result.records)
+
+
+def test_a_fewshot_step_holds_one_steps_graph(monkeypatch):
+    """``backward`` frees each step's graph, so the next step's forward does
+    not build its graph beside it: at the reference few-shot sizes, the peak
+    traced memory of each step after the first is within 10% of the first
+    step's (holding the previous graph too adds about 50%: 3.3 to 4.9 MB)."""
+    cfg = default_config("fewshot")
+    cfg.total_steps, cfg.eval_every, cfg.val_pool_size = 4, 4, 2
+    peaks = []
+
+    def measured(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return episode_objective(*args)
+
+    monkeypatch.setattr(trainer, "episode_objective", measured)
+    tracemalloc.start()
+    try:
+        train(cfg)
+    finally:
+        tracemalloc.stop()
+    # peaks[s + 1] spans step s from its forward to the next batch; the last
+    # step, which evaluates, is not read
+    steps = peaks[1:]
+    assert len(steps) == 3
+    assert max(steps[1:]) <= 1.1 * steps[0]
 
 
 def test_divergence_aborts_with_last_good_restored(monkeypatch):
