@@ -1,10 +1,11 @@
 """Command-line surface: training, evaluation, analysis, and self-checks.
 
-Every command takes ``--config`` (JSON, documented in the README), an
-optional ``--seed`` override, and ``--out`` for the run directory. Settings
-resolve as flag > config file > default. Outputs are machine-readable
-(metrics CSV, JSON summary, JSON checkpoint) and byte-reproducible for a
-fixed config and seed, except for wall-time fields in the summary.
+Every command takes ``--config`` (JSON, documented in the README),
+``--seed`` and ``--set`` overrides, and ``--out`` for the run directory.
+Settings resolve as ``--set``/``--seed`` > config file, or else the
+checkpoint's config (``eval``, ``analyze``, ``sweep-n``) > mode defaults.
+Outputs (metrics CSV, JSON summary and checkpoint) are machine-readable and
+byte-reproducible per config and seed, wall-time fields excepted.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .models import config_hash
 from .sibcore import InnerLoopError, task_objective
 from .trainer import (
     RunConfig,
+    _read_json_object,
     build_model,
     config_from_dict,
     config_to_dict,
@@ -113,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--episodes", type=count_at_least(1), default=None)
-    p.add_argument("--inner-steps", type=count_at_least(0), default=None,
-                   help="override the number of adaptation steps at evaluation")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("analyze", help="information-theoretic diagnostics of a checkpoint")
@@ -166,14 +165,12 @@ def counts_at_least(minimum: int):
 
 def resolve_config(args, mode=None) -> RunConfig:
     """Every ``--set`` and ``--seed`` is merged into the config file's dict
-    (an empty one without a file), which is then parsed once, so a setting
-    means the same on the command line as in the file."""
-    data = {}
+    (else the checkpoint's stored config, or an empty one for training), which
+    is then parsed once, so a setting means the same on the command line."""
     if args.config is not None:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config root must be a JSON object")
+        data = _read_json_object(args.config)
+    else:
+        data = {} if mode else _read_json_object(args.checkpoint).get("config") or {}
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
@@ -261,14 +258,9 @@ def cmd_eval(args) -> int:
     out = prepare_out(args)
     echo_config(cfg, out)
     model = load_checkpoint(args.checkpoint, cfg)
-    inner = cfg.inner
-    if args.inner_steps is not None:
-        inner = dataclasses.replace(cfg.inner, steps=args.inner_steps)
-    n_eps = cfg.eval_episodes if args.episodes is None else args.episodes
-    # generated chunk by chunk as evaluation reads them
-    episodes = episode_pool(cfg, args.split, n_eps)
     t0 = time.time()
-    report = evaluate(model, cfg, args.split, episodes, inner=inner)
+    # generated chunk by chunk as evaluation reads them
+    report = evaluate(model, cfg, args.split, episode_pool(cfg, args.split, cfg.eval_episodes))
     wall_ms = 1000.0 * (time.time() - t0)
     write_metrics_csv(out / "metrics.csv", metric_records(report.row, report.ci95))
     name, value, ci = report.primary_metric()
@@ -280,7 +272,7 @@ def cmd_eval(args) -> int:
         "value": value,
         "ci95": ci,
         "degenerate": report.degenerate,
-        "inner_steps": inner.steps,
+        "inner_steps": cfg.inner.steps,
         "wall_time_ms": wall_ms,
     }
     write_report_json(out / "summary.json", summary)

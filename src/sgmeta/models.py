@@ -300,10 +300,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def checkpoint_payload(model: MetaModel, cfg_hash: str = "", step: int = 0) -> dict:
+def checkpoint_payload(model: MetaModel, config: Optional[dict] = None, step: int = 0) -> dict:
     return {
         "format_version": 1,
-        "config_hash": cfg_hash,
+        "config": config,
         "step": int(step),
         "meta": model.meta(),
         "params": {

@@ -34,7 +34,6 @@ from .models import (
     build_fewshot_model,
     build_toy_model,
     checkpoint_payload,
-    config_hash,
     frozen_copy,
     init_theta0_proto,
     model_from_payload,
@@ -420,8 +419,7 @@ def episode_objective(model: MetaModel, episodes: Episode, cfg: RunConfig):
 # -- evaluation --------------------------------------------------------------------
 
 
-def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
-              inner: Optional[InnerLoopConfig] = None, step: int = 0,
+def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes, step: int = 0,
               on_chunk: Optional[Callable] = None) -> EvalReport:
     """Frozen-model metrics over a batch of episodes (``tasks.Episode``) or a
     pool that generates them (``tasks.EpisodePool``), with 95% intervals.
@@ -440,7 +438,6 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
     """
     if len(episodes) == 0:
         raise ValueError("evaluate requires at least one episode")
-    inner = cfg.inner if inner is None else inner
     per = {}
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
@@ -449,9 +446,9 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes,
         chunks = ahead(chunks)
     with contextlib.closing(chunks):
         for chunk in chunks:
-            theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, inner)
-            metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, inner)
-            metrics["kl_to_prior"] = prior_term(theta_k, frozen, inner).data
+            theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, cfg.inner)
+            metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, cfg.inner)
+            metrics["kl_to_prior"] = prior_term(theta_k, frozen, cfg.inner).data
             for name, values in metrics.items():
                 per.setdefault(name, []).extend(float(v) for v in values)
             if on_chunk is not None:
@@ -586,37 +583,47 @@ def train(cfg: RunConfig) -> TrainResult:
 # -- checkpoint file IO ------------------------------------------------------------
 
 
-def save_checkpoint(model: MetaModel, path, cfg: Optional[RunConfig] = None,
-                     step: int = 0) -> None:
-    cfg_hash = config_hash(config_to_dict(cfg)) if cfg is not None else ""
-    payload = checkpoint_payload(model, cfg_hash=cfg_hash, step=step)
+def save_checkpoint(model: MetaModel, path, cfg: RunConfig, step: int = 0) -> None:
+    payload = checkpoint_payload(model, config_to_dict(cfg), step=step)
     with open(path, "w") as fh:
         # dumps runs the C encoder; dump(payload, fh) the Python one, same bytes
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def load_checkpoint(path, cfg: Optional[RunConfig] = None) -> MetaModel:
-    """The checkpoint's model; with ``cfg``, its geometry must be the config's
-    (``model_geometry``), and a valid checkpoint of another config hash warns."""
+def _read_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; a malformed file or another
+    root raises ValueError naming the file."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed checkpoint file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"checkpoint {path} must be a JSON object")
+            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must be a JSON object")
+    return data
+
+
+def _differences(stored, now, prefix: str = "") -> list:
+    """Each dotted key whose value differs between two config dicts, with both values."""
+    if isinstance(stored, dict) and isinstance(now, dict):
+        return [line for key in sorted(stored.keys() | now.keys())
+                for line in _differences(stored.get(key), now.get(key), f"{prefix}{key}.")]
+    return [] if stored == now else [
+        f"{prefix[:-1]}: {json.dumps(stored)} in the checkpoint, {json.dumps(now)} now"]
+
+
+def load_checkpoint(path, cfg: RunConfig) -> MetaModel:
+    """The checkpoint's model, of the config's geometry (``model_geometry``);
+    a stored config that differs warns once, naming each key that differs."""
+    payload = _read_json_object(path)
     model = model_from_payload(payload)
-    if cfg is not None:
-        keys = {"mode": "mode", "k": "fewshot.k", "d_x": "fewshot.d_x", "d_f": "d_f"}
-        for attr, want in model_geometry(cfg).items():
-            if getattr(model, attr) != want:
-                raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
-                                 f"the config's {keys[attr]} {want!r}")
-    if cfg is not None and payload.get("config_hash"):
-        expect = config_hash(config_to_dict(cfg))
-        if payload["config_hash"] != expect:
-            warnings.warn(
-                f"checkpoint config hash {payload['config_hash']} does not match the "
-                f"current config ({expect}); proceeding anyway"
-            )
+    keys = {"mode": "mode", "k": "fewshot.k", "d_x": "fewshot.d_x", "d_f": "d_f"}
+    for attr, want in model_geometry(cfg).items():
+        if getattr(model, attr) != want:
+            raise ValueError(f"checkpoint {attr} {getattr(model, attr)!r} does not match "
+                             f"the config's {keys[attr]} {want!r}")
+    if payload.get("config") is not None:  # none in a checkpoint that stores a hash
+        differ = _differences(payload["config"], config_to_dict(cfg))
+        if differ:
+            warnings.warn(f"checkpoint {path} was trained with other settings: {'; '.join(differ)}")
     return model

@@ -73,7 +73,7 @@ def test_criterion_2_toy_reproduction(toy_run):
     pool = gen_spinning_lines(
         cfg.toy, [derive_task_seed(cfg.run_seed, "test", i) for i in range(cfg.toy.n_test_tasks)])
     k0 = dataclasses.replace(cfg.inner, steps=0)
-    base = evaluate(result.model, cfg, "test", pool, inner=k0)
+    base = evaluate(result.model, dataclasses.replace(cfg, inner=k0), "test", pool)
     ratio = row.query_mse / base.row.query_mse
     assert ratio < 0.25, f"MSE ratio K3/K0 = {ratio:.3f} >= 0.25"
     # the posterior divergence trends down over training epochs (a plateau
@@ -149,8 +149,8 @@ def test_criterion_6_adaptation_gain(fewshot_run):
     test_eps = episodes_for(cfg, "test", range(2000))
     start = time.perf_counter()
     rep3 = evaluate(model, cfg, "test", test_eps)
-    rep0 = evaluate(model, cfg, "test", test_eps,
-                    inner=dataclasses.replace(cfg.inner, steps=0))
+    rep0 = evaluate(model, dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, steps=0)),
+                    "test", test_eps)
     eval_elapsed = time.perf_counter() - start
     total = elapsed + eval_elapsed
     delta = rep3.row.query_accuracy - rep0.row.query_accuracy
@@ -247,11 +247,12 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert cli_main(["train-toy", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
         ck = run_dir / "checkpoint.json"
         eval_dir = tmp_path / f"eval_{tag}"
-        assert cli_main([
-            "eval", "--config", str(run_dir / "effective_config.json"),
-            "--checkpoint", str(ck), "--split", "test", "--episodes", "4",
-            "--out", str(eval_dir),
-        ]) == 0
+        with pytest.warns(UserWarning, match="eval_episodes: 2000 in the checkpoint, 4 now"):
+            assert cli_main([
+                "eval", "--config", str(run_dir / "effective_config.json"),
+                "--checkpoint", str(ck), "--split", "test", "--set", "eval_episodes=4",
+                "--out", str(eval_dir),
+            ]) == 0
         an_dir = tmp_path / f"an_{tag}"
         assert cli_main([
             "analyze", "--config", str(run_dir / "effective_config.json"),

@@ -145,6 +145,18 @@ def test_missing_config_file_fails(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, fault", [('{"mode": "toy",, }', "malformed JSON in"),
+                                         ('["toy"]', "must be a JSON object")],
+                         ids=["malformed", "list"])
+def test_a_config_file_that_is_no_json_object_exits_2_naming_it(tmp_path, capsys, text, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["train-toy", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert fault in err and str(bad) in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_and_set_overrides(tmp_path, toy_cfg_file):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -181,11 +193,12 @@ def test_eval_matches_training_final_row(tmp_path, fewshot_cfg_file, capsys):
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
     capsys.readouterr()
     out = tmp_path / "eval"
-    rc = main([
-        "eval", "--config", str(run / "effective_config.json"),
-        "--checkpoint", str(run / "checkpoint.json"),
-        "--split", "val", "--episodes", "3", "--out", str(out),
-    ])
+    with pytest.warns(UserWarning, match="eval_episodes: 4 in the checkpoint, 3 now"):
+        rc = main([
+            "eval", "--config", str(run / "effective_config.json"),
+            "--checkpoint", str(run / "checkpoint.json"),
+            "--split", "val", "--set", "eval_episodes=3", "--out", str(out),
+        ])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
     summary = json.loads((out / "summary.json").read_text())
@@ -198,29 +211,88 @@ def test_eval_matches_training_final_row(tmp_path, fewshot_cfg_file, capsys):
     # training summary final row agrees with a fresh evaluation on the pool
     train_summary = json.loads((run / "summary.json").read_text())
     out2 = tmp_path / "eval_pool"
-    rc = main([
-        "eval", "--config", str(run / "effective_config.json"),
-        "--checkpoint", str(run / "checkpoint.json"),
-        "--split", "val", "--episodes", str(TINY_FEWSHOT["val_pool_size"]),
-        "--out", str(out2),
-    ])
+    with pytest.warns(UserWarning, match="eval_episodes: 4 in the checkpoint, 3 now"):
+        rc = main([
+            "eval", "--config", str(run / "effective_config.json"),
+            "--checkpoint", str(run / "checkpoint.json"),
+            "--split", "val", "--set", f"eval_episodes={TINY_FEWSHOT['val_pool_size']}",
+            "--out", str(out2),
+        ])
     assert rc == 0
     summary2 = json.loads((out2 / "summary.json").read_text())
     assert summary2["value"] == pytest.approx(train_summary["final"]["query_accuracy"], abs=1e-12)
 
 
-def test_eval_with_inner_steps_override(tmp_path, fewshot_cfg_file, capsys):
+def test_eval_with_inner_steps_set(tmp_path, fewshot_cfg_file, capsys):
     run = tmp_path / "run"
     assert main(["train-fewshot", "--config", str(fewshot_cfg_file), "--out", str(run)]) == 0
     out = tmp_path / "eval0"
-    rc = main([
-        "eval", "--config", str(run / "effective_config.json"),
-        "--checkpoint", str(run / "checkpoint.json"),
-        "--split", "test", "--episodes", "3", "--inner-steps", "0",
-        "--out", str(out),
-    ])
+    with pytest.warns(UserWarning, match="inner.steps: 3 in the checkpoint, 0 now"):
+        rc = main([
+            "eval", "--config", str(run / "effective_config.json"),
+            "--checkpoint", str(run / "checkpoint.json"),
+            "--split", "test", "--set", "eval_episodes=3", "--set", "inner.steps=0",
+            "--out", str(out),
+        ])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text())["inner_steps"] == 0
+    assert json.loads((out / "effective_config.json").read_text())["inner"]["steps"] == 0
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A short toy and a short few-shot training run directory, by mode."""
+    root = tmp_path_factory.mktemp("trained")
+    runs = {}
+    for mode, tiny in (("toy", TINY_TOY), ("fewshot", TINY_FEWSHOT)):
+        config = root / f"{mode}.json"
+        config.write_text(json.dumps(tiny))
+        runs[mode] = root / mode
+        assert main(["train-" + mode, "--config", str(config), "--out", str(runs[mode])]) == 0
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["toy", "fewshot"])
+@pytest.mark.parametrize("command", [["eval"], ["analyze", "--trials", "20"]])
+def test_a_checkpoint_alone_evaluates_as_with_its_echoed_config(trained, tmp_path, mode,
+                                                                command):
+    """Without ``--config``, a command starts from the config the checkpoint
+    stores: it writes what the same command with the run's
+    ``effective_config.json`` writes, echoes the training run's config
+    byte for byte, and warns of nothing."""
+    run = trained[mode]
+    checkpoint = ["--checkpoint", str(run / "checkpoint_best.json")]
+    with_config = ["--config", str(run / "effective_config.json")]
+    outs = [tmp_path / "alone", tmp_path / "with-config"]
+    for out, extra in zip(outs, ([], with_config)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + checkpoint + extra + ["--out", str(out)]) == 0
+    written = "metrics.csv" if command == ["eval"] else "report.csv"
+    assert (outs[0] / written).read_bytes() == (outs[1] / written).read_bytes()
+    assert (outs[0] / "effective_config.json").read_bytes() == \
+        (run / "effective_config.json").read_bytes()
+
+
+def test_a_setting_other_than_the_checkpoints_warns_once_naming_it(trained, tmp_path, capsys):
+    out = tmp_path / "k5"
+    with pytest.warns(UserWarning) as caught:
+        assert main(["eval", "--checkpoint", str(trained["fewshot"] / "checkpoint.json"),
+                     "--set", "inner.steps=5", "--out", str(out)]) == 0
+    assert len(caught) == 1
+    assert str(caught[0].message).endswith(": inner.steps: 3 in the checkpoint, 5 now")
+    assert json.loads((out / "effective_config.json").read_text())["inner"]["steps"] == 5
+    assert json.loads((out / "summary.json").read_text())["inner_steps"] == 5
+
+
+@pytest.mark.parametrize("flag", ["--episodes", "--inner-steps"])
+def test_eval_has_no_flag_that_shadows_a_config_key(trained, tmp_path, capsys, flag):
+    """``--set eval_episodes=N`` and ``--set inner.steps=K`` replace them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(trained["toy"] / "checkpoint.json"), flag, "5",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_analyze_toy_writes_report(tmp_path, toy_cfg_file):
@@ -311,9 +383,10 @@ def test_evaluation_pool_is_generated_once_chunk_by_chunk(tmp_path, fewshot_cfg_
     monkeypatch.setattr(trainer, "sib_unroll", unrolling)
     n_query = cfg.fewshot.k * cfg.fewshot.n_query_per_class
     monkeypatch.setattr(sibcore, "CHUNK_POINTS", 3 * n_query)
-    assert main(command + ["--config", str(fewshot_cfg_file), "--set", "eval_episodes=10",
-                           "--checkpoint", str(tmp_path / "checkpoint.json"),
-                           "--out", str(tmp_path / "out")]) == 0
+    with pytest.warns(UserWarning, match="eval_episodes: 4 in the checkpoint, 10 now"):
+        assert main(command + ["--config", str(fewshot_cfg_file), "--set", "eval_episodes=10",
+                               "--checkpoint", str(tmp_path / "checkpoint.json"),
+                               "--out", str(tmp_path / "out")]) == 0
     seeds = [derive_task_seed(cfg.run_seed, "test", i) for i in range(10)]
     # each episode is generated once, in order, and the chunks are adapted in order
     assert [e for e in events if isinstance(e, int)] == seeds
@@ -343,9 +416,10 @@ def test_a_generation_error_in_a_chunk_still_exits_2(tmp_path, fewshot_cfg_file,
     monkeypatch.setattr(trainer, "gen_fewshot_episode", generating)
     monkeypatch.setattr(sibcore, "CHUNK_POINTS", 3 * cfg.fewshot.n_query)
     before = threading.active_count()
-    assert main(["eval", "--config", str(fewshot_cfg_file), "--episodes", "10",
-                 "--checkpoint", str(tmp_path / "checkpoint.json"),
-                 "--out", str(tmp_path / "out")]) == 2
+    with pytest.warns(UserWarning, match="eval_episodes: 4 in the checkpoint, 10 now"):
+        assert main(["eval", "--config", str(fewshot_cfg_file), "--set", "eval_episodes=10",
+                     "--checkpoint", str(tmp_path / "checkpoint.json"),
+                     "--out", str(tmp_path / "out")]) == 2
     assert calls == [3, 3]
     assert capsys.readouterr().err == "error: k=9 exceeds pool of 4 classes\n"
     assert threading.active_count() == before
@@ -402,7 +476,8 @@ def test_eval_rejects_a_non_finite_checkpoint_parameter(tmp_path, fewshot_cfg_fi
     (run / "checkpoint.json").write_text(json.dumps(payload))
     capsys.readouterr()
     rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
-               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "eval")])
+               str(run / "checkpoint.json"), "--set", "eval_episodes=4", "--out",
+               str(tmp_path / "eval")])
     assert rc == 2
     assert "xi_w1" in capsys.readouterr().err
 
@@ -448,12 +523,12 @@ def test_eval_rejects_a_malformed_checkpoint_naming_the_field(tmp_path, fewshot_
     replaced = mutate(payload)
     (run / "checkpoint.json").write_text(json.dumps(payload if replaced is None else replaced))
     capsys.readouterr()
-    # the checkpoint's config hash is another config's, but an invalid
+    # the checkpoint was trained with other settings, but an invalid
     # checkpoint reports only its fault
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["eval", "--config", str(fewshot_cfg_file), "--checkpoint",
-                   str(run / "checkpoint.json"), "--episodes", "4", "--out",
+                   str(run / "checkpoint.json"), "--set", "eval_episodes=4", "--out",
                    str(tmp_path / "eval")])
     assert rc == 2
     assert named in capsys.readouterr().err
@@ -470,7 +545,8 @@ def test_a_path_of_the_wrong_kind_exits_2_and_names_it(tmp_path, fewshot_cfg_fil
     # a file where a directory belongs, a directory where a file belongs
     paths[flag] = str(fewshot_cfg_file) if flag == "--out" else str(run)
     capsys.readouterr()
-    rc = main(["eval", "--episodes", "4", *(a for flag_path in paths.items() for a in flag_path)])
+    rc = main(["eval", "--set", "eval_episodes=4",
+               *(a for flag_path in paths.items() for a in flag_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and paths[flag] in err and "Traceback" not in err
@@ -482,7 +558,6 @@ def test_a_path_of_the_wrong_kind_exits_2_and_names_it(tmp_path, fewshot_cfg_fil
     ("fewshot", ["--set", "d_f=4"], "the config's d_f 4"),
     ("toy", [], "the config's mode 'toy'"),
 ], ids=["k", "d_x", "d_f", "toy-config"])
-@pytest.mark.filterwarnings("ignore:checkpoint config hash")
 def test_eval_rejects_a_checkpoint_of_another_geometry(tmp_path, toy_cfg_file, fewshot_cfg_file,
                                                        capsys, config, overrides, named):
     run = tmp_path / "run"
@@ -491,7 +566,8 @@ def test_eval_rejects_a_checkpoint_of_another_geometry(tmp_path, toy_cfg_file, f
     capsys.readouterr()
     cfg_file = toy_cfg_file if config == "toy" else fewshot_cfg_file
     rc = main(["eval", "--config", str(cfg_file), *overrides, "--checkpoint",
-               str(run / "checkpoint.json"), "--episodes", "4", "--out", str(tmp_path / "e")])
+               str(run / "checkpoint.json"), "--set", "eval_episodes=4",
+               "--out", str(tmp_path / "e")])
     assert rc == 2
     assert named in capsys.readouterr().err
 
@@ -587,9 +663,10 @@ def test_diverged_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_file,
     assert checkpoint["step"] == 0
     for name, param in checkpoint["params"].items():
         assert np.all(np.isfinite(param["values"])), name
-    assert main(["eval", "--config", str(run / "effective_config.json"),
-                 "--checkpoint", str(run / "checkpoint.json"), "--episodes", "4",
-                 "--out", str(tmp_path / "eval")]) == 0
+    with pytest.warns(UserWarning, match="eval_episodes: 2000 in the checkpoint, 4 now"):
+        assert main(["eval", "--config", str(run / "effective_config.json"),
+                     "--checkpoint", str(run / "checkpoint.json"), "--set", "eval_episodes=4",
+                     "--out", str(tmp_path / "eval")]) == 0
 
 
 def test_diverged_last_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_file, capsys):
@@ -612,12 +689,14 @@ def test_diverged_last_update_leaves_the_checkpoint_before_it(tmp_path, toy_cfg_
     for name, param in checkpoint["params"].items():
         assert np.all(np.isfinite(param["values"])), name
     assert "query_mse" not in (run / "metrics.csv").read_text()
-    assert main(["eval", "--config", str(run / "effective_config.json"),
-                 "--checkpoint", str(run / "checkpoint.json"), "--episodes", "4",
-                 "--out", str(tmp_path / "eval")]) == 0
+    with pytest.warns(UserWarning, match="eval_episodes: 2000 in the checkpoint, 4 now"):
+        assert main(["eval", "--config", str(run / "effective_config.json"),
+                     "--checkpoint", str(run / "checkpoint.json"), "--set", "eval_episodes=4",
+                     "--out", str(tmp_path / "eval")]) == 0
 
 
-@pytest.mark.parametrize("command,size", [("eval", "--episodes"), ("analyze", "--trials")])
+@pytest.mark.parametrize("command,size", [("eval", ["--set", "eval_episodes=4"]),
+                                          ("analyze", ["--trials", "4"])], ids=["eval", "analyze"])
 def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewshot_cfg_file,
                                                                 capsys, command, size):
     run = tmp_path / "run"
@@ -625,9 +704,10 @@ def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewsho
                  "--out", str(run)]) == 0
     capsys.readouterr()
     out = tmp_path / command
-    with np.errstate(over="ignore", invalid="ignore"):
+    diverging = r"inner.eta_inner: 0.001 in the checkpoint, 1e\+308 now"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning, match=diverging):
         rc = main([command, "--config", str(run / "effective_config.json"),
-                   "--checkpoint", str(run / "checkpoint.json"), size, "4",
+                   "--checkpoint", str(run / "checkpoint.json"), *size,
                    "--set", "inner.eta_inner=1e308", "--out", str(out)])
     assert rc == 1
     summary = json.loads((out / "summary.json").read_text())
@@ -644,6 +724,8 @@ def test_inner_divergence_outside_training_exits_1_with_summary(tmp_path, fewsho
     ("outer_kl_weight=null", "outer_kl_weight"),
     ("theta_init=null", "theta_init"),
     ("inner.steps=1.5", "inner.steps"),
+    ("inner.steps=-1", "inner.steps"),
+    ("eval_episodes=0", "eval_episodes"),
     ("toy.n=abc", "toy.n"),
     ("inner.steps.x=1", "inner.steps.x"),
     ("foo.bar=1", "foo"),
@@ -832,7 +914,7 @@ def test_every_run_setting_changes_what_a_run_writes_or_exits_2(flip_runs, tmp_p
         evals = [["eval", "--config", str(base), "--out", str(tmp_path / name),
                   "--checkpoint", str(tmp_path / "t/checkpoint.json")] for name in ("e0", "e1")]
         assert main(evals[0]) == 0
-        with pytest.warns(UserWarning, match="config hash"):
+        with pytest.warns(UserWarning, match="eval_episodes: "):
             assert main(evals[1] + setting) == 0
         assert (tmp_path / "e0/metrics.csv").read_bytes() != \
             (tmp_path / "e1/metrics.csv").read_bytes()
@@ -904,8 +986,6 @@ def test_toy_analysis_without_bound_in_the_deterministic_regime(tmp_path, toy_cf
     ("analyze", "--mc-seeds", "0"),
     ("analyze", "--trials", "1"),
     ("analyze", "--trials", "x"),
-    ("eval", "--episodes", "0"),
-    ("eval", "--inner-steps", "-1"),
     ("sweep-n", "--mc-seeds", "0"),
     ("sweep-n", "--trials", "0"),
     ("sweep-n", "--n-values", "0,4"),

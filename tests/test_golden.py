@@ -4,7 +4,9 @@ Every run goes through ``sgmeta.cli.main``. Its exit code, printed lines,
 ``metrics.csv`` and ``report.csv`` rows and checkpoint parameters are
 compared with ``tests/golden/<run>.json``: row keys, counts, accuracies and
 printed lines exactly, every other value to 1e-12 relative (the tolerance
-for refactors that may change float summation order).
+for refactors that may change float summation order). A run that sets a key
+with ``--set`` away from its checkpoint's stored config warns once, naming
+each such key; any other warning fails the run.
 
 Set ``SGMETA_REGEN_GOLDEN=1`` to rewrite the golden files from the current
 code instead of comparing. A rewrite keeps each recorded value that passes
@@ -17,6 +19,7 @@ import io
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +77,11 @@ RUNS = {
     "train-fewshot-ssl": ("fewshot-ssl", ["train-fewshot"]),
     "train-fewshot-gaussian": ("fewshot-gaussian", ["train-fewshot"]),
     "train-fewshot-train-f": ("fewshot-train-f", ["train-fewshot"]),
-    "eval-toy": ("toy", ["eval", "--checkpoint", "{train-toy}", "--episodes", "160"]),
-    "eval-toy-k0": ("toy", ["eval", "--checkpoint", "{train-toy}", "--inner-steps", "0"]),
+    "eval-toy": ("toy", ["eval", "--checkpoint", "{train-toy}", "--set", "eval_episodes=160"]),
+    "eval-toy-k0": ("toy", ["eval", "--checkpoint", "{train-toy}", "--set", "inner.steps=0"]),
     "eval-fewshot": ("fewshot", ["eval", "--checkpoint", "{train-fewshot-proto}"]),
     "eval-fewshot-k0": ("fewshot", ["eval", "--checkpoint", "{train-fewshot-proto}",
-                                    "--episodes", "30", "--inner-steps", "0"]),
+                                    "--set", "eval_episodes=30", "--set", "inner.steps=0"]),
     "analyze-toy": ("toy-inner-draws", ["analyze", "--checkpoint", "{train-toy-inner-draws}",
                                         "--trials", "160", "--mc-seeds", "2"]),
     "analyze-fewshot": ("fewshot", ["analyze", "--checkpoint", "{train-fewshot-proto}",
@@ -105,8 +108,13 @@ def _run(name: str, root: Path) -> dict:
     argv = [str(root / a[1:-1] / "checkpoint.json") if a.startswith("{") else a for a in argv]
     out = root / name
     printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
+    with contextlib.redirect_stdout(printed), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    # a run whose --set differs from the checkpoint's config warns once, naming each key
+    keys = [argv[i + 1].split("=")[0] for i, flag in enumerate(argv) if flag == "--set"]
+    assert len(caught) == (1 if keys else 0)
+    assert all(f"{key}: " in str(w.message) for w in caught for key in keys)
     record = {"exit": code, "printed": printed.getvalue().splitlines(),
               "metrics": _csv_rows(out / "metrics.csv"), "report": _csv_rows(out / "report.csv")}
     if argv[0].startswith("train"):
@@ -245,9 +253,10 @@ def test_best_checkpoint_records_the_step_it_was_taken(tmp_path):
     assert json.loads((out / "summary.json").read_text())["best_step"] == best_step
 
     evaluated = tmp_path / "eval"
-    assert main(["eval", "--config", str(out / "effective_config.json"),
-                 "--checkpoint", str(out / "checkpoint_best.json"), "--split", "val",
-                 "--episodes", "6", "--out", str(evaluated)]) == 0
+    with pytest.warns(UserWarning, match="eval_episodes: 210 in the checkpoint, 6 now"):
+        assert main(["eval", "--config", str(out / "effective_config.json"),
+                     "--checkpoint", str(out / "checkpoint_best.json"), "--split", "val",
+                     "--set", "eval_episodes=6", "--out", str(evaluated)]) == 0
     step_10 = [row[1:] for row in _csv_rows(out / "metrics.csv") if row[:2] == [10, "val"]]
     assert step_10 and [row[1:] for row in _csv_rows(evaluated / "metrics.csv")] == step_10
     params = [json.loads((out / name).read_text())["params"]

@@ -16,7 +16,6 @@ from sgmeta.models import (
     build_fewshot_model,
     build_toy_model,
     checkpoint_payload,
-    config_hash,
     init_theta0_proto,
     model_from_payload,
     prior_dist,
@@ -251,15 +250,14 @@ def test_feature_map_is_frozen_by_default():
 def test_checkpoint_payload_round_trip_bit_exact():
     model = build_fewshot_model(k=3, d_x=5, seed=11)
     model.params["psi_mean"].data[:] = np.random.default_rng(3).normal(size=15)
-    payload = checkpoint_payload(model, cfg_hash=config_hash({"a": 1}), step=42)
+    payload = checkpoint_payload(model, {"a": 1}, step=42)
     text = json.dumps(payload, sort_keys=True)
     restored = model_from_payload(json.loads(text))
     assert restored.k == model.k and restored.mode == model.mode
     for name, t in model.params.items():
         np.testing.assert_array_equal(restored.params[name].data, t.data)
         assert restored.params[name].requires_grad == t.requires_grad
-    text2 = json.dumps(checkpoint_payload(restored, cfg_hash=config_hash({"a": 1}), step=42),
-                       sort_keys=True)
+    text2 = json.dumps(checkpoint_payload(restored, {"a": 1}, step=42), sort_keys=True)
     assert text2 == text
 
 

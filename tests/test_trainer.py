@@ -348,21 +348,45 @@ def test_checkpoint_save_load_save_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_hash_mismatch_warns(tmp_path):
+def test_checkpoint_of_other_settings_warns_naming_each_key(tmp_path):
     cfg = tiny_fewshot_config()
-    model = build_model(cfg)
     path = tmp_path / "ck.json"
-    save_checkpoint(model, path, cfg, step=1)
-    other = tiny_fewshot_config(run_seed=99)
-    with pytest.warns(UserWarning, match="hash"):
+    save_checkpoint(build_model(cfg), path, cfg, step=1)
+    assert json.loads(path.read_text())["config"] == config_to_dict(cfg)
+    other = tiny_fewshot_config(run_seed=99, eval_episodes=5)
+    with pytest.warns(UserWarning) as caught:
         load_checkpoint(path, other)
+    assert [str(w.message) for w in caught] == [
+        f"checkpoint {path} was trained with other settings: "
+        "eval_episodes: 2000 in the checkpoint, 5 now; run_seed: 0 in the checkpoint, 99 now"]
 
 
-def test_checkpoint_malformed_errors(tmp_path):
+def test_a_checkpoint_that_stores_a_hash_loads_with_its_geometry_checked(tmp_path):
+    """The earlier form stores ``config_hash`` and no config: it loads under
+    any config of its geometry without a warning, and another geometry
+    still exits with the geometry's error."""
+    cfg = tiny_fewshot_config()
+    path = tmp_path / "ck.json"
+    save_checkpoint(build_model(cfg), path, cfg, step=1)
+    payload = json.loads(path.read_text())
+    del payload["config"]
+    path.write_text(json.dumps({**payload, "config_hash": "0123456789abcdef"}))
+    model = load_checkpoint(path, tiny_fewshot_config(run_seed=99, eval_episodes=5))
+    assert model.meta() == build_model(cfg).meta()
+    cfg.fewshot.k = 2
+    with pytest.raises(ValueError, match="the config's fewshot.k 2"):
+        load_checkpoint(path, cfg)
+
+
+@pytest.mark.parametrize("text, named", [("{not json", "malformed JSON in"),
+                                         ("[]", "must be a JSON object")],
+                         ids=["not-json", "list"])
+def test_checkpoint_malformed_errors(tmp_path, text, named):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="malformed"):
-        load_checkpoint(path)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=named) as err:
+        load_checkpoint(path, tiny_fewshot_config())
+    assert str(path) in str(err.value)
 
 
 def test_metrics_identical_before_and_after_checkpoint_round_trip(tmp_path):
