@@ -8,7 +8,6 @@ drawn, and the bound exists or not, as the posterior section says
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -29,7 +28,6 @@ from .tasks import (
     Episode,
     FewShotConfig,
     ToyConfig,
-    ahead,
     derive_task_seed,
     episode_rng,
     gen_fewshot_episode,
@@ -43,12 +41,10 @@ from . import diffcore as dc
 # sampler's query size: 64 few-shot or 150 toy trials). No trial's numbers
 # depend on the chunk. Each chunk's datasets are one batch
 # (``tasks.Episode``), adapted through the batched unroll on a constant copy
-# of the model, so no autodiff tape is built. A worker thread makes each
-# chunk's datasets and their fresh draws while the chunk before is adapted
-# (``tasks.ahead``), so at most two chunks of datasets are alive: the one
-# being adapted and the next. The worker reads the held trials and the
-# sampler, which the caller does not touch while the gap runs, and draws from
-# its own thread's generator. ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
+# of the model, so no autodiff tape is built. Each chunk's datasets and
+# their fresh draws are made just before the chunk is adapted and dropped
+# after, so one chunk of datasets is alive at a time.
+# ``theta0_fn(frozen, chunk)`` gives the chunk's stacked
 # initializations: the commands pass the run's rule, ``trainer.make_theta0``
 # bound to the run config. Each trial is generated and
 # adapted once. Its weights are drawn and its loss is compared with a fresh
@@ -176,22 +172,15 @@ class HeldTrials:
         return Episode(inputs, labels, truth=truth, task_seed=tuple(task_seeds)), theta_k, losses
 
 
-def _trial_chunks(trials: int, sampler: TaskSampler, held: HeldTrials):
-    """``(trials, datasets, adapted weights, their losses, fresh datasets)``
-    of consecutive chunks of trials 0 .. ``trials`` - 1: ``chunk_slices``'
-    chunks, each split where held trials start or end. The weights and
-    losses are ``None`` for trials not held, which are drawn."""
-    seeds = sampler.seeds(range(trials))
-    for rows in chunk_slices(trials, sampler.n_query):
+def _trial_parts(seeds: list, n_query: int, held: HeldTrials):
+    """``(trials, held or not)`` of consecutive parts of the trials with
+    task seeds ``seeds``: ``chunk_slices``' chunks, each split where held
+    trials start or end."""
+    for rows in chunk_slices(len(seeds), n_query):
         for is_held, part in itertools.groupby(range(rows.start, rows.stop),
                                                key=lambda i: seeds[i] in held):
             part = list(part)
-            idx = range(part[0], part[-1] + 1)
-            if is_held:
-                datasets, theta_k, own = held.take(seeds[idx.start:idx.stop])
-            else:
-                datasets, theta_k, own = sampler.make(seeds[idx.start:idx.stop]), None, None
-            yield idx, datasets, theta_k, own, sampler.fresh(datasets, idx)
+            yield range(part[0], part[-1] + 1), is_held
 
 
 def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
@@ -212,8 +201,8 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     theta_k)`` is called on each chunk with its datasets and stacked
     adapted weights. Trials in ``held`` are read from it, not drawn and
     adapted; ``theta0_fn`` and ``inner`` must be the ones that adapted them.
-    Each chunk's datasets and fresh datasets are made in a worker thread
-    while the chunk before is adapted, so at most two chunks are alive.
+    Each chunk's datasets and fresh datasets are made just before the
+    chunk is adapted and dropped after, so one chunk is alive at a time.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2: σ pairs each trial with another")
@@ -225,21 +214,27 @@ def gen_gap(model: MetaModel, task_sampler: TaskSampler, inner: InnerLoopConfig,
     rng = episode_rng(derive_task_seed(seed, "test", 0x6A9), stream=7)
     held = HeldTrials() if held is None else held
     diffs = np.empty(trials)
-    with contextlib.closing(ahead(_trial_chunks(trials, task_sampler, held))) as chunks:
-        for idx, datasets, theta_k, own, fresh in chunks:
-            if theta_k is None:
-                theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
-            theta = theta_k.reshape(len(idx), -1)
-            # one draw per trial, in trial order
-            eps = rng.normal(size=theta.shape) if posterior.random else None
-            w = posterior.draw(dc.constant(theta), eps).data
-            if own is None or posterior.random:  # a held point mass's is its evaluation's
-                own = _losses(frozen, datasets.query_inputs, datasets.query_labels, w)
-            fresh_loss = _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
-            diffs[idx.start:idx.stop] = fresh_loss - own
-            picked.keep(idx, datasets, theta)
-            if on_chunk is not None:
-                on_chunk(idx, datasets, theta_k)
+    seeds = task_sampler.seeds(range(trials))
+    for idx, is_held in _trial_parts(seeds, n_query, held):
+        if is_held:
+            datasets, theta_k, own = held.take(seeds[idx.start:idx.stop])
+        else:
+            datasets, theta_k, own = task_sampler.make(seeds[idx.start:idx.stop]), None, None
+        fresh = task_sampler.fresh(datasets, idx)
+        if theta_k is None:
+            theta_k = sib_unroll(theta0_fn(frozen, datasets), datasets, frozen, inner)[0].data
+        theta = theta_k.reshape(len(idx), -1)
+        # one draw per trial, in trial order
+        eps = rng.normal(size=theta.shape) if posterior.random else None
+        w = posterior.draw(dc.constant(theta), eps).data
+        if own is None or posterior.random:  # a held point mass's is its evaluation's
+            own = _losses(frozen, datasets.query_inputs, datasets.query_labels, w)
+        fresh_loss = _losses(frozen, fresh.query_inputs, fresh.query_labels, w)
+        diffs[idx.start:idx.stop] = fresh_loss - own
+        picked.keep(idx, datasets, theta)
+        if on_chunk is not None:
+            on_chunk(idx, datasets, theta_k)
+        del datasets, fresh  # before the next chunk is made
     gap = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(trials))
     sigma = estimate_sigma(frozen, picked, inner)

@@ -14,7 +14,6 @@ noise, and batch order all derive from counter-based seeds.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -64,7 +63,6 @@ from .tasks import (
     FewShotConfig,
     ToyConfig,
     _stream,
-    ahead,
     derive_task_seed,
     gen_fewshot_episode,
     gen_spinning_lines,
@@ -428,10 +426,8 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes, step: int =
     ``CHUNK_POINTS`` query points (``chunk_slices``: 64 few-shot episodes or
     150 toy tasks) on a constant copy of the parameters, so no autodiff tape
     or synthetic-gradient activation is kept, and no per-episode value
-    depends on the chunk. A pool's chunks are
-    generated in a worker thread (``tasks.ahead``), each while the chunk
-    before it is adapted, so at most two are alive: the one being adapted
-    and the next.
+    depends on the chunk. A pool's chunks are generated one at a time, each
+    just before it is adapted and dropped after, so one is alive at a time.
     ``on_chunk(chunk, theta_k, losses)`` gets each chunk, its stacked adapted
     weights and query losses (the head's ``loss_metric``); ``analyze`` keeps
     the ones its gap estimate reads (``analysis.HeldTrials``).
@@ -441,18 +437,16 @@ def evaluate(model: MetaModel, cfg: RunConfig, split: str, episodes, step: int =
     per = {}
     snapshot = model.clone_data()
     frozen = frozen_copy(model)
-    chunks = (episodes.take(rows) for rows in chunk_slices(len(episodes), episodes.n_query))
-    if isinstance(episodes, EpisodePool):
-        chunks = ahead(chunks)
-    with contextlib.closing(chunks):
-        for chunk in chunks:
-            theta_k, _ = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, cfg.inner)
-            metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, cfg.inner)
-            metrics["kl_to_prior"] = prior_term(theta_k, frozen, cfg.inner).data
-            for name, values in metrics.items():
-                per.setdefault(name, []).extend(float(v) for v in values)
-            if on_chunk is not None:
-                on_chunk(chunk, theta_k.data, metrics[frozen.head.loss_metric])
+    for rows in chunk_slices(len(episodes), episodes.n_query):
+        chunk = episodes.take(rows)
+        theta_k = sib_unroll(make_theta0(frozen, chunk, cfg), chunk, frozen, cfg.inner)[0]
+        metrics = frozen.head.episode_metrics(chunk, theta_k, cfg, cfg.inner)
+        metrics["kl_to_prior"] = prior_term(theta_k, frozen, cfg.inner).data
+        for name, values in metrics.items():
+            per.setdefault(name, []).extend(float(v) for v in values)
+        if on_chunk is not None:
+            on_chunk(chunk, theta_k.data, metrics[frozen.head.loss_metric])
+        del chunk  # before the next chunk is made
     for name, t in model.params.items():
         if not np.array_equal(t.data, snapshot[name]):
             raise RuntimeError(f"evaluation mutated parameter {name}")

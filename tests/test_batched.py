@@ -10,6 +10,7 @@ and the gradient of every trainable parameter.
 import functools
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,18 +332,12 @@ def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_que
     pool = EpisodePool(sum(sizes), n_query, make)
     evaluate(build_model(cfg), cfg, "test", pool,
              on_chunk=lambda chunk, theta_k, losses: events.append(("read", len(chunk))))
-    # each chunk is made once, in order, and read in order
+    # each chunk is made once, in order, and read before the next one is made
     assert made == list(range(sum(sizes)))
-    for kind in ("made", "read"):
-        assert [size for event, size in events if event == kind] == sizes
-    # chunk j is read after it is made, and before chunk j + 2 is begun:
-    # the maker is never more than one chunk ahead
-    made_before = [sum(event == "made" for event, _ in events[:i])
-                   for i, (event, _) in enumerate(events) if event == "read"]
-    assert all(j + 1 <= n <= j + 2 for j, n in enumerate(made_before))
+    assert events == [event for size in sizes for event in (("made", size), ("read", size))]
 
 
-def test_evaluate_raises_a_make_error_at_its_chunk_and_ends_the_worker(monkeypatch):
+def test_evaluate_raises_a_make_error_at_its_chunk(monkeypatch):
     cfg = fewshot_case()
     chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
     made, read = [], []
@@ -362,7 +357,7 @@ def test_evaluate_raises_a_make_error_at_its_chunk_and_ends_the_worker(monkeypat
 
 
 @pytest.mark.parametrize("loop", ["evaluate", "gen_gap"])
-def test_an_inner_loop_error_mid_loop_ends_the_worker(monkeypatch, loop):
+def test_an_inner_loop_error_mid_loop_is_raised_at_its_chunk(monkeypatch, loop):
     cfg = fewshot_case()
     model = perturbed_model(cfg, seed=1)
     chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
@@ -385,10 +380,43 @@ def test_an_inner_loop_error_mid_loop_ends_the_worker(monkeypatch, loop):
             gen_gap(model, fewshot_task_sampler(cfg.fewshot, seed=0), cfg.inner, trials=10,
                     theta0_fn=functools.partial(make_theta0, cfg=cfg))
     assert unrolled == [2, 2]
-    # the worker is gone while the error, and the loop's frame in its traceback,
+    # no thread is left while the error, and the loop's frame in its traceback,
     # is still held, as ``cli.main`` holds it while it writes the summary
     assert threading.active_count() == before
     assert raised.traceback[-1].name == "diverging"
+
+
+def traced_peak(run):
+    """Peak bytes that Python allocations reach during ``run()``, after a
+    warm-up run has filled the caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("loop", ["evaluate", "gen_gap"])
+def test_forward_only_loops_keep_one_chunk_alive(loop):
+    """Over three chunks, a loop's peak grows by its per-episode results, not
+    by a second chunk of episodes: each chunk is dropped before the next is
+    made."""
+    cfg = default_config("fewshot")  # 64 episodes of 75 query points to a chunk
+    model = perturbed_model(cfg, seed=1)
+    per_chunk = sibcore.CHUNK_POINTS // cfg.fewshot.n_query
+
+    def run(n):
+        if loop == "evaluate":
+            evaluate(model, cfg, "test", episode_pool(cfg, "test", n))
+        else:  # no held trials: every chunk's datasets and fresh datasets are made
+            gen_gap(model, fewshot_task_sampler(cfg.fewshot, seed=0), cfg.inner, trials=n,
+                    theta0_fn=run_theta0(cfg))
+
+    chunk_bytes = episode_pool(cfg, "test", per_chunk).take(slice(None)).query_inputs.nbytes
+    one, three = traced_peak(lambda: run(per_chunk)), traced_peak(lambda: run(3 * per_chunk))
+    assert three - one < chunk_bytes / 2
 
 
 def test_evaluation_chunks_do_not_change_per_episode_values(monkeypatch):

@@ -388,16 +388,10 @@ def test_evaluation_pool_is_generated_once_chunk_by_chunk(tmp_path, fewshot_cfg_
                                "--checkpoint", str(tmp_path / "checkpoint.json"),
                                "--out", str(tmp_path / "out")]) == 0
     seeds = [derive_task_seed(cfg.run_seed, "test", i) for i in range(10)]
-    # each episode is generated once, in order, and the chunks are adapted in order
-    assert [e for e in events if isinstance(e, int)] == seeds
-    unrolls = [i for i, e in enumerate(events) if isinstance(e, str)]
-    assert [events[i] for i in unrolls] == ["unroll 3"] * 3 + ["unroll 1"]
-    # chunk j is generated before it is adapted, and chunk j + 2 is not begun
-    # until chunk j + 1 is read: generation runs at most one chunk ahead
-    ends = [3, 6, 9, 10]
-    for j, i in enumerate(unrolls):
-        generated = sum(isinstance(e, int) for e in events[:i])
-        assert ends[j] <= generated <= ends[min(j + 1, 3)]
+    # each episode is generated once, in order, and chunk j is generated, then
+    # adapted, before chunk j + 1 is begun
+    assert events == [*seeds[0:3], "unroll 3", *seeds[3:6], "unroll 3",
+                      *seeds[6:9], "unroll 3", seeds[9], "unroll 1"]
 
 
 def test_a_generation_error_in_a_chunk_still_exits_2(tmp_path, fewshot_cfg_file, monkeypatch,
@@ -427,8 +421,8 @@ def test_a_generation_error_in_a_chunk_still_exits_2(tmp_path, fewshot_cfg_file,
 
 def test_an_interrupted_analyze_exits_promptly(tmp_path, toy_cfg_file):
     """SIGINT in the middle of the evaluation's chunks ends the command at
-    once, as an uncaught interrupt (exit status 130 in a shell): no worker
-    thread is left to wait for."""
+    once, as an uncaught interrupt (exit status 130 in a shell): the chunks
+    are made in the main thread, and no worker exists to wait for."""
     cfg = config_from_dict(json.loads(toy_cfg_file.read_text()))
     save_checkpoint(build_model(cfg), tmp_path / "checkpoint.json", cfg, step=0)
     out = tmp_path / "out"
@@ -465,6 +459,45 @@ def test_importing_the_cli_starts_no_thread_and_no_executor():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "False", "False"]
+
+
+def test_forward_only_commands_start_no_thread(tmp_path, toy_cfg_file, fewshot_cfg_file,
+                                               monkeypatch, capsys):
+    """``eval``, ``analyze`` and ``sweep-n`` make and adapt every chunk in the
+    calling thread: with ``threading.Thread.start`` raising, each exits 0 and
+    writes the files it writes where threads may start."""
+    checkpoints = {}
+    for mode, cfg_file in (("toy", toy_cfg_file), ("fewshot", fewshot_cfg_file)):
+        cfg = config_from_dict(json.loads(cfg_file.read_text()))
+        checkpoints[mode] = str(tmp_path / f"{mode}.json")
+        save_checkpoint(build_model(cfg), Path(checkpoints[mode]), cfg, step=0)
+    commands = {
+        "eval-toy": ["eval", "--checkpoint", checkpoints["toy"]],
+        "analyze-toy": ["analyze", "--checkpoint", checkpoints["toy"], "--trials", "8",
+                        "--mc-seeds", "2"],
+        "eval-fewshot": ["eval", "--checkpoint", checkpoints["fewshot"]],
+        "analyze-fewshot": ["analyze", "--checkpoint", checkpoints["fewshot"], "--trials", "6"],
+        "sweep-n": ["sweep-n", "--checkpoint", checkpoints["toy"], "--n-values", "4,8",
+                    "--trials", "8"],
+    }
+    monkeypatch.setattr(sibcore, "CHUNK_POINTS", 16)  # 1 to 4 episodes to a chunk
+
+    def written(out):
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        files["summary.json"] = read_masked_summary(out / "summary.json")
+        return files
+
+    def refuse(thread):
+        raise RuntimeError(f"a thread was started: {thread.name}")
+
+    for threads in ("allowed", "refused"):
+        if threads == "refused":
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / threads / name)]) == 0, name
+    capsys.readouterr()
+    for name in commands:
+        assert written(tmp_path / "refused" / name) == written(tmp_path / "allowed" / name)
 
 
 def test_eval_rejects_a_non_finite_checkpoint_parameter(tmp_path, fewshot_cfg_file, capsys):
@@ -1009,11 +1042,10 @@ def test_count_flags_out_of_range_exit_2_and_name_the_flag(tmp_path, toy_cfg_fil
 def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         tmp_path, toy_cfg_file, fewshot_cfg_file, monkeypatch):
     """A run builds a fixed handful of Philox generators, however many
-    episodes it draws (each episode's stream resets its thread's generator,
-    so a worker thread that generates a pool or a gap's chunks builds one),
+    episodes it draws (each episode's stream resets one shared generator),
     and an ``analyze`` command generates and adapts each task once: gap
     trials that are evaluation episodes are read from the evaluation."""
-    tasks._stream(0)  # this thread's generator, built once per thread
+    tasks._stream(0)  # the shared generator, built once per process
     built = []
     philox = np.random.Philox
 
@@ -1069,17 +1101,16 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         assert len(set(generated)) == len(generated)
         assert len(set(adapted)) == len(adapted)
 
-    # one model build while loading the checkpoint, then each estimate's gap and σ draws,
-    # and one generator for each worker thread: the evaluation's and each estimate's;
+    # one model build while loading the checkpoint, then each estimate's gap and σ draws;
     # test episodes 0, 2 and 4 of the pool of 6 are the first estimate's trials 0, 1 and 2
-    assert analyze(toy, "--mc-seeds", "2") == 1 + 2 * 2 + (1 + 2)
+    assert analyze(toy, "--mc-seeds", "2") == 1 + 2 * 2
     each_task_once(pool=6, reused=3, estimates=2)
     for regime in ("deterministic", "gaussian_fixed_var"):
         fewshot = tmp_path / regime
         assert main(["train-fewshot", "--config", str(fewshot_cfg_file),
                      "--set", f'inner.posterior={{"regime": "{regime}"}}',
                      "--out", str(fewshot)]) == 0
-        assert analyze(fewshot) == 1 + 2 + (1 + 1)
+        assert analyze(fewshot) == 1 + 2
         # test episodes 0 and 3 of the pool of 4 are trials 0 and 1
         each_task_once(pool=4, reused=2, estimates=1)
 

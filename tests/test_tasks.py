@@ -1,9 +1,6 @@
 """Generators: determinism, closed-form relations, Monte-Carlo oracles."""
 
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sgmeta.tasks import (
     Episode,
     _stream,
-    ahead,
     episode_rng,
     FewShotConfig,
     ToyConfig,
@@ -364,91 +360,3 @@ def test_reset_stream_forgets_the_stream_drawn_from_in_between():
     first = rng.normal(size=3)
     _stream(5, 1).normal(size=3)
     assert_bitwise(np.concatenate([first, rng.normal(size=4)]), want[0])
-
-
-def test_each_thread_resets_a_generator_of_its_own_under_contention():
-    """Threads resetting their streams at once each draw their own stream:
-    a process-wide generator would hand one thread's reset to another."""
-    threads, rounds = 4 * (os.cpu_count() or 2), 150  # more threads than cores
-    keys = [(derive_task_seed(9, "test", t), t % 3) for t in range(threads)]
-    got = {}
-
-    def draw(t):
-        drawn = []
-        for _ in range(rounds):
-            rng = _stream(*keys[t])
-            drawn.append(draw_some(rng))
-        got[t] = drawn
-
-    workers = [threading.Thread(target=draw, args=(t,), daemon=True) for t in range(threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    for t, key in enumerate(keys):
-        want = draw_some(episode_rng(*key))
-        assert len(got[t]) == rounds
-        for drawn in got[t]:
-            for a, b in zip(drawn, want):
-                assert_bitwise(a, b)
-
-
-# -- generating ahead in a worker thread ---------------------------------------------
-
-
-class Made:
-    """Items 0 .. n - 1, recording when each is begun, and raising ``error``
-    in place of item ``fail_at``."""
-
-    def __init__(self, n, fail_at=None, error=None):
-        self.n, self.fail_at, self.error = n, fail_at, error
-        self.begun = []
-
-    def __iter__(self):
-        for i in range(self.n):
-            self.begun.append(i)
-            if i == self.fail_at:
-                raise self.error
-            yield i
-
-
-def test_ahead_yields_each_item_once_in_order_at_most_one_ahead():
-    made = Made(6)
-    begun_when_read = []
-    for item in ahead(made):
-        begun_when_read.append(len(made.begun))
-    assert made.begun == list(range(6))
-    # item j is read after it is made, and before item j + 2 is begun
-    assert all(j + 1 <= n <= j + 2 for j, n in enumerate(begun_when_read))
-    assert list(ahead([])) == []
-
-
-def test_ahead_raises_a_workers_error_at_its_item_after_the_items_before():
-    made = Made(6, fail_at=3, error=ValueError("no episode 3"))
-    read = []
-    with pytest.raises(ValueError, match="^no episode 3$"):
-        for item in ahead(made):
-            read.append(item)
-    assert read == [0, 1, 2]
-    assert made.begun == [0, 1, 2, 3]
-
-
-def test_ahead_ends_its_worker_when_the_caller_stops_early():
-    before = threading.active_count()
-    made = Made(100)
-    for item in ahead(made):
-        if item == 2:
-            break
-    assert threading.active_count() == before
-    assert made.begun in ([0, 1, 2], [0, 1, 2, 3])  # at most the one asked for next
-    items = ahead(Made(100))
-    assert next(items) == 0
-    assert threading.active_count() == before + 1
-    items.close()
-    assert threading.active_count() == before
