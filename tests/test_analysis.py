@@ -22,6 +22,7 @@ from sgmeta.analysis import (
 from sgmeta.distributions import DiagGaussian, Deterministic, GaussianFixedVar
 from sgmeta.models import build_toy_model, frozen_copy
 from sgmeta.sibcore import InnerLoopConfig, sib_unroll
+from sgmeta import sibcore
 from sgmeta import diffcore as dc
 from sgmeta.tasks import (
     Episode,
@@ -356,6 +357,21 @@ def test_no_sigma_draw_reads_the_weights_and_the_point_of_one_trial(monkeypatch,
             toy_inner(steps=0, posterior=Deterministic()), trials=trials, theta0_fn=theta0)
     assert pairs == [(t, (t + 1) % trials) for t in range(min(trials, 2000))]
     assert all(weights_trial != point_trial for weights_trial, point_trial in pairs)
+
+
+def test_trial_parts_split_each_chunk_where_held_runs_start_or_end():
+    """Four trials to a chunk; the parts cover every trial once, in order,
+    none crossing a chunk boundary or mixing held and unheld trials."""
+    seeds = [100 + t for t in range(11)]
+    held = {101, 102, 103, 104, 108}  # only ``in`` is asked of ``held``
+    n_query = sibcore.CHUNK_POINTS // 4
+    assert list(analysis._trial_parts(seeds, n_query, held)) == [
+        (range(0, 1), False), (range(1, 4), True),
+        (range(4, 5), True), (range(5, 8), False),
+        (range(8, 9), True), (range(9, 11), False)]
+    assert list(analysis._trial_parts(seeds, n_query, set())) == [
+        (range(0, 4), False), (range(4, 8), False), (range(8, 11), False)]
+    assert list(analysis._trial_parts([], n_query, held)) == []
 
 
 def test_sigma_estimator_positive_and_stable():

@@ -337,7 +337,7 @@ def test_evaluate_chunks_size_from_the_query_size_and_make_each_once(mode, n_que
     assert events == [event for size in sizes for event in (("made", size), ("read", size))]
 
 
-def test_evaluate_raises_a_make_error_at_its_chunk(monkeypatch):
+def test_evaluate_raises_a_make_error_at_its_chunk_and_ends_the_worker(monkeypatch):
     cfg = fewshot_case()
     chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
     made, read = [], []
@@ -353,11 +353,11 @@ def test_evaluate_raises_a_make_error_at_its_chunk(monkeypatch):
         evaluate(build_model(cfg), cfg, "test", EpisodePool(10, cfg.fewshot.n_query, make),
                  on_chunk=lambda chunk, theta_k, losses: read.append(len(read)))
     assert made == [0, 1, 2] and read == [0, 1]  # raised where a one-chunk loop would raise
-    assert threading.active_count() == before
+    assert threading.active_count() == before  # no worker thread is left running
 
 
 @pytest.mark.parametrize("loop", ["evaluate", "gen_gap"])
-def test_an_inner_loop_error_mid_loop_is_raised_at_its_chunk(monkeypatch, loop):
+def test_an_inner_loop_error_mid_loop_ends_the_worker(monkeypatch, loop):
     cfg = fewshot_case()
     model = perturbed_model(cfg, seed=1)
     chunk_episodes(monkeypatch, 2, cfg.fewshot.n_query)
@@ -380,7 +380,7 @@ def test_an_inner_loop_error_mid_loop_is_raised_at_its_chunk(monkeypatch, loop):
             gen_gap(model, fewshot_task_sampler(cfg.fewshot, seed=0), cfg.inner, trials=10,
                     theta0_fn=functools.partial(make_theta0, cfg=cfg))
     assert unrolled == [2, 2]
-    # no thread is left while the error, and the loop's frame in its traceback,
+    # no worker thread is left while the error, and the loop's frame in its traceback,
     # is still held, as ``cli.main`` holds it while it writes the summary
     assert threading.active_count() == before
     assert raised.traceback[-1].name == "diverging"

@@ -1,6 +1,7 @@
 """Generators: determinism, closed-form relations, Monte-Carlo oracles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -360,3 +361,23 @@ def test_reset_stream_forgets_the_stream_drawn_from_in_between():
     first = rng.normal(size=3)
     _stream(5, 1).normal(size=3)
     assert_bitwise(np.concatenate([first, rng.normal(size=4)]), want[0])
+
+
+def test_every_reset_is_of_one_generator_for_the_whole_process():
+    """No generator is built per stream, per call or per thread: a thread
+    that draws alone resets the same generator and draws the same stream."""
+    rng = _stream(1, 0)
+    assert _stream(2, 1) is rng
+    got = {}
+
+    def draw():
+        got["rng"] = _stream(5, 1)
+        got["drawn"] = draw_some(got["rng"])
+
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got["rng"] is rng
+    for a, b in zip(got["drawn"], draw_some(episode_rng(5, 1))):
+        assert_bitwise(a, b)
