@@ -9,8 +9,8 @@ drawn, and the bound exists or not, as the posterior section says
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +34,7 @@ from .tasks import (
     gen_spinning_lines,
     resample_query_set,
 )
+from .trainer import write_report_csv, write_report_json
 from . import diffcore as dc
 
 # One gap estimate (``gen_gap``) is one pass over its T trials, in chunks of
@@ -117,13 +118,20 @@ class TaskSampler:
     fresh: Callable
 
 
+def _derived_once(seeds: Callable) -> Callable:
+    """``seeds(trials)``, deriving the seeds of the same trials once (``analyze``
+    looks for its gap trials in its evaluation before the gap reads them)."""
+    derived = functools.cache(lambda trials: tuple(seeds(trials)))
+    return lambda trials: derived(tuple(trials))
+
+
 def toy_task_sampler(cfg: ToyConfig, seed: int, n: Optional[int] = None) -> TaskSampler:
     """Trial sampler for the toy process: a dataset plus a fresh re-draw."""
 
     def seeds(trials, offset=0):
         return [derive_task_seed(seed, "test", 2 * t + offset) for t in trials]
 
-    return TaskSampler(cfg.n_query if n is None else int(n), seeds,
+    return TaskSampler(cfg.n_query if n is None else int(n), _derived_once(seeds),
                        lambda task_seeds: gen_spinning_lines(cfg, task_seeds, n=n),
                        lambda datasets, trials: gen_spinning_lines(cfg, seeds(trials, 0x10002),
                                                                    n=n))
@@ -135,7 +143,7 @@ def fewshot_task_sampler(cfg: FewShotConfig, seed: int) -> TaskSampler:
     def seeds(trials, offset=0):
         return [derive_task_seed(seed, "test", 3 * t + offset) for t in trials]
 
-    return TaskSampler(cfg.n_query, seeds,
+    return TaskSampler(cfg.n_query, _derived_once(seeds),
                        lambda task_seeds: gen_fewshot_episode(cfg, "test", task_seeds),
                        lambda datasets, trials: resample_query_set(datasets, cfg,
                                                                    seeds(trials, 1)))
@@ -396,18 +404,7 @@ def spearman_rank_correlation(xs, ys) -> float:
     return float((rx * ry).sum() / denom)
 
 
-# -- report output --------------------------------------------------------------------
-
-
-def write_report_csv(path, quantities) -> None:
-    """``quantity,value,stderr`` rows."""
-    with open(path, "w") as fh:
-        fh.write("quantity,value,stderr\n")
-        for name, value, stderr in quantities:
-            fh.write(f"{name},{value!r},{stderr!r}\n")
-
-
-def write_report_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def write_reports(out, quantities, payload: dict) -> None:
+    """An analysis command's ``report.csv`` and ``summary.json`` in ``out``."""
+    write_report_csv(out / "report.csv", quantities)
+    write_report_json(out / "summary.json", payload)

@@ -1,5 +1,5 @@
 """Outer training loop: sample episodes, unroll the inner loop, update the
-meta-parameters; plus evaluation, metric logging, and checkpointing.
+meta-parameters; plus evaluation, checkpointing, and the metric and report files.
 
 One optimizer step consumes a batch of episodes, stacked on a leading axis so
 the step builds and differentiates one graph. Per episode the loss is
@@ -354,6 +354,20 @@ def write_metrics_csv(path, records) -> None:
         fh.write(METRICS_HEADER + "\n")
         for step, split, metric, value, ci in records:
             fh.write(f"{step},{split},{metric},{value!r},{ci!r}\n")
+
+
+def write_report_csv(path, quantities) -> None:
+    """``quantity,value,stderr`` rows."""
+    with open(path, "w") as fh:
+        fh.write("quantity,value,stderr\n")
+        for name, value, stderr in quantities:
+            fh.write(f"{name},{value!r},{stderr!r}\n")
+
+
+def write_report_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 # -- model/episode plumbing -----------------------------------------------------

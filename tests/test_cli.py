@@ -461,6 +461,29 @@ def test_importing_the_cli_starts_no_thread_and_no_executor():
     assert done.stdout.split() == ["1", "False", "False"]
 
 
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, toy_cfg_file):
+    """Importing the CLI loads neither ``analysis`` nor ``gradcheck``, a
+    training command and ``eval`` run in that process leave ``analysis``
+    unloaded, and ``analyze`` loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run, checkpoint = tmp_path / "run", str(tmp_path / "run" / "checkpoint.json")
+    commands = [["train-toy", "--config", str(toy_cfg_file), "--out", str(run)],
+                ["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "eval")],
+                ["analyze", "--checkpoint", checkpoint, "--trials", "4",
+                 "--out", str(tmp_path / "analyze")]]
+    probe = ("import json, sys; from sgmeta.cli import main\n"
+             "def loaded(): return [m in sys.modules for m in "
+             "('sgmeta.analysis', 'sgmeta.gradcheck')]\n"
+             "seen = [loaded()]\n"
+             "for argv in json.loads(sys.argv[1]): seen.append([main(argv)] + loaded())\n"
+             "print(json.dumps(seen))")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        [False, False], [0, False, False], [0, False, False], [0, True, False]]
+
+
 def test_forward_only_commands_start_no_thread(tmp_path, toy_cfg_file, fewshot_cfg_file,
                                                monkeypatch, capsys):
     """``eval``, ``analyze`` and ``sweep-n`` make and adapt every chunk in the
@@ -1044,7 +1067,9 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
     """A run builds a fixed handful of Philox generators, however many
     episodes it draws (each episode's stream resets one shared generator),
     and an ``analyze`` command generates and adapts each task once: gap
-    trials that are evaluation episodes are read from the evaluation."""
+    trials that are evaluation episodes are read from the evaluation. It
+    derives each gap trial's task seed once, though both the evaluation and
+    the gap look for it."""
     tasks._stream(0)  # the shared generator, built once per process
     built = []
     philox = np.random.Philox
@@ -1078,9 +1103,16 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
     for module in (sibcore, trainer, analysis, cli):
         if hasattr(module, "sib_unroll"):
             monkeypatch.setattr(module, "sib_unroll", counting_unroll)
+    derived = []  # the gap's seeds: its trials', their fresh draws' and its streams'
+
+    def counting_derive(*args):
+        derived.append(args)
+        return derive_task_seed(*args)
+
+    monkeypatch.setattr(analysis, "derive_task_seed", counting_derive)
 
     def run(argv):
-        del built[:], generated[:], adapted[:]
+        del built[:], generated[:], adapted[:], derived[:]
         assert main(argv) == 0
         return len(built)
 
@@ -1100,6 +1132,7 @@ def test_commands_build_no_generator_per_episode_and_no_analysis_trial_twice(
         assert len(adapted) == pool + estimates * 40 - reused
         assert len(set(generated)) == len(generated)
         assert len(set(adapted)) == len(adapted)
+        assert len(derived) == estimates * (40 + 40 + 2)
 
     # one model build while loading the checkpoint, then each estimate's gap and σ draws;
     # test episodes 0, 2 and 4 of the pool of 6 are the first estimate's trials 0, 1 and 2

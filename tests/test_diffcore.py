@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmeta import diffcore as dc
-from sgmeta.cli import OP_CASES, check_op_case, main
+from sgmeta.cli import main
 from sgmeta.diffcore import (
     GraphError,
     ShapeError,
@@ -25,6 +25,7 @@ from sgmeta.diffcore import (
     softmax,
     zero_grad,
 )
+from sgmeta.gradcheck import OP_CASES, check_op_case
 from sgmeta.trainer import build_model, default_config, episode_objective, episodes_for
 from test_fused import exp, relu_mlp, tmean
 
